@@ -16,7 +16,9 @@
 //
 // Compare a fresh run against the committed baseline (exit 1 on >15%
 // allocs/op regression, warning annotations for time, which is noisy on
-// shared runners; -fail-on time,allocs tightens it):
+// shared runners; -fail-on time,allocs tightens it). A benchmark whose
+// events/run differs from the baseline's also exits 1, as a stale baseline
+// to re-record rather than a regression:
 //
 //	go test -run '^$' -bench Benchmark10kNodeRelay -benchmem -benchtime 3x . |
 //	    benchjson -suite core -compare BENCH_core.json
@@ -89,7 +91,7 @@ func main() {
 		}
 		report := benchfmt.Compare(base, doc, *threshold)
 		sort.Slice(report, func(i, j int) bool { return report[i].Name < report[j].Name })
-		bad := false
+		bad, stale := false, false
 		for _, d := range report {
 			line := fmt.Sprintf("%s: %s %.4g -> %.4g (%+.1f%%)", d.Name, d.Dimension, d.Base, d.Current, 100*d.Delta)
 			switch {
@@ -101,6 +103,13 @@ func main() {
 				// treat it as a failure, not a warning.
 				bad = true
 				fmt.Printf("::error title=bench-compare::%s: in baseline but not in this run\n", d.Name)
+			case d.Stale:
+				// Different events/run means a different workload, not a
+				// regression: its time and allocs say nothing until the
+				// baseline is recorded again.
+				stale = true
+				fmt.Printf("::error title=bench-stale::%s: workload changed (%s %.0f → %.0f): re-record the baseline\n",
+					d.Name, d.Dimension, d.Base, d.Current)
 			case d.Delta > *threshold && failDims[d.Dimension]:
 				bad = true
 				fmt.Printf("::error title=bench-regression::%s\n", line)
@@ -110,8 +119,13 @@ func main() {
 				fmt.Printf("bench-compare ok: %s\n", line)
 			}
 		}
+		if stale {
+			fmt.Fprintf(os.Stderr, "benchjson: workload changed since %s was recorded: re-record the baseline\n", *compare)
+		}
 		if bad {
 			fmt.Fprintf(os.Stderr, "benchjson: regression beyond %.0f%% vs %s\n", 100**threshold, *compare)
+		}
+		if bad || stale {
 			os.Exit(1)
 		}
 	}

@@ -107,9 +107,10 @@ func main() {
 
 // run is the whole command behind an exit code: 0 on success, 1 when a
 // subcommand fails, 2 for usage errors (unknown subcommand, flag-parse
-// failure, wrong arity) — which all print the usage text to stderr. Keeping
-// every exit on this one return path is what lets the deferred profile
-// writers run and the table test in main_test.go pin the contract.
+// failure, out-of-range flag value, wrong arity) — which all print the usage
+// text to stderr. Keeping every exit on this one return path is what lets
+// the deferred profile writers run and the table test in main_test.go pin
+// the contract.
 func run(args []string, stderr io.Writer) int {
 	if len(args) < 1 {
 		usage(stderr)
@@ -124,12 +125,21 @@ func run(args []string, stderr io.Writer) int {
 	listApps := fs.Bool("apps", false, "list registered scenario apps and exit (sweep)")
 	jsonOut := fs.Bool("json", false, "emit the report as JSON instead of a table (lifetime)")
 	queue := fs.String("queue", "", `override every run's event queue: "wheel" or "heap" (sweep)`)
-	partitions := fs.Int("partitions", 0, "override every run's partition count for parallel stepping, 0 = keep spec values (sweep, lifetime)")
 	trafficJSON := fs.String("traffic", "", `override every run's traffic shape with this JSON object, e.g. '{"shape":"constant","rps":10}' (sweep, lifetime, record)`)
 	cpuprofile := fs.String("cpuprofile", "", "write a CPU profile of the command to this file (sweep, lifetime)")
 	memprofile := fs.String("memprofile", "", "write an allocation profile of the command to this file (sweep, lifetime)")
 	if err := fs.Parse(args[1:]); err != nil {
 		// flag already reported the specific problem on stderr.
+		usage(stderr)
+		return 2
+	}
+	if *workers < 0 {
+		fmt.Fprintf(stderr, "quanto-trace: -workers must be >= 0, got %d\n", *workers)
+		usage(stderr)
+		return 2
+	}
+	if *secs <= 0 {
+		fmt.Fprintf(stderr, "quanto-trace: -secs must be > 0, got %d\n", *secs)
 		usage(stderr)
 		return 2
 	}
@@ -195,13 +205,13 @@ func run(args []string, stderr io.Writer) int {
 			usage(stderr)
 			return 2
 		}
-		err = sweep(fs.Arg(0), *workers, *queue, *partitions, *trafficJSON)
+		err = sweep(fs.Arg(0), *workers, *queue, *trafficJSON)
 	case "lifetime":
 		if fs.NArg() != 1 {
 			usage(stderr)
 			return 2
 		}
-		err = lifetime(fs.Arg(0), *workers, *jsonOut, *partitions, *trafficJSON)
+		err = lifetime(fs.Arg(0), *workers, *jsonOut, *trafficJSON)
 	case "record":
 		if fs.NArg() != 2 {
 			usage(stderr)
@@ -223,8 +233,8 @@ func run(args []string, stderr io.Writer) int {
 func usage(w io.Writer) {
 	fmt.Fprintln(w, `usage: quanto-trace gen|dump|summary|analyze [flags] FILE
        quanto-trace merge OUT FILE...
-       quanto-trace sweep [-workers N] [-apps] [-queue wheel|heap] [-partitions K] [-traffic JSON] [-cpuprofile F] [-memprofile F] FILE
-       quanto-trace lifetime [-workers N] [-json] [-partitions K] [-traffic JSON] [-cpuprofile F] [-memprofile F] FILE
+       quanto-trace sweep [-workers N] [-apps] [-queue wheel|heap] [-traffic JSON] [-cpuprofile F] [-memprofile F] FILE
+       quanto-trace lifetime [-workers N] [-json] [-traffic JSON] [-cpuprofile F] [-memprofile F] FILE
        quanto-trace record [-traffic JSON] OUT FILE
 FILE/OUT may be "-" for stdin/stdout`)
 }
@@ -425,28 +435,17 @@ func analyze(r *trace.Reader) error {
 	return nil
 }
 
-// sweep expands a spec or matrix file and runs it over a worker pool,
-// streaming one JSON result line per run in matrix order and a final
-// aggregate line. The output bytes depend only on the matrix content — not
-// on the worker count or which run finishes first.
-// applyOverrides rewrites every spec's queue and/or partition count. Both
-// are implementation choices excluded from ConfigKey, so overriding them
-// cannot change any run's derived seeds or results — the queue selects
-// which scheduler data structure executes them (differential perf and
-// correctness runs against the heap baseline), and the partition count
-// selects how many goroutines step the world (parallel runs are
-// byte-identical to serial ones by construction).
-func applyOverrides(specs []scenario.Spec, queue string, partitions int) error {
-	if queue == "" && partitions <= 0 {
+// applyQueue rewrites every spec's event queue. The queue is an
+// implementation choice excluded from ConfigKey, so overriding it cannot
+// change any run's derived seeds or results — it selects which scheduler
+// data structure executes them (differential perf and correctness runs
+// against the heap baseline).
+func applyQueue(specs []scenario.Spec, queue string) error {
+	if queue == "" {
 		return nil
 	}
 	for i := range specs {
-		if queue != "" {
-			specs[i].Queue = queue
-		}
-		if partitions > 0 {
-			specs[i].Partitions = partitions
-		}
+		specs[i].Queue = queue
 		if err := specs[i].Validate(); err != nil {
 			return err
 		}
@@ -455,7 +454,7 @@ func applyOverrides(specs []scenario.Spec, queue string, partitions int) error {
 }
 
 // applyTraffic rewrites every spec's traffic shape from the -traffic JSON.
-// Unlike queue/partitions, the shape IS configuration (it changes ConfigKey);
+// Unlike the queue, the shape IS configuration (it changes ConfigKey);
 // the flag is a post-expansion what-if override, so derived seeds keep the
 // file's configuration identity — handy for asking "same matrix, but under a
 // ramp" without editing the file.
@@ -479,7 +478,11 @@ func applyTraffic(specs []scenario.Spec, trafficJSON string) error {
 	return nil
 }
 
-func sweep(name string, workers int, queue string, partitions int, trafficJSON string) error {
+// sweep expands a spec or matrix file and runs it over a worker pool,
+// streaming one JSON result line per run in matrix order and a final
+// aggregate line. The output bytes depend only on the matrix content — not
+// on the worker count or which run finishes first.
+func sweep(name string, workers int, queue string, trafficJSON string) error {
 	in, err := openIn(name)
 	if err != nil {
 		return err
@@ -493,7 +496,7 @@ func sweep(name string, workers int, queue string, partitions int, trafficJSON s
 	if err != nil {
 		return err
 	}
-	if err := applyOverrides(specs, queue, partitions); err != nil {
+	if err := applyQueue(specs, queue); err != nil {
 		return err
 	}
 	if err := applyTraffic(specs, trafficJSON); err != nil {
@@ -551,7 +554,7 @@ func sweep(name string, workers int, queue string, partitions int, trafficJSON s
 // kept delivering. In -json mode a routed study nests both reports as
 // {"lifetime": ..., "routes": ...}; unrouted studies keep the legacy
 // single-report shape.
-func lifetime(name string, workers int, jsonOut bool, partitions int, trafficJSON string) error {
+func lifetime(name string, workers int, jsonOut bool, trafficJSON string) error {
 	in, err := openIn(name)
 	if err != nil {
 		return err
@@ -563,9 +566,6 @@ func lifetime(name string, workers int, jsonOut bool, partitions int, trafficJSO
 	}
 	specs, err := scenario.ParseSpecOrMatrix(data)
 	if err != nil {
-		return err
-	}
-	if err := applyOverrides(specs, "", partitions); err != nil {
 		return err
 	}
 	if err := applyTraffic(specs, trafficJSON); err != nil {

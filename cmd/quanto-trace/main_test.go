@@ -6,7 +6,8 @@ import (
 )
 
 // TestRunUsageErrors pins the CLI error contract: every usage-level mistake —
-// no subcommand, an unknown subcommand, a flag-parse failure, wrong arity —
+// no subcommand, an unknown subcommand, a flag-parse failure, an out-of-range
+// flag value, wrong arity —
 // exits 2 through run's return value (never os.Exit, so deferred profile
 // writers still run) and prints the usage text to stderr.
 func TestRunUsageErrors(t *testing.T) {
@@ -33,6 +34,30 @@ func TestRunUsageErrors(t *testing.T) {
 			args:   []string{"sweep", "-no-such-flag", "spec.json"},
 			code:   2,
 			stderr: []string{"-no-such-flag", "usage: quanto-trace"},
+		},
+		{
+			name:   "unknown partitions flag",
+			args:   []string{"sweep", "-partitions", "2", "spec.json"},
+			code:   2,
+			stderr: []string{"-partitions", "usage: quanto-trace"},
+		},
+		{
+			name:   "negative workers",
+			args:   []string{"sweep", "-workers", "-1", "spec.json"},
+			code:   2,
+			stderr: []string{"-workers must be >= 0", "usage: quanto-trace"},
+		},
+		{
+			name:   "zero secs",
+			args:   []string{"gen", "-secs", "0", "-"},
+			code:   2,
+			stderr: []string{"-secs must be > 0", "usage: quanto-trace"},
+		},
+		{
+			name:   "negative secs",
+			args:   []string{"gen", "-secs", "-5", "-"},
+			code:   2,
+			stderr: []string{"-secs must be > 0", "usage: quanto-trace"},
 		},
 		{
 			name:   "gen arity",

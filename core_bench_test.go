@@ -4,9 +4,8 @@
 // the timer stopped, so ns/op and allocs/op are the cost of the event loop
 // itself — dispatch, scheduling, frame delivery — not of setup.
 //
-// The wheel's acceptance bar, recorded in BENCH_core.json and enforced by
-// the CI bench-compare step: >= 2x the heap's throughput and >= 5x fewer
-// allocations per run at 10k nodes.
+// BENCH_core.json records both queues; the CI bench-compare step fails on
+// an allocs/op regression or a changed events/run.
 package repro
 
 import (
@@ -51,48 +50,6 @@ func Benchmark10kNodeRelay(b *testing.B) {
 				}
 				// Collect construction garbage outside the timed region so
 				// the first timed run does not pay the build's GC debt.
-				runtime.GC()
-				b.StartTimer()
-				events = in.World.Run(in.Spec.Duration())
-				in.World.StampEnd()
-			}
-			b.ReportMetric(float64(events), "events/run")
-			nsPerOp := float64(b.Elapsed().Nanoseconds()) / float64(b.N)
-			if nsPerOp > 0 {
-				b.ReportMetric(float64(events)*1e9/nsPerOp, "events/sec")
-			}
-		})
-	}
-}
-
-// relayParallelSpec is the partition-scaling workload: the 10k-node RGG
-// relay with 128 phase-staggered origins spreading offered load across the
-// plane (a single origin concentrates nearly all traffic in one region,
-// which no partition count can speed up). Only parts varies between
-// sub-benchmarks, so the speedup column is pure scheduler scaling —
-// parts=1 is the serial stepper, byte-identical results at every K. The
-// run is shorter than relay10kSpec's because CI times every K.
-func relayParallelSpec(parts int) scenario.Spec {
-	s := relay10kSpec("wheel")
-	s.DurationUS = int64(5 * units.Second)
-	s.Origins = 128
-	s.PeriodUS = int64(50 * units.Millisecond)
-	s.Partitions = parts
-	return s
-}
-
-func Benchmark10kNodeRelayParallel(b *testing.B) {
-	for _, parts := range []int{1, 2, 4, 8} {
-		b.Run(fmt.Sprintf("parts=%d", parts), func(b *testing.B) {
-			spec := relayParallelSpec(parts)
-			b.ReportAllocs()
-			var events int
-			for i := 0; i < b.N; i++ {
-				b.StopTimer()
-				in, err := scenario.Build(spec)
-				if err != nil {
-					b.Fatal(err)
-				}
 				runtime.GC()
 				b.StartTimer()
 				events = in.World.Run(in.Spec.Duration())

@@ -31,11 +31,11 @@ type Bounce struct {
 
 	received [2]uint64
 	sent     [2]uint64
-	// Shaped-load injection counters (single-writer per node, summed by the
-	// accessors): packets the traffic schedule offered, and the subset
-	// dropped because the node's radio was still transmitting.
-	injected    [2]uint64
-	injectDrops [2]uint64
+	// Shaped-load injection counters: packets the traffic schedule offered,
+	// and the subset dropped because the node's radio was still
+	// transmitting.
+	injected    uint64
+	injectDrops uint64
 }
 
 // BounceConfig parameterizes the run.
@@ -54,9 +54,6 @@ type BounceConfig struct {
 	// Queue selects the simulator event queue ("" or "wheel": timer wheel;
 	// "heap": the legacy binary-heap baseline). Results are identical.
 	Queue string
-	// World, when set, is the pre-built (possibly partitioned) world to
-	// populate; nil builds a serial world from seed and Queue.
-	World *mote.World
 	// Traffic, when non-nil, replaces the two boot kicks with shaped packet
 	// injection: slot 0 drives NodeA, slot 1 NodeB, and every scheduled
 	// injection starts a fresh packet bouncing (dropped while the node's
@@ -82,10 +79,7 @@ func NewBounce(seed uint64, cfg BounceConfig) *Bounce {
 	if cfg.HoldTime == 0 {
 		cfg.HoldTime = 220 * units.Millisecond
 	}
-	w := cfg.World
-	if w == nil {
-		w = mote.NewWorldQueue(seed, cfg.Queue)
-	}
+	w := mote.NewWorldQueue(seed, cfg.Queue)
 	b := &Bounce{World: w, HoldTime: cfg.HoldTime}
 
 	ids := [2]core.NodeID{cfg.NodeA, cfg.NodeB}
@@ -148,9 +142,9 @@ func (b *Bounce) setup(cfg *BounceConfig, i int, peer core.NodeID) {
 					rec = cfg.TrafficRec.Hook(i)
 				}
 				traffic.Drive(k, cfg.Traffic[i], rec, func() {
-					b.injected[i]++
+					b.injected++
 					if n.Radio.Busy() {
-						b.injectDrops[i]++
+						b.injectDrops++
 						return
 					}
 					out := &am.Packet{Dest: peer, Type: BounceAMType, Payload: make([]byte, 12)}
@@ -173,9 +167,7 @@ func (b *Bounce) setup(cfg *BounceConfig, i int, peer core.NodeID) {
 // Injections returns shaped-load injection counts: packets the traffic
 // schedule offered across both nodes, and the subset dropped at a busy
 // radio. Both are zero for the classic two-packet run.
-func (b *Bounce) Injections() (offered, dropped uint64) {
-	return b.injected[0] + b.injected[1], b.injectDrops[0] + b.injectDrops[1]
-}
+func (b *Bounce) Injections() (offered, dropped uint64) { return b.injected, b.injectDrops }
 
 // Stats returns per-node received/sent counts.
 func (b *Bounce) Stats() (received, sent [2]uint64) { return b.received, b.sent }

@@ -38,12 +38,7 @@ func NewDMACompare(seed uint64, useDMA bool, payloadBytes int, startAt units.Tic
 
 // NewDMACompareQueue is NewDMACompare with an explicit event-queue selection.
 func NewDMACompareQueue(seed uint64, queue string, useDMA bool, payloadBytes int, startAt units.Ticks, base ...mote.Options) *DMACompare {
-	return NewDMACompareWorld(mote.NewWorldQueue(seed, queue), useDMA, payloadBytes, startAt, base...)
-}
-
-// NewDMACompareWorld is NewDMACompare populating a pre-built (possibly
-// partitioned) world.
-func NewDMACompareWorld(w *mote.World, useDMA bool, payloadBytes int, startAt units.Ticks, base ...mote.Options) *DMACompare {
+	w := mote.NewWorldQueue(seed, queue)
 	mkOpts := func(idx int) mote.Options {
 		o := mote.DefaultOptions()
 		if len(base) > 0 {

@@ -100,11 +100,6 @@ func buildBounce(spec scenario.Spec) (*scenario.Instance, error) {
 	}
 	cfg.UseDMA = spec.UseDMA
 	cfg.Queue = spec.Queue
-	w, err := spec.NewWorld(2)
-	if err != nil {
-		return nil, err
-	}
-	cfg.World = w
 	srcs, rec, err := spec.TrafficSources([]core.NodeID{cfg.NodeA, cfg.NodeB})
 	if err != nil {
 		return nil, err
@@ -206,11 +201,6 @@ func buildRelay(spec scenario.Spec) (*scenario.Instance, error) {
 	if spec.BeaconPeriodMS > 0 {
 		cfg.BeaconPeriod = units.Ticks(spec.BeaconPeriodMS) * units.Millisecond
 	}
-	w, err := spec.NewWorld(cfg.Hops)
-	if err != nil {
-		return nil, err
-	}
-	cfg.World = w
 	srcs, rec, err := spec.TrafficSources(RelayOrigins(cfg.Hops, cfg.Origins))
 	if err != nil {
 		return nil, err
@@ -263,11 +253,6 @@ func buildSenseSend(spec scenario.Spec) (*scenario.Instance, error) {
 		cfg.Period = units.Ticks(spec.PeriodUS)
 	}
 	cfg.Queue = spec.Queue
-	w, err := spec.NewWorld(2)
-	if err != nil {
-		return nil, err
-	}
-	cfg.World = w
 	srcs, rec, err := spec.TrafficSources([]core.NodeID{cfg.SensorNode})
 	if err != nil {
 		return nil, err
@@ -342,11 +327,7 @@ func buildDMACompare(spec scenario.Spec) (*scenario.Instance, error) {
 	sender := spec.MoteOptions()
 	receiver := spec.MoteOptions()
 	spec.ApplyBattery(2, &receiver)
-	w, err := spec.NewWorld(2)
-	if err != nil {
-		return nil, err
-	}
-	d := NewDMACompareWorld(w, spec.UseDMA, payload, startAt, sender, receiver)
+	d := NewDMACompareQueue(spec.Seed, spec.Queue, spec.UseDMA, payload, startAt, sender, receiver)
 	if err := spec.ApplySpatial(d.World); err != nil {
 		return nil, err
 	}

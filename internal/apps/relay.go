@@ -32,20 +32,16 @@ type Relay struct {
 	// (Routing set); nil on the classic fixed chain.
 	Tree *net.Tree
 
-	period units.Ticks
-	// generated/dropped are per-node slots (indexed by line position), not
-	// shared counters: under a partitioned world each node's events run on
-	// its partition's goroutine during parallel windows, so every counter an
-	// app touches from node context must be single-writer. The accessors sum.
-	generated []uint64
-	dropped   []uint64
+	period    units.Ticks
+	generated uint64
+	dropped   uint64
 	delivered uint64
 
-	// Collect-mode slots (same single-writer discipline): packets dropped
-	// for want of a route, packets whose TTL expired (a transient routing
-	// loop), and the sink-side timestamp of the last delivery.
-	noRoute         []uint64
-	ttlDrops        []uint64
+	// Collect-mode counters: packets dropped for want of a route, packets
+	// whose TTL expired (a transient routing loop), and the sink-side
+	// timestamp of the last delivery.
+	noRoute         uint64
+	ttlDrops        uint64
 	lastDeliveredAt units.Ticks
 }
 
@@ -57,12 +53,8 @@ type RelayConfig struct {
 	// Origins is how many nodes at the head of the line generate traffic
 	// (nodes 1..Origins, each sending toward the line's end); 0 selects the
 	// classic single origin. More origins spread offered load across the
-	// topology — the workload shape that gives a partitioned world parallel
-	// work.
+	// topology.
 	Origins int
-	// World, when set, is the pre-built (possibly partitioned) world to
-	// populate; nil builds a serial world from seed and Queue.
-	World *mote.World
 	// Base, when set, seeds each node's mote options before the radio
 	// wiring is applied; nil selects mote.DefaultOptions.
 	Base *mote.Options
@@ -134,19 +126,11 @@ func NewRelay(seed uint64, cfg RelayConfig) *Relay {
 	}
 	if cfg.Routing != "" {
 		// The routed forwarding plane lives in its own constructor so the
-		// classic path below stays textually untouched — and byte-identical.
+		// classic path below stays byte-identical.
 		return newCollectRelay(seed, cfg)
 	}
-	w := cfg.World
-	if w == nil {
-		w = mote.NewWorldQueue(seed, cfg.Queue)
-	}
-	r := &Relay{
-		World:     w,
-		period:    cfg.Period,
-		generated: make([]uint64, cfg.Hops),
-		dropped:   make([]uint64, cfg.Hops),
-	}
+	w := mote.NewWorldQueue(seed, cfg.Queue)
+	r := &Relay{World: w, period: cfg.Period}
 
 	for i := 0; i < cfg.Hops; i++ {
 		opts := mote.DefaultOptions()
@@ -177,9 +161,9 @@ func NewRelay(seed uint64, cfg RelayConfig) *Relay {
 	startGen := func(i int) {
 		n := r.Nodes[i]
 		send := func() {
-			r.generated[i]++
+			r.generated++
 			if n.Radio.Busy() {
-				r.dropped[i]++
+				r.dropped++
 				return
 			}
 			out := &am.Packet{Dest: r.Nodes[i+1].ID, Type: RelayAMType, Payload: make([]byte, 8)}
@@ -203,12 +187,9 @@ func NewRelay(seed uint64, cfg RelayConfig) *Relay {
 		gen := n.K.NewTimer(send)
 		n.K.CPUAct.Set(acts[i])
 		// Each origin runs the same period at its own phase (origin 0 keeps
-		// the classic un-shifted start). Synchronized origins would put many
-		// independent transmits on the same tick, where their global order
-		// depends on scheduling history that a partitioned run cannot always
-		// reconstruct; distinct phases keep multi-origin runs deterministic
-		// under any partition count — and are what real deployments look
-		// like anyway.
+		// the classic un-shifted start), as real deployments do; synchronized
+		// origins would put many transmits on the same tick. The phases stay
+		// because they define simulated output.
 		gen.StartPeriodicAfter(r.period+(units.Ticks(i)*1009)%r.period, r.period)
 		n.K.CPUAct.SetIdle()
 	}
@@ -234,7 +215,7 @@ func NewRelay(seed uint64, cfg RelayConfig) *Relay {
 			next := r.Nodes[i+1].ID
 			n.K.Post(func() {
 				if n.Radio.Busy() {
-					r.dropped[i]++
+					r.dropped++
 					return
 				}
 				out := &am.Packet{Dest: next, Type: RelayAMType, Payload: p.Payload}
@@ -270,43 +251,19 @@ func (r *Relay) Run(d units.Ticks) {
 
 // Stats returns packets generated across all origins and delivered at the
 // sink.
-func (r *Relay) Stats() (generated, delivered uint64) {
-	var gen uint64
-	for _, g := range r.generated {
-		gen += g
-	}
-	return gen, r.delivered
-}
+func (r *Relay) Stats() (generated, delivered uint64) { return r.generated, r.delivered }
 
 // Dropped returns packets discarded because a node's radio was still
 // transmitting the previous one (offered load beyond capacity).
-func (r *Relay) Dropped() uint64 {
-	var d uint64
-	for _, n := range r.dropped {
-		d += n
-	}
-	return d
-}
+func (r *Relay) Dropped() uint64 { return r.dropped }
 
 // NoRoute returns packets dropped because the node had no parent yet (tree
 // still forming, or re-forming after a death). Always 0 on the fixed chain.
-func (r *Relay) NoRoute() uint64 {
-	var d uint64
-	for _, n := range r.noRoute {
-		d += n
-	}
-	return d
-}
+func (r *Relay) NoRoute() uint64 { return r.noRoute }
 
 // TTLDrops returns packets whose hop budget expired — the data-plane
 // backstop against transient routing loops. Always 0 on the fixed chain.
-func (r *Relay) TTLDrops() uint64 {
-	var d uint64
-	for _, n := range r.ttlDrops {
-		d += n
-	}
-	return d
-}
+func (r *Relay) TTLDrops() uint64 { return r.ttlDrops }
 
 // LastDeliveredAt returns when the sink last received a packet (0: never).
 // The cascade scenarios read it to show deliveries continuing past the

@@ -53,9 +53,6 @@ type SenseSendConfig struct {
 	// Queue selects the simulator event queue ("" or "wheel": timer wheel;
 	// "heap": the legacy binary-heap baseline). Results are identical.
 	Queue string
-	// World, when set, is the pre-built (possibly partitioned) world to
-	// populate; nil builds a serial world from seed and Queue.
-	World *mote.World
 	// Traffic, when non-nil, replaces the fixed sampling period with a
 	// shaped schedule (one slot: the sensor node). A scheduled sample that
 	// arrives while the previous one is still reading or sending is
@@ -75,10 +72,7 @@ func NewSenseSend(seed uint64, cfg SenseSendConfig) *SenseSend {
 	if cfg.Period == 0 {
 		cfg.Period = 5 * units.Second
 	}
-	w := cfg.World
-	if w == nil {
-		w = mote.NewWorldQueue(seed, cfg.Queue)
-	}
+	w := mote.NewWorldQueue(seed, cfg.Queue)
 	s := &SenseSend{World: w}
 
 	mkOpts := func(id core.NodeID) mote.Options {

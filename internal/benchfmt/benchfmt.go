@@ -138,18 +138,28 @@ func Load(path string) (*Doc, error) {
 // change versus the baseline: +0.20 means 20% worse (slower, more allocs).
 type Delta struct {
 	Name      string
-	Dimension string // "time" or "allocs"
+	Dimension string // "time", "allocs", or "events/run" when Stale
 	Base      float64
 	Current   float64
 	Delta     float64
 	Missing   bool // baseline benchmark absent from the current run
+	// Stale marks a changed workload: both runs report events/run and the
+	// values differ, so time and allocs are not comparable and the
+	// baseline needs re-recording. Base and Current hold the two values.
+	Stale bool
 }
+
+// workloadMetric is the custom metric that identifies a benchmark's
+// workload: two runs of the same workload dispatch the same events.
+const workloadMetric = "events/run"
 
 // Compare diffs current against base on the regression-relevant dimensions.
 // Benchmarks only present in current are new coverage, not regressions, and
 // are skipped; baseline entries missing from current are flagged so a
-// silently deleted benchmark cannot hide a regression. The threshold is not
-// applied here — every delta is returned and the caller picks severity.
+// silently deleted benchmark cannot hide a regression. A benchmark whose
+// workload changed yields one Stale delta instead of time and allocs
+// deltas. The threshold is not applied here — every delta is returned and
+// the caller picks severity.
 func Compare(base, current *Doc, threshold float64) []Delta {
 	cur := map[string]Benchmark{}
 	for _, b := range current.Benchmarks {
@@ -160,6 +170,15 @@ func Compare(base, current *Doc, threshold float64) []Delta {
 		cb, ok := cur[bb.Name]
 		if !ok {
 			out = append(out, Delta{Name: bb.Name, Missing: true})
+			continue
+		}
+		be, bok := bb.Metrics[workloadMetric]
+		ce, cok := cb.Metrics[workloadMetric]
+		if bok && cok && be != ce {
+			out = append(out, Delta{
+				Name: bb.Name, Dimension: workloadMetric,
+				Base: be, Current: ce, Delta: ce/be - 1, Stale: true,
+			})
 			continue
 		}
 		if bb.NsPerOp > 0 {

@@ -87,6 +87,52 @@ func TestCompare(t *testing.T) {
 	}
 }
 
+// staleRecord is the core suite's record before its re-recording, and
+// staleRun a fresh run of the same benchmarks after the RGG placement moved:
+// events/run grew from 416261 to 655001, so allocs/op read +48% (wheel) and
+// +54% (heap) though allocations per event fell.
+const staleRecord = `Benchmark10kNodeRelay/queue=wheel 3 318569234 ns/op 416261 events/run 1306659 events/sec 111600664 B/op 86427 allocs/op
+Benchmark10kNodeRelay/queue=heap 3 664257452 ns/op 416261 events/run 626656 events/sec 211103144 B/op 974842 allocs/op
+`
+
+const staleRun = `Benchmark10kNodeRelay/queue=wheel-2 3 672687466 ns/op 655001 events/run 973708 events/sec 183451800 B/op 128178 allocs/op
+Benchmark10kNodeRelay/queue=heap-2 3 1185363751 ns/op 655001 events/run 552574 events/sec 337594637 B/op 1504453 allocs/op
+`
+
+// TestCompareStaleBaseline: a changed events/run is reported as a stale
+// baseline, one finding per benchmark, and never as a time or allocs
+// regression.
+func TestCompareStaleBaseline(t *testing.T) {
+	base, err := Parse(strings.NewReader(staleRecord), "core")
+	if err != nil {
+		t.Fatal(err)
+	}
+	cur, err := Parse(strings.NewReader(staleRun), "core")
+	if err != nil {
+		t.Fatal(err)
+	}
+	got := Compare(base, cur, 0.15)
+	if len(got) != 2 {
+		t.Fatalf("got %d findings, want one per benchmark: %+v", len(got), got)
+	}
+	for _, d := range got {
+		if !d.Stale || d.Dimension != workloadMetric || d.Base != 416261 || d.Current != 655001 {
+			t.Errorf("finding = %+v, want stale events/run 416261 -> 655001", d)
+		}
+	}
+
+	// The same workload with a regression still reports time and allocs.
+	cur.Benchmarks[0].Metrics[workloadMetric] = 416261
+	for _, d := range Compare(base, cur, 0.15) {
+		if d.Name == "10kNodeRelay/queue=wheel" && d.Stale {
+			t.Errorf("matching events/run reported stale: %+v", d)
+		}
+		if d.Name == "10kNodeRelay/queue=wheel" && d.Dimension == "allocs" && d.Delta < 0.48 {
+			t.Errorf("allocs delta = %+v, want the +48%% regression", d)
+		}
+	}
+}
+
 func TestParseRejectsMalformed(t *testing.T) {
 	if _, err := Parse(strings.NewReader("BenchmarkBad 3 12 ns/op trailing\n"), "x"); err == nil {
 		t.Fatal("odd field count accepted")

@@ -141,26 +141,6 @@ func (m *Medium) Unregister(r Receiver) {
 // AddWiFi attaches an interference source.
 func (m *Medium) AddWiFi(w *WiFiSource) { m.wifi = append(m.wifi, w) }
 
-// PrepareWindow pre-generates every lazily materialized piece of medium
-// state through limit, so that queries issued concurrently from a partition
-// scheduler's parallel window (CCA energy reads, WiFi duty lookups) find the
-// state already built and stay mutation-free. The slack covers reads at the
-// CPU's busy clock, which can run past the event clock by the length of a
-// handler chain. Generation is deterministic and incremental, so preparing
-// early changes no outcome — it only moves the work to a serial point.
-func (m *Medium) PrepareWindow(limit units.Ticks) {
-	const slack = 1 << 20
-	for _, w := range m.wifi {
-		w.ensure(limit + slack)
-	}
-	if m.mob != nil {
-		k := int((limit + slack) / m.mob.step)
-		for _, e := range m.mob.movers {
-			e.ensure(k, m.mob.step)
-		}
-	}
-}
-
 // Frames returns the number of frames transmitted so far.
 func (m *Medium) Frames() uint64 { return m.frames }
 

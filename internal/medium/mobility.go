@@ -5,15 +5,13 @@
 // [k·step, (k+1)·step) is its mover's position at k·step, materialized into
 // a per-mover log. Every position read outside the index — the CCA energy
 // query above all — goes through that log keyed by query time, never through
-// the mutable position table. That makes the answer a pure function of
-// (mover, time): a partitioned run whose parallel window overruns an epoch
-// tick reads exactly what the serial run reads after executing the epoch
-// event, because both consult log[t/step]. PrepareWindow pre-extends the
-// logs (like the WiFi burst schedule) so window-time reads never mutate.
+// the mutable position table, so the answer is a pure function of
+// (mover, time). A CCA read at a busy CPU's clock, which can run past the
+// event clock, therefore sees the position of the epoch it falls in. The
+// log stays because it defines simulated output.
 //
-// Epoch events run at PrioTopology on the medium's simulator — the shared
-// domain a partition group always steps serially — so the index itself is
-// only ever patched with every window closed.
+// Epoch events run at PrioTopology, ahead of every other event sharing
+// their tick.
 package medium
 
 import (
@@ -93,7 +91,7 @@ func (m *Medium) SetMover(id core.NodeID, mv Mover) {
 // mobilityEpoch relocates every mover to its position for the epoch starting
 // now and re-arms itself. It runs at PrioTopology, ahead of every hardware
 // and software event sharing the tick, so a transmission at the epoch tick
-// already sees the new topology — in serial and partitioned runs alike.
+// already sees the new topology.
 func (m *Medium) mobilityEpoch() {
 	at := m.s.Now()
 	k := int(at / m.mob.step)
@@ -105,9 +103,7 @@ func (m *Medium) mobilityEpoch() {
 }
 
 // positionAt resolves a node's position at time t: epoch-quantized through
-// the mover log for mobile nodes (read-only once PrepareWindow has extended
-// the logs, so parallel-window queries are race-free and see the same value
-// a serial run would), the static position table otherwise.
+// the mover log for mobile nodes, the static position table otherwise.
 func (m *Medium) positionAt(id core.NodeID, t units.Ticks) (Position, bool) {
 	if m.mob != nil {
 		if e, ok := m.mob.byID[id]; ok {

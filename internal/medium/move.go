@@ -13,10 +13,8 @@
 // honors). When superseded segments outweigh live ones the index compacts
 // with an ordinary full rebuild.
 //
-// Determinism: Move consumes no randomness, rows stay sorted by id whatever
-// the grid-bucket iteration order, and callers only invoke it from serially
-// stepped events (mobility epochs on the shared simulator), so the arena is
-// never mutated while a parallel window is open.
+// Determinism: Move consumes no randomness, and rows stay sorted by id
+// whatever the grid-bucket iteration order.
 package medium
 
 import (

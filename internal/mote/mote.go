@@ -151,12 +151,6 @@ type World struct {
 
 	seed uint64
 	byID map[core.NodeID]*Node
-
-	// group is non-nil when the world steps its nodes in parallel partitions
-	// (NewWorldPartitioned); Sim is then the group's shared (medium) clock and
-	// assign maps node creation order to partition index.
-	group  *sim.Group
-	assign []int
 }
 
 // NewWorld creates an empty world. The seed drives every stochastic element
@@ -180,40 +174,6 @@ func NewWorldQueue(seed uint64, queue string) *World {
 	}
 }
 
-// NewWorldPartitioned is NewWorldQueue with the node set split across parts
-// partition simulators stepped in parallel under conservative lookahead
-// (sim.Group): assign[i] names the partition of the i-th added node. The
-// medium lives on the group's shared simulator and every medium touch is
-// pledged at least one minimum CSMA backoff ahead, so a partitioned run
-// dispatches the exact same events in the exact same order as a serial one.
-// parts <= 1 returns a plain serial world.
-func NewWorldPartitioned(seed uint64, queue string, parts int, assign []int) *World {
-	if parts <= 1 {
-		return NewWorldQueue(seed, queue)
-	}
-	g := sim.NewGroup(sim.QueueKind(queue), parts)
-	g.SetLookahead(radio.BackoffMin)
-	w := &World{
-		Sim:    g.Shared(),
-		Medium: medium.New(g.Shared()),
-		Dict:   core.NewDictionary(),
-		seed:   seed,
-		byID:   make(map[core.NodeID]*Node),
-		group:  g,
-		assign: assign,
-	}
-	g.SetWindowPrep(w.Medium.PrepareWindow)
-	return w
-}
-
-// Partitions returns the number of parallel partitions (1 for a serial world).
-func (w *World) Partitions() int {
-	if w.group == nil {
-		return 1
-	}
-	return w.group.Partitions()
-}
-
 // AddNode assembles a node with the given id and options and registers it in
 // the world.
 func (w *World) AddNode(id core.NodeID, opts Options) *Node {
@@ -233,14 +193,7 @@ func (w *World) AddNode(id core.NodeID, opts Options) *Node {
 		opts.Kernel = kernel.DefaultOptions()
 	}
 
-	// In a partitioned world the node's entire local machinery — kernel,
-	// timers, radio driver state machine, battery — lives on its partition's
-	// simulator; only the medium stays on the shared one.
-	nodeSim := w.Sim
-	if w.group != nil {
-		nodeSim = w.group.Domain(w.assign[len(w.Nodes)])
-	}
-	k := kernel.New(nodeSim, id, w.Dict, opts.Kernel, w.seed)
+	k := kernel.New(w.Sim, id, w.Dict, opts.Kernel, w.seed)
 
 	meter := icount.New(opts.Volts, k.NowTicks)
 	meter.SetGain(opts.MeterGain)
@@ -320,7 +273,7 @@ func (w *World) AddNode(id core.NodeID, opts Options) *Node {
 		// The battery listens last, after every sink is registered, so its
 		// first integration segment starts from the complete assembly-time
 		// draw. All assembly happens at t=0, so no charge is missed.
-		bat := power.NewBattery(opts.BatteryUAH, opts.Harvester, nodeSim)
+		bat := power.NewBattery(opts.BatteryUAH, opts.Harvester, w.Sim)
 		board.Listen(bat)
 		n.Battery = bat
 		haltWorld := opts.HaltWorldOnDeath
@@ -372,9 +325,6 @@ func (w *World) killNode(n *Node, at units.Ticks, haltWorld bool) {
 	}
 	if haltWorld {
 		w.Sim.Halt()
-		if w.group != nil {
-			w.group.Halt()
-		}
 	}
 }
 
@@ -430,12 +380,7 @@ func (w *World) Node(id core.NodeID) *Node { return w.byID[id] }
 
 // Run advances the simulation until the given time and returns the number of
 // events dispatched.
-func (w *World) Run(until units.Ticks) int {
-	if w.group != nil {
-		return w.group.Run(until)
-	}
-	return w.Sim.Run(until)
-}
+func (w *World) Run(until units.Ticks) int { return w.Sim.Run(until) }
 
 // NodeLogs gathers every node's collected entries for merging and analysis.
 func (w *World) NodeLogs() map[core.NodeID][]core.Entry {

@@ -23,10 +23,9 @@
 // Determinism: routers consume no randomness at all (beacon phases are
 // assigned arithmetically, estimation is pure EWMA), the package's mobility
 // models draw only from sim.DeriveRNG streams under "net/"-prefixed domain
-// tags, and death notifications are scheduled one conservative lookahead
-// after the death tick at sim.PrioTopology — provably ahead of every
-// partition's clock — so routed runs replay byte-identically across
-// -workers and -partitions.
+// tags, and death notifications are scheduled one minimum CSMA backoff
+// after the death tick at sim.PrioTopology, so routed runs replay
+// byte-identically across -workers.
 package net
 
 import (

@@ -202,8 +202,7 @@ func TestWaypointDeterminism(t *testing.T) {
 	if !diverged {
 		t.Error("different node ids walked identical paths")
 	}
-	// Out-of-order queries (a partition window preparing ahead) re-read
-	// materialized legs without changing them.
+	// Out-of-order queries re-read materialized legs without changing them.
 	far := a.PositionAt(2000 * units.Second)
 	if got := a.PositionAt(100 * units.Second); got != b.PositionAt(100*units.Second) {
 		t.Errorf("out-of-order read changed history: %v", got)

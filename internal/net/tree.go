@@ -76,16 +76,10 @@ func NewTree(w *mote.World, cfg TreeConfig) (*Tree, error) {
 // Router returns the router of the i-th node (world creation order).
 func (t *Tree) Router(i int) *Router { return t.routers[i] }
 
-// onDeath runs inside the death event (serial: a marked event in a
-// partitioned world). It must not touch the survivors' routers directly —
-// their partitions may have speculatively run ordinary events past the
-// death tick, so a synchronous mutation would be ordered differently than
-// in a serial replay. Instead each survivor gets a NeighborDied event on
-// its own simulator one conservative lookahead after the death: no
-// partition's window can have advanced that far (a window's horizon is
-// strictly below the earliest pending event plus the lookahead), so the
-// notification lands in every clock's future, at the topology priority, at
-// a per-target tick — the same total order in serial and partitioned runs.
+// onDeath runs inside the death event. It does not touch the survivors'
+// routers directly: each survivor gets a NeighborDied event one minimum CSMA
+// backoff (radio.BackoffMin) after the death, at the topology priority, at a
+// per-target tick. The delay stays because it defines simulated output.
 func (t *Tree) onDeath(dead *mote.Node, at units.Ticks) {
 	for i, n := range t.World.Nodes {
 		if n == dead || !n.Alive() {

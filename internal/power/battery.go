@@ -293,10 +293,7 @@ func (b *Battery) scheduleCheck(at units.Ticks) {
 	if now := b.s.Now(); at < now {
 		at = now
 	}
-	// Marked: a check can deplete the battery and kill the node, which
-	// touches shared structures (medium unregister, world death list), so the
-	// partition scheduler must run it serially, never inside a window.
-	b.check = b.s.ScheduleMarked(at, sim.PrioHardware, b.checkFn)
+	b.check = b.s.Schedule(at, sim.PrioHardware, b.checkFn)
 }
 
 // scheduleNotify arms the one-shot depletion notification.
@@ -304,9 +301,7 @@ func (b *Battery) scheduleNotify(at units.Ticks) {
 	if now := b.s.Now(); at < now {
 		at = now
 	}
-	// Marked for the same reason as scheduleCheck: the depletion callback is
-	// the node-death path.
-	b.check = b.s.ScheduleMarked(at, sim.PrioHardware, b.notifyFn)
+	b.check = b.s.Schedule(at, sim.PrioHardware, b.notifyFn)
 }
 
 func (b *Battery) notify() {

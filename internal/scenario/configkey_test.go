@@ -99,7 +99,6 @@ func TestConfigKeyExclusionInvariance(t *testing.T) {
 	// forces extending the invariance pin.
 	samples := map[string]any{
 		"queue":          "heap",
-		"partitions":     4,
 		"record_traffic": true,
 	}
 	for _, field := range ConfigKeyExcluded() {

@@ -3,6 +3,8 @@ package scenario_test
 import (
 	"bytes"
 	"fmt"
+	"os"
+	"path/filepath"
 	"sort"
 	"testing"
 
@@ -10,6 +12,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/scenario"
 	"repro/internal/trace"
+	"repro/internal/traffic"
 	"repro/internal/units"
 )
 
@@ -43,11 +46,12 @@ func encodedTraces(t *testing.T, spec scenario.Spec) ([]byte, map[string]float64
 }
 
 // TestWheelHeapTraceIdentity is the differential property test for the
-// timer-wheel scheduler: for every registered app, across seeds and
-// placements, a run on the wheel queue must produce byte-identical node
-// traces (and identical metrics) to the same run on the legacy binary-heap
-// queue. The queue is an implementation choice, never an experimental
-// variable; this test is the proof.
+// timer-wheel scheduler: for every registered app, across seeds,
+// placements, multi-origin load, battery deaths, traffic shapes, routing,
+// mobility and recorded replay, a run on the wheel queue must produce
+// byte-identical node traces (and identical metrics) to the same run on the
+// legacy binary-heap queue. The queue is an implementation choice, never an
+// experimental variable; this test is the proof.
 func TestWheelHeapTraceIdentity(t *testing.T) {
 	base := func(app string, dur units.Ticks) scenario.Spec {
 		return scenario.Spec{App: app, DurationUS: int64(dur)}
@@ -81,7 +85,119 @@ func TestWheelHeapTraceIdentity(t *testing.T) {
 			s.UseDMA = true
 			return s
 		}(),
+		func() scenario.Spec {
+			s := base("dma", units.Second)
+			s.Placement = scenario.PlacementLine
+			return s
+		}(),
+		// A line of relays with several phase-staggered origins.
+		func() scenario.Spec {
+			s := base("relay", 2*units.Second)
+			s.Nodes = 24
+			s.Origins = 8
+			s.PeriodUS = int64(200 * units.Millisecond)
+			s.Placement = scenario.PlacementLine
+			return s
+		}(),
+		// Several origins over irregular random-geometric neighborhoods.
+		func() scenario.Spec {
+			s := base("relay", units.Second)
+			s.Nodes = 16
+			s.Origins = 4
+			s.Placement = scenario.PlacementRGG
+			return s
+		}(),
+		// Mid-run battery deaths: a death unregisters the node from the
+		// medium and forces its radio off while traffic is in flight.
+		func() scenario.Spec {
+			s := base("relay", 4*units.Second)
+			s.Nodes = 12
+			s.Origins = 4
+			s.PeriodUS = int64(250 * units.Millisecond)
+			s.Placement = scenario.PlacementLine
+			s.BatteryUAH = 0.9
+			return s
+		}(),
+		// Halt-world deaths: the run stops at the first depletion event.
+		func() scenario.Spec {
+			s := base("relay", 4*units.Second)
+			s.Nodes = 8
+			s.Placement = scenario.PlacementLine
+			s.BatteryUAH = 0.9
+			s.DeathPolicy = scenario.DeathPolicyHaltWorld
+			return s
+		}(),
+		// Shaped load: a ramp schedule drives several origins at once.
+		func() scenario.Spec {
+			s := base("relay", 2*units.Second)
+			s.Nodes = 16
+			s.Origins = 4
+			s.Placement = scenario.PlacementLine
+			s.Traffic = &traffic.Spec{
+				Shape:     traffic.ShapeRamp,
+				StartRPS:  2,
+				StepRPS:   3,
+				TargetRPS: 11,
+				SlotUS:    int64(500 * units.Millisecond),
+			}
+			return s
+		}(),
+		// Heavy-tailed ON/OFF sources drawing from per-sender RNG streams.
+		func() scenario.Spec {
+			s := base("relay", 3*units.Second)
+			s.Nodes = 12
+			s.Origins = 4
+			s.Placement = scenario.PlacementLine
+			s.Traffic = &traffic.Spec{
+				Shape:    traffic.ShapeOnOff,
+				RPS:      20,
+				OnMinUS:  int64(300 * units.Millisecond),
+				OffMinUS: int64(200 * units.Millisecond),
+			}
+			return s
+		}(),
+		// Routed forwarding plane: beacons, parent selection, and per-packet
+		// routing decisions.
+		func() scenario.Spec {
+			s := base("relay", 3*units.Second)
+			s.Nodes = 12
+			s.Origins = 4
+			s.PeriodUS = int64(250 * units.Millisecond)
+			s.Placement = scenario.PlacementLine
+			s.Routing = scenario.RoutingCTP
+			return s
+		}(),
+		// Routed plus mid-run battery deaths: a death fans NeighborDied
+		// events out to every survivor at the topology priority.
+		func() scenario.Spec {
+			s := base("relay", 4*units.Second)
+			s.Nodes = 10
+			s.Origins = 3
+			s.PeriodUS = int64(250 * units.Millisecond)
+			s.Placement = scenario.PlacementLine
+			s.Routing = scenario.RoutingCTP
+			s.BatteryUAH = 0.9
+			return s
+		}(),
+		// Routed plus mobility: positions change every MobilityStep, the
+		// medium's neighbor index is patched incrementally, and link
+		// qualities (hence parent choices) shift mid-run. The speed is
+		// exaggerated so a 3 s run actually crosses neighborhoods.
+		func() scenario.Spec {
+			s := base("relay", 3*units.Second)
+			s.Nodes = 12
+			s.Origins = 4
+			s.PeriodUS = int64(250 * units.Millisecond)
+			s.Placement = scenario.PlacementGrid
+			s.Routing = scenario.RoutingCTP
+			s.Mobility = scenario.MobilityWaypoint
+			s.SpeedMPS = 12
+			return s
+		}(),
 	}
+	// A replayed trace must match too: record a shaped run once, then drive
+	// both queues from the recorded file.
+	variants = append(variants, recordedReplayVariant(t))
 	// Every registered app must appear above: a new app cannot ship without
 	// joining the differential suite.
 	covered := make(map[string]bool)
@@ -98,8 +214,7 @@ func TestWheelHeapTraceIdentity(t *testing.T) {
 		for _, seed := range []uint64{1, 7} {
 			v := v
 			v.Seed = seed
-			name := fmt.Sprintf("%s/seed=%d/placement=%s", v.App, seed, v.Placement)
-			t.Run(name, func(t *testing.T) {
+			t.Run(variantName(v), func(t *testing.T) {
 				wheel := v
 				wheel.Queue = "wheel"
 				heap := v
@@ -124,4 +239,72 @@ func TestWheelHeapTraceIdentity(t *testing.T) {
 			})
 		}
 	}
+}
+
+// variantName names a differential variant by app, seed and placement, then
+// by each workload knob the variant sets.
+func variantName(s scenario.Spec) string {
+	name := fmt.Sprintf("%s/seed=%d/placement=%s", s.App, s.Seed, s.Placement)
+	if s.Origins > 0 {
+		name += fmt.Sprintf("/origins=%d", s.Origins)
+	}
+	if s.BatteryUAH > 0 {
+		name += fmt.Sprintf("/battery_uah=%g", s.BatteryUAH)
+	}
+	if s.DeathPolicy != "" {
+		name += "/death_policy=" + s.DeathPolicy
+	}
+	if s.Traffic != nil {
+		name += "/shape=" + s.Traffic.Shape
+	}
+	if s.Routing != "" {
+		name += "/routing=" + s.Routing
+	}
+	if s.Mobility != "" {
+		name += "/mobility=" + s.Mobility
+	}
+	return name
+}
+
+// recordedReplayVariant records a bursty shaped relay run once and returns a
+// spec that replays the captured schedule from disk, so the differential
+// suite covers replay — the shape that consumes no randomness at all.
+func recordedReplayVariant(t *testing.T) scenario.Spec {
+	t.Helper()
+	rec := scenario.Spec{
+		App:        "relay",
+		Seed:       3,
+		DurationUS: int64(2 * units.Second),
+		Nodes:      12,
+		Origins:    3,
+		Placement:  scenario.PlacementLine,
+		Traffic: &traffic.Spec{
+			Shape:    traffic.ShapeBurst,
+			RPS:      2,
+			BurstRPS: 40,
+			BurstUS:  int64(100 * units.Millisecond),
+			PeriodUS: int64(500 * units.Millisecond),
+		},
+		RecordTraffic: true,
+	}
+	in, err := scenario.Build(rec)
+	if err != nil {
+		t.Fatalf("build recording run: %v", err)
+	}
+	in.Run()
+	path := filepath.Join(t.TempDir(), "relay-burst.jsonl")
+	f, err := os.Create(path)
+	if err != nil {
+		t.Fatalf("create trace file: %v", err)
+	}
+	if err := in.Traffic.WriteJSONL(f); err != nil {
+		t.Fatalf("write trace: %v", err)
+	}
+	if err := f.Close(); err != nil {
+		t.Fatalf("close trace: %v", err)
+	}
+	replay := rec
+	replay.RecordTraffic = false
+	replay.Traffic = &traffic.Spec{Shape: traffic.ShapeReplay, File: path}
+	return replay
 }

@@ -25,7 +25,7 @@ func FuzzSpecJSON(f *testing.F) {
 		`{"app":"relay","traffic":{"shape":"replay","file":"/nonexistent"}}`,
 		`{"app":"relay","traffic":{"shape":"constant","rps":-1}}`,
 		`{"app":"relay","record_traffic":true}`,
-		`{"app":"blink","battery_uah":0.5,"death_policy":"halt_world","partitions":4}`,
+		`{"app":"blink","battery_uah":0.5,"death_policy":"halt_world"}`,
 		`{"app":"relay","duration_us":1e18,"traffic":{"shape":"diurnal","rps":1e308,"period_us":1}}`,
 		`{"app":"relay","duration_us":2000000,"nodes":6,"placement":"line","routing":"ctp"}`,
 		`{"app":"relay","duration_us":2000000,"nodes":9,"placement":"grid","routing":"ctp","beacon_period_ms":500,"battery_node_uah":{"5":60}}`,

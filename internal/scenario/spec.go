@@ -26,7 +26,6 @@ import (
 	"maps"
 	"math"
 	"slices"
-	"sort"
 	"strconv"
 
 	"repro/internal/core"
@@ -84,18 +83,6 @@ type Spec struct {
 	// of the same configuration derive the same seeds and produce
 	// byte-identical traces. Honored by: all apps.
 	Queue string `json:"queue,omitempty"`
-	// Partitions splits the world's nodes across that many spatial-region
-	// partition simulators stepped in parallel under conservative lookahead
-	// (sim.Group). A partitioned run dispatches the exact same events in the
-	// exact same order as a serial one, so — like Queue — this knob changes
-	// wall-clock time, never results, and is excluded from ConfigKey. 0 or 1
-	// selects the serial stepper. Configurations the partition scheduler
-	// cannot honor fall back to serial silently: specs without a placement
-	// (the broadcast medium gains nothing from spatial regions),
-	// death_policy "halt-world" (the halt must take effect at the exact
-	// depletion event, which only the serial stepper guarantees), and worlds
-	// with fewer nodes than partitions (clamped). Honored by: all apps.
-	Partitions int `json:"partitions,omitempty"`
 
 	// CalibrateDCO enables the 16 Hz digital-oscillator calibration
 	// interrupt, the TinyOS default the TimerBug case study exposes.
@@ -122,9 +109,8 @@ type Spec struct {
 	// Origins is how many of the relay line's nodes generate traffic (nodes
 	// 1..Origins, each sending toward the line's end). 0 selects 1, the
 	// classic single-origin flood; larger values spread offered load across
-	// the topology, which is what gives a partitioned run (Partitions > 1)
-	// parallel work to find. Unlike Partitions this changes the workload, so
-	// it stays in ConfigKey. Honored by: relay.
+	// the topology. Origins start their periods at staggered phases; the
+	// stagger stays because it defines simulated output. Honored by: relay.
 	Origins int `json:"origins,omitempty"`
 	// HoldTimeUS is how long a Bounce node keeps a packet before sending it
 	// back, in microseconds. 0 selects the paper's 220 ms. Honored by:
@@ -207,7 +193,7 @@ type Spec struct {
 	// fixed epoch and the medium patches its neighbor index incrementally,
 	// so links appear and vanish as nodes roam. Paths draw only from
 	// per-node streams derived from the run seed, so mobile runs stay
-	// byte-identical across -workers and -partitions. Requires a placement.
+	// byte-identical across -workers. Requires a placement.
 	// Honored by: bounce, dma, relay, sensesend (the spatial apps).
 	Mobility string `json:"mobility,omitempty"`
 	// SpeedMPS is every mover's speed in meters per second. 0 selects 1.3
@@ -243,11 +229,10 @@ type Spec struct {
 	// (`quanto-trace record`). Shaped senders draw randomness only from
 	// private per-node streams derived from the run seed, and generated
 	// schedules are phase-staggered onto disjoint tick residues so no two
-	// senders share a send tick — shaped load stays byte-identical across
-	// -workers and -partitions. Unlike Queue/Partitions this changes the
-	// workload, so it stays in ConfigKey and is sweepable like any other
-	// field. Default nil (the app's classic fixed-period traffic,
-	// byte-identical to all pre-traffic runs). Honored by: relay (each
+	// senders share a send tick. Unlike Queue this changes the workload,
+	// so it stays in ConfigKey and is sweepable like any other field.
+	// Default nil (the app's classic fixed-period traffic, byte-identical
+	// to all pre-traffic runs). Honored by: relay (each
 	// origin's generation), bounce (each node's packet injection),
 	// sensesend (the sampling schedule).
 	Traffic *traffic.Spec `json:"traffic,omitempty"`
@@ -371,7 +356,7 @@ func (s *Spec) ApplySpatial(w *mote.World) error {
 // applyMobility attaches a mover to every node per the spec's mobility
 // fields: the placement supplies each node's starting position, and every
 // path is a pure function of (seed, node id), so mobile runs replay
-// byte-identically under any worker or partition count.
+// byte-identically under any worker count.
 func (s *Spec) applyMobility(w *mote.World, pos []medium.Position) error {
 	if s.Mobility == "" {
 		return nil
@@ -398,63 +383,6 @@ func (s *Spec) applyMobility(w *mote.World, pos []medium.Position) error {
 	// does not pay the rebuild.
 	w.Medium.WarmNeighbors()
 	return nil
-}
-
-// NewWorld constructs the world an app builder should populate for n nodes:
-// a plain serial world, or — when the spec requests partitions and the
-// configuration supports them — a partitioned world whose nodes are assigned
-// to spatially contiguous regions. The assignment sorts nodes by their
-// placement's grid cell (cell size = the delivery cutoff, the same hash the
-// neighbor index uses) and cuts the sorted order into equal-size chunks, so
-// each partition holds a compact patch of the plane and border traffic stays
-// low. The fallbacks mirror the Partitions field's documentation: no
-// placement, halt-world deaths, or more partitions than nodes all degrade to
-// fewer (or one) partitions rather than erroring, because Partitions is a
-// performance knob, not configuration.
-func (s *Spec) NewWorld(n int) (*mote.World, error) {
-	k := s.Partitions
-	if k > n {
-		k = n
-	}
-	if k <= 1 || s.Placement == "" || s.DeathPolicy == DeathPolicyHaltWorld {
-		return mote.NewWorldQueue(s.Seed, s.Queue), nil
-	}
-	pos, err := s.Positions(n)
-	if err != nil {
-		return nil, err
-	}
-	return mote.NewWorldPartitioned(s.Seed, s.Queue, k, partitionAssign(pos, s.effectiveTxRange(), k)), nil
-}
-
-// partitionAssign maps node creation order to a partition index by sorting
-// nodes in (cellX, cellY, x, y, index) order over a grid of cell-sized
-// squares and chunking the sorted sequence into k balanced groups.
-func partitionAssign(pos []medium.Position, cell float64, k int) []int {
-	idx := make([]int, len(pos))
-	for i := range idx {
-		idx[i] = i
-	}
-	sort.Slice(idx, func(a, b int) bool {
-		pa, pb := pos[idx[a]], pos[idx[b]]
-		if ca, cb := math.Floor(pa.X/cell), math.Floor(pb.X/cell); ca != cb {
-			return ca < cb
-		}
-		if ca, cb := math.Floor(pa.Y/cell), math.Floor(pb.Y/cell); ca != cb {
-			return ca < cb
-		}
-		if pa.X != pb.X {
-			return pa.X < pb.X
-		}
-		if pa.Y != pb.Y {
-			return pa.Y < pb.Y
-		}
-		return idx[a] < idx[b]
-	})
-	assign := make([]int, len(pos))
-	for rank, i := range idx {
-		assign[i] = rank * k / len(pos)
-	}
-	return assign
 }
 
 // HarvestSpec is the declarative form of a power.Harvester. All currents are
@@ -592,9 +520,6 @@ func (s *Spec) Validate() error {
 		return fmt.Errorf("scenario: unknown death_policy %q (want %q or %q)",
 			s.DeathPolicy, DeathPolicyHaltNode, DeathPolicyHaltWorld)
 	}
-	if s.Partitions < 0 {
-		return fmt.Errorf("scenario: partitions must be >= 0, got %d", s.Partitions)
-	}
 	if s.Origins < 0 {
 		return fmt.Errorf("scenario: origins must be >= 0, got %d", s.Origins)
 	}
@@ -716,8 +641,8 @@ var (
 	// change results — a run with any value is byte-identical to a run with
 	// the default — so they are cleared before serialization. Each entry is
 	// pinned by a TestConfigKey* invariance test and by a trace-identity
-	// suite (wheel/heap, partitions, recording).
-	configKeyExcluded = []string{"queue", "partitions", "record_traffic"}
+	// suite (wheel/heap, recording).
+	configKeyExcluded = []string{"queue", "record_traffic"}
 	// configKeyIdentity: fields that name a run rather than configure it;
 	// cleared so replicas under different seeds/names share a key.
 	configKeyIdentity = []string{"name", "seed"}
@@ -749,7 +674,6 @@ func (s *Spec) ConfigKey() string {
 	c.Seed = 0
 	c.Name = ""
 	c.Queue = ""            // implementation choice, not configuration: results match
-	c.Partitions = 0        // likewise: parallel runs are byte-identical to serial
 	c.RecordTraffic = false // observation, not configuration: recording changes nothing
 	b, err := json.Marshal(&c)
 	if err != nil {

@@ -29,10 +29,6 @@ func (h *heapQueue) next(limit Ticks) (Ticks, bool) {
 	return h.events[0].at, true
 }
 
-// head returns the earliest pending event. Only valid right after next
-// returned ok.
-func (h *heapQueue) head() *Event { return h.events[0] }
-
 func (h *heapQueue) pop() fired {
 	e := h.events[0]
 	h.remove(0)

@@ -101,15 +101,12 @@ func (w *wheel) schedule(at Ticks, prio Priority, seq uint64, fn func(), afn fun
 }
 
 // place files an event by the highest byte in which its time differs from
-// the cursor. Events at or before the cursor are due and go straight to the
-// ready heap: a Group coordinator peeking one partition can settle its
-// cursor ahead of another partition's merge time, so a cross-partition
-// schedule (a frame-end event delivered to this wheel) may land at or below
-// the cursor. The ready heap orders by (at, prio, seq), so such events still
-// dispatch in exact global order; a single-partition run never schedules
-// below its cursor and is unaffected.
+// the cursor. An event due at the cursor — one a running handler schedules
+// for the current instant — goes straight to the ready heap. None lands
+// below the cursor: the cursor never passes the simulator clock, and
+// Schedule rejects times before the clock.
 func (w *wheel) place(e *Event) {
-	if e.at <= w.cur {
+	if e.at == w.cur {
 		w.readyPush(e)
 		return
 	}
@@ -179,8 +176,8 @@ func (w *wheel) curIdx(level int) int {
 func (w *wheel) next(limit Ticks) (Ticks, bool) {
 	for {
 		if len(w.ready) > 0 {
-			// Ready events are due at or before the cursor; every slot event
-			// is strictly after it, so the ready head is the global minimum.
+			// Ready events are due at the cursor; every slot event is
+			// strictly after it, so the ready head is the global minimum.
 			if at := w.ready[0].at; at <= limit {
 				return at, true
 			}
@@ -287,20 +284,9 @@ func (w *wheel) cancel(e *Event) {
 	w.n--
 }
 
-// head returns the earliest pending event. Only valid right after next
-// returned ok, which guarantees the ready heap is primed.
-func (w *wheel) head() *Event { return w.ready[0] }
-
-// --- ready heap: (at, prio, seq) min-heap of due events ---
-//
-// A single-partition wheel only ever holds one instant here, so the at
-// comparison is vestigial for it; under a Group, below-cursor deliveries
-// from other partitions make the times genuinely mixed.
+// --- ready heap: (prio, seq) min-heap of the events due at the cursor ---
 
 func readyLess(a, b *Event) bool {
-	if a.at != b.at {
-		return a.at < b.at
-	}
 	if a.prio != b.prio {
 		return a.prio < b.prio
 	}

@@ -31,44 +31,28 @@ type Event struct {
 	AtUS int64 `json:"at_us"`
 }
 
-// Recorder captures a run's realized send schedule. Each sender gets its own
-// slot — a single-writer slice, because under a partitioned world each
-// node's events run on its partition's goroutine during parallel windows —
-// and the merge into one sorted event stream happens only after the run.
+// Recorder captures a run's realized send schedule.
 type Recorder struct {
-	ids   []core.NodeID
-	times [][]units.Ticks
+	ids    []core.NodeID
+	events []Event
 }
 
 // NewRecorder sizes a recorder for the given sender ids (slot i records
 // sender ids[i]).
 func NewRecorder(ids []core.NodeID) *Recorder {
-	return &Recorder{
-		ids:   append([]core.NodeID(nil), ids...),
-		times: make([][]units.Ticks, len(ids)),
-	}
+	return &Recorder{ids: append([]core.NodeID(nil), ids...)}
 }
 
-// Hook returns slot's capture function, to be called from that sender's own
-// event context only.
+// Hook returns slot's capture function.
 func (r *Recorder) Hook(slot int) func(units.Ticks) {
-	return func(t units.Ticks) { r.times[slot] = append(r.times[slot], t) }
+	node := int(r.ids[slot])
+	return func(t units.Ticks) { r.events = append(r.events, Event{Node: node, AtUS: int64(t)}) }
 }
 
-// Events merges every slot into one stream sorted by (at_us, node). Shaped
-// schedules are tie-free across senders, so the order is total; the node id
-// tiebreak only matters for hand-built traces.
+// Events returns the recorded sends sorted by (at_us, node). A sender's
+// times strictly increase, so the order is total.
 func (r *Recorder) Events() []Event {
-	n := 0
-	for _, ts := range r.times {
-		n += len(ts)
-	}
-	out := make([]Event, 0, n)
-	for slot, ts := range r.times {
-		for _, t := range ts {
-			out = append(out, Event{Node: int(r.ids[slot]), AtUS: int64(t)})
-		}
-	}
+	out := append([]Event(nil), r.events...)
 	sort.Slice(out, func(i, j int) bool {
 		if out[i].AtUS != out[j].AtUS {
 			return out[i].AtUS < out[j].AtUS
