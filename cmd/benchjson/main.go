@@ -11,16 +11,17 @@
 //
 // Emit an artifact:
 //
-//	go test -run '^$' -bench Benchmark10kNodeRelay -benchmem -benchtime 3x . |
+//	go test -run '^$' -bench Benchmark10kNodeRelay -benchmem -benchtime 3x ./internal/sim |
 //	    benchjson -suite core -out BENCH_core.json
 //
 // Compare a fresh run against the committed baseline (exit 1 on >15%
 // allocs/op regression, warning annotations for time, which is noisy on
 // shared runners; -fail-on time,allocs tightens it). A benchmark whose
 // events/run differs from the baseline's also exits 1, as a stale baseline
-// to re-record rather than a regression:
+// to re-record rather than a regression. A baseline recorded under another
+// GOMAXPROCS gets a note, not a failure:
 //
-//	go test -run '^$' -bench Benchmark10kNodeRelay -benchmem -benchtime 3x . |
+//	go test -run '^$' -bench Benchmark10kNodeRelay -benchmem -benchtime 3x ./internal/sim |
 //	    benchjson -suite core -compare BENCH_core.json
 package main
 
@@ -89,6 +90,12 @@ func main() {
 				failDims[d] = true
 			}
 		}
+		if base.Procs != doc.Procs {
+			// Not a failure: allocs and events/run do not depend on the CPU
+			// count, but wall time and any per-worker throughput do.
+			fmt.Printf("note: %s ran with GOMAXPROCS=%s, this run with %s: timings are not comparable\n",
+				*compare, procsString(base.Procs), procsString(doc.Procs))
+		}
 		report := benchfmt.Compare(base, doc, *threshold)
 		sort.Slice(report, func(i, j int) bool { return report[i].Name < report[j].Name })
 		bad, stale := false, false
@@ -129,6 +136,14 @@ func main() {
 			os.Exit(1)
 		}
 	}
+}
+
+// procsString renders a Doc's Procs, where 0 means it was not recorded.
+func procsString(n int) string {
+	if n == 0 {
+		return "unrecorded"
+	}
+	return fmt.Sprint(n)
 }
 
 func fatal(err error) {

@@ -78,7 +78,6 @@ package main
 
 import (
 	"bufio"
-	"bytes"
 	"encoding/json"
 	"flag"
 	"fmt"
@@ -87,6 +86,7 @@ import (
 	"runtime"
 	"runtime/pprof"
 	"sort"
+	"strings"
 
 	"repro/internal/analysis"
 	"repro/internal/apps"
@@ -107,10 +107,10 @@ func main() {
 
 // run is the whole command behind an exit code: 0 on success, 1 when a
 // subcommand fails, 2 for usage errors (unknown subcommand, flag-parse
-// failure, out-of-range flag value, wrong arity) — which all print the usage
-// text to stderr. Keeping every exit on this one return path is what lets
-// the deferred profile writers run and the table test in main_test.go pin
-// the contract.
+// failure, out-of-range or invalid flag value, wrong arity) — which all
+// print the usage text to stderr. Keeping every exit on this one return
+// path is what lets the deferred profile writers run and the table test in
+// main_test.go pin the contract.
 func run(args []string, stderr io.Writer) int {
 	if len(args) < 1 {
 		usage(stderr)
@@ -124,7 +124,6 @@ func run(args []string, stderr io.Writer) int {
 	workers := fs.Int("workers", 0, "worker pool size, 0 = GOMAXPROCS (sweep, lifetime)")
 	listApps := fs.Bool("apps", false, "list registered scenario apps and exit (sweep)")
 	jsonOut := fs.Bool("json", false, "emit the report as JSON instead of a table (lifetime)")
-	queue := fs.String("queue", "", `override every run's event queue: "wheel" or "heap" (sweep)`)
 	trafficJSON := fs.String("traffic", "", `override every run's traffic shape with this JSON object, e.g. '{"shape":"constant","rps":10}' (sweep, lifetime, record)`)
 	cpuprofile := fs.String("cpuprofile", "", "write a CPU profile of the command to this file (sweep, lifetime)")
 	memprofile := fs.String("memprofile", "", "write an allocation profile of the command to this file (sweep, lifetime)")
@@ -140,6 +139,12 @@ func run(args []string, stderr io.Writer) int {
 	}
 	if *secs <= 0 {
 		fmt.Fprintf(stderr, "quanto-trace: -secs must be > 0, got %d\n", *secs)
+		usage(stderr)
+		return 2
+	}
+	shape, err := parseTraffic(*trafficJSON)
+	if err != nil {
+		fmt.Fprintf(stderr, "quanto-trace: -traffic: %v\n", err)
 		usage(stderr)
 		return 2
 	}
@@ -174,7 +179,6 @@ func run(args []string, stderr io.Writer) int {
 		}()
 	}
 
-	var err error
 	switch cmd {
 	case "gen":
 		if fs.NArg() != 1 {
@@ -205,19 +209,19 @@ func run(args []string, stderr io.Writer) int {
 			usage(stderr)
 			return 2
 		}
-		err = sweep(fs.Arg(0), *workers, *queue, *trafficJSON)
+		err = sweep(fs.Arg(0), *workers, shape)
 	case "lifetime":
 		if fs.NArg() != 1 {
 			usage(stderr)
 			return 2
 		}
-		err = lifetime(fs.Arg(0), *workers, *jsonOut, *trafficJSON)
+		err = lifetime(fs.Arg(0), *workers, *jsonOut, shape)
 	case "record":
 		if fs.NArg() != 2 {
 			usage(stderr)
 			return 2
 		}
-		err = record(fs.Arg(0), fs.Arg(1), *trafficJSON)
+		err = record(fs.Arg(0), fs.Arg(1), shape)
 	default:
 		fmt.Fprintf(stderr, "quanto-trace: unknown subcommand %q\n", cmd)
 		usage(stderr)
@@ -233,7 +237,7 @@ func run(args []string, stderr io.Writer) int {
 func usage(w io.Writer) {
 	fmt.Fprintln(w, `usage: quanto-trace gen|dump|summary|analyze [flags] FILE
        quanto-trace merge OUT FILE...
-       quanto-trace sweep [-workers N] [-apps] [-queue wheel|heap] [-traffic JSON] [-cpuprofile F] [-memprofile F] FILE
+       quanto-trace sweep [-workers N] [-apps] [-traffic JSON] [-cpuprofile F] [-memprofile F] FILE
        quanto-trace lifetime [-workers N] [-json] [-traffic JSON] [-cpuprofile F] [-memprofile F] FILE
        quanto-trace record [-traffic JSON] OUT FILE
 FILE/OUT may be "-" for stdin/stdout`)
@@ -435,41 +439,36 @@ func analyze(r *trace.Reader) error {
 	return nil
 }
 
-// applyQueue rewrites every spec's event queue. The queue is an
-// implementation choice excluded from ConfigKey, so overriding it cannot
-// change any run's derived seeds or results — it selects which scheduler
-// data structure executes them (differential perf and correctness runs
-// against the heap baseline).
-func applyQueue(specs []scenario.Spec, queue string) error {
-	if queue == "" {
-		return nil
+// parseTraffic decodes and validates the -traffic JSON object ("" gives nil:
+// no override). A malformed object, an unknown field or an invalid shape is
+// a usage error, reported before any file is opened.
+func parseTraffic(trafficJSON string) (*traffic.Spec, error) {
+	if trafficJSON == "" {
+		return nil, nil
 	}
-	for i := range specs {
-		specs[i].Queue = queue
-		if err := specs[i].Validate(); err != nil {
-			return err
-		}
+	var ts traffic.Spec
+	dec := json.NewDecoder(strings.NewReader(trafficJSON))
+	dec.DisallowUnknownFields()
+	if err := dec.Decode(&ts); err != nil {
+		return nil, err
 	}
-	return nil
+	if err := ts.Validate(); err != nil {
+		return nil, err
+	}
+	return &ts, nil
 }
 
-// applyTraffic rewrites every spec's traffic shape from the -traffic JSON.
-// Unlike the queue, the shape IS configuration (it changes ConfigKey);
+// applyTraffic rewrites every spec's traffic shape from the -traffic flag
+// (nil: no override). The shape is configuration (it changes ConfigKey);
 // the flag is a post-expansion what-if override, so derived seeds keep the
 // file's configuration identity — handy for asking "same matrix, but under a
 // ramp" without editing the file.
-func applyTraffic(specs []scenario.Spec, trafficJSON string) error {
-	if trafficJSON == "" {
+func applyTraffic(specs []scenario.Spec, shape *traffic.Spec) error {
+	if shape == nil {
 		return nil
 	}
-	var ts traffic.Spec
-	dec := json.NewDecoder(bytes.NewReader([]byte(trafficJSON)))
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&ts); err != nil {
-		return fmt.Errorf("-traffic: %v", err)
-	}
 	for i := range specs {
-		sp := ts
+		sp := *shape
 		specs[i].Traffic = &sp
 		if err := specs[i].Validate(); err != nil {
 			return err
@@ -482,7 +481,7 @@ func applyTraffic(specs []scenario.Spec, trafficJSON string) error {
 // streaming one JSON result line per run in matrix order and a final
 // aggregate line. The output bytes depend only on the matrix content — not
 // on the worker count or which run finishes first.
-func sweep(name string, workers int, queue string, trafficJSON string) error {
+func sweep(name string, workers int, shape *traffic.Spec) error {
 	in, err := openIn(name)
 	if err != nil {
 		return err
@@ -496,10 +495,7 @@ func sweep(name string, workers int, queue string, trafficJSON string) error {
 	if err != nil {
 		return err
 	}
-	if err := applyQueue(specs, queue); err != nil {
-		return err
-	}
-	if err := applyTraffic(specs, trafficJSON); err != nil {
+	if err := applyTraffic(specs, shape); err != nil {
 		return err
 	}
 	effective := workers
@@ -554,7 +550,7 @@ func sweep(name string, workers int, queue string, trafficJSON string) error {
 // kept delivering. In -json mode a routed study nests both reports as
 // {"lifetime": ..., "routes": ...}; unrouted studies keep the legacy
 // single-report shape.
-func lifetime(name string, workers int, jsonOut bool, trafficJSON string) error {
+func lifetime(name string, workers int, jsonOut bool, shape *traffic.Spec) error {
 	in, err := openIn(name)
 	if err != nil {
 		return err
@@ -568,7 +564,7 @@ func lifetime(name string, workers int, jsonOut bool, trafficJSON string) error 
 	if err != nil {
 		return err
 	}
-	if err := applyTraffic(specs, trafficJSON); err != nil {
+	if err := applyTraffic(specs, shape); err != nil {
 		return err
 	}
 	fmt.Fprintf(os.Stderr, "lifetime: %d runs\n", len(specs))
@@ -627,7 +623,7 @@ func lifetime(name string, workers int, jsonOut bool, trafficJSON string) error 
 // whose app honors a traffic shape; the shape comes from the spec's own
 // traffic field or the -traffic flag. The written file feeds straight back in
 // as {"shape": "replay", "file": ...}, reproducing the run byte for byte.
-func record(outName, name, trafficJSON string) error {
+func record(outName, name string, shape *traffic.Spec) error {
 	in, err := openIn(name)
 	if err != nil {
 		return err
@@ -644,7 +640,7 @@ func record(outName, name, trafficJSON string) error {
 	if len(specs) != 1 {
 		return fmt.Errorf("record needs exactly one run, matrix expands to %d", len(specs))
 	}
-	if err := applyTraffic(specs, trafficJSON); err != nil {
+	if err := applyTraffic(specs, shape); err != nil {
 		return err
 	}
 	spec := specs[0]

@@ -7,8 +7,7 @@ import (
 
 // TestRunUsageErrors pins the CLI error contract: every usage-level mistake —
 // no subcommand, an unknown subcommand, a flag-parse failure, an out-of-range
-// flag value, wrong arity —
-// exits 2 through run's return value (never os.Exit, so deferred profile
+// or invalid flag value, wrong arity — exits 2 through run's return value (never os.Exit, so deferred profile
 // writers still run) and prints the usage text to stderr.
 func TestRunUsageErrors(t *testing.T) {
 	cases := []struct {
@@ -40,6 +39,32 @@ func TestRunUsageErrors(t *testing.T) {
 			args:   []string{"sweep", "-partitions", "2", "spec.json"},
 			code:   2,
 			stderr: []string{"-partitions", "usage: quanto-trace"},
+		},
+		{
+			name:   "unknown queue flag",
+			args:   []string{"sweep", "-queue", "heap", "spec.json"},
+			code:   2,
+			stderr: []string{"-queue", "usage: quanto-trace"},
+		},
+		// -traffic is checked before the spec is read: the missing spec
+		// file would exit 1 if it were opened first.
+		{
+			name:   "traffic malformed JSON",
+			args:   []string{"sweep", "-traffic", `{"shape":`, "/no/such/spec.json"},
+			code:   2,
+			stderr: []string{"-traffic", "usage: quanto-trace"},
+		},
+		{
+			name:   "traffic unknown field",
+			args:   []string{"lifetime", "-traffic", `{"shape":"constant","rps":5,"burst":1}`, "/no/such/spec.json"},
+			code:   2,
+			stderr: []string{`unknown field "burst"`, "usage: quanto-trace"},
+		},
+		{
+			name:   "traffic invalid shape",
+			args:   []string{"record", "-traffic", `{"shape":"constant","rps":0}`, "out.jsonl", "/no/such/spec.json"},
+			code:   2,
+			stderr: []string{"constant shape needs rps > 0", "usage: quanto-trace"},
 		},
 		{
 			name:   "negative workers",

@@ -162,8 +162,9 @@ func runMatrix(seed uint64) {
 		fmt.Printf("%-26s %10.1f %10.1f %10.1f %14s\n",
 			describeShape(spec.Traffic), gen, del, drop, perDelivered)
 	}
-	fmt.Println("\n(offered = sends the shapes scheduled; dropped = sends that found the")
-	fmt.Println(" origin's radio busy; mJ/delivered is total network energy over deliveries —")
+	fmt.Println("\n(offered = sends the shapes scheduled; dropped = packets lost to a busy")
+	fmt.Println(" radio — at an origin whose one-deep retry slot was already held, or at a")
+	fmt.Println(" forwarder; mJ/delivered is total network energy over deliveries —")
 	fmt.Println(" bursty and heavy-tailed load pays more per packet than the same average")
 	fmt.Println(" rate spread evenly)")
 }

@@ -107,5 +107,8 @@ func (a *AM) deliver(f *medium.Frame) {
 	}
 }
 
-// BroadcastAddr addresses every node in range.
-const BroadcastAddr core.NodeID = 0xFF
+// BroadcastAddr addresses every node in range. It is TinyOS's 16-bit
+// AM_BROADCAST_ADDR, outside the id range of any line this repo builds; an
+// 8-bit 0xFF would alias node 255, and a unicast to it would reach — and be
+// forwarded by — every node in range.
+const BroadcastAddr core.NodeID = 0xFFFF

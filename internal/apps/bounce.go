@@ -51,9 +51,6 @@ type BounceConfig struct {
 	// PerNode, when set, adjusts each node's options after Base is copied
 	// (called with NodeA's and NodeB's ids).
 	PerNode func(id core.NodeID, o *mote.Options)
-	// Queue selects the simulator event queue ("" or "wheel": timer wheel;
-	// "heap": the legacy binary-heap baseline). Results are identical.
-	Queue string
 	// Traffic, when non-nil, replaces the two boot kicks with shaped packet
 	// injection: slot 0 drives NodeA, slot 1 NodeB, and every scheduled
 	// injection starts a fresh packet bouncing (dropped while the node's
@@ -79,7 +76,7 @@ func NewBounce(seed uint64, cfg BounceConfig) *Bounce {
 	if cfg.HoldTime == 0 {
 		cfg.HoldTime = 220 * units.Millisecond
 	}
-	w := mote.NewWorldQueue(seed, cfg.Queue)
+	w := mote.NewWorld(seed)
 	b := &Bounce{World: w, HoldTime: cfg.HoldTime}
 
 	ids := [2]core.NodeID{cfg.NodeA, cfg.NodeB}

@@ -33,12 +33,7 @@ type DMACompare struct {
 // value applies to both nodes, two values configure the sender (node 1) and
 // receiver (node 2) individually.
 func NewDMACompare(seed uint64, useDMA bool, payloadBytes int, startAt units.Ticks, base ...mote.Options) *DMACompare {
-	return NewDMACompareQueue(seed, "", useDMA, payloadBytes, startAt, base...)
-}
-
-// NewDMACompareQueue is NewDMACompare with an explicit event-queue selection.
-func NewDMACompareQueue(seed uint64, queue string, useDMA bool, payloadBytes int, startAt units.Ticks, base ...mote.Options) *DMACompare {
-	w := mote.NewWorldQueue(seed, queue)
+	w := mote.NewWorld(seed)
 	mkOpts := func(idx int) mote.Options {
 		o := mote.DefaultOptions()
 		if len(base) > 0 {

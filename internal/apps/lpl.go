@@ -51,9 +51,6 @@ type LPLConfig struct {
 	// before Volts and the radio wiring are applied; nil selects
 	// mote.DefaultOptions.
 	Base *mote.Options
-	// Queue selects the simulator event queue ("" or "wheel": timer wheel;
-	// "heap": the legacy binary-heap baseline). Results are identical.
-	Queue string
 }
 
 // DefaultLPLConfig reproduces the paper's experiment on the given channel.
@@ -75,7 +72,7 @@ func NewLPL(seed uint64, cfg LPLConfig) *LPL {
 	if cfg.CheckPeriod == 0 {
 		cfg.CheckPeriod = 500 * units.Millisecond
 	}
-	w := mote.NewWorldQueue(seed, cfg.Queue)
+	w := mote.NewWorld(seed)
 	opts := mote.DefaultOptions()
 	if cfg.Base != nil {
 		opts = *cfg.Base

@@ -59,7 +59,7 @@ func buildBlink(spec scenario.Spec) (*scenario.Instance, error) {
 	if err := noRouting(spec, "blink"); err != nil {
 		return nil, err
 	}
-	w := mote.NewWorldQueue(spec.Seed, spec.Queue)
+	w := mote.NewWorld(spec.Seed)
 	n := w.AddNode(1, spec.MoteOptions())
 	b := NewBlink(n)
 	return &scenario.Instance{
@@ -99,7 +99,6 @@ func buildBounce(spec scenario.Spec) (*scenario.Instance, error) {
 		cfg.HoldTime = units.Ticks(spec.HoldTimeUS)
 	}
 	cfg.UseDMA = spec.UseDMA
-	cfg.Queue = spec.Queue
 	srcs, rec, err := spec.TrafficSources([]core.NodeID{cfg.NodeA, cfg.NodeB})
 	if err != nil {
 		return nil, err
@@ -163,7 +162,6 @@ func buildLPL(spec scenario.Spec) (*scenario.Instance, error) {
 	if spec.WiFiGapUS > 0 {
 		cfg.WiFiGap = units.Ticks(spec.WiFiGapUS)
 	}
-	cfg.Queue = spec.Queue
 	l := NewLPL(spec.Seed, cfg)
 	return &scenario.Instance{
 		World: l.World,
@@ -195,8 +193,13 @@ func buildRelay(spec scenario.Spec) (*scenario.Instance, error) {
 	if spec.PeriodUS > 0 {
 		cfg.Period = units.Ticks(spec.PeriodUS)
 	}
+	if spec.Origins > cfg.Hops-1 {
+		// NewRelay would clamp, running the clamped count under a ConfigKey
+		// of its own: a silently inert sweep axis, like noRouting guards.
+		return nil, fmt.Errorf("relay origins must be <= nodes-1 = %d (the sink never originates), got %d",
+			cfg.Hops-1, spec.Origins)
+	}
 	cfg.Origins = spec.Origins
-	cfg.Queue = spec.Queue
 	cfg.Routing = spec.Routing
 	if spec.BeaconPeriodMS > 0 {
 		cfg.BeaconPeriod = units.Ticks(spec.BeaconPeriodMS) * units.Millisecond
@@ -252,7 +255,6 @@ func buildSenseSend(spec scenario.Spec) (*scenario.Instance, error) {
 	if spec.PeriodUS > 0 {
 		cfg.Period = units.Ticks(spec.PeriodUS)
 	}
-	cfg.Queue = spec.Queue
 	srcs, rec, err := spec.TrafficSources([]core.NodeID{cfg.SensorNode})
 	if err != nil {
 		return nil, err
@@ -294,7 +296,7 @@ func buildTimerBug(spec scenario.Spec) (*scenario.Instance, error) {
 	// battery override key is "32", not "1".
 	opts := spec.MoteOptions()
 	spec.ApplyBattery(32, &opts)
-	tb := NewTimerBugQueue(spec.Seed, spec.Queue, spec.CalibrateDCO, opts)
+	tb := NewTimerBug(spec.Seed, spec.CalibrateDCO, opts)
 	return &scenario.Instance{
 		World: tb.World,
 		App:   tb,
@@ -327,7 +329,7 @@ func buildDMACompare(spec scenario.Spec) (*scenario.Instance, error) {
 	sender := spec.MoteOptions()
 	receiver := spec.MoteOptions()
 	spec.ApplyBattery(2, &receiver)
-	d := NewDMACompareQueue(spec.Seed, spec.Queue, spec.UseDMA, payload, startAt, sender, receiver)
+	d := NewDMACompare(spec.Seed, spec.UseDMA, payload, startAt, sender, receiver)
 	if err := spec.ApplySpatial(d.World); err != nil {
 		return nil, err
 	}

@@ -50,9 +50,6 @@ type SenseSendConfig struct {
 	// PerNode, when set, adjusts each node's options after Base is copied
 	// (called with SensorNode's and BaseNode's ids).
 	PerNode func(id core.NodeID, o *mote.Options)
-	// Queue selects the simulator event queue ("" or "wheel": timer wheel;
-	// "heap": the legacy binary-heap baseline). Results are identical.
-	Queue string
 	// Traffic, when non-nil, replaces the fixed sampling period with a
 	// shaped schedule (one slot: the sensor node). A scheduled sample that
 	// arrives while the previous one is still reading or sending is
@@ -72,7 +69,7 @@ func NewSenseSend(seed uint64, cfg SenseSendConfig) *SenseSend {
 	if cfg.Period == 0 {
 		cfg.Period = 5 * units.Second
 	}
-	w := mote.NewWorldQueue(seed, cfg.Queue)
+	w := mote.NewWorld(seed)
 	s := &SenseSend{World: w}
 
 	mkOpts := func(id core.NodeID) mote.Options {

@@ -25,12 +25,7 @@ type TimerBug struct {
 // timer is left on (the buggy default) or disabled (the fix). An optional
 // base overrides the node's mote options (voltage, logging mode).
 func NewTimerBug(seed uint64, calibrate bool, base ...mote.Options) *TimerBug {
-	return NewTimerBugQueue(seed, "", calibrate, base...)
-}
-
-// NewTimerBugQueue is NewTimerBug with an explicit event-queue selection.
-func NewTimerBugQueue(seed uint64, queue string, calibrate bool, base ...mote.Options) *TimerBug {
-	w := mote.NewWorldQueue(seed, queue)
+	w := mote.NewWorld(seed)
 	opts := mote.DefaultOptions()
 	if len(base) > 0 {
 		opts = base[0]

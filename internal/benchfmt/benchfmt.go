@@ -27,13 +27,19 @@ type Doc struct {
 	Goarch string `json:"goarch,omitempty"`
 	CPU    string `json:"cpu,omitempty"`
 	Pkg    string `json:"pkg,omitempty"`
+	// Procs is the GOMAXPROCS every result line ran under, read from the
+	// -N suffix testing appends to benchmark names (no suffix means 1).
+	// 0 when the lines disagree (a -cpu list) or the record predates the
+	// field.
+	Procs int `json:"procs,omitempty"`
 
 	Benchmarks []Benchmark `json:"benchmarks"`
 }
 
 // Benchmark is one result line: a (sub-)benchmark and its per-op numbers.
 type Benchmark struct {
-	// Name has the leading "Benchmark" stripped: "10kNodeRelay/queue=wheel".
+	// Name has the leading "Benchmark" and the -GOMAXPROCS suffix stripped:
+	// "10kNodeRelay/queue=wheel".
 	Name string `json:"name"`
 	Runs int64  `json:"runs"`
 
@@ -64,9 +70,14 @@ func Parse(r io.Reader, suite string) (*Doc, error) {
 		case strings.HasPrefix(line, "pkg: "):
 			doc.Pkg = strings.TrimPrefix(line, "pkg: ")
 		case strings.HasPrefix(line, "Benchmark"):
-			b, err := parseLine(line)
+			b, procs, err := parseLine(line)
 			if err != nil {
 				return nil, fmt.Errorf("benchfmt: %w in line %q", err, line)
+			}
+			if len(doc.Benchmarks) == 0 {
+				doc.Procs = procs
+			} else if procs != doc.Procs {
+				doc.Procs = 0
 			}
 			doc.Benchmarks = append(doc.Benchmarks, b)
 		}
@@ -78,28 +89,31 @@ func Parse(r io.Reader, suite string) (*Doc, error) {
 //
 //	BenchmarkName-8  3  219358627 ns/op  416261 events/run  111280680 B/op  86426 allocs/op
 //
-// i.e. name, iteration count, then (value, unit) pairs.
-func parseLine(line string) (Benchmark, error) {
+// i.e. name, iteration count, then (value, unit) pairs. It also returns the
+// GOMAXPROCS the line ran under.
+func parseLine(line string) (Benchmark, int, error) {
 	f := strings.Fields(line)
 	if len(f) < 4 || len(f)%2 != 0 {
-		return Benchmark{}, fmt.Errorf("malformed result")
+		return Benchmark{}, 0, fmt.Errorf("malformed result")
 	}
 	name := strings.TrimPrefix(f[0], "Benchmark")
-	// Strip the -GOMAXPROCS suffix testing appends outside -cpu=1.
+	// Split off the -GOMAXPROCS suffix testing appends when it is not 1, so
+	// a benchmark keeps one name across hosts.
+	procs := 1
 	if i := strings.LastIndex(name, "-"); i > 0 {
-		if _, err := strconv.Atoi(name[i+1:]); err == nil {
-			name = name[:i]
+		if n, err := strconv.Atoi(name[i+1:]); err == nil {
+			name, procs = name[:i], n
 		}
 	}
 	runs, err := strconv.ParseInt(f[1], 10, 64)
 	if err != nil {
-		return Benchmark{}, fmt.Errorf("bad iteration count %q", f[1])
+		return Benchmark{}, 0, fmt.Errorf("bad iteration count %q", f[1])
 	}
 	b := Benchmark{Name: name, Runs: runs}
 	for i := 2; i+1 < len(f); i += 2 {
 		val, err := strconv.ParseFloat(f[i], 64)
 		if err != nil {
-			return Benchmark{}, fmt.Errorf("bad value %q", f[i])
+			return Benchmark{}, 0, fmt.Errorf("bad value %q", f[i])
 		}
 		switch unit := f[i+1]; unit {
 		case "ns/op":
@@ -115,7 +129,7 @@ func parseLine(line string) (Benchmark, error) {
 			b.Metrics[unit] = val
 		}
 	}
-	return b, nil
+	return b, procs, nil
 }
 
 // Load reads a Doc previously written by cmd/benchjson.

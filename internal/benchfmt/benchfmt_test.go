@@ -47,6 +47,10 @@ func TestParse(t *testing.T) {
 		t.Fatalf("wheel metrics = %v", wheel.Metrics)
 	}
 	// The -8 GOMAXPROCS suffix must strip, custom units must survive.
+	// Lines under different GOMAXPROCS leave the doc's procs unknown.
+	if doc.Procs != 0 {
+		t.Errorf("procs of a mixed doc = %d, want 0", doc.Procs)
+	}
 	sweep := doc.Benchmarks[2]
 	if sweep.Name != "SweepThroughput/workers=4" {
 		t.Fatalf("sweep name = %q", sweep.Name)
@@ -110,6 +114,10 @@ func TestCompareStaleBaseline(t *testing.T) {
 	cur, err := Parse(strings.NewReader(staleRun), "core")
 	if err != nil {
 		t.Fatal(err)
+	}
+	// The GOMAXPROCS suffix moves into the doc: none means 1.
+	if base.Procs != 1 || cur.Procs != 2 {
+		t.Errorf("procs = %d and %d, want 1 and 2", base.Procs, cur.Procs)
 	}
 	got := Compare(base, cur, 0.15)
 	if len(got) != 2 {

@@ -56,7 +56,7 @@ func TestRNGDomain(t *testing.T) {
 // and the literal set those invariance tests pin. Adding a field to any one
 // of the three without the others fails here.
 func TestConfigKeyExclusionListPinned(t *testing.T) {
-	pinned := []string{"queue", "record_traffic"}
+	pinned := []string{"record_traffic"}
 
 	runtime := scenario.ConfigKeyExcluded()
 	slices.Sort(runtime)

@@ -156,15 +156,7 @@ type World struct {
 // NewWorld creates an empty world. The seed drives every stochastic element
 // (backoff, interference, measurement ripple) deterministically.
 func NewWorld(seed uint64) *World {
-	return NewWorldQueue(seed, "")
-}
-
-// NewWorldQueue is NewWorld with an explicit event-queue selection ("" or
-// "wheel" for the timer wheel, "heap" for the legacy binary heap kept as the
-// differential-testing baseline). Both queues dispatch identically, so the
-// choice changes performance, never results.
-func NewWorldQueue(seed uint64, queue string) *World {
-	s := sim.NewWithQueue(sim.QueueKind(queue))
+	s := sim.New()
 	return &World{
 		Sim:    s,
 		Medium: medium.New(s),

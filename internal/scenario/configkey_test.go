@@ -98,7 +98,6 @@ func TestConfigKeyExclusionInvariance(t *testing.T) {
 	// exclusion list fails here until it gets a sample — adding an exclusion
 	// forces extending the invariance pin.
 	samples := map[string]any{
-		"queue":          "heap",
 		"record_traffic": true,
 	}
 	for _, field := range ConfigKeyExcluded() {

@@ -169,6 +169,11 @@ func TestParseSpecOrMatrix(t *testing.T) {
 	if _, err := scenario.ParseSpecOrMatrix([]byte(`{"base":{"app":"blink","duration_us":1},"sweeep":{}}`)); err == nil {
 		t.Fatal("accepted matrix with unknown top-level field")
 	}
+	// The event queue is not configuration: there is no spec field for it.
+	if _, err := scenario.ParseSpecOrMatrix([]byte(`{"app":"blink","duration_us":1000000,"queue":"heap"}`)); err == nil ||
+		!strings.Contains(err.Error(), `unknown field "queue"`) {
+		t.Fatalf("queue field: err = %v, want unknown-field rejection", err)
+	}
 }
 
 // TestSweepSeedExactness: seeds beyond 2^53 must survive the matrix
@@ -248,6 +253,14 @@ func TestRunSpecReportsErrors(t *testing.T) {
 	r = scenario.RunSpec(scenario.Spec{App: "relay", Nodes: 1, DurationUS: int64(units.Second)})
 	if !strings.Contains(r.Error, "at least 2 nodes") {
 		t.Fatalf("relay error = %q", r.Error)
+	}
+	// More origins than non-sink nodes is an error, not a silent clamp.
+	r = scenario.RunSpec(scenario.Spec{App: "relay", Nodes: 3, Origins: 50, DurationUS: int64(units.Second)})
+	if !strings.Contains(r.Error, "origins must be <= nodes-1 = 2") {
+		t.Fatalf("relay origins error = %q", r.Error)
+	}
+	if r = scenario.RunSpec(scenario.Spec{App: "relay", Nodes: 3, Origins: 2, DurationUS: int64(units.Second)}); r.Error != "" {
+		t.Fatalf("relay with nodes-1 origins: %s", r.Error)
 	}
 }
 

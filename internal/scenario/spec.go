@@ -75,14 +75,6 @@ type Spec struct {
 	// Volts overrides the supply voltage in volts. Default 3.0 V (lpl:
 	// 3.35 V, the paper's regulator). Honored by: all apps.
 	Volts float64 `json:"volts,omitempty"`
-	// Queue selects the simulator's event-queue implementation: "" or
-	// "wheel" for the hierarchical timer wheel (the default), "heap" for
-	// the legacy binary heap kept as a differential-testing baseline. Both
-	// dispatch identically, so this knob changes performance, never
-	// results — it is excluded from ConfigKey so a wheel run and a heap run
-	// of the same configuration derive the same seeds and produce
-	// byte-identical traces. Honored by: all apps.
-	Queue string `json:"queue,omitempty"`
 
 	// CalibrateDCO enables the 16 Hz digital-oscillator calibration
 	// interrupt, the TinyOS default the TimerBug case study exposes.
@@ -229,8 +221,8 @@ type Spec struct {
 	// (`quanto-trace record`). Shaped senders draw randomness only from
 	// private per-node streams derived from the run seed, and generated
 	// schedules are phase-staggered onto disjoint tick residues so no two
-	// senders share a send tick. Unlike Queue this changes the workload,
-	// so it stays in ConfigKey and is sweepable like any other field.
+	// senders share a send tick. This changes the workload, so it stays
+	// in ConfigKey and is sweepable like any other field.
 	// Default nil (the app's classic fixed-period traffic, byte-identical
 	// to all pre-traffic runs). Honored by: relay (each
 	// origin's generation), bounce (each node's packet injection),
@@ -239,7 +231,7 @@ type Spec struct {
 	// RecordTraffic captures the run's realized send schedule in memory so
 	// it can be written out as a JSONL trace afterwards (Instance.Traffic;
 	// `quanto-trace record` sets this). Recording observes the run without
-	// changing it, so — like Queue — the flag is excluded from ConfigKey.
+	// changing it, so the flag is excluded from ConfigKey.
 	// Requires Traffic. Honored by: the same apps as Traffic.
 	RecordTraffic bool `json:"record_traffic,omitempty"`
 }
@@ -523,10 +515,6 @@ func (s *Spec) Validate() error {
 	if s.Origins < 0 {
 		return fmt.Errorf("scenario: origins must be >= 0, got %d", s.Origins)
 	}
-	if !sim.ValidQueue(sim.QueueKind(s.Queue)) {
-		return fmt.Errorf("scenario: unknown queue %q (want %q or %q)",
-			s.Queue, sim.QueueWheel, sim.QueueHeap)
-	}
 	switch s.Placement {
 	case "", PlacementLine, PlacementGrid, PlacementRGG:
 	default:
@@ -637,12 +625,11 @@ var (
 		"battery_uah", "battery_node_uah", "harvest", "death_policy",
 		"traffic",
 	}
-	// configKeyExcluded: performance or observation knobs proven not to
-	// change results — a run with any value is byte-identical to a run with
-	// the default — so they are cleared before serialization. Each entry is
-	// pinned by a TestConfigKey* invariance test and by a trace-identity
-	// suite (wheel/heap, recording).
-	configKeyExcluded = []string{"queue", "record_traffic"}
+	// configKeyExcluded: observation knobs proven not to change results —
+	// a run with any value is byte-identical to a run with the default — so
+	// they are cleared before serialization. Each entry is pinned by a
+	// TestConfigKey* invariance test and by a trace-identity test.
+	configKeyExcluded = []string{"record_traffic"}
 	// configKeyIdentity: fields that name a run rather than configure it;
 	// cleared so replicas under different seeds/names share a key.
 	configKeyIdentity = []string{"name", "seed"}
@@ -673,7 +660,6 @@ func (s *Spec) ConfigKey() string {
 	c := *s
 	c.Seed = 0
 	c.Name = ""
-	c.Queue = ""            // implementation choice, not configuration: results match
 	c.RecordTraffic = false // observation, not configuration: recording changes nothing
 	b, err := json.Marshal(&c)
 	if err != nil {

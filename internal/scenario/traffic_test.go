@@ -5,13 +5,45 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"sort"
 	"testing"
 
 	_ "repro/internal/apps" // registers the paper's workloads
+	"repro/internal/core"
 	"repro/internal/scenario"
+	"repro/internal/trace"
 	"repro/internal/traffic"
 	"repro/internal/units"
 )
+
+// encodedTraces runs the spec and returns every node's log in wire form,
+// concatenated in node-id order with a per-node header. Any difference in
+// event dispatch — order, timing, RNG consumption — shows up as a byte
+// difference here.
+func encodedTraces(t *testing.T, spec scenario.Spec) ([]byte, map[string]float64) {
+	t.Helper()
+	in, err := scenario.Build(spec)
+	if err != nil {
+		t.Fatalf("build %s: %v", spec.App, err)
+	}
+	in.Run()
+	logs := in.World.NodeLogs()
+	ids := make([]core.NodeID, 0, len(logs))
+	for id := range logs {
+		ids = append(ids, id)
+	}
+	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
+	var buf bytes.Buffer
+	for _, id := range ids {
+		fmt.Fprintf(&buf, "node %d: %d entries\n", id, len(logs[id]))
+		buf.Write(trace.Marshal(logs[id]))
+	}
+	var metrics map[string]float64
+	if in.Metrics != nil {
+		metrics = in.Metrics()
+	}
+	return buf.Bytes(), metrics
+}
 
 // TestTrafficReplayRoundTrip is the record-and-replay contract: run a shaped
 // spec with recording on, write the captured schedule to disk, then run the

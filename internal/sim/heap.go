@@ -1,9 +1,9 @@
 package sim
 
-// heapQueue is the original binary-heap event queue, kept as the
-// differential-testing and benchmarking baseline (-queue=heap). It preserves
-// the pre-wheel implementation's behavior exactly: one fresh Event
-// allocation per schedule, no pooling, O(log n) push/pop/cancel via a
+// heapQueue is the original binary-heap event queue, kept as the reference
+// oracle the wheel is tested and benchmarked against (see heapOracle). It
+// preserves the pre-wheel implementation's behavior exactly: one fresh
+// Event allocation per schedule, no pooling, O(log n) push/pop/cancel via a
 // (at, prio, seq)-ordered binary heap. Handles still go stale through the
 // shared generation counter, so the two queues expose one API.
 type heapQueue struct {

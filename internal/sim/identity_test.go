@@ -1,16 +1,24 @@
-package scenario_test
+// Differential tests and benchmarks of the timer wheel against the
+// reference heap queue on whole scenarios. They live in sim's external test
+// package because only sim's tests can switch New to the heap (UseHeap in
+// export_test.go); the scenario, app and mote packages this file imports
+// are rebuilt against that test variant of sim.
+
+package sim_test
 
 import (
 	"bytes"
 	"fmt"
 	"os"
 	"path/filepath"
+	"runtime"
 	"sort"
 	"testing"
 
 	_ "repro/internal/apps" // registers the paper's workloads
 	"repro/internal/core"
 	"repro/internal/scenario"
+	"repro/internal/sim"
 	"repro/internal/trace"
 	"repro/internal/traffic"
 	"repro/internal/units"
@@ -24,7 +32,7 @@ func encodedTraces(t *testing.T, spec scenario.Spec) ([]byte, map[string]float64
 	t.Helper()
 	in, err := scenario.Build(spec)
 	if err != nil {
-		t.Fatalf("build %s (queue=%q): %v", spec.App, spec.Queue, err)
+		t.Fatalf("build %s: %v", spec.App, err)
 	}
 	in.Run()
 	logs := in.World.NodeLogs()
@@ -45,13 +53,20 @@ func encodedTraces(t *testing.T, spec scenario.Spec) ([]byte, map[string]float64
 	return buf.Bytes(), metrics
 }
 
+// heapTraces is encodedTraces with every simulator on the reference heap
+// queue.
+func heapTraces(t *testing.T, spec scenario.Spec) ([]byte, map[string]float64) {
+	t.Helper()
+	defer sim.UseHeap()()
+	return encodedTraces(t, spec)
+}
+
 // TestWheelHeapTraceIdentity is the differential property test for the
 // timer-wheel scheduler: for every registered app, across seeds,
 // placements, multi-origin load, battery deaths, traffic shapes, routing,
 // mobility and recorded replay, a run on the wheel queue must produce
 // byte-identical node traces (and identical metrics) to the same run on the
-// legacy binary-heap queue. The queue is an implementation choice, never an
-// experimental variable; this test is the proof.
+// reference binary-heap queue.
 func TestWheelHeapTraceIdentity(t *testing.T) {
 	base := func(app string, dur units.Ticks) scenario.Spec {
 		return scenario.Spec{App: app, DurationUS: int64(dur)}
@@ -215,16 +230,8 @@ func TestWheelHeapTraceIdentity(t *testing.T) {
 			v := v
 			v.Seed = seed
 			t.Run(variantName(v), func(t *testing.T) {
-				wheel := v
-				wheel.Queue = "wheel"
-				heap := v
-				heap.Queue = "heap"
-				if wheel.ConfigKey() != heap.ConfigKey() {
-					t.Fatalf("queue choice leaked into ConfigKey:\n%s\nvs\n%s",
-						wheel.ConfigKey(), heap.ConfigKey())
-				}
-				wb, wm := encodedTraces(t, wheel)
-				hb, hm := encodedTraces(t, heap)
+				wb, wm := encodedTraces(t, v)
+				hb, hm := heapTraces(t, v)
 				if !bytes.Equal(wb, hb) {
 					t.Fatalf("wheel and heap traces differ (%d vs %d bytes)", len(wb), len(hb))
 				}
@@ -307,4 +314,61 @@ func recordedReplayVariant(t *testing.T) scenario.Spec {
 	replay.RecordTraffic = false
 	replay.Traffic = &traffic.Spec{Shape: traffic.ShapeReplay, File: path}
 	return replay
+}
+
+// relay10kSpec is the scaling workload: 10 000 relay nodes placed as a
+// random geometric graph, origin flooding every 5 ms for 30 simulated
+// seconds, each node on a finite battery. The battery matters: every CPU
+// active/idle edge re-projects the depletion check, a cancel+reschedule
+// pair against a ~10k-entry standing queue, which is exactly the
+// steady-state churn a lifetime sweep puts on the scheduler.
+func relay10kSpec() scenario.Spec {
+	return scenario.Spec{
+		App:        "relay",
+		Seed:       1,
+		Nodes:      10000,
+		Placement:  scenario.PlacementRGG,
+		PeriodUS:   int64(5 * units.Millisecond),
+		DurationUS: int64(30 * units.Second),
+		BatteryUAH: 50000,
+	}
+}
+
+// Benchmark10kNodeRelay measures the simulator core at scale: the 10k-node
+// relay under the timer wheel and under the reference heap queue. World
+// construction runs with the timer stopped, so ns/op and allocs/op are the
+// cost of the event loop itself — dispatch, scheduling, frame delivery —
+// not of setup.
+//
+// BENCH_core.json records both queues; the CI bench-compare step fails on
+// an allocs/op regression or a changed events/run.
+func Benchmark10kNodeRelay(b *testing.B) {
+	for _, queue := range []string{"wheel", "heap"} {
+		b.Run("queue="+queue, func(b *testing.B) {
+			if queue == "heap" {
+				defer sim.UseHeap()()
+			}
+			spec := relay10kSpec()
+			b.ReportAllocs()
+			var events int
+			for i := 0; i < b.N; i++ {
+				b.StopTimer()
+				in, err := scenario.Build(spec)
+				if err != nil {
+					b.Fatal(err)
+				}
+				// Collect construction garbage outside the timed region so
+				// the first timed run does not pay the build's GC debt.
+				runtime.GC()
+				b.StartTimer()
+				events = in.World.Run(in.Spec.Duration())
+				in.World.StampEnd()
+			}
+			b.ReportMetric(float64(events), "events/run")
+			nsPerOp := float64(b.Elapsed().Nanoseconds()) / float64(b.N)
+			if nsPerOp > 0 {
+				b.ReportMetric(float64(events)*1e9/nsPerOp, "events/sec")
+			}
+		})
+	}
 }

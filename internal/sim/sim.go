@@ -7,14 +7,12 @@
 // order a stable tie-break, so a run is fully reproducible: the same program
 // with the same seed produces byte-identical logs.
 //
-// Two queue implementations share that ordering contract. The default is a
-// hierarchical timer wheel (wheel.go): six cascading levels of 256 slots
-// over the tick space, a far-future overflow heap, and a free-list event
-// pool, giving O(1) schedule/cancel and allocation-free steady-state
-// operation at 10k-100k nodes. QueueHeap selects the original binary-heap
-// queue (heap.go), kept as a differential-testing baseline: both queues
-// dispatch every workload in the identical order, so traces are
-// byte-identical whichever is selected.
+// The queue is a hierarchical timer wheel (wheel.go): six cascading levels
+// of 256 slots over the tick space, a far-future overflow heap, and a
+// free-list event pool, giving O(1) schedule/cancel and allocation-free
+// steady-state operation at 10k-100k nodes. The original binary-heap queue
+// (heap.go) stays as a reference oracle for the package's tests, which
+// replay workloads on both queues and require byte-identical traces.
 package sim
 
 import (
@@ -43,27 +41,6 @@ const (
 	PrioIRQ      Priority = 0   // interrupt dispatch
 	PrioTask     Priority = 10  // deferred software work
 )
-
-// QueueKind selects the event-queue implementation backing a Simulator.
-type QueueKind string
-
-// Queue implementations. Both dispatch in the identical (time, priority,
-// sequence) order; QueueHeap exists as the pre-wheel baseline for
-// differential tests and benchmarks.
-const (
-	QueueWheel QueueKind = "wheel"
-	QueueHeap  QueueKind = "heap"
-)
-
-// ValidQueue reports whether kind names a queue implementation ("" selects
-// the default wheel).
-func ValidQueue(kind QueueKind) bool {
-	switch kind {
-	case "", QueueWheel, QueueHeap:
-		return true
-	}
-	return false
-}
 
 // Event is one scheduled callback. Events are owned by the queue: the wheel
 // recycles them through a free list the instant they fire or are canceled,
@@ -94,7 +71,7 @@ type Event struct {
 	// locOverflow / locHeap, or level<<8|slot inside the wheel.
 	loc int32
 	// idx is the event's index inside whichever binary heap holds it
-	// (ready, overflow, or the legacy heap queue).
+	// (ready, overflow, or the reference heap queue).
 	idx int32
 }
 
@@ -134,8 +111,8 @@ type fired struct {
 	arg any
 }
 
-// queue is the event-queue contract shared by the timer wheel and the legacy
-// binary heap. Both dispatch in exactly (at, prio, seq) order.
+// queue is the event-queue contract shared by the timer wheel and the
+// reference binary heap. Both dispatch in exactly (at, prio, seq) order.
 type queue interface {
 	// schedule enqueues a callback and returns its handle.
 	schedule(at Ticks, prio Priority, seq uint64, fn func(), afn func(any), arg any) Handle
@@ -160,21 +137,18 @@ type Simulator struct {
 	halted bool
 }
 
+// heapOracle makes New build the reference binary-heap queue instead of the
+// timer wheel. Only the package's tests set it (export_test.go), to run
+// whole workloads on both queues and compare their traces byte for byte.
+var heapOracle bool
+
 // New returns an empty simulator positioned at time zero, backed by the
 // hierarchical timer wheel.
-func New() *Simulator { return NewWithQueue(QueueWheel) }
-
-// NewWithQueue returns an empty simulator backed by the named queue
-// implementation ("" selects the default wheel). Unknown kinds panic: queue
-// selection is a configuration constant, not a runtime condition.
-func NewWithQueue(kind QueueKind) *Simulator {
-	switch kind {
-	case "", QueueWheel:
-		return &Simulator{q: newWheel()}
-	case QueueHeap:
+func New() *Simulator {
+	if heapOracle {
 		return &Simulator{q: newHeapQueue()}
 	}
-	panic(fmt.Sprintf("sim: unknown queue kind %q", kind))
+	return &Simulator{q: newWheel()}
 }
 
 // Now returns the current simulated time.

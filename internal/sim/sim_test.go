@@ -6,14 +6,23 @@ import (
 	"repro/internal/units"
 )
 
+// queues names the two queue implementations the tests pin side by side.
+var queues = []struct {
+	name string
+	new  func() queue
+}{
+	{"wheel", func() queue { return newWheel() }},
+	{"heap", func() queue { return newHeapQueue() }},
+}
+
 // eachQueue runs a subtest against both queue implementations, so every
-// ordering/lifecycle contract is pinned for the wheel and the legacy heap
-// alike.
+// ordering/lifecycle contract is pinned for the wheel and the reference
+// heap alike.
 func eachQueue(t *testing.T, fn func(t *testing.T, s *Simulator)) {
 	t.Helper()
-	for _, kind := range []QueueKind{QueueWheel, QueueHeap} {
-		t.Run(string(kind), func(t *testing.T) {
-			fn(t, NewWithQueue(kind))
+	for _, q := range queues {
+		t.Run(q.name, func(t *testing.T) {
+			fn(t, &Simulator{q: q.new()})
 		})
 	}
 }

@@ -2,7 +2,7 @@ package sim
 
 import "math/bits"
 
-// Hierarchical timer wheel: the default event queue.
+// Hierarchical timer wheel: the event queue.
 //
 // Tick space is carved into six levels of 256 slots, one level per byte of
 // the 48 low bits of the event time. An event lives at the level of the
@@ -22,9 +22,9 @@ import "math/bits"
 // into the wheel when the cursor approaches.
 //
 // Determinism: dispatch order is exactly (at, prio, seq) — the same total
-// order the legacy binary heap uses — because level-0 delivery funnels every
-// due event through the ready heap, including events scheduled for the
-// current instant from inside a running handler.
+// order the reference binary heap (heap.go) uses — because level-0 delivery
+// funnels every due event through the ready heap, including events
+// scheduled for the current instant from inside a running handler.
 //
 // Allocation: Event objects come from a free list refilled by 256-entry
 // arena blocks and are recycled the moment they fire or are canceled;

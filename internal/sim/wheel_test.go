@@ -210,9 +210,9 @@ func TestWheelHeapRandomizedEquivalence(t *testing.T) {
 		at Ticks
 		id int
 	}
-	run := func(kind QueueKind, seed int64) []logEntry {
+	run := func(q queue, seed int64) []logEntry {
 		rng := rand.New(rand.NewSource(seed))
-		s := NewWithQueue(kind)
+		s := &Simulator{q: q}
 		var log []logEntry
 		var live []Handle
 		id := 0
@@ -255,8 +255,8 @@ func TestWheelHeapRandomizedEquivalence(t *testing.T) {
 		return log
 	}
 	for seed := int64(1); seed <= 5; seed++ {
-		wheel := run(QueueWheel, seed)
-		heap := run(QueueHeap, seed)
+		wheel := run(newWheel(), seed)
+		heap := run(newHeapQueue(), seed)
 		if len(wheel) != len(heap) {
 			t.Fatalf("seed %d: wheel fired %d events, heap %d", seed, len(wheel), len(heap))
 		}
