@@ -9,6 +9,8 @@ import (
 	"flag"
 	"fmt"
 	"log"
+	"maps"
+	"slices"
 
 	"repro/internal/analysis"
 	"repro/internal/apps"
@@ -57,7 +59,8 @@ func main() {
 	byRes, constUJ := a.EnergyByResource()
 	fmt.Println("\nenergy by hardware component:")
 	var total float64
-	for res, uj := range byRes {
+	for _, res := range slices.Sorted(maps.Keys(byRes)) {
+		uj := byRes[res]
 		fmt.Printf("  %-12s %8.2f mJ\n", in.World.Dict.ResourceName(res), uj/1000)
 		total += uj
 	}

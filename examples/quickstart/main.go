@@ -8,6 +8,8 @@ package main
 import (
 	"fmt"
 	"log"
+	"maps"
+	"slices"
 
 	"repro/internal/analysis"
 	"repro/internal/mote"
@@ -78,8 +80,8 @@ func main() {
 	fmt.Printf("average power:      %.2f mW\n", res.AvgPowerMW)
 
 	fmt.Println("\nenergy by activity:")
-	for name, uj := range res.ActivityUJ {
-		fmt.Printf("  %-14s %8.2f mJ\n", name, uj/1000)
+	for _, name := range slices.Sorted(maps.Keys(res.ActivityUJ)) {
+		fmt.Printf("  %-14s %8.2f mJ\n", name, res.ActivityUJ[name]/1000)
 	}
 
 	// The compact result is enough for sweeps; the same instance also

@@ -9,6 +9,8 @@ import (
 	"flag"
 	"fmt"
 	"log"
+	"maps"
+	"slices"
 
 	"repro/internal/analysis"
 	"repro/internal/apps"
@@ -45,7 +47,9 @@ func main() {
 	// Sensing node: energy split across the three application activities.
 	a := net.Nodes[s.Sensor.ID]
 	fmt.Println("sensing node, energy by activity:")
-	for l, uj := range a.EnergyByActivity() {
+	byAct := a.EnergyByActivity()
+	for _, l := range slices.Sorted(maps.Keys(byAct)) {
+		uj := byAct[l]
 		name := "Const."
 		if l != analysis.ConstLabel {
 			name = in.World.Dict.LabelName(l)
@@ -60,7 +64,9 @@ func main() {
 	aB := net.Nodes[s.Base.ID]
 	times := aB.TimeByActivity()
 	fmt.Println("\nbase station, CPU time by activity:")
-	for l, us := range times[power.ResCPU] {
+	cpu := times[power.ResCPU]
+	for _, l := range slices.Sorted(maps.Keys(cpu)) {
+		us := cpu[l]
 		if us < 1000 {
 			continue
 		}

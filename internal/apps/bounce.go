@@ -31,11 +31,12 @@ type Bounce struct {
 
 	received [2]uint64
 	sent     [2]uint64
-	// Shaped-load injection counters: packets the traffic schedule offered,
-	// and the subset dropped because the node's radio was still
-	// transmitting.
+	// Packets the injection schedule offered, the subset dropped because
+	// the node's radio was still transmitting, and held packets dropped
+	// the same way when their hold time ran out.
 	injected    uint64
 	injectDrops uint64
+	holdDrops   uint64
 }
 
 // BounceConfig parameterizes the run.
@@ -51,11 +52,10 @@ type BounceConfig struct {
 	// PerNode, when set, adjusts each node's options after Base is copied
 	// (called with NodeA's and NodeB's ids).
 	PerNode func(id core.NodeID, o *mote.Options)
-	// Traffic, when non-nil, replaces the two boot kicks with shaped packet
-	// injection: slot 0 drives NodeA, slot 1 NodeB, and every scheduled
-	// injection starts a fresh packet bouncing (dropped while the node's
-	// radio is still transmitting), so offered load controls the bouncing
-	// population instead of it being pinned at two.
+	// Traffic, when non-nil, replaces each node's single default injection
+	// with a schedule: slot 0 drives NodeA, slot 1 NodeB, and every
+	// injection starts a fresh packet bouncing (dropped at a busy radio), so
+	// offered load controls the bouncing population instead of pinning it.
 	Traffic []traffic.Source
 	// TrafficRec, when non-nil, captures each node's realized injections.
 	TrafficRec *traffic.Recorder
@@ -114,8 +114,13 @@ func (b *Bounce) setup(cfg *BounceConfig, i int, peer core.NodeID) {
 		}
 		n.LEDs.On(led)
 		hold := k.NewTimer(func() {
-			// The timer restored the packet's activity; send it onward and
-			// turn the LED off when the radio is done.
+			// The timer restored the packet's activity; send it onward (a
+			// busy radio drops it) and turn the LED off when it is done.
+			if n.Radio.Busy() {
+				n.LEDs.Off(led)
+				b.holdDrops++
+				return
+			}
 			out := &am.Packet{Dest: peer, Type: BounceAMType, Payload: p.Payload}
 			n.AM.Send(out, func() {
 				n.LEDs.Off(led)
@@ -129,42 +134,32 @@ func (b *Bounce) setup(cfg *BounceConfig, i int, peer core.NodeID) {
 		k.CPUAct.Set(b.acts[i])
 		n.Radio.TurnOn(func() {
 			n.Radio.StartListening()
+			// By default each node injects one packet, offset so the two
+			// packets interleave; a traffic shape injects on its schedule.
+			src := traffic.At(k.NowTicks() + units.Ticks(50+100*i)*units.Millisecond)
 			if cfg.Traffic != nil {
-				// Shaped load: inject fresh packets on the node's schedule
-				// instead of the single kick. Each injection that finds the
-				// radio free starts another packet bouncing forever, so the
-				// steady-state population tracks the offered rate.
-				var rec func(units.Ticks)
-				if cfg.TrafficRec != nil {
-					rec = cfg.TrafficRec.Hook(i)
-				}
-				traffic.Drive(k, cfg.Traffic[i], rec, func() {
-					b.injected++
-					if n.Radio.Busy() {
-						b.injectDrops++
-						return
-					}
-					out := &am.Packet{Dest: peer, Type: BounceAMType, Payload: make([]byte, 12)}
-					n.AM.Send(out, func() { b.sent[i]++ })
-				})
-				return
+				src = cfg.Traffic[i]
 			}
-			// Each node originates one packet, offset so the two packets
-			// interleave.
-			kick := k.NewTimer(func() {
+			traffic.Drive(k, src, cfg.TrafficRec.Hook(i), func() {
+				b.injected++
+				if n.Radio.Busy() {
+					b.injectDrops++
+					return
+				}
 				out := &am.Packet{Dest: peer, Type: BounceAMType, Payload: make([]byte, 12)}
 				n.AM.Send(out, func() { b.sent[i]++ })
 			})
-			kick.StartOneShot(units.Ticks(50+100*i) * units.Millisecond)
 		})
 		k.CPUAct.SetIdle()
 	})
 }
 
-// Injections returns shaped-load injection counts: packets the traffic
-// schedule offered across both nodes, and the subset dropped at a busy
-// radio. Both are zero for the classic two-packet run.
+// Injections returns packets the injection schedule offered across both
+// nodes (two by default) and the subset dropped at a busy radio.
 func (b *Bounce) Injections() (offered, dropped uint64) { return b.injected, b.injectDrops }
+
+// HoldDrops returns held packets dropped at a busy radio.
+func (b *Bounce) HoldDrops() uint64 { return b.holdDrops }
 
 // Stats returns per-node received/sent counts.
 func (b *Bounce) Stats() (received, sent [2]uint64) { return b.received, b.sent }

@@ -114,16 +114,14 @@ func buildBounce(spec scenario.Spec) (*scenario.Instance, error) {
 		Traffic: rec,
 		Metrics: func() map[string]float64 {
 			recv, sent := b.Stats()
-			m := map[string]float64{
+			offered, dropped := b.Injections()
+			return map[string]float64{
 				"rx_a": float64(recv[0]), "tx_a": float64(sent[0]),
 				"rx_b": float64(recv[1]), "tx_b": float64(sent[1]),
+				"injected":       float64(offered),
+				"inject_dropped": float64(dropped),
+				"hold_dropped":   float64(b.HoldDrops()),
 			}
-			if spec.Traffic != nil {
-				offered, dropped := b.Injections()
-				m["injected"] = float64(offered)
-				m["inject_dropped"] = float64(dropped)
-			}
-			return m
 		},
 	}, nil
 }
@@ -270,17 +268,14 @@ func buildSenseSend(spec scenario.Spec) (*scenario.Instance, error) {
 		Traffic: rec,
 		Metrics: func() map[string]float64 {
 			sent, received := s.Stats()
-			m := map[string]float64{
+			offered, skipped := s.Samples()
+			return map[string]float64{
 				"reports_sent":     float64(sent),
 				"reports_received": float64(received),
 				"sensor_reads":     float64(s.Sensor.Sensor.Reads()),
+				"samples_offered":  float64(offered),
+				"samples_skipped":  float64(skipped),
 			}
-			if spec.Traffic != nil {
-				offered, skipped := s.Samples()
-				m["samples_offered"] = float64(offered)
-				m["samples_skipped"] = float64(skipped)
-			}
-			return m
 		},
 	}, nil
 }

@@ -66,10 +66,10 @@ type RelayConfig struct {
 	// (node ids are 1..Hops). Lifetime scenarios use it to give individual
 	// hops different battery capacities.
 	PerNode func(id core.NodeID, o *mote.Options)
-	// Traffic, when non-nil, replaces every origin's fixed-period generation
-	// with a shaped schedule: slot i drives origin i (node i+1). Length must
-	// be the (clamped) origin count — scenario builders size it with
-	// RelayOrigins.
+	// Traffic, when non-nil, supplies every origin's send schedule in place
+	// of the default Period schedule: slot i drives origin i (node i+1).
+	// Length must be the (clamped) origin count — scenario builders size it
+	// with RelayOrigins.
 	Traffic []traffic.Source
 	// TrafficRec, when non-nil, captures every origin's realized sends
 	// (slot i records origin i) for record-and-replay.
@@ -135,7 +135,7 @@ func NewRelay(seed uint64, cfg RelayConfig) *Relay {
 	if cfg.Hops < 2 {
 		cfg.Hops = 2
 	}
-	if cfg.Period == 0 {
+	if cfg.Period <= 0 {
 		cfg.Period = units.Second
 	}
 	cfg.Origins = len(RelayOrigins(cfg.Hops, cfg.Origins))
@@ -236,32 +236,24 @@ func NewRelay(seed uint64, cfg RelayConfig) *Relay {
 				retry.StartOneShot(busyRetry)
 			}
 		}
-		if cfg.Traffic != nil {
-			// Shaped load: the origin's schedule comes from the traffic
-			// engine, armed under the Flood activity so every fire restores
-			// it — the same instrumentation the periodic path gets. The
-			// engine's per-slot stagger keeps origins off each other's ticks.
-			var rec func(units.Ticks)
-			if cfg.TrafficRec != nil {
-				rec = cfg.TrafficRec.Hook(i)
-			}
-			n.K.CPUAct.Set(acts[i])
-			traffic.Drive(n.K, cfg.Traffic[i], rec, send)
-			n.K.CPUAct.SetIdle()
-			return
-		}
-		gen := n.K.NewTimer(send)
+		// The schedule is armed under the Flood activity, so every fire
+		// restores it. By default each origin runs the same period at its
+		// own phase on a distinct odd residue, shifted half a period off the
+		// beacon chain (beacons sit on even ticks): the phase counts from
+		// the origin's own clock once Flood is set, so without the shift a
+		// node's data tick would trail its own beacon tick by a fixed
+		// ~millisecond every period and always find the radio mid-beacon.
+		// Residual coincidences with other nodes' residues are absorbed by
+		// the retry slot above. The phases stay because they define
+		// simulated output. A traffic shape replaces them with its own
+		// per-slot stagger.
 		n.K.CPUAct.Set(acts[i])
-		// Each origin runs the same period at its own phase on a distinct
-		// odd residue, shifted half a period off the beacon chain (beacons
-		// sit on even ticks): timers phase against the node's own boot
-		// completion, so without the shift a node's data tick would trail
-		// its own beacon tick by a fixed ~millisecond every period and
-		// always find the radio mid-beacon. Residual coincidences with
-		// other nodes' residues are absorbed by the retry slot above. The
-		// phases stay because they define simulated output.
 		p := cfg.Period
-		gen.StartPeriodicAfter(p+(p/2+units.Ticks(2*i+1)*1009)%p, p)
+		src := traffic.Every(n.K.NowTicks()+p+(p/2+units.Ticks(2*i+1)*1009)%p, p)
+		if cfg.Traffic != nil {
+			src = cfg.Traffic[i]
+		}
+		traffic.Drive(n.K, src, cfg.TrafficRec.Hook(i), send)
 		n.K.CPUAct.SetIdle()
 	}
 

@@ -32,9 +32,9 @@ type SenseSend struct {
 	sampling              bool
 	reportsSent           uint64
 	reportsReceived       uint64
-	// Shaped-load counters: samples the traffic schedule offered, and the
-	// subset skipped because the previous sample was still in flight (the
-	// sensor's natural backpressure at high offered rates).
+	// Samples the schedule offered, and the subset skipped because the
+	// previous sample was still in flight (the sensor's natural
+	// backpressure at high offered rates).
 	sampleOffered uint64
 	sampleSkipped uint64
 }
@@ -50,10 +50,10 @@ type SenseSendConfig struct {
 	// PerNode, when set, adjusts each node's options after Base is copied
 	// (called with SensorNode's and BaseNode's ids).
 	PerNode func(id core.NodeID, o *mote.Options)
-	// Traffic, when non-nil, replaces the fixed sampling period with a
-	// shaped schedule (one slot: the sensor node). A scheduled sample that
-	// arrives while the previous one is still reading or sending is
-	// skipped and counted, not queued.
+	// Traffic, when non-nil, supplies the sampling schedule in place of
+	// the default Period schedule (one slot: the sensor node). A scheduled
+	// sample that arrives while the previous one is still reading or
+	// sending is skipped and counted, not queued, on either schedule.
 	Traffic []traffic.Source
 	// TrafficRec, when non-nil, captures the sensor's realized samples.
 	TrafficRec *traffic.Recorder
@@ -66,7 +66,7 @@ func DefaultSenseSendConfig() SenseSendConfig {
 
 // NewSenseSend builds the two-node world.
 func NewSenseSend(seed uint64, cfg SenseSendConfig) *SenseSend {
-	if cfg.Period == 0 {
+	if cfg.Period <= 0 {
 		cfg.Period = 5 * units.Second
 	}
 	w := mote.NewWorld(seed)
@@ -103,36 +103,26 @@ func NewSenseSend(seed uint64, cfg SenseSendConfig) *SenseSend {
 		})
 	})
 
-	// Sensor node: periodic sample-and-send, the Figure 7 sensorTask.
+	// Sensor node: the Figure 7 sensorTask every Period, or on the traffic
+	// shape's schedule, armed at boot (a sample's send waits ~130 ms of
+	// conversions, far past the radio's start-up). A sample landing while
+	// the previous one is in flight is skipped: the sensor has one
+	// conversion pipeline, so offered load beyond it is backpressure.
 	k.Boot(func() {
-		if cfg.Traffic != nil {
-			// Shaped load: the sampling schedule comes from the traffic
-			// engine, armed once the radio reaches idle so an aggressive
-			// shape cannot offer samples to a half-booted transceiver. A
-			// sample landing while the previous one is still in flight is
-			// skipped — the sensor has one conversion pipeline, so offered
-			// load beyond it is backpressure, not a queue.
-			var rec func(units.Ticks)
-			if cfg.TrafficRec != nil {
-				rec = cfg.TrafficRec.Hook(0)
-			}
-			s.Sensor.Radio.TurnOn(func() {
-				traffic.Drive(k, cfg.Traffic[0], rec, func() {
-					s.sampleOffered++
-					if s.sampling {
-						s.sampleSkipped++
-						return
-					}
-					s.sampling = true
-					s.sensorTask(cfg.BaseNode)
-				})
-			})
-			k.CPUAct.SetIdle()
-			return
-		}
 		s.Sensor.Radio.TurnOn(nil)
-		t := k.NewTimer(func() { s.sensorTask(cfg.BaseNode) })
-		t.StartPeriodic(cfg.Period)
+		src := traffic.Every(k.NowTicks()+cfg.Period, cfg.Period)
+		if cfg.Traffic != nil {
+			src = cfg.Traffic[0]
+		}
+		traffic.Drive(k, src, cfg.TrafficRec.Hook(0), func() {
+			s.sampleOffered++
+			if s.sampling {
+				s.sampleSkipped++
+				return
+			}
+			s.sampling = true
+			s.sensorTask(cfg.BaseNode)
+		})
 		k.CPUAct.SetIdle()
 	})
 	return s
@@ -177,9 +167,8 @@ func (s *SenseSend) sendIfDone(base core.NodeID) {
 	})
 }
 
-// Samples returns shaped-load sampling counts: samples the traffic schedule
-// offered and the subset skipped because the previous sample was still in
-// flight. Both are zero for the classic fixed-period run.
+// Samples returns samples the schedule offered and the subset skipped
+// because the previous sample was still in flight.
 func (s *SenseSend) Samples() (offered, skipped uint64) {
 	return s.sampleOffered, s.sampleSkipped
 }

@@ -1,11 +1,14 @@
 package apps
 
 import (
+	"fmt"
 	"testing"
 
 	"repro/internal/analysis"
 	"repro/internal/mote"
 	"repro/internal/power"
+	"repro/internal/scenario"
+	"repro/internal/traffic"
 	"repro/internal/units"
 )
 
@@ -96,6 +99,46 @@ func TestBounceHoldTimeControlsThroughput(t *testing.T) {
 	ratio := float64(fast) / float64(slow)
 	if ratio < 1.4 || ratio > 2.6 {
 		t.Errorf("throughput ratio = %.2f, want ~2", ratio)
+	}
+}
+
+// TestSendDrivenAppsSurviveOverload runs the send-driven apps past the
+// rates their radio and sensor pipelines can carry: short bounce hold
+// times and a shaped bounce injection pile packets onto a busy radio, and a
+// 2 ms sampling period outruns the ~130 ms sensor pipeline. Every run must
+// finish without error, dropping or skipping the excess instead of
+// panicking or queueing it.
+func TestSendDrivenAppsSurviveOverload(t *testing.T) {
+	specs := []scenario.Spec{
+		{App: "bounce", HoldTimeUS: 500},
+		{App: "bounce", HoldTimeUS: 1000},
+		{App: "bounce", HoldTimeUS: 2000},
+		{App: "bounce", HoldTimeUS: 10000},
+		{App: "bounce", Traffic: &traffic.Spec{Shape: traffic.ShapeConstant, RPS: 20}},
+		{App: "sensesend", PeriodUS: 2000},
+	}
+	for _, spec := range specs {
+		for seed := uint64(1); seed <= 5; seed++ {
+			spec := spec
+			spec.Seed = seed
+			spec.DurationUS = int64(4 * units.Second)
+			t.Run(fmt.Sprintf("%s/hold=%d/period=%d/traffic=%v/seed=%d",
+				spec.App, spec.HoldTimeUS, spec.PeriodUS, spec.Traffic != nil, seed), func(t *testing.T) {
+				r := scenario.RunSpec(spec)
+				if r.Error != "" {
+					t.Fatalf("run failed: %s", r.Error)
+				}
+				if spec.App != "sensesend" {
+					return
+				}
+				m := r.Metrics
+				inFlight := m["samples_offered"] - m["samples_skipped"] - m["reports_sent"]
+				if inFlight != 0 && inFlight != 1 {
+					t.Errorf("offered %v != skipped %v + sent %v (+1 in flight)",
+						m["samples_offered"], m["samples_skipped"], m["reports_sent"])
+				}
+			})
+		}
 	}
 }
 

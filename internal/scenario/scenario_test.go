@@ -264,6 +264,53 @@ func TestRunSpecReportsErrors(t *testing.T) {
 	}
 }
 
+// TestSpecKnobValidation: an out-of-range app knob fails validation naming
+// the field, instead of silently running the app default under a ConfigKey
+// of its own.
+func TestSpecKnobValidation(t *testing.T) {
+	cases := []struct {
+		name    string
+		mutate  func(*scenario.Spec)
+		wantErr string
+	}{
+		{"defaults", func(s *scenario.Spec) {}, ""},
+		{"channel 11", func(s *scenario.Spec) { s.Channel = 11 }, ""},
+		{"channel 26", func(s *scenario.Spec) { s.Channel = 26 }, ""},
+		{"channel -3", func(s *scenario.Spec) { s.Channel = -3 }, "channel"},
+		{"channel 10", func(s *scenario.Spec) { s.Channel = 10 }, "channel"},
+		{"channel 27", func(s *scenario.Spec) { s.Channel = 27 }, "channel"},
+		{"channel 99", func(s *scenario.Spec) { s.Channel = 99 }, "channel"},
+		{"origins", func(s *scenario.Spec) { s.Origins = -1 }, "origins"},
+		{"volts", func(s *scenario.Spec) { s.Volts = -3 }, "volts"},
+		{"ram_buffer_entries", func(s *scenario.Spec) { s.RAMBufferEntries = -3 }, "ram_buffer_entries"},
+		{"period_us", func(s *scenario.Spec) { s.PeriodUS = -5 }, "period_us"},
+		{"hold_time_us", func(s *scenario.Spec) { s.HoldTimeUS = -1 }, "hold_time_us"},
+		{"payload_bytes", func(s *scenario.Spec) { s.PayloadBytes = -1 }, "payload_bytes"},
+		{"start_at_us", func(s *scenario.Spec) { s.StartAtUS = -1 }, "start_at_us"},
+		{"check_period_us", func(s *scenario.Spec) { s.CheckPeriodUS = -1 }, "check_period_us"},
+		{"receive_check_us", func(s *scenario.Spec) { s.ReceiveCheckUS = -1 }, "receive_check_us"},
+		{"false_positive_hold_us", func(s *scenario.Spec) { s.FalsePositiveHoldUS = -1 }, "false_positive_hold_us"},
+		{"wifi_burst_us", func(s *scenario.Spec) { s.WiFiBurstUS = -1 }, "wifi_burst_us"},
+		{"wifi_gap_us", func(s *scenario.Spec) { s.WiFiGapUS = -1 }, "wifi_gap_us"},
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			s := scenario.Spec{App: "lpl", DurationUS: int64(units.Second)}
+			c.mutate(&s)
+			err := s.Validate()
+			if c.wantErr == "" {
+				if err != nil {
+					t.Fatalf("unexpected error: %v", err)
+				}
+				return
+			}
+			if err == nil || !strings.Contains(err.Error(), c.wantErr) {
+				t.Fatalf("error = %v, want containing %q", err, c.wantErr)
+			}
+		})
+	}
+}
+
 // marshalSweep serializes a full sweep (every result line plus the final
 // aggregate) exactly like `quanto-trace sweep` does.
 func marshalSweep(t *testing.T, results []*scenario.Result) []byte {

@@ -214,19 +214,18 @@ type Spec struct {
 	// first death. Requires a finite battery. Honored by: all apps.
 	DeathPolicy string `json:"death_policy,omitempty"`
 
-	// Traffic replaces the app's fixed-period generation with a synthetic
-	// offered-load shape: constant RPS, an invitro-style ramp
-	// (start/step/target RPS over fixed slots), bursts, a diurnal cycle, a
-	// heavy-tailed ON/OFF source, or the replay of a recorded schedule
-	// (`quanto-trace record`). Shaped senders draw randomness only from
-	// private per-node streams derived from the run seed, and generated
-	// schedules are phase-staggered onto disjoint tick residues so no two
-	// senders share a send tick. This changes the workload, so it stays
-	// in ConfigKey and is sweepable like any other field.
-	// Default nil (the app's classic fixed-period traffic, byte-identical
-	// to all pre-traffic runs). Honored by: relay (each
-	// origin's generation), bounce (each node's packet injection),
-	// sensesend (the sampling schedule).
+	// Traffic selects each sender's schedule from a synthetic offered-load
+	// shape: constant RPS, an invitro-style ramp (start/step/target RPS
+	// over fixed slots), bursts, a diurnal cycle, a heavy-tailed ON/OFF
+	// source, or the replay of a recorded schedule (`quanto-trace
+	// record`). Shaped senders draw randomness only from private per-node
+	// streams derived from the run seed, and generated schedules are
+	// phase-staggered onto disjoint tick residues so no two senders share
+	// a send tick. This changes the workload, so it stays in ConfigKey and
+	// is sweepable like any other field. Default nil: the app's default
+	// schedule (relay and sensesend every period_us, bounce one injection
+	// per node). Honored by: relay (each origin's generation), bounce
+	// (each node's packet injection), sensesend (the sampling schedule).
 	Traffic *traffic.Spec `json:"traffic,omitempty"`
 	// RecordTraffic captures the run's realized send schedule in memory so
 	// it can be written out as a JSONL trace afterwards (Instance.Traffic;
@@ -512,8 +511,31 @@ func (s *Spec) Validate() error {
 		return fmt.Errorf("scenario: unknown death_policy %q (want %q or %q)",
 			s.DeathPolicy, DeathPolicyHaltNode, DeathPolicyHaltWorld)
 	}
-	if s.Origins < 0 {
-		return fmt.Errorf("scenario: origins must be >= 0, got %d", s.Origins)
+	if s.Channel != 0 && (s.Channel < 11 || s.Channel > 26) {
+		return fmt.Errorf("scenario: channel must be an 802.15.4 channel, 11..26 (or 0 for the default), got %d", s.Channel)
+	}
+	// Knobs whose zero selects the app default: a negative value would
+	// silently run the default under a ConfigKey of its own.
+	for _, f := range []struct {
+		name string
+		v    float64
+	}{
+		{"origins", float64(s.Origins)},
+		{"volts", s.Volts},
+		{"ram_buffer_entries", float64(s.RAMBufferEntries)},
+		{"period_us", float64(s.PeriodUS)},
+		{"hold_time_us", float64(s.HoldTimeUS)},
+		{"payload_bytes", float64(s.PayloadBytes)},
+		{"start_at_us", float64(s.StartAtUS)},
+		{"check_period_us", float64(s.CheckPeriodUS)},
+		{"receive_check_us", float64(s.ReceiveCheckUS)},
+		{"false_positive_hold_us", float64(s.FalsePositiveHoldUS)},
+		{"wifi_burst_us", float64(s.WiFiBurstUS)},
+		{"wifi_gap_us", float64(s.WiFiGapUS)},
+	} {
+		if f.v < 0 {
+			return fmt.Errorf("scenario: %s must be >= 0, got %v", f.name, f.v)
+		}
 	}
 	switch s.Placement {
 	case "", PlacementLine, PlacementGrid, PlacementRGG:
@@ -585,9 +607,9 @@ func (s *Spec) Validate() error {
 // TrafficSources builds the per-sender send schedules (and, when the spec
 // asks for recording, the recorder) for the given sender ids, in slot order.
 // App builders call it with the node ids of the senders the spec's traffic
-// shape drives; a nil-Traffic spec returns all nils and the app keeps its
-// classic fixed-period generation. Replay specs read their trace file here,
-// so an unreadable or malformed trace fails the build, not the run.
+// shape drives; a nil-Traffic spec returns all nils and the app drives its
+// default schedule. Replay specs read their trace file here, so an
+// unreadable or malformed trace fails the build, not the run.
 func (s *Spec) TrafficSources(ids []core.NodeID) ([]traffic.Source, *traffic.Recorder, error) {
 	if s.Traffic == nil {
 		return nil, nil, nil

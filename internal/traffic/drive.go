@@ -16,31 +16,31 @@ import (
 // Call Drive with the CPU bound to the activity the sends should be charged
 // to: the kernel timer captures the current activity when armed and restores
 // it at every fire, the same instrumentation path fixed-period app timers
-// use.
+// use. Each fire arms the next tick before it calls send, so whatever
+// activity send switches the CPU to, the next fire restores the armed one.
 func Drive(k *kernel.Kernel, src Source, record func(units.Ticks), send func()) {
-	now := k.NowTicks()
-	at, ok := src.Next()
-	for ok && at <= now {
-		at, ok = src.Next()
+	// next returns the schedule's first tick strictly after the given one.
+	next := func(after units.Ticks) (units.Ticks, bool) {
+		at, ok := src.Next()
+		for ok && at <= after {
+			at, ok = src.Next()
+		}
+		return at, ok
 	}
+	at, ok := next(k.NowTicks())
 	if !ok {
 		return
 	}
 	var t *kernel.Timer
 	t = k.NewTimer(func() {
-		if record != nil {
-			record(at)
-		}
-		send()
-		prev := at
-		var more bool
-		at, more = src.Next()
-		for more && at <= prev {
-			at, more = src.Next()
-		}
-		if more {
+		fired := at
+		if at, ok = next(fired); ok {
 			t.StartOneShot(at - k.NowTicks())
 		}
+		if record != nil {
+			record(fired)
+		}
+		send()
 	})
-	t.StartOneShot(at - now)
+	t.StartOneShot(at - k.NowTicks())
 }

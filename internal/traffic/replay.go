@@ -43,8 +43,12 @@ func NewRecorder(ids []core.NodeID) *Recorder {
 	return &Recorder{ids: append([]core.NodeID(nil), ids...)}
 }
 
-// Hook returns slot's capture function.
+// Hook returns slot's capture function; a nil recorder returns nil, which
+// Drive treats as "do not record".
 func (r *Recorder) Hook(slot int) func(units.Ticks) {
+	if r == nil {
+		return nil
+	}
 	node := int(r.ids[slot])
 	return func(t units.Ticks) { r.events = append(r.events, Event{Node: node, AtUS: int64(t)}) }
 }
@@ -106,21 +110,7 @@ func (tr *Trace) Nodes() []int {
 // slot and rng are unused — a replay consumes no randomness, which is what
 // keeps it byte-identical to the run that recorded it.
 func (tr *Trace) Source(slot, id int, rng *sim.RNG) Source {
-	return &listSource{times: tr.byNode[id]}
-}
-
-type listSource struct {
-	times []units.Ticks
-	i     int
-}
-
-func (l *listSource) Next() (units.Ticks, bool) {
-	if l.i >= len(l.times) {
-		return 0, false
-	}
-	t := l.times[l.i]
-	l.i++
-	return t, true
+	return At(tr.byNode[id]...)
 }
 
 // maxTraceLine bounds one JSONL line; a well-formed event line is under 60

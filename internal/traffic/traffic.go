@@ -1,10 +1,11 @@
-// Package traffic is the synthetic offered-load engine: it turns a small
-// declarative Spec into deterministic per-node send schedules, so every app
-// can be driven by shaped load — constant RPS, invitro-style ramps, bursts,
-// diurnal cycles, heavy-tailed ON/OFF sources — instead of the fixed-period
-// traffic it was born with, and so one run's realized schedule can be
-// recorded and replayed against a different radio/battery/placement
-// configuration for apples-to-apples energy comparisons.
+// Package traffic is the offered-load engine: every send-driven app arms
+// one Source per sender with Drive. The apps' default schedules are Sources
+// too (Every for a fixed period, At for fixed ticks); a small declarative
+// Spec turns into deterministic per-node shaped schedules instead —
+// constant RPS, invitro-style ramps, bursts, diurnal cycles, heavy-tailed
+// ON/OFF sources — and one run's realized schedule can be recorded and
+// replayed against a different radio/battery/placement configuration for
+// apples-to-apples energy comparisons.
 //
 // Determinism is the package's contract, inherited from the scenario layer:
 //
@@ -42,6 +43,41 @@ import (
 // Sources are single-goroutine objects owned by their node's event context.
 type Source interface {
 	Next() (units.Ticks, bool)
+}
+
+// Every is the fixed-period schedule first, first+period, first+2·period, …
+// — the apps' default load, built from the node's clock when it is armed.
+// period must be positive.
+func Every(first, period units.Ticks) Source {
+	if period <= 0 {
+		panic(fmt.Sprintf("traffic: Every needs a positive period, got %d", period))
+	}
+	return &everySource{next: first, period: period}
+}
+
+type everySource struct{ next, period units.Ticks }
+
+func (e *everySource) Next() (units.Ticks, bool) {
+	t := e.next
+	e.next += e.period
+	return t, true
+}
+
+// At is the schedule of exactly the given ticks, in the given order.
+func At(ticks ...units.Ticks) Source { return &listSource{times: ticks} }
+
+type listSource struct {
+	times []units.Ticks
+	i     int
+}
+
+func (l *listSource) Next() (units.Ticks, bool) {
+	if l.i >= len(l.times) {
+		return 0, false
+	}
+	t := l.times[l.i]
+	l.i++
+	return t, true
 }
 
 // Shape builds per-sender sources. slot is the sender's dense 0-based index
