@@ -190,13 +190,13 @@ func BenchmarkAblationRegressionWeights(b *testing.B) {
 
 	var errW, errU float64
 	for i := 0; i < b.N; i++ {
-		ivs := tr.StateIntervals()
-		regW, err := analysis.RunRegression(ivs, tr.PulseUJ, analysis.RegressionOptions{Weighted: true, IncludeConstant: true})
+		ivs, vecs := tr.StateIntervals()
+		regW, err := analysis.RunRegression(ivs, vecs, tr.PulseUJ, analysis.RegressionOptions{Weighted: true, IncludeConstant: true})
 		if err != nil {
 			b.Fatal(err)
 		}
 		optU := analysis.RegressionOptions{Weighted: false, IncludeConstant: true}
-		regU, err := analysis.RunRegression(ivs, tr.PulseUJ, optU)
+		regU, err := analysis.RunRegression(ivs, vecs, tr.PulseUJ, optU)
 		if err != nil {
 			b.Fatal(err)
 		}

@@ -1,13 +1,14 @@
 // benchjson turns `go test -bench` output into a schema'd JSON artifact and
 // compares fresh runs against a committed baseline.
 //
-// The repo's perf trajectory lives in BENCH_core.json, BENCH_sweep.json and
-// BENCH_medium.json at the repo root: one file per benchmark suite, each a
-// quanto-bench/v1 document listing ns/op, B/op, allocs/op and every custom
-// metric (events/sec, runs/sec per worker count, ...) for every
-// sub-benchmark. CI regenerates the numbers on each push and runs the
-// compare mode against the committed files, so a scheduler or medium
-// regression shows up as a red check instead of a slow drift.
+// The repo's perf trajectory lives in one BENCH_<suite>.json file per
+// benchmark suite at the repo root — core, sweep, medium, lifetime,
+// traffic, net and pipeline — each a quanto-bench/v1 document listing
+// ns/op, B/op, allocs/op and every custom metric (events/sec, runs/sec per
+// worker count, entries/s, ...) for every sub-benchmark. CI regenerates the
+// numbers on each push and runs the compare mode against the committed
+// files, so a scheduler, medium or analysis regression shows up as a red
+// check instead of a slow drift.
 //
 // Emit an artifact:
 //
@@ -38,7 +39,7 @@ import (
 
 func main() {
 	var (
-		suite     = flag.String("suite", "", "suite name recorded in the artifact (core, sweep, medium)")
+		suite     = flag.String("suite", "", "suite name recorded in the artifact (core, sweep, medium, lifetime, traffic, net, pipeline)")
 		in        = flag.String("in", "-", "bench output to read (- for stdin)")
 		out       = flag.String("out", "", "write the parsed artifact to this file")
 		compare   = flag.String("compare", "", "baseline artifact to compare the fresh run against")

@@ -1,7 +1,7 @@
 package analysis
 
 import (
-	"sort"
+	"slices"
 
 	"repro/internal/core"
 )
@@ -26,7 +26,9 @@ type ActTimeline struct {
 // its concurrent label set.
 type MultiSegment struct {
 	Start, End int64
-	Labels     []core.Label // sorted
+	// Labels is sorted, nil for an idle device, and shared between segments
+	// with the same set; do not mutate.
+	Labels []core.Label
 }
 
 // MultiTimeline is a multi-activity resource's history.
@@ -35,17 +37,23 @@ type MultiTimeline struct {
 	Segs []MultiSegment
 }
 
-// openSeg is a single-activity segment still in progress.
-type openSeg struct {
-	start   int64
-	label   core.Label
+// singleRes is a single-activity resource's builder state. The open
+// segment is held by value: an activity change closes it and opens the
+// next in place.
+type singleRes struct {
+	segs    []Segment
 	pending []int // indices of segments in the unresolved proxy episode
+	start   int64 // the open segment's start
+	label   core.Label
+	seen    bool
 }
 
-// openMultiSeg is a multi-activity segment still in progress.
-type openMultiSeg struct {
-	start  int64
-	labels map[core.Label]struct{}
+// multiRes is a multi-activity resource's builder state.
+type multiRes struct {
+	segs  []MultiSegment
+	start int64  // the open segment's start
+	set   uint32 // the open segment's labels, an index into labelSets
+	seen  bool
 }
 
 // TimelineBuilder reconstructs per-resource activity histories from an event
@@ -55,40 +63,20 @@ type openMultiSeg struct {
 // on that resource, implementing the paper's "the resources used by a proxy
 // activity are accounted for separately, and then assigned to the real
 // activity as soon as the system can determine what this activity is".
+//
+// Per-resource state lives in tables indexed by resource id and label sets
+// are interned, so an activity change neither hashes nor allocates beyond
+// growing a timeline.
 type TimelineBuilder struct {
-	isProxy    func(core.Label) bool
-	single     map[core.ResourceID]*ActTimeline
-	multi      map[core.ResourceID]*MultiTimeline
-	openSingle map[core.ResourceID]*openSeg
-	openMulti  map[core.ResourceID]*openMultiSeg
+	isProxy func(core.Label) bool
+	single  []singleRes // by resource id
+	multi   []multiRes  // by resource id
+	sets    labelSets
 }
 
 // NewTimelineBuilder returns an empty builder.
 func NewTimelineBuilder(isProxy func(core.Label) bool) *TimelineBuilder {
-	return &TimelineBuilder{
-		isProxy:    isProxy,
-		single:     make(map[core.ResourceID]*ActTimeline),
-		multi:      make(map[core.ResourceID]*MultiTimeline),
-		openSingle: make(map[core.ResourceID]*openSeg),
-		openMulti:  make(map[core.ResourceID]*openMultiSeg),
-	}
-}
-
-// closeSingle closes the open segment on res at the given time, if any.
-func (b *TimelineBuilder) closeSingle(res core.ResourceID, at int64) *openSeg {
-	os := b.openSingle[res]
-	if os == nil {
-		return nil
-	}
-	tl := b.single[res]
-	if tl == nil {
-		tl = &ActTimeline{Res: res}
-		b.single[res] = tl
-	}
-	if at > os.start {
-		tl.Segs = append(tl.Segs, Segment{Start: os.start, End: at, Label: os.label, Owner: os.label})
-	}
-	return os
+	return &TimelineBuilder{isProxy: isProxy}
 }
 
 // Add consumes the next entry, stamped with its unwrapped time. Entries that
@@ -96,78 +84,76 @@ func (b *TimelineBuilder) closeSingle(res core.ResourceID, at int64) *openSeg {
 func (b *TimelineBuilder) Add(e core.Entry, at int64) {
 	switch e.Type {
 	case core.EntryActivitySet, core.EntryActivityBind:
+		b.single = grow(b.single, int(e.Res))
+		r := &b.single[e.Res]
 		label := e.Label()
-		os := b.closeSingle(e.Res, at)
-		tl := b.single[e.Res]
-		if tl == nil {
-			tl = &ActTimeline{Res: e.Res}
-			b.single[e.Res] = tl
-		}
-		next := &openSeg{start: at, label: label}
-		if os != nil {
-			next.pending = os.pending
-			// The closed segment may be part of a proxy episode.
-			if len(tl.Segs) > 0 && tl.Segs[len(tl.Segs)-1].End == at {
-				closedIdx := len(tl.Segs) - 1
-				closed := tl.Segs[closedIdx]
-				if b.isProxy(closed.Label) {
-					next.pending = append(next.pending, closedIdx)
-				}
+		pending := r.pending
+		if r.seen {
+			if at > r.start {
+				r.segs = append(r.segs, Segment{Start: r.start, End: at, Label: r.label, Owner: r.label})
+			}
+			// The segment ending now may be part of a proxy episode.
+			if n := len(r.segs); n > 0 && r.segs[n-1].End == at && b.isProxy(r.segs[n-1].Label) {
+				pending = append(pending, n-1)
 			}
 		}
 		switch {
 		case e.Type == core.EntryActivityBind:
 			// Reassign the pending episode to the bound activity.
-			for _, idx := range next.pending {
-				tl.Segs[idx].Owner = label
+			for _, idx := range pending {
+				r.segs[idx].Owner = label
 			}
-			next.pending = nil
+			pending = pending[:0]
 		case !b.isProxy(label) && !label.IsIdle():
 			// A real activity closes the episode: pending proxy
 			// segments keep their own labels.
-			next.pending = nil
+			pending = pending[:0]
 		}
-		b.openSingle[e.Res] = next
+		r.pending, r.start, r.label, r.seen = pending, at, label, true
 
 	case core.EntryActivityAdd, core.EntryActivityRemove:
-		om := b.openMulti[e.Res]
-		mt := b.multi[e.Res]
-		if mt == nil {
-			mt = &MultiTimeline{Res: e.Res}
-			b.multi[e.Res] = mt
+		b.multi = grow(b.multi, int(e.Res))
+		r := &b.multi[e.Res]
+		if !r.seen {
+			r.start, r.seen = at, true
 		}
-		if om == nil {
-			om = &openMultiSeg{start: at, labels: make(map[core.Label]struct{})}
-			b.openMulti[e.Res] = om
+		if at > r.start {
+			r.segs = append(r.segs, MultiSegment{Start: r.start, End: at, Labels: b.sets.sets[r.set]})
 		}
-		if at > om.start {
-			mt.Segs = append(mt.Segs, MultiSegment{Start: om.start, End: at, Labels: sortedLabels(om.labels)})
-		}
-		if e.Type == core.EntryActivityAdd {
-			om.labels[e.Label()] = struct{}{}
-		} else {
-			delete(om.labels, e.Label())
-		}
-		om.start = at
+		r.set = b.sets.step(r.set, e.Type == core.EntryActivityAdd, e.Label())
+		r.start = at
 	}
 }
 
 // Finish closes every open segment at the given end time and returns the
-// completed timelines. The builder must not be used afterwards.
+// completed timelines, keyed by every resource that logged an activity
+// entry. The builder must not be used afterwards.
 func (b *TimelineBuilder) Finish(end int64) (map[core.ResourceID]*ActTimeline, map[core.ResourceID]*MultiTimeline) {
-	for res, os := range b.openSingle {
-		tl := b.single[res]
-		if end > os.start {
-			tl.Segs = append(tl.Segs, Segment{Start: os.start, End: end, Label: os.label, Owner: os.label})
+	single := make(map[core.ResourceID]*ActTimeline)
+	for i := range b.single {
+		r := &b.single[i]
+		if !r.seen {
+			continue
 		}
-	}
-	for res, om := range b.openMulti {
-		mt := b.multi[res]
-		if end > om.start {
-			mt.Segs = append(mt.Segs, MultiSegment{Start: om.start, End: end, Labels: sortedLabels(om.labels)})
+		if end > r.start {
+			r.segs = append(r.segs, Segment{Start: r.start, End: end, Label: r.label, Owner: r.label})
 		}
+		res := core.ResourceID(i)
+		single[res] = &ActTimeline{Res: res, Segs: r.segs}
 	}
-	return b.single, b.multi
+	multi := make(map[core.ResourceID]*MultiTimeline)
+	for i := range b.multi {
+		r := &b.multi[i]
+		if !r.seen {
+			continue
+		}
+		if end > r.start {
+			r.segs = append(r.segs, MultiSegment{Start: r.start, End: end, Labels: b.sets.sets[r.set]})
+		}
+		res := core.ResourceID(i)
+		multi[res] = &MultiTimeline{Res: res, Segs: r.segs}
+	}
+	return single, multi
 }
 
 // BuildActivityTimelines reconstructs per-resource activity histories from
@@ -180,13 +166,53 @@ func BuildActivityTimelines(t *NodeTrace, isProxy func(core.Label) bool) (map[co
 	return b.Finish(t.End())
 }
 
-func sortedLabels(set map[core.Label]struct{}) []core.Label {
-	out := make([]core.Label, 0, len(set))
-	for l := range set {
-		out = append(out, l)
+// labelSets interns the label sets of multi-activity resources. Set 0 is
+// the empty set (nil); every other set is a sorted slice stored once and
+// shared by the segments that carry it. The table is created by the first
+// step, which precedes any segment.
+type labelSets struct {
+	sets   [][]core.Label
+	edges  edges             // per set; key packs (add, label)
+	byKey  map[string]uint32 // consulted only when an edge is learned
+	keyBuf []byte
+}
+
+// step returns the set that adding (or removing) l turns set i into.
+// Adding a member or removing a non-member leaves the set as it is.
+func (ls *labelSets) step(i uint32, add bool, l core.Label) uint32 {
+	if ls.sets == nil {
+		ls.sets, ls.edges, ls.byKey = [][]core.Label{nil}, edges{nil}, map[string]uint32{"": 0}
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out
+	key := uint32(l)
+	if add {
+		key |= 1 << 16
+	}
+	if to, ok := ls.edges.find(i, key); ok {
+		return to
+	}
+	cur := ls.sets[i]
+	at, member := slices.BinarySearch(cur, l)
+	next := cur
+	switch {
+	case add && !member:
+		next = slices.Insert(slices.Clone(cur), at, l)
+	case !add && member:
+		next = slices.Delete(slices.Clone(cur), at, at+1)
+	}
+	buf := ls.keyBuf[:0]
+	for _, m := range next {
+		buf = append(buf, byte(m>>8), byte(m))
+	}
+	ls.keyBuf = buf
+	to, ok := ls.byKey[string(buf)]
+	if !ok {
+		to = uint32(len(ls.sets))
+		ls.sets = append(ls.sets, next)
+		ls.edges = append(ls.edges, nil)
+		ls.byKey[string(buf)] = to
+	}
+	ls.edges.learn(i, key, to)
+	return to
 }
 
 // StateSegment is one stretch of a resource's power-state history.
@@ -195,19 +221,23 @@ type StateSegment struct {
 	State      core.PowerState
 }
 
+// stateRes is one resource's power-state builder state.
+type stateRes struct {
+	segs  []StateSegment
+	start int64 // the open segment's start
+	state core.PowerState
+	open  bool
+}
+
 // StateTimelineBuilder reconstructs per-resource power-state histories from
-// an event stream incrementally.
+// an event stream incrementally, in a table indexed by resource id.
 type StateTimelineBuilder struct {
-	out  map[core.ResourceID][]StateSegment
-	open map[core.ResourceID]StateSegment // End is unset while open
+	res []stateRes
 }
 
 // NewStateTimelineBuilder returns an empty builder.
 func NewStateTimelineBuilder() *StateTimelineBuilder {
-	return &StateTimelineBuilder{
-		out:  make(map[core.ResourceID][]StateSegment),
-		open: make(map[core.ResourceID]StateSegment),
-	}
+	return &StateTimelineBuilder{}
 }
 
 // Add consumes the next entry; non-power-state entries are ignored.
@@ -215,23 +245,28 @@ func (b *StateTimelineBuilder) Add(e core.Entry, at int64) {
 	if e.Type != core.EntryPowerState {
 		return
 	}
-	if seg, ok := b.open[e.Res]; ok && at > seg.Start {
-		seg.End = at
-		b.out[e.Res] = append(b.out[e.Res], seg)
+	b.res = grow(b.res, int(e.Res))
+	r := &b.res[e.Res]
+	if r.open && at > r.start {
+		r.segs = append(r.segs, StateSegment{Start: r.start, End: at, State: r.state})
 	}
-	b.open[e.Res] = StateSegment{Start: at, State: e.State()}
+	r.start, r.state, r.open = at, e.State(), true
 }
 
 // Finish closes every open segment at the given end time and returns the
-// completed timelines.
+// completed timelines, keyed by every resource with at least one segment.
 func (b *StateTimelineBuilder) Finish(end int64) map[core.ResourceID][]StateSegment {
-	for res, seg := range b.open {
-		if end > seg.Start {
-			seg.End = end
-			b.out[res] = append(b.out[res], seg)
+	out := make(map[core.ResourceID][]StateSegment)
+	for i := range b.res {
+		r := &b.res[i]
+		if r.open && end > r.start {
+			r.segs = append(r.segs, StateSegment{Start: r.start, End: end, State: r.state})
+		}
+		if len(r.segs) > 0 {
+			out[core.ResourceID(i)] = r.segs
 		}
 	}
-	return b.out
+	return out
 }
 
 // BuildStateTimelines reconstructs per-resource power-state histories — the

@@ -99,7 +99,7 @@ func buildTwoSinkTrace() *traceBuilder {
 
 func TestStateIntervalsPartitionTime(t *testing.T) {
 	tr := buildTwoSinkTrace().trace()
-	ivs := tr.StateIntervals()
+	ivs, _ := tr.StateIntervals()
 	if len(ivs) == 0 {
 		t.Fatal("no intervals")
 	}
@@ -121,7 +121,8 @@ func TestStateIntervalsPartitionTime(t *testing.T) {
 func TestStateIntervalPulsesSumToTotal(t *testing.T) {
 	tr := buildTwoSinkTrace().trace()
 	var sum uint32
-	for _, iv := range tr.StateIntervals() {
+	ivs, _ := tr.StateIntervals()
+	for _, iv := range ivs {
 		sum += iv.Pulses
 	}
 	if sum != tr.TotalPulses() {
@@ -131,7 +132,8 @@ func TestStateIntervalPulsesSumToTotal(t *testing.T) {
 
 func TestRegressionRecoversTwoSinks(t *testing.T) {
 	tr := buildTwoSinkTrace().trace()
-	reg, err := RunRegression(tr.StateIntervals(), tr.PulseUJ, DefaultRegressionOptions())
+	ivs, vecs := tr.StateIntervals()
+	reg, err := RunRegression(ivs, vecs, tr.PulseUJ, DefaultRegressionOptions())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -151,7 +153,8 @@ func TestRegressionRecoversTwoSinks(t *testing.T) {
 
 func TestRegressionGroupsByStateVector(t *testing.T) {
 	tr := buildTwoSinkTrace().trace()
-	reg, err := RunRegression(tr.StateIntervals(), tr.PulseUJ, DefaultRegressionOptions())
+	ivs, vecs := tr.StateIntervals()
+	reg, err := RunRegression(ivs, vecs, tr.PulseUJ, DefaultRegressionOptions())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -182,7 +185,8 @@ func TestRegressionMergesCollinearPredictors(t *testing.T) {
 	b.advance(1_000_000)
 	b.marker()
 	tr := b.trace()
-	reg, err := RunRegression(tr.StateIntervals(), tr.PulseUJ, DefaultRegressionOptions())
+	ivs, vecs := tr.StateIntervals()
+	reg, err := RunRegression(ivs, vecs, tr.PulseUJ, DefaultRegressionOptions())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -196,7 +200,7 @@ func TestRegressionMergesCollinearPredictors(t *testing.T) {
 }
 
 func TestRegressionErrorsOnEmptyInput(t *testing.T) {
-	if _, err := RunRegression(nil, 8.33, DefaultRegressionOptions()); err == nil {
+	if _, err := RunRegression(nil, nil, 8.33, DefaultRegressionOptions()); err == nil {
 		t.Error("empty input should fail")
 	}
 }
@@ -450,12 +454,12 @@ func TestTimeByActivityCountsWallTime(t *testing.T) {
 
 func TestUnweightedOptionChangesFit(t *testing.T) {
 	tr := buildTwoSinkTrace().trace()
-	ivs := tr.StateIntervals()
-	w, err := RunRegression(ivs, tr.PulseUJ, RegressionOptions{Weighted: true, IncludeConstant: true})
+	ivs, vecs := tr.StateIntervals()
+	w, err := RunRegression(ivs, vecs, tr.PulseUJ, RegressionOptions{Weighted: true, IncludeConstant: true})
 	if err != nil {
 		t.Fatal(err)
 	}
-	u, err := RunRegression(ivs, tr.PulseUJ, RegressionOptions{Weighted: false, IncludeConstant: true})
+	u, err := RunRegression(ivs, vecs, tr.PulseUJ, RegressionOptions{Weighted: false, IncludeConstant: true})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -57,7 +57,10 @@ type Analysis struct {
 	StartUS, EndUS int64
 	TotalPulses    uint32
 
+	// Intervals slices the window between consecutive log entries; each
+	// indexes Vectors, the log's distinct power-state vectors.
 	Intervals []StateInterval
+	Vectors   []StateVector
 	Reg       *Regression
 
 	// RegressionErr records why the full regression could not run (for

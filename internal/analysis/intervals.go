@@ -7,7 +7,7 @@
 package analysis
 
 import (
-	"sort"
+	"slices"
 	"strconv"
 
 	"repro/internal/core"
@@ -57,19 +57,15 @@ func (t *NodeTrace) End() int64 {
 
 // StateInterval is one stretch of time during which no logged event
 // occurred: the power states of all sinks are constant, Pulses energy
-// quanta were consumed, and the interval lasted End-Start microseconds.
+// quanta were consumed, and the interval lasted End-Start microseconds. Vec
+// indexes the interned state vector in effect (Analysis.Vectors, or the
+// vectors returned beside the intervals). The record is 24 bytes and holds
+// no pointers, so a long log's intervals cost the garbage collector nothing
+// to scan.
 type StateInterval struct {
 	Start, End int64
 	Pulses     uint32
-	// States snapshots the sinks' power states during the interval. The map
-	// is shared between intervals with identical vectors; do not mutate.
-	// Resources at the zero (baseline) state may be absent — look states up
-	// with the map's zero-value-on-miss semantics rather than ranging for
-	// zeros.
-	States map[core.ResourceID]core.PowerState
-	// Key is a canonical fingerprint of the non-zero states, used for
-	// grouping.
-	Key string
+	Vec        uint32
 }
 
 // Duration returns the interval length in microseconds.
@@ -80,77 +76,91 @@ func (iv StateInterval) EnergyUJ(pulseUJ float64) float64 {
 	return float64(iv.Pulses) * pulseUJ
 }
 
+// StateVector is one distinct vector of the sinks' power states, interned
+// once per log and shared by every interval spent in it.
+type StateVector struct {
+	// Key is a canonical fingerprint of the non-zero states, "res=state;"
+	// per resource in ascending order, used for grouping.
+	Key string
+	// Active lists the non-baseline (resource, state) pairs in ascending
+	// resource order. Regression groups share the slice; do not mutate.
+	Active []Predictor
+}
+
+// State returns res's power state in the vector; resources at the zero
+// (baseline) state are absent from Active.
+func (v StateVector) State(res core.ResourceID) core.PowerState {
+	for _, p := range v.Active {
+		if p.Res == res {
+			return p.State
+		}
+	}
+	return 0
+}
+
 // IntervalBuilder slices an event stream into state intervals incrementally,
 // one entry at a time — the single-pass core behind StateIntervals. Feed
 // entries in log order with their unwrapped timestamps; Intervals returns
-// everything closed so far. Zero-length gaps (several entries at one
-// microsecond) are skipped; their pulses carry into the following interval.
+// everything closed so far and Vectors the state vectors they index.
+// Zero-length gaps (several entries at one microsecond) are skipped; their
+// pulses carry into the following interval.
+//
+// The power states live in a table indexed by resource id. Every real state
+// change moves the current vector along a learned edge (see edges), so once
+// a log's vectors and transitions have been seen, building intervals
+// neither hashes nor allocates beyond growing the interval slice.
 type IntervalBuilder struct {
-	states  map[core.ResourceID]core.PowerState
-	resIDs  []core.ResourceID // sorted keys of states
+	states  []core.PowerState // by resource id
+	cur     uint32            // the current vector, an index into vecs
+	vecs    []StateVector
+	edges   edges             // per vector; key packs (res, state)
+	byKey   map[string]uint32 // consulted only when an edge is learned
+	keyBuf  []byte
 	out     []StateInterval
 	carry   uint32
 	prev    core.Entry
 	prevAt  int64
 	started bool
-
-	// Snapshot cache: logs revisit the same state vectors over and over
-	// (every blink, every radio wakeup), so completed snapshots are interned
-	// by fingerprint. Steady-state interval building allocates nothing, and
-	// intervals with identical vectors share one map.
-	lastSnap map[core.ResourceID]core.PowerState
-	lastKey  string
-	dirty    bool
-	keyBuf   []byte
-	interned map[string]internedVec
 }
 
-type internedVec struct {
-	snap map[core.ResourceID]core.PowerState
-	key  string
-}
-
-// NewIntervalBuilder returns an empty builder.
+// NewIntervalBuilder returns an empty builder whose current vector is the
+// all-baseline one.
 func NewIntervalBuilder() *IntervalBuilder {
 	return &IntervalBuilder{
-		states:   make(map[core.ResourceID]core.PowerState),
-		dirty:    true,
-		interned: make(map[string]internedVec),
+		vecs:  []StateVector{{}},
+		edges: edges{nil},
+		byKey: map[string]uint32{"": 0},
 	}
 }
 
-// insertResSorted inserts res into the ascending ids slice, keeping order.
-// The caller checks for prior membership.
-func insertResSorted(ids []core.ResourceID, res core.ResourceID) []core.ResourceID {
-	i := sort.Search(len(ids), func(i int) bool { return ids[i] >= res })
-	ids = append(ids, 0)
-	copy(ids[i+1:], ids[i:])
-	ids[i] = res
-	return ids
-}
-
-// setState records a resource's power state, tracking the sorted key set.
+// setState records a resource's power state and moves to the resulting
+// vector.
 func (b *IntervalBuilder) setState(res core.ResourceID, st core.PowerState) {
-	old, seen := b.states[res]
-	if seen && old == st {
+	if int(res) >= len(b.states) {
+		if st == 0 {
+			return // an untracked resource is already at the baseline
+		}
+		b.states = grow(b.states, int(res))
+	}
+	if b.states[res] == st {
 		return
 	}
-	if !seen {
-		b.resIDs = insertResSorted(b.resIDs, res)
-	}
 	b.states[res] = st
-	b.dirty = true
+	key := uint32(res)<<16 | uint32(st)
+	to, ok := b.edges.find(b.cur, key)
+	if !ok {
+		to = b.intern()
+		b.edges.learn(b.cur, key, to)
+	}
+	b.cur = to
 }
 
-// snapshot fingerprints the current state vector and returns the interned
-// copy, reusing the previous one when nothing changed.
-func (b *IntervalBuilder) snapshot() (map[core.ResourceID]core.PowerState, string) {
-	if !b.dirty {
-		return b.lastSnap, b.lastKey
-	}
+// intern returns the index of the vector the state table holds, adding it
+// on first sight.
+func (b *IntervalBuilder) intern() uint32 {
 	buf := b.keyBuf[:0]
-	for _, r := range b.resIDs {
-		if s := b.states[r]; s != 0 {
+	for r, s := range b.states {
+		if s != 0 {
 			buf = strconv.AppendUint(buf, uint64(r), 10)
 			buf = append(buf, '=')
 			buf = strconv.AppendUint(buf, uint64(s), 10)
@@ -158,23 +168,21 @@ func (b *IntervalBuilder) snapshot() (map[core.ResourceID]core.PowerState, strin
 		}
 	}
 	b.keyBuf = buf
-	if string(buf) == b.lastKey {
-		// The vector toggled back to the previous one (LED off, radio
-		// asleep again): skip the intern lookup entirely.
-		b.dirty = false
-		return b.lastSnap, b.lastKey
+	if v, ok := b.byKey[string(buf)]; ok {
+		return v
 	}
-	iv, ok := b.interned[string(buf)]
-	if !ok {
-		cp := make(map[core.ResourceID]core.PowerState, len(b.states))
-		for r, s := range b.states {
-			cp[r] = s
+	var active []Predictor
+	for r, s := range b.states {
+		if s != 0 {
+			active = append(active, Predictor{core.ResourceID(r), s})
 		}
-		iv = internedVec{snap: cp, key: string(buf)}
-		b.interned[iv.key] = iv
 	}
-	b.lastSnap, b.lastKey, b.dirty = iv.snap, iv.key, false
-	return iv.snap, iv.key
+	v := uint32(len(b.vecs))
+	key := string(buf)
+	b.vecs = append(b.vecs, StateVector{Key: key, Active: active})
+	b.edges = append(b.edges, nil)
+	b.byKey[key] = v
+	return v
 }
 
 // Add consumes the next entry, stamped with its unwrapped time. The interval
@@ -189,13 +197,11 @@ func (b *IntervalBuilder) Add(e core.Entry, at int64) {
 		if at == b.prevAt {
 			b.carry += pulses
 		} else {
-			snap, key := b.snapshot()
 			b.out = append(b.out, StateInterval{
 				Start:  b.prevAt,
 				End:    at,
 				Pulses: pulses + b.carry,
-				States: snap,
-				Key:    key,
+				Vec:    b.cur,
 			})
 			b.carry = 0
 		}
@@ -207,15 +213,50 @@ func (b *IntervalBuilder) Add(e core.Entry, at int64) {
 // builder's own; do not Add after using it.
 func (b *IntervalBuilder) Intervals() []StateInterval { return b.out }
 
+// Vectors returns the interned state vectors the intervals index. Some may
+// have no interval: a vector passed through within one microsecond.
+func (b *IntervalBuilder) Vectors() []StateVector { return b.vecs }
+
+// edges memoizes an interner's transitions: for each interned item, the
+// (change, resulting item) pairs seen so far. Logs cycle through a handful
+// of state vectors and label sets, so after warm-up a change is resolved by
+// a short scan, with no key built, hashed or allocated.
+type edges [][]edge
+
+type edge struct{ key, to uint32 }
+
+func (es edges) find(from, key uint32) (uint32, bool) {
+	for _, e := range es[from] {
+		if e.key == key {
+			return e.to, true
+		}
+	}
+	return 0, false
+}
+
+func (es edges) learn(from, key, to uint32) { es[from] = append(es[from], edge{key, to}) }
+
+// grow returns s extended to hold index i. Capacity grows geometrically and
+// the slice always spans it, so a per-resource table reaches the highest
+// resource id in a few steps rather than one slot at a time.
+func grow[T any](s []T, i int) []T {
+	if i < len(s) {
+		return s
+	}
+	s = slices.Grow(s, i+1-len(s))
+	return s[:cap(s)]
+}
+
 // StateIntervals slices the log into intervals between consecutive entries,
-// each annotated with the in-effect power-state vector and the energy used.
-// It is the batch wrapper over IntervalBuilder.
-func (t *NodeTrace) StateIntervals() []StateInterval {
+// each annotated with the in-effect power-state vector and the energy used,
+// and returns them with the vectors they index. It is the batch wrapper over
+// IntervalBuilder.
+func (t *NodeTrace) StateIntervals() ([]StateInterval, []StateVector) {
 	b := NewIntervalBuilder()
 	for i, e := range t.Entries {
 		b.Add(e, t.Times[i])
 	}
-	return b.Intervals()
+	return b.Intervals(), b.Vectors()
 }
 
 // TotalPulses returns the pulse count between the first and last entry.

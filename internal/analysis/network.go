@@ -83,9 +83,19 @@ func (n *Network) Footprint(l core.Label) []NodeShare {
 	return out
 }
 
-// Report renders the network-wide activity table.
+// Report renders the network-wide activity table. It computes each node's
+// breakdown once for the whole table and sums in node order, so its totals
+// are bit-identical to EnergyByActivity's and RemoteEnergyUJ's.
 func (n *Network) Report() string {
-	byAct := n.EnergyByActivity()
+	ids := n.nodeIDs()
+	perNode := make([]map[core.Label]float64, len(ids))
+	byAct := make(map[core.Label]float64)
+	for i, id := range ids {
+		perNode[i] = n.Nodes[id].EnergyByActivity()
+		for l, uj := range perNode[i] {
+			byAct[l] += uj
+		}
+	}
 	labels := make([]core.Label, 0, len(byAct))
 	for l := range byAct {
 		labels = append(labels, l)
@@ -97,7 +107,11 @@ func (n *Network) Report() string {
 		remote := 0.0
 		if l != ConstLabel {
 			name = n.Dict.LabelName(l)
-			remote = n.RemoteEnergyUJ(l)
+			for i, id := range ids {
+				if id != l.Origin() {
+					remote += perNode[i][l]
+				}
+			}
 		}
 		s += fmt.Sprintf("%-22s %12.3f %12.3f\n", name, byAct[l]/1000, remote/1000)
 	}

@@ -197,6 +197,16 @@ func (o *OnlineAccountant) observe(e core.Entry) {
 	}
 }
 
+// insertResSorted inserts res into the ascending ids slice, keeping order.
+// The caller checks for prior membership.
+func insertResSorted(ids []core.ResourceID, res core.ResourceID) []core.ResourceID {
+	i := sort.Search(len(ids), func(i int) bool { return ids[i] >= res })
+	ids = append(ids, 0)
+	copy(ids[i+1:], ids[i:])
+	ids[i] = res
+	return ids
+}
+
 // TimeUS returns the accumulated wall time per activity (CPU view).
 func (o *OnlineAccountant) TimeUS() map[core.Label]int64 {
 	out := make(map[core.Label]int64, len(o.timeUS))

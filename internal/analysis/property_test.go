@@ -46,7 +46,8 @@ func TestRegressionRecoveryProperty(t *testing.T) {
 		b.marker()
 
 		tr := b.trace()
-		reg, err := RunRegression(tr.StateIntervals(), tr.PulseUJ, DefaultRegressionOptions())
+		ivs, vecs := tr.StateIntervals()
+		reg, err := RunRegression(ivs, vecs, tr.PulseUJ, DefaultRegressionOptions())
 		if err != nil {
 			continue // some random schedules are degenerate; that's fine
 		}

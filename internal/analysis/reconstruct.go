@@ -2,7 +2,6 @@ package analysis
 
 import (
 	"math"
-	"sort"
 
 	"repro/internal/scope"
 	"repro/internal/units"
@@ -19,10 +18,14 @@ type PowerStep struct {
 // state interval, the fitted power X*Pi of its group. The result is a
 // piecewise-constant series aligned with the log's intervals.
 func (a *Analysis) Reconstruct() []PowerStep {
+	// Intervals share a handful of vectors: predict each vector once.
+	predicted := make([]float64, len(a.Vectors))
+	for v, sv := range a.Vectors {
+		predicted[v] = a.Reg.PredictGroup(sv.Active)
+	}
 	out := make([]PowerStep, 0, len(a.Intervals)+1)
 	for _, iv := range a.Intervals {
-		active := activePredictors(iv)
-		p := a.Reg.PredictGroup(active)
+		p := predicted[iv.Vec]
 		if n := len(out); n > 0 && out[n-1].PowerMW == p {
 			continue
 		}
@@ -48,7 +51,7 @@ func (a *Analysis) ReconstructStacked() []StackedStep {
 	for _, iv := range a.Intervals {
 		st := StackedStep{Start: iv.Start, End: iv.End, Parts: make(map[Predictor]float64), ConstMW: a.Reg.ConstMW}
 		st.TotalMW = a.Reg.ConstMW
-		for _, p := range activePredictors(iv) {
+		for _, p := range a.Vectors[iv.Vec].Active {
 			if mw, ok := a.Reg.PowerMW[p]; ok {
 				st.Parts[p] = mw
 				st.TotalMW += mw
@@ -57,24 +60,6 @@ func (a *Analysis) ReconstructStacked() []StackedStep {
 		out = append(out, st)
 	}
 	return out
-}
-
-// activePredictors lists the interval's non-baseline states in a fixed
-// order, keeping floating-point accumulation deterministic.
-func activePredictors(iv StateInterval) []Predictor {
-	var active []Predictor
-	for r, s := range iv.States {
-		if s != 0 {
-			active = append(active, Predictor{r, s})
-		}
-	}
-	sort.Slice(active, func(i, j int) bool {
-		if active[i].Res != active[j].Res {
-			return active[i].Res < active[j].Res
-		}
-		return active[i].State < active[j].State
-	})
-	return active
 }
 
 // ReconstructedEnergyUJ integrates the reconstructed power over the span.

@@ -3,6 +3,7 @@ package analysis
 import (
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 
 	"repro/internal/core"
@@ -95,36 +96,32 @@ func DefaultRegressionOptions() RegressionOptions {
 	}
 }
 
-// RunRegression estimates per-predictor power draws from state intervals.
-func RunRegression(intervals []StateInterval, pulseUJ float64, opts RegressionOptions) (*Regression, error) {
+// RunRegression estimates per-predictor power draws from state intervals
+// and the vectors they index. Intervals are grouped by their vector's Key,
+// so distinct vectors with equal keys share one group.
+func RunRegression(intervals []StateInterval, vectors []StateVector, pulseUJ float64, opts RegressionOptions) (*Regression, error) {
 	if len(intervals) == 0 {
 		return nil, fmt.Errorf("analysis: no intervals to regress")
 	}
 
-	// Group by state-vector key.
-	groupIdx := make(map[string]int)
+	// Group by state-vector key: each vector finds its group once, then
+	// every interval adds to its vector's group in log order.
+	groupIdx := make(map[string]int, len(vectors))
+	groupOf := make([]int, len(vectors))
 	var groups []StateGroup
-	for _, iv := range intervals {
-		gi, ok := groupIdx[iv.Key]
+	for v, sv := range vectors {
+		gi, ok := groupIdx[sv.Key]
 		if !ok {
-			var active []Predictor
-			for r, s := range iv.States {
-				if s != 0 {
-					active = append(active, Predictor{r, s})
-				}
-			}
-			sort.Slice(active, func(i, j int) bool {
-				if active[i].Res != active[j].Res {
-					return active[i].Res < active[j].Res
-				}
-				return active[i].State < active[j].State
-			})
 			gi = len(groups)
-			groupIdx[iv.Key] = gi
-			groups = append(groups, StateGroup{Key: iv.Key, Active: active})
+			groupIdx[sv.Key] = gi
+			groups = append(groups, StateGroup{Key: sv.Key, Active: sv.Active})
 		}
-		groups[gi].TimeUS += iv.Duration()
-		groups[gi].EnergyUJ += iv.EnergyUJ(pulseUJ)
+		groupOf[v] = gi
+	}
+	for _, iv := range intervals {
+		g := &groups[groupOf[iv.Vec]]
+		g.TimeUS += iv.Duration()
+		g.EnergyUJ += iv.EnergyUJ(pulseUJ)
 	}
 	// Stable group order for deterministic numerics.
 	sort.Slice(groups, func(i, j int) bool { return groups[i].Key < groups[j].Key })
@@ -133,7 +130,8 @@ func RunRegression(intervals []StateInterval, pulseUJ float64, opts RegressionOp
 		// weight of zero and a meaningless y_j = 0; with the paper's
 		// weights they contribute nothing, so remove them before predictor
 		// selection (otherwise a predictor seen only in zero-weight groups
-		// would make the weighted system rank-deficient).
+		// would make the weighted system rank-deficient). Vectors no
+		// interval spent time in go the same way.
 		kept := groups[:0]
 		for _, g := range groups {
 			if g.TimeUS >= opts.MinGroupTimeUS && g.TimeUS > 0 && g.EnergyUJ > 0 {
@@ -143,73 +141,66 @@ func RunRegression(intervals []StateInterval, pulseUJ float64, opts RegressionOp
 		groups = kept
 	}
 
-	// Candidate predictors: everything active somewhere.
-	seen := make(map[Predictor]int) // -> number of groups active in
+	// Candidate predictors: everything active somewhere, in sorted order,
+	// each with its incidence over the groups.
+	var cands []Predictor
 	for _, g := range groups {
+		cands = append(cands, g.Active...)
+	}
+	sortPredictors(cands)
+	cands = slices.Compact(cands)
+	candOf := make(map[Predictor]int, len(cands))
+	for i, p := range cands {
+		candOf[p] = i
+	}
+	activeIn := make([][]bool, len(cands)) // [candidate][group]
+	for i := range activeIn {
+		activeIn[i] = make([]bool, len(groups))
+	}
+	for gi, g := range groups {
 		for _, p := range g.Active {
-			seen[p]++
+			activeIn[candOf[p]][gi] = true
 		}
+	}
+
+	// Drop candidates active in every group, and merge candidates whose
+	// incidence patterns are identical (perfectly collinear: the system
+	// would be singular) or near-identical (their patterns differ for a
+	// negligible share of the observed time, so the fit would split their
+	// combined draw arbitrarily, often into huge opposite-signed
+	// coefficients). The first predictor in sorted order represents the
+	// merged set and its coefficient carries the combined draw.
+	var spanUS int64
+	for _, g := range groups {
+		spanUS += g.TimeUS
+	}
+	limit := int64(opts.MergeTimeFrac * float64(spanUS))
+	// diffTime returns how long candidates p's and q's indicators disagree.
+	diffTime := func(p, q int) int64 {
+		var d int64
+		for gi, g := range groups {
+			if activeIn[p][gi] != activeIn[q][gi] {
+				d += g.TimeUS
+			}
+		}
+		return d
 	}
 	var predictors, dropped []Predictor
-	for p, n := range seen {
-		if opts.IncludeConstant && n == len(groups) {
+	mergedInto := make(map[Predictor]Predictor)
+	var reps []int // each predictor's candidate index
+	for p, pred := range cands {
+		if opts.IncludeConstant && !slices.Contains(activeIn[p], false) {
 			// Active always: indistinguishable from the constant.
-			dropped = append(dropped, p)
+			dropped = append(dropped, pred)
 			continue
 		}
-		predictors = append(predictors, p)
-	}
-	sortPredictors(predictors)
-	sortPredictors(dropped)
-
-	// Merge predictors whose incidence patterns are identical (perfectly
-	// collinear: the system would be singular) or near-identical (their
-	// patterns differ for a negligible share of the observed time, so the
-	// fit would split their combined draw arbitrarily, often into huge
-	// opposite-signed coefficients). The first predictor in sorted order
-	// represents the merged set and its coefficient carries the combined
-	// draw.
-	mergedInto := make(map[Predictor]Predictor)
-	{
-		activeIn := make(map[Predictor]map[string]bool, len(predictors))
-		for _, g := range groups {
-			for _, p := range g.Active {
-				if activeIn[p] == nil {
-					activeIn[p] = make(map[string]bool)
-				}
-				activeIn[p][g.Key] = true
-			}
+		rep := slices.IndexFunc(reps, func(r int) bool { return diffTime(p, r) <= limit })
+		if rep >= 0 {
+			mergedInto[pred] = predictors[rep]
+			continue
 		}
-		var spanUS int64
-		for _, g := range groups {
-			spanUS += g.TimeUS
-		}
-		// diffTime returns how long p's and q's indicators disagree.
-		diffTime := func(p, q Predictor) int64 {
-			var d int64
-			for _, g := range groups {
-				if activeIn[p][g.Key] != activeIn[q][g.Key] {
-					d += g.TimeUS
-				}
-			}
-			return d
-		}
-		limit := int64(opts.MergeTimeFrac * float64(spanUS))
-		var kept []Predictor
-		for _, p := range predictors {
-			merged := false
-			for _, r := range kept {
-				if diffTime(p, r) <= limit {
-					mergedInto[p] = r
-					merged = true
-					break
-				}
-			}
-			if !merged {
-				kept = append(kept, p)
-			}
-		}
-		predictors = kept
+		reps = append(reps, p)
+		predictors = append(predictors, pred)
 	}
 
 	cols := len(predictors)

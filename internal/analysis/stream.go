@@ -3,6 +3,8 @@ package analysis
 import (
 	"fmt"
 	"io"
+	"maps"
+	"slices"
 
 	"repro/internal/core"
 	"repro/internal/trace"
@@ -84,8 +86,8 @@ func (s *StreamAnalyzer) Finish() (*Analysis, error) {
 	if s.count < 2 {
 		return nil, fmt.Errorf("analysis: log has %d entries; need at least 2", s.count)
 	}
-	intervals := s.ivb.Intervals()
-	reg, regErr := RunRegression(intervals, s.pulseUJ, s.opts.Regression)
+	intervals, vectors := s.ivb.Intervals(), s.ivb.Vectors()
+	reg, regErr := RunRegression(intervals, vectors, s.pulseUJ, s.opts.Regression)
 	totalPulses := s.lastIC - s.firstIC // uint32 arithmetic handles wrap
 	if regErr != nil {
 		// Degrade to a constant-only model so time breakdowns and total
@@ -109,6 +111,7 @@ func (s *StreamAnalyzer) Finish() (*Analysis, error) {
 		EndUS:         s.endUS,
 		TotalPulses:   totalPulses,
 		Intervals:     intervals,
+		Vectors:       vectors,
 		Reg:           reg,
 		RegressionErr: regErr,
 		Single:        single,
@@ -172,11 +175,12 @@ func (na *NetworkAnalyzer) ConsumeAll(m *trace.Merger) error {
 	}
 }
 
-// Finish completes every node's analysis and returns the network aggregate.
+// Finish completes every node's analysis in ascending node order, so an
+// error names the lowest failing node, and returns the network aggregate.
 func (na *NetworkAnalyzer) Finish() (*Network, error) {
-	net := &Network{Nodes: make(map[core.NodeID]*Analysis), Dict: na.dict}
-	for node, sa := range na.nodes {
-		a, err := sa.Finish()
+	net := &Network{Nodes: make(map[core.NodeID]*Analysis, len(na.nodes)), Dict: na.dict}
+	for _, node := range slices.Sorted(maps.Keys(na.nodes)) {
+		a, err := na.nodes[node].Finish()
 		if err != nil {
 			return nil, fmt.Errorf("node %d: %w", node, err)
 		}

@@ -2,6 +2,7 @@ package analysis
 
 import (
 	"math"
+	"strings"
 	"testing"
 
 	"repro/internal/core"
@@ -176,5 +177,76 @@ func TestOnlineAccountantBatchEqualsSingle(t *testing.T) {
 	if one.TotalUJ() != batch.TotalUJ() || one.Events() != batch.Events() {
 		t.Errorf("batch path diverges: %g/%d vs %g/%d",
 			one.TotalUJ(), one.Events(), batch.TotalUJ(), batch.Events())
+	}
+}
+
+// TestNetworkAnalyzerFinishNamesLowestNode checks that Finish reports the
+// lowest failing node, whatever order the nodes were first seen in.
+func TestNetworkAnalyzerFinishNamesLowestNode(t *testing.T) {
+	for run := 0; run < 50; run++ {
+		na := NewNetworkAnalyzer(core.NewDictionary(), DefaultOptions(), 8.33, 3.0)
+		for node := core.NodeID(8); node >= 1; node-- {
+			na.Consume(trace.Stamped{Node: node, Entry: core.Entry{Type: core.EntryMarker}})
+		}
+		_, err := na.Finish()
+		if err == nil || !strings.HasPrefix(err.Error(), "node 1: ") {
+			t.Fatalf("run %d: err = %v, want node 1's", run, err)
+		}
+	}
+}
+
+// TestStreamAnalyzerSteadyStateAllocs feeds a warmed analyzer a repeating
+// cycle of CPU activity changes (including a proxy episode and a bind),
+// radio listen/unlisten on a multi-activity resource, and LED and radio
+// power states. Once every vector, label set and transition has been seen,
+// the only allocations left are the geometric growth of the interval and
+// segment slices.
+func TestStreamAnalyzerSteadyStateAllocs(t *testing.T) {
+	const (
+		cpu, radio, rx, led core.ResourceID = 0, 8, 11, 14
+		entriesPerRun                       = 1000
+	)
+	dict := core.NewDictionary()
+	idle, app, timer := core.MkLabel(1, 0), core.MkLabel(1, 2), core.MkLabel(1, 3)
+	proxy := core.MkLabel(1, 9)
+	dict.MarkProxy(proxy)
+	cycle := []core.Entry{
+		{Type: core.EntryActivitySet, Res: cpu, Val: uint16(proxy)},
+		{Type: core.EntryPowerState, Res: cpu, Val: 1},
+		{Type: core.EntryActivityBind, Res: cpu, Val: uint16(app)},
+		{Type: core.EntryPowerState, Res: led, Val: 1},
+		{Type: core.EntryPowerState, Res: radio, Val: 1},
+		{Type: core.EntryActivityAdd, Res: rx, Val: uint16(app)},
+		{Type: core.EntryActivityAdd, Res: rx, Val: uint16(timer)},
+		{Type: core.EntryActivitySet, Res: cpu, Val: uint16(timer)},
+		{Type: core.EntryActivityRemove, Res: rx, Val: uint16(app)},
+		{Type: core.EntryActivityRemove, Res: rx, Val: uint16(timer)},
+		{Type: core.EntryPowerState, Res: radio, Val: 0},
+		{Type: core.EntryPowerState, Res: led, Val: 0},
+		{Type: core.EntryActivitySet, Res: cpu, Val: uint16(idle)},
+		{Type: core.EntryPowerState, Res: cpu, Val: 0},
+	}
+	sa := NewStreamAnalyzer(1, 8.33, 3.0, dict, DefaultOptions())
+	var now, ic uint32
+	i := 0
+	feed := func(n int) {
+		for range n {
+			e := cycle[i%len(cycle)]
+			now += 1 + uint32(i%3)*50 // every third entry shares a microsecond
+			ic += uint32(i % 2)
+			e.Time, e.IC = now, ic
+			sa.Record(e)
+			i++
+		}
+	}
+	feed(100 * len(cycle))
+	perRun := testing.AllocsPerRun(100, func() { feed(entriesPerRun) })
+	t.Logf("%.0f allocations per %d entries", perRun, entriesPerRun)
+	if perEntry := perRun / entriesPerRun; perEntry >= 0.01 {
+		t.Errorf("steady state allocates %.4f times per entry (%.0f per %d entries), want < 0.01",
+			perEntry, perRun, entriesPerRun)
+	}
+	if _, err := sa.Finish(); err != nil {
+		t.Fatal(err)
 	}
 }

@@ -1,6 +1,9 @@
 package core
 
-import "fmt"
+import (
+	"fmt"
+	"math/bits"
+)
 
 // Dictionary maps the numeric identifiers appearing in log entries back to
 // human-readable names. Resources are global to a platform; activity names
@@ -9,7 +12,10 @@ import "fmt"
 type Dictionary struct {
 	Resources  map[ResourceID]string
 	Activities map[Label]string
-	proxies    map[Label]bool
+	// proxies is a bitset over the 16-bit label space: the offline analysis
+	// asks IsProxy up to twice per activity entry, so the lookup is one
+	// word load rather than a map probe.
+	proxies [1 << 16 / 64]uint64
 }
 
 // NewDictionary returns an empty dictionary.
@@ -17,23 +23,24 @@ func NewDictionary() *Dictionary {
 	return &Dictionary{
 		Resources:  make(map[ResourceID]string),
 		Activities: make(map[Label]string),
-		proxies:    make(map[Label]bool),
 	}
 }
 
 // MarkProxy records that a label is a proxy activity (the static activity of
 // an interrupt routine). The offline accounting uses this to decide which
 // usage a bind entry reassigns.
-func (d *Dictionary) MarkProxy(l Label) { d.proxies[l] = true }
+func (d *Dictionary) MarkProxy(l Label) { d.proxies[l/64] |= 1 << (l % 64) }
 
 // IsProxy reports whether l is a proxy activity.
-func (d *Dictionary) IsProxy(l Label) bool { return d.proxies[l] }
+func (d *Dictionary) IsProxy(l Label) bool { return d.proxies[l/64]&(1<<(l%64)) != 0 }
 
 // Proxies returns a copy of the proxy label set.
 func (d *Dictionary) Proxies() map[Label]bool {
-	out := make(map[Label]bool, len(d.proxies))
-	for k, v := range d.proxies {
-		out[k] = v
+	out := make(map[Label]bool)
+	for i, w := range d.proxies {
+		for ; w != 0; w &= w - 1 {
+			out[Label(i*64+bits.TrailingZeros64(w))] = true
+		}
 	}
 	return out
 }
@@ -84,7 +91,7 @@ func (d *Dictionary) Merge(other *Dictionary) {
 	for k, v := range other.Activities {
 		d.Activities[k] = v
 	}
-	for k, v := range other.proxies {
-		d.proxies[k] = v
+	for i, w := range other.proxies {
+		d.proxies[i] |= w
 	}
 }

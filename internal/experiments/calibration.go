@@ -34,20 +34,21 @@ func blinkSteadyStates(seed uint64) (*mote.World, *mote.Node, *analysis.Analysis
 	}
 	combos := make(map[int]*comboStat)
 	for _, iv := range a.Intervals {
-		if iv.States[power.ResCPU] != power.CPUSleep {
+		vec := a.Vectors[iv.Vec]
+		if vec.State(power.ResCPU) != power.CPUSleep {
 			continue
 		}
 		if iv.Duration() < int64(100*units.Millisecond) {
 			continue
 		}
 		combo := 0
-		if iv.States[power.ResLED0] == power.StateOn {
+		if vec.State(power.ResLED0) == power.StateOn {
 			combo |= 1
 		}
-		if iv.States[power.ResLED1] == power.StateOn {
+		if vec.State(power.ResLED1) == power.StateOn {
 			combo |= 2
 		}
-		if iv.States[power.ResLED2] == power.StateOn {
+		if vec.State(power.ResLED2) == power.StateOn {
 			combo |= 4
 		}
 		c := combos[combo]

@@ -148,15 +148,16 @@ func runConcatSortBaseline(b *testing.B, logs []trace.NodeLog) float64 {
 	return sum + net.TotalEnergyUJ()
 }
 
-// seedStateIntervals is the seed repo's StateIntervals pass, kept verbatim
-// as the benchmark baseline: it copies and re-fingerprints the state map for
-// every interval.
-func seedStateIntervals(tr *analysis.NodeTrace) []analysis.StateInterval {
+// seedStateIntervals is the seed repo's StateIntervals pass, kept as the
+// benchmark baseline: it copies and re-fingerprints the state map for every
+// interval, and gives every interval a vector of its own.
+func seedStateIntervals(tr *analysis.NodeTrace) ([]analysis.StateInterval, []analysis.StateVector) {
 	states := make(map[core.ResourceID]core.PowerState)
 	var out []analysis.StateInterval
+	var vecs []analysis.StateVector
 	var carryPulses uint32
 
-	snapshot := func() (map[core.ResourceID]core.PowerState, string) {
+	snapshot := func() analysis.StateVector {
 		cp := make(map[core.ResourceID]core.PowerState, len(states))
 		keys := make([]int, 0, len(states))
 		for r, s := range states {
@@ -167,10 +168,12 @@ func seedStateIntervals(tr *analysis.NodeTrace) []analysis.StateInterval {
 		}
 		sort.Ints(keys)
 		key := ""
+		var active []analysis.Predictor
 		for _, r := range keys {
-			key += fmt.Sprintf("%d=%d;", r, states[core.ResourceID(r)])
+			key += fmt.Sprintf("%d=%d;", r, cp[core.ResourceID(r)])
+			active = append(active, analysis.Predictor{Res: core.ResourceID(r), State: cp[core.ResourceID(r)]})
 		}
-		return cp, key
+		return analysis.StateVector{Key: key, Active: active}
 	}
 
 	for i := 0; i+1 < len(tr.Entries); i++ {
@@ -184,14 +187,14 @@ func seedStateIntervals(tr *analysis.NodeTrace) []analysis.StateInterval {
 			carryPulses += pulses
 			continue
 		}
-		snap, key := snapshot()
+		vecs = append(vecs, snapshot())
 		out = append(out, analysis.StateInterval{
 			Start: start, End: end, Pulses: pulses + carryPulses,
-			States: snap, Key: key,
+			Vec: uint32(len(vecs) - 1),
 		})
 		carryPulses = 0
 	}
-	return out
+	return out, vecs
 }
 
 // runSeedPath reproduces the seed repo's data path end to end: concat+sort
@@ -220,8 +223,8 @@ func runSeedPath(b *testing.B, logs []trace.NodeLog) float64 {
 	var analyses []*analysis.Analysis
 	for _, l := range trace.SplitByNode(merged) {
 		tr := analysis.NewNodeTrace(l.Node, l.Entries, 8.33, 3.0)
-		ivs := seedStateIntervals(tr)
-		reg, regErr := analysis.RunRegression(ivs, tr.PulseUJ, analysis.DefaultRegressionOptions())
+		ivs, vecs := seedStateIntervals(tr)
+		reg, regErr := analysis.RunRegression(ivs, vecs, tr.PulseUJ, analysis.DefaultRegressionOptions())
 		if regErr != nil {
 			constMW := 0.0
 			if span := tr.End() - tr.Start(); span > 0 {
@@ -234,7 +237,7 @@ func runSeedPath(b *testing.B, logs []trace.NodeLog) float64 {
 		analyses = append(analyses, &analysis.Analysis{
 			Trace: tr, Dict: dict, Opts: analysis.DefaultOptions(),
 			StartUS: tr.Start(), EndUS: tr.End(), TotalPulses: tr.TotalPulses(),
-			Intervals: ivs, Reg: reg, RegressionErr: regErr,
+			Intervals: ivs, Vectors: vecs, Reg: reg, RegressionErr: regErr,
 			Single: single, Multi: multi, States: states,
 		})
 		o := analysis.NewOnlineAccountant(l.Node, 8.33, nil)
