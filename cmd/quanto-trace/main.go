@@ -6,13 +6,20 @@
 //	quanto-trace gen [-seed N] [-secs S] FILE    run Blink, write its log
 //	quanto-trace dump FILE                       print entries
 //	quanto-trace summary FILE                    per-type/resource counts
-//	quanto-trace analyze FILE                    regression + energy totals
-//	quanto-trace merge OUT FILE...               k-way merge node logs by time
+//	quanto-trace analyze FILE...                 per-node regression + energy totals
+//	quanto-trace merge OUT FILE...               k-way merge node logs by time (for dump/summary)
 //	quanto-trace sweep [-workers N] FILE         run a scenario spec or matrix
 //	quanto-trace lifetime [-workers N] [-json] FILE   lifetime study of a spec or matrix
 //	quanto-trace record OUT FILE                 run one shaped spec, write its send trace
 //
 // FILE and OUT may be "-" for stdin/stdout, so logs pipe between tools.
+//
+// analyze takes one log per node, with node ids by position as merge
+// assigns them (first FILE = node 1). Energy is attributed one node at a
+// time, so give it the per-node files, never merge's output: the merged
+// stream carries no node ids and would be analyzed as one node. With
+// several FILEs it prints each node's block under a "node N (FILE)" header,
+// then the network's measured energy.
 //
 // sweep reads a declarative scenario spec, or a matrix sweeping any spec
 // field over a list of values across replicated seeds, expands it, and runs
@@ -191,7 +198,7 @@ func run(args []string, stderr io.Writer) int {
 	case "summary":
 		err = withStream(fs.Args(), summary)
 	case "analyze":
-		err = withStream(fs.Args(), analyze)
+		err = analyze(os.Stdout, fs.Args())
 	case "merge":
 		if fs.NArg() < 2 {
 			usage(stderr)
@@ -235,8 +242,9 @@ func run(args []string, stderr io.Writer) int {
 }
 
 func usage(w io.Writer) {
-	fmt.Fprintln(w, `usage: quanto-trace gen|dump|summary|analyze [flags] FILE
-       quanto-trace merge OUT FILE...
+	fmt.Fprintln(w, `usage: quanto-trace gen|dump|summary [flags] FILE
+       quanto-trace analyze FILE...     (one log per node; not merge output)
+       quanto-trace merge OUT FILE...   (output has no node ids: for dump/summary)
        quanto-trace sweep [-workers N] [-apps] [-traffic JSON] [-cpuprofile F] [-memprofile F] FILE
        quanto-trace lifetime [-workers N] [-json] [-traffic JSON] [-cpuprofile F] [-memprofile F] FILE
        quanto-trace record [-traffic JSON] OUT FILE
@@ -414,29 +422,61 @@ func summary(r *trace.Reader) error {
 	return nil
 }
 
-func analyze(r *trace.Reader) error {
-	sa := analysis.NewStreamAnalyzer(1, icount.PulseEnergyMicroJoules, 3.0, core.NewDictionary(), analysis.DefaultOptions())
-	if err := forEachBatch(r, func(batch []core.Entry) error {
-		sa.RecordBatch(batch)
-		return nil
-	}); err != nil {
+// analyze analyzes each named log as its own node (node ids by position,
+// as merge assigns them) through one NetworkAnalyzer. A single log prints
+// its block alone; several print one block per node in id order, then the
+// network's measured energy.
+func analyze(w io.Writer, names []string) error {
+	if len(names) == 0 {
+		names = []string{"-"}
+	}
+	if err := atMostOneStdin(names); err != nil {
 		return err
 	}
-	a, err := sa.Finish()
+	na := analysis.NewNetworkAnalyzer(core.NewDictionary(), analysis.DefaultOptions(), 0, 0)
+	for i, name := range names {
+		sa := na.AddNode(core.NodeID(i+1), icount.PulseEnergyMicroJoules, 3.0)
+		if err := withStream([]string{name}, func(r *trace.Reader) error {
+			return forEachBatch(r, func(batch []core.Entry) error {
+				sa.RecordBatch(batch)
+				return nil
+			})
+		}); err != nil {
+			if len(names) > 1 {
+				return fmt.Errorf("node %d (%s): %w", i+1, name, err)
+			}
+			return err
+		}
+	}
+	net, err := na.Finish()
 	if err != nil {
 		return err
 	}
-	fmt.Printf("span:             %.3f s\n", float64(a.Span())/1e6)
-	fmt.Printf("measured energy:  %.2f mJ\n", a.TotalEnergyUJ()/1000)
-	fmt.Printf("average power:    %.2f mW\n", a.AveragePowerMW())
-	fmt.Printf("state groups:     %d\n", len(a.Reg.Groups))
-	fmt.Println("\nfitted draws (mW):")
-	for _, p := range a.Reg.Predictors {
-		fmt.Printf("  res%-3d state%-3d %8.3f\n", p.Res, p.State, a.Reg.PowerMW[p])
+	if len(names) == 1 {
+		printAnalysis(w, net.Nodes[1])
+		return nil
 	}
-	fmt.Printf("  const            %8.3f\n", a.Reg.ConstMW)
-	fmt.Printf("\nreconstruction error: %.5f%%\n", a.ReconstructionError()*100)
+	for i, name := range names {
+		fmt.Fprintf(w, "node %d (%s)\n", i+1, name)
+		printAnalysis(w, net.Nodes[core.NodeID(i+1)])
+		fmt.Fprintln(w)
+	}
+	fmt.Fprintf(w, "network measured energy: %.2f mJ\n", net.TotalEnergyUJ()/1000)
 	return nil
+}
+
+// printAnalysis prints one node's regression and energy totals.
+func printAnalysis(w io.Writer, a *analysis.Analysis) {
+	fmt.Fprintf(w, "span:             %.3f s\n", float64(a.Span())/1e6)
+	fmt.Fprintf(w, "measured energy:  %.2f mJ\n", a.TotalEnergyUJ()/1000)
+	fmt.Fprintf(w, "average power:    %.2f mW\n", a.AveragePowerMW())
+	fmt.Fprintf(w, "state groups:     %d\n", len(a.Reg.Groups))
+	fmt.Fprintln(w, "\nfitted draws (mW):")
+	for _, p := range a.Reg.Predictors {
+		fmt.Fprintf(w, "  res%-3d state%-3d %8.3f\n", p.Res, p.State, a.Reg.PowerMW[p])
+	}
+	fmt.Fprintf(w, "  const            %8.3f\n", a.Reg.ConstMW)
+	fmt.Fprintf(w, "\nreconstruction error: %.5f%%\n", a.ReconstructionError()*100)
 }
 
 // parseTraffic decodes and validates the -traffic JSON object ("" gives nil:
@@ -670,16 +710,12 @@ func record(outName, name string, shape *traffic.Spec) error {
 // merge k-way merges several per-node logs into one time-ordered stream,
 // decoding each input concurrently. Node ids are assigned by position
 // (first input = node 1). Only the 12-byte entries are written — the merged
-// stream is a valid trace itself.
+// stream is a valid trace itself, but it carries no node ids: it is meant
+// for dump and summary. Analyze the per-node inputs instead (analyze
+// FILE...), since a merged stream would be analyzed as a single node.
 func merge(outName string, inNames []string) error {
-	stdins := 0
-	for _, name := range inNames {
-		if name == "" || name == "-" {
-			stdins++
-		}
-	}
-	if stdins > 1 {
-		return fmt.Errorf("stdin may be given as at most one merge input, got %d", stdins)
+	if err := atMostOneStdin(inNames); err != nil {
+		return err
 	}
 	streams := make([]trace.ReaderStream, len(inNames))
 	for i, name := range inNames {
@@ -745,5 +781,20 @@ func merge(outName string, inNames []string) error {
 		return err
 	}
 	fmt.Fprintf(os.Stderr, "merged %d inputs into %d entries\n", len(inNames), w.Count())
+	return nil
+}
+
+// atMostOneStdin rejects an input list that names stdin ("" or "-") more
+// than once: one stream cannot be read as two nodes.
+func atMostOneStdin(names []string) error {
+	stdins := 0
+	for _, name := range names {
+		if name == "" || name == "-" {
+			stdins++
+		}
+	}
+	if stdins > 1 {
+		return fmt.Errorf("stdin may be given as at most one input, got %d", stdins)
+	}
 	return nil
 }

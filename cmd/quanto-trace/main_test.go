@@ -1,6 +1,7 @@
 package main
 
 import (
+	"path/filepath"
 	"strings"
 	"testing"
 )
@@ -103,6 +104,12 @@ func TestRunUsageErrors(t *testing.T) {
 			stderr: []string{"usage: quanto-trace"},
 		},
 		{
+			name:   "analyze stdin twice",
+			args:   []string{"analyze", "-", "-"},
+			code:   1,
+			stderr: []string{"stdin may be given as at most one input"},
+		},
+		{
 			name:   "dump too many files",
 			args:   []string{"dump", "a.bin", "b.bin"},
 			code:   1, // runtime error, not a usage error
@@ -127,5 +134,60 @@ func TestRunUsageErrors(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// blink48s is analyze's report on a 48 s Blink log (gen -seed 1 -secs 48).
+const blink48s = `span:             48.000 s
+measured energy:  517.90 mJ
+average power:    10.79 mW
+state groups:     16
+
+fitted draws (mW):
+  res0   state1      3.875
+  res14  state1      7.511
+  res15  state1      6.704
+  res16  state1      2.490
+  const               2.430
+
+reconstruction error: 0.00223%
+`
+
+// TestAnalyzePerNodeFiles pins analyze's contract: one FILE prints that
+// node's block alone, byte for byte; several FILEs are analyzed as separate
+// nodes (ids by position, as merge assigns them), each block under a
+// "node N (FILE)" header, followed by the network's measured energy — the
+// sum over nodes, which a merged stream analyzed as one node understates.
+func TestAnalyzePerNodeFiles(t *testing.T) {
+	dir := t.TempDir()
+	a, b := filepath.Join(dir, "a.qt"), filepath.Join(dir, "b.qt")
+	if err := gen(a, 1, 48); err != nil {
+		t.Fatal(err)
+	}
+	if err := gen(b, 2, 20); err != nil {
+		t.Fatal(err)
+	}
+	report := func(names ...string) string {
+		t.Helper()
+		var out strings.Builder
+		if err := analyze(&out, names); err != nil {
+			t.Fatalf("analyze %v: %v", names, err)
+		}
+		return out.String()
+	}
+
+	if got := report(a); got != blink48s {
+		t.Errorf("single-file report changed:\n%s\nwant:\n%s", got, blink48s)
+	}
+	single := report(b)
+	if !strings.Contains(single, "measured energy:  210.79 mJ\n") {
+		t.Errorf("20 s log report:\n%s", single)
+	}
+
+	want := "node 1 (" + a + ")\n" + blink48s + "\n" +
+		"node 2 (" + b + ")\n" + single + "\n" +
+		"network measured energy: 728.69 mJ\n"
+	if got := report(a, b); got != want {
+		t.Errorf("two-file report:\n%s\nwant:\n%s", got, want)
 	}
 }

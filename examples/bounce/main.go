@@ -2,7 +2,7 @@
 // their originating activity in a hidden link-layer field, so work one node
 // performs for another node's packet is charged to the originating
 // activity. The run is a declarative scenario; the per-node analyses come
-// from the streaming network analyzer in one pass over the merged trace.
+// from the streaming network analyzer in one pass over each node's log.
 package main
 
 import (

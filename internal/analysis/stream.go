@@ -2,7 +2,6 @@ package analysis
 
 import (
 	"fmt"
-	"io"
 	"maps"
 	"slices"
 
@@ -120,10 +119,13 @@ func (s *StreamAnalyzer) Finish() (*Analysis, error) {
 	}, nil
 }
 
-// NetworkAnalyzer demultiplexes a merged network-wide stream into per-node
-// StreamAnalyzers and aggregates the results into a Network — the streaming
-// equivalent of analyzing each node's log separately and calling NewNetwork.
-// One pass over the merged stream produces every node's breakdown.
+// NetworkAnalyzer holds one StreamAnalyzer per node and aggregates their
+// results into a Network — the streaming equivalent of analyzing each node's
+// log separately and calling NewNetwork. A caller holding per-node logs feeds
+// each one straight to the analyzer AddNode returns; a merged network-wide
+// stream (decoded files, a back channel) goes through Consume, which
+// demultiplexes it by node. Either way each analyzer sees exactly its own
+// node's entries in log order, so both feeds give the same Network.
 type NetworkAnalyzer struct {
 	dict    *core.Dictionary
 	opts    Options
@@ -145,9 +147,12 @@ func NewNetworkAnalyzer(dict *core.Dictionary, opts Options, pulseUJ float64, vo
 	}
 }
 
-// AddNode pre-registers a node with its own meter quantum and voltage.
-func (na *NetworkAnalyzer) AddNode(node core.NodeID, pulseUJ float64, volts units.Volts) {
-	na.nodes[node] = NewStreamAnalyzer(node, pulseUJ, volts, na.dict, na.opts)
+// AddNode registers a node with its own meter quantum and voltage and
+// returns its analyzer, ready to record the node's log.
+func (na *NetworkAnalyzer) AddNode(node core.NodeID, pulseUJ float64, volts units.Volts) *StreamAnalyzer {
+	sa := NewStreamAnalyzer(node, pulseUJ, volts, na.dict, na.opts)
+	na.nodes[node] = sa
+	return sa
 }
 
 // Consume routes one stamped entry to its node's analyzer, creating it with
@@ -159,20 +164,6 @@ func (na *NetworkAnalyzer) Consume(s trace.Stamped) {
 		na.nodes[s.Node] = sa
 	}
 	sa.Record(s.Entry)
-}
-
-// ConsumeAll drains a merger into the analyzer.
-func (na *NetworkAnalyzer) ConsumeAll(m *trace.Merger) error {
-	for {
-		s, err := m.Next()
-		if err == io.EOF {
-			return nil
-		}
-		if err != nil {
-			return err
-		}
-		na.Consume(s)
-	}
 }
 
 // Finish completes every node's analysis in ascending node order, so an

@@ -1,6 +1,7 @@
 package analysis
 
 import (
+	"io"
 	"math"
 	"strings"
 	"testing"
@@ -138,8 +139,15 @@ func TestNetworkAnalyzerMatchesPerNodeAnalyses(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := na.ConsumeAll(m); err != nil {
-		t.Fatal(err)
+	for {
+		s, err := m.Next()
+		if err == io.EOF {
+			break
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+		na.Consume(s)
 	}
 	got, err := na.Finish()
 	if err != nil {

@@ -1,5 +1,11 @@
-// Node mobility: the medium steps registered movers on a fixed epoch grid
-// and patches the neighbor index incrementally (Move) at each step.
+// Node mobility: the medium steps registered movers on a fixed epoch grid.
+// Each epoch writes every mover's new position through SetPosition, which
+// drops the neighbor index; the next transmission rebuilds it once for the
+// whole epoch, and an epoch with no transmission builds nothing. A rebuild
+// costs O(nodes · degree), less than patching the rows around each mover
+// when every node moves. Index rows are a pure function of the registered
+// receivers and their positions, so when the rebuild happens changes no
+// output.
 //
 // Positions are quantized to the epoch grid: a node's location during
 // [k·step, (k+1)·step) is its mover's position at k·step, materialized into
@@ -46,7 +52,7 @@ func (e *moverEntry) ensure(k int, step units.Ticks) {
 // mobility is the medium's mobility state.
 type mobility struct {
 	step   units.Ticks
-	movers []*moverEntry // attach order: the per-epoch Move order
+	movers []*moverEntry // attach order: the per-epoch update order
 	byID   map[core.NodeID]*moverEntry
 }
 
@@ -97,7 +103,7 @@ func (m *Medium) mobilityEpoch() {
 	k := int(at / m.mob.step)
 	for _, e := range m.mob.movers {
 		e.ensure(k, m.mob.step)
-		m.Move(e.id, e.log[k])
+		m.SetPosition(e.id, e.log[k])
 	}
 	m.s.Schedule(at+m.mob.step, sim.PrioTopology, m.mobilityEpoch)
 }

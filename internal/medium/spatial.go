@@ -6,10 +6,10 @@
 //
 // Delivery is O(neighbors), not O(nodes): the medium builds per-node
 // neighbor lists (via a uniform grid hash with cells of TxRangeM) and
-// Transmit walks only the transmitter's list. A node death invalidates the
-// index and it rebuilds lazily; a relocation (Move, the mobility hot path)
-// instead patches just the moved node's row and its neighbors' rows in
-// place — see move.go.
+// Transmit walks only the transmitter's list. Any topology change — a
+// registration, a death, a relocation — drops the index, and the next
+// transmission rebuilds it, so a mobility epoch that moves every node costs
+// at most one build (see mobility.go).
 //
 // Determinism: neighbor lists are sorted by node id, exactly one PRR draw
 // is consumed per candidate receiver per frame from the medium's own RNG
@@ -219,38 +219,23 @@ type neighbor struct {
 	prr  float64
 }
 
-// nbrIndex is the neighbor index as a segment arena over struct-of-arrays
-// link storage: node src's in-range links, sorted by destination id, occupy
-// columns [segOff[rows[src]], segOff[rows[src]]+segLen[rows[src]]) of the
-// parallel ids/rcvs/rssi/prr arrays. The layout keeps a transmitter's whole
-// neighbor walk — the inner loop of every spatial transmission — in a few
-// contiguous cache lines, exactly like the CSR form it generalizes.
+// nbrIndex is the neighbor index in CSR form over struct-of-arrays link
+// storage: node src's in-range links, sorted by destination id, occupy
+// columns [off[rows[src]], off[rows[src]+1]) of the parallel
+// ids/rcvs/rssi/prr arrays. The layout keeps a transmitter's whole neighbor
+// walk — the inner loop of every spatial transmission — in a few contiguous
+// cache lines.
 //
-// Unlike strict CSR, rows are independent segments: Move patches a single
-// node's topology by appending rebuilt rows to the arena and repointing the
-// affected nodes' segments, never touching the other rows. Superseded
-// segments are left in place (pendingFrames of frames still in flight alias
-// them) and reclaimed by a full rebuild once the arena is mostly garbage.
-// The persistent grid (cells/cellOf) and the id→receiver map exist only to
-// serve those incremental patches.
+// An index is immutable once built: a topology change drops it and the next
+// build allocates fresh arrays, because pendingFrames of frames still in
+// flight alias the old ones.
 type nbrIndex struct {
-	rows   map[core.NodeID]int32
-	segOff []int32
-	segLen []int32
-	ids    []core.NodeID
-	rcvs   []Receiver
-	rssi   []float64
-	prr    []float64
-	// live is the number of link entries reachable through rows; the arena
-	// holds len(ids)-live garbage entries from superseded segments.
-	live int32
-
-	// Persistent grid hash for incremental maintenance: cells maps a packed
-	// cell coordinate to the ids located there, cellOf inverts it, rcvOf
-	// resolves a neighbor id to its radio when a patched row is rebuilt.
-	cells  map[uint64][]core.NodeID
-	cellOf map[core.NodeID]uint64
-	rcvOf  map[core.NodeID]Receiver
+	rows map[core.NodeID]int32
+	off  []int32 // len(rows)+1 row offsets
+	ids  []core.NodeID
+	rcvs []Receiver
+	rssi []float64
+	prr  []float64
 }
 
 // row returns the column range of src's neighbor list.
@@ -259,7 +244,7 @@ func (ix *nbrIndex) row(src core.NodeID) (int32, int32) {
 	if !ok {
 		return 0, 0
 	}
-	return ix.segOff[r], ix.segOff[r] + ix.segLen[r]
+	return ix.off[r], ix.off[r+1]
 }
 
 // linkKey identifies a directed link.
@@ -294,9 +279,6 @@ type spatial struct {
 	// across an index rebuild must fold into the same accumulators.
 	pfFree []*pendingFrame
 	tally  map[linkKey]*linkTally
-
-	// mvScratch is Move's reusable candidate buffer.
-	mvScratch []core.NodeID
 
 	collisions uint64
 }
@@ -348,10 +330,9 @@ func (m *Medium) EnableSpatial(cfg SpatialConfig) {
 // SpatialEnabled reports whether the spatial link layer is configured.
 func (m *Medium) SpatialEnabled() bool { return m.sp != nil }
 
-// SetPosition places a node on the deployment plane and invalidates the
-// whole neighbor index (it rebuilds lazily). Use it for initial placement;
-// mid-run relocation goes through Move, which patches the index
-// incrementally instead of rebuilding it.
+// SetPosition places a node on the deployment plane and drops the neighbor
+// index; the next transmission rebuilds it. It serves initial placement and
+// mid-run relocation alike.
 func (m *Medium) SetPosition(id core.NodeID, p Position) {
 	if m.sp == nil {
 		panic("medium: SetPosition before EnableSpatial")
@@ -494,17 +475,8 @@ func (m *Medium) buildNeighbors() {
 	}
 
 	ix := &nbrIndex{
-		rows:   make(map[core.NodeID]int32, n),
-		segOff: make([]int32, 0, n),
-		segLen: make([]int32, 0, n),
-		cells:  make(map[uint64][]core.NodeID, n),
-		cellOf: make(map[core.NodeID]uint64, n),
-		rcvOf:  make(map[core.NodeID]Receiver, n),
-	}
-	for i := 0; i < n; i++ {
-		ix.cells[cells[i]] = append(ix.cells[cells[i]], ids[i])
-		ix.cellOf[ids[i]] = cells[i]
-		ix.rcvOf[ids[i]] = m.receivers[i]
+		rows: make(map[core.NodeID]int32, n),
+		off:  make([]int32, 1, n+1),
 	}
 	rangeSq := sp.cfg.TxRangeM * sp.cfg.TxRangeM
 	var list []neighbor // per-row scratch, reused across rows
@@ -543,16 +515,14 @@ func (m *Medium) buildNeighbors() {
 			}
 			list[b+1] = nb
 		}
-		ix.rows[ids[i]] = int32(len(ix.segOff))
-		ix.segOff = append(ix.segOff, int32(len(ix.ids)))
-		ix.segLen = append(ix.segLen, int32(len(list)))
-		ix.live += int32(len(list))
+		ix.rows[ids[i]] = int32(i)
 		for _, nb := range list {
 			ix.ids = append(ix.ids, nb.id)
 			ix.rcvs = append(ix.rcvs, nb.rcv)
 			ix.rssi = append(ix.rssi, nb.rssi)
 			ix.prr = append(ix.prr, nb.prr)
 		}
+		ix.off = append(ix.off, int32(len(ix.ids)))
 	}
 	sp.nbr = ix
 }

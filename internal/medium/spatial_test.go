@@ -2,6 +2,7 @@ package medium
 
 import (
 	"math"
+	"slices"
 	"testing"
 
 	"repro/internal/core"
@@ -131,38 +132,76 @@ func TestSpatialRangeGating(t *testing.T) {
 	}
 }
 
+// TestCollisionBothCorrupt: two transmitters equidistant from the receiver
+// have comparable power, so neither captures and both frames corrupt. The
+// in-flight row moves a bystander between the two transmissions: fb's
+// Transmit rebuilds the index while fa's pending state still aliases the old
+// arrays, and nothing may change. The bystander registers first, so its row
+// heads the link arrays and its move shifts every later row: a rebuild that
+// wrote into the old arrays would corrupt the candidates fa still resolves
+// against.
 func TestCollisionBothCorrupt(t *testing.T) {
-	// Two transmitters equidistant from the receiver: comparable power,
-	// no capture, both frames corrupt.
-	cfg := SpatialConfig{TxRangeM: 100, TxPowerDBm: 10, Seed: 1}
-	s, m, rcvs := spatialWorld(t, cfg, []Position{
-		{X: -10}, {X: 10}, {}, // 1 and 2 transmit, 3 listens in the middle
-	})
-	fa := &Frame{Src: 1, Channel: 26, Bytes: 20, Airtime: 640}
-	fb := &Frame{Src: 2, Channel: 26, Bytes: 20, Airtime: 640}
-	m.Transmit(fa)
-	s.Schedule(100, sim.PrioHardware, func() { m.Transmit(fb) })
-	s.Run(200)
+	cases := []struct {
+		name string
+		move *Position // the bystander's position between fa and fb; nil: it stays
+	}{
+		{name: "static"},
+		// 99.8 m from the listener, just over 100 m from either transmitter.
+		{name: "topology change in flight", move: &Position{Y: 99.8}},
+	}
+	want := []LinkStat{
+		{Src: 2, Dst: 3, Attempts: 1, Delivered: 1, PRR: 1},
+		{Src: 2, Dst: 4, Attempts: 1, Collisions: 1},
+		{Src: 3, Dst: 2, Attempts: 1, Delivered: 1, PRR: 1},
+		{Src: 3, Dst: 4, Attempts: 1, Collisions: 1},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			cfg := SpatialConfig{TxRangeM: 100, TxPowerDBm: 10, Seed: 1}
+			s, m, rcvs := spatialWorld(t, cfg, []Position{
+				{Y: 500}, // 1: the bystander, out of everyone's range
+				{X: -10}, // 2 sends fa
+				{X: 10},  // 3 sends fb
+				{},       // 4 listens in the middle
+			})
+			fa := &Frame{Src: 2, Channel: 26, Bytes: 20, Airtime: 640}
+			fb := &Frame{Src: 3, Channel: 26, Bytes: 20, Airtime: 640}
+			m.Transmit(fa)
+			built := m.sp.nbr
+			s.Schedule(100, sim.PrioHardware, func() {
+				if tc.move != nil {
+					m.SetPosition(1, *tc.move)
+				}
+				m.Transmit(fb)
+			})
+			s.Run(200)
+			if rebuilt := m.sp.nbr != built; rebuilt != (tc.move != nil) {
+				t.Fatalf("index rebuilt = %v, want %v", rebuilt, tc.move != nil)
+			}
 
-	if m.Delivered(fa, 3) || m.Delivered(fb, 3) {
-		// fa was corrupted mid-air by fb; fb arrived under fa's energy.
-		t.Errorf("delivered: fa=%v fb=%v, want false/false",
-			m.Delivered(fa, 3), m.Delivered(fb, 3))
-	}
-	// The receiver attempted to sync on both (FrameStart fired for each);
-	// the corruption verdict is what the Delivered query at drain time
-	// reports, mirroring how the radio discards a corrupted RXFIFO.
-	if len(rcvs[2].frames) != 2 || rcvs[2].frames[0] != fa || rcvs[2].frames[1] != fb {
-		t.Errorf("receiver 3 frames = %v", rcvs[2].frames)
-	}
-	s.Run(2000)
-	if got := m.Collisions(); got != 2 {
-		t.Errorf("collisions = %d, want 2 (both receptions lost)", got)
-	}
-	for _, l := range m.LinkStats() {
-		if l.Dst == 3 && (l.Delivered != 0 || l.Collisions != 1) {
-			t.Errorf("link %+v, want 0 delivered, 1 collision", l)
-		}
+			if m.Delivered(fa, 4) || m.Delivered(fb, 4) {
+				// fa was corrupted mid-air by fb; fb arrived under fa's energy.
+				t.Errorf("delivered: fa=%v fb=%v, want false/false",
+					m.Delivered(fa, 4), m.Delivered(fb, 4))
+			}
+			// The receiver attempted to sync on both (FrameStart fired for
+			// each); the corruption verdict is what the Delivered query at
+			// drain time reports, mirroring how the radio discards a
+			// corrupted RXFIFO.
+			if len(rcvs[3].frames) != 2 || rcvs[3].frames[0] != fa || rcvs[3].frames[1] != fb {
+				t.Errorf("receiver 4 frames = %v", rcvs[3].frames)
+			}
+			if len(rcvs[0].frames) != 0 {
+				t.Errorf("bystander heard %d frames, want 0", len(rcvs[0].frames))
+			}
+			s.Run(2000)
+			if got := m.Collisions(); got != 2 {
+				t.Errorf("collisions = %d, want 2 (both receptions lost)", got)
+			}
+			if got := m.LinkStats(); !slices.Equal(got, want) {
+				t.Errorf("links = %+v, want %+v", got, want)
+			}
+		})
 	}
 }
 

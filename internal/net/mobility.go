@@ -14,10 +14,10 @@ import (
 	"repro/internal/units"
 )
 
-// MobilityStep is the epoch at which the medium samples movers and patches
-// the neighbor index — 250 ms: at pedestrian speeds a step moves a node a
-// fraction of a meter, far below the link model's resolution, while keeping
-// index maintenance off the per-frame hot path.
+// MobilityStep is the epoch at which the medium samples movers and drops
+// the neighbor index for one rebuild — 250 ms: at pedestrian speeds a step
+// moves a node a fraction of a meter, far below the link model's
+// resolution, while keeping index maintenance off the per-frame hot path.
 const MobilityStep = 250 * units.Millisecond
 
 // fold reflects a coordinate into [0, limit] (triangle wave): walkers bounce

@@ -28,7 +28,7 @@ type Instance struct {
 	Traffic *traffic.Recorder
 
 	// net memoizes the streaming analysis so Finish and Network share one
-	// pass over the merged trace.
+	// pass over the node logs.
 	net *analysis.Network
 }
 

@@ -55,8 +55,8 @@ type Result struct {
 	Spec Spec `json:"spec"`
 	// Run is the run's index in the expanded matrix.
 	Run int `json:"run"`
-	// Entries counts log entries across all nodes; SpanUS is the merged
-	// trace's time span.
+	// Entries counts log entries across all nodes; SpanUS is the longest
+	// node's log span.
 	Entries int   `json:"entries"`
 	SpanUS  int64 `json:"span_us"`
 	// TotalUJ is measured energy summed over nodes; AvgPowerMW is the
@@ -144,10 +144,11 @@ func (r *Result) Values() map[string]float64 {
 	return v
 }
 
-// Finish analyzes a completed run: the per-node logs k-way merge into one
-// time-ordered stream that the streaming NetworkAnalyzer demultiplexes in a
-// single pass, exactly the PR-1 pipeline a real deployment's back channel
-// would feed.
+// Finish analyzes a completed run: each node's log feeds its own
+// StreamAnalyzer in one pass, and the NetworkAnalyzer sums the per-node
+// breakdowns by origin label. Attribution is per node, so no network-wide
+// merge is needed; a merged stream of the same logs, as decoded files
+// arrive, gives the same result through NetworkAnalyzer.Consume.
 func (in *Instance) Finish() (*Result, error) {
 	net, err := in.Network()
 	if err != nil {
@@ -248,14 +249,7 @@ func (in *Instance) Network() (*analysis.Network, error) {
 	}
 	na := analysis.NewNetworkAnalyzer(in.World.Dict, analysis.DefaultOptions(), 0, 0)
 	for _, n := range in.World.Nodes {
-		na.AddNode(n.ID, n.Meter.PulseEnergy(), n.Volts)
-	}
-	merged, err := in.World.Merged()
-	if err != nil {
-		return nil, err
-	}
-	if err := na.ConsumeAll(merged); err != nil {
-		return nil, err
+		na.AddNode(n.ID, n.Meter.PulseEnergy(), n.Volts).RecordBatch(n.Log.Entries)
 	}
 	net, err := na.Finish()
 	if err != nil {

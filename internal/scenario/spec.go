@@ -3,7 +3,7 @@
 // how long, which seed), a Matrix sweeps any Spec field over a list of values
 // and replicates each configuration across seeds, and a Runner executes the
 // expanded matrix concurrently over a worker pool — one isolated
-// sim.Simulator/mote.World per run — feeding every merged trace through the
+// sim.Simulator/mote.World per run — feeding every node's log through the
 // streaming NetworkAnalyzer into a compact Result.
 //
 // Determinism is the package's core contract: per-run seeds are derived by
@@ -182,8 +182,8 @@ type Spec struct {
 	// Mobility puts every node in motion: "waypoint" (random waypoint —
 	// walk to a uniform target, pick another) or "drift" (one random
 	// heading forever, reflecting off the area walls). Positions step on a
-	// fixed epoch and the medium patches its neighbor index incrementally,
-	// so links appear and vanish as nodes roam. Paths draw only from
+	// fixed epoch and the medium rebuilds its neighbor index once per
+	// epoch, so links appear and vanish as nodes roam. Paths draw only from
 	// per-node streams derived from the run seed, so mobile runs stay
 	// byte-identical across -workers. Requires a placement.
 	// Honored by: bounce, dma, relay, sensesend (the spatial apps).

@@ -195,7 +195,7 @@ func TestWheelHeapTraceIdentity(t *testing.T) {
 			return s
 		}(),
 		// Routed plus mobility: positions change every MobilityStep, the
-		// medium's neighbor index is patched incrementally, and link
+		// medium rebuilds its neighbor index once per epoch, and link
 		// qualities (hence parent choices) shift mid-run. The speed is
 		// exaggerated so a 3 s run actually crosses neighborhoods.
 		func() scenario.Spec {

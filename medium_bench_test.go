@@ -69,49 +69,3 @@ func BenchmarkSpatialTransmit(b *testing.B) {
 		}
 	}
 }
-
-// BenchmarkSpatialMove pins the payoff of incremental neighbor-index
-// maintenance, the mobility hot path: "incremental" relocates one node per
-// op through Medium.Move (patching only the affected rows), "rebuild" does
-// the same relocation the pre-mobility way — invalidate and rebuild the
-// whole index. Incremental cost is O(neighbors of the mover); rebuild cost
-// is O(nodes · degree), so the gap widens with the node count.
-func BenchmarkSpatialMove(b *testing.B) {
-	setup := func(nodes int) (*medium.Medium, []medium.Position) {
-		s := sim.New()
-		m := medium.New(s)
-		m.EnableSpatial(medium.SpatialConfig{TxRangeM: 35, TxPowerDBm: 10, Seed: 1})
-		cols := int(math.Ceil(math.Sqrt(float64(nodes))))
-		pos := medium.PlaceGrid(nodes, 30*float64(cols-1))
-		for i := 0; i < nodes; i++ {
-			r := &nullReceiver{id: core.NodeID(i + 1)}
-			m.Register(r)
-			m.SetPosition(r.id, pos[i])
-		}
-		m.WarmNeighbors()
-		return m, pos
-	}
-	for _, mode := range []string{"incremental", "rebuild"} {
-		for _, nodes := range []int{200, 1000} {
-			b.Run(fmt.Sprintf("%s/nodes=%d", mode, nodes), func(b *testing.B) {
-				m, pos := setup(nodes)
-				b.ResetTimer()
-				for i := 0; i < b.N; i++ {
-					// Hop one node between its grid slot and a point one
-					// cell over — a representative mobility step.
-					id := core.NodeID(i%nodes + 1)
-					p := pos[i%nodes]
-					if i%(2*nodes) >= nodes {
-						p.X += 31
-					}
-					if mode == "incremental" {
-						m.Move(id, p)
-					} else {
-						m.SetPosition(id, p)
-						m.WarmNeighbors()
-					}
-				}
-			})
-		}
-	}
-}

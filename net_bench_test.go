@@ -47,20 +47,17 @@ func BenchmarkNetRoutedRelay(b *testing.B) {
 					spec.Routing = ""
 				}
 				b.ResetTimer()
-				for i := 0; i < b.N; i++ {
-					if res := scenario.RunSpec(spec); res.Error != "" {
-						b.Fatal(res.Error)
-					}
-				}
+				runNetBench(b, spec)
 			})
 		}
 	}
 }
 
 // BenchmarkNetMobileRouted adds waypoint mobility to the routed grid: every
-// MobilityStep relocates every node through the medium's incremental
-// neighbor patch, and the shifting links keep the estimator and parent
-// selection busy. The delta over the static routed run prices mobility.
+// MobilityStep relocates every node, the next transmission rebuilds the
+// medium's neighbor index once for the epoch, and the shifting links keep
+// the estimator and parent selection busy. The delta over the static routed
+// run prices mobility.
 func BenchmarkNetMobileRouted(b *testing.B) {
 	for _, nodes := range []int{16, 64} {
 		b.Run(fmt.Sprintf("nodes=%d", nodes), func(b *testing.B) {
@@ -68,11 +65,26 @@ func BenchmarkNetMobileRouted(b *testing.B) {
 			spec.Mobility = scenario.MobilityWaypoint
 			spec.SpeedMPS = 8
 			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if res := scenario.RunSpec(spec); res.Error != "" {
-					b.Fatal(res.Error)
-				}
-			}
+			runNetBench(b, spec)
 		})
 	}
+}
+
+// runNetBench builds, runs and analyzes spec b.N times, the same steps as
+// scenario.RunSpec, and reports the run's event count as events/run so the
+// bench gate flags a changed workload.
+func runNetBench(b *testing.B, spec scenario.Spec) {
+	var events int
+	for i := 0; i < b.N; i++ {
+		in, err := scenario.Build(spec)
+		if err != nil {
+			b.Fatal(err)
+		}
+		events = in.World.Run(in.Spec.Duration())
+		in.World.StampEnd()
+		if _, err := in.Finish(); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.ReportMetric(float64(events), "events/run")
 }
