@@ -125,11 +125,18 @@ func (b *TimelineBuilder) Add(e core.Entry, at int64) {
 	}
 }
 
+// reserve makes room for a batch whose single- and multi-activity entries
+// the counts describe.
+func (b *TimelineBuilder) reserve(single, multi *resCounts) {
+	b.single = reserveSegs(b.single, single, func(r *singleRes) *[]Segment { return &r.segs })
+	b.multi = reserveSegs(b.multi, multi, func(r *multiRes) *[]MultiSegment { return &r.segs })
+}
+
 // Finish closes every open segment at the given end time and returns the
 // completed timelines, keyed by every resource that logged an activity
 // entry. The builder must not be used afterwards.
 func (b *TimelineBuilder) Finish(end int64) (map[core.ResourceID]*ActTimeline, map[core.ResourceID]*MultiTimeline) {
-	single := make(map[core.ResourceID]*ActTimeline)
+	single := make(map[core.ResourceID]*ActTimeline, countIf(b.single, func(r *singleRes) bool { return r.seen }))
 	for i := range b.single {
 		r := &b.single[i]
 		if !r.seen {
@@ -141,7 +148,7 @@ func (b *TimelineBuilder) Finish(end int64) (map[core.ResourceID]*ActTimeline, m
 		res := core.ResourceID(i)
 		single[res] = &ActTimeline{Res: res, Segs: r.segs}
 	}
-	multi := make(map[core.ResourceID]*MultiTimeline)
+	multi := make(map[core.ResourceID]*MultiTimeline, countIf(b.multi, func(r *multiRes) bool { return r.seen }))
 	for i := range b.multi {
 		r := &b.multi[i]
 		if !r.seen {
@@ -154,6 +161,18 @@ func (b *TimelineBuilder) Finish(end int64) (map[core.ResourceID]*ActTimeline, m
 		multi[res] = &MultiTimeline{Res: res, Segs: r.segs}
 	}
 	return single, multi
+}
+
+// countIf counts the entries of a per-resource table that keep, so Finish
+// sizes its result map once.
+func countIf[T any](table []T, keep func(*T) bool) int {
+	n := 0
+	for i := range table {
+		if keep(&table[i]) {
+			n++
+		}
+	}
+	return n
 }
 
 // BuildActivityTimelines reconstructs per-resource activity histories from
@@ -240,6 +259,11 @@ func NewStateTimelineBuilder() *StateTimelineBuilder {
 	return &StateTimelineBuilder{}
 }
 
+// reserve makes room for a batch whose power-state entries c counts.
+func (b *StateTimelineBuilder) reserve(c *resCounts) {
+	b.res = reserveSegs(b.res, c, func(r *stateRes) *[]StateSegment { return &r.segs })
+}
+
 // Add consumes the next entry; non-power-state entries are ignored.
 func (b *StateTimelineBuilder) Add(e core.Entry, at int64) {
 	if e.Type != core.EntryPowerState {
@@ -256,7 +280,9 @@ func (b *StateTimelineBuilder) Add(e core.Entry, at int64) {
 // Finish closes every open segment at the given end time and returns the
 // completed timelines, keyed by every resource with at least one segment.
 func (b *StateTimelineBuilder) Finish(end int64) map[core.ResourceID][]StateSegment {
-	out := make(map[core.ResourceID][]StateSegment)
+	out := make(map[core.ResourceID][]StateSegment, countIf(b.res, func(r *stateRes) bool {
+		return len(r.segs) > 0 || r.open && end > r.start
+	}))
 	for i := range b.res {
 		r := &b.res[i]
 		if r.open && end > r.start {

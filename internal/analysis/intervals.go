@@ -247,6 +247,35 @@ func grow[T any](s []T, i int) []T {
 	return s[:cap(s)]
 }
 
+// reserveSegs extends a per-resource table to span the counted resources
+// and gives each counted resource's timeline, the slice segs points into,
+// room for one segment per entry plus the one Finish closes. A later batch
+// grows what an earlier one reserved; slices.Grow keeps append's geometric
+// growth, so a log fed in many batches still costs amortized linear time.
+func reserveSegs[T, S any](table []T, c *resCounts, segs func(*T) *[]S) []T {
+	if c.span == 0 {
+		return table
+	}
+	table = grow(table, c.span-1)
+	for r, n := range c.n[:c.span] {
+		if n > 0 {
+			p := segs(&table[r])
+			*p = slices.Grow(*p, int(n)+1)
+		}
+	}
+	return table
+}
+
+// reserve makes room for a batch of n entries whose power-state entries
+// c counts: at most one interval per entry, and a state table spanning
+// every resource the batch names.
+func (b *IntervalBuilder) reserve(n int, c *resCounts) {
+	b.out = slices.Grow(b.out, n)
+	if c.span > 0 {
+		b.states = grow(b.states, c.span-1)
+	}
+}
+
 // StateIntervals slices the log into intervals between consecutive entries,
 // each annotated with the in-effect power-state vector and the energy used,
 // and returns them with the vectors they index. It is the batch wrapper over

@@ -1,7 +1,10 @@
 package analysis
 
 import (
+	"cmp"
 	"fmt"
+	"maps"
+	"slices"
 	"sort"
 
 	"repro/internal/core"
@@ -83,9 +86,10 @@ func (n *Network) Footprint(l core.Label) []NodeShare {
 	return out
 }
 
-// Report renders the network-wide activity table. It computes each node's
-// breakdown once for the whole table and sums in node order, so its totals
-// are bit-identical to EnergyByActivity's and RemoteEnergyUJ's.
+// Report renders the network-wide activity table, highest energy first and
+// equal energies in label order. It computes each node's breakdown once for
+// the whole table and sums in node order, so its totals are bit-identical
+// to EnergyByActivity's and RemoteEnergyUJ's.
 func (n *Network) Report() string {
 	ids := n.nodeIDs()
 	perNode := make([]map[core.Label]float64, len(ids))
@@ -96,11 +100,7 @@ func (n *Network) Report() string {
 			byAct[l] += uj
 		}
 	}
-	labels := make([]core.Label, 0, len(byAct))
-	for l := range byAct {
-		labels = append(labels, l)
-	}
-	sort.Slice(labels, func(i, j int) bool { return byAct[labels[i]] > byAct[labels[j]] })
+	labels := byEnergy(byAct)
 	s := fmt.Sprintf("%-22s %12s %12s\n", "Activity", "Total (mJ)", "Remote (mJ)")
 	for _, l := range labels {
 		name := "Const."
@@ -125,4 +125,16 @@ func (n *Network) nodeIDs() []core.NodeID {
 	}
 	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
 	return ids
+}
+
+// byEnergy returns the labels of byAct, highest energy first. Equal
+// energies — the same activity run on two nodes, say — go in label order,
+// so the order never depends on map iteration.
+func byEnergy(byAct map[core.Label]float64) []core.Label {
+	return slices.SortedFunc(maps.Keys(byAct), func(a, b core.Label) int {
+		if c := cmp.Compare(byAct[b], byAct[a]); c != 0 {
+			return c
+		}
+		return cmp.Compare(a, b)
+	})
 }

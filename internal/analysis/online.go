@@ -1,6 +1,8 @@
 package analysis
 
 import (
+	"maps"
+	"slices"
 	"sort"
 
 	"repro/internal/core"
@@ -229,11 +231,12 @@ func (o *OnlineAccountant) EnergyUJ() map[core.Label]float64 {
 // plus model error).
 func (o *OnlineAccountant) BaselineUJ() float64 { return o.baseUJ }
 
-// TotalUJ returns all energy seen.
+// TotalUJ returns all energy seen. It sums in label order, so the low bits
+// never depend on map iteration.
 func (o *OnlineAccountant) TotalUJ() float64 {
 	total := o.baseUJ
-	for _, v := range o.energyUJ {
-		total += v
+	for _, l := range slices.Sorted(maps.Keys(o.energyUJ)) {
+		total += o.energyUJ[l]
 	}
 	return total
 }
@@ -241,15 +244,11 @@ func (o *OnlineAccountant) TotalUJ() float64 {
 // Events returns how many events were consumed.
 func (o *OnlineAccountant) Events() uint64 { return o.events }
 
-// Top renders the accumulators like the Unix top utility, sorted by energy.
+// Top renders the accumulators like the Unix top utility, sorted by energy
+// with equal energies in label order.
 func (o *OnlineAccountant) Top(dict *core.Dictionary, n int) []TopRow {
 	rows := make([]TopRow, 0, len(o.energyUJ))
-	labels := make([]core.Label, 0, len(o.energyUJ))
-	for l := range o.energyUJ {
-		labels = append(labels, l)
-	}
-	sort.Slice(labels, func(i, j int) bool { return o.energyUJ[labels[i]] > o.energyUJ[labels[j]] })
-	for _, l := range labels {
+	for _, l := range byEnergy(o.energyUJ) {
 		rows = append(rows, TopRow{
 			Label:    l,
 			Name:     dict.LabelName(l),

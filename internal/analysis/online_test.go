@@ -197,3 +197,36 @@ func TestOnlineMultiActivitySplit(t *testing.T) {
 		t.Errorf("share = %.1f uJ, want ~6000", ea)
 	}
 }
+
+// TestOnlineTopTieOrder gives two activities the same modeled draw over the
+// same stretches, so their energies tie exactly: Top must list them in
+// label order on every call.
+func TestOnlineTopTieOrder(t *testing.T) {
+	b := newTraceBuilder()
+	b.draw(resA, 1, 3000)
+	b.draw(resB, 1, 3000)
+	lo, hi := core.MkLabel(1, 2), core.MkLabel(1, 3)
+	b.act(core.EntryActivitySet, resB, hi)
+	b.act(core.EntryActivitySet, resA, lo)
+	for range 3 {
+		b.ps(resA, 1)
+		b.ps(resB, 1)
+		b.advance(1_000_000)
+		b.ps(resA, 0)
+		b.ps(resB, 0)
+		b.advance(1_000_000)
+	}
+	b.marker()
+	o := NewOnlineAccountant(1, b.pulseUJ, map[Predictor]float64{{resA, 1}: 9, {resB, 1}: 9})
+	o.RecordBatch(b.entries)
+	dict := core.NewDictionary()
+	for i := range 50 {
+		rows := o.Top(dict, 0)
+		if len(rows) != 2 || rows[0].EnergyUJ != rows[1].EnergyUJ || rows[0].EnergyUJ <= 0 {
+			t.Fatalf("rows = %+v, want two tied, non-zero rows", rows)
+		}
+		if rows[0].Label != lo || rows[1].Label != hi {
+			t.Fatalf("call %d: rows in order %v, %v; want %v, %v", i, rows[0].Label, rows[1].Label, lo, hi)
+		}
+	}
+}

@@ -403,9 +403,45 @@ func sameFloatMap[K comparable](a, b map[K]float64) bool {
 	return maps.EqualFunc(a, b, sameBits)
 }
 
+// feeds are the ways one log can reach a StreamAnalyzer: whole through
+// RecordBatch, in batches of a fixed size (so the log's highest resource
+// id first appears in a later batch than its first), with an empty batch
+// between its halves, and entry by entry through Record. RecordBatch sizes
+// tables from a counting pass over each batch; only capacities may differ
+// between the feeds, never a result.
+var feeds = []struct {
+	name string
+	feed func(*StreamAnalyzer, []core.Entry)
+}{
+	{"whole batch", func(sa *StreamAnalyzer, es []core.Entry) { sa.RecordBatch(es) }},
+	{"batches of 1", inBatches(1)},
+	{"batches of 7", inBatches(7)},
+	{"batches of 4096", inBatches(4096)},
+	{"empty batch between halves", func(sa *StreamAnalyzer, es []core.Entry) {
+		sa.RecordBatch(es[:len(es)/2])
+		sa.RecordBatch(nil)
+		sa.RecordBatch(es[len(es)/2:])
+	}},
+	{"per-entry Record", func(sa *StreamAnalyzer, es []core.Entry) {
+		for _, e := range es {
+			sa.Record(e)
+		}
+	}},
+}
+
+func inBatches(n int) func(*StreamAnalyzer, []core.Entry) {
+	return func(sa *StreamAnalyzer, es []core.Entry) {
+		for len(es) > 0 {
+			k := min(n, len(es))
+			sa.RecordBatch(es[:k])
+			es = es[k:]
+		}
+	}
+}
+
 // TestStreamAnalyzerMatchesNaiveReference checks intervals, vectors,
 // groups, coefficients, timelines and breakdowns of random logs against the
-// naive recomputation, exactly.
+// naive recomputation, exactly, for every feed of the same log.
 func TestStreamAnalyzerMatchesNaiveReference(t *testing.T) {
 	const pulseUJ = 8.33
 	unweighted := DefaultOptions()
@@ -413,108 +449,139 @@ func TestStreamAnalyzerMatchesNaiveReference(t *testing.T) {
 	firstSplit := DefaultOptions()
 	firstSplit.Split, firstSplit.ResolveProxies = SplitFirst, false
 
-	var fitted, rebound, overlaps, wrapped int
+	var fitted, rebound, overlaps, wrapped, lateTop int
 	for seed := int64(1); seed <= 30; seed++ {
 		for oi, opts := range []Options{DefaultOptions(), unweighted, firstSplit} {
 			rng := rand.New(rand.NewSource(seed))
 			dict := core.NewDictionary()
 			entries := randomLog(rng, dict, pulseUJ)
-			name := fmt.Sprintf("seed %d options %d", seed, oi)
-
-			sa := NewStreamAnalyzer(1, pulseUJ, 3.0, dict, opts)
-			sa.RecordBatch(entries)
-			got, err := sa.Finish()
-			if err != nil {
-				t.Fatalf("%s: %v", name, err)
-			}
 			want, ivs := refAnalysis(entries, dict, pulseUJ, opts)
 			if entries[len(entries)-1].Time < entries[0].Time {
 				wrapped++
 			}
-
-			if len(got.Intervals) != len(ivs) {
-				t.Fatalf("%s: %d intervals, want %d", name, len(got.Intervals), len(ivs))
+			// The single-activity table's highest resource id should first
+			// show up after the first batch of 7, so a later batch must
+			// extend what the first one reserved.
+			isSingle := func(e core.Entry) bool {
+				return e.Type == core.EntryActivitySet || e.Type == core.EntryActivityBind
 			}
-			for i, iv := range got.Intervals {
-				ref := ivs[i]
-				vec := got.Vectors[iv.Vec]
-				states := make(map[core.ResourceID]core.PowerState)
-				for _, p := range vec.Active {
-					states[p.Res] = p.State
-				}
-				if iv.Start != ref.Start || iv.End != ref.End || iv.Pulses != ref.Pulses ||
-					vec.Key != ref.Key || !maps.Equal(states, ref.States) {
-					t.Fatalf("%s: interval %d = %+v %q %v, want %+v", name, i, iv, vec.Key, states, ref)
+			var top core.ResourceID
+			for _, e := range entries {
+				if isSingle(e) {
+					top = max(top, e.Res)
 				}
 			}
-
-			if (got.RegressionErr == nil) != (want.RegressionErr == nil) ||
-				(got.RegressionErr != nil && got.RegressionErr.Error() != want.RegressionErr.Error()) {
-				t.Fatalf("%s: regression error %v, want %v", name, got.RegressionErr, want.RegressionErr)
+			if !slices.ContainsFunc(entries[:7], func(e core.Entry) bool { return isSingle(e) && e.Res == top }) {
+				lateTop++
 			}
-			gr, wr := got.Reg, want.Reg
-			if got.RegressionErr == nil {
-				fitted++
+			// How entries arrive is independent of the regression options,
+			// so the other option sets take the whole-batch feed alone.
+			fs := feeds
+			if oi > 0 {
+				fs = feeds[:1]
 			}
-			if len(gr.Groups) != len(wr.Groups) {
-				t.Fatalf("%s: %d groups, want %d", name, len(gr.Groups), len(wr.Groups))
-			}
-			for i, g := range gr.Groups {
-				w := wr.Groups[i]
-				if g.Key != w.Key || g.TimeUS != w.TimeUS || !sameBits(g.EnergyUJ, w.EnergyUJ) || !slices.Equal(g.Active, w.Active) {
-					t.Errorf("%s: group %d = %+v, want %+v", name, i, g, w)
+			var first *Analysis
+			for _, f := range fs {
+				name := fmt.Sprintf("seed %d options %d, %s", seed, oi, f.name)
+				sa := NewStreamAnalyzer(1, pulseUJ, 3.0, dict, opts)
+				f.feed(sa, entries)
+				got, err := sa.Finish()
+				if err != nil {
+					t.Fatalf("%s: %v", name, err)
 				}
-			}
-			if !slices.Equal(gr.Predictors, wr.Predictors) || !slices.Equal(gr.Dropped, wr.Dropped) ||
-				!maps.Equal(gr.MergedInto, wr.MergedInto) {
-				t.Errorf("%s: predictors %v dropped %v merged %v, want %v %v %v", name,
-					gr.Predictors, gr.Dropped, gr.MergedInto, wr.Predictors, wr.Dropped, wr.MergedInto)
-			}
-			if !sameFloatMap(gr.PowerMW, wr.PowerMW) || !sameBits(gr.ConstMW, wr.ConstMW) {
-				t.Errorf("%s: coefficients %v const %v, want %v const %v", name, gr.PowerMW, gr.ConstMW, wr.PowerMW, wr.ConstMW)
-			}
+				if first == nil {
+					first = got
+				} else if !slices.Equal(got.Intervals, first.Intervals) ||
+					!slices.EqualFunc(got.Vectors, first.Vectors, func(a, b StateVector) bool {
+						return a.Key == b.Key && slices.Equal(a.Active, b.Active)
+					}) {
+					t.Fatalf("%s: intervals or vectors differ from the %s feed", name, feeds[0].name)
+				}
 
-			if !maps.EqualFunc(got.Single, want.Single, func(a, b *ActTimeline) bool {
-				return a.Res == b.Res && slices.Equal(a.Segs, b.Segs)
-			}) {
-				t.Errorf("%s: single-activity timelines differ", name)
-			}
-			if !maps.EqualFunc(got.Multi, want.Multi, func(a, b *MultiTimeline) bool {
-				return a.Res == b.Res && slices.EqualFunc(a.Segs, b.Segs, func(x, y MultiSegment) bool {
-					return x.Start == y.Start && x.End == y.End && slices.Equal(x.Labels, y.Labels)
-				})
-			}) {
-				t.Errorf("%s: multi-activity timelines differ", name)
-			}
-			if !maps.EqualFunc(got.States, want.States, slices.Equal) {
-				t.Errorf("%s: power-state timelines differ", name)
-			}
-			if !maps.EqualFunc(got.TimeByActivity(), want.TimeByActivity(), maps.Equal) {
-				t.Errorf("%s: TimeByActivity differs", name)
-			}
-			if g, w := got.EnergyByActivity(), want.EnergyByActivity(); !sameFloatMap(g, w) {
-				t.Errorf("%s: EnergyByActivity = %v, want %v", name, g, w)
-			}
-
-			for _, tl := range got.Single {
-				for _, s := range tl.Segs {
-					if s.Owner != s.Label {
-						rebound++
+				if len(got.Intervals) != len(ivs) {
+					t.Fatalf("%s: %d intervals, want %d", name, len(got.Intervals), len(ivs))
+				}
+				for i, iv := range got.Intervals {
+					ref := ivs[i]
+					vec := got.Vectors[iv.Vec]
+					states := make(map[core.ResourceID]core.PowerState)
+					for _, p := range vec.Active {
+						states[p.Res] = p.State
+					}
+					if iv.Start != ref.Start || iv.End != ref.End || iv.Pulses != ref.Pulses ||
+						vec.Key != ref.Key || !maps.Equal(states, ref.States) {
+						t.Fatalf("%s: interval %d = %+v %q %v, want %+v", name, i, iv, vec.Key, states, ref)
 					}
 				}
-			}
-			for _, mt := range got.Multi {
-				for _, s := range mt.Segs {
-					if len(s.Labels) > 1 {
-						overlaps++
+
+				if (got.RegressionErr == nil) != (want.RegressionErr == nil) ||
+					(got.RegressionErr != nil && got.RegressionErr.Error() != want.RegressionErr.Error()) {
+					t.Fatalf("%s: regression error %v, want %v", name, got.RegressionErr, want.RegressionErr)
+				}
+				gr, wr := got.Reg, want.Reg
+				if got.RegressionErr == nil {
+					fitted++
+				}
+				if len(gr.Groups) != len(wr.Groups) {
+					t.Fatalf("%s: %d groups, want %d", name, len(gr.Groups), len(wr.Groups))
+				}
+				for i, g := range gr.Groups {
+					w := wr.Groups[i]
+					if g.Key != w.Key || g.TimeUS != w.TimeUS || !sameBits(g.EnergyUJ, w.EnergyUJ) || !slices.Equal(g.Active, w.Active) {
+						t.Errorf("%s: group %d = %+v, want %+v", name, i, g, w)
+					}
+				}
+				if !slices.Equal(gr.Predictors, wr.Predictors) || !slices.Equal(gr.Dropped, wr.Dropped) ||
+					!maps.Equal(gr.MergedInto, wr.MergedInto) {
+					t.Errorf("%s: predictors %v dropped %v merged %v, want %v %v %v", name,
+						gr.Predictors, gr.Dropped, gr.MergedInto, wr.Predictors, wr.Dropped, wr.MergedInto)
+				}
+				if !sameFloatMap(gr.PowerMW, wr.PowerMW) || !sameBits(gr.ConstMW, wr.ConstMW) {
+					t.Errorf("%s: coefficients %v const %v, want %v const %v", name, gr.PowerMW, gr.ConstMW, wr.PowerMW, wr.ConstMW)
+				}
+
+				if !maps.EqualFunc(got.Single, want.Single, func(a, b *ActTimeline) bool {
+					return a.Res == b.Res && slices.Equal(a.Segs, b.Segs)
+				}) {
+					t.Errorf("%s: single-activity timelines differ", name)
+				}
+				if !maps.EqualFunc(got.Multi, want.Multi, func(a, b *MultiTimeline) bool {
+					return a.Res == b.Res && slices.EqualFunc(a.Segs, b.Segs, func(x, y MultiSegment) bool {
+						return x.Start == y.Start && x.End == y.End && slices.Equal(x.Labels, y.Labels)
+					})
+				}) {
+					t.Errorf("%s: multi-activity timelines differ", name)
+				}
+				if !maps.EqualFunc(got.States, want.States, slices.Equal) {
+					t.Errorf("%s: power-state timelines differ", name)
+				}
+				if !maps.EqualFunc(got.TimeByActivity(), want.TimeByActivity(), maps.Equal) {
+					t.Errorf("%s: TimeByActivity differs", name)
+				}
+				if g, w := got.EnergyByActivity(), want.EnergyByActivity(); !sameFloatMap(g, w) {
+					t.Errorf("%s: EnergyByActivity = %v, want %v", name, g, w)
+				}
+
+				for _, tl := range got.Single {
+					for _, s := range tl.Segs {
+						if s.Owner != s.Label {
+							rebound++
+						}
+					}
+				}
+				for _, mt := range got.Multi {
+					for _, s := range mt.Segs {
+						if len(s.Labels) > 1 {
+							overlaps++
+						}
 					}
 				}
 			}
 		}
 	}
 	// The generator must reach the paths the check is about.
-	if fitted == 0 || rebound == 0 || overlaps == 0 || wrapped == 0 {
-		t.Errorf("coverage: %d fitted regressions, %d rebound proxy segments, %d overlapping label sets, %d wrapped clocks",
-			fitted, rebound, overlaps, wrapped)
+	if fitted == 0 || rebound == 0 || overlaps == 0 || wrapped == 0 || lateTop == 0 {
+		t.Errorf("coverage: %d fitted regressions, %d rebound proxy segments, %d overlapping label sets, %d wrapped clocks, %d logs naming their top single-activity resource only after the first batch of 7",
+			fitted, rebound, overlaps, wrapped, lateTop)
 	}
 }

@@ -68,12 +68,52 @@ func (s *StreamAnalyzer) Record(e core.Entry) bool {
 	return true
 }
 
-// RecordBatch implements core.BatchSink.
+// RecordBatch implements core.BatchSink. One counting pass over the batch
+// first reserves room for everything the batch can add (see batchCounts),
+// so a short log — most nodes of a large network log a few dozen entries —
+// sizes each table and timeline once instead of growing it from empty.
+// Only capacities change: the result is exactly that of calling Record on
+// every entry.
 func (s *StreamAnalyzer) RecordBatch(entries []core.Entry) int {
+	var c batchCounts
+	c.count(entries)
+	s.ivb.reserve(len(entries), &c.power)
+	s.tlb.reserve(&c.single, &c.multi)
+	s.stb.reserve(&c.power)
 	for _, e := range entries {
 		s.Record(e)
 	}
 	return len(entries)
+}
+
+// batchCounts is RecordBatch's counting pass: per resource, how many power-
+// state, single-activity and multi-activity entries a batch holds.
+type batchCounts struct {
+	power, single, multi resCounts
+}
+
+// resCounts counts one kind of entry by resource id.
+type resCounts struct {
+	n    [1 << 8]int32 // entries per resource id (a ResourceID is one byte)
+	span int           // highest resource id counted, plus one; 0 for none
+}
+
+func (c *batchCounts) count(entries []core.Entry) {
+	for _, e := range entries {
+		switch e.Type {
+		case core.EntryPowerState:
+			c.power.add(e.Res)
+		case core.EntryActivitySet, core.EntryActivityBind:
+			c.single.add(e.Res)
+		case core.EntryActivityAdd, core.EntryActivityRemove:
+			c.multi.add(e.Res)
+		}
+	}
+}
+
+func (c *resCounts) add(res core.ResourceID) {
+	c.n[res]++
+	c.span = max(c.span, int(res)+1)
 }
 
 // Events returns how many entries have been consumed.

@@ -258,3 +258,67 @@ func TestStreamAnalyzerSteadyStateAllocs(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// tieLog is one node's log in which activity 1 holds resA and activity 2
+// holds resB; built for origin o, it is the same log under node o's labels.
+func tieLog(o core.NodeID) []core.Entry {
+	b := newTraceBuilder()
+	b.draw(resA, 1, 3000)
+	b.draw(resB, 1, 1500)
+	b.ps(resA, 0)
+	b.ps(resB, 0)
+	idle := core.MkLabel(o, core.ActIdle)
+	for range 4 {
+		b.advance(500_000)
+		b.act(core.EntryActivitySet, resA, core.MkLabel(o, 1))
+		b.ps(resA, 1)
+		b.advance(500_000)
+		b.act(core.EntryActivitySet, resB, core.MkLabel(o, 2))
+		b.ps(resB, 1)
+		b.advance(500_000)
+		b.act(core.EntryActivitySet, resA, idle)
+		b.ps(resA, 0)
+		b.advance(500_000)
+		b.act(core.EntryActivitySet, resB, idle)
+		b.ps(resB, 0)
+	}
+	b.advance(500_000)
+	b.marker()
+	return b.entries
+}
+
+// TestNetworkReportTieOrder runs one log on two nodes under their own
+// origins, so 1:Sense and 2:Sense (and 1:Send and 2:Send) spend exactly the
+// same energy. Report must not print them in map order: 50 calls give the
+// same bytes, with tied labels in label order.
+func TestNetworkReportTieOrder(t *testing.T) {
+	dict := core.NewDictionary()
+	var nodes []*Analysis
+	for _, id := range []core.NodeID{1, 2} {
+		dict.NameActivity(id, 1, "Sense")
+		dict.NameActivity(id, 2, "Send")
+		a, err := Analyze(NewNodeTrace(id, tieLog(id), 8.33, 3.0), dict, DefaultOptions())
+		if err != nil {
+			t.Fatal(err)
+		}
+		nodes = append(nodes, a)
+	}
+	net := NewNetwork(dict, nodes...)
+	by := net.EnergyByActivity()
+	for id := core.ActivityID(1); id <= 2; id++ {
+		if e1, e2 := by[core.MkLabel(1, id)], by[core.MkLabel(2, id)]; e1 != e2 || e1 <= 0 {
+			t.Fatalf("activity %d: %g uJ on node 1, %g on node 2; want an exact, non-zero tie", id, e1, e2)
+		}
+	}
+	want := net.Report()
+	for i := range 50 {
+		if got := net.Report(); got != want {
+			t.Fatalf("call %d printed\n%s\nfirst call printed\n%s", i, got, want)
+		}
+	}
+	for _, name := range []string{"Sense ", "Send "} {
+		if i, j := strings.Index(want, "1:"+name), strings.Index(want, "2:"+name); i < 0 || j < 0 || i > j {
+			t.Errorf("tied rows for %q out of label order:\n%s", name, want)
+		}
+	}
+}

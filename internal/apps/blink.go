@@ -56,10 +56,13 @@ func (b *Blink) Toggles() [3]uint64 { return b.toggles }
 
 // RunBlink builds a single-node world, runs Blink for the given duration,
 // and stamps the end of the trace. It returns the world, node and app for
-// analysis. The paper's canonical run is 48 seconds.
+// analysis; the node carries an oscilloscope, so callers can check the
+// analysis against the exact waveform. The paper's canonical run is 48
+// seconds.
 func RunBlink(seed uint64, duration units.Ticks, opts mote.Options) (*mote.World, *mote.Node, *Blink) {
 	w := mote.NewWorld(seed)
 	n := w.AddNode(1, opts)
+	w.AttachScope(n)
 	b := NewBlink(n)
 	w.Run(duration)
 	w.StampEnd()

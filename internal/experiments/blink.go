@@ -18,13 +18,17 @@ import (
 var blinkResources = []core.ResourceID{power.ResCPU, power.ResLED0, power.ResLED1, power.ResLED2}
 
 // blinkScenario is the paper's canonical 48 s Blink run as a declarative
-// scenario — the single definition every Blink-based exhibit shares.
+// scenario — the single definition every Blink-based exhibit shares. These
+// exhibits compare against the oscilloscope, so the node gets one before
+// the run.
 func blinkScenario(seed uint64) (*mote.World, *mote.Node, *apps.Blink, error) {
-	in, err := runScenario(scenario.Spec{App: "blink", Seed: seed, DurationUS: int64(48 * units.Second)})
+	in, err := scenario.Build(scenario.Spec{App: "blink", Seed: seed, DurationUS: int64(48 * units.Second)})
 	if err != nil {
 		return nil, nil, nil, err
 	}
 	b := in.App.(*apps.Blink)
+	in.World.AttachScope(b.Node)
+	in.Run()
 	return in.World, b.Node, b, nil
 }
 

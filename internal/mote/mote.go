@@ -1,8 +1,9 @@
 // Package mote assembles complete simulated HydroWatch nodes: the board
-// (energy sinks + supply), the iCount meter, the oscilloscope bench, the
-// TinyOS-like kernel, and the instrumented device drivers, all wired to a
-// Quanto tracker. A World groups nodes around one simulator and one shared
-// RF medium, which is how the multi-node experiments (Bounce) run.
+// (energy sinks + supply), the iCount meter, the TinyOS-like kernel, and the
+// instrumented device drivers, all wired to a Quanto tracker. A World groups
+// nodes around one simulator and one shared RF medium, which is how the
+// multi-node experiments (Bounce) run. The oscilloscope bench is opt-in
+// (World.AttachScope): only the exhibits that read a waveform pay for one.
 package mote
 
 import (
@@ -26,18 +27,16 @@ import (
 
 // Options configures one node. Declarative runs build these from a
 // scenario.Spec (internal/scenario), which exposes the same knobs —
-// voltage, kernel options, logging mode — as sweepable JSON fields.
+// voltage, kernel options, logging mode — as sweepable JSON fields. The
+// physical draw table is not an option: every board reads the platform's
+// one shared power.Calibrated grid. (A test that needs another table builds
+// a power.Board directly.)
 type Options struct {
 	// Volts is the supply voltage (3.0 V by default; the paper's LPL mote
 	// ran from a 3.35 V regulator).
 	Volts units.Volts
-	// Draws is the physical draw table; nil selects CalibratedDraws.
-	Draws power.DrawTable
 	// Kernel carries the OS options (sleep state, DCO calibration, costs).
 	Kernel kernel.Options
-	// ScopeRipple is the oscilloscope's relative sampling noise (default
-	// 0.4%).
-	ScopeRipple float64
 	// MeterGain distorts the iCount measurement (1.0 = calibrated).
 	MeterGain float64
 	// Radio enables the transceiver and Active Message stack.
@@ -80,10 +79,9 @@ type Options struct {
 // DefaultOptions returns the standard single-node configuration.
 func DefaultOptions() Options {
 	return Options{
-		Volts:       3.0,
-		ScopeRipple: 0.004,
-		MeterGain:   1.0,
-		Kernel:      kernel.DefaultOptions(),
+		Volts:     3.0,
+		MeterGain: 1.0,
+		Kernel:    kernel.DefaultOptions(),
 	}
 }
 
@@ -94,6 +92,10 @@ type Node struct {
 	Trk   *core.Tracker
 	Board *power.Board
 	Meter *icount.Meter
+	// Scope is the oscilloscope bench recording the board's exact current
+	// waveform. It is nil unless World.AttachScope attached one: only the
+	// calibration and Blink exhibits read a waveform, and every other node
+	// would only grow a slice of steps nobody looks at.
 	Scope *scope.Scope
 	Log   *core.Collector
 	RAM   *core.RAMBuffer // nil unless RAMBufferEntries or ContinuousDrain was set
@@ -157,13 +159,20 @@ type World struct {
 // (backoff, interference, measurement ripple) deterministically.
 func NewWorld(seed uint64) *World {
 	s := sim.New()
-	return &World{
+	w := &World{
 		Sim:    s,
 		Medium: medium.New(s),
 		Dict:   core.NewDictionary(),
 		seed:   seed,
 		byID:   make(map[core.NodeID]*Node),
 	}
+	// Resource names for reports. Every node runs the same platform, so the
+	// world registers them once rather than once per node.
+	//quanto:ordered writes to distinct dictionary keys, one per resource id; order cannot escape
+	for res, name := range power.ResourceNames() {
+		w.Dict.NameResource(res, name)
+	}
+	return w
 }
 
 // AddNode assembles a node with the given id and options and registers it in
@@ -172,14 +181,8 @@ func (w *World) AddNode(id core.NodeID, opts Options) *Node {
 	if opts.Volts == 0 {
 		opts.Volts = 3.0
 	}
-	if opts.Draws == nil {
-		opts.Draws = power.CalibratedDraws()
-	}
 	if opts.MeterGain == 0 {
 		opts.MeterGain = 1.0
-	}
-	if opts.ScopeRipple == 0 {
-		opts.ScopeRipple = 0.004
 	}
 	if opts.Kernel == (kernel.Options{}) {
 		opts.Kernel = kernel.DefaultOptions()
@@ -189,8 +192,7 @@ func (w *World) AddNode(id core.NodeID, opts Options) *Node {
 
 	meter := icount.New(opts.Volts, k.NowTicks)
 	meter.SetGain(opts.MeterGain)
-	board := power.NewBoard(opts.Volts, opts.Draws, k.NowTicks)
-	bench := scope.New(opts.ScopeRipple, w.seed^(uint64(id)<<40)^0x5C09E)
+	board := power.NewBoard(opts.Volts, power.Calibrated(), k.NowTicks)
 
 	log := core.NewCollector()
 	var sink core.Sink = log
@@ -223,16 +225,8 @@ func (w *World) AddNode(id core.NodeID, opts Options) *Node {
 	})
 	trk.ListenPowerStates(board)
 
-	// Physical wiring: the board publishes aggregate current to the meter
-	// and the bench.
+	// Physical wiring: the board publishes aggregate current to the meter.
 	board.Listen(meter)
-	board.Listen(bench)
-
-	// Resource names for reports.
-	//quanto:ordered writes to distinct dictionary keys, one per resource id; order cannot escape
-	for res, name := range power.ResourceNames() {
-		w.Dict.NameResource(res, name)
-	}
 
 	// The always-on board draw and the CPU.
 	board.AddSink(power.ResBaseline, power.StateOff)
@@ -245,7 +239,6 @@ func (w *World) AddNode(id core.NodeID, opts Options) *Node {
 		Trk:   trk,
 		Board: board,
 		Meter: meter,
-		Scope: bench,
 		Log:   log,
 		RAM:   ram,
 		Drain: drain,
@@ -278,6 +271,24 @@ func (w *World) AddNode(id core.NodeID, opts Options) *Node {
 	}
 	w.byID[id] = n
 	return n
+}
+
+// scopeRipple is the oscilloscope's relative sampling noise (0.4% RMS).
+const scopeRipple = 0.004
+
+// AttachScope wires an oscilloscope bench to n's board and returns it; a
+// second call returns the bench already attached. Attach before Run: all
+// assembly happens at t=0, where the bench keeps only the final draw of
+// each instant, and Board.Listen replays exactly that draw — so a bench
+// attached at any point before the run records the same waveform as one
+// wired in during assembly. The noise seed depends only on the world seed
+// and the node id.
+func (w *World) AttachScope(n *Node) *scope.Scope {
+	if n.Scope == nil {
+		n.Scope = scope.New(scopeRipple, w.seed^(uint64(n.ID)<<40)^0x5C09E)
+		n.Board.Listen(n.Scope)
+	}
+	return n.Scope
 }
 
 // killNode is the depletion event handler: it runs as its own simulator event

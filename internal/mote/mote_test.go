@@ -11,8 +11,11 @@ import (
 
 func TestSingleNodeAssembly(t *testing.T) {
 	w, n := NewSingleNode(1)
-	if n.K == nil || n.Board == nil || n.Meter == nil || n.Scope == nil || n.Log == nil {
+	if n.K == nil || n.Board == nil || n.Meter == nil || n.Log == nil {
 		t.Fatal("incomplete node")
+	}
+	if n.Scope != nil {
+		t.Error("the oscilloscope is opt-in: AddNode must not attach one")
 	}
 	if n.LEDs == nil || n.Sensor == nil || n.Flash == nil {
 		t.Fatal("missing drivers")
@@ -22,6 +25,55 @@ func TestSingleNodeAssembly(t *testing.T) {
 	}
 	if w.Node(1) != n || w.Node(9) != nil {
 		t.Error("Node lookup broken")
+	}
+}
+
+// TestAttachScopeTimingInvariant attaches the oscilloscope at the two ends
+// of assembly — right after AddNode, and after the app's boot wiring just
+// before Run — and requires the same waveform from both. Assembly happens
+// at t=0, where the bench keeps only each instant's final draw, which is
+// what Board.Listen replays to a late listener.
+func TestAttachScopeTimingInvariant(t *testing.T) {
+	run := func(early bool) *Node {
+		w := NewWorld(3)
+		opts := DefaultOptions()
+		opts.Radio = true
+		opts.BatteryUAH = 1000
+		n := w.AddNode(1, opts)
+		if early {
+			w.AttachScope(n)
+		}
+		n.K.Boot(func() {
+			n.LEDs.On(2) // more edges at t=0, after assembly
+			n.Radio.TurnOn(nil)
+			tm := n.K.NewTimer(func() { n.LEDs.Toggle(0) })
+			tm.StartPeriodic(50 * units.Millisecond)
+		})
+		if !early {
+			w.AttachScope(n)
+		}
+		if w.AttachScope(n) != n.Scope {
+			t.Fatal("a second AttachScope must return the attached bench")
+		}
+		w.Run(2 * units.Second)
+		w.StampEnd()
+		return n
+	}
+	early, late := run(true), run(false)
+	a, b := early.Scope.Steps(), late.Scope.Steps()
+	if len(a) < 40 {
+		t.Fatalf("early scope recorded %d steps, want the LED toggles", len(a))
+	}
+	if len(a) != len(b) {
+		t.Fatalf("early scope has %d steps, late %d", len(a), len(b))
+	}
+	for i := range a {
+		if a[i] != b[i] {
+			t.Fatalf("step %d: early %+v, late %+v", i, a[i], b[i])
+		}
+	}
+	if a[0].T != 0 {
+		t.Errorf("first step at %d, want the t=0 assembly draw", a[0].T)
 	}
 }
 

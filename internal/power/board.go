@@ -15,18 +15,19 @@ type CurrentListener interface {
 }
 
 // Board models the electrical reality of one node: given the power states of
-// all its energy sinks and a draw table, it maintains the aggregate current
-// flowing from the supply. It implements core.PowerStateListener, so wiring
-// it to a node's Tracker makes every driver-signaled state change
+// all its energy sinks and a compiled draw table, it maintains the aggregate
+// current flowing from the supply. It implements core.PowerStateListener, so
+// wiring it to a node's Tracker makes every driver-signaled state change
 // immediately visible to the meters.
 //
 // Sink state is held in parallel slices sorted by resource id (a node has a
 // handful of sinks, so lookups are a short binary search) with the per-sink
 // draw cached at edge time: the publish path — run on every power-state edge
 // of every node — touches three small contiguous arrays instead of two maps.
+// The draw grid is shared, never copied: a board holds no table of its own.
 type Board struct {
 	volts units.Volts
-	draws DrawTable
+	draws *DrawGrid
 	now   func() units.Ticks
 	dead  bool
 
@@ -38,53 +39,14 @@ type Board struct {
 	states []core.PowerState
 	draw   []units.MicroAmps
 
-	// lut is the draw table compiled to a dense (res, state) grid at
-	// construction: the edge path runs on every power-state change of every
-	// node, and an array index there replaces a map hash. Pairs beyond the
-	// compiled dimensions (never produced by the platform tables) fall back
-	// to the map.
-	lut       []units.MicroAmps
-	lutStates int
-
 	listeners []CurrentListener
 }
 
-// NewBoard creates a board powered at volts using the given physical draw
-// table; now supplies simulated time.
-func NewBoard(volts units.Volts, draws DrawTable, now func() units.Ticks) *Board {
-	b := &Board{
-		volts: volts,
-		draws: draws,
-		now:   now,
-	}
-	var maxRes, maxState int
-	//quanto:ordered max over keys is commutative; order cannot escape
-	for k := range draws {
-		if int(k.Res) > maxRes {
-			maxRes = int(k.Res)
-		}
-		if int(k.State) > maxState {
-			maxState = int(k.State)
-		}
-	}
-	if len(draws) > 0 {
-		b.lutStates = maxState + 1
-		b.lut = make([]units.MicroAmps, (maxRes+1)*b.lutStates)
-		//quanto:ordered each key writes its own LUT cell exactly once; order cannot escape
-		for k, v := range draws {
-			b.lut[int(k.Res)*b.lutStates+int(k.State)] = v
-		}
-	}
-	return b
-}
-
-// lookupDraw returns the draw for (res, st) via the compiled grid.
-func (b *Board) lookupDraw(res core.ResourceID, st core.PowerState) units.MicroAmps {
-	r, s := int(res), int(st)
-	if s < b.lutStates && r*b.lutStates < len(b.lut) {
-		return b.lut[r*b.lutStates+s]
-	}
-	return b.draws.Draw(res, st)
+// NewBoard creates a board powered at volts drawing from the given compiled
+// table (Calibrated for the simulated platform); now supplies simulated
+// time. The board only reads draws, so any number of boards may share it.
+func NewBoard(volts units.Volts, draws *DrawGrid, now func() units.Ticks) *Board {
+	return &Board{volts: volts, draws: draws, now: now}
 }
 
 // Volts returns the supply voltage.
@@ -108,7 +70,7 @@ func (b *Board) setState(res core.ResourceID, st core.PowerState) bool {
 			return false
 		}
 		b.states[i] = st
-		b.draw[i] = b.lookupDraw(res, st)
+		b.draw[i] = b.draws.Draw(res, st)
 		return true
 	}
 	b.order = append(b.order, 0)
@@ -119,7 +81,7 @@ func (b *Board) setState(res core.ResourceID, st core.PowerState) bool {
 	copy(b.draw[i+1:], b.draw[i:])
 	b.order[i] = res
 	b.states[i] = st
-	b.draw[i] = b.lookupDraw(res, st)
+	b.draw[i] = b.draws.Draw(res, st)
 	return true
 }
 

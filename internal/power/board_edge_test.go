@@ -30,7 +30,7 @@ func edgeBoard() (*Board, DrawTable) {
 		{ResLED1, StateOn}: 500,
 	}
 	now := func() units.Ticks { return 0 }
-	return NewBoard(3.0, draws, now), draws
+	return NewBoard(3.0, draws.Compile(), now), draws
 }
 
 func TestBoardReAddSinkSameStateNoSpuriousEdge(t *testing.T) {

@@ -31,6 +31,49 @@ func (d DrawTable) Clone() DrawTable {
 	return out
 }
 
+// DrawGrid is a draw table compiled to a dense (resource, state) grid: a
+// Board reads it on every power-state edge of every node, and an array index
+// there replaces a map hash. The grid spans every key of the table it was
+// compiled from, and pairs outside it draw zero, exactly as absent keys do
+// in the table. A DrawGrid never changes after Compile, so one grid can
+// serve every board in the process, across concurrent runs.
+type DrawGrid struct {
+	states int // row width: the highest state in the table, plus one
+	draw   []units.MicroAmps
+}
+
+// Compile builds the table's dense grid.
+func (d DrawTable) Compile() *DrawGrid {
+	var maxRes, maxState int
+	//quanto:ordered max over keys is commutative; order cannot escape
+	for k := range d {
+		maxRes = max(maxRes, int(k.Res))
+		maxState = max(maxState, int(k.State))
+	}
+	g := &DrawGrid{states: maxState + 1}
+	g.draw = make([]units.MicroAmps, (maxRes+1)*g.states)
+	//quanto:ordered each key writes its own grid cell exactly once; order cannot escape
+	for k, v := range d {
+		g.draw[int(k.Res)*g.states+int(k.State)] = v
+	}
+	return g
+}
+
+// Draw looks up the draw for (res, st), zero outside the grid.
+func (g *DrawGrid) Draw(res core.ResourceID, st core.PowerState) units.MicroAmps {
+	if i := int(res)*g.states + int(st); int(st) < g.states && i < len(g.draw) {
+		return g.draw[i]
+	}
+	return 0
+}
+
+// calibrated is CalibratedDraws compiled once per process.
+var calibrated = CalibratedDraws().Compile()
+
+// Calibrated returns the compiled CalibratedDraws every simulated board
+// shares. It is built once, at package init, and never modified.
+func Calibrated() *DrawGrid { return calibrated }
+
 // BaselineMicroAmps is the calibrated always-on board draw: quiescent
 // switching regulator, supply network, and the MCU asleep.
 //

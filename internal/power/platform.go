@@ -9,6 +9,12 @@
 //     (Tables 2 and 3). The simulation uses these as physical ground truth,
 //     so nominal-vs-measured discrepancies survive into the reproduction
 //     exactly as they did on real hardware.
+//
+// Both builders return a fresh map on every call. A Board reads neither
+// map: it reads a DrawGrid, the same values compiled to a dense
+// (resource, state) grid. Calibrated is CalibratedDraws compiled once at
+// package init; every simulated node's board shares that one immutable
+// grid, so assembling a node copies no table.
 package power
 
 import (

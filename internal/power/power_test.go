@@ -102,6 +102,40 @@ func TestDrawTableClone(t *testing.T) {
 	}
 }
 
+// TestDrawGridMatchesTable checks the compiled grid against the map it was
+// compiled from over every (resource, state) pair, including pairs beyond
+// the grid's edge, and the shared grid against a fresh CalibratedDraws.
+func TestDrawGridMatchesTable(t *testing.T) {
+	tables := []struct {
+		name  string
+		table DrawTable
+	}{
+		{"nominal", NominalDraws()},
+		{"calibrated", CalibratedDraws()},
+		{"sparse", DrawTable{{ResSensor, SensorSample}: 550}},
+		{"empty", DrawTable{}},
+	}
+	for _, tc := range tables {
+		g := tc.table.Compile()
+		for res := 0; res <= int(NumResources)+2; res++ {
+			for st := core.PowerState(0); st < 16; st++ {
+				r := core.ResourceID(res)
+				if got, want := g.Draw(r, st), tc.table.Draw(r, st); got != want {
+					t.Errorf("%s: grid draw(%d,%d) = %v, table %v", tc.name, r, st, got, want)
+				}
+			}
+		}
+	}
+	cal := CalibratedDraws()
+	for res := core.ResourceID(0); res < NumResources; res++ {
+		for st := core.PowerState(0); st < 16; st++ {
+			if got, want := Calibrated().Draw(res, st), cal.Draw(res, st); got != want {
+				t.Errorf("shared grid draw(%d,%d) = %v, want %v", res, st, got, want)
+			}
+		}
+	}
+}
+
 func TestStateName(t *testing.T) {
 	if StateName(ResCPU, CPUActive) != "ACTIVE" {
 		t.Errorf("got %q", StateName(ResCPU, CPUActive))
@@ -143,7 +177,7 @@ func TestBoardAggregatesCurrent(t *testing.T) {
 		DrawKey{ResLED1, StateOn}:      2200,
 		DrawKey{ResBaseline, StateOff}: 800,
 	}
-	b := NewBoard(3.0, draws, func() units.Ticks { return now })
+	b := NewBoard(3.0, draws.Compile(), func() units.Ticks { return now })
 	b.AddSink(ResBaseline, StateOff)
 	b.AddSink(ResLED0, StateOff)
 	b.AddSink(ResLED1, StateOff)
@@ -185,7 +219,7 @@ func TestBoardNoDriftUnderChurn(t *testing.T) {
 		DrawKey{ResLED2, StateOn}:      830.3,
 		DrawKey{ResBaseline, StateOff}: 785.1,
 	}
-	b := NewBoard(3.0, draws, func() units.Ticks { return now })
+	b := NewBoard(3.0, draws.Compile(), func() units.Ticks { return now })
 	b.AddSink(ResBaseline, StateOff)
 	b.AddSink(ResLED2, StateOff)
 	want := b.Current()
@@ -199,7 +233,7 @@ func TestBoardNoDriftUnderChurn(t *testing.T) {
 }
 
 func TestBoardLearnsUnknownSink(t *testing.T) {
-	b := NewBoard(3.0, DrawTable{DrawKey{ResSensor, SensorSample}: 550}, func() units.Ticks { return 0 })
+	b := NewBoard(3.0, DrawTable{DrawKey{ResSensor, SensorSample}: 550}.Compile(), func() units.Ticks { return 0 })
 	// A state change for a sink never registered with AddSink still counts.
 	b.PowerStateChanged(ResSensor, SensorIdle, SensorSample)
 	if b.Current() != 550 {

@@ -35,7 +35,7 @@ func newRig(t *testing.T, cfg Config) *rig {
 		sink := core.NewCollector()
 		trk := core.NewTracker(core.Config{Node: id, Clock: k, Meter: zeroMeter{}, Cost: k, Sink: sink})
 		k.Attach(trk)
-		b := power.NewBoard(3.0, power.CalibratedDraws(), k.NowTicks)
+		b := power.NewBoard(3.0, power.Calibrated(), k.NowTicks)
 		trk.ListenPowerStates(b)
 		rg.k[i] = k
 		rg.sink[i] = sink

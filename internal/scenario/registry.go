@@ -13,8 +13,9 @@ import (
 // Instance is one constructed-but-not-yet-run scenario: a fresh isolated
 // world plus the app wired into it. App holds the workload struct (for
 // example *apps.Blink) so callers that need richer access than the compact
-// Result — activity labels, app counters, the oscilloscope bench — can type
-// assert it.
+// Result — activity labels, app counters — can type assert it. A caller
+// that wants the oscilloscope waveform attaches one with
+// World.AttachScope between Build and Run.
 type Instance struct {
 	Spec  Spec
 	World *mote.World

@@ -39,9 +39,7 @@ type Scope struct {
 // New returns a scope with the given sampling ripple (for example 0.005 for
 // 0.5% RMS noise, typical of a shunt measurement) and noise seed.
 func New(rippleFrac float64, seed uint64) *Scope {
-	// Pre-size the waveform so the first few edges of every node — the 10k-
-	// node boot storm — do not each grow a tiny slice.
-	return &Scope{steps: make([]Step, 0, 16), rippleFrac: rippleFrac, rng: sim.NewRNG(seed)}
+	return &Scope{rippleFrac: rippleFrac, rng: sim.NewRNG(seed)}
 }
 
 // CurrentChanged implements power.CurrentListener.

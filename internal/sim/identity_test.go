@@ -372,3 +372,32 @@ func Benchmark10kNodeRelay(b *testing.B) {
 		})
 	}
 }
+
+// Benchmark10kNodeRelayFixedCost measures what Benchmark10kNodeRelay leaves
+// out, on the same spec: building the 10k-node world and analyzing its
+// logs. The timer runs around Build and Finish and stops around Run, so
+// ns/op, B/op and allocs/op are the per-node fixed cost — node assembly,
+// the spatial index, one analyzer per node — not the event loop.
+//
+// BENCH_core.json records it beside the event-loop rows; the CI
+// bench-compare step fails on an allocs/op regression or a changed
+// events/run.
+func Benchmark10kNodeRelayFixedCost(b *testing.B) {
+	spec := relay10kSpec()
+	b.ReportAllocs()
+	var events int
+	for i := 0; i < b.N; i++ {
+		in, err := scenario.Build(spec)
+		if err != nil {
+			b.Fatal(err)
+		}
+		b.StopTimer()
+		events = in.World.Run(in.Spec.Duration())
+		in.World.StampEnd()
+		b.StartTimer()
+		if _, err := in.Finish(); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.ReportMetric(float64(events), "events/run")
+}

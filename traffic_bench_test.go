@@ -65,26 +65,30 @@ func BenchmarkTrafficShapedRelay(b *testing.B) {
 	for _, sp := range benchShapes() {
 		sp := sp
 		b.Run(sp.Shape, func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				spec := benchTrafficRelaySpec()
-				spec.Traffic = &sp
-				in, err := scenario.Build(spec)
-				if err != nil {
-					b.Fatal(err)
-				}
-				in.Run()
-			}
+			spec := benchTrafficRelaySpec()
+			spec.Traffic = &sp
+			runTrafficBench(b, spec)
 		})
 	}
 	b.Run("periodic-baseline", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			in, err := scenario.Build(benchTrafficRelaySpec())
-			if err != nil {
-				b.Fatal(err)
-			}
-			in.Run()
-		}
+		runTrafficBench(b, benchTrafficRelaySpec())
 	})
+}
+
+// runTrafficBench builds and runs spec b.N times, the same steps as
+// Instance.Run, and reports the run's event count as events/run so the
+// bench gate flags a changed workload.
+func runTrafficBench(b *testing.B, spec scenario.Spec) {
+	var events int
+	for i := 0; i < b.N; i++ {
+		in, err := scenario.Build(spec)
+		if err != nil {
+			b.Fatal(err)
+		}
+		events = in.World.Run(in.Spec.Duration())
+		in.World.StampEnd()
+	}
+	b.ReportMetric(float64(events), "events/run")
 }
 
 func benchTrafficRelaySpec() scenario.Spec {
@@ -136,12 +140,6 @@ func BenchmarkTrafficRecordReplay(b *testing.B) {
 		replay := benchTrafficRelaySpec()
 		replay.Traffic = &traffic.Spec{Shape: traffic.ShapeReplay, File: path}
 		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			rin, err := scenario.Build(replay)
-			if err != nil {
-				b.Fatal(err)
-			}
-			rin.Run()
-		}
+		runTrafficBench(b, replay)
 	})
 }
