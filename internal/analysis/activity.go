@@ -79,6 +79,20 @@ func NewTimelineBuilder(isProxy func(core.Label) bool) *TimelineBuilder {
 	return &TimelineBuilder{isProxy: isProxy}
 }
 
+// reset returns the builder to the state NewTimelineBuilder gives, keeping
+// the per-resource tables, every timeline's capacity and the label sets'.
+func (b *TimelineBuilder) reset() {
+	for i := range b.single {
+		r := &b.single[i]
+		*r = singleRes{segs: r.segs[:0], pending: r.pending[:0]}
+	}
+	for i := range b.multi {
+		r := &b.multi[i]
+		*r = multiRes{segs: r.segs[:0]}
+	}
+	b.sets.reset()
+}
+
 // Add consumes the next entry, stamped with its unwrapped time. Entries that
 // are not activity events are ignored.
 func (b *TimelineBuilder) Add(e core.Entry, at int64) {
@@ -196,6 +210,18 @@ type labelSets struct {
 	keyBuf []byte
 }
 
+// reset drops every set but the empty one, keeping the tables' capacity.
+func (ls *labelSets) reset() {
+	if ls.sets == nil {
+		return // no step yet: the table does not exist
+	}
+	clear(ls.sets[1:])
+	ls.sets = ls.sets[:1]
+	ls.edges = ls.edges.reset()
+	clear(ls.byKey)
+	ls.byKey[""] = 0
+}
+
 // step returns the set that adding (or removing) l turns set i into.
 // Adding a member or removing a non-member leaves the set as it is.
 func (ls *labelSets) step(i uint32, add bool, l core.Label) uint32 {
@@ -227,7 +253,7 @@ func (ls *labelSets) step(i uint32, add bool, l core.Label) uint32 {
 	if !ok {
 		to = uint32(len(ls.sets))
 		ls.sets = append(ls.sets, next)
-		ls.edges = append(ls.edges, nil)
+		ls.edges = ls.edges.push()
 		ls.byKey[string(buf)] = to
 	}
 	ls.edges.learn(i, key, to)
@@ -257,6 +283,14 @@ type StateTimelineBuilder struct {
 // NewStateTimelineBuilder returns an empty builder.
 func NewStateTimelineBuilder() *StateTimelineBuilder {
 	return &StateTimelineBuilder{}
+}
+
+// reset empties every resource's timeline, keeping its capacity.
+func (b *StateTimelineBuilder) reset() {
+	for i := range b.res {
+		r := &b.res[i]
+		*r = stateRes{segs: r.segs[:0]}
+	}
 }
 
 // reserve makes room for a batch whose power-state entries c counts.

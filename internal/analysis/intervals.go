@@ -133,6 +133,22 @@ func NewIntervalBuilder() *IntervalBuilder {
 	}
 }
 
+// reset returns the builder to the state NewIntervalBuilder gives, keeping
+// the capacity of its state table, vector and edge tables and interval
+// slice.
+func (b *IntervalBuilder) reset() {
+	clear(b.states)
+	b.cur = 0
+	clear(b.vecs[1:])
+	b.vecs = b.vecs[:1]
+	b.edges = b.edges.reset()
+	clear(b.byKey)
+	b.byKey[""] = 0
+	b.out = b.out[:0]
+	b.carry = 0
+	b.prev, b.prevAt, b.started = core.Entry{}, 0, false
+}
+
 // setState records a resource's power state and moves to the resulting
 // vector.
 func (b *IntervalBuilder) setState(res core.ResourceID, st core.PowerState) {
@@ -180,7 +196,7 @@ func (b *IntervalBuilder) intern() uint32 {
 	v := uint32(len(b.vecs))
 	key := string(buf)
 	b.vecs = append(b.vecs, StateVector{Key: key, Active: active})
-	b.edges = append(b.edges, nil)
+	b.edges = b.edges.push()
 	b.byKey[key] = v
 	return v
 }
@@ -235,6 +251,23 @@ func (es edges) find(from, key uint32) (uint32, bool) {
 }
 
 func (es edges) learn(from, key, to uint32) { es[from] = append(es[from], edge{key, to}) }
+
+// push adds an empty edge list for a newly interned item. A list a reset
+// left beyond the length is emptied and reused, keeping its capacity.
+func (es edges) push() edges {
+	if len(es) < cap(es) {
+		es = es[:len(es)+1]
+		es[len(es)-1] = es[len(es)-1][:0]
+		return es
+	}
+	return append(es, nil)
+}
+
+// reset keeps only item 0's list, emptied; push reuses the others.
+func (es edges) reset() edges {
+	es[0] = es[0][:0]
+	return es[:1]
+}
 
 // grow returns s extended to hold index i. Capacity grows geometrically and
 // the slice always spans it, so a per-resource table reaches the highest

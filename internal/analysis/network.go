@@ -35,13 +35,23 @@ func NewNetwork(dict *core.Dictionary, nodes ...*Analysis) *Network {
 // draw) and is reported under ConstLabel.
 func (n *Network) EnergyByActivity() map[core.Label]float64 {
 	out := make(map[core.Label]float64)
-	ids := n.nodeIDs()
-	for _, id := range ids {
-		for l, uj := range n.Nodes[id].EnergyByActivity() {
-			out[l] += uj
-		}
+	for _, id := range n.nodeIDs() {
+		AddEnergyByActivity(out, n.Nodes[id].EnergyByActivity())
 	}
 	return out
+}
+
+// AddEnergyByActivity adds one node's per-activity energy, its
+// EnergyByActivity, into a network-wide sum. Float addition is not
+// associative, so a sum is reproducible bit for bit only when the nodes are
+// added in one fixed order: every network-wide sum in this package adds
+// them in ascending node id, and a caller that folds nodes one at a time
+// (analyzing each and dropping it before the next) must do the same to get
+// the same bits.
+func AddEnergyByActivity(sum, node map[core.Label]float64) {
+	for l, uj := range node {
+		sum[l] += uj
+	}
 }
 
 // RemoteEnergyUJ returns, for the activity labeled l, how much of its
@@ -96,9 +106,7 @@ func (n *Network) Report() string {
 	byAct := make(map[core.Label]float64)
 	for i, id := range ids {
 		perNode[i] = n.Nodes[id].EnergyByActivity()
-		for l, uj := range perNode[i] {
-			byAct[l] += uj
-		}
+		AddEnergyByActivity(byAct, perNode[i])
 	}
 	labels := byEnergy(byAct)
 	s := fmt.Sprintf("%-22s %12s %12s\n", "Activity", "Total (mJ)", "Remote (mJ)")

@@ -12,6 +12,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/linalg"
 	"repro/internal/trace"
+	"repro/internal/units"
 )
 
 // The streaming analyzer keeps per-resource state in dense tables and
@@ -439,6 +440,58 @@ func inBatches(n int) func(*StreamAnalyzer, []core.Entry) {
 	}
 }
 
+// checkSameAnalysis compares got against want exactly, floats by their
+// bits: the regression (error, groups, predictors, coefficients), the
+// activity and power-state timelines, and both breakdowns. Intervals and
+// vectors are left to the caller, since the naive reference has none.
+func checkSameAnalysis(t *testing.T, name string, got, want *Analysis) {
+	t.Helper()
+	if (got.RegressionErr == nil) != (want.RegressionErr == nil) ||
+		(got.RegressionErr != nil && got.RegressionErr.Error() != want.RegressionErr.Error()) {
+		t.Fatalf("%s: regression error %v, want %v", name, got.RegressionErr, want.RegressionErr)
+	}
+	gr, wr := got.Reg, want.Reg
+	if len(gr.Groups) != len(wr.Groups) {
+		t.Fatalf("%s: %d groups, want %d", name, len(gr.Groups), len(wr.Groups))
+	}
+	for i, g := range gr.Groups {
+		w := wr.Groups[i]
+		if g.Key != w.Key || g.TimeUS != w.TimeUS || !sameBits(g.EnergyUJ, w.EnergyUJ) || !slices.Equal(g.Active, w.Active) {
+			t.Errorf("%s: group %d = %+v, want %+v", name, i, g, w)
+		}
+	}
+	if !slices.Equal(gr.Predictors, wr.Predictors) || !slices.Equal(gr.Dropped, wr.Dropped) ||
+		!maps.Equal(gr.MergedInto, wr.MergedInto) {
+		t.Errorf("%s: predictors %v dropped %v merged %v, want %v %v %v", name,
+			gr.Predictors, gr.Dropped, gr.MergedInto, wr.Predictors, wr.Dropped, wr.MergedInto)
+	}
+	if !sameFloatMap(gr.PowerMW, wr.PowerMW) || !sameBits(gr.ConstMW, wr.ConstMW) {
+		t.Errorf("%s: coefficients %v const %v, want %v const %v", name, gr.PowerMW, gr.ConstMW, wr.PowerMW, wr.ConstMW)
+	}
+
+	if !maps.EqualFunc(got.Single, want.Single, func(a, b *ActTimeline) bool {
+		return a.Res == b.Res && slices.Equal(a.Segs, b.Segs)
+	}) {
+		t.Errorf("%s: single-activity timelines differ", name)
+	}
+	if !maps.EqualFunc(got.Multi, want.Multi, func(a, b *MultiTimeline) bool {
+		return a.Res == b.Res && slices.EqualFunc(a.Segs, b.Segs, func(x, y MultiSegment) bool {
+			return x.Start == y.Start && x.End == y.End && slices.Equal(x.Labels, y.Labels)
+		})
+	}) {
+		t.Errorf("%s: multi-activity timelines differ", name)
+	}
+	if !maps.EqualFunc(got.States, want.States, slices.Equal) {
+		t.Errorf("%s: power-state timelines differ", name)
+	}
+	if !maps.EqualFunc(got.TimeByActivity(), want.TimeByActivity(), maps.Equal) {
+		t.Errorf("%s: TimeByActivity differs", name)
+	}
+	if g, w := got.EnergyByActivity(), want.EnergyByActivity(); !sameFloatMap(g, w) {
+		t.Errorf("%s: EnergyByActivity = %v, want %v", name, g, w)
+	}
+}
+
 // TestStreamAnalyzerMatchesNaiveReference checks intervals, vectors,
 // groups, coefficients, timelines and breakdowns of random logs against the
 // naive recomputation, exactly, for every feed of the same log.
@@ -514,53 +567,10 @@ func TestStreamAnalyzerMatchesNaiveReference(t *testing.T) {
 					}
 				}
 
-				if (got.RegressionErr == nil) != (want.RegressionErr == nil) ||
-					(got.RegressionErr != nil && got.RegressionErr.Error() != want.RegressionErr.Error()) {
-					t.Fatalf("%s: regression error %v, want %v", name, got.RegressionErr, want.RegressionErr)
-				}
-				gr, wr := got.Reg, want.Reg
 				if got.RegressionErr == nil {
 					fitted++
 				}
-				if len(gr.Groups) != len(wr.Groups) {
-					t.Fatalf("%s: %d groups, want %d", name, len(gr.Groups), len(wr.Groups))
-				}
-				for i, g := range gr.Groups {
-					w := wr.Groups[i]
-					if g.Key != w.Key || g.TimeUS != w.TimeUS || !sameBits(g.EnergyUJ, w.EnergyUJ) || !slices.Equal(g.Active, w.Active) {
-						t.Errorf("%s: group %d = %+v, want %+v", name, i, g, w)
-					}
-				}
-				if !slices.Equal(gr.Predictors, wr.Predictors) || !slices.Equal(gr.Dropped, wr.Dropped) ||
-					!maps.Equal(gr.MergedInto, wr.MergedInto) {
-					t.Errorf("%s: predictors %v dropped %v merged %v, want %v %v %v", name,
-						gr.Predictors, gr.Dropped, gr.MergedInto, wr.Predictors, wr.Dropped, wr.MergedInto)
-				}
-				if !sameFloatMap(gr.PowerMW, wr.PowerMW) || !sameBits(gr.ConstMW, wr.ConstMW) {
-					t.Errorf("%s: coefficients %v const %v, want %v const %v", name, gr.PowerMW, gr.ConstMW, wr.PowerMW, wr.ConstMW)
-				}
-
-				if !maps.EqualFunc(got.Single, want.Single, func(a, b *ActTimeline) bool {
-					return a.Res == b.Res && slices.Equal(a.Segs, b.Segs)
-				}) {
-					t.Errorf("%s: single-activity timelines differ", name)
-				}
-				if !maps.EqualFunc(got.Multi, want.Multi, func(a, b *MultiTimeline) bool {
-					return a.Res == b.Res && slices.EqualFunc(a.Segs, b.Segs, func(x, y MultiSegment) bool {
-						return x.Start == y.Start && x.End == y.End && slices.Equal(x.Labels, y.Labels)
-					})
-				}) {
-					t.Errorf("%s: multi-activity timelines differ", name)
-				}
-				if !maps.EqualFunc(got.States, want.States, slices.Equal) {
-					t.Errorf("%s: power-state timelines differ", name)
-				}
-				if !maps.EqualFunc(got.TimeByActivity(), want.TimeByActivity(), maps.Equal) {
-					t.Errorf("%s: TimeByActivity differs", name)
-				}
-				if g, w := got.EnergyByActivity(), want.EnergyByActivity(); !sameFloatMap(g, w) {
-					t.Errorf("%s: EnergyByActivity = %v, want %v", name, g, w)
-				}
+				checkSameAnalysis(t, name, got, want)
 
 				for _, tl := range got.Single {
 					for _, s := range tl.Segs {
@@ -583,5 +593,89 @@ func TestStreamAnalyzerMatchesNaiveReference(t *testing.T) {
 	if fitted == 0 || rebound == 0 || overlaps == 0 || wrapped == 0 || lateTop == 0 {
 		t.Errorf("coverage: %d fitted regressions, %d rebound proxy segments, %d overlapping label sets, %d wrapped clocks, %d logs naming their top single-activity resource only after the first batch of 7",
 			fitted, rebound, overlaps, wrapped, lateTop)
+	}
+}
+
+// TestStreamAnalyzerResetMatchesFresh feeds the random logs through one
+// analyzer, reset between logs, and checks every Analysis against a fresh
+// analyzer's, exactly. The order makes the reset tables forget something
+// each time: a log over fewer resources follows one over more, a log with
+// multi-activity entries follows one without, and a one-entry log in the
+// middle must fail with a fresh analyzer's error. The first log ends with
+// pulses carried over a zero-length gap, which the next must not inherit.
+// Each log also runs under its own node id, meter quantum and voltage.
+func TestStreamAnalyzerResetMatchesFresh(t *testing.T) {
+	dict := core.NewDictionary()
+	opts := DefaultOptions()
+	// narrow keeps a log's power-state and single-activity entries on
+	// resources below 42 and drops its multi-activity entries.
+	narrow := func(es []core.Entry) []core.Entry {
+		return slices.DeleteFunc(slices.Clone(es), func(e core.Entry) bool {
+			return e.Res >= 42 || e.Type == core.EntryActivityAdd || e.Type == core.EntryActivityRemove
+		})
+	}
+	var logs [][]core.Entry
+	for seed := int64(1); seed <= 6; seed++ {
+		l := randomLog(rand.New(rand.NewSource(seed)), dict, 8.33)
+		if seed%2 == 0 {
+			l = narrow(l)
+		}
+		if seed == 1 {
+			last := l[len(l)-1]
+			last.IC += 3
+			l = append(l, last)
+		}
+		logs = append(logs, l)
+		if seed == 3 {
+			logs = append(logs, l[:1])
+		}
+	}
+	var reused *StreamAnalyzer
+	for i, es := range logs {
+		node, pulseUJ, volts := core.NodeID(i+1), 8.33/float64(1+i%2), units.Volts(3.0-0.3*float64(i%3))
+		name := fmt.Sprintf("log %d (%d entries)", i, len(es))
+		fresh := NewStreamAnalyzer(node, pulseUJ, volts, dict, opts)
+		fresh.RecordBatch(es)
+		want, wantErr := fresh.Finish()
+		if reused == nil {
+			reused = NewStreamAnalyzer(0, 0, 0, dict, opts)
+		}
+		reused.Reset(node, pulseUJ, volts)
+		reused.RecordBatch(es)
+		got, err := reused.Finish()
+		if (err == nil) != (wantErr == nil) || err != nil && err.Error() != wantErr.Error() {
+			t.Fatalf("%s: error %v, want %v", name, err, wantErr)
+		}
+		if err != nil {
+			continue
+		}
+		gt, wt := got.Trace, want.Trace
+		if gt.Node != wt.Node || !sameBits(gt.PulseUJ, wt.PulseUJ) || gt.Volts != wt.Volts ||
+			got.StartUS != want.StartUS || got.EndUS != want.EndUS || got.TotalPulses != want.TotalPulses {
+			t.Fatalf("%s: node %d (%v uJ, %v V) over [%d, %d] with %d pulses, want node %d (%v uJ, %v V) over [%d, %d] with %d", name,
+				gt.Node, gt.PulseUJ, gt.Volts, got.StartUS, got.EndUS, got.TotalPulses,
+				wt.Node, wt.PulseUJ, wt.Volts, want.StartUS, want.EndUS, want.TotalPulses)
+		}
+		if !slices.Equal(got.Intervals, want.Intervals) || !slices.EqualFunc(got.Vectors, want.Vectors, func(a, b StateVector) bool {
+			return a.Key == b.Key && slices.Equal(a.Active, b.Active)
+		}) {
+			t.Fatalf("%s: intervals or vectors differ from a fresh analyzer's", name)
+		}
+		checkSameAnalysis(t, name, got, want)
+		// Label sets never reach an Analysis by index, so compare the
+		// tables: the reused one must not keep an earlier log's sets. (A
+		// fresh analyzer creates its table, set 0 being the empty set, at
+		// its first multi-activity entry; a reset one keeps set 0.)
+		if n, w := len(reused.tlb.sets.sets), max(len(fresh.tlb.sets.sets), 1); n != w {
+			t.Errorf("%s: %d interned label sets, a fresh analyzer has %d", name, n, w)
+		}
+	}
+	// The sequence must shrink what the reset tables span and bring back
+	// the multi-activity path, or it tests nothing.
+	wide := func(e core.Entry) bool { return e.Res >= 42 }
+	multi := func(e core.Entry) bool { return e.Type == core.EntryActivityAdd }
+	if !slices.ContainsFunc(logs[0], wide) || slices.ContainsFunc(logs[1], wide) ||
+		slices.ContainsFunc(logs[1], multi) || !slices.ContainsFunc(logs[2], multi) || len(logs[3]) != 1 {
+		t.Fatal("log order does not exercise the reset")
 	}
 }

@@ -119,8 +119,25 @@ func (c *resCounts) add(res core.ResourceID) {
 // Events returns how many entries have been consumed.
 func (s *StreamAnalyzer) Events() int { return s.count }
 
+// Reset readies the analyzer for another node's stream, with that node's
+// meter quantum and voltage, under the same dictionary and options. The
+// analyzer is then in the state of a fresh one except that every table
+// keeps its capacity, so a caller analyzing many nodes one after another
+// sizes its tables once instead of once per node. Reset reuses the memory
+// of the Analysis the last Finish returned, which is invalid from then on:
+// read what is needed from it before resetting.
+func (s *StreamAnalyzer) Reset(node core.NodeID, pulseUJ float64, volts units.Volts) {
+	s.node, s.pulseUJ, s.volts = node, pulseUJ, volts
+	s.uw = trace.Unwrapper{}
+	s.count, s.startUS, s.endUS, s.firstIC, s.lastIC = 0, 0, 0, 0, 0
+	s.ivb.reset()
+	s.tlb.reset()
+	s.stb.reset()
+}
+
 // Finish closes the stream, runs the regression, and returns the completed
-// Analysis. The analyzer must not be used afterwards.
+// Analysis. The Analysis shares the analyzer's tables: it stays valid until
+// the next Reset, and the analyzer must not record again before one.
 func (s *StreamAnalyzer) Finish() (*Analysis, error) {
 	if s.count < 2 {
 		return nil, fmt.Errorf("analysis: log has %d entries; need at least 2", s.count)

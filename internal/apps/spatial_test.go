@@ -2,6 +2,7 @@ package apps
 
 import (
 	"encoding/json"
+	"runtime"
 	"testing"
 
 	"repro/internal/core"
@@ -158,5 +159,35 @@ func TestSpatialSweepWorkerInvariance(t *testing.T) {
 	}
 	if run(1) != run(8) {
 		t.Fatal("spatial sweep output depends on worker count")
+	}
+}
+
+// TestRelayWorldObjectBudget bounds the live heap objects a built relay
+// world holds per node. Every garbage-collection cycle marks the whole
+// world, so on a 10 000-node network each object a node keeps costs every
+// cycle of the run. The count is independent of the network's size (the
+// same per node at 500, 2 000 and 10 000 nodes), so 500 nodes suffice.
+// It reads process-wide heap counters: no test in this package may run in
+// parallel with it.
+func TestRelayWorldObjectBudget(t *testing.T) {
+	const nodes, budget = 500, 55
+	spec := scenario.Spec{
+		App: "relay", Seed: 1, Nodes: nodes, Placement: scenario.PlacementRGG,
+		Origins: 8, PeriodUS: 40_000, DurationUS: 1_000_000, BatteryUAH: 50000,
+	}
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	in, err := scenario.Build(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	runtime.GC()
+	runtime.ReadMemStats(&after)
+	runtime.KeepAlive(in)
+	perNode := float64(after.HeapObjects-before.HeapObjects) / nodes
+	t.Logf("%.2f live heap objects per node after Build", perNode)
+	if perNode > budget {
+		t.Errorf("a built relay world holds %.2f live heap objects per node, want at most %d", perNode, budget)
 	}
 }

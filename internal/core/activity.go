@@ -14,7 +14,8 @@ type SingleActivityDevice struct {
 // NewSingleActivityDevice registers a single-activity resource, initially
 // idle. The initial label is logged.
 func NewSingleActivityDevice(t *Tracker, res ResourceID) *SingleActivityDevice {
-	d := &SingleActivityDevice{res: res, cur: t.IdleLabel(), trk: t}
+	d := carve(&t.sads, 8)
+	*d = SingleActivityDevice{res: res, cur: t.IdleLabel(), trk: t}
 	t.Log(EntryActivitySet, res, uint16(d.cur))
 	return d
 }

@@ -80,6 +80,24 @@ type Tracker struct {
 	costCycles  uint64
 	psListeners []PowerStateListener
 	actTrack    []ActivityTrackListener
+
+	// psvs and sads are the blocks NewPowerStateVar and
+	// NewSingleActivityDevice carve a node's devices from, so the handful
+	// every node registers cost the garbage collector a few objects, not
+	// one each.
+	psvs []PowerStateVar
+	sads []SingleActivityDevice
+}
+
+// carve returns the next free slot of *block, zeroed, starting a new block
+// of n slots when the current one is full. Earlier slots keep their block
+// alive, so a carved value never moves.
+func carve[T any](block *[]T, n int) *T {
+	if len(*block) == cap(*block) {
+		*block = make([]T, 0, n)
+	}
+	*block = (*block)[:len(*block)+1]
+	return &(*block)[len(*block)-1]
 }
 
 // NewTracker builds a tracker from cfg. Clock, Meter and Sink are required.

@@ -15,7 +15,8 @@ type PowerStateVar struct {
 // state initial. The initial state is logged so offline analysis knows the
 // starting vector.
 func NewPowerStateVar(t *Tracker, res ResourceID, initial PowerState) *PowerStateVar {
-	p := &PowerStateVar{res: res, cur: initial, trk: t}
+	p := carve(&t.psvs, 16)
+	*p = PowerStateVar{res: res, cur: initial, trk: t}
 	t.Log(EntryPowerState, res, uint16(initial))
 	return p
 }

@@ -1,5 +1,7 @@
 package core
 
+import "slices"
+
 // BatchSink is the batched extension of Sink: RecordBatch consumes a whole
 // slice of entries in one call and returns how many were kept. It is the
 // streaming pipeline's fast path — the per-entry interface dispatch and
@@ -111,6 +113,11 @@ func (b *RAMBuffer) Snapshot() []Entry {
 // Collector is an unbounded sink used by the experiment harnesses: it stands
 // in for the continuous-logging back channel (the external synchronous
 // serial interface of Section 4.4) that streams entries off the node.
+//
+// The log grows by doubling. append grows a large slice by only 1.25x, so
+// a long log would be copied about four times over and allocate about five
+// times its final size; doubling copies it about once and allocates about
+// twice its size.
 type Collector struct {
 	Entries []Entry
 }
@@ -120,14 +127,24 @@ func NewCollector() *Collector { return &Collector{} }
 
 // Record appends e. It never rejects an entry.
 func (c *Collector) Record(e Entry) bool {
+	c.reserve(1)
 	c.Entries = append(c.Entries, e)
 	return true
 }
 
 // RecordBatch implements BatchSink with a single append.
 func (c *Collector) RecordBatch(entries []Entry) int {
+	c.reserve(len(entries))
 	c.Entries = append(c.Entries, entries...)
 	return len(entries)
+}
+
+// reserve makes room for n more entries, growing a full log to at least
+// twice its length (16 entries at first).
+func (c *Collector) reserve(n int) {
+	if len(c.Entries)+n > cap(c.Entries) {
+		c.Entries = slices.Grow(c.Entries, max(n, len(c.Entries), 16))
+	}
 }
 
 // Len returns the number of collected entries.

@@ -120,11 +120,21 @@ type Kernel struct {
 
 	nextActID core.ActivityID
 
-	timers       []*Timer
+	// armed lists the armed virtual timers in creation order (see
+	// NewTimer); due is vtimerFired's scratch list of expired ones.
+	armed        []*Timer
+	due          []*Timer
+	timerSeq     uint64
 	compareEvent sim.Handle
 	timerIRQ     *IRQ
 
 	dcoIRQ *IRQ
+
+	// irqs is the block NewIRQ carves interrupt sources from, so a node's
+	// IRQs cost the garbage collector one object, not one each. A full
+	// block is left to the IRQs in it and a new one started, so an IRQ
+	// never moves.
+	irqs []IRQ
 
 	VTimerLabel core.Label
 
@@ -375,7 +385,12 @@ type IRQ struct {
 func (k *Kernel) NewIRQ(name string) *IRQ {
 	label := k.DefineActivity(name)
 	k.Dict.MarkProxy(label)
-	irq := &IRQ{k: k, Proxy: label, Name: name}
+	if len(k.irqs) == cap(k.irqs) {
+		k.irqs = make([]IRQ, 0, 8)
+	}
+	k.irqs = k.irqs[:len(k.irqs)+1]
+	irq := &k.irqs[len(k.irqs)-1]
+	*irq = IRQ{k: k, Proxy: label, Name: name}
 	irq.dispatch = func(handler any) {
 		irq.k.dispatchIRQ(irq, handler.(func()))
 	}

@@ -1,6 +1,7 @@
 package kernel
 
 import (
+	"strings"
 	"testing"
 
 	"repro/internal/core"
@@ -162,6 +163,74 @@ func TestTimerStop(t *testing.T) {
 	}
 	if tm.Running() {
 		t.Error("timer should be stopped")
+	}
+}
+
+// TestTimerListHoldsOnlyArmedTimers chains 1 000 one-shots, each created
+// and armed from the previous one's callback, the way LPL makes a timer
+// per wake-up and Bounce one per reception. The scan list never holds more
+// than the timer firing and the one it arms, and is empty at the end; a
+// list of every timer ever created would hold all 1 000.
+func TestTimerListHoldsOnlyArmedTimers(t *testing.T) {
+	const n = 1000
+	s, k, _ := testNode(t, DefaultOptions())
+	fired, most := 0, 0
+	var arm func()
+	arm = func() {
+		k.NewTimer(func() {
+			fired++
+			if fired < n {
+				arm()
+			}
+			most = max(most, len(k.armed))
+		}).StartOneShot(units.Millisecond)
+	}
+	k.Boot(arm)
+	s.Run(10 * units.Second)
+	if fired != n {
+		t.Fatalf("%d of %d chained one-shots fired", fired, n)
+	}
+	if most > 2 || len(k.armed) != 0 {
+		t.Errorf("scan list held up to %d timers and %d at the end, want at most 2 and 0", most, len(k.armed))
+	}
+}
+
+// TestTimerArmedDuringPass fires T1, T3, T4 and T5 on one tick. T1's
+// callback stops T5 and re-arms the idle T2, which ranks between T1 and T3
+// in the armed list. T1, T3 and T4 must fire in creation order (inserting
+// into the list being walked would push T4 past the end of the walk), T5
+// must be skipped, and T2 must fire at its new deadline.
+func TestTimerArmedDuringPass(t *testing.T) {
+	s, k, _ := testNode(t, DefaultOptions())
+	var order []string
+	var t2, t5 *Timer
+	var t2Due, t2Fired units.Ticks
+	log := func(name string) func() { return func() { order = append(order, name) } }
+	t1 := k.NewTimer(func() {
+		order = append(order, "T1")
+		t5.Stop()
+		t2Due = k.NowTicks() + 5*units.Millisecond
+		t2.StartOneShot(5 * units.Millisecond)
+	})
+	t2 = k.NewTimer(func() { order = append(order, "T2"); t2Fired = s.Now() })
+	t3, t4 := k.NewTimer(log("T3")), k.NewTimer(log("T4"))
+	t5 = k.NewTimer(log("T5"))
+	k.Boot(func() {
+		t2.StartOneShot(units.Millisecond)
+		t2.Stop()
+		for _, tm := range []*Timer{t1, t3, t4, t5} {
+			tm.StartOneShot(units.Millisecond)
+		}
+	})
+	s.Run(units.Second)
+	if t1.deadline != t4.deadline || t1.deadline != t5.deadline {
+		t.Fatalf("deadlines %v, %v, %v differ: the timers must fall due on one tick", t1.deadline, t4.deadline, t5.deadline)
+	}
+	if got := strings.Join(order, " "); got != "T1 T3 T4 T2" {
+		t.Errorf("fired %q, want \"T1 T3 T4 T2\"", got)
+	}
+	if t2Fired != t2Due {
+		t.Errorf("re-armed T2 fired at %v, want its new deadline %v", t2Fired, t2Due)
 	}
 }
 

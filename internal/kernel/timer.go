@@ -1,6 +1,9 @@
 package kernel
 
 import (
+	"cmp"
+	"slices"
+
 	"repro/internal/core"
 	"repro/internal/units"
 )
@@ -16,15 +19,21 @@ type Timer struct {
 	label    core.Label
 	deadline units.Ticks
 	period   units.Ticks
+	seq      uint64 // creation order, which orders the armed list
 	periodic bool
 	running  bool
+	listed   bool // in k.armed
 }
 
-// NewTimer creates a stopped timer that invokes fn on firing.
+// NewTimer creates a stopped timer that invokes fn on firing. The kernel
+// keeps no reference to a timer until it is armed: the list the compare
+// register is scheduled from holds only armed timers, in creation order,
+// and drops each one once it has fired (one-shot) or been stopped. So a
+// timer created per packet or per wake-up costs the scan nothing once it
+// is done, and same-tick timers still fire in creation order.
 func (k *Kernel) NewTimer(fn func()) *Timer {
-	t := &Timer{k: k, fn: fn}
-	k.timers = append(k.timers, t)
-	return t
+	k.timerSeq++
+	return &Timer{k: k, fn: fn, seq: k.timerSeq}
 }
 
 // StartOneShot arms the timer to fire once, d from now.
@@ -53,7 +62,19 @@ func (t *Timer) start(d, period units.Ticks) {
 	t.period = period
 	t.periodic = period > 0
 	t.running = true
+	if !t.listed {
+		t.k.list(t)
+	}
 	t.k.scheduleCompare()
+}
+
+// list inserts an armed timer into k.armed at its creation rank.
+func (k *Kernel) list(t *Timer) {
+	i, _ := slices.BinarySearchFunc(k.armed, t.seq, func(u *Timer, seq uint64) int {
+		return cmp.Compare(u.seq, seq)
+	})
+	k.armed = slices.Insert(k.armed, i, t)
+	t.listed = true
 }
 
 // Stop disarms the timer.
@@ -69,14 +90,23 @@ func (t *Timer) Running() bool { return t.running }
 func (t *Timer) Label() core.Label { return t.label }
 
 // scheduleCompare re-arms the hardware compare event for the earliest
-// virtual timer deadline.
+// virtual timer deadline. The same walk drops the timers that fired or
+// were stopped since the last one from the armed list.
 func (k *Kernel) scheduleCompare() {
 	var next units.Ticks = -1
-	for _, t := range k.timers {
-		if t.running && (next < 0 || t.deadline < next) {
+	armed := k.armed[:0]
+	for _, t := range k.armed {
+		if !t.running {
+			t.listed = false
+			continue
+		}
+		armed = append(armed, t)
+		if next < 0 || t.deadline < next {
 			next = t.deadline
 		}
 	}
+	clear(k.armed[len(armed):])
+	k.armed = armed
 	if next < 0 {
 		if k.compareEvent.Scheduled() {
 			k.Sim.Cancel(k.compareEvent)
@@ -103,7 +133,18 @@ func (k *Kernel) vtimerFired() {
 	k.CPUAct.Set(k.VTimerLabel)
 	k.Spend(k.costs.VTimerDispatch)
 	now := k.Sim.Now()
-	for _, t := range k.timers {
+	// Take the due timers out first: a callback that arms a timer inserts
+	// it into k.armed, which must not shift under this walk. A timer armed
+	// here falls due after now, so none can join the pass; one an earlier
+	// callback stopped or re-armed is skipped below. vtimerFired runs only
+	// as its own interrupt, never nested, so one scratch slice serves.
+	due := k.due[:0]
+	for _, t := range k.armed {
+		if t.running && t.deadline <= now {
+			due = append(due, t)
+		}
+	}
+	for _, t := range due {
 		if !t.running || t.deadline > now {
 			continue
 		}
@@ -119,6 +160,8 @@ func (k *Kernel) vtimerFired() {
 		t.fn()
 		k.CPUAct.Set(k.VTimerLabel)
 	}
+	clear(due)
+	k.due = due[:0]
 	k.scheduleCompare()
 }
 

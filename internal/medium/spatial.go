@@ -474,17 +474,13 @@ func (m *Medium) buildNeighbors() {
 		head[cells[i]] = int32(i)
 	}
 
-	ix := &nbrIndex{
-		rows: make(map[core.NodeID]int32, n),
-		off:  make([]int32, 1, n+1),
-	}
+	// inRange calls visit for every other receiver within range of
+	// receiver i, with the squared distance between them.
 	rangeSq := sp.cfg.TxRangeM * sp.cfg.TxRangeM
-	var list []neighbor // per-row scratch, reused across rows
-	for i := 0; i < n; i++ {
+	inRange := func(i int, visit func(j int32, d2 float64)) {
 		px, py := xs[i], ys[i]
 		cx := int64(math.Floor(px / cell))
 		cy := int64(math.Floor(py / cell))
-		list = list[:0]
 		for dx := int64(-1); dx <= 1; dx++ {
 			for dy := int64(-1); dy <= 1; dy++ {
 				for j := headOr(head, packCell(cx+dx, cy+dy)); j >= 0; j = next[j] {
@@ -496,13 +492,34 @@ func (m *Medium) buildNeighbors() {
 					if d2 > rangeSq {
 						continue
 					}
-					rssi := sp.cfg.RSSI(math.Sqrt(d2))
-					list = append(list, neighbor{
-						id: ids[j], rcv: m.receivers[j], rssi: rssi, prr: sp.cfg.PRR(rssi),
-					})
+					visit(j, d2)
 				}
 			}
 		}
+	}
+	// A counting pass sizes the four link arrays exactly, so the build
+	// allocates the index once instead of growing it row by row.
+	links := 0
+	for i := 0; i < n; i++ {
+		inRange(i, func(int32, float64) { links++ })
+	}
+	ix := &nbrIndex{
+		rows: make(map[core.NodeID]int32, n),
+		off:  make([]int32, 1, n+1),
+		ids:  make([]core.NodeID, 0, links),
+		rcvs: make([]Receiver, 0, links),
+		rssi: make([]float64, 0, links),
+		prr:  make([]float64, 0, links),
+	}
+	var list []neighbor // per-row scratch, reused across rows
+	for i := 0; i < n; i++ {
+		list = list[:0]
+		inRange(i, func(j int32, d2 float64) {
+			rssi := sp.cfg.RSSI(math.Sqrt(d2))
+			list = append(list, neighbor{
+				id: ids[j], rcv: m.receivers[j], rssi: rssi, prr: sp.cfg.PRR(rssi),
+			})
+		})
 		// Sorted delivery order keeps the RNG stream and the scheduled
 		// event sequence independent of bucket iteration order. Rows are
 		// small; insertion sort is exact, deterministic, and alloc-free.

@@ -113,6 +113,20 @@ func TestSpatialRangeGating(t *testing.T) {
 
 	f := &Frame{Src: 1, Channel: 26, Bytes: 20, Airtime: 640}
 	m.Transmit(f)
+	// The build sizes the link arrays exactly: 24 directed links at 30 m
+	// and 16 on the 42.4 m diagonals (60 m and farther are out of range).
+	ix := m.sp.nbr
+	for _, a := range []struct {
+		name     string
+		len, cap int
+	}{
+		{"ids", len(ix.ids), cap(ix.ids)}, {"rcvs", len(ix.rcvs), cap(ix.rcvs)},
+		{"rssi", len(ix.rssi), cap(ix.rssi)}, {"prr", len(ix.prr), cap(ix.prr)},
+	} {
+		if a.len != 40 || a.cap != a.len {
+			t.Errorf("index %s: len %d cap %d, want both 40", a.name, a.len, a.cap)
+		}
+	}
 	want := map[int]bool{2: true, 4: true, 5: true} // 30, 30, 42.4 m away
 	for i, r := range rcvs {
 		got := len(r.frames) == 1

@@ -9,6 +9,7 @@ import (
 	"testing"
 
 	"repro/internal/analysis"
+	"repro/internal/core"
 	"repro/internal/scenario"
 	"repro/internal/units"
 )
@@ -18,7 +19,9 @@ import (
 // each node's log straight to that node's analyzer; decoded files arrive as
 // one merged stream that Consume demultiplexes. Each analyzer sees its own
 // node's entries in log order either way, so every interval, state vector,
-// regression coefficient and energy total must come out bit-equal.
+// regression coefficient and energy total must come out bit-equal. It also
+// pins Instance.Finish, which folds the nodes one at a time through one
+// reused analyzer, to the retained view: the same sums, to the bit.
 func TestNetworkPerNodeFeedMatchesMerged(t *testing.T) {
 	cases := []struct {
 		name   string
@@ -72,6 +75,7 @@ func TestNetworkPerNodeFeedMatchesMerged(t *testing.T) {
 			if res.Deaths != tc.deaths {
 				t.Fatalf("deaths = %d, want %d", res.Deaths, tc.deaths)
 			}
+			checkFinishMatchesNetwork(t, in, res, got)
 
 			w := in.World
 			na := analysis.NewNetworkAnalyzer(w.Dict, analysis.DefaultOptions(), 0, 0)
@@ -128,6 +132,43 @@ func TestNetworkPerNodeFeedMatchesMerged(t *testing.T) {
 				t.Errorf("network TotalEnergyUJ %v, want %v", got.TotalEnergyUJ(), want.TotalEnergyUJ())
 			}
 		})
+	}
+}
+
+// checkFinishMatchesNetwork compares the Result Finish folded node by node
+// with the retained per-node view, as float bits: the per-activity energy
+// (folded by display name in label order, as Finish does), the network
+// total, and each node's energy, average power and span.
+func checkFinishMatchesNetwork(t *testing.T, in *scenario.Instance, res *scenario.Result, net *analysis.Network) {
+	t.Helper()
+	byLabel := net.EnergyByActivity()
+	byName := make(map[string]float64)
+	for _, l := range slices.Sorted(maps.Keys(byLabel)) {
+		name := "Const."
+		if l != analysis.ConstLabel {
+			name = in.World.Dict.LabelName(l)
+		}
+		byName[name] += byLabel[l]
+	}
+	if !sameBits(res.ActivityUJ, byName) {
+		t.Errorf("Finish's ActivityUJ %v, want Network's %v", res.ActivityUJ, byName)
+	}
+	if math.Float64bits(res.TotalUJ) != math.Float64bits(net.TotalEnergyUJ()) {
+		t.Errorf("Finish's TotalUJ %v, want Network's %v", res.TotalUJ, net.TotalEnergyUJ())
+	}
+	if len(res.Nodes) != len(net.Nodes) {
+		t.Fatalf("Finish has %d nodes, Network %d", len(res.Nodes), len(net.Nodes))
+	}
+	for _, nr := range res.Nodes {
+		a := net.Nodes[core.NodeID(nr.Node)]
+		if a == nil {
+			t.Fatalf("Finish has node %d, Network does not", nr.Node)
+		}
+		if math.Float64bits(nr.EnergyUJ) != math.Float64bits(a.TotalEnergyUJ()) ||
+			math.Float64bits(nr.AvgPowerMW) != math.Float64bits(a.AveragePowerMW()) || nr.SpanUS != a.Span() {
+			t.Errorf("node %d: Finish %v uJ %v mW over %d us, Network %v uJ %v mW over %d us", nr.Node,
+				nr.EnergyUJ, nr.AvgPowerMW, nr.SpanUS, a.TotalEnergyUJ(), a.AveragePowerMW(), a.Span())
+		}
 	}
 }
 

@@ -28,8 +28,7 @@ type Instance struct {
 	// run's realized send schedule; write it out with WriteJSONL after Run.
 	Traffic *traffic.Recorder
 
-	// net memoizes the streaming analysis so Finish and Network share one
-	// pass over the node logs.
+	// net memoizes Network's retained per-node view.
 	net *analysis.Network
 }
 

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"maps"
 	"slices"
-	"sort"
 	"strconv"
 
 	"repro/internal/analysis"
@@ -144,61 +143,48 @@ func (r *Result) Values() map[string]float64 {
 	return v
 }
 
-// Finish analyzes a completed run: each node's log feeds its own
-// StreamAnalyzer in one pass, and the NetworkAnalyzer sums the per-node
-// breakdowns by origin label. Attribution is per node, so no network-wide
-// merge is needed; a merged stream of the same logs, as decoded files
-// arrive, gives the same result through NetworkAnalyzer.Consume.
+// Finish analyzes a completed run node by node, in ascending node id,
+// through one StreamAnalyzer reset between nodes: each node's log feeds it
+// in one pass, and the node's breakdown, energy, span and NodeResult are
+// folded into the Result before the next node starts. Attribution is per
+// node, so nothing network-wide stays alive while a node is analyzed, and
+// the analyzer's tables are sized once for the whole run. The sums are
+// bit-identical to Network's, which adds the nodes in the same order. An
+// error names the lowest failing node, as NetworkAnalyzer.Finish does.
+// Finish does not build the retained per-node view; Network does.
 func (in *Instance) Finish() (*Result, error) {
-	net, err := in.Network()
-	if err != nil {
-		return nil, err
-	}
+	w := in.World
 	r := &Result{Spec: in.Spec}
-	// Labels from different origins can share a display name ("int_TIMERA1"
-	// on every node of a chain), and float addition is not associative — so
-	// the per-name fold runs in sorted label order, never map order, or the
-	// low bits of ActivityUJ would differ between replays of the same seed.
-	byLabel := net.EnergyByActivity()
-	byName := make(map[string]float64, len(byLabel))
-	for _, l := range slices.Sorted(maps.Keys(byLabel)) {
-		name := "Const."
-		if l != analysis.ConstLabel {
-			name = net.Dict.LabelName(l)
-		}
-		byName[name] += byLabel[l]
+	ids := make([]core.NodeID, len(w.Nodes))
+	for i, n := range w.Nodes {
+		ids[i] = n.ID
 	}
-	r.ActivityUJ = byName
-	r.TotalUJ = net.TotalEnergyUJ()
-
-	ids := make([]int, 0, len(net.Nodes))
-	//quanto:ordered key collection is sorted below before use
-	for id := range net.Nodes {
-		ids = append(ids, int(id))
-	}
-	sort.Ints(ids)
-	for _, id := range ids {
-		a := net.Nodes[core.NodeID(id)]
-		n := in.World.Node(core.NodeID(id))
-		entries := 0
-		if n != nil {
-			entries = len(n.Log.Entries)
+	slices.Sort(ids)
+	byLabel := make(map[core.Label]float64)
+	sa := analysis.NewStreamAnalyzer(0, 0, 0, w.Dict, analysis.DefaultOptions())
+	for _, id := range slices.Compact(ids) {
+		n := w.Node(id)
+		sa.Reset(id, n.Meter.PulseEnergy(), n.Volts)
+		sa.RecordBatch(n.Log.Entries)
+		a, err := sa.Finish()
+		if err != nil {
+			return nil, fmt.Errorf("node %d: %w", id, err)
 		}
-		r.Entries += entries
-		if a.Span() > r.SpanUS {
-			r.SpanUS = a.Span()
-		}
+		analysis.AddEnergyByActivity(byLabel, a.EnergyByActivity())
+		r.TotalUJ += a.TotalEnergyUJ()
+		r.Entries += len(n.Log.Entries)
+		r.SpanUS = max(r.SpanUS, a.Span())
 		nr := NodeResult{
-			Node:       id,
-			Entries:    entries,
+			Node:       int(id),
+			Entries:    len(n.Log.Entries),
 			SpanUS:     a.Span(),
 			EnergyUJ:   a.TotalEnergyUJ(),
 			AvgPowerMW: a.AveragePowerMW(),
 		}
-		if n != nil && n.Battery != nil {
+		if n.Battery != nil {
 			// Close the battery's integration at the end of the run so a
 			// survivor's margin covers the full duration.
-			n.Battery.Sync(in.World.Sim.Now())
+			n.Battery.Sync(w.Sim.Now())
 			nr.BatteryUAH = n.Battery.CapacityUAH()
 			nr.MarginFrac = n.Battery.MarginFrac()
 			if at, died := n.DiedAt(); died {
@@ -214,10 +200,22 @@ func (in *Instance) Finish() (*Result, error) {
 				// duration: under halt-world the simulation stops at the
 				// first death, and crediting survivors with unsimulated
 				// time would inflate their lifetimes.
-				nr.LifetimeUS = int64(in.World.Sim.Now())
+				nr.LifetimeUS = int64(w.Sim.Now())
 			}
 		}
 		r.Nodes = append(r.Nodes, nr)
+	}
+	// Labels from different origins can share a display name ("int_TIMERA1"
+	// on every node of a chain), and float addition is not associative — so
+	// the per-name fold runs in sorted label order, never map order, or the
+	// low bits of ActivityUJ would differ between replays of the same seed.
+	r.ActivityUJ = make(map[string]float64, len(byLabel))
+	for _, l := range slices.Sorted(maps.Keys(byLabel)) {
+		name := "Const."
+		if l != analysis.ConstLabel {
+			name = w.Dict.LabelName(l)
+		}
+		r.ActivityUJ[name] += byLabel[l]
 	}
 	if r.SpanUS > 0 {
 		r.AvgPowerMW = r.TotalUJ / float64(r.SpanUS) * 1000
@@ -241,8 +239,9 @@ func (in *Instance) Finish() (*Result, error) {
 
 // Network runs the full streaming analysis and returns the per-node and
 // network-wide view, for callers that need more than the compact Result
-// (timelines, regressions, footprints). The analysis is computed once per
-// instance; call it only after Run.
+// (timelines, regressions, footprints). It keeps every node's Analysis
+// alive, which Finish avoids, so it is built only on request: once per
+// instance, cached, and independent of Finish. Call it only after Run.
 func (in *Instance) Network() (*analysis.Network, error) {
 	if in.net != nil {
 		return in.net, nil
