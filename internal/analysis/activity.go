@@ -150,29 +150,40 @@ func (b *TimelineBuilder) reserve(single, multi *resCounts) {
 // completed timelines, keyed by every resource that logged an activity
 // entry. The builder must not be used afterwards.
 func (b *TimelineBuilder) Finish(end int64) (map[core.ResourceID]*ActTimeline, map[core.ResourceID]*MultiTimeline) {
-	single := make(map[core.ResourceID]*ActTimeline, countIf(b.single, func(r *singleRes) bool { return r.seen }))
+	b.close(end)
+	return b.views()
+}
+
+// close closes every open segment at the given end time. Call it once.
+func (b *TimelineBuilder) close(end int64) {
 	for i := range b.single {
-		r := &b.single[i]
-		if !r.seen {
-			continue
-		}
-		if end > r.start {
+		if r := &b.single[i]; r.seen && end > r.start {
 			r.segs = append(r.segs, Segment{Start: r.start, End: end, Label: r.label, Owner: r.label})
 		}
-		res := core.ResourceID(i)
-		single[res] = &ActTimeline{Res: res, Segs: r.segs}
+	}
+	for i := range b.multi {
+		if r := &b.multi[i]; r.seen && end > r.start {
+			r.segs = append(r.segs, MultiSegment{Start: r.start, End: end, Labels: b.sets.sets[r.set]})
+		}
+	}
+}
+
+// views returns the closed timelines as maps keyed by every resource that
+// logged an activity entry.
+func (b *TimelineBuilder) views() (map[core.ResourceID]*ActTimeline, map[core.ResourceID]*MultiTimeline) {
+	single := make(map[core.ResourceID]*ActTimeline, countIf(b.single, func(r *singleRes) bool { return r.seen }))
+	for i := range b.single {
+		if r := &b.single[i]; r.seen {
+			res := core.ResourceID(i)
+			single[res] = &ActTimeline{Res: res, Segs: r.segs}
+		}
 	}
 	multi := make(map[core.ResourceID]*MultiTimeline, countIf(b.multi, func(r *multiRes) bool { return r.seen }))
 	for i := range b.multi {
-		r := &b.multi[i]
-		if !r.seen {
-			continue
+		if r := &b.multi[i]; r.seen {
+			res := core.ResourceID(i)
+			multi[res] = &MultiTimeline{Res: res, Segs: r.segs}
 		}
-		if end > r.start {
-			r.segs = append(r.segs, MultiSegment{Start: r.start, End: end, Labels: b.sets.sets[r.set]})
-		}
-		res := core.ResourceID(i)
-		multi[res] = &MultiTimeline{Res: res, Segs: r.segs}
 	}
 	return single, multi
 }
@@ -314,15 +325,25 @@ func (b *StateTimelineBuilder) Add(e core.Entry, at int64) {
 // Finish closes every open segment at the given end time and returns the
 // completed timelines, keyed by every resource with at least one segment.
 func (b *StateTimelineBuilder) Finish(end int64) map[core.ResourceID][]StateSegment {
-	out := make(map[core.ResourceID][]StateSegment, countIf(b.res, func(r *stateRes) bool {
-		return len(r.segs) > 0 || r.open && end > r.start
-	}))
+	b.close(end)
+	return b.views()
+}
+
+// close closes every open segment at the given end time. Call it once.
+func (b *StateTimelineBuilder) close(end int64) {
 	for i := range b.res {
-		r := &b.res[i]
-		if r.open && end > r.start {
+		if r := &b.res[i]; r.open && end > r.start {
 			r.segs = append(r.segs, StateSegment{Start: r.start, End: end, State: r.state})
 		}
-		if len(r.segs) > 0 {
+	}
+}
+
+// views returns the closed timelines as a map keyed by every resource with
+// at least one segment.
+func (b *StateTimelineBuilder) views() map[core.ResourceID][]StateSegment {
+	out := make(map[core.ResourceID][]StateSegment, countIf(b.res, func(r *stateRes) bool { return len(r.segs) > 0 }))
+	for i := range b.res {
+		if r := &b.res[i]; len(r.segs) > 0 {
 			out[core.ResourceID(i)] = r.segs
 		}
 	}

@@ -1,7 +1,7 @@
 package analysis
 
 import (
-	"sort"
+	"slices"
 
 	"repro/internal/core"
 )
@@ -88,8 +88,10 @@ func Analyze(t *NodeTrace, dict *core.Dictionary, opts Options) (*Analysis, erro
 	return a, nil
 }
 
-func (a *Analysis) ownerOf(seg Segment) core.Label {
-	if a.Opts.ResolveProxies {
+// owner returns the label a single-activity segment is charged to: its
+// owner after proxy resolution, or its raw label without it.
+func (o Options) owner(seg Segment) core.Label {
+	if o.ResolveProxies {
 		return seg.Owner
 	}
 	return seg.Label
@@ -102,7 +104,7 @@ func (a *Analysis) TimeByActivity() map[core.ResourceID]map[core.Label]int64 {
 	for res, tl := range a.Single {
 		m := make(map[core.Label]int64)
 		for _, s := range tl.Segs {
-			m[a.ownerOf(s)] += s.End - s.Start
+			m[a.Opts.owner(s)] += s.End - s.Start
 		}
 		out[res] = m
 	}
@@ -151,7 +153,7 @@ func (a *Analysis) stateResources() []core.ResourceID {
 	for res := range a.States {
 		out = append(out, res)
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
+	slices.Sort(out)
 	return out
 }
 
@@ -181,74 +183,196 @@ func (a *Analysis) EnergyByResource() (map[core.ResourceID]float64, float64) {
 
 // EnergyByActivity charges each resource's fitted power to the activity that
 // held the resource at the time — Table 3(d). The constant term's energy is
-// reported under ConstLabel.
+// reported under ConstLabel. It runs the charging kernel StreamAnalyzer's
+// Breakdown runs, over the Analysis's timelines.
 func (a *Analysis) EnergyByActivity() map[core.Label]float64 {
-	out := make(map[core.Label]float64)
-
+	var c charger
+	c.reset(a.Opts, a.Reg)
 	for _, res := range a.stateResources() {
-		for _, seg := range a.States[res] {
-			if seg.State == 0 {
-				continue
-			}
-			mw, ok := a.Reg.PowerMW[Predictor{res, seg.State}]
-			if !ok {
-				continue
-			}
-			a.chargeWindow(res, seg.Start, seg.End, mw, out)
-		}
+		c.resource(res, a.States[res], a.Single[res], a.Multi[res])
 	}
-	out[ConstLabel] += a.Reg.ConstMW * float64(a.Span()) / 1000
+	sums := c.finish(a.Span())
+	out := make(map[core.Label]float64, len(sums))
+	for _, s := range sums {
+		out[s.Label] = s.UJ
+	}
 	return out
 }
 
-// chargeWindow distributes mw over [start, end) according to res's activity
-// timeline. Segments follow one another in time, so the scan starts at the
-// first one ending after start and stops at the first one starting at end:
-// a whole breakdown stays linear in the log instead of quadratic.
-func (a *Analysis) chargeWindow(res core.ResourceID, start, end int64, mw float64, out map[core.Label]float64) {
-	charge := func(l core.Label, us int64) {
-		if us > 0 {
-			out[l] += mw * float64(us) / 1000
+// LabelEnergy is the energy, in microjoules, charged to one activity label.
+type LabelEnergy struct {
+	Label core.Label
+	UJ    float64
+}
+
+// charger is the breakdown's charging kernel. Fed a node's resources in
+// ascending id, it charges each resource's fitted power, one non-baseline
+// state segment at a time, to whichever activity held the resource, and sums
+// the charges per label; finish adds the constant term last. Each label gets
+// the additions a map keyed by label would get, in the same order, so the
+// sums match such a map bit for bit. A charger keeps its tables across
+// reset.
+type charger struct {
+	opts Options
+	reg  *Regression
+	sums labelSums
+	// memo caches the fitted power of the states the current resource has
+	// met; a resource with more states looks the rest up every time.
+	memo  [8]fittedState
+	nmemo int
+}
+
+type fittedState struct {
+	state core.PowerState
+	mw    float64
+	ok    bool
+}
+
+// reset readies the charger for a node whose model is reg.
+func (c *charger) reset(opts Options, reg *Regression) {
+	c.opts, c.reg = opts, reg
+	c.sums.reset()
+}
+
+// resource charges one resource's state segments, which follow one another
+// in time. A single-activity timeline, if the resource has one, says who
+// held it; else a multi-activity one; a resource with neither is
+// unattributed and charged to ConstLabel. Timeline segments also follow one
+// another with strictly increasing ends, so the first segment overlapping a
+// state segment is found by a cursor that only moves forward: the whole
+// resource costs one pass over each timeline.
+func (c *charger) resource(res core.ResourceID, states []StateSegment, single *ActTimeline, multi *MultiTimeline) {
+	c.nmemo = 0
+	next := 0 // the first timeline segment ending after the current start
+	for _, seg := range states {
+		if seg.State == 0 {
+			continue
 		}
-	}
-	if tl := a.Single[res]; tl != nil {
-		first := sort.Search(len(tl.Segs), func(i int) bool { return tl.Segs[i].End > start })
-		for _, s := range tl.Segs[first:] {
-			if s.Start >= end {
-				break
-			}
-			lo, hi := maxi64(s.Start, start), mini64(s.End, end)
-			if hi > lo {
-				charge(a.ownerOf(s), hi-lo)
-			}
+		mw, ok := c.power(res, seg.State)
+		if !ok {
+			continue
 		}
-		return
-	}
-	if mt := a.Multi[res]; mt != nil {
-		first := sort.Search(len(mt.Segs), func(i int) bool { return mt.Segs[i].End > start })
-		for _, s := range mt.Segs[first:] {
-			if s.Start >= end {
-				break
+		start, end := seg.Start, seg.End
+		switch {
+		case single != nil:
+			segs := single.Segs
+			for next < len(segs) && segs[next].End <= start {
+				next++
 			}
-			lo, hi := maxi64(s.Start, start), mini64(s.End, end)
-			if hi <= lo {
-				continue
+			for _, s := range segs[next:] {
+				if s.Start >= end {
+					break
+				}
+				c.charge(c.opts.owner(s), mw, min(s.End, end)-max(s.Start, start))
 			}
-			switch {
-			case len(s.Labels) == 0:
-				charge(ConstLabel, hi-lo) // unattributed hardware-on time
-			case a.Opts.Split == SplitFirst:
-				charge(s.Labels[0], hi-lo)
-			default:
-				for _, l := range s.Labels {
-					out[l] += mw * float64(hi-lo) / 1000 / float64(len(s.Labels))
+		case multi != nil:
+			segs := multi.Segs
+			for next < len(segs) && segs[next].End <= start {
+				next++
+			}
+			for _, s := range segs[next:] {
+				if s.Start >= end {
+					break
+				}
+				us := min(s.End, end) - max(s.Start, start)
+				switch {
+				case us <= 0:
+				case len(s.Labels) == 0:
+					c.charge(ConstLabel, mw, us) // unattributed hardware-on time
+				case c.opts.Split == SplitFirst:
+					c.charge(s.Labels[0], mw, us)
+				default:
+					for _, l := range s.Labels {
+						c.sums.add(l, mw*float64(us)/1000/float64(len(s.Labels)))
+					}
 				}
 			}
+		default:
+			// No activity instrumentation on this resource: unattributed.
+			c.charge(ConstLabel, mw, end-start)
 		}
-		return
 	}
-	// No activity instrumentation on this resource: unattributed.
-	charge(ConstLabel, end-start)
+}
+
+// charge adds us microseconds at mw milliwatts to l's sum, if us > 0.
+func (c *charger) charge(l core.Label, mw float64, us int64) {
+	if us > 0 {
+		c.sums.add(l, mw*float64(us)/1000) // mW*us -> uJ
+	}
+}
+
+// power returns the fitted draw of res in state st, if the model has one.
+func (c *charger) power(res core.ResourceID, st core.PowerState) (float64, bool) {
+	for _, f := range c.memo[:c.nmemo] {
+		if f.state == st {
+			return f.mw, f.ok
+		}
+	}
+	mw, ok := c.reg.PowerMW[Predictor{res, st}]
+	if c.nmemo < len(c.memo) {
+		c.memo[c.nmemo] = fittedState{st, mw, ok}
+		c.nmemo++
+	}
+	return mw, ok
+}
+
+// finish adds the constant term's energy over a span of spanUS to
+// ConstLabel and returns the node's sums, in the order their labels were
+// first charged. They belong to the charger and change at its next reset.
+func (c *charger) finish(spanUS int64) []LabelEnergy {
+	c.sums.add(ConstLabel, c.reg.ConstMW*float64(spanUS)/1000)
+	return c.sums.pairs
+}
+
+// labelSums sums per label without a Go map: an open-addressed table over
+// the 16-bit label indexes pairs, which holds the sums in the order their
+// labels first appeared. The table starts at 64 slots and doubles whenever
+// it is half full. A label's sum starts at zero and takes every addition in
+// turn, exactly as a map entry would.
+type labelSums struct {
+	slots []int32 // 1 + the index in pairs of the slot's label; 0 if empty
+	pairs []LabelEnergy
+}
+
+func (ls *labelSums) reset() {
+	clear(ls.slots)
+	ls.pairs = ls.pairs[:0]
+}
+
+func (ls *labelSums) add(l core.Label, uj float64) {
+	if 2*len(ls.pairs) >= len(ls.slots) {
+		ls.grow()
+	}
+	mask := uint32(len(ls.slots) - 1)
+	h := labelHash(l) & mask
+	for ls.slots[h] != 0 && ls.pairs[ls.slots[h]-1].Label != l {
+		h = (h + 1) & mask
+	}
+	if ls.slots[h] == 0 {
+		ls.pairs = append(ls.pairs, LabelEnergy{Label: l})
+		ls.slots[h] = int32(len(ls.pairs))
+	}
+	ls.pairs[ls.slots[h]-1].UJ += uj
+}
+
+// grow doubles the table (to 64 slots at first) and re-enters every label.
+func (ls *labelSums) grow() {
+	ls.slots = make([]int32, max(64, 2*len(ls.slots)))
+	mask := uint32(len(ls.slots) - 1)
+	for i, p := range ls.pairs {
+		h := labelHash(p.Label) & mask
+		for ls.slots[h] != 0 {
+			h = (h + 1) & mask
+		}
+		ls.slots[h] = int32(i + 1)
+	}
+}
+
+// labelHash spreads a label's origin and activity bits over the low bits
+// the table indexes by.
+func labelHash(l core.Label) uint32 {
+	h := uint32(l) * 0x9E3779B1
+	return h ^ h>>16
 }
 
 // TotalEnergyUJ returns the meter-observed energy over the span.
@@ -269,7 +393,7 @@ func (a *Analysis) LabelsInUse() []core.Label {
 	for l := range set {
 		out = append(out, l)
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
+	slices.Sort(out)
 	return out
 }
 

@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"maps"
 	"slices"
-	"sort"
 
 	"repro/internal/core"
 )
@@ -46,8 +45,10 @@ func (n *Network) EnergyByActivity() map[core.Label]float64 {
 // associative, so a sum is reproducible bit for bit only when the nodes are
 // added in one fixed order: every network-wide sum in this package adds
 // them in ascending node id, and a caller that folds nodes one at a time
-// (analyzing each and dropping it before the next) must do the same to get
-// the same bits.
+// (analyzing each and dropping it before the next, as Instance.Finish folds
+// each node's StreamAnalyzer.Breakdown) must do the same to get the same
+// bits. Each label appears once per node, so the order of one node's
+// labels does not matter.
 func AddEnergyByActivity(sum, node map[core.Label]float64) {
 	for l, uj := range node {
 		sum[l] += uj
@@ -131,7 +132,7 @@ func (n *Network) nodeIDs() []core.NodeID {
 	for id := range n.Nodes {
 		ids = append(ids, id)
 	}
-	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
+	slices.Sort(ids)
 	return ids
 }
 

@@ -333,24 +333,136 @@ func refAnalysis(entries []core.Entry, dict *core.Dictionary, pulseUJ float64, o
 	}, ivs
 }
 
+// refEnergyByActivity is the map-based breakdown the charging kernel
+// replaced, kept as its oracle: a binary search of the activity timeline
+// for every state segment, a map lookup for every fitted power, and a map
+// entry that every charge adds into.
+func refEnergyByActivity(a *Analysis) map[core.Label]float64 {
+	out := make(map[core.Label]float64)
+
+	for _, res := range slices.Sorted(maps.Keys(a.States)) {
+		for _, seg := range a.States[res] {
+			if seg.State == 0 {
+				continue
+			}
+			mw, ok := a.Reg.PowerMW[Predictor{res, seg.State}]
+			if !ok {
+				continue
+			}
+			refChargeWindow(a, res, seg.Start, seg.End, mw, out)
+		}
+	}
+	out[ConstLabel] += a.Reg.ConstMW * float64(a.Span()) / 1000
+	return out
+}
+
+// refChargeWindow distributes mw over [start, end) according to res's
+// activity timeline.
+func refChargeWindow(a *Analysis, res core.ResourceID, start, end int64, mw float64, out map[core.Label]float64) {
+	charge := func(l core.Label, us int64) {
+		if us > 0 {
+			out[l] += mw * float64(us) / 1000
+		}
+	}
+	if tl := a.Single[res]; tl != nil {
+		first := sort.Search(len(tl.Segs), func(i int) bool { return tl.Segs[i].End > start })
+		for _, s := range tl.Segs[first:] {
+			if s.Start >= end {
+				break
+			}
+			lo, hi := maxi64(s.Start, start), mini64(s.End, end)
+			if hi > lo {
+				owner := s.Label
+				if a.Opts.ResolveProxies {
+					owner = s.Owner
+				}
+				charge(owner, hi-lo)
+			}
+		}
+		return
+	}
+	if mt := a.Multi[res]; mt != nil {
+		first := sort.Search(len(mt.Segs), func(i int) bool { return mt.Segs[i].End > start })
+		for _, s := range mt.Segs[first:] {
+			if s.Start >= end {
+				break
+			}
+			lo, hi := maxi64(s.Start, start), mini64(s.End, end)
+			if hi <= lo {
+				continue
+			}
+			switch {
+			case len(s.Labels) == 0:
+				charge(ConstLabel, hi-lo) // unattributed hardware-on time
+			case a.Opts.Split == SplitFirst:
+				charge(s.Labels[0], hi-lo)
+			default:
+				for _, l := range s.Labels {
+					out[l] += mw * float64(hi-lo) / 1000 / float64(len(s.Labels))
+				}
+			}
+		}
+		return
+	}
+	// No activity instrumentation on this resource: unattributed.
+	charge(ConstLabel, end-start)
+}
+
+// logShape is what randomLog draws from: the resources that log power
+// states (each with its highest state), single-activity and multi-activity
+// entries, and how many labels to use beyond the seven it always uses.
+type logShape struct {
+	psRes               []core.ResourceID
+	maxState            []core.PowerState // parallel to psRes
+	singleRes, multiRes []core.ResourceID
+	moreLabels          int
+}
+
+var (
+	// narrowShape keeps activity timelines and power states apart except
+	// on resources 0 and 255.
+	narrowShape = logShape{
+		psRes:     []core.ResourceID{0, 3, 42, 200, 255},
+		maxState:  []core.PowerState{3, 3, 3, 3, 3},
+		singleRes: []core.ResourceID{0, 7, 255},
+		multiRes:  []core.ResourceID{11, 254},
+	}
+	// wideShape reaches the rest of the charging kernel: resource 0 has 11
+	// non-baseline states, multi-activity resource 11 draws power,
+	// resource 7 logs single- and multi-activity entries and draws power,
+	// resource 3 draws power with no activity timeline, and 80 more labels
+	// let one node charge more than 64.
+	wideShape = logShape{
+		psRes:      []core.ResourceID{0, 3, 7, 11, 255},
+		maxState:   []core.PowerState{11, 3, 3, 3, 3},
+		singleRes:  []core.ResourceID{0, 7, 255},
+		multiRes:   []core.ResourceID{7, 11, 254},
+		moreLabels: 80,
+	}
+)
+
 // randomLog generates a log over sparse resource ids (0 and 255 included):
 // power states driven by a simulated meter, set and bind entries mixing
 // real, idle and proxy labels, multi-activity adds and removes (some of
 // absent labels), runs of entries within one microsecond, and a 32-bit
 // clock and meter counter that both wrap early in the log.
-func randomLog(rng *rand.Rand, dict *core.Dictionary, pulseUJ float64) []core.Entry {
-	psRes := []core.ResourceID{0, 3, 42, 200, 255}
-	singleRes := []core.ResourceID{0, 7, 255}
-	multiRes := []core.ResourceID{11, 254}
+func randomLog(rng *rand.Rand, dict *core.Dictionary, pulseUJ float64, shape logShape) []core.Entry {
+	psRes, singleRes, multiRes := shape.psRes, shape.singleRes, shape.multiRes
 	labels := []core.Label{
 		core.MkLabel(1, 0), core.MkLabel(1, 2), core.MkLabel(1, 3), core.MkLabel(2, 4),
 		core.MkLabel(1, 20), core.MkLabel(1, 21), core.MkLabel(2, 0),
 	}
+	// Multi-activity entries draw from the base labels alone, so their
+	// sets empty out now and then whatever the shape.
+	baseLabels := len(labels)
+	for i := range shape.moreLabels {
+		labels = append(labels, core.MkLabel(core.NodeID(3+i/40), core.ActivityID(2+i%40)))
+	}
 	dict.MarkProxy(core.MkLabel(1, 20))
 	dict.MarkProxy(core.MkLabel(1, 21))
 	draw := make(map[Predictor]float64) // uA
-	for _, r := range psRes {
-		for s := core.PowerState(1); s <= 3; s++ {
+	for i, r := range psRes {
+		for s := core.PowerState(1); s <= shape.maxState[i]; s++ {
 			draw[Predictor{r, s}] = float64(200 + rng.Intn(5000))
 		}
 	}
@@ -378,7 +490,8 @@ func randomLog(rng *rand.Rand, dict *core.Dictionary, pulseUJ float64) []core.En
 		}
 		switch k := rng.Intn(100); {
 		case k < 45:
-			r, s := psRes[rng.Intn(len(psRes))], core.PowerState(rng.Intn(4))
+			i := rng.Intn(len(psRes))
+			r, s := psRes[i], core.PowerState(rng.Intn(int(shape.maxState[i])+1))
 			states[r] = s
 			emit(core.EntryPowerState, r, uint16(s))
 		case k < 65:
@@ -386,9 +499,9 @@ func randomLog(rng *rand.Rand, dict *core.Dictionary, pulseUJ float64) []core.En
 		case k < 72:
 			emit(core.EntryActivityBind, singleRes[rng.Intn(len(singleRes))], uint16(labels[1+rng.Intn(3)]))
 		case k < 84:
-			emit(core.EntryActivityAdd, multiRes[rng.Intn(len(multiRes))], uint16(labels[rng.Intn(len(labels))]))
+			emit(core.EntryActivityAdd, multiRes[rng.Intn(len(multiRes))], uint16(labels[rng.Intn(baseLabels)]))
 		case k < 96:
-			emit(core.EntryActivityRemove, multiRes[rng.Intn(len(multiRes))], uint16(labels[rng.Intn(len(labels))]))
+			emit(core.EntryActivityRemove, multiRes[rng.Intn(len(multiRes))], uint16(labels[rng.Intn(baseLabels)]))
 		default:
 			emit(core.EntryMarker, 0, 0xFFFF)
 		}
@@ -440,11 +553,14 @@ func inBatches(n int) func(*StreamAnalyzer, []core.Entry) {
 	}
 }
 
-// checkSameAnalysis compares got against want exactly, floats by their
-// bits: the regression (error, groups, predictors, coefficients), the
-// activity and power-state timelines, and both breakdowns. Intervals and
-// vectors are left to the caller, since the naive reference has none.
-func checkSameAnalysis(t *testing.T, name string, got, want *Analysis) {
+// checkSameAnalysis compares got, the Analysis sa's Finish returned,
+// against want exactly, floats by their bits: the regression (error,
+// groups, predictors, coefficients), the activity and power-state
+// timelines, the time breakdown, and the energy breakdown both ways the
+// charging kernel gives it, got's EnergyByActivity and sa's Breakdown,
+// against the map-based oracle run on want. Intervals and vectors are left
+// to the caller, since the naive reference has none.
+func checkSameAnalysis(t *testing.T, name string, sa *StreamAnalyzer, got, want *Analysis) {
 	t.Helper()
 	if (got.RegressionErr == nil) != (want.RegressionErr == nil) ||
 		(got.RegressionErr != nil && got.RegressionErr.Error() != want.RegressionErr.Error()) {
@@ -487,102 +603,191 @@ func checkSameAnalysis(t *testing.T, name string, got, want *Analysis) {
 	if !maps.EqualFunc(got.TimeByActivity(), want.TimeByActivity(), maps.Equal) {
 		t.Errorf("%s: TimeByActivity differs", name)
 	}
-	if g, w := got.EnergyByActivity(), want.EnergyByActivity(); !sameFloatMap(g, w) {
-		t.Errorf("%s: EnergyByActivity = %v, want %v", name, g, w)
+	oracle := refEnergyByActivity(want)
+	if g := got.EnergyByActivity(); !sameFloatMap(g, oracle) {
+		t.Errorf("%s: EnergyByActivity = %v, want %v", name, g, oracle)
+	}
+	pairs, pulses, span, err := sa.Breakdown()
+	if err != nil {
+		t.Fatalf("%s: Breakdown: %v", name, err)
+	}
+	byLabel := make(map[core.Label]float64, len(pairs))
+	for _, p := range pairs {
+		byLabel[p.Label] = p.UJ
+	}
+	if len(byLabel) != len(pairs) || !sameFloatMap(byLabel, oracle) {
+		t.Errorf("%s: Breakdown = %v, want %v", name, pairs, oracle)
+	}
+	if pulses != want.TotalPulses || span != want.Span() {
+		t.Errorf("%s: Breakdown gives %d pulses over %d us, want %d over %d", name, pulses, span, want.TotalPulses, want.Span())
+	}
+}
+
+// kernelCoverage counts the charging-kernel paths the breakdowns checked
+// against the oracle reach.
+type kernelCoverage struct {
+	manyLabels, manyStates, unattributed, bothTimelines, emptySet, constOnly int
+}
+
+// add counts the paths a's breakdown, which charges labels labels,
+// reaches: more than 64 labels (the label table grows twice), a resource
+// in more than 8 non-baseline states (more than the power memo holds), a
+// resource drawing power with no activity timeline, one with both kinds
+// of timeline, a multi-activity segment with an empty set over a charged
+// state segment, and a constant-only model.
+func (c *kernelCoverage) add(a *Analysis, labels int) {
+	if labels > 64 {
+		c.manyLabels++
+	}
+	if a.RegressionErr != nil {
+		c.constOnly++
+	}
+	for res, states := range a.States {
+		charged := func(s StateSegment) bool {
+			_, ok := a.Reg.PowerMW[Predictor{res, s.State}]
+			return s.State != 0 && ok
+		}
+		inStates := make(map[core.PowerState]bool)
+		for _, s := range states {
+			if s.State != 0 {
+				inStates[s.State] = true
+			}
+		}
+		if len(inStates) > 8 {
+			c.manyStates++
+		}
+		if !slices.ContainsFunc(states, charged) {
+			continue
+		}
+		single, multi := a.Single[res], a.Multi[res]
+		switch {
+		case single == nil && multi == nil:
+			c.unattributed++
+		case single != nil && multi != nil:
+			c.bothTimelines++
+		case multi != nil:
+			if slices.ContainsFunc(multi.Segs, func(m MultiSegment) bool {
+				return len(m.Labels) == 0 && slices.ContainsFunc(states, func(s StateSegment) bool {
+					return charged(s) && s.Start < m.End && m.Start < s.End
+				})
+			}) {
+				c.emptySet++
+			}
+		}
 	}
 }
 
 // TestStreamAnalyzerMatchesNaiveReference checks intervals, vectors,
 // groups, coefficients, timelines and breakdowns of random logs against the
-// naive recomputation, exactly, for every feed of the same log.
+// naive recomputation, exactly, for every feed of the same log. The narrow
+// logs charge no multi-activity resource, so only the wide ones run under
+// every option set: both split policies with proxies resolved and not, and
+// a regression that falls back to the constant-only model.
 func TestStreamAnalyzerMatchesNaiveReference(t *testing.T) {
 	const pulseUJ = 8.33
 	unweighted := DefaultOptions()
 	unweighted.Regression = RegressionOptions{IncludeConstant: true, MergeTimeFrac: 0.002}
 	firstSplit := DefaultOptions()
 	firstSplit.Split, firstSplit.ResolveProxies = SplitFirst, false
+	firstResolved := DefaultOptions()
+	firstResolved.Split = SplitFirst
+	equalRaw := DefaultOptions()
+	equalRaw.ResolveProxies = false
+	constantOnly := DefaultOptions() // every group too short to fit
+	constantOnly.Regression.MinGroupTimeUS = math.MaxInt64
+	narrowOpts := []Options{DefaultOptions(), unweighted, firstSplit}
+	wideOpts := append(narrowOpts, firstResolved, equalRaw, constantOnly)
 
 	var fitted, rebound, overlaps, wrapped, lateTop int
-	for seed := int64(1); seed <= 30; seed++ {
-		for oi, opts := range []Options{DefaultOptions(), unweighted, firstSplit} {
-			rng := rand.New(rand.NewSource(seed))
-			dict := core.NewDictionary()
-			entries := randomLog(rng, dict, pulseUJ)
-			want, ivs := refAnalysis(entries, dict, pulseUJ, opts)
-			if entries[len(entries)-1].Time < entries[0].Time {
-				wrapped++
-			}
-			// The single-activity table's highest resource id should first
-			// show up after the first batch of 7, so a later batch must
-			// extend what the first one reserved.
-			isSingle := func(e core.Entry) bool {
-				return e.Type == core.EntryActivitySet || e.Type == core.EntryActivityBind
-			}
-			var top core.ResourceID
-			for _, e := range entries {
-				if isSingle(e) {
-					top = max(top, e.Res)
+	var kernel kernelCoverage
+	for _, shape := range []struct {
+		name  string
+		shape logShape
+		seeds int64
+		opts  []Options
+	}{{"narrow", narrowShape, 30, narrowOpts}, {"wide", wideShape, 10, wideOpts}} {
+		for seed := int64(1); seed <= shape.seeds; seed++ {
+			for oi, opts := range shape.opts {
+				rng := rand.New(rand.NewSource(seed))
+				dict := core.NewDictionary()
+				entries := randomLog(rng, dict, pulseUJ, shape.shape)
+				want, ivs := refAnalysis(entries, dict, pulseUJ, opts)
+				if entries[len(entries)-1].Time < entries[0].Time {
+					wrapped++
 				}
-			}
-			if !slices.ContainsFunc(entries[:7], func(e core.Entry) bool { return isSingle(e) && e.Res == top }) {
-				lateTop++
-			}
-			// How entries arrive is independent of the regression options,
-			// so the other option sets take the whole-batch feed alone.
-			fs := feeds
-			if oi > 0 {
-				fs = feeds[:1]
-			}
-			var first *Analysis
-			for _, f := range fs {
-				name := fmt.Sprintf("seed %d options %d, %s", seed, oi, f.name)
-				sa := NewStreamAnalyzer(1, pulseUJ, 3.0, dict, opts)
-				f.feed(sa, entries)
-				got, err := sa.Finish()
-				if err != nil {
-					t.Fatalf("%s: %v", name, err)
+				// The single-activity table's highest resource id should first
+				// show up after the first batch of 7, so a later batch must
+				// extend what the first one reserved.
+				isSingle := func(e core.Entry) bool {
+					return e.Type == core.EntryActivitySet || e.Type == core.EntryActivityBind
 				}
-				if first == nil {
-					first = got
-				} else if !slices.Equal(got.Intervals, first.Intervals) ||
-					!slices.EqualFunc(got.Vectors, first.Vectors, func(a, b StateVector) bool {
-						return a.Key == b.Key && slices.Equal(a.Active, b.Active)
-					}) {
-					t.Fatalf("%s: intervals or vectors differ from the %s feed", name, feeds[0].name)
-				}
-
-				if len(got.Intervals) != len(ivs) {
-					t.Fatalf("%s: %d intervals, want %d", name, len(got.Intervals), len(ivs))
-				}
-				for i, iv := range got.Intervals {
-					ref := ivs[i]
-					vec := got.Vectors[iv.Vec]
-					states := make(map[core.ResourceID]core.PowerState)
-					for _, p := range vec.Active {
-						states[p.Res] = p.State
-					}
-					if iv.Start != ref.Start || iv.End != ref.End || iv.Pulses != ref.Pulses ||
-						vec.Key != ref.Key || !maps.Equal(states, ref.States) {
-						t.Fatalf("%s: interval %d = %+v %q %v, want %+v", name, i, iv, vec.Key, states, ref)
+				var top core.ResourceID
+				for _, e := range entries {
+					if isSingle(e) {
+						top = max(top, e.Res)
 					}
 				}
-
-				if got.RegressionErr == nil {
-					fitted++
+				if !slices.ContainsFunc(entries[:7], func(e core.Entry) bool { return isSingle(e) && e.Res == top }) {
+					lateTop++
 				}
-				checkSameAnalysis(t, name, got, want)
+				// How entries arrive is independent of the regression options,
+				// so the other option sets take the whole-batch feed alone.
+				fs := feeds
+				if oi > 0 || shape.name != "narrow" {
+					fs = feeds[:1]
+				}
+				var first *Analysis
+				for _, f := range fs {
+					name := fmt.Sprintf("%s log, seed %d options %d, %s", shape.name, seed, oi, f.name)
+					sa := NewStreamAnalyzer(1, pulseUJ, 3.0, dict, opts)
+					f.feed(sa, entries)
+					got, err := sa.Finish()
+					if err != nil {
+						t.Fatalf("%s: %v", name, err)
+					}
+					if first == nil {
+						first = got
+					} else if !slices.Equal(got.Intervals, first.Intervals) ||
+						!slices.EqualFunc(got.Vectors, first.Vectors, func(a, b StateVector) bool {
+							return a.Key == b.Key && slices.Equal(a.Active, b.Active)
+						}) {
+						t.Fatalf("%s: intervals or vectors differ from the %s feed", name, feeds[0].name)
+					}
 
-				for _, tl := range got.Single {
-					for _, s := range tl.Segs {
-						if s.Owner != s.Label {
-							rebound++
+					if len(got.Intervals) != len(ivs) {
+						t.Fatalf("%s: %d intervals, want %d", name, len(got.Intervals), len(ivs))
+					}
+					for i, iv := range got.Intervals {
+						ref := ivs[i]
+						vec := got.Vectors[iv.Vec]
+						states := make(map[core.ResourceID]core.PowerState)
+						for _, p := range vec.Active {
+							states[p.Res] = p.State
+						}
+						if iv.Start != ref.Start || iv.End != ref.End || iv.Pulses != ref.Pulses ||
+							vec.Key != ref.Key || !maps.Equal(states, ref.States) {
+							t.Fatalf("%s: interval %d = %+v %q %v, want %+v", name, i, iv, vec.Key, states, ref)
 						}
 					}
-				}
-				for _, mt := range got.Multi {
-					for _, s := range mt.Segs {
-						if len(s.Labels) > 1 {
-							overlaps++
+
+					if got.RegressionErr == nil {
+						fitted++
+					}
+					checkSameAnalysis(t, name, sa, got, want)
+					kernel.add(got, len(got.EnergyByActivity()))
+
+					for _, tl := range got.Single {
+						for _, s := range tl.Segs {
+							if s.Owner != s.Label {
+								rebound++
+							}
+						}
+					}
+					for _, mt := range got.Multi {
+						for _, s := range mt.Segs {
+							if len(s.Labels) > 1 {
+								overlaps++
+							}
 						}
 					}
 				}
@@ -593,6 +798,10 @@ func TestStreamAnalyzerMatchesNaiveReference(t *testing.T) {
 	if fitted == 0 || rebound == 0 || overlaps == 0 || wrapped == 0 || lateTop == 0 {
 		t.Errorf("coverage: %d fitted regressions, %d rebound proxy segments, %d overlapping label sets, %d wrapped clocks, %d logs naming their top single-activity resource only after the first batch of 7",
 			fitted, rebound, overlaps, wrapped, lateTop)
+	}
+	if k := kernel; k.manyLabels == 0 || k.manyStates == 0 || k.unattributed == 0 || k.bothTimelines == 0 || k.emptySet == 0 || k.constOnly == 0 {
+		t.Errorf("kernel coverage: %d breakdowns over 64 labels, %d resources in over 8 states, %d charged resources without an activity timeline, %d with both kinds, %d with an empty label set over a charged state, %d constant-only models",
+			k.manyLabels, k.manyStates, k.unattributed, k.bothTimelines, k.emptySet, k.constOnly)
 	}
 }
 
@@ -616,7 +825,7 @@ func TestStreamAnalyzerResetMatchesFresh(t *testing.T) {
 	}
 	var logs [][]core.Entry
 	for seed := int64(1); seed <= 6; seed++ {
-		l := randomLog(rand.New(rand.NewSource(seed)), dict, 8.33)
+		l := randomLog(rand.New(rand.NewSource(seed)), dict, 8.33, narrowShape)
 		if seed%2 == 0 {
 			l = narrow(l)
 		}
@@ -661,7 +870,7 @@ func TestStreamAnalyzerResetMatchesFresh(t *testing.T) {
 		}) {
 			t.Fatalf("%s: intervals or vectors differ from a fresh analyzer's", name)
 		}
-		checkSameAnalysis(t, name, got, want)
+		checkSameAnalysis(t, name, reused, got, want)
 		// Label sets never reach an Analysis by index, so compare the
 		// tables: the reused one must not keep an earlier log's sets. (A
 		// fresh analyzer creates its table, set 0 being the empty set, at

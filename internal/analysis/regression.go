@@ -1,10 +1,11 @@
 package analysis
 
 import (
+	"cmp"
 	"fmt"
 	"math"
 	"slices"
-	"sort"
+	"strings"
 
 	"repro/internal/core"
 	"repro/internal/linalg"
@@ -100,31 +101,99 @@ func DefaultRegressionOptions() RegressionOptions {
 // and the vectors they index. Intervals are grouped by their vector's Key,
 // so distinct vectors with equal keys share one group.
 func RunRegression(intervals []StateInterval, vectors []StateVector, pulseUJ float64, opts RegressionOptions) (*Regression, error) {
+	var sc regScratch
+	reg, fail := sc.run(intervals, vectors, pulseUJ, opts)
+	if fail.failed() {
+		return nil, fail.err()
+	}
+	return reg, nil
+}
+
+// regScratch holds a regression's working tables. RunRegression uses a
+// fresh one; a StreamAnalyzer keeps one across the nodes it analyzes, so a
+// run that regresses node after node sizes the tables once. Nothing a
+// Regression returns points into it.
+type regScratch struct {
+	order    []int32 // vector indices, sorted by key
+	groupOf  []int32 // each vector's group
+	groups   []StateGroup
+	cands    []Predictor
+	activeIn []bool  // candidate c is on in group g at [c*len(groups)+g]
+	colOf    []int32 // each candidate's column (its representative's if merged), or -1 if dropped
+	reps     []int32 // each column's candidate
+}
+
+// regFailure says why a regression could not fit, as the numbers its error
+// names, so a caller that only falls back to a constant-only model never
+// formats a message. The zero value means the fit succeeded.
+type regFailure struct {
+	kind         regFailKind
+	groups, cols int
+	solver       error
+}
+
+type regFailKind uint8
+
+const (
+	regFitted regFailKind = iota
+	regNoIntervals
+	regNoPredictors
+	regUnderdetermined
+	regSolverFailed
+)
+
+func (f regFailure) failed() bool { return f.kind != regFitted }
+
+// err returns the error RunRegression reports for the failure.
+func (f regFailure) err() error {
+	switch f.kind {
+	case regNoIntervals:
+		return fmt.Errorf("analysis: no intervals to regress")
+	case regNoPredictors:
+		return fmt.Errorf("analysis: no predictors observed")
+	case regUnderdetermined:
+		return fmt.Errorf("analysis: %d state groups cannot constrain %d coefficients", f.groups, f.cols)
+	case regSolverFailed:
+		return fmt.Errorf("analysis: regression: %w", f.solver)
+	}
+	return nil
+}
+
+// run is RunRegression on the scratch's tables.
+func (sc *regScratch) run(intervals []StateInterval, vectors []StateVector, pulseUJ float64, opts RegressionOptions) (*Regression, regFailure) {
 	if len(intervals) == 0 {
-		return nil, fmt.Errorf("analysis: no intervals to regress")
+		return nil, regFailure{kind: regNoIntervals}
 	}
 
-	// Group by state-vector key: each vector finds its group once, then
-	// every interval adds to its vector's group in log order.
-	groupIdx := make(map[string]int, len(vectors))
-	groupOf := make([]int, len(vectors))
-	var groups []StateGroup
-	for v, sv := range vectors {
-		gi, ok := groupIdx[sv.Key]
-		if !ok {
-			gi = len(groups)
-			groupIdx[sv.Key] = gi
-			groups = append(groups, StateGroup{Key: sv.Key, Active: sv.Active})
-		}
-		groupOf[v] = gi
+	// Group by state-vector key: one sort of the vector indices puts the
+	// groups in key order (a stable order, for deterministic numerics), and
+	// breaking ties by index makes a group's first vector, whose predictors
+	// it takes, come first. Then every interval adds to its vector's group
+	// in log order.
+	order := sc.order[:0]
+	for v := range vectors {
+		order = append(order, int32(v))
 	}
+	slices.SortFunc(order, func(a, b int32) int {
+		if c := strings.Compare(vectors[a].Key, vectors[b].Key); c != 0 {
+			return c
+		}
+		return cmp.Compare(a, b)
+	})
+	groupOf := slices.Grow(sc.groupOf[:0], len(vectors))[:len(vectors)]
+	groups := sc.groups[:0]
+	for i, v := range order {
+		if i == 0 || vectors[v].Key != vectors[order[i-1]].Key {
+			groups = append(groups, StateGroup{Key: vectors[v].Key, Active: vectors[v].Active})
+		}
+		groupOf[v] = int32(len(groups) - 1)
+	}
+	sc.order, sc.groupOf, sc.groups = order, groupOf, groups
 	for _, iv := range intervals {
 		g := &groups[groupOf[iv.Vec]]
 		g.TimeUS += iv.Duration()
 		g.EnergyUJ += iv.EnergyUJ(pulseUJ)
 	}
-	// Stable group order for deterministic numerics.
-	sort.Slice(groups, func(i, j int) bool { return groups[i].Key < groups[j].Key })
 	{
 		// Groups whose total energy never crossed a pulse boundary carry a
 		// weight of zero and a meaningless y_j = 0; with the paper's
@@ -143,25 +212,27 @@ func RunRegression(intervals []StateInterval, vectors []StateVector, pulseUJ flo
 
 	// Candidate predictors: everything active somewhere, in sorted order,
 	// each with its incidence over the groups.
-	var cands []Predictor
+	cands := sc.cands[:0]
 	for _, g := range groups {
 		cands = append(cands, g.Active...)
 	}
-	sortPredictors(cands)
+	slices.SortFunc(cands, comparePredictors)
 	cands = slices.Compact(cands)
-	candOf := make(map[Predictor]int, len(cands))
-	for i, p := range cands {
-		candOf[p] = i
+	sc.cands = cands
+	candOf := func(p Predictor) int {
+		c, _ := slices.BinarySearchFunc(cands, p, comparePredictors)
+		return c
 	}
-	activeIn := make([][]bool, len(cands)) // [candidate][group]
-	for i := range activeIn {
-		activeIn[i] = make([]bool, len(groups))
-	}
+	ng := len(groups)
+	activeIn := slices.Grow(sc.activeIn[:0], len(cands)*ng)[:len(cands)*ng]
+	clear(activeIn)
+	sc.activeIn = activeIn
 	for gi, g := range groups {
 		for _, p := range g.Active {
-			activeIn[candOf[p]][gi] = true
+			activeIn[candOf(p)*ng+gi] = true
 		}
 	}
+	row := func(c int) []bool { return activeIn[c*ng : (c+1)*ng] }
 
 	// Drop candidates active in every group, and merge candidates whose
 	// incidence patterns are identical (perfectly collinear: the system
@@ -178,57 +249,49 @@ func RunRegression(intervals []StateInterval, vectors []StateVector, pulseUJ flo
 	// diffTime returns how long candidates p's and q's indicators disagree.
 	diffTime := func(p, q int) int64 {
 		var d int64
+		rp, rq := row(p), row(q)
 		for gi, g := range groups {
-			if activeIn[p][gi] != activeIn[q][gi] {
+			if rp[gi] != rq[gi] {
 				d += g.TimeUS
 			}
 		}
 		return d
 	}
-	var predictors, dropped []Predictor
-	mergedInto := make(map[Predictor]Predictor)
-	var reps []int // each predictor's candidate index
-	for p, pred := range cands {
-		if opts.IncludeConstant && !slices.Contains(activeIn[p], false) {
+	colOf, reps := sc.colOf[:0], sc.reps[:0]
+	for c := range cands {
+		if opts.IncludeConstant && !slices.Contains(row(c), false) {
 			// Active always: indistinguishable from the constant.
-			dropped = append(dropped, pred)
+			colOf = append(colOf, -1)
 			continue
 		}
-		rep := slices.IndexFunc(reps, func(r int) bool { return diffTime(p, r) <= limit })
-		if rep >= 0 {
-			mergedInto[pred] = predictors[rep]
-			continue
+		col := slices.IndexFunc(reps, func(r int32) bool { return diffTime(c, int(r)) <= limit })
+		if col < 0 {
+			col = len(reps)
+			reps = append(reps, int32(c))
 		}
-		reps = append(reps, p)
-		predictors = append(predictors, pred)
+		colOf = append(colOf, int32(col))
 	}
+	sc.colOf, sc.reps = colOf, reps
 
-	cols := len(predictors)
+	cols := len(reps)
 	if opts.IncludeConstant {
 		cols++
 	}
 	if cols == 0 {
-		return nil, fmt.Errorf("analysis: no predictors observed")
+		return nil, regFailure{kind: regNoPredictors}
 	}
 	if len(groups) < cols {
-		return nil, fmt.Errorf("analysis: %d state groups cannot constrain %d coefficients", len(groups), cols)
+		return nil, regFailure{kind: regUnderdetermined, groups: len(groups), cols: cols}
 	}
 
 	// Assemble X, Y, W.
-	colOf := make(map[Predictor]int, len(predictors))
-	for i, p := range predictors {
-		colOf[p] = i
-	}
 	x := linalg.NewMatrix(len(groups), cols)
 	y := make([]float64, len(groups))
 	w := make([]float64, len(groups))
 	for i, g := range groups {
 		for _, p := range g.Active {
-			if r, ok := mergedInto[p]; ok {
-				p = r
-			}
-			if c, ok := colOf[p]; ok {
-				x.Set(i, c, 1)
+			if c := colOf[candOf(p)]; c >= 0 {
+				x.Set(i, int(c), 1)
 			}
 		}
 		if opts.IncludeConstant {
@@ -250,33 +313,40 @@ func RunRegression(intervals []StateInterval, vectors []StateVector, pulseUJ flo
 		fit, err = linalg.WLS(x, y, w)
 	}
 	if err != nil {
-		return nil, fmt.Errorf("analysis: regression: %w", err)
+		return nil, regFailure{kind: regSolverFailed, solver: err}
 	}
 
 	reg := &Regression{
-		Predictors: predictors,
-		Groups:     groups,
-		Dropped:    dropped,
-		MergedInto: mergedInto,
-		PowerMW:    make(map[Predictor]float64, len(predictors)),
+		Groups:     slices.Clone(groups),
+		MergedInto: make(map[Predictor]Predictor),
+		PowerMW:    make(map[Predictor]float64, len(reps)),
 		Fit:        fit,
 	}
-	for i, p := range predictors {
-		reg.PowerMW[p] = fit.Coef[i]
+	for c, col := range colOf {
+		switch p := cands[c]; {
+		case col < 0:
+			reg.Dropped = append(reg.Dropped, p)
+		case int(reps[col]) == c:
+			reg.Predictors = append(reg.Predictors, p)
+			reg.PowerMW[p] = fit.Coef[col]
+		default:
+			reg.MergedInto[p] = cands[reps[col]]
+		}
 	}
 	if opts.IncludeConstant {
 		reg.ConstMW = fit.Coef[cols-1]
 	}
-	return reg, nil
+	return reg, regFailure{}
 }
 
-func sortPredictors(ps []Predictor) {
-	sort.Slice(ps, func(i, j int) bool {
-		if ps[i].Res != ps[j].Res {
-			return ps[i].Res < ps[j].Res
-		}
-		return ps[i].State < ps[j].State
-	})
+func sortPredictors(ps []Predictor) { slices.SortFunc(ps, comparePredictors) }
+
+// comparePredictors orders predictors by resource, then state.
+func comparePredictors(a, b Predictor) int {
+	if c := cmp.Compare(a.Res, b.Res); c != 0 {
+		return c
+	}
+	return cmp.Compare(a.State, b.State)
 }
 
 // CurrentMA converts a predictor's fitted power to current at the given

@@ -34,6 +34,16 @@ type StreamAnalyzer struct {
 	ivb *IntervalBuilder
 	tlb *TimelineBuilder
 	stb *StateTimelineBuilder
+
+	// Set once the stream is closed: the timelines' open segments are
+	// closed, and fit and fail hold the node's model and why the
+	// regression could not fit, if it could not.
+	closed    bool
+	fit       *Regression
+	fail      regFailure
+	scratch   regScratch // the regression's working tables
+	constOnly Regression // the model of a log the regression cannot fit
+	charge    charger    // Breakdown's kernel and sums
 }
 
 // NewStreamAnalyzer creates a single-pass analyzer for one node's stream.
@@ -133,47 +143,106 @@ func (s *StreamAnalyzer) Reset(node core.NodeID, pulseUJ float64, volts units.Vo
 	s.ivb.reset()
 	s.tlb.reset()
 	s.stb.reset()
+	s.closed, s.fit, s.fail = false, nil, regFailure{}
+}
+
+// model closes the stream and fits the node's power model, once per
+// stream: the steps Finish and Breakdown share. On a log the regression
+// cannot fit, it returns a constant-only model, which the analyzer owns,
+// and why the fit failed, unformatted.
+func (s *StreamAnalyzer) model() (*Regression, regFailure, error) {
+	if s.count < 2 {
+		return nil, regFailure{}, fmt.Errorf("analysis: log has %d entries; need at least 2", s.count)
+	}
+	if !s.closed {
+		s.tlb.close(s.endUS)
+		s.stb.close(s.endUS)
+		s.fit, s.fail = s.scratch.run(s.ivb.Intervals(), s.ivb.Vectors(), s.pulseUJ, s.opts.Regression)
+		if s.fail.failed() {
+			// Degrade to a constant-only model so time breakdowns and
+			// total energy still work on logs without separable power
+			// states.
+			constMW := 0.0
+			if span := s.endUS - s.startUS; span > 0 {
+				constMW = float64(s.lastIC-s.firstIC) * s.pulseUJ / float64(span) * 1000
+			}
+			s.constOnly = Regression{ConstMW: constMW}
+			s.fit = &s.constOnly
+		}
+		s.closed = true
+	}
+	return s.fit, s.fail, nil
 }
 
 // Finish closes the stream, runs the regression, and returns the completed
-// Analysis. The Analysis shares the analyzer's tables: it stays valid until
-// the next Reset, and the analyzer must not record again before one.
+// Analysis: the retained view, with the per-resource timelines as maps, that
+// NetworkAnalyzer, Analyze and Instance.Network hand out. The Analysis
+// shares the analyzer's tables: it stays valid until the next Reset, and
+// the analyzer must not record again before one.
 func (s *StreamAnalyzer) Finish() (*Analysis, error) {
-	if s.count < 2 {
-		return nil, fmt.Errorf("analysis: log has %d entries; need at least 2", s.count)
+	reg, fail, err := s.model()
+	if err != nil {
+		return nil, err
 	}
-	intervals, vectors := s.ivb.Intervals(), s.ivb.Vectors()
-	reg, regErr := RunRegression(intervals, vectors, s.pulseUJ, s.opts.Regression)
-	totalPulses := s.lastIC - s.firstIC // uint32 arithmetic handles wrap
-	if regErr != nil {
-		// Degrade to a constant-only model so time breakdowns and total
-		// energy still work on logs without separable power states.
-		constMW := 0.0
-		if span := s.endUS - s.startUS; span > 0 {
-			constMW = float64(totalPulses) * s.pulseUJ / float64(span) * 1000
-		}
-		reg = &Regression{
-			PowerMW: make(map[Predictor]float64),
-			ConstMW: constMW,
-		}
+	var regErr error
+	if fail.failed() {
+		regErr = fail.err()
+		reg = &Regression{PowerMW: make(map[Predictor]float64), ConstMW: reg.ConstMW}
 	}
-	single, multi := s.tlb.Finish(s.endUS)
-	states := s.stb.Finish(s.endUS)
+	single, multi := s.tlb.views()
 	return &Analysis{
 		Trace:         &NodeTrace{Node: s.node, PulseUJ: s.pulseUJ, Volts: s.volts},
 		Dict:          s.dict,
 		Opts:          s.opts,
 		StartUS:       s.startUS,
 		EndUS:         s.endUS,
-		TotalPulses:   totalPulses,
-		Intervals:     intervals,
-		Vectors:       vectors,
+		TotalPulses:   s.lastIC - s.firstIC, // uint32 arithmetic handles wrap
+		Intervals:     s.ivb.Intervals(),
+		Vectors:       s.ivb.Vectors(),
 		Reg:           reg,
 		RegressionErr: regErr,
 		Single:        single,
 		Multi:         multi,
-		States:        states,
+		States:        s.stb.views(),
 	}, nil
+}
+
+// Breakdown is the map-free alternative to Finish for a caller that needs
+// only the node's energy by activity. It closes the stream, fits the model
+// as Finish does, and charges the node straight from the analyzer's
+// per-resource tables through the kernel Analysis.EnergyByActivity runs,
+// so its pairs, one per label with ConstLabel among them, hold exactly that
+// map's sums. It builds no Analysis and none of its maps, and a log the
+// regression cannot fit takes the constant-only model without its error
+// being formatted. It also returns the meter's pulses and the span across
+// the log, from which the node's energy and mean power follow as
+// Analysis.TotalEnergyUJ and AveragePowerMW derive them. The pairs belong
+// to the analyzer and stay valid until the next Reset. Breakdown and
+// Finish may both be called on one stream, in either order.
+func (s *StreamAnalyzer) Breakdown() (byActivity []LabelEnergy, pulses uint32, spanUS int64, err error) {
+	reg, _, err := s.model()
+	if err != nil {
+		return nil, 0, 0, err
+	}
+	c := &s.charge
+	c.reset(s.opts, reg)
+	for i := range s.stb.res {
+		states := s.stb.res[i].segs
+		if len(states) == 0 {
+			continue
+		}
+		var single *ActTimeline
+		var multi *MultiTimeline
+		if i < len(s.tlb.single) && s.tlb.single[i].seen {
+			single = &ActTimeline{Res: core.ResourceID(i), Segs: s.tlb.single[i].segs}
+		}
+		if i < len(s.tlb.multi) && s.tlb.multi[i].seen {
+			multi = &MultiTimeline{Res: core.ResourceID(i), Segs: s.tlb.multi[i].segs}
+		}
+		c.resource(core.ResourceID(i), states, single, multi)
+	}
+	spanUS = s.endUS - s.startUS
+	return c.finish(spanUS), s.lastIC - s.firstIC, spanUS, nil
 }
 
 // NetworkAnalyzer holds one StreamAnalyzer per node and aggregates their

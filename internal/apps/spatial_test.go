@@ -170,24 +170,57 @@ func TestSpatialSweepWorkerInvariance(t *testing.T) {
 // It reads process-wide heap counters: no test in this package may run in
 // parallel with it.
 func TestRelayWorldObjectBudget(t *testing.T) {
-	const nodes, budget = 500, 55
-	spec := scenario.Spec{
-		App: "relay", Seed: 1, Nodes: nodes, Placement: scenario.PlacementRGG,
-		Origins: 8, PeriodUS: 40_000, DurationUS: 1_000_000, BatteryUAH: 50000,
-	}
+	const budget = 55
 	var before, after runtime.MemStats
 	runtime.GC()
 	runtime.ReadMemStats(&before)
-	in, err := scenario.Build(spec)
+	in, err := scenario.Build(budgetRelay)
 	if err != nil {
 		t.Fatal(err)
 	}
 	runtime.GC()
 	runtime.ReadMemStats(&after)
 	runtime.KeepAlive(in)
-	perNode := float64(after.HeapObjects-before.HeapObjects) / nodes
+	perNode := float64(after.HeapObjects-before.HeapObjects) / float64(budgetRelay.Nodes)
 	t.Logf("%.2f live heap objects per node after Build", perNode)
 	if perNode > budget {
 		t.Errorf("a built relay world holds %.2f live heap objects per node, want at most %d", perNode, budget)
+	}
+}
+
+// budgetRelay is the relay network the object budgets measure.
+var budgetRelay = scenario.Spec{
+	App: "relay", Seed: 1, Nodes: 500, Placement: scenario.PlacementRGG,
+	Origins: 8, PeriodUS: 40_000, DurationUS: 1_000_000, BatteryUAH: 50000,
+}
+
+// TestRelayFinishObjectBudget bounds the heap objects one Finish of a run
+// relay world allocates per node. Finish analyzes node after node through
+// one reused analyzer, whose tables and regression scratch are sized once
+// for the run, and reads each node's breakdown straight from them; most of
+// what is left per node is the state-vector interning (a key string and a
+// predictor slice per vector). Most nodes of this network log too little
+// to regress and fall back to the constant-only model, which must not
+// allocate an error. Like the test above it reads process-wide heap
+// counters: no test in this package may run in parallel with it.
+func TestRelayFinishObjectBudget(t *testing.T) {
+	const budget = 30
+	in, err := scenario.Build(budgetRelay)
+	if err != nil {
+		t.Fatal(err)
+	}
+	in.Run()
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	_, err = in.Finish()
+	runtime.ReadMemStats(&after)
+	if err != nil {
+		t.Fatal(err)
+	}
+	perNode := float64(after.Mallocs-before.Mallocs) / float64(budgetRelay.Nodes)
+	t.Logf("%.2f heap objects allocated per node by Finish", perNode)
+	if perNode > budget {
+		t.Errorf("Finish allocates %.2f heap objects per node, want at most %d", perNode, budget)
 	}
 }

@@ -3,6 +3,7 @@ package core
 import (
 	"testing"
 	"testing/quick"
+	"unsafe"
 )
 
 type testClock struct{ t uint32 }
@@ -24,6 +25,15 @@ func newTestTracker() (*Tracker, *testClock, *testMeter, *testCost, *Collector) 
 	sink := NewCollector()
 	trk := NewTracker(Config{Node: 1, Clock: clock, Meter: meter, Cost: cost, Sink: sink})
 	return trk, clock, meter, cost, sink
+}
+
+// TestEntryInMemorySize pins an Entry's in-memory size to its wire size:
+// its fields run widest first, so the struct needs no padding, and every
+// log holds its entries at 12 bytes each.
+func TestEntryInMemorySize(t *testing.T) {
+	if got := unsafe.Sizeof(Entry{}); got != EntrySize {
+		t.Errorf("an Entry takes %d bytes in memory, want EntrySize = %d", got, EntrySize)
+	}
 }
 
 func TestLabelPacking(t *testing.T) {

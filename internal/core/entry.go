@@ -60,12 +60,18 @@ func (t EntryType) String() string {
 //	    uint32_t ic;     // icount: cumulative energy
 //	    union { uint16_t act; uint16_t powerstate; };
 //	} entry_t;
+//
+// In memory the fields run widest first, so the struct needs no padding and
+// also takes EntrySize bytes: every log, every analyzer batch and every
+// merged trace.Stamped holds entries at their wire size. The codec encodes
+// field by field in the wire order above, so the layout here never reaches
+// a trace file.
 type Entry struct {
-	Type EntryType
-	Res  ResourceID
-	Time uint32 // node-local time in microseconds (wraps after ~71.6 min)
-	IC   uint32 // cumulative iCount pulses at the time of the event
-	Val  uint16 // activity label or power state, per Type
+	Time uint32     // node-local time in microseconds (wraps after ~71.6 min)
+	IC   uint32     // cumulative iCount pulses at the time of the event
+	Val  uint16     // activity label or power state, per Type
+	Type EntryType  // kind of event
+	Res  ResourceID // hardware resource the event concerns
 }
 
 // EntrySize is the encoded size of an Entry in bytes (Table 4: "Sample Size

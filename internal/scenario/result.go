@@ -148,10 +148,14 @@ func (r *Result) Values() map[string]float64 {
 // in one pass, and the node's breakdown, energy, span and NodeResult are
 // folded into the Result before the next node starts. Attribution is per
 // node, so nothing network-wide stays alive while a node is analyzed, and
-// the analyzer's tables are sized once for the whole run. The sums are
-// bit-identical to Network's, which adds the nodes in the same order. An
-// error names the lowest failing node, as NetworkAnalyzer.Finish does.
-// Finish does not build the retained per-node view; Network does.
+// the analyzer's tables, the regression's among them, are sized once for
+// the whole run. The breakdown comes from StreamAnalyzer.Breakdown, read
+// straight from the analyzer's per-resource tables: Finish builds no
+// Analysis, and each node's label sums are folded before the Reset that
+// reclaims them. The sums are bit-identical to Network's, which adds the
+// same per-node sums in the same node order. An error names the lowest
+// failing node, as NetworkAnalyzer.Finish does. Finish does not build the
+// retained per-node view; Network does.
 func (in *Instance) Finish() (*Result, error) {
 	w := in.World
 	r := &Result{Spec: in.Spec}
@@ -164,22 +168,31 @@ func (in *Instance) Finish() (*Result, error) {
 	sa := analysis.NewStreamAnalyzer(0, 0, 0, w.Dict, analysis.DefaultOptions())
 	for _, id := range slices.Compact(ids) {
 		n := w.Node(id)
-		sa.Reset(id, n.Meter.PulseEnergy(), n.Volts)
+		pulseUJ := n.Meter.PulseEnergy()
+		sa.Reset(id, pulseUJ, n.Volts)
 		sa.RecordBatch(n.Log.Entries)
-		a, err := sa.Finish()
+		byAct, pulses, span, err := sa.Breakdown()
 		if err != nil {
 			return nil, fmt.Errorf("node %d: %w", id, err)
 		}
-		analysis.AddEnergyByActivity(byLabel, a.EnergyByActivity())
-		r.TotalUJ += a.TotalEnergyUJ()
+		for _, le := range byAct {
+			byLabel[le.Label] += le.UJ
+		}
+		// The node's energy and mean power, as Analysis.TotalEnergyUJ and
+		// AveragePowerMW compute them.
+		energy, avg := float64(pulses)*pulseUJ, 0.0
+		if span > 0 {
+			avg = energy / float64(span) * 1000
+		}
+		r.TotalUJ += energy
 		r.Entries += len(n.Log.Entries)
-		r.SpanUS = max(r.SpanUS, a.Span())
+		r.SpanUS = max(r.SpanUS, span)
 		nr := NodeResult{
 			Node:       int(id),
 			Entries:    len(n.Log.Entries),
-			SpanUS:     a.Span(),
-			EnergyUJ:   a.TotalEnergyUJ(),
-			AvgPowerMW: a.AveragePowerMW(),
+			SpanUS:     span,
+			EnergyUJ:   energy,
+			AvgPowerMW: avg,
 		}
 		if n.Battery != nil {
 			// Close the battery's integration at the end of the run so a
