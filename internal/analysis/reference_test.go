@@ -812,9 +812,13 @@ func TestStreamAnalyzerMatchesNaiveReference(t *testing.T) {
 // multi-activity entries follows one without, and a one-entry log in the
 // middle must fail with a fresh analyzer's error. The first log ends with
 // pulses carried over a zero-length gap, which the next must not inherit.
-// Each log also runs under its own node id, meter quantum and voltage.
+// Each log also runs under its own node id, meter quantum and voltage, and
+// the logs alternate between a dictionary that marks the random logs' proxy
+// labels and one that marks none, as runs with different dictionaries do
+// when one analyzer serves them all.
 func TestStreamAnalyzerResetMatchesFresh(t *testing.T) {
 	dict := core.NewDictionary()
+	dicts := []*core.Dictionary{dict, core.NewDictionary()}
 	opts := DefaultOptions()
 	// narrow keeps a log's power-state and single-activity entries on
 	// resources below 42 and drops its multi-activity entries.
@@ -843,13 +847,14 @@ func TestStreamAnalyzerResetMatchesFresh(t *testing.T) {
 	for i, es := range logs {
 		node, pulseUJ, volts := core.NodeID(i+1), 8.33/float64(1+i%2), units.Volts(3.0-0.3*float64(i%3))
 		name := fmt.Sprintf("log %d (%d entries)", i, len(es))
-		fresh := NewStreamAnalyzer(node, pulseUJ, volts, dict, opts)
+		d := dicts[i%2]
+		fresh := NewStreamAnalyzer(node, pulseUJ, volts, d, opts)
 		fresh.RecordBatch(es)
 		want, wantErr := fresh.Finish()
 		if reused == nil {
-			reused = NewStreamAnalyzer(0, 0, 0, dict, opts)
+			reused = NewStreamAnalyzer(0, 0, 0, nil, opts)
 		}
-		reused.Reset(node, pulseUJ, volts)
+		reused.Reset(node, pulseUJ, volts, d)
 		reused.RecordBatch(es)
 		got, err := reused.Finish()
 		if (err == nil) != (wantErr == nil) || err != nil && err.Error() != wantErr.Error() {

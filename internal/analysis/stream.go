@@ -47,7 +47,8 @@ type StreamAnalyzer struct {
 }
 
 // NewStreamAnalyzer creates a single-pass analyzer for one node's stream.
-// PulseUJ is the meter's energy quantum and volts the supply voltage.
+// PulseUJ is the meter's energy quantum and volts the supply voltage. dict
+// may be nil for an analyzer that is Reset before it records.
 func NewStreamAnalyzer(node core.NodeID, pulseUJ float64, volts units.Volts, dict *core.Dictionary, opts Options) *StreamAnalyzer {
 	return &StreamAnalyzer{
 		node:    node,
@@ -130,14 +131,19 @@ func (c *resCounts) add(res core.ResourceID) {
 func (s *StreamAnalyzer) Events() int { return s.count }
 
 // Reset readies the analyzer for another node's stream, with that node's
-// meter quantum and voltage, under the same dictionary and options. The
-// analyzer is then in the state of a fresh one except that every table
-// keeps its capacity, so a caller analyzing many nodes one after another
-// sizes its tables once instead of once per node. Reset reuses the memory
-// of the Analysis the last Finish returned, which is invalid from then on:
-// read what is needed from it before resetting.
-func (s *StreamAnalyzer) Reset(node core.NodeID, pulseUJ float64, volts units.Volts) {
+// meter quantum and voltage, under the given dictionary and the same
+// options. The analyzer is then in the state of a fresh one except that
+// every table keeps its capacity, so a caller analyzing many nodes one
+// after another — across runs too, each with its own dictionary — sizes its
+// tables once instead of once per node. Reset reuses the memory of the
+// Analysis the last Finish returned, which is invalid from then on: read
+// what is needed from it before resetting.
+func (s *StreamAnalyzer) Reset(node core.NodeID, pulseUJ float64, volts units.Volts, dict *core.Dictionary) {
 	s.node, s.pulseUJ, s.volts = node, pulseUJ, volts
+	if dict != s.dict {
+		// Bound only on a change: a method value allocates.
+		s.dict, s.tlb.isProxy = dict, dict.IsProxy
+	}
 	s.uw = trace.Unwrapper{}
 	s.count, s.startUS, s.endUS, s.firstIC, s.lastIC = 0, 0, 0, 0, 0
 	s.ivb.reset()

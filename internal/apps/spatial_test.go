@@ -162,15 +162,16 @@ func TestSpatialSweepWorkerInvariance(t *testing.T) {
 	}
 }
 
-// TestRelayWorldObjectBudget bounds the live heap objects a built relay
-// world holds per node. Every garbage-collection cycle marks the whole
+// TestRelayWorldObjectBudget bounds the live heap objects and bytes a built
+// relay world holds per node. Every garbage-collection cycle marks the whole
 // world, so on a 10 000-node network each object a node keeps costs every
 // cycle of the run. The count is independent of the network's size (the
-// same per node at 500, 2 000 and 10 000 nodes), so 500 nodes suffice.
-// It reads process-wide heap counters: no test in this package may run in
-// parallel with it.
+// same per node at 500, 2 000 and 10 000 nodes), so 500 nodes suffice. The
+// byte budget holds Build to what the run reads: a neighbor index built for
+// every node before any has sent would exceed it. It reads process-wide
+// heap counters: no test in this package may run in parallel with it.
 func TestRelayWorldObjectBudget(t *testing.T) {
-	const budget = 55
+	const budget, bytesBudget = 55, 4700
 	var before, after runtime.MemStats
 	runtime.GC()
 	runtime.ReadMemStats(&before)
@@ -182,9 +183,13 @@ func TestRelayWorldObjectBudget(t *testing.T) {
 	runtime.ReadMemStats(&after)
 	runtime.KeepAlive(in)
 	perNode := float64(after.HeapObjects-before.HeapObjects) / float64(budgetRelay.Nodes)
-	t.Logf("%.2f live heap objects per node after Build", perNode)
+	bytesPerNode := float64(after.HeapAlloc-before.HeapAlloc) / float64(budgetRelay.Nodes)
+	t.Logf("%.2f live heap objects and %.0f B per node after Build", perNode, bytesPerNode)
 	if perNode > budget {
 		t.Errorf("a built relay world holds %.2f live heap objects per node, want at most %d", perNode, budget)
+	}
+	if bytesPerNode > bytesBudget {
+		t.Errorf("a built relay world holds %.0f live heap bytes per node, want at most %d", bytesPerNode, bytesBudget)
 	}
 }
 

@@ -148,9 +148,10 @@ func (m *Medium) Frames() uint64 { return m.frames }
 // FrameStart immediately; the frame stays "active" for collision/energy
 // queries until its airtime elapses. Under the broadcast model "in range"
 // is every registered receiver (O(nodes) per transmission); under the
-// spatial layer it is the transmitter's precomputed neighbor list
-// (O(neighbors)), and reception is further gated on the link's PRR and on
-// collisions with overlapping co-channel frames.
+// spatial layer it is the transmitter's neighbor list (O(neighbors), built
+// at its first transmission after a topology change), and reception is
+// further gated on the link's PRR and on collisions with overlapping
+// co-channel frames.
 func (m *Medium) Transmit(f *Frame) {
 	f.SentAt = m.s.Now()
 	m.frames++

@@ -1,11 +1,11 @@
 // Node mobility: the medium steps registered movers on a fixed epoch grid.
 // Each epoch writes every mover's new position through SetPosition, which
-// drops the neighbor index; the next transmission rebuilds it once for the
-// whole epoch, and an epoch with no transmission builds nothing. A rebuild
-// costs O(nodes · degree), less than patching the rows around each mover
-// when every node moves. Index rows are a pure function of the registered
-// receivers and their positions, so when the rebuild happens changes no
-// output.
+// drops the neighbor index. The next transmission regroups the nodes into
+// grid cells, once for the whole epoch in O(nodes), and each node's neighbor
+// row is built the first time it sends in the epoch; an epoch with no
+// transmission builds nothing. Index rows are a pure function of the
+// registered receivers and their positions, so when a row is built changes
+// no output.
 //
 // Positions are quantized to the epoch grid: a node's location during
 // [k·step, (k+1)·step) is its mover's position at k·step, materialized into

@@ -9,11 +9,11 @@ import (
 // TestMoveChangesDelivery pins the end-to-end effect of a mid-run
 // SetPosition: relocating a receiver out of range stops delivery, and moving
 // it back restores delivery with the new distance's link strength. Each
-// relocation drops the built index, and the next transmission rebuilds it.
+// relocation drops the index, and the next transmission builds the sender's
+// row on the new topology.
 func TestMoveChangesDelivery(t *testing.T) {
 	cfg := SpatialConfig{TxRangeM: 50, TxPowerDBm: 10, Seed: 1}
 	s, m, rcvs := spatialWorld(t, cfg, []Position{{}, {X: 10}})
-	m.WarmNeighbors()
 
 	m.Transmit(&Frame{Src: 1, Channel: 26, Bytes: 20, Airtime: 640})
 	if len(rcvs[1].frames) != 1 {
@@ -33,12 +33,12 @@ func TestMoveChangesDelivery(t *testing.T) {
 	if len(rcvs[1].frames) != 2 {
 		t.Fatal("receiver moved back into range hears nothing")
 	}
-	// The rebuilt row carries the link strength of the new geometry.
-	lo, hi := m.sp.nbr.row(1)
-	if hi-lo != 1 {
-		t.Fatalf("node 1 has %d neighbors, want 1", hi-lo)
+	// The new row carries the link strength of the new geometry.
+	r := m.sp.nbr.rows[1]
+	if r.hi-r.lo != 1 {
+		t.Fatalf("node 1 has %d neighbors, want 1", r.hi-r.lo)
 	}
-	if got, want := m.sp.nbr.rssi[lo], cfg.withDefaults().RSSI(20); got != want {
+	if got, want := m.sp.nbr.rssi[r.lo], cfg.withDefaults().RSSI(20); got != want {
 		t.Fatalf("rssi after SetPosition = %v, want %v", got, want)
 	}
 }

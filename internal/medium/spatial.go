@@ -4,12 +4,14 @@
 // the dimensions that shape multi-hop energy — sweepable, replacing the
 // "every node hears every node" broadcast model when configured.
 //
-// Delivery is O(neighbors), not O(nodes): the medium builds per-node
-// neighbor lists (via a uniform grid hash with cells of TxRangeM) and
-// Transmit walks only the transmitter's list. Any topology change — a
-// registration, a death, a relocation — drops the index, and the next
-// transmission rebuilds it, so a mobility epoch that moves every node costs
-// at most one build (see mobility.go).
+// Delivery is O(neighbors), not O(nodes): Transmit walks only the
+// transmitter's neighbor list. The medium builds what a run reads, no more:
+// the first transmission after a topology change groups the nodes into a
+// uniform grid of TxRangeM cells, in O(nodes), and each transmitter's list
+// is built from that grid the first time it sends. Any topology change — a
+// registration, a death, a relocation — drops the index, so a mobility
+// epoch that moves every node costs at most one grid build plus the lists of
+// the nodes that send in it (see mobility.go).
 //
 // Determinism: neighbor lists are sorted by node id, exactly one PRR draw
 // is consumed per candidate receiver per frame from the medium's own RNG
@@ -191,10 +193,11 @@ const (
 // ids are sorted and lookups are a binary search, no per-frame maps). rssi
 // is kept for capture contests against later frames.
 //
-// ids and rssi alias the neighbor index's CSR rows directly — if the index
-// is rebuilt mid-flight the old arrays stay alive through these references —
-// and state comes from a free list, so steady-state transmission allocates
-// nothing. pendingFrames hang off Frame.pend rather than a map.
+// ids and rssi alias the neighbor index's CSR row directly — if the link
+// arrays grow or the index is dropped mid-flight, the old arrays stay alive
+// through these references — and state comes from a free list, so
+// steady-state transmission allocates nothing. pendingFrames hang off
+// Frame.pend rather than a map.
 type pendingFrame struct {
 	ids   []core.NodeID
 	rssi  []float64
@@ -210,8 +213,8 @@ func (pf *pendingFrame) find(dst core.NodeID) int {
 	return -1
 }
 
-// neighbor is one precomputed in-range link (build-time scratch; the index
-// itself stores links column-wise).
+// neighbor is one in-range link (row-build scratch; the index itself stores
+// links column-wise).
 type neighbor struct {
 	id   core.NodeID
 	rcv  Receiver
@@ -219,33 +222,38 @@ type neighbor struct {
 	prr  float64
 }
 
-// nbrIndex is the neighbor index in CSR form over struct-of-arrays link
-// storage: node src's in-range links, sorted by destination id, occupy
-// columns [off[rows[src]], off[rows[src]+1]) of the parallel
-// ids/rcvs/rssi/prr arrays. The layout keeps a transmitter's whole neighbor
-// walk — the inner loop of every spatial transmission — in a few contiguous
-// cache lines.
+// nbrIndex is the neighbor index of one topology generation: the registered
+// receivers grouped into grid cells, and the rows built from them so far.
 //
-// An index is immutable once built: a topology change drops it and the next
-// build allocates fresh arrays, because pendingFrames of frames still in
-// flight alias the old ones.
+// The cells hold receiver i (in Medium.receivers order) as node nodes[i] at
+// (xs[i], ys[i]); head maps a cell to its first receiver and next chains
+// the rest, so the grid costs O(nodes) and no per-cell allocation. Every
+// in-range link lies within the 3×3 cells around its transmitter.
+//
+// Rows are CSR over struct-of-arrays link storage: node src's in-range
+// links, sorted by destination id, occupy columns rows[src] of the parallel
+// ids/rcvs/rssi/prr arrays, which keeps a transmitter's whole neighbor walk
+// — the inner loop of every spatial transmission — in a few contiguous cache
+// lines. A row is built the first time its node transmits and appended to
+// the arrays. Within a generation the arrays are append-only: pendingFrames
+// of frames still in flight alias their rows, and appending never rewrites a
+// column (growth leaves the old arrays to those aliases). A topology change
+// drops the whole index, and the next generation starts fresh arrays.
 type nbrIndex struct {
-	rows map[core.NodeID]int32
-	off  []int32 // len(rows)+1 row offsets
+	nodes  []core.NodeID
+	xs, ys []float64
+	head   map[uint64]int32
+	next   []int32
+
+	rows map[core.NodeID]colRange
 	ids  []core.NodeID
 	rcvs []Receiver
 	rssi []float64
 	prr  []float64
 }
 
-// row returns the column range of src's neighbor list.
-func (ix *nbrIndex) row(src core.NodeID) (int32, int32) {
-	r, ok := ix.rows[src]
-	if !ok {
-		return 0, 0
-	}
-	return ix.off[r], ix.off[r+1]
-}
+// colRange is one row's column range [lo, hi) in the link arrays.
+type colRange struct{ lo, hi int32 }
 
 // linkKey identifies a directed link.
 type linkKey struct{ src, dst core.NodeID }
@@ -272,11 +280,13 @@ type spatial struct {
 	cfg SpatialConfig
 	rng *sim.RNG
 	pos map[core.NodeID]Position
-	nbr *nbrIndex // nil: rebuild from receivers+pos
+	nbr *nbrIndex // nil: start a new generation from receivers+pos
 
-	// pfFree recycles pendingFrame records (their state buffers keep their
-	// capacity). tally deliberately stays a map: frames still in flight
-	// across an index rebuild must fold into the same accumulators.
+	// rowBuf is neighborRow's scratch, reused across rows. pfFree recycles
+	// pendingFrame records (their state buffers keep their capacity).
+	// tally deliberately stays a map: frames still in flight across a
+	// topology change must fold into the same accumulators.
+	rowBuf []neighbor
 	pfFree []*pendingFrame
 	tally  map[linkKey]*linkTally
 
@@ -331,8 +341,8 @@ func (m *Medium) EnableSpatial(cfg SpatialConfig) {
 func (m *Medium) SpatialEnabled() bool { return m.sp != nil }
 
 // SetPosition places a node on the deployment plane and drops the neighbor
-// index; the next transmission rebuilds it. It serves initial placement and
-// mid-run relocation alike.
+// index; the next transmission starts a new one. It serves initial
+// placement and mid-run relocation alike.
 func (m *Medium) SetPosition(id core.NodeID, p Position) {
 	if m.sp == nil {
 		panic("medium: SetPosition before EnableSpatial")
@@ -403,21 +413,8 @@ func (m *Medium) Delivered(f *Frame, node core.NodeID) bool {
 	return i >= 0 && pf.state[i] == rxReceiving
 }
 
-// WarmNeighbors builds the neighbor index now instead of lazily at the
-// first transmission. The build consumes no randomness and its result is a
-// pure function of the registered receivers and their positions, so warming
-// changes no outcome — it only moves a large one-time cost (tens of
-// milliseconds at 10k nodes) out of the simulation run and into world
-// construction. A no-op under the broadcast model or when the index is
-// already current.
-func (m *Medium) WarmNeighbors() {
-	if m.sp != nil && m.sp.nbr == nil && len(m.receivers) > 0 {
-		m.buildNeighbors()
-	}
-}
-
 // invalidateNeighbors drops the neighbor index so the next transmission
-// rebuilds it (topology changed: node added, died, or moved).
+// starts a new one (topology changed: node added, died, or moved).
 func (m *Medium) invalidateNeighbors() {
 	if m.sp != nil {
 		m.sp.nbr = nil
@@ -429,119 +426,10 @@ func packCell(cx, cy int64) uint64 {
 	return uint64(uint32(cx))<<32 | uint64(uint32(cy))
 }
 
-// buildNeighbors constructs every node's sorted in-range neighbor list in
-// O(nodes · neighbors) using a uniform grid hash with TxRangeM-sized cells:
-// all links of length <= TxRangeM lie within the 3×3 cell block around the
-// transmitter.
-//
-// The build itself is struct-of-arrays: positions are snapshotted into flat
-// slices once (one map lookup per node, not per candidate pair), cells chain
-// through an index-linked list instead of per-bucket slices, and each row —
-// a dozen entries — is ordered with an insertion sort, so a 10k-node build
-// is a few milliseconds of contiguous float math rather than a hash lookup
-// per pair. Node ids are unique, so the sorted row is the same permutation
-// whatever the sort algorithm: the RNG stream and event sequence downstream
-// are unchanged.
-func (m *Medium) buildNeighbors() {
-	sp := m.sp
-	cell := sp.cfg.TxRangeM
-	n := len(m.receivers)
-
-	// Snapshot id/position per receiver index.
-	ids := make([]core.NodeID, n)
-	xs := make([]float64, n)
-	ys := make([]float64, n)
-	cells := make([]uint64, n)
-	for i, r := range m.receivers {
-		id := r.Node()
-		p, ok := sp.pos[id]
-		if !ok {
-			panic(fmt.Sprintf("medium: node %d has no position; SetPosition every registered node before transmitting", id))
-		}
-		ids[i], xs[i], ys[i] = id, p.X, p.Y
-		cells[i] = packCell(int64(math.Floor(p.X/cell)), int64(math.Floor(p.Y/cell)))
-	}
-	// Chained cell buckets: head maps a cell to its first receiver index,
-	// next links the rest. No per-bucket allocations.
-	head := make(map[uint64]int32, n)
-	next := make([]int32, n)
-	for i := n - 1; i >= 0; i-- {
-		j, ok := head[cells[i]]
-		if !ok {
-			j = -1
-		}
-		next[i] = j
-		head[cells[i]] = int32(i)
-	}
-
-	// inRange calls visit for every other receiver within range of
-	// receiver i, with the squared distance between them.
-	rangeSq := sp.cfg.TxRangeM * sp.cfg.TxRangeM
-	inRange := func(i int, visit func(j int32, d2 float64)) {
-		px, py := xs[i], ys[i]
-		cx := int64(math.Floor(px / cell))
-		cy := int64(math.Floor(py / cell))
-		for dx := int64(-1); dx <= 1; dx++ {
-			for dy := int64(-1); dy <= 1; dy++ {
-				for j := headOr(head, packCell(cx+dx, cy+dy)); j >= 0; j = next[j] {
-					if int(j) == i {
-						continue
-					}
-					ddx, ddy := xs[j]-px, ys[j]-py
-					d2 := ddx*ddx + ddy*ddy
-					if d2 > rangeSq {
-						continue
-					}
-					visit(j, d2)
-				}
-			}
-		}
-	}
-	// A counting pass sizes the four link arrays exactly, so the build
-	// allocates the index once instead of growing it row by row.
-	links := 0
-	for i := 0; i < n; i++ {
-		inRange(i, func(int32, float64) { links++ })
-	}
-	ix := &nbrIndex{
-		rows: make(map[core.NodeID]int32, n),
-		off:  make([]int32, 1, n+1),
-		ids:  make([]core.NodeID, 0, links),
-		rcvs: make([]Receiver, 0, links),
-		rssi: make([]float64, 0, links),
-		prr:  make([]float64, 0, links),
-	}
-	var list []neighbor // per-row scratch, reused across rows
-	for i := 0; i < n; i++ {
-		list = list[:0]
-		inRange(i, func(j int32, d2 float64) {
-			rssi := sp.cfg.RSSI(math.Sqrt(d2))
-			list = append(list, neighbor{
-				id: ids[j], rcv: m.receivers[j], rssi: rssi, prr: sp.cfg.PRR(rssi),
-			})
-		})
-		// Sorted delivery order keeps the RNG stream and the scheduled
-		// event sequence independent of bucket iteration order. Rows are
-		// small; insertion sort is exact, deterministic, and alloc-free.
-		for a := 1; a < len(list); a++ {
-			nb := list[a]
-			b := a - 1
-			for b >= 0 && list[b].id > nb.id {
-				list[b+1] = list[b]
-				b--
-			}
-			list[b+1] = nb
-		}
-		ix.rows[ids[i]] = int32(i)
-		for _, nb := range list {
-			ix.ids = append(ix.ids, nb.id)
-			ix.rcvs = append(ix.rcvs, nb.rcv)
-			ix.rssi = append(ix.rssi, nb.rssi)
-			ix.prr = append(ix.prr, nb.prr)
-		}
-		ix.off = append(ix.off, int32(len(ix.ids)))
-	}
-	sp.nbr = ix
+// cellOf returns the coordinates of the grid cell, of the given side, that
+// holds the point (x, y).
+func cellOf(x, y, side float64) (int64, int64) {
+	return int64(math.Floor(x / side)), int64(math.Floor(y / side))
 }
 
 // headOr returns the bucket head for key, or -1 when the cell is empty.
@@ -552,6 +440,113 @@ func headOr(head map[uint64]int32, key uint64) int32 {
 	return -1
 }
 
+// newNbrIndex starts a topology generation: it snapshots every registered
+// receiver's id and position (one map lookup per node, not per candidate
+// pair) and chains the receivers into TxRangeM-sized grid cells. It builds
+// no row.
+func (m *Medium) newNbrIndex() *nbrIndex {
+	sp := m.sp
+	n := len(m.receivers)
+	ix := &nbrIndex{
+		nodes: make([]core.NodeID, n),
+		xs:    make([]float64, n),
+		ys:    make([]float64, n),
+		head:  make(map[uint64]int32),
+		next:  make([]int32, n),
+		rows:  make(map[core.NodeID]colRange),
+	}
+	for i, r := range m.receivers {
+		id := r.Node()
+		p, ok := sp.pos[id]
+		if !ok {
+			panic(fmt.Sprintf("medium: node %d has no position; SetPosition every registered node before transmitting", id))
+		}
+		ix.nodes[i], ix.xs[i], ix.ys[i] = id, p.X, p.Y
+	}
+	// Chained in reverse, so each cell lists its receivers in index order.
+	for i := n - 1; i >= 0; i-- {
+		key := packCell(cellOf(ix.xs[i], ix.ys[i], sp.cfg.TxRangeM))
+		ix.next[i] = headOr(ix.head, key)
+		ix.head[key] = int32(i)
+	}
+	return ix
+}
+
+// neighborRow returns the column range of src's sorted in-range neighbor
+// list, starting the index if the topology changed and building the row the
+// first time src transmits in this generation. A node that is not a
+// registered receiver has an empty row. A row is a pure function of the
+// receivers and their positions, so when it is built changes no output.
+func (m *Medium) neighborRow(src core.NodeID) colRange {
+	sp := m.sp
+	if sp.nbr == nil {
+		sp.nbr = m.newNbrIndex()
+	}
+	ix := sp.nbr
+	if r, ok := ix.rows[src]; ok {
+		return r
+	}
+	side := sp.cfg.TxRangeM
+	// src's receiver index, found in the cell of its position; -1 when src
+	// is not registered.
+	self := int32(-1)
+	if p, ok := sp.pos[src]; ok {
+		for j := headOr(ix.head, packCell(cellOf(p.X, p.Y, side))); j >= 0; j = ix.next[j] {
+			if ix.nodes[j] == src {
+				self = j
+			}
+		}
+	}
+	list := sp.rowBuf[:0]
+	if self >= 0 {
+		px, py := ix.xs[self], ix.ys[self]
+		cx, cy := cellOf(px, py, side)
+		rangeSq := side * side
+		for dx := int64(-1); dx <= 1; dx++ {
+			for dy := int64(-1); dy <= 1; dy++ {
+				for j := headOr(ix.head, packCell(cx+dx, cy+dy)); j >= 0; j = ix.next[j] {
+					if j == self {
+						continue
+					}
+					ddx, ddy := ix.xs[j]-px, ix.ys[j]-py
+					d2 := ddx*ddx + ddy*ddy
+					if d2 > rangeSq {
+						continue
+					}
+					rssi := sp.cfg.RSSI(math.Sqrt(d2))
+					list = append(list, neighbor{
+						id: ix.nodes[j], rcv: m.receivers[j], rssi: rssi, prr: sp.cfg.PRR(rssi),
+					})
+				}
+			}
+		}
+	}
+	// Sorted delivery order keeps the RNG stream and the scheduled event
+	// sequence independent of bucket iteration order. Rows are small;
+	// insertion sort is exact, deterministic, and alloc-free, and node ids
+	// are unique, so any exact sort gives the same row.
+	for a := 1; a < len(list); a++ {
+		nb := list[a]
+		b := a - 1
+		for b >= 0 && list[b].id > nb.id {
+			list[b+1] = list[b]
+			b--
+		}
+		list[b+1] = nb
+	}
+	r := colRange{lo: int32(len(ix.ids))}
+	for _, nb := range list {
+		ix.ids = append(ix.ids, nb.id)
+		ix.rcvs = append(ix.rcvs, nb.rcv)
+		ix.rssi = append(ix.rssi, nb.rssi)
+		ix.prr = append(ix.prr, nb.prr)
+	}
+	r.hi = int32(len(ix.ids))
+	ix.rows[src] = r
+	sp.rowBuf = list
+	return r
+}
+
 // transmitSpatial delivers frame f under the spatial model: walk the
 // transmitter's neighbor list, draw each link's PRR, resolve collisions
 // against frames already in the air, and hand FrameStart only to receivers
@@ -560,23 +555,21 @@ func headOr(head map[uint64]int32, key uint64) int32 {
 // after every receiver's own end-of-frame event) folds it into link tallies.
 func (m *Medium) transmitSpatial(f *Frame) {
 	sp := m.sp
-	if sp.nbr == nil {
-		m.buildNeighbors()
-	}
+	r := m.neighborRow(f.Src)
+	ix := sp.nbr
+	ids, rssi := ix.ids[r.lo:r.hi], ix.rssi[r.lo:r.hi]
+	rcvs, prr := ix.rcvs[r.lo:r.hi], ix.prr[r.lo:r.hi]
 	now := f.SentAt
-	lo, hi := sp.nbr.row(f.Src)
-	pf := sp.getPending(int(hi - lo))
-	pf.ids = sp.nbr.ids[lo:hi]
-	pf.rssi = sp.nbr.rssi[lo:hi]
+	pf := sp.getPending(len(ids))
+	pf.ids, pf.rssi = ids, rssi
 	f.pend = pf
-	for i := 0; i < int(hi-lo); i++ {
-		nbRSSI := pf.rssi[i]
-		nbID := pf.ids[i]
+	for i, nbID := range ids {
+		nbRSSI := rssi[i]
 		// Exactly one channel-loss draw per candidate receiver, whatever
 		// the collision outcome, so the RNG stream depends only on the
 		// frame/topology sequence.
 		st := rxReceiving
-		if sp.rng.Float64() >= sp.nbr.prr[lo+int32(i)] {
+		if sp.rng.Float64() >= prr[i] {
 			st = rxFailPRR
 		}
 		// MAC state next: a radio that is off, mid-transmission, or tuned
@@ -584,7 +577,7 @@ func (m *Medium) transmitSpatial(f *Frame) {
 		// there was no reception to lose. Only a synced radio can have one
 		// corrupted. (A frame that syncs here and collides below is caught
 		// at drain time by the Delivered query.)
-		if st == rxReceiving && !sp.nbr.rcvs[lo+int32(i)].FrameStart(f) {
+		if st == rxReceiving && !rcvs[i].FrameStart(f) {
 			st = rxMissed
 		}
 		// Contest against every frame still on the air (half-open airtime

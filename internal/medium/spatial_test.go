@@ -1,6 +1,7 @@
 package medium
 
 import (
+	"fmt"
 	"math"
 	"slices"
 	"testing"
@@ -103,6 +104,197 @@ func spatialWorld(t *testing.T, cfg SpatialConfig, pos []Position) (*sim.Simulat
 	return s, m, rcvs
 }
 
+// eagerNeighbors is the reference for the on-demand index: every registered
+// node's sorted in-range neighbor list, built all at once in O(nodes ·
+// neighbors) with a uniform grid hash of TxRangeM-sized cells. Each row the
+// medium builds when its node first sends must equal this one bit for bit.
+func eagerNeighbors(m *Medium) map[core.NodeID][]neighbor {
+	sp := m.sp
+	cell := sp.cfg.TxRangeM
+	n := len(m.receivers)
+
+	// Snapshot id/position per receiver index.
+	ids := make([]core.NodeID, n)
+	xs := make([]float64, n)
+	ys := make([]float64, n)
+	cells := make([]uint64, n)
+	for i, r := range m.receivers {
+		id := r.Node()
+		p, ok := sp.pos[id]
+		if !ok {
+			panic(fmt.Sprintf("medium: node %d has no position", id))
+		}
+		ids[i], xs[i], ys[i] = id, p.X, p.Y
+		cells[i] = packCell(int64(math.Floor(p.X/cell)), int64(math.Floor(p.Y/cell)))
+	}
+	// Chained cell buckets: head maps a cell to its first receiver index,
+	// next links the rest.
+	head := make(map[uint64]int32, n)
+	next := make([]int32, n)
+	for i := n - 1; i >= 0; i-- {
+		j, ok := head[cells[i]]
+		if !ok {
+			j = -1
+		}
+		next[i] = j
+		head[cells[i]] = int32(i)
+	}
+
+	rangeSq := sp.cfg.TxRangeM * sp.cfg.TxRangeM
+	rows := make(map[core.NodeID][]neighbor, n)
+	for i := 0; i < n; i++ {
+		var list []neighbor
+		px, py := xs[i], ys[i]
+		cx := int64(math.Floor(px / cell))
+		cy := int64(math.Floor(py / cell))
+		for dx := int64(-1); dx <= 1; dx++ {
+			for dy := int64(-1); dy <= 1; dy++ {
+				for j := headOr(head, packCell(cx+dx, cy+dy)); j >= 0; j = next[j] {
+					if int(j) == i {
+						continue
+					}
+					ddx, ddy := xs[j]-px, ys[j]-py
+					d2 := ddx*ddx + ddy*ddy
+					if d2 > rangeSq {
+						continue
+					}
+					rssi := sp.cfg.RSSI(math.Sqrt(d2))
+					list = append(list, neighbor{
+						id: ids[j], rcv: m.receivers[j], rssi: rssi, prr: sp.cfg.PRR(rssi),
+					})
+				}
+			}
+		}
+		for a := 1; a < len(list); a++ {
+			nb := list[a]
+			b := a - 1
+			for b >= 0 && list[b].id > nb.id {
+				list[b+1] = list[b]
+				b--
+			}
+			list[b+1] = nb
+		}
+		rows[ids[i]] = list
+	}
+	return rows
+}
+
+// checkRows compares every row the medium's index holds against the
+// reference: ids, receivers, and RSSI and PRR as float bits. A node the
+// reference has no row for (one that is not registered) must have an
+// empty one.
+func checkRows(t *testing.T, m *Medium) {
+	t.Helper()
+	ref := eagerNeighbors(m)
+	ix := m.sp.nbr
+	for src, r := range ix.rows {
+		want := ref[src]
+		if int(r.hi-r.lo) != len(want) {
+			t.Errorf("node %d: row of %d links, want %d", src, r.hi-r.lo, len(want))
+			continue
+		}
+		for k, nb := range want {
+			c := int(r.lo) + k
+			if ix.ids[c] != nb.id || ix.rcvs[c] != nb.rcv ||
+				math.Float64bits(ix.rssi[c]) != math.Float64bits(nb.rssi) ||
+				math.Float64bits(ix.prr[c]) != math.Float64bits(nb.prr) {
+				t.Errorf("node %d link %d: (%d, %.17g dBm, prr %.17g), want (%d, %.17g dBm, prr %.17g)",
+					src, k, ix.ids[c], ix.rssi[c], ix.prr[c], nb.id, nb.rssi, nb.prr)
+			}
+		}
+	}
+}
+
+// TestNeighborRowsMatchEager checks the on-demand index against the eager
+// reference on line, grid and random-geometric placements: a node's first
+// transmission builds exactly its row, a repeat builds nothing, every built
+// row equals the reference's bit for bit, and after a relocation or an
+// unregistration the next transmissions start over on the new topology.
+func TestNeighborRowsMatchEager(t *testing.T) {
+	cases := []struct {
+		name string
+		pos  []Position
+	}{
+		{"line", PlaceLine(40, 600)},               // 15.4 m pitch
+		{"grid", PlaceGrid(49, 180)},               // 7x7, 30 m pitch
+		{"rgg", PlaceRandomGeometric(200, 300, 3)}, // ~17 neighbors each
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			cfg := SpatialConfig{TxRangeM: 50, Seed: 1}
+			s, m, rcvs := spatialWorld(t, cfg, tc.pos)
+			n := len(rcvs)
+			// send transmits from each node in turn and checks what each
+			// transmission built: the sender's row, appended to the link
+			// arrays, the first time; nothing on a repeat.
+			send := func(nodes ...int) {
+				t.Helper()
+				for _, i := range nodes {
+					id := core.NodeID(i + 1)
+					rows, links, built := 0, 0, false
+					if ix := m.sp.nbr; ix != nil {
+						rows, links = len(ix.rows), len(ix.ids)
+						_, built = ix.rows[id]
+					}
+					m.Transmit(&Frame{Src: id, Channel: 26, Bytes: 20, Airtime: 640})
+					ix := m.sp.nbr
+					r := ix.rows[id]
+					if built {
+						if len(ix.rows) != rows || len(ix.ids) != links {
+							t.Fatalf("node %d's repeat transmission built %d rows and %d links, want none",
+								id, len(ix.rows)-rows, len(ix.ids)-links)
+						}
+					} else if len(ix.rows) != rows+1 || r != (colRange{int32(links), int32(len(ix.ids))}) {
+						t.Fatalf("node %d's first transmission built %d rows and links [%d, %d) and gave it row [%d, %d); want its own row over the new links",
+							id, len(ix.rows)-rows, links, len(ix.ids), r.lo, r.hi)
+					}
+				}
+				s.Run(s.Now() + 1000)
+			}
+			// Every other node, then all of them: half repeat a row.
+			var evens, all []int
+			for i := n - 1; i >= 0; i-- {
+				if i%2 == 0 {
+					evens = append(evens, i)
+				}
+				all = append(all, i)
+			}
+			send(evens...)
+			if got := len(m.sp.nbr.rows); got != len(evens) {
+				t.Fatalf("%d rows after %d senders", got, len(evens))
+			}
+			send(all...)
+			if links := len(m.sp.nbr.ids); links < 2*n {
+				t.Fatalf("%d links over %d nodes: too sparse to test rows", links, n)
+			}
+			checkRows(t, m)
+
+			// Relocations, one into negative cell coordinates: the index
+			// starts over, and only the next senders get rows.
+			m.SetPosition(1, Position{X: -30, Y: -70})
+			m.SetPosition(core.NodeID(n/2), tc.pos[n-1])
+			if m.sp.nbr != nil {
+				t.Fatal("SetPosition kept the index")
+			}
+			send(0, n/2-1, n-1, n/3)
+			if got := len(m.sp.nbr.rows); got != 4 {
+				t.Fatalf("%d rows after 4 senders on the new topology", got)
+			}
+			checkRows(t, m)
+
+			// An unregistered node drops out of every row, and its own
+			// row is empty.
+			gone := n / 3
+			m.Unregister(rcvs[gone])
+			send(all...)
+			checkRows(t, m)
+			if r := m.sp.nbr.rows[core.NodeID(gone+1)]; r.hi != r.lo {
+				t.Errorf("unregistered node %d has a row of %d links", gone+1, r.hi-r.lo)
+			}
+		})
+	}
+}
+
 func TestSpatialRangeGating(t *testing.T) {
 	// A 30 m-pitch grid with 50 m range and hot transmit power (every
 	// in-range link lossless): the corner node reaches exactly its three
@@ -113,19 +305,12 @@ func TestSpatialRangeGating(t *testing.T) {
 
 	f := &Frame{Src: 1, Channel: 26, Bytes: 20, Airtime: 640}
 	m.Transmit(f)
-	// The build sizes the link arrays exactly: 24 directed links at 30 m
-	// and 16 on the 42.4 m diagonals (60 m and farther are out of range).
+	// Only the transmitter's row is built: its 3 links, and no row for the
+	// 8 nodes that have not sent (which the whole grid's 40 links would
+	// need).
 	ix := m.sp.nbr
-	for _, a := range []struct {
-		name     string
-		len, cap int
-	}{
-		{"ids", len(ix.ids), cap(ix.ids)}, {"rcvs", len(ix.rcvs), cap(ix.rcvs)},
-		{"rssi", len(ix.rssi), cap(ix.rssi)}, {"prr", len(ix.prr), cap(ix.prr)},
-	} {
-		if a.len != 40 || a.cap != a.len {
-			t.Errorf("index %s: len %d cap %d, want both 40", a.name, a.len, a.cap)
-		}
+	if len(ix.rows) != 1 || ix.rows[1] != (colRange{0, 3}) || len(ix.ids) != 3 {
+		t.Errorf("index rows %v over %d links, want only node 1's 3 links", ix.rows, len(ix.ids))
 	}
 	want := map[int]bool{2: true, 4: true, 5: true} // 30, 30, 42.4 m away
 	for i, r := range rcvs {
@@ -147,12 +332,13 @@ func TestSpatialRangeGating(t *testing.T) {
 }
 
 // TestCollisionBothCorrupt: two transmitters equidistant from the receiver
-// have comparable power, so neither captures and both frames corrupt. The
-// in-flight row moves a bystander between the two transmissions: fb's
-// Transmit rebuilds the index while fa's pending state still aliases the old
-// arrays, and nothing may change. The bystander registers first, so its row
-// heads the link arrays and its move shifts every later row: a rebuild that
-// wrote into the old arrays would corrupt the candidates fa still resolves
+// have comparable power, so neither captures and both frames corrupt. In
+// the static case fb's row is appended to the link arrays fa's pending state
+// aliases. The in-flight case moves a bystander between the two
+// transmissions: fb's Transmit starts a new index while fa's pending state
+// still aliases the old arrays, and nothing may change. fb's row heads the
+// new generation's arrays, as fa's headed the old: a new generation that
+// wrote into the old arrays would overwrite the candidates fa still resolves
 // against.
 func TestCollisionBothCorrupt(t *testing.T) {
 	cases := []struct {

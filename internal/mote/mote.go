@@ -345,12 +345,6 @@ func (w *World) ConfigureSpatial(cfg medium.SpatialConfig, positions []medium.Po
 	for i, n := range w.Nodes {
 		w.Medium.SetPosition(n.ID, positions[i])
 	}
-	// Build the neighbor index now, while the world is being constructed,
-	// rather than lazily inside the run at the first transmission — the
-	// index is position-determined and consumes no randomness, so this only
-	// moves cost, never results. (A mid-run topology change still
-	// invalidates and rebuilds lazily.)
-	w.Medium.WarmNeighbors()
 	return nil
 }
 

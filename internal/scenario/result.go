@@ -156,7 +156,18 @@ func (r *Result) Values() map[string]float64 {
 // same per-node sums in the same node order. An error names the lowest
 // failing node, as NetworkAnalyzer.Finish does. Finish does not build the
 // retained per-node view; Network does.
-func (in *Instance) Finish() (*Result, error) {
+func (in *Instance) Finish() (*Result, error) { return in.finish(newAnalyzer()) }
+
+// newAnalyzer returns an analyzer for finish, which resets it for every node
+// under the run's dictionary.
+func newAnalyzer() *analysis.StreamAnalyzer {
+	return analysis.NewStreamAnalyzer(0, 0, 0, nil, analysis.DefaultOptions())
+}
+
+// finish is Finish through sa: a fresh analyzer, or a Runner worker's,
+// reused from run to run. Either way sa is reset for every node, so the
+// Result does not depend on which runs sa analyzed before.
+func (in *Instance) finish(sa *analysis.StreamAnalyzer) (*Result, error) {
 	w := in.World
 	r := &Result{Spec: in.Spec}
 	ids := make([]core.NodeID, len(w.Nodes))
@@ -165,11 +176,10 @@ func (in *Instance) Finish() (*Result, error) {
 	}
 	slices.Sort(ids)
 	byLabel := make(map[core.Label]float64)
-	sa := analysis.NewStreamAnalyzer(0, 0, 0, w.Dict, analysis.DefaultOptions())
 	for _, id := range slices.Compact(ids) {
 		n := w.Node(id)
 		pulseUJ := n.Meter.PulseEnergy()
-		sa.Reset(id, pulseUJ, n.Volts)
+		sa.Reset(id, pulseUJ, n.Volts, w.Dict)
 		sa.RecordBatch(n.Log.Entries)
 		byAct, pulses, span, err := sa.Breakdown()
 		if err != nil {
@@ -273,7 +283,10 @@ func (in *Instance) Network() (*analysis.Network, error) {
 
 // RunSpec builds, runs, and analyzes one spec. Failures (including panics in
 // app code) are captured in the Result rather than aborting a sweep.
-func RunSpec(spec Spec) (res *Result) {
+func RunSpec(spec Spec) *Result { return runSpec(spec, newAnalyzer()) }
+
+// runSpec is RunSpec analyzing through sa (see finish).
+func runSpec(spec Spec, sa *analysis.StreamAnalyzer) (res *Result) {
 	defer func() {
 		if p := recover(); p != nil {
 			res = &Result{Spec: spec, Error: fmt.Sprintf("panic: %v", p)}
@@ -284,7 +297,7 @@ func RunSpec(spec Spec) (res *Result) {
 		return &Result{Spec: spec, Error: err.Error()}
 	}
 	in.Run()
-	r, err := in.Finish()
+	r, err := in.finish(sa)
 	if err != nil {
 		return &Result{Spec: spec, Error: err.Error()}
 	}

@@ -7,10 +7,13 @@ import (
 	"repro/internal/analysis"
 )
 
-// Runner executes an expanded spec list concurrently. Every run is fully
-// isolated — its own simulator, world, dictionary, and analyzers — and its
-// seed was fixed at expansion time, so the worker count and completion order
-// affect wall-clock time only, never a single byte of output.
+// Runner executes an expanded spec list concurrently. Every run is isolated
+// — its own simulator, world and dictionary — and its seed was fixed at
+// expansion time, so the worker count and completion order affect
+// wall-clock time only, never a single byte of output. Each worker keeps one
+// StreamAnalyzer across its runs and resets it for every node under the
+// run's dictionary, so a sweep sizes the analyzer's tables once per worker
+// instead of once per run; a reset analyzer gives a fresh one's Result.
 type Runner struct {
 	// Workers is the pool size; <= 0 selects GOMAXPROCS.
 	Workers int
@@ -44,8 +47,9 @@ func (rn *Runner) Run(specs []Spec) []*Result {
 	for w := 0; w < workers; w++ {
 		go func() {
 			defer wg.Done()
+			sa := newAnalyzer()
 			for i := range jobs {
-				r := RunSpec(specs[i])
+				r := runSpec(specs[i], sa)
 				r.Run = i
 				results[i] = r
 				done <- i

@@ -3,6 +3,7 @@ package scenario_test
 import (
 	"encoding/json"
 	"fmt"
+	"slices"
 	"strings"
 	"testing"
 
@@ -349,6 +350,53 @@ func TestSweepWorkerCountInvariance(t *testing.T) {
 	b1, b8 := marshalSweep(t, one), marshalSweep(t, eight)
 	if string(b1) != string(b8) {
 		t.Fatalf("sweep output differs between -workers 1 and -workers 8:\n%s\nvs\n%s", b1, b8)
+	}
+}
+
+// TestRunnerReuseMatchesRunSpec: a Runner worker analyzes every run it
+// takes through one reused analyzer, so no dictionary, proxy set or table
+// may leak from one run into the next. A mixed list of apps — each with its
+// own dictionary and proxy activities — must give, run by run, the bytes
+// RunSpec's fresh analyzer gives, whichever runs came before: forward and
+// reversed, on one worker and on four.
+func TestRunnerReuseMatchesRunSpec(t *testing.T) {
+	second := int64(units.Second)
+	specs := []scenario.Spec{
+		{App: "blink", Seed: 1, DurationUS: 2 * second},
+		{App: "bounce", Seed: 2, DurationUS: 2 * second},
+		{App: "lpl", Seed: 3, Channel: 17, DurationUS: 3 * second}, // under Wi-Fi
+		{App: "relay", Seed: 4, Nodes: 40, Placement: scenario.PlacementRGG, Origins: 3,
+			PeriodUS: 100_000, DurationUS: 2 * second},
+		{App: "sensesend", Seed: 5, DurationUS: 2 * second},
+	}
+	marshal := func(r *scenario.Result) string {
+		t.Helper()
+		if r.Error != "" {
+			t.Fatalf("%s: %s", r.Spec.App, r.Error)
+		}
+		c := *r
+		c.Run = 0 // the run's index in whichever list it came from
+		b, err := json.Marshal(&c)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return string(b)
+	}
+	want := make(map[string]string) // by app
+	for _, s := range specs {
+		want[s.App] = marshal(scenario.RunSpec(s))
+	}
+	reversed := slices.Clone(specs)
+	slices.Reverse(reversed)
+	for _, workers := range []int{1, 4} {
+		for _, order := range [][]scenario.Spec{specs, reversed} {
+			for _, r := range (&scenario.Runner{Workers: workers}).Run(order) {
+				if got := marshal(r); got != want[r.Spec.App] {
+					t.Errorf("workers=%d, list from %s to %s: %s Result differs from RunSpec's:\n%s\nwant\n%s",
+						workers, order[0].App, order[len(order)-1].App, r.Spec.App, got, want[r.Spec.App])
+				}
+			}
+		}
 	}
 }
 

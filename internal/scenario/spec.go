@@ -369,10 +369,6 @@ func (s *Spec) applyMobility(w *mote.World, pos []medium.Position) error {
 				s.Mobility, MobilityWaypoint, MobilityDrift)
 		}
 	}
-	// SetMover re-seats each node at its model's (reflected) start, which
-	// invalidates the warmed neighbor index; re-warm so the first transmit
-	// does not pay the rebuild.
-	w.Medium.WarmNeighbors()
 	return nil
 }
 

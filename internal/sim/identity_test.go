@@ -376,8 +376,10 @@ func Benchmark10kNodeRelay(b *testing.B) {
 // Benchmark10kNodeRelayFixedCost measures what Benchmark10kNodeRelay leaves
 // out, on the same spec: building the 10k-node world and analyzing its
 // logs. The timer runs around Build and Finish and stops around Run, so
-// ns/op, B/op and allocs/op are the per-node fixed cost — node assembly,
-// the spatial index, one analyzer per node — not the event loop.
+// ns/op, B/op and allocs/op are the per-node fixed cost — node assembly and
+// every node's log through one reset analyzer — not the event loop. The
+// spatial index is not in it: its cells and rows are built from the first
+// transmission on, inside Run.
 //
 // BENCH_core.json records it beside the event-loop rows; the CI
 // bench-compare step fails on an allocs/op regression or a changed

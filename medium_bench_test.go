@@ -1,6 +1,7 @@
 // Benchmarks for medium frame delivery: the flat broadcast model walks
 // every registered receiver per transmission (O(nodes)), the spatial layer
-// walks the transmitter's precomputed neighbor list (O(neighbors)). Both
+// walks the transmitter's neighbor list (O(neighbors)), built the first time
+// that node sends and reused by every later frame it sends. Both
 // run the same constant-density grid (30 m pitch), so the broadcast cost
 // grows with the node count while the spatial cost stays flat — the
 // scaling contract that lets a 500-node sweep run at interactive speed.
