@@ -7,33 +7,6 @@ import (
 	"repro/internal/units"
 )
 
-// PowerStep is one segment of the reconstructed power trace: from T onward
-// the model predicts PowerMW.
-type PowerStep struct {
-	T       int64
-	PowerMW float64
-}
-
-// Reconstruct builds the stacked power trace of Figure 11(c): for every
-// state interval, the fitted power X*Pi of its group. The result is a
-// piecewise-constant series aligned with the log's intervals.
-func (a *Analysis) Reconstruct() []PowerStep {
-	// Intervals share a handful of vectors: predict each vector once.
-	predicted := make([]float64, len(a.Vectors))
-	for v, sv := range a.Vectors {
-		predicted[v] = a.Reg.PredictGroup(sv.Active)
-	}
-	out := make([]PowerStep, 0, len(a.Intervals)+1)
-	for _, iv := range a.Intervals {
-		p := predicted[iv.Vec]
-		if n := len(out); n > 0 && out[n-1].PowerMW == p {
-			continue
-		}
-		out = append(out, PowerStep{T: iv.Start, PowerMW: p})
-	}
-	return out
-}
-
 // StackedStep is one reconstructed interval decomposed by hardware
 // component, for rendering the stacked breakdown of Figure 11(c).
 type StackedStep struct {

@@ -359,13 +359,3 @@ func (r *Regression) CurrentMA(p Predictor, volts float64) float64 {
 func (r *Regression) ConstCurrentMA(volts float64) float64 {
 	return r.ConstMW / volts
 }
-
-// PredictGroup returns the fitted power of one group (the X*Pi row),
-// used to reconstruct power-state traces.
-func (r *Regression) PredictGroup(active []Predictor) float64 {
-	p := r.ConstMW
-	for _, a := range active {
-		p += r.PowerMW[a]
-	}
-	return p
-}

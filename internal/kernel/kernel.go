@@ -263,7 +263,7 @@ func (k *Kernel) Kill() {
 	k.dead = true
 	k.tasks = nil
 	k.taskHead = 0
-	if k.compareEvent.Scheduled() {
+	if k.Sim.Scheduled(k.compareEvent) {
 		k.Sim.Cancel(k.compareEvent)
 	}
 }

@@ -108,13 +108,13 @@ func (k *Kernel) scheduleCompare() {
 	clear(k.armed[len(armed):])
 	k.armed = armed
 	if next < 0 {
-		if k.compareEvent.Scheduled() {
+		if k.Sim.Scheduled(k.compareEvent) {
 			k.Sim.Cancel(k.compareEvent)
 		}
 		return
 	}
-	if k.compareEvent.Scheduled() {
-		if k.compareEvent.At() == next {
+	if k.Sim.Scheduled(k.compareEvent) {
+		if k.Sim.At(k.compareEvent) == next {
 			return
 		}
 		k.Sim.Cancel(k.compareEvent)

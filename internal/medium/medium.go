@@ -14,8 +14,6 @@
 package medium
 
 import (
-	"sort"
-
 	"repro/internal/core"
 	"repro/internal/sim"
 	"repro/internal/units"
@@ -251,14 +249,21 @@ func (m *Medium) EnergyOnAt(node core.NodeID, ch int, t units.Ticks) float64 {
 // GapMean, both jittered deterministically. The paper placed the mote 10 cm
 // from the AP, so every burst is far above the CCA threshold; only the
 // spectral overlap attenuates it.
+//
+// The bursts are a stream drawn from the seed in time order, and the source
+// keeps no history of it: only the stream's RNG, the current burst and the
+// previous burst's end. Simulated time only moves forward, so queries step
+// forward through the stream; an earlier query replays it from the seed,
+// which gives every query order the same answer.
 type WiFiSource struct {
 	Channel   int
 	BurstMean units.Ticks
 	GapMean   units.Ticks
 
-	rng    *sim.RNG
-	bursts []burst // generated lazily, in time order
-	genT   units.Ticks
+	seed    uint64
+	rng     sim.RNG
+	cur     burst       // the first burst ending after the last query
+	prevEnd units.Ticks // end of the burst before cur; 0 before the first
 }
 
 type burst struct{ start, end units.Ticks }
@@ -272,68 +277,52 @@ func NewWiFiSource(channel int, burstMean, gapMean units.Ticks, seed uint64) *Wi
 		Channel:   channel,
 		BurstMean: burstMean,
 		GapMean:   gapMean,
-		rng:       sim.NewRNG(seed),
+		seed:      seed,
+		rng:       *sim.NewRNG(seed),
 	}
 }
 
 // ActiveAt reports whether a burst is in progress at time t.
 func (w *WiFiSource) ActiveAt(t units.Ticks) bool {
-	w.ensure(t)
-	// Binary search for the burst containing t.
-	lo, hi := 0, len(w.bursts)
-	for lo < hi {
-		mid := (lo + hi) / 2
-		if w.bursts[mid].end <= t {
-			lo = mid + 1
-		} else {
-			hi = mid
-		}
+	if t < w.prevEnd {
+		// The burst holding t is behind the stream: replay from the seed.
+		w.rng, w.cur, w.prevEnd = *sim.NewRNG(w.seed), burst{}, 0
 	}
-	return lo < len(w.bursts) && w.bursts[lo].start <= t
+	for w.cur.end <= t {
+		w.prevEnd = w.cur.end
+		w.cur = w.burstAfter(&w.rng, w.cur.end)
+	}
+	return w.cur.start <= t
 }
 
-// DutyCycle returns the fraction of [t0, t1) covered by bursts. The first
-// overlapping burst is found with the same binary search ActiveAt uses, so a
-// report over a late window costs O(log bursts + bursts in window) instead
-// of rescanning every burst ever generated.
+// DutyCycle returns the fraction of [t0, t1) covered by bursts. It
+// integrates over a fresh replay of the stream, so it leaves ActiveAt's
+// position alone.
 func (w *WiFiSource) DutyCycle(t0, t1 units.Ticks) float64 {
 	if t1 <= t0 {
 		return 0
 	}
-	w.ensure(t1)
-	// First burst with end > t0; bursts are generated in time order.
-	lo := sort.Search(len(w.bursts), func(i int) bool { return w.bursts[i].end > t0 })
+	rng := *sim.NewRNG(w.seed)
 	var on units.Ticks
-	for _, b := range w.bursts[lo:] {
-		if b.start >= t1 {
-			break
+	for b := w.burstAfter(&rng, 0); b.start < t1; b = w.burstAfter(&rng, b.end) {
+		if b.end > t0 {
+			on += min(b.end, t1) - max(b.start, t0)
 		}
-		s, e := b.start, b.end
-		if s < t0 {
-			s = t0
-		}
-		if e > t1 {
-			e = t1
-		}
-		on += e - s
 	}
 	return float64(on) / float64(t1-t0)
 }
 
-func (w *WiFiSource) ensure(t units.Ticks) {
-	for w.genT <= t {
-		gap := w.jitter(w.GapMean)
-		length := w.jitter(w.BurstMean)
-		start := w.genT + gap
-		w.bursts = append(w.bursts, burst{start: start, end: start + length})
-		w.genT = start + length
-	}
+// burstAfter draws the burst that follows one ending at end: an idle gap,
+// then the burst.
+func (w *WiFiSource) burstAfter(rng *sim.RNG, end units.Ticks) burst {
+	start := end + jitter(rng, w.GapMean)
+	return burst{start: start, end: start + jitter(rng, w.BurstMean)}
 }
 
 // jitter returns a duration uniform in [mean/2, 3*mean/2).
-func (w *WiFiSource) jitter(mean units.Ticks) units.Ticks {
+func jitter(rng *sim.RNG, mean units.Ticks) units.Ticks {
 	if mean <= 1 {
 		return mean
 	}
-	return mean/2 + w.rng.Ticks(mean)
+	return mean/2 + rng.Ticks(mean)
 }

@@ -547,39 +547,3 @@ func TestEnergyOnAtSpatialRange(t *testing.T) {
 		t.Errorf("far node sees %v, want 0", e)
 	}
 }
-
-// TestDutyCycleBinarySearchMatchesScan pins that the binary-search window
-// fold returns exactly what the full scan did.
-func TestDutyCycleBinarySearchMatchesScan(t *testing.T) {
-	w := NewWiFiSource(6, 5*units.Millisecond, 23*units.Millisecond, 31)
-	w.ensure(100 * units.Second)
-	scan := func(t0, t1 units.Ticks) float64 {
-		var on units.Ticks
-		for _, b := range w.bursts {
-			if b.end <= t0 || b.start >= t1 {
-				continue
-			}
-			s, e := b.start, b.end
-			if s < t0 {
-				s = t0
-			}
-			if e > t1 {
-				e = t1
-			}
-			on += e - s
-		}
-		return float64(on) / float64(t1-t0)
-	}
-	for _, win := range [][2]units.Ticks{
-		{0, units.Second},
-		{90 * units.Second, 91 * units.Second}, // late window, deep in the burst list
-		{50*units.Second + 137, 50*units.Second + 999},
-		{0, 100 * units.Second},
-	} {
-		got := w.DutyCycle(win[0], win[1])
-		want := scan(win[0], win[1])
-		if got != want {
-			t.Errorf("DutyCycle%v = %v, want %v", win, got, want)
-		}
-	}
-}

@@ -248,7 +248,7 @@ func (b *Battery) project() {
 	if b.notified {
 		return
 	}
-	if b.check.Scheduled() {
+	if b.s.Scheduled(b.check) {
 		b.s.Cancel(b.check)
 	}
 	if b.depleted {

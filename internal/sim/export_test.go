@@ -4,6 +4,6 @@ package sim
 // It lets the external differential tests run whole scenarios on the heap;
 // callers must not build simulators concurrently while it is in effect.
 func UseHeap() (restore func()) {
-	heapOracle = true
-	return func() { heapOracle = false }
+	oracle = func() queue { return newHeapQueue() }
+	return func() { oracle = nil }
 }

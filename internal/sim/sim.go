@@ -8,11 +8,15 @@
 // with the same seed produces byte-identical logs.
 //
 // The queue is a hierarchical timer wheel (wheel.go): six cascading levels
-// of 256 slots over the tick space, a far-future overflow heap, and a
-// free-list event pool, giving O(1) schedule/cancel and allocation-free
-// steady-state operation at 10k-100k nodes. The original binary-heap queue
-// (heap.go) stays as a reference oracle for the package's tests, which
-// replay workloads on both queues and require byte-identical traces.
+// of 256 slots over the tick space, one same-tick FIFO lane per priority,
+// and a far-future overflow heap, giving O(1) schedule/cancel at 10k-100k
+// nodes. Its events live in a pool of fixed index-addressed blocks
+// (pool.go) that holds no Go pointer outside the callbacks, so the garbage
+// collector neither scans the queue nor runs write barriers on its links,
+// and Handles are (index, generation) pairs. Steady-state scheduling
+// allocates nothing. The original binary-heap queue survives only in the
+// package's tests (heap_test.go), as the reference oracle they replay
+// whole workloads against, requiring byte-identical traces.
 package sim
 
 import (
@@ -42,91 +46,34 @@ const (
 	PrioTask     Priority = 10  // deferred software work
 )
 
-// Event is one scheduled callback. Events are owned by the queue: the wheel
-// recycles them through a free list the instant they fire or are canceled,
-// so user code never holds a *Event directly — Schedule returns a
-// generation-checked Handle instead.
-type Event struct {
-	at   Ticks
-	prio Priority
-	seq  uint64
-
-	// gen is bumped every time the event leaves the queue (fire or cancel),
-	// so Handles to a recycled Event turn inert instead of acting on an
-	// unrelated later event (the classic ABA hazard of pooling).
-	gen uint64
-
-	// Exactly one of fn / (afn, arg) is set: ScheduleArg avoids a closure
-	// allocation on hot paths by carrying the argument alongside a shared
-	// callback.
-	fn  func()
-	afn func(any)
-	arg any
-
-	// Intrusive links for the wheel's slot lists; next doubles as the
-	// free-list link while the event is pooled.
-	next, prev *Event
-
-	// loc encodes where the event currently lives: locFree / locReady /
-	// locOverflow / locHeap, or level<<8|slot inside the wheel.
-	loc int32
-	// idx is the event's index inside whichever binary heap holds it
-	// (ready, overflow, or the reference heap queue).
-	idx int32
-}
-
-const (
-	locFree     int32 = -1
-	locReady    int32 = -2
-	locOverflow int32 = -3
-	locHeap     int32 = -4
-)
-
-// Handle is a cancelable reference to a scheduled event. The zero Handle is
-// valid and behaves like an event that already fired: Scheduled reports
-// false and Cancel is a no-op. Because events are pooled, a Handle carries
-// the generation it was issued under; once the event fires or is canceled
-// the handle goes stale and can never affect a recycled successor.
+// Handle is a cancelable reference to a scheduled event: the event's pool
+// index and the generation it was issued under. It holds no pointer. The
+// zero Handle is valid and behaves like an event that already fired:
+// Scheduled reports false and Cancel is a no-op. Because events are pooled,
+// once the event fires or is canceled the handle goes stale and can never
+// affect a recycled successor.
 type Handle struct {
-	e   *Event
+	idx int32
 	gen uint64
-}
-
-// Scheduled reports whether the referenced event is still pending.
-func (h Handle) Scheduled() bool { return h.e != nil && h.e.gen == h.gen }
-
-// At reports when the event is scheduled to fire; 0 if the handle is stale.
-func (h Handle) At() Ticks {
-	if h.Scheduled() {
-		return h.e.at
-	}
-	return 0
-}
-
-// fired is a popped event's payload, copied out before the Event object is
-// released back to the pool.
-type fired struct {
-	fn  func()
-	afn func(any)
-	arg any
 }
 
 // queue is the event-queue contract shared by the timer wheel and the
-// reference binary heap. Both dispatch in exactly (at, prio, seq) order.
+// reference heap of the package's tests. Both dispatch in exactly
+// (at, prio, seq) order and keep their events in a pool.
 type queue interface {
-	// schedule enqueues a callback and returns its handle.
-	schedule(at Ticks, prio Priority, seq uint64, fn func(), afn func(any), arg any) Handle
-	// next reports the earliest pending event time, provided it does not
-	// exceed limit. It may advance internal cursors up to limit but never
-	// beyond, so later schedules at >= limit stay valid.
-	next(limit Ticks) (Ticks, bool)
-	// pop removes and returns the earliest event's payload. Only valid
-	// immediately after next returned ok.
-	pop() fired
-	// cancel removes a pending event.
-	cancel(e *Event)
+	// schedule enqueues fn(arg) and returns its handle.
+	schedule(at Ticks, prio Priority, seq uint64, fn func(any), arg any) Handle
+	// pop removes the earliest pending event, provided its time does not
+	// exceed limit, and returns that time and the event's callback. It may
+	// advance internal cursors up to limit but never beyond, so later
+	// schedules at >= limit stay valid.
+	pop(limit Ticks) (Ticks, payload, bool)
+	// cancel removes pending event i, whose record is e.
+	cancel(i int32, e *event)
 	// len reports how many events are pending.
 	len() int
+	// events returns the pool the queue keeps its events in.
+	events() *pool
 }
 
 // Simulator is a single-threaded discrete-event scheduler.
@@ -134,21 +81,26 @@ type Simulator struct {
 	now    Ticks
 	seq    uint64
 	q      queue
+	p      *pool // q's event pool, where Handles are looked up
 	halted bool
 }
 
-// heapOracle makes New build the reference binary-heap queue instead of the
-// timer wheel. Only the package's tests set it (export_test.go), to run
-// whole workloads on both queues and compare their traces byte for byte.
-var heapOracle bool
+// oracle, when set, builds the queue New uses in place of the timer wheel.
+// Only the package's tests set it (export_test.go), to run whole workloads
+// on the reference heap and compare their traces byte for byte.
+var oracle func() queue
 
 // New returns an empty simulator positioned at time zero, backed by the
 // hierarchical timer wheel.
 func New() *Simulator {
-	if heapOracle {
-		return &Simulator{q: newHeapQueue()}
+	if oracle != nil {
+		return newSimulator(oracle())
 	}
-	return &Simulator{q: newWheel()}
+	return newSimulator(newWheel())
+}
+
+func newSimulator(q queue) *Simulator {
+	return &Simulator{q: q, p: q.events()}
 }
 
 // Now returns the current simulated time.
@@ -165,7 +117,7 @@ func (s *Simulator) Schedule(at Ticks, prio Priority, fn func()) Handle {
 		panic("sim: schedule with nil function")
 	}
 	s.seq++
-	return s.q.schedule(at, prio, s.seq, fn, nil, nil)
+	return s.q.schedule(at, prio, s.seq, callFunc, fn)
 }
 
 // ScheduleArg registers fn(arg) to run at the absolute time at. It is the
@@ -180,7 +132,7 @@ func (s *Simulator) ScheduleArg(at Ticks, prio Priority, fn func(any), arg any) 
 		panic("sim: schedule with nil function")
 	}
 	s.seq++
-	return s.q.schedule(at, prio, s.seq, nil, fn, arg)
+	return s.q.schedule(at, prio, s.seq, fn, arg)
 }
 
 // After schedules fn to run d ticks from now.
@@ -196,10 +148,25 @@ func (s *Simulator) AfterArg(d Ticks, prio Priority, fn func(any), arg any) Hand
 // Cancel removes a pending event. Canceling an event that already fired,
 // was already canceled, or was never scheduled (the zero Handle) is a no-op.
 func (s *Simulator) Cancel(h Handle) {
-	if !h.Scheduled() {
+	if h.idx == 0 {
 		return
 	}
-	s.q.cancel(h.e)
+	if e := s.p.at(h.idx); e.gen == h.gen {
+		s.q.cancel(h.idx, e)
+	}
+}
+
+// Scheduled reports whether h's event is still pending.
+func (s *Simulator) Scheduled(h Handle) bool {
+	return h.idx != 0 && s.p.at(h.idx).gen == h.gen
+}
+
+// At reports when h's event is scheduled to fire; 0 if h is stale.
+func (s *Simulator) At(h Handle) Ticks {
+	if s.Scheduled(h) {
+		return s.p.at(h.idx).at
+	}
+	return 0
 }
 
 // Halt stops Run before the next event is dispatched.
@@ -214,13 +181,12 @@ func (s *Simulator) Step() bool {
 	if s.halted {
 		return false
 	}
-	t, ok := s.q.next(math.MaxInt64)
+	t, f, ok := s.q.pop(math.MaxInt64)
 	if !ok {
 		return false
 	}
-	f := s.q.pop()
 	s.now = t
-	dispatch(f)
+	f.fn(f.arg)
 	return true
 }
 
@@ -231,25 +197,16 @@ func (s *Simulator) Step() bool {
 func (s *Simulator) Run(until Ticks) int {
 	n := 0
 	for !s.halted {
-		t, ok := s.q.next(until)
+		t, f, ok := s.q.pop(until)
 		if !ok {
 			break
 		}
-		f := s.q.pop()
 		s.now = t
-		dispatch(f)
+		f.fn(f.arg)
 		n++
 	}
 	if !s.halted && s.now < until {
 		s.now = until
 	}
 	return n
-}
-
-func dispatch(f fired) {
-	if f.fn != nil {
-		f.fn()
-		return
-	}
-	f.afn(f.arg)
 }

@@ -22,7 +22,7 @@ func eachQueue(t *testing.T, fn func(t *testing.T, s *Simulator)) {
 	t.Helper()
 	for _, q := range queues {
 		t.Run(q.name, func(t *testing.T) {
-			fn(t, &Simulator{q: q.new()})
+			fn(t, newSimulator(q.new()))
 		})
 	}
 }
@@ -79,11 +79,14 @@ func TestCancel(t *testing.T) {
 	eachQueue(t, func(t *testing.T, s *Simulator) {
 		fired := false
 		e := s.Schedule(10, PrioTask, func() { fired = true })
-		if !e.Scheduled() {
+		if !s.Scheduled(e) {
 			t.Fatal("event should be scheduled")
 		}
+		if s.At(e) != 10 {
+			t.Fatalf("At = %v, want 10", s.At(e))
+		}
 		s.Cancel(e)
-		if e.Scheduled() {
+		if s.Scheduled(e) {
 			t.Fatal("event should not be scheduled after cancel")
 		}
 		s.Run(100)
@@ -93,6 +96,9 @@ func TestCancel(t *testing.T) {
 		// Double-cancel and zero-handle cancel are no-ops.
 		s.Cancel(e)
 		s.Cancel(Handle{})
+		if s.Scheduled(Handle{}) || s.At(Handle{}) != 0 {
+			t.Error("the zero Handle should read as already fired")
+		}
 	})
 }
 

@@ -13,50 +13,60 @@ import "math/bits"
 // no ring wrap-around, and every slot at or below the cursor is empty.
 //
 // Level 0 slots therefore hold exactly one tick each: when the cursor jumps
-// to a level-0 slot, its whole list is due at that instant and is bulk-loaded
-// into the ready heap, which restores the (priority, sequence) order that
-// slot lists do not maintain. Higher-level slots cascade: their events are
-// re-placed relative to the advanced cursor and land at lower levels (or in
-// the ready heap when due exactly at the cursor). Events more than 2^48
-// ticks (~8.9 simulated years) ahead go to a small overflow heap and migrate
-// into the wheel when the cursor approaches.
+// to a level-0 slot, its whole list is due at that instant and moves into
+// the same-tick lanes, one FIFO per priority. Higher-level slots cascade:
+// their events are re-placed relative to the advanced cursor and land at
+// lower levels (or in a lane when due exactly at the cursor). Events more
+// than 2^48 ticks (~8.9 simulated years) ahead go to a small overflow heap
+// and migrate into the wheel when the cursor approaches.
 //
 // Determinism: dispatch order is exactly (at, prio, seq) — the same total
-// order the reference binary heap (heap.go) uses — because level-0 delivery
-// funnels every due event through the ready heap, including events
-// scheduled for the current instant from inside a running handler.
+// order the reference heap of the package's tests uses. Pop serves the head
+// of the lowest non-empty lane, so each lane only has to hold its events in
+// seq order, and it does:
+//   - Events sharing a tick always sit in one slot list, in seq order. Where
+//     an event is filed is a function of its time and the cursor, a
+//     cascade re-files a whole list in order, and a later schedule carries
+//     a larger seq and appends at the tail. The overflow heap hands events
+//     back in (at, seq) order.
+//   - An event scheduled for the current tick from a running handler
+//     carries the largest seq so far, so appending it to its lane keeps
+//     the lane in order.
 //
-// Allocation: Event objects come from a free list refilled by 256-entry
-// arena blocks and are recycled the moment they fire or are canceled;
-// generation counters keep stale Handles inert. Steady-state scheduling
-// performs no allocation at all.
+// Storage: events come from the pointer-free block pool (pool.go) and are
+// linked by index, so the garbage collector neither scans the queue nor
+// runs write barriers on its links. Events are recycled the moment they
+// fire or are canceled; generation counters keep stale Handles inert.
+// Steady-state scheduling performs no allocation at all.
 
 const (
 	wheelLevels   = 6
 	wheelSlotBits = 8
 	wheelSlots    = 1 << wheelSlotBits
 	wheelSlotMask = wheelSlots - 1
-	wheelArena    = 256
+	// wheelLanes is one same-tick lane per int8 priority.
+	wheelLanes = 256
 )
-
-type slotList struct{ head, tail *Event }
 
 type wheel struct {
 	cur Ticks // time of the last dispatched (or settled) event
 
-	slots    [wheelLevels][wheelSlots]slotList
+	slots    [wheelLevels][wheelSlots]list
 	occupied [wheelLevels][wheelSlots / 64]uint64
 
-	// ready holds events due exactly at cur, ordered by (prio, seq).
-	ready []*Event
-	// overflow holds events beyond the wheel horizon, ordered by (at, seq).
-	overflow []*Event
+	// lanes hold the events due exactly at cur, lane prio+128 in seq order;
+	// laneBits marks the non-empty ones, and bit k of laneWords is set while
+	// laneBits[k] is non-zero, so finding the lowest lane takes no loop.
+	lanes     [wheelLanes]list
+	laneBits  [wheelLanes / 64]uint64
+	laneWords uint8
 
-	free  *Event
-	arena []Event
-	used  int
+	// overflow holds events beyond the wheel horizon, ordered by (at, seq).
+	overflow []int32
 
 	n int
+
+	pool // last, so its inline block lies past the struct's pointers
 }
 
 func newWheel() *wheel {
@@ -65,80 +75,72 @@ func newWheel() *wheel {
 
 func (w *wheel) len() int { return w.n }
 
-func (w *wheel) acquire() *Event {
-	if e := w.free; e != nil {
-		w.free = e.next
-		e.next = nil
-		return e
-	}
-	if w.used == len(w.arena) {
-		w.arena = make([]Event, wheelArena)
-		w.used = 0
-	}
-	e := &w.arena[w.used]
-	w.used++
-	return e
-}
+func (w *wheel) events() *pool { return &w.pool }
 
-// release returns a removed event to the free list. Bumping the generation
-// here is what invalidates every outstanding Handle to it.
-func (w *wheel) release(e *Event) {
-	e.gen++
-	e.fn, e.afn, e.arg = nil, nil, nil
-	e.prev = nil
-	e.loc = locFree
-	e.next = w.free
-	w.free = e
-}
-
-func (w *wheel) schedule(at Ticks, prio Priority, seq uint64, fn func(), afn func(any), arg any) Handle {
-	e := w.acquire()
-	e.at, e.prio, e.seq = at, prio, seq
-	e.fn, e.afn, e.arg = fn, afn, arg
-	w.place(e)
+func (w *wheel) schedule(at Ticks, prio Priority, seq uint64, fn func(any), arg any) Handle {
+	i, e := w.acquire(at, prio, seq, fn, arg)
+	w.place(i, e)
 	w.n++
-	return Handle{e: e, gen: e.gen}
+	return Handle{idx: i, gen: e.gen}
 }
 
 // place files an event by the highest byte in which its time differs from
 // the cursor. An event due at the cursor — one a running handler schedules
-// for the current instant — goes straight to the ready heap. None lands
-// below the cursor: the cursor never passes the simulator clock, and
-// Schedule rejects times before the clock.
-func (w *wheel) place(e *Event) {
+// for the current instant — goes straight to its lane. None lands below the
+// cursor: the cursor never passes the simulator clock, and Schedule rejects
+// times before the clock.
+func (w *wheel) place(i int32, e *event) {
 	if e.at == w.cur {
-		w.readyPush(e)
+		w.lanePush(i, e)
 		return
 	}
 	diff := uint64(e.at) ^ uint64(w.cur)
 	level := (bits.Len64(diff) - 1) >> 3
 	if level >= wheelLevels {
-		w.overflowPush(e)
+		w.overflowPush(i, e)
 		return
 	}
 	slot := int(uint64(e.at)>>(level*wheelSlotBits)) & wheelSlotMask
-	w.slotPush(level, slot, e)
-}
-
-func (w *wheel) slotPush(level, slot int, e *Event) {
-	l := &w.slots[level][slot]
-	e.prev = l.tail
-	e.next = nil
-	if l.tail != nil {
-		l.tail.next = e
-	} else {
-		l.head = e
+	if w.push(&w.slots[level][slot], i, e) {
 		w.occupied[level][slot>>6] |= 1 << (slot & 63)
 	}
-	l.tail = e
 	e.loc = int32(level<<wheelSlotBits | slot)
 }
 
+// laneOf returns the same-tick lane of a priority: lane 0 serves -128.
+func laneOf(prio Priority) int { return int(prio) + 128 }
+
+func (w *wheel) lanePush(i int32, e *event) {
+	lane := laneOf(e.prio)
+	if w.push(&w.lanes[lane], i, e) {
+		w.laneBits[lane>>6] |= 1 << (lane & 63)
+		w.laneWords |= 1 << (lane >> 6)
+	}
+	e.loc = locLane
+}
+
+// laneUnlink removes e from its lane.
+func (w *wheel) laneUnlink(e *event) {
+	lane := laneOf(e.prio)
+	if w.unlink(&w.lanes[lane], e) {
+		w.laneEmptied(lane)
+	}
+}
+
+// laneEmptied clears the occupancy bits of a lane that just emptied.
+func (w *wheel) laneEmptied(lane int) {
+	word := lane >> 6
+	w.laneBits[word] &^= 1 << (lane & 63)
+	if w.laneBits[word] == 0 {
+		w.laneWords &^= 1 << word
+	}
+}
+
 // takeSlot detaches and returns a slot's list head.
-func (w *wheel) takeSlot(level, slot int) *Event {
+func (w *wheel) takeSlot(level, slot int) int32 {
 	l := &w.slots[level][slot]
 	head := l.head
-	l.head, l.tail = nil, nil
+	*l = list{}
 	w.occupied[level][slot>>6] &^= 1 << (slot & 63)
 	return head
 }
@@ -169,22 +171,20 @@ func (w *wheel) curIdx(level int) int {
 	return int(uint64(w.cur)>>(level*wheelSlotBits)) & wheelSlotMask
 }
 
-// next settles the wheel up to limit: it reports the earliest pending event
-// time iff that time is <= limit, cascading upper levels and priming the
-// ready heap along the way. The cursor never advances past limit, so a later
-// schedule at any time >= limit still lands ahead of the cursor.
-func (w *wheel) next(limit Ticks) (Ticks, bool) {
+// settle advances the wheel up to limit: it reports whether the earliest
+// pending events are due no later than limit, cascading upper levels and
+// filling the lanes with them along the way. The cursor never advances past
+// limit, so a later schedule at any time >= limit still lands ahead of the
+// cursor.
+func (w *wheel) settle(limit Ticks) bool {
 	for {
-		if len(w.ready) > 0 {
-			// Ready events are due at the cursor; every slot event is
-			// strictly after it, so the ready head is the global minimum.
-			if at := w.ready[0].at; at <= limit {
-				return at, true
-			}
-			return 0, false
+		if w.laneWords != 0 {
+			// Lane events are due at the cursor; every slot event is
+			// strictly after it, so the cursor is the global minimum.
+			return w.cur <= limit
 		}
 		if w.n == 0 {
-			return 0, false
+			return false
 		}
 		// The lowest level with an occupied slot beyond the cursor holds the
 		// earliest pending events: level L slots beyond the cursor start
@@ -195,30 +195,27 @@ func (w *wheel) next(limit Ticks) (Ticks, bool) {
 			if !ok {
 				continue
 			}
+			var at Ticks
 			if level == 0 {
 				// A level-0 slot is a single tick; its time is exact.
-				at := w.cur&^wheelSlotMask | Ticks(slot)
-				if at > limit {
-					return 0, false
-				}
-				w.cur = at
-				w.readyLoad(w.takeSlot(0, slot))
+				at = w.cur&^wheelSlotMask | Ticks(slot)
 			} else {
 				// Cascade: jump to the slot's start (a lower bound on its
 				// events) and re-place its list relative to the new cursor.
 				span := Ticks(1) << ((level + 1) * wheelSlotBits)
-				base := w.cur &^ (span - 1)
-				at := base | Ticks(slot)<<(level*wheelSlotBits)
-				if at > limit {
-					return 0, false
-				}
-				w.cur = at
-				for e := w.takeSlot(level, slot); e != nil; {
-					next := e.next
-					e.next, e.prev = nil, nil
-					w.place(e)
-					e = next
-				}
+				at = w.cur&^(span-1) | Ticks(slot)<<(level*wheelSlotBits)
+			}
+			if at > limit {
+				return false
+			}
+			w.cur = at
+			// At level 0 every event is due now, so place sends each to its
+			// lane.
+			for i := w.takeSlot(level, slot); i != 0; {
+				e := w.at(i)
+				next := e.next
+				w.place(i, e)
+				i = next
 			}
 			advanced = true
 			break
@@ -227,209 +224,128 @@ func (w *wheel) next(limit Ticks) (Ticks, bool) {
 			continue
 		}
 		// The wheel proper is empty; migrate due overflow events in.
-		at := w.overflow[0].at
+		at := w.at(w.overflow[0]).at
 		if at > limit {
-			return 0, false
+			return false
 		}
 		w.cur = at
 		for len(w.overflow) > 0 {
-			e := w.overflow[0]
+			i := w.overflow[0]
+			e := w.at(i)
 			if bits.Len64(uint64(e.at)^uint64(w.cur)) > wheelLevels*wheelSlotBits {
 				break
 			}
 			w.overflowRemove(0)
-			w.place(e)
+			w.place(i, e)
 		}
 	}
 }
 
-// pop removes the earliest event. Only valid right after next returned ok,
-// which guarantees the ready heap is primed.
-func (w *wheel) pop() fired {
-	e := w.ready[0]
-	w.readyRemove(0)
-	f := fired{fn: e.fn, afn: e.afn, arg: e.arg}
-	w.release(e)
+// pop settles the wheel up to limit and removes the head of the lowest
+// non-empty lane.
+func (w *wheel) pop(limit Ticks) (Ticks, payload, bool) {
+	if !w.settle(limit) {
+		return 0, payload{}, false
+	}
+	// settle left a lane filled, so laneWords is non-zero; the mask only
+	// lets the compiler drop the bounds check.
+	word := bits.TrailingZeros8(w.laneWords) & (wheelLanes/64 - 1)
+	lane := word<<6 + bits.TrailingZeros64(w.laneBits[word])
+	l := &w.lanes[lane]
+	i := l.head
+	e := w.at(i)
+	if l.head = e.next; l.head != 0 {
+		w.at(l.head).prev = 0
+	} else {
+		l.tail = 0
+		w.laneEmptied(lane)
+	}
 	w.n--
-	return f
+	return w.cur, w.release(i, e), true
 }
 
-func (w *wheel) cancel(e *Event) {
+func (w *wheel) cancel(i int32, e *event) {
 	switch {
 	case e.loc >= 0:
 		level := int(e.loc) >> wheelSlotBits
 		slot := int(e.loc) & wheelSlotMask
-		l := &w.slots[level][slot]
-		if e.prev != nil {
-			e.prev.next = e.next
-		} else {
-			l.head = e.next
-		}
-		if e.next != nil {
-			e.next.prev = e.prev
-		} else {
-			l.tail = e.prev
-		}
-		if l.head == nil {
+		if w.unlink(&w.slots[level][slot], e) {
 			w.occupied[level][slot>>6] &^= 1 << (slot & 63)
 		}
-	case e.loc == locReady:
-		w.readyRemove(int(e.idx))
+	case e.loc == locLane:
+		w.laneUnlink(e)
 	case e.loc == locOverflow:
 		w.overflowRemove(int(e.idx))
 	default:
 		return // already gone; Cancel's handle check should prevent this
 	}
-	w.release(e)
+	w.release(i, e)
 	w.n--
 }
 
-// --- ready heap: (prio, seq) min-heap of the events due at the cursor ---
+// --- overflow heap: (at, seq) min-heap of far-future events ---
 
-func readyLess(a, b *Event) bool {
-	if a.prio != b.prio {
-		return a.prio < b.prio
+func (w *wheel) overflowLess(a, b int32) bool {
+	ea, eb := w.at(a), w.at(b)
+	if ea.at != eb.at {
+		return ea.at < eb.at
 	}
-	return a.seq < b.seq
+	return ea.seq < eb.seq
 }
 
-func (w *wheel) readyPush(e *Event) {
-	e.loc = locReady
-	e.idx = int32(len(w.ready))
-	w.ready = append(w.ready, e)
-	w.readyUp(len(w.ready) - 1)
+func (w *wheel) overflowSwap(i, j int) {
+	h := w.overflow
+	h[i], h[j] = h[j], h[i]
+	w.at(h[i]).idx = int32(i)
+	w.at(h[j]).idx = int32(j)
 }
 
-// readyLoad bulk-loads a level-0 slot list and heapifies, which is O(k)
-// instead of k pushes' O(k log k) — the path a 10k-node boot storm takes.
-func (w *wheel) readyLoad(head *Event) {
-	for e := head; e != nil; {
-		next := e.next
-		e.next, e.prev = nil, nil
-		e.loc = locReady
-		e.idx = int32(len(w.ready))
-		w.ready = append(w.ready, e)
-		e = next
-	}
-	for i := len(w.ready)/2 - 1; i >= 0; i-- {
-		w.readyDown(i)
-	}
+func (w *wheel) overflowPush(i int32, e *event) {
+	e.loc = locOverflow
+	e.idx = int32(len(w.overflow))
+	w.overflow = append(w.overflow, i)
+	w.overflowUp(len(w.overflow) - 1)
 }
 
-func (w *wheel) readyRemove(i int) {
-	last := len(w.ready) - 1
+func (w *wheel) overflowRemove(i int) {
+	last := len(w.overflow) - 1
 	if i != last {
-		w.ready[i] = w.ready[last]
-		w.ready[i].idx = int32(i)
+		w.overflowSwap(i, last)
 	}
-	w.ready[last] = nil
-	w.ready = w.ready[:last]
-	if i != last {
-		if !w.readyUp(i) {
-			w.readyDown(i)
-		}
+	w.overflow = w.overflow[:last]
+	if i != last && !w.overflowUp(i) {
+		w.overflowDown(i)
 	}
 }
 
-func (w *wheel) readyUp(i int) bool {
+func (w *wheel) overflowUp(i int) bool {
 	moved := false
 	for i > 0 {
 		parent := (i - 1) / 2
-		if !readyLess(w.ready[i], w.ready[parent]) {
+		if !w.overflowLess(w.overflow[i], w.overflow[parent]) {
 			break
 		}
-		w.ready[i], w.ready[parent] = w.ready[parent], w.ready[i]
-		w.ready[i].idx = int32(i)
-		w.ready[parent].idx = int32(parent)
+		w.overflowSwap(i, parent)
 		i = parent
 		moved = true
 	}
 	return moved
 }
 
-func (w *wheel) readyDown(i int) {
-	n := len(w.ready)
-	for {
-		min := i
-		if l := 2*i + 1; l < n && readyLess(w.ready[l], w.ready[min]) {
-			min = l
-		}
-		if r := 2*i + 2; r < n && readyLess(w.ready[r], w.ready[min]) {
-			min = r
-		}
-		if min == i {
-			return
-		}
-		w.ready[i], w.ready[min] = w.ready[min], w.ready[i]
-		w.ready[i].idx = int32(i)
-		w.ready[min].idx = int32(min)
-		i = min
-	}
-}
-
-// --- overflow heap: (at, seq) min-heap of far-future events ---
-
-func overflowLess(a, b *Event) bool {
-	if a.at != b.at {
-		return a.at < b.at
-	}
-	return a.seq < b.seq
-}
-
-func (w *wheel) overflowPush(e *Event) {
-	e.loc = locOverflow
-	e.idx = int32(len(w.overflow))
-	w.overflow = append(w.overflow, e)
-	i := len(w.overflow) - 1
-	for i > 0 {
-		parent := (i - 1) / 2
-		if !overflowLess(w.overflow[i], w.overflow[parent]) {
-			break
-		}
-		w.overflow[i], w.overflow[parent] = w.overflow[parent], w.overflow[i]
-		w.overflow[i].idx = int32(i)
-		w.overflow[parent].idx = int32(parent)
-		i = parent
-	}
-}
-
-func (w *wheel) overflowRemove(i int) {
-	last := len(w.overflow) - 1
-	if i != last {
-		w.overflow[i] = w.overflow[last]
-		w.overflow[i].idx = int32(i)
-	}
-	w.overflow[last] = nil
-	w.overflow = w.overflow[:last]
-	if i == last {
-		return
-	}
-	// Sift the replacement whichever way restores heap order.
-	for i > 0 {
-		parent := (i - 1) / 2
-		if !overflowLess(w.overflow[i], w.overflow[parent]) {
-			break
-		}
-		w.overflow[i], w.overflow[parent] = w.overflow[parent], w.overflow[i]
-		w.overflow[i].idx = int32(i)
-		w.overflow[parent].idx = int32(parent)
-		i = parent
-	}
+func (w *wheel) overflowDown(i int) {
 	n := len(w.overflow)
 	for {
 		min := i
-		if l := 2*i + 1; l < n && overflowLess(w.overflow[l], w.overflow[min]) {
+		if l := 2*i + 1; l < n && w.overflowLess(w.overflow[l], w.overflow[min]) {
 			min = l
 		}
-		if r := 2*i + 2; r < n && overflowLess(w.overflow[r], w.overflow[min]) {
+		if r := 2*i + 2; r < n && w.overflowLess(w.overflow[r], w.overflow[min]) {
 			min = r
 		}
 		if min == i {
 			return
 		}
-		w.overflow[i], w.overflow[min] = w.overflow[min], w.overflow[i]
-		w.overflow[i].idx = int32(i)
-		w.overflow[min].idx = int32(min)
+		w.overflowSwap(i, min)
 		i = min
 	}
 }

@@ -1,7 +1,9 @@
 package sim
 
 import (
+	"math"
 	"math/rand"
+	"reflect"
 	"testing"
 
 	"repro/internal/units"
@@ -55,31 +57,38 @@ func TestSameTickCancelReschedule(t *testing.T) {
 }
 
 // TestStaleHandleAfterReuse pins that a handle kept past its event's firing
-// stays inert even after the pool hands the same Event object to a new
+// stays inert even after the pool hands the same event index to a new
 // schedule: cancel through the old handle must not kill the new event.
 func TestStaleHandleAfterReuse(t *testing.T) {
-	s := New() // pooling is wheel-specific
-	firedOld := false
-	old := s.Schedule(1, PrioTask, func() { firedOld = true })
-	s.Run(1)
-	if !firedOld || old.Scheduled() {
-		t.Fatal("first event should have fired and gone stale")
-	}
-	// The wheel's free list now holds the old Event; the next schedule
-	// reuses it.
-	firedNew := false
-	fresh := s.Schedule(10, PrioTask, func() { firedNew = true })
-	s.Cancel(old) // stale: must be a no-op
-	if !fresh.Scheduled() {
-		t.Fatal("stale cancel killed a recycled event")
-	}
-	if old.At() != 0 {
-		t.Errorf("stale At = %v, want 0", old.At())
-	}
-	s.Run(100)
-	if !firedNew {
-		t.Error("recycled event did not fire")
-	}
+	eachQueue(t, func(t *testing.T, s *Simulator) {
+		firedOld := false
+		old := s.Schedule(1, PrioTask, func() { firedOld = true })
+		s.Run(1)
+		if !firedOld || s.Scheduled(old) {
+			t.Fatal("first event should have fired and gone stale")
+		}
+		// The pool's free list now holds the old index; the next schedule
+		// reuses it.
+		firedNew := false
+		fresh := s.Schedule(10, PrioTask, func() { firedNew = true })
+		if fresh.idx != old.idx {
+			t.Fatalf("fresh event took index %d, want the recycled %d", fresh.idx, old.idx)
+		}
+		s.Cancel(old) // stale: must be a no-op
+		if !s.Scheduled(fresh) {
+			t.Fatal("stale cancel killed a recycled event")
+		}
+		if s.At(old) != 0 {
+			t.Errorf("stale At = %v, want 0", s.At(old))
+		}
+		if s.At(fresh) != 10 {
+			t.Errorf("fresh At = %v, want 10", s.At(fresh))
+		}
+		s.Run(100)
+		if !firedNew {
+			t.Error("recycled event did not fire")
+		}
+	})
 }
 
 // TestRescheduleSameTickFromHandler pins that a handler scheduling new work
@@ -202,9 +211,12 @@ func TestScheduleAfterPartialRun(t *testing.T) {
 
 // TestWheelHeapRandomizedEquivalence runs an identical randomized
 // schedule/cancel workload through the wheel and the heap and requires the
-// two dispatch logs to match exactly. This is the queue-level differential
-// test; the scenario-level one (trace bytes across apps) lives in
-// internal/scenario.
+// two dispatch logs to match exactly. Priorities span the whole int8 range,
+// both ends included, so every same-tick lane is reachable; delays mix
+// same-tick, handler-scheduled and far-future events with a coarse grid of
+// shared ticks, so many lanes hold several events at once. This is the
+// queue-level differential test; the scenario-level one (trace bytes across
+// apps) is TestWheelHeapTraceIdentity.
 func TestWheelHeapRandomizedEquivalence(t *testing.T) {
 	type logEntry struct {
 		at Ticks
@@ -212,7 +224,7 @@ func TestWheelHeapRandomizedEquivalence(t *testing.T) {
 	}
 	run := func(q queue, seed int64) []logEntry {
 		rng := rand.New(rand.NewSource(seed))
-		s := &Simulator{q: q}
+		s := newSimulator(q)
 		var log []logEntry
 		var live []Handle
 		id := 0
@@ -226,10 +238,17 @@ func TestWheelHeapRandomizedEquivalence(t *testing.T) {
 				d = 0
 			case 1: // far future
 				d = Ticks(rng.Int63n(1 << 50))
+			case 2, 3: // a few shared ticks, reached from many schedules
+				d = Ticks(rng.Intn(8)) * 1000
 			default:
 				d = Ticks(rng.Int63n(100000))
 			}
-			prio := []Priority{PrioHardware, PrioIRQ, PrioTask}[rng.Intn(3)]
+			var prio Priority
+			if rng.Intn(2) == 0 {
+				prio = []Priority{math.MinInt8, PrioTopology, PrioHardware, PrioIRQ, PrioTask, math.MaxInt8}[rng.Intn(6)]
+			} else {
+				prio = Priority(rng.Intn(256) - 128)
+			}
 			h := s.AfterArg(d, prio, func(arg any) {
 				log = append(log, logEntry{at: s.Now(), id: arg.(int)})
 				if depth < 3 && rng.Intn(3) == 0 {
@@ -315,4 +334,40 @@ func TestPendingCounts(t *testing.T) {
 			t.Fatalf("pending = %d, want 0", s.Pending())
 		}
 	})
+}
+
+// TestQueueHoldsNoPointers pins what keeps the queue out of the garbage
+// collector's way: neither the event record nor Handle may carry a
+// pointer-bearing field, so the pool's event blocks are never scanned and
+// the queue's link writes and the Handles its callers store run no write
+// barrier. The callbacks are the one pointer-bearing part, in their own
+// parallel blocks.
+func TestQueueHoldsNoPointers(t *testing.T) {
+	for _, v := range []any{event{}, Handle{}} {
+		typ := reflect.TypeOf(v)
+		if path, ok := pointerField(typ); ok {
+			t.Errorf("%v holds a pointer at %s", typ, path)
+		}
+	}
+}
+
+// pointerField returns the path to the first pointer-bearing part of typ.
+func pointerField(typ reflect.Type) (string, bool) {
+	switch typ.Kind() {
+	case reflect.Pointer, reflect.UnsafePointer, reflect.Map, reflect.Chan,
+		reflect.Func, reflect.Interface, reflect.Slice, reflect.String:
+		return typ.String(), true
+	case reflect.Array:
+		if path, ok := pointerField(typ.Elem()); ok {
+			return "[]" + path, true
+		}
+	case reflect.Struct:
+		for i := 0; i < typ.NumField(); i++ {
+			f := typ.Field(i)
+			if path, ok := pointerField(f.Type); ok {
+				return f.Name + " " + path, true
+			}
+		}
+	}
+	return "", false
 }
