@@ -320,28 +320,6 @@ func BenchmarkNetworkFootprint(b *testing.B) {
 	reportValues(b, r, "remote_frac", "nodes_in_footprint")
 }
 
-// BenchmarkOnlineAccountant measures the per-event cost of the real-time
-// accounting mode against replaying a Blink log.
-func BenchmarkOnlineAccountant(b *testing.B) {
-	w, n, _ := apps.RunBlink(benchSeed, 48*units.Second, mote.DefaultOptions())
-	tr := analysis.NewNodeTrace(n.ID, n.Log.Entries, n.Meter.PulseEnergy(), n.Volts)
-	a, err := analysis.Analyze(tr, w.Dict, analysis.DefaultOptions())
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		o := analysis.NewOnlineAccountant(n.ID, tr.PulseUJ, a.Reg.PowerMW)
-		for _, e := range tr.Entries {
-			o.Record(e)
-		}
-		if o.TotalUJ() <= 0 {
-			b.Fatal("no energy accounted")
-		}
-	}
-	b.ReportMetric(float64(len(tr.Entries)), "events")
-}
-
 // --- Micro-benchmarks ----------------------------------------------------
 
 // BenchmarkLogEntry measures the Go-side cost of the logging fast path (the

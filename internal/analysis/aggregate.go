@@ -3,8 +3,9 @@ package analysis
 import (
 	"encoding/json"
 	"fmt"
+	"maps"
 	"math"
-	"sort"
+	"slices"
 	"strings"
 )
 
@@ -115,12 +116,7 @@ func (g *GroupStats) Stat(name string) *RunningStat { return g.stats[name] }
 
 // Metrics lists the group's metric names, sorted.
 func (g *GroupStats) Metrics() []string {
-	out := make([]string, 0, len(g.stats))
-	for k := range g.stats {
-		out = append(out, k)
-	}
-	sort.Strings(out)
-	return out
+	return slices.Sorted(maps.Keys(g.stats))
 }
 
 // Aggregate folds scalar outputs of many runs into per-group statistics —
@@ -147,6 +143,7 @@ func (ag *Aggregate) Add(group string, values map[string]float64) {
 		ag.order = append(ag.order, group)
 	}
 	g.N++
+	//quanto:ordered each value folds into its own metric's statistic; nothing crosses names
 	for name, x := range values {
 		st := g.stats[name]
 		if st == nil {
@@ -182,6 +179,7 @@ func (ag *Aggregate) MarshalJSON() ([]byte, error) {
 	}{Groups: make([]groupJSON, 0, len(ag.order))}
 	for _, g := range ag.Groups() {
 		gj := groupJSON{Key: g.Key, N: g.N, Stats: make(map[string]statJSON, len(g.stats))}
+		//quanto:ordered copies into a map, which encoding/json writes in sorted key order
 		for name, st := range g.stats {
 			gj.Stats[name] = statJSON{
 				N: st.N(), Mean: st.Mean(), Std: st.Std(),

@@ -1,6 +1,7 @@
 package analysis
 
 import (
+	"maps"
 	"slices"
 
 	"repro/internal/core"
@@ -101,6 +102,7 @@ func (o Options) owner(seg Segment) core.Label {
 // time each activity held it — Table 3(a). Durations are in microseconds.
 func (a *Analysis) TimeByActivity() map[core.ResourceID]map[core.Label]int64 {
 	out := make(map[core.ResourceID]map[core.Label]int64)
+	//quanto:ordered each resource fills its own inner map with integer sums
 	for res, tl := range a.Single {
 		m := make(map[core.Label]int64)
 		for _, s := range tl.Segs {
@@ -108,6 +110,7 @@ func (a *Analysis) TimeByActivity() map[core.ResourceID]map[core.Label]int64 {
 		}
 		out[res] = m
 	}
+	//quanto:ordered each resource adds integers into its own inner map
 	for res, mt := range a.Multi {
 		m := out[res]
 		if m == nil {
@@ -149,12 +152,7 @@ func (a *Analysis) Span() int64 { return a.EndUS - a.StartUS }
 // stateResources returns the resources with power-state timelines in a
 // fixed order, so floating-point accumulation is deterministic run to run.
 func (a *Analysis) stateResources() []core.ResourceID {
-	out := make([]core.ResourceID, 0, len(a.States))
-	for res := range a.States {
-		out = append(out, res)
-	}
-	slices.Sort(out)
-	return out
+	return slices.Sorted(maps.Keys(a.States))
 }
 
 // EnergyByResource distributes the regression's fitted powers over the
@@ -384,17 +382,14 @@ func (a *Analysis) TotalEnergyUJ() float64 {
 // sorted, for stable report rendering.
 func (a *Analysis) LabelsInUse() []core.Label {
 	set := make(map[core.Label]struct{})
+	//quanto:ordered fills a set, which is sorted below
 	for _, m := range a.TimeByActivity() {
+		//quanto:ordered fills a set, which is sorted below
 		for l := range m {
 			set[l] = struct{}{}
 		}
 	}
-	out := make([]core.Label, 0, len(set))
-	for l := range set {
-		out = append(out, l)
-	}
-	slices.Sort(out)
-	return out
+	return slices.Sorted(maps.Keys(set))
 }
 
 // AveragePowerMW returns the mean measured power over the span.
@@ -404,11 +399,6 @@ func (a *Analysis) AveragePowerMW() float64 {
 		return 0
 	}
 	return a.TotalEnergyUJ() / float64(span) * 1000
-}
-
-// AverageCurrentMA returns the mean measured current over the span.
-func (a *Analysis) AverageCurrentMA() float64 {
-	return a.AveragePowerMW() / float64(a.Trace.Volts)
 }
 
 func maxi64(a, b int64) int64 {

@@ -3,7 +3,8 @@ package analysis
 import (
 	"encoding/json"
 	"fmt"
-	"sort"
+	"maps"
+	"slices"
 	"strings"
 )
 
@@ -95,12 +96,7 @@ type lifetimeNodeJSON struct {
 }
 
 func (g *lifetimeGroup) nodeIDs() []int {
-	ids := make([]int, 0, len(g.nodes))
-	for id := range g.nodes {
-		ids = append(ids, id)
-	}
-	sort.Ints(ids)
-	return ids
+	return slices.Sorted(maps.Keys(g.nodes))
 }
 
 func (g *lifetimeGroup) nodeJSON(id int) lifetimeNodeJSON {

@@ -50,6 +50,7 @@ func (n *Network) EnergyByActivity() map[core.Label]float64 {
 // bits. Each label appears once per node, so the order of one node's
 // labels does not matter.
 func AddEnergyByActivity(sum, node map[core.Label]float64) {
+	//quanto:ordered each label adds once into its own slot of sum
 	for l, uj := range node {
 		sum[l] += uj
 	}
@@ -128,12 +129,7 @@ func (n *Network) Report() string {
 }
 
 func (n *Network) nodeIDs() []core.NodeID {
-	ids := make([]core.NodeID, 0, len(n.Nodes))
-	for id := range n.Nodes {
-		ids = append(ids, id)
-	}
-	slices.Sort(ids)
-	return ids
+	return slices.Sorted(maps.Keys(n.Nodes))
 }
 
 // byEnergy returns the labels of byAct, highest energy first. Equal

@@ -168,26 +168,6 @@ func TestNetworkAnalyzerMatchesPerNodeAnalyses(t *testing.T) {
 	}
 }
 
-// TestOnlineAccountantBatchEqualsSingle checks RecordBatch folds identically
-// to entry-at-a-time Record.
-func TestOnlineAccountantBatchEqualsSingle(t *testing.T) {
-	b := buildTwoSinkTrace()
-	model := map[Predictor]float64{
-		{Res: resA, State: 1}: 9.0,
-		{Res: resB, State: 1}: 4.5,
-	}
-	one := NewOnlineAccountant(1, b.pulseUJ, model)
-	for _, e := range b.entries {
-		one.Record(e)
-	}
-	batch := NewOnlineAccountant(1, b.pulseUJ, model)
-	batch.RecordBatch(b.entries)
-	if one.TotalUJ() != batch.TotalUJ() || one.Events() != batch.Events() {
-		t.Errorf("batch path diverges: %g/%d vs %g/%d",
-			one.TotalUJ(), one.Events(), batch.TotalUJ(), batch.Events())
-	}
-}
-
 // TestNetworkAnalyzerFinishNamesLowestNode checks that Finish reports the
 // lowest failing node, whatever order the nodes were first seen in.
 func TestNetworkAnalyzerFinishNamesLowestNode(t *testing.T) {

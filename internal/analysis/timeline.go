@@ -56,23 +56,6 @@ func (a *Analysis) ActivityRows(resources []core.ResourceID, t0, t1 int64) []Tim
 	return rows
 }
 
-// StateRows extracts power-state timeline rows (non-baseline states only).
-func (a *Analysis) StateRows(resources []core.ResourceID, t0, t1 int64, stateName func(core.ResourceID, core.PowerState) string) []TimelineRow {
-	var rows []TimelineRow
-	for _, res := range resources {
-		row := TimelineRow{Res: res, Name: a.Dict.ResourceName(res)}
-		for _, s := range a.States[res] {
-			lo, hi := maxi64(s.Start, t0), mini64(s.End, t1)
-			if hi <= lo || s.State == 0 {
-				continue
-			}
-			row.Spans = append(row.Spans, TimelineSpan{lo, hi, stateName(res, s.State)})
-		}
-		rows = append(rows, row)
-	}
-	return rows
-}
-
 // RenderGantt draws rows as an ASCII gantt chart of the given width — the
 // textual equivalent of the activity band plots in Figures 11, 12, 15
 // and 16. Each distinct span label gets a letter; the legend maps letters
@@ -131,18 +114,5 @@ func RenderGantt(rows []TimelineRow, t0, t1 int64, width int) string {
 	sort.Strings(legend)
 	sb.WriteString(strings.Join(legend, "\n"))
 	sb.WriteByte('\n')
-	return sb.String()
-}
-
-// SpansCSV renders rows as "resource,start_us,end_us,label" lines, the
-// machine-readable form of the figure data.
-func SpansCSV(rows []TimelineRow) string {
-	var sb strings.Builder
-	sb.WriteString("resource,start_us,end_us,label\n")
-	for _, r := range rows {
-		for _, s := range r.Spans {
-			fmt.Fprintf(&sb, "%s,%d,%d,%s\n", r.Name, s.Start, s.End, s.Text)
-		}
-	}
 	return sb.String()
 }

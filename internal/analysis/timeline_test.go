@@ -44,31 +44,21 @@ func TestActivityRowsClipAndSkipIdle(t *testing.T) {
 	if len(rows[0].Spans) != 1 {
 		t.Fatalf("spans = %+v, want just the busy span (idle omitted)", rows[0].Spans)
 	}
+	if rows[0].Name != "DevA" {
+		t.Errorf("row name = %q", rows[0].Name)
+	}
 	sp := rows[0].Spans[0]
 	if sp.Text != "1:Busy" {
 		t.Errorf("span text = %q", sp.Text)
 	}
-	if sp.End-sp.Start != 2_000_000 {
-		t.Errorf("span length = %d", sp.End-sp.Start)
+	if sp.Start != 1_000_000 || sp.End != 3_000_000 {
+		t.Errorf("span = [%d, %d), want [1000000, 3000000)", sp.Start, sp.End)
 	}
 	// Clipping: a window inside the busy period shortens the span.
 	rows = a.ActivityRows([]core.ResourceID{resA}, 1_500_000, 2_500_000)
 	sp = rows[0].Spans[0]
 	if sp.Start != 1_500_000 || sp.End != 2_500_000 {
 		t.Errorf("clipped span = %+v", sp)
-	}
-}
-
-func TestStateRows(t *testing.T) {
-	a, _ := buildTimelineAnalysis(t)
-	rows := a.StateRows([]core.ResourceID{resA}, 0, a.Span(), func(res core.ResourceID, st core.PowerState) string {
-		return "ON"
-	})
-	if len(rows) != 1 || len(rows[0].Spans) != 1 {
-		t.Fatalf("rows = %+v", rows)
-	}
-	if rows[0].Spans[0].Text != "ON" {
-		t.Errorf("text = %q", rows[0].Spans[0].Text)
 	}
 }
 
@@ -110,18 +100,6 @@ func TestRenderGanttManyLabels(t *testing.T) {
 	out := RenderGantt(rows, 0, 300, 60)
 	if out == "" {
 		t.Error("empty render")
-	}
-}
-
-func TestSpansCSV(t *testing.T) {
-	a, _ := buildTimelineAnalysis(t)
-	rows := a.ActivityRows([]core.ResourceID{resA}, 0, a.Span())
-	csv := SpansCSV(rows)
-	if !strings.HasPrefix(csv, "resource,start_us,end_us,label\n") {
-		t.Error("missing header")
-	}
-	if !strings.Contains(csv, "DevA,1000000,3000000,1:Busy") {
-		t.Errorf("csv = %q", csv)
 	}
 }
 

@@ -33,7 +33,6 @@ func (d *SingleActivityDevice) Set(newActivity Label) {
 	}
 	d.cur = newActivity
 	d.trk.Log(EntryActivitySet, d.res, uint16(newActivity))
-	d.trk.notifyActivity(EntryActivitySet, d.res, newActivity)
 }
 
 // SetIdle paints the device with the node's idle label.
@@ -46,7 +45,6 @@ func (d *SingleActivityDevice) SetIdle() { d.Set(d.trk.IdleLabel()) }
 func (d *SingleActivityDevice) Bind(newActivity Label) {
 	d.cur = newActivity
 	d.trk.Log(EntryActivityBind, d.res, uint16(newActivity))
-	d.trk.notifyActivity(EntryActivityBind, d.res, newActivity)
 }
 
 // MultiActivityDevice represents a hardware component that can work for
@@ -90,7 +88,6 @@ func (d *MultiActivityDevice) Add(activity Label) error {
 	}
 	d.set = append(d.set, activity)
 	d.trk.Log(EntryActivityAdd, d.res, uint16(activity))
-	d.trk.notifyActivity(EntryActivityAdd, d.res, activity)
 	return nil
 }
 
@@ -102,7 +99,6 @@ func (d *MultiActivityDevice) Remove(activity Label) error {
 	}
 	d.set = append(d.set[:i], d.set[i+1:]...)
 	d.trk.Log(EntryActivityRemove, d.res, uint16(activity))
-	d.trk.notifyActivity(EntryActivityRemove, d.res, activity)
 	return nil
 }
 

@@ -79,7 +79,6 @@ type Tracker struct {
 	dropped     uint64
 	costCycles  uint64
 	psListeners []PowerStateListener
-	actTrack    []ActivityTrackListener
 
 	// psvs and sads are the blocks NewPowerStateVar and
 	// NewSingleActivityDevice carve a node's devices from, so the handful
@@ -131,9 +130,6 @@ func (t *Tracker) IdleLabel() Label { return MkLabel(t.node, ActIdle) }
 // stream (and its cost) stops.
 func (t *Tracker) SetEnabled(v bool) { t.enabled = v }
 
-// Enabled reports whether entries are currently being recorded.
-func (t *Tracker) Enabled() bool { return t.enabled }
-
 // Entries returns how many entries were recorded.
 func (t *Tracker) Entries() uint64 { return t.entries }
 
@@ -180,21 +176,9 @@ func (t *Tracker) ListenPowerStates(l PowerStateListener) {
 	t.psListeners = append(t.psListeners, l)
 }
 
-// ListenActivities registers l to observe activity changes (the
-// SingleActivityTrack / MultiActivityTrack interfaces of Figure 9).
-func (t *Tracker) ListenActivities(l ActivityTrackListener) {
-	t.actTrack = append(t.actTrack, l)
-}
-
 func (t *Tracker) notifyPowerState(res ResourceID, old, now PowerState) {
 	for _, l := range t.psListeners {
 		l.PowerStateChanged(res, old, now)
-	}
-}
-
-func (t *Tracker) notifyActivity(typ EntryType, res ResourceID, l Label) {
-	for _, x := range t.actTrack {
-		x.ActivityChanged(typ, res, l)
 	}
 }
 
@@ -203,10 +187,4 @@ func (t *Tracker) notifyActivity(typ EntryType, res ResourceID, l Label) {
 // aggregate current draw, which in turn drives the energy meter.
 type PowerStateListener interface {
 	PowerStateChanged(res ResourceID, old, now PowerState)
-}
-
-// ActivityTrackListener observes activity transitions on devices. Accounting
-// modules and tests subscribe to it.
-type ActivityTrackListener interface {
-	ActivityChanged(typ EntryType, res ResourceID, l Label)
 }

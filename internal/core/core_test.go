@@ -322,24 +322,23 @@ func TestDictionary(t *testing.T) {
 }
 
 func TestDictionaryProxiesAndMerge(t *testing.T) {
-	d1 := NewDictionary()
+	d := NewDictionary()
 	p := MkLabel(1, 7)
-	d1.MarkProxy(p)
-	d1.NameActivity(1, 7, "int_X")
-
-	d2 := NewDictionary()
-	d2.NameActivity(2, 3, "App")
-	d2.Merge(d1)
-	if !d2.IsProxy(p) {
-		t.Error("merge should carry proxy flags")
+	d.MarkProxy(p)
+	d.NameActivity(1, 7, "int_X")
+	d.NameActivity(2, 3, "App")
+	if !d.IsProxy(p) {
+		t.Error("proxy flag not set")
 	}
-	if d2.LabelName(p) != "1:int_X" {
-		t.Errorf("merged name = %q", d2.LabelName(p))
+	if d.IsProxy(MkLabel(2, 3)) {
+		t.Error("unmarked label reads as a proxy")
 	}
-	if len(d2.Proxies()) != 1 {
-		t.Errorf("proxies = %v", d2.Proxies())
+	if d.LabelName(p) != "1:int_X" {
+		t.Errorf("proxy name = %q", d.LabelName(p))
 	}
-	d2.Merge(nil) // no-op
+	if len(d.Proxies()) != 1 {
+		t.Errorf("proxies = %v", d.Proxies())
+	}
 }
 
 func TestTrackerRequiresDependencies(t *testing.T) {

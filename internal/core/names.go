@@ -77,21 +77,3 @@ func (d *Dictionary) LabelName(l Label) string {
 	}
 	return l.String()
 }
-
-// Merge copies every mapping from other into d, with other taking precedence
-// on conflicts. It is used to combine per-node dictionaries into the
-// network-wide one handed to the analysis.
-func (d *Dictionary) Merge(other *Dictionary) {
-	if other == nil {
-		return
-	}
-	for k, v := range other.Resources {
-		d.Resources[k] = v
-	}
-	for k, v := range other.Activities {
-		d.Activities[k] = v
-	}
-	for i, w := range other.proxies {
-		d.proxies[i] |= w
-	}
-}

@@ -152,9 +152,8 @@ func (c *Collector) Len() int { return len(c.Entries) }
 
 // Tee duplicates entries to several sinks; Record reports whether all sinks
 // kept the entry. It lets a run keep the realistic 800-entry RAM buffer
-// while the harness still sees the complete stream — and, on the streaming
-// pipeline, lets one event stream feed the log, the online accountant, and
-// a counting or ring sink simultaneously without copying the batch.
+// while the harness still sees the complete stream, without copying the
+// batch.
 type Tee struct {
 	Sinks []Sink
 }

@@ -117,76 +117,3 @@ func TestCounterSinkRecordBatch(t *testing.T) {
 		t.Errorf("counters = %v / %v", c.PerType, c.PerRes)
 	}
 }
-
-func TestRingBufferKeepsMostRecent(t *testing.T) {
-	r := NewRingBuffer(3)
-	for i, e := range batchOf(5) {
-		if !r.Record(e) {
-			t.Fatalf("record %d rejected", i)
-		}
-	}
-	if r.Len() != 3 || r.Evicted() != 2 {
-		t.Fatalf("len=%d evicted=%d, want 3/2", r.Len(), r.Evicted())
-	}
-	snap := r.Snapshot()
-	for i, want := range []uint32{2, 3, 4} {
-		if snap[i].Time != want {
-			t.Errorf("snap[%d].Time = %d, want %d", i, snap[i].Time, want)
-		}
-	}
-}
-
-func TestRingBufferLargeBatchReplacesContents(t *testing.T) {
-	r := NewRingBuffer(3)
-	r.Record(Entry{Type: EntryMarker, Time: 99})
-	if kept := r.RecordBatch(batchOf(5)); kept != 5 {
-		t.Errorf("kept = %d", kept)
-	}
-	// One old entry overwritten plus two batch entries that never landed.
-	if r.Evicted() != 3 {
-		t.Errorf("evicted = %d, want 3", r.Evicted())
-	}
-	snap := r.Snapshot()
-	if len(snap) != 3 {
-		t.Fatalf("snapshot len %d", len(snap))
-	}
-	for i, want := range []uint32{2, 3, 4} {
-		if snap[i].Time != want {
-			t.Errorf("snap[%d].Time = %d, want %d", i, snap[i].Time, want)
-		}
-	}
-}
-
-func TestRingBufferSmallBatchWraps(t *testing.T) {
-	r := NewRingBuffer(4)
-	r.RecordBatch(batchOf(3))
-	if kept := r.RecordBatch(batchOf(3)); kept != 3 {
-		t.Errorf("kept = %d", kept)
-	}
-	snap := r.Snapshot()
-	want := []uint32{2, 0, 1, 2}
-	for i := range want {
-		if snap[i].Time != want[i] {
-			t.Errorf("snap[%d].Time = %d, want %d", i, snap[i].Time, want[i])
-		}
-	}
-	if r.Evicted() != 2 {
-		t.Errorf("evicted = %d, want 2", r.Evicted())
-	}
-}
-
-func TestRingBufferAsTrackerSinkNeverDrops(t *testing.T) {
-	clock := &testClock{}
-	meter := &testMeter{}
-	ring := NewRingBuffer(2)
-	trk := NewTracker(Config{Node: 1, Clock: clock, Meter: meter, Sink: ring})
-	for i := 0; i < 5; i++ {
-		trk.Log(EntryMarker, 0, uint16(i))
-	}
-	if trk.Dropped() != 0 {
-		t.Errorf("ring sink should never drop; dropped = %d", trk.Dropped())
-	}
-	if trk.Entries() != 5 {
-		t.Errorf("entries = %d", trk.Entries())
-	}
-}

@@ -2,7 +2,8 @@ package experiments
 
 import (
 	"fmt"
-	"sort"
+	"maps"
+	"slices"
 	"strings"
 
 	"repro/internal/analysis"
@@ -191,11 +192,7 @@ func Table3(seed uint64) (*Report, error) {
 	// (d) Energy per activity.
 	byAct := a.EnergyByActivity()
 	sb.WriteString("\n(d) Total energy per activity\n")
-	actKeys := make([]core.Label, 0, len(byAct))
-	for l := range byAct {
-		actKeys = append(actKeys, l)
-	}
-	sort.Slice(actKeys, func(i, j int) bool { return actKeys[i] < actKeys[j] })
+	actKeys := slices.Sorted(maps.Keys(byAct))
 	var actTotal float64
 	for _, l := range actKeys {
 		e := byAct[l]

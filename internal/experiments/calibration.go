@@ -2,7 +2,8 @@ package experiments
 
 import (
 	"fmt"
-	"sort"
+	"maps"
+	"slices"
 	"strings"
 
 	"repro/internal/analysis"
@@ -64,6 +65,7 @@ func blinkSteadyStates(seed uint64) (*mote.World, *mote.Node, *analysis.Analysis
 		c.timeUS += iv.Duration()
 		c.pulses += uint64(iv.Pulses)
 	}
+	//quanto:ordered each combination normalizes its own mean
 	for _, c := range combos {
 		if c.timeUS > 0 {
 			c.scopeMA /= float64(c.timeUS)
@@ -83,11 +85,7 @@ func Figure10(seed uint64) (*Report, error) {
 		return nil, err
 	}
 
-	keys := make([]int, 0, len(combos))
-	for k := range combos {
-		keys = append(keys, k)
-	}
-	sort.Ints(keys)
+	keys := slices.Sorted(maps.Keys(combos))
 
 	var fs, is []float64
 	var sb strings.Builder
@@ -169,11 +167,7 @@ func Table2(seed uint64) (*Report, error) {
 	if err != nil {
 		return nil, err
 	}
-	keys := make([]int, 0, len(combos))
-	for k := range combos {
-		keys = append(keys, k)
-	}
-	sort.Ints(keys)
+	keys := slices.Sorted(maps.Keys(combos))
 	if len(keys) < 8 {
 		return nil, fmt.Errorf("observed only %d of 8 LED combinations", len(keys))
 	}

@@ -2,6 +2,8 @@ package experiments
 
 import (
 	"fmt"
+	"maps"
+	"slices"
 	"strings"
 
 	"repro/internal/analysis"
@@ -137,8 +139,8 @@ func Figure16(seed uint64) (*Report, error) {
 func proxyCPUTime(a *analysis.Analysis, name string) int64 {
 	var label core.Label
 	found := false
-	for l, n := range a.Dict.Activities {
-		if n == name && l.Origin() == a.Trace.Node {
+	for _, l := range slices.Sorted(maps.Keys(a.Dict.Activities)) {
+		if a.Dict.Activities[l] == name && l.Origin() == a.Trace.Node {
 			label, found = l, true
 			break
 		}

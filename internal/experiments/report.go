@@ -7,7 +7,8 @@ package experiments
 
 import (
 	"fmt"
-	"sort"
+	"maps"
+	"slices"
 	"strings"
 
 	"repro/internal/analysis"
@@ -36,12 +37,7 @@ func (r *Report) String() string {
 	sb.WriteString(r.Text)
 	if len(r.Values) > 0 {
 		sb.WriteString("\n-- values --\n")
-		keys := make([]string, 0, len(r.Values))
-		for k := range r.Values {
-			keys = append(keys, k)
-		}
-		sort.Strings(keys)
-		for _, k := range keys {
+		for _, k := range slices.Sorted(maps.Keys(r.Values)) {
 			fmt.Fprintf(&sb, "%-36s %.6g\n", k, r.Values[k])
 		}
 	}

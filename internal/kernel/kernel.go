@@ -271,9 +271,6 @@ func (k *Kernel) Kill() {
 // Dead reports whether the kernel has been killed.
 func (k *Kernel) Dead() bool { return k.dead }
 
-// BusyUntil returns the end of the most recent (or current) busy window.
-func (k *Kernel) BusyUntil() units.Ticks { return k.busyUntil }
-
 // enter opens a CPU busy window at the current simulator time (or at the end
 // of the previous window if it extends past it).
 func (k *Kernel) enter() {
@@ -323,6 +320,16 @@ func (k *Kernel) PostLabeled(label core.Label, fn func()) {
 	if !k.running {
 		k.pump()
 	}
+}
+
+// ScheduleDrain implements core.Drainer: the drain work becomes a regular
+// task under the self-accounting label, so Quanto's own logging shows up in
+// the profile like any other activity.
+func (k *Kernel) ScheduleDrain(label core.Label, cycles uint32, work func()) {
+	k.PostLabeled(label, func() {
+		k.Spend(units.Cycles(cycles))
+		work()
+	})
 }
 
 func (k *Kernel) pump() {

@@ -44,32 +44,6 @@ func TestTranspose(t *testing.T) {
 	}
 }
 
-func TestMulIdentity(t *testing.T) {
-	m := FromRows([][]float64{{1, 2}, {3, 4}})
-	got := m.Mul(Identity(2))
-	for i := 0; i < 2; i++ {
-		for j := 0; j < 2; j++ {
-			if got.At(i, j) != m.At(i, j) {
-				t.Errorf("M*I != M at (%d,%d)", i, j)
-			}
-		}
-	}
-}
-
-func TestMulKnown(t *testing.T) {
-	a := FromRows([][]float64{{1, 2}, {3, 4}})
-	b := FromRows([][]float64{{5, 6}, {7, 8}})
-	got := a.Mul(b)
-	want := [][]float64{{19, 22}, {43, 50}}
-	for i := range want {
-		for j := range want[i] {
-			if got.At(i, j) != want[i][j] {
-				t.Errorf("(%d,%d) = %v, want %v", i, j, got.At(i, j), want[i][j])
-			}
-		}
-	}
-}
-
 func TestMulVec(t *testing.T) {
 	m := FromRows([][]float64{{1, 2, 3}, {4, 5, 6}})
 	got := m.MulVec([]float64{1, 1, 1})
@@ -82,46 +56,9 @@ func TestVectorHelpers(t *testing.T) {
 	if Norm2([]float64{3, 4}) != 5 {
 		t.Error("Norm2")
 	}
-	if Dot([]float64{1, 2}, []float64{3, 4}) != 11 {
-		t.Error("Dot")
-	}
 	s := Sub([]float64{5, 5}, []float64{2, 3})
 	if s[0] != 3 || s[1] != 2 {
 		t.Error("Sub")
-	}
-}
-
-func TestSolveGaussKnownSystem(t *testing.T) {
-	a := FromRows([][]float64{{2, 1, -1}, {-3, -1, 2}, {-2, 1, 2}})
-	b := []float64{8, -11, -3}
-	x, err := SolveGauss(a, b)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := []float64{2, 3, -1}
-	for i := range want {
-		if !almost(x[i], want[i], 1e-9) {
-			t.Errorf("x[%d] = %v, want %v", i, x[i], want[i])
-		}
-	}
-}
-
-func TestSolveGaussSingular(t *testing.T) {
-	a := FromRows([][]float64{{1, 2}, {2, 4}})
-	if _, err := SolveGauss(a, []float64{1, 2}); err != ErrSingular {
-		t.Errorf("err = %v, want ErrSingular", err)
-	}
-}
-
-func TestSolveGaussNeedsPivoting(t *testing.T) {
-	// Zero on the diagonal forces a row swap.
-	a := FromRows([][]float64{{0, 1}, {1, 0}})
-	x, err := SolveGauss(a, []float64{3, 7})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !almost(x[0], 7, 1e-12) || !almost(x[1], 3, 1e-12) {
-		t.Errorf("x = %v", x)
 	}
 }
 

@@ -1,6 +1,6 @@
 // Package linalg provides the small dense linear-algebra kernel needed for
 // Quanto's offline energy-breakdown regression: matrices, Householder QR,
-// Gaussian elimination, and weighted least squares. It is self-contained
+// and weighted and non-negative least squares. It is self-contained
 // (standard library only) and sized for the problem at hand — tens of
 // observations by a handful of predictors — rather than for large-scale
 // numerical work.
@@ -38,15 +38,6 @@ func FromRows(rows [][]float64) *Matrix {
 			panic(fmt.Sprintf("linalg: ragged row %d: %d != %d", i, len(r), m.cols))
 		}
 		copy(m.data[i*m.cols:], r)
-	}
-	return m
-}
-
-// Identity returns the n x n identity matrix.
-func Identity(n int) *Matrix {
-	m := NewMatrix(n, n)
-	for i := 0; i < n; i++ {
-		m.Set(i, i, 1)
 	}
 	return m
 }
@@ -91,28 +82,6 @@ func (m *Matrix) T() *Matrix {
 		}
 	}
 	return t
-}
-
-// Mul returns m * b.
-func (m *Matrix) Mul(b *Matrix) *Matrix {
-	if m.cols != b.rows {
-		panic(fmt.Sprintf("linalg: mul %dx%d by %dx%d", m.rows, m.cols, b.rows, b.cols))
-	}
-	out := NewMatrix(m.rows, b.cols)
-	for i := 0; i < m.rows; i++ {
-		for k := 0; k < m.cols; k++ {
-			a := m.data[i*m.cols+k]
-			if a == 0 {
-				continue
-			}
-			brow := b.data[k*b.cols:]
-			orow := out.data[i*out.cols:]
-			for j := 0; j < b.cols; j++ {
-				orow[j] += a * brow[j]
-			}
-		}
-	}
-	return out
 }
 
 // MulVec returns m * v as a vector.
@@ -165,18 +134,6 @@ func Norm2(v []float64) float64 {
 		s += x * x
 	}
 	return math.Sqrt(s)
-}
-
-// Dot returns the inner product of a and b.
-func Dot(a, b []float64) float64 {
-	if len(a) != len(b) {
-		panic("linalg: dot length mismatch")
-	}
-	var s float64
-	for i := range a {
-		s += a[i] * b[i]
-	}
-	return s
 }
 
 // Sub returns a - b element-wise.

@@ -11,62 +11,6 @@ import (
 // enough to disambiguate their draws (Section 5.2, "Linear independence").
 var ErrSingular = errors.New("linalg: singular or rank-deficient system")
 
-// SolveGauss solves the square system A x = b by Gaussian elimination with
-// partial pivoting. A and b are not modified.
-func SolveGauss(a *Matrix, b []float64) ([]float64, error) {
-	n := a.Rows()
-	if a.Cols() != n || len(b) != n {
-		return nil, fmt.Errorf("linalg: SolveGauss wants square system, got %dx%d with b=%d", a.Rows(), a.Cols(), len(b))
-	}
-	// Work on copies.
-	m := a.Clone()
-	x := make([]float64, n)
-	copy(x, b)
-
-	for col := 0; col < n; col++ {
-		// Partial pivot.
-		pivot := col
-		max := math.Abs(m.At(col, col))
-		for r := col + 1; r < n; r++ {
-			if v := math.Abs(m.At(r, col)); v > max {
-				max, pivot = v, r
-			}
-		}
-		if max < 1e-12 {
-			return nil, ErrSingular
-		}
-		if pivot != col {
-			for j := 0; j < n; j++ {
-				vc, vp := m.At(col, j), m.At(pivot, j)
-				m.Set(col, j, vp)
-				m.Set(pivot, j, vc)
-			}
-			x[col], x[pivot] = x[pivot], x[col]
-		}
-		// Eliminate below.
-		inv := 1 / m.At(col, col)
-		for r := col + 1; r < n; r++ {
-			f := m.At(r, col) * inv
-			if f == 0 {
-				continue
-			}
-			for j := col; j < n; j++ {
-				m.Set(r, j, m.At(r, j)-f*m.At(col, j))
-			}
-			x[r] -= f * x[col]
-		}
-	}
-	// Back substitution.
-	for i := n - 1; i >= 0; i-- {
-		s := x[i]
-		for j := i + 1; j < n; j++ {
-			s -= m.At(i, j) * x[j]
-		}
-		x[i] = s / m.At(i, i)
-	}
-	return x, nil
-}
-
 // QR holds the Householder factorization A = Q R of an m x n matrix with
 // m >= n. It is stored compactly: R in the upper triangle, the Householder
 // vectors below.

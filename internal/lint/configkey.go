@@ -1,7 +1,6 @@
 package lint
 
 import (
-	"fmt"
 	"go/ast"
 	"go/token"
 	"reflect"
@@ -131,6 +130,7 @@ func runConfigKey(pass *Pass) {
 		}
 		return true
 	})
+	//quanto:ordered each wire reports at its own position, and Run sorts every diagnostic by position
 	for wire, list := range fate {
 		if _, ok := fieldPos[wire]; !ok {
 			continue // stale entry, already reported above
@@ -235,37 +235,6 @@ func findStringSlice(files []*ast.File, name string) ([]stringEntry, token.Pos) 
 		}
 	}
 	return nil, token.NoPos
-}
-
-// SpecJSONFields returns the JSON wire names of every serialized field of
-// the package's Spec struct, for the meta-test that pins lint, code, and
-// invariance tests together. It returns an error when the package declares
-// no Spec struct.
-func SpecJSONFields(pkg *Package) ([]string, error) {
-	spec := findStruct(pkg.Files, "Spec")
-	if spec == nil {
-		return nil, fmt.Errorf("lint: package %s declares no Spec struct", pkg.Path)
-	}
-	var out []string
-	for _, f := range spec.Fields.List {
-		tag := ""
-		if f.Tag != nil {
-			if unq, err := strconv.Unquote(f.Tag.Value); err == nil {
-				tag = reflect.StructTag(unq).Get("json")
-			}
-		}
-		name, _, _ := strings.Cut(tag, ",")
-		for _, ident := range f.Names {
-			switch name {
-			case "-":
-			case "":
-				out = append(out, ident.Name)
-			default:
-				out = append(out, name)
-			}
-		}
-	}
-	return out, nil
 }
 
 // ExclusionList extracts the package's declared configKeyExcluded entries,

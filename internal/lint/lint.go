@@ -14,7 +14,7 @@
 //     output breaks replay. Sort the keys first, or waive the loop with
 //     `//quanto:ordered <reason>` when order provably cannot escape.
 //   - wallclock: `time.Now` / `time.Since` / timer construction, and any use
-//     of the global math/rand, inside a sim-facing package. All simulated
+//     of the global math/rand, inside a deterministic package. All simulated
 //     time must flow from Ticks; all randomness from the domain-tagged
 //     streams `internal/sim/rng.go` derives. Waive with
 //     `//quanto:wallclock <reason>` (e.g. benchmarks' wall-clock reporting).
@@ -28,6 +28,11 @@
 //     distinct compile-time domain tag, namespaced by its package. Two
 //     consumers sharing a stream is exactly the hidden coupling that broke
 //     determinism classes in PRs 5–8.
+//
+// maporder and wallclock check the deterministic packages: repro/internal
+// and every package under it (see Deterministic), that is the simulator,
+// the analysis that turns its logs into reported numbers, and the tooling
+// around them.
 //
 // The framework deliberately mirrors golang.org/x/tools/go/analysis
 // (Analyzer, Pass, Diagnostic) so the analyzers could be ported to the real
@@ -128,33 +133,18 @@ func Run(pkgs []*Package, analyzers []*Analyzer) []Diagnostic {
 	return diags
 }
 
-// DeterministicPackages lists the import paths whose code executes inside
-// (or configures) the simulated world and therefore must be replayable
-// byte-for-byte: no map-order dependence, no wall-clock reads, no global
-// randomness. maporder and wallclock scope themselves to these paths and
-// their subpackages; everything else (analysis, CLI frontends, benchmarks)
-// may use host facilities freely.
-var DeterministicPackages = []string{
-	"repro/internal/sim",
-	"repro/internal/medium",
-	"repro/internal/apps",
-	"repro/internal/scenario",
-	"repro/internal/traffic",
-	"repro/internal/mote",
-	"repro/internal/power",
-	"repro/internal/radio",
-	"repro/internal/net",
-}
+// deterministicRoot is the import path under which every package must be
+// replayable byte for byte.
+const deterministicRoot = "repro/internal"
 
-// Deterministic reports whether path is one of the deterministic packages or
-// a subpackage of one.
+// Deterministic reports whether path is repro/internal or a package under
+// it. Each of those runs inside the simulated world, configures it, or
+// computes a reported number from its output, so none may depend on map
+// order, read the wall clock, or draw global randomness; with no list to
+// maintain, a new internal package is checked from its first commit. The
+// commands, examples and benchmarks outside it may use host facilities.
 func Deterministic(path string) bool {
-	for _, p := range DeterministicPackages {
-		if path == p || strings.HasPrefix(path, p+"/") {
-			return true
-		}
-	}
-	return false
+	return path == deterministicRoot || strings.HasPrefix(path, deterministicRoot+"/")
 }
 
 // waiver looks for a `//quanto:<kind> <reason>` comment attached to the node

@@ -102,22 +102,20 @@ func TestQuantovetTreeClean(t *testing.T) {
 
 func TestDeterministicScope(t *testing.T) {
 	for path, want := range map[string]bool{
+		"repro/internal":               true,
 		"repro/internal/sim":           true,
 		"repro/internal/sim/mapfix":    true,
 		"repro/internal/scenario":      true,
-		"repro/internal/analysis":      false,
-		"repro/internal/simx":          false, // prefix match must not cross path elements
-		"repro/cmd/quantovet":          false,
-		"repro/internal/traffic":       true,
-		"repro/internal/trace":         false, // host-side trace tooling
-		"repro/internal/mote":          true,
-		"repro/internal/power":         true,
-		"repro/internal/radio":         true,
-		"repro/internal/medium":        true,
-		"repro/internal/apps":          true,
+		"repro/internal/analysis":      true, // computes every reported number
+		"repro/internal/core":          true,
+		"repro/internal/experiments":   true,
+		"repro/internal/kernel":        true, // runs inside the simulated world
+		"repro/internal/trace":         true,
 		"repro/internal/apps/clockfix": true,
-		"repro/internal/net":           true, // routing runs inside the world
-		"repro/internal/network":       false,
+		"repro/internal/newpkg":        true,  // checked from its first commit
+		"repro/internalx":              false, // prefix match must not cross path elements
+		"repro/cmd/quantovet":          false,
+		"otherpkg":                     false,
 	} {
 		if got := lint.Deterministic(path); got != want {
 			t.Errorf("Deterministic(%q) = %v, want %v", path, got, want)

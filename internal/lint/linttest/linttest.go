@@ -109,6 +109,7 @@ func checkWants(t *testing.T, fset *token.FileSet, files []*ast.File, diags []li
 		}
 	}
 	leftover := make([]string, 0)
+	//quanto:ordered leftover is sorted before it is reported
 	for k, res := range wants {
 		for _, re := range res {
 			if re != nil {

@@ -295,23 +295,6 @@ func (w *WiFiSource) ActiveAt(t units.Ticks) bool {
 	return w.cur.start <= t
 }
 
-// DutyCycle returns the fraction of [t0, t1) covered by bursts. It
-// integrates over a fresh replay of the stream, so it leaves ActiveAt's
-// position alone.
-func (w *WiFiSource) DutyCycle(t0, t1 units.Ticks) float64 {
-	if t1 <= t0 {
-		return 0
-	}
-	rng := *sim.NewRNG(w.seed)
-	var on units.Ticks
-	for b := w.burstAfter(&rng, 0); b.start < t1; b = w.burstAfter(&rng, b.end) {
-		if b.end > t0 {
-			on += min(b.end, t1) - max(b.start, t0)
-		}
-	}
-	return float64(on) / float64(t1-t0)
-}
-
 // burstAfter draws the burst that follows one ending at end: an idle gap,
 // then the burst.
 func (w *WiFiSource) burstAfter(rng *sim.RNG, end units.Ticks) burst {

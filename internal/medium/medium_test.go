@@ -92,7 +92,15 @@ func TestWiFiDutyCycleNearTarget(t *testing.T) {
 	// 5 ms bursts, 23 ms gaps: ~17.9% duty, the paper's false-positive
 	// rate on the overlapping channel.
 	w := NewWiFiSource(6, 5*units.Millisecond, 23*units.Millisecond, 99)
-	duty := w.DutyCycle(0, 100*units.Second)
+	var on int
+	const n = 200000
+	const span = 100 * units.Second
+	for i := 0; i < n; i++ {
+		if w.ActiveAt(units.Ticks(i) * span / n) {
+			on++
+		}
+	}
+	duty := float64(on) / n
 	if duty < 0.15 || duty > 0.21 {
 		t.Errorf("duty = %v, want ~0.179", duty)
 	}
@@ -100,7 +108,8 @@ func TestWiFiDutyCycleNearTarget(t *testing.T) {
 
 func TestWiFiActiveAtConsistentWithBursts(t *testing.T) {
 	w := NewWiFiSource(6, 5*units.Millisecond, 23*units.Millisecond, 7)
-	// Sample the indicator and integrate; must match DutyCycle closely.
+	// Sample the indicator; it must match the reference's exact integral
+	// over the same bursts closely.
 	var on int
 	const n = 200000
 	const span = 20 * units.Second
@@ -111,7 +120,7 @@ func TestWiFiActiveAtConsistentWithBursts(t *testing.T) {
 		}
 	}
 	sampled := float64(on) / n
-	duty := w.DutyCycle(0, span)
+	duty := newRefWiFi(5*units.Millisecond, 23*units.Millisecond, 7).dutyCycle(0, span)
 	if math.Abs(sampled-duty) > 0.01 {
 		t.Errorf("sampled %v vs integrated %v", sampled, duty)
 	}
@@ -145,12 +154,5 @@ func TestWiFiInterferenceSeenOnOverlappingChannelOnly(t *testing.T) {
 	}
 	if e := m.EnergyOn(26, at); e != 0 {
 		t.Errorf("channel 26 sees %v, want 0", e)
-	}
-}
-
-func TestDutyCycleEmptyWindow(t *testing.T) {
-	w := NewWiFiSource(6, 5000, 23000, 1)
-	if w.DutyCycle(100, 100) != 0 {
-		t.Error("empty window duty should be 0")
 	}
 }

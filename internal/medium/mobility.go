@@ -74,9 +74,6 @@ func (m *Medium) EnableMobility(step units.Ticks) {
 	m.s.Schedule(next, sim.PrioTopology, m.mobilityEpoch)
 }
 
-// MobilityEnabled reports whether mobility stepping is configured.
-func (m *Medium) MobilityEnabled() bool { return m.mob != nil }
-
 // SetMover attaches a mover to a node and places it at the mover's origin
 // (epoch 0) position, replacing any position set earlier. Movers step in
 // attach order; attach every mover before the run for a canonical order.

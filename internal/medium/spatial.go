@@ -351,15 +351,6 @@ func (m *Medium) SetPosition(id core.NodeID, p Position) {
 	m.invalidateNeighbors()
 }
 
-// PositionOf returns a node's position and whether one was assigned.
-func (m *Medium) PositionOf(id core.NodeID) (Position, bool) {
-	if m.sp == nil {
-		return Position{}, false
-	}
-	p, ok := m.sp.pos[id]
-	return p, ok
-}
-
 // Collisions returns how many receptions were lost to co-channel collisions
 // (counted per frame per receiver; 0 under the broadcast model).
 func (m *Medium) Collisions() uint64 {

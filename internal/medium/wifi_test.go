@@ -105,27 +105,3 @@ func TestWiFiActiveAtMatchesReference(t *testing.T) {
 		}
 	}
 }
-
-// TestDutyCycleBinarySearchMatchesScan pins that DutyCycle's scan over a
-// fresh replay returns exactly what the reference's binary-search window
-// fold over its stored history does, before and after ActiveAt has moved
-// the stream.
-func TestDutyCycleBinarySearchMatchesScan(t *testing.T) {
-	w := NewWiFiSource(6, 5*units.Millisecond, 23*units.Millisecond, 31)
-	ref := newRefWiFi(5*units.Millisecond, 23*units.Millisecond, 31)
-	for _, win := range [][2]units.Ticks{
-		{0, units.Second},
-		{90 * units.Second, 91 * units.Second}, // late window, deep in the burst stream
-		{50*units.Second + 137, 50*units.Second + 999},
-		{0, 100 * units.Second},
-	} {
-		want := ref.dutyCycle(win[0], win[1])
-		if got := w.DutyCycle(win[0], win[1]); got != want {
-			t.Errorf("DutyCycle%v = %v, want %v", win, got, want)
-		}
-		w.ActiveAt(win[1])
-		if got := w.DutyCycle(win[0], win[1]); got != want {
-			t.Errorf("DutyCycle%v after ActiveAt = %v, want %v", win, got, want)
-		}
-	}
-}

@@ -55,11 +55,6 @@ type Options struct {
 	// DrainCostPerEntry is the CPU cost of pushing one entry over the back
 	// channel in continuous mode (default 120 cycles).
 	DrainCostPerEntry uint32
-	// ExtraSinks receive the live event stream alongside the collector (and
-	// RAM buffer / drain, if configured) via a batch-aware Tee — how an
-	// analysis.OnlineAccountant or a core.RingBuffer rides the same stream
-	// as the log without extra copies.
-	ExtraSinks []core.Sink
 	// BatteryUAH, when positive, powers the node from a finite battery of
 	// that many microamp-hours instead of an infinite supply. The node
 	// browns out at the exact instant the integrated net charge crosses
@@ -211,9 +206,6 @@ func (w *World) AddNode(id core.NodeID, opts Options) *Node {
 	case opts.RAMBufferEntries > 0:
 		ram = core.NewRAMBuffer(opts.RAMBufferEntries)
 		sink = core.NewTee(log, ram)
-	}
-	if len(opts.ExtraSinks) > 0 {
-		sink = core.NewTee(append([]core.Sink{sink}, opts.ExtraSinks...)...)
 	}
 
 	trk := core.NewTracker(core.Config{

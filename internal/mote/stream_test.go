@@ -4,49 +4,9 @@ import (
 	"io"
 	"testing"
 
-	"repro/internal/analysis"
 	"repro/internal/core"
 	"repro/internal/units"
 )
-
-// TestExtraSinksSeeLiveStream wires an online accountant and a ring buffer
-// into the tee alongside the collector and checks all three observe the same
-// stream — the "top-like" always-on mode riding the log for free.
-func TestExtraSinksSeeLiveStream(t *testing.T) {
-	w := NewWorld(1)
-	acct := analysis.NewOnlineAccountant(1, 0, nil) // counting events only
-	ring := core.NewRingBuffer(8)
-	opts := DefaultOptions()
-	opts.ExtraSinks = []core.Sink{acct, ring}
-	n := w.AddNode(1, opts)
-
-	n.K.Boot(func() {
-		tm := n.K.NewTimer(func() { n.LEDs.Toggle(0) })
-		tm.StartPeriodic(100 * units.Millisecond)
-	})
-	w.Run(2 * units.Second)
-	w.StampEnd()
-
-	if n.Log.Len() == 0 {
-		t.Fatal("collector saw nothing")
-	}
-	if got := int(acct.Events()); got != n.Log.Len() {
-		t.Errorf("accountant saw %d events, collector %d", got, n.Log.Len())
-	}
-	if ring.Len() != 8 {
-		t.Errorf("ring holds %d entries, want full 8", ring.Len())
-	}
-	// The ring's snapshot is the tail of the collector's stream.
-	tail := n.Log.Entries[n.Log.Len()-8:]
-	for i, e := range ring.Snapshot() {
-		if e != tail[i] {
-			t.Errorf("ring[%d] = %v, want %v", i, e, tail[i])
-		}
-	}
-	if n.Trk.Dropped() != 0 {
-		t.Errorf("dropped = %d", n.Trk.Dropped())
-	}
-}
 
 // TestWorldMergedStreamsAllNodes checks the k-way merged stream is
 // time-ordered and complete across nodes.

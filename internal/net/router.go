@@ -147,13 +147,6 @@ func (r *Router) PathETX() float64 { return r.pathETX }
 // Stats returns the router's counters.
 func (r *Router) Stats() RouterStats { return r.stats }
 
-// Neighbors returns a copy of the neighbor table, sorted by id.
-func (r *Router) Neighbors() []Neighbor {
-	out := make([]Neighbor, len(r.table))
-	copy(out, r.table)
-	return out
-}
-
 // neighbor finds a table row by id, or nil.
 func (r *Router) neighbor(id core.NodeID) *Neighbor {
 	i := sort.Search(len(r.table), func(i int) bool { return r.table[i].ID >= id })

@@ -259,36 +259,3 @@ func ResourceNames() map[core.ResourceID]string {
 		ResBaseline:    "Board",
 	}
 }
-
-// StateName returns the human-readable name of a (resource, state) pair, or
-// "OFF"/numeric fallbacks for states not in Table 1.
-func StateName(res core.ResourceID, st core.PowerState) string {
-	for _, s := range Platform() {
-		if s.Res != res {
-			continue
-		}
-		for _, info := range s.States {
-			if info.State == st {
-				return info.Name
-			}
-		}
-	}
-	if st == 0 {
-		return "OFF"
-	}
-	return "S" + itoa(int(st))
-}
-
-func itoa(v int) string {
-	if v == 0 {
-		return "0"
-	}
-	var buf [8]byte
-	i := len(buf)
-	for v > 0 {
-		i--
-		buf[i] = byte('0' + v%10)
-		v /= 10
-	}
-	return string(buf[i:])
-}

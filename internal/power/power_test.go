@@ -136,21 +136,6 @@ func TestDrawGridMatchesTable(t *testing.T) {
 	}
 }
 
-func TestStateName(t *testing.T) {
-	if StateName(ResCPU, CPUActive) != "ACTIVE" {
-		t.Errorf("got %q", StateName(ResCPU, CPUActive))
-	}
-	if StateName(ResRadioTx, RadioTxM10dBm) != "TX (-10 dBm)" {
-		t.Errorf("got %q", StateName(ResRadioTx, RadioTxM10dBm))
-	}
-	if StateName(ResLED0, StateOff) != "OFF" {
-		t.Errorf("got %q", StateName(ResLED0, StateOff))
-	}
-	if StateName(ResLED0, 42) != "S42" {
-		t.Errorf("got %q", StateName(ResLED0, 42))
-	}
-}
-
 func TestResourceNamesCoverPlatform(t *testing.T) {
 	names := ResourceNames()
 	for _, s := range Platform() {

@@ -239,31 +239,6 @@ func (m *Merger) Drain() ([]Stamped, error) {
 	}
 }
 
-// Merge interleaves the logs of several nodes into one stream ordered by
-// unwrapped timestamp (ties broken by node id; within one node the input
-// order is preserved, including across 32-bit timestamp wraps). It is a
-// convenience wrapper over the streaming Merger for in-memory logs.
-func Merge(logs []NodeLog) []Stamped {
-	streams := make([]Stream, len(logs))
-	total := 0
-	for i, l := range logs {
-		streams[i] = Stream{Node: l.Node, Source: NewSliceSource(l.Entries)}
-		total += len(l.Entries)
-	}
-	m, err := NewMerger(streams)
-	if err != nil {
-		return nil // slice sources never fail
-	}
-	out := make([]Stamped, 0, total)
-	for {
-		s, err := m.Next()
-		if err != nil {
-			return out
-		}
-		out = append(out, s)
-	}
-}
-
 // SplitByNode partitions a merged stream back into per-node logs, preserving
 // order.
 func SplitByNode(merged []Stamped) []NodeLog {

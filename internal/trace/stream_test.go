@@ -22,6 +22,24 @@ func mkEntries(times ...uint32) []core.Entry {
 	return out
 }
 
+// mergeLogs interleaves in-memory logs through a Merger over slice sources.
+func mergeLogs(t *testing.T, logs []NodeLog) []Stamped {
+	t.Helper()
+	streams := make([]Stream, len(logs))
+	for i, l := range logs {
+		streams[i] = Stream{Node: l.Node, Source: NewSliceSource(l.Entries)}
+	}
+	m, err := NewMerger(streams)
+	if err != nil {
+		t.Fatal(err)
+	}
+	out, err := m.Drain()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return out
+}
+
 func TestSliceSourceIterates(t *testing.T) {
 	src := NewSliceSource(mkEntries(1, 2, 3))
 	for want := uint32(1); want <= 3; want++ {
@@ -44,7 +62,7 @@ func TestMergeOrdersAcrossTimestampWrap(t *testing.T) {
 		{Node: 1, Entries: mkEntries(0xFFFF_FFF0, 5)},
 		{Node: 2, Entries: mkEntries(100, 0xFFFF_FFF5)},
 	}
-	merged := Merge(logs)
+	merged := mergeLogs(t, logs)
 	if len(merged) != 4 {
 		t.Fatalf("merged %d entries", len(merged))
 	}
@@ -83,7 +101,7 @@ func TestMergeMatchesSortBaseline(t *testing.T) {
 			}
 			logs = append(logs, NodeLog{Node: core.NodeID(n), Entries: mkEntries(times...)})
 		}
-		got := Merge(logs)
+		got := mergeLogs(t, logs)
 		want := mergeSortBaseline(logs)
 		if len(got) != len(want) {
 			t.Fatalf("trial %d: len %d != %d", trial, len(got), len(want))
@@ -119,7 +137,7 @@ func mergeSortBaseline(logs []NodeLog) []Stamped {
 	return out
 }
 
-// TestMergeSplitRoundTripProperty checks Merge → SplitByNode returns every
+// TestMergeSplitRoundTripProperty checks merge → SplitByNode returns every
 // node's entries in their original order, for arbitrary (even wrapping)
 // timestamp sequences.
 func TestMergeSplitRoundTripProperty(t *testing.T) {
@@ -129,7 +147,7 @@ func TestMergeSplitRoundTripProperty(t *testing.T) {
 			{Node: 2, Entries: mkEntries(b...)},
 			{Node: 3, Entries: mkEntries(c...)},
 		}
-		back := SplitByNode(Merge(logs))
+		back := SplitByNode(mergeLogs(t, logs))
 		byNode := make(map[core.NodeID][]core.Entry)
 		for _, l := range back {
 			byNode[l.Node] = l.Entries
@@ -265,7 +283,7 @@ func TestMergeReadersMatchesInMemoryMerge(t *testing.T) {
 			R:    bytes.NewReader(Marshal(entries)),
 		})
 	}
-	want := Merge(logs)
+	want := mergeLogs(t, logs)
 	m, err := MergeReaders(streams, 256) // small batches force refills
 	if err != nil {
 		t.Fatal(err)

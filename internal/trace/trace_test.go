@@ -138,7 +138,7 @@ func TestMergeOrdersAcrossNodes(t *testing.T) {
 			{Type: core.EntryMarker, Time: 15},
 		}},
 	}
-	merged := Merge(logs)
+	merged := mergeLogs(t, logs)
 	if len(merged) != 4 {
 		t.Fatalf("merged %d entries", len(merged))
 	}
@@ -159,7 +159,7 @@ func TestSplitByNodeInvertsMerge(t *testing.T) {
 		{Node: 1, Entries: []core.Entry{{Type: core.EntryMarker, Time: 1}, {Type: core.EntryMarker, Time: 9}}},
 		{Node: 4, Entries: []core.Entry{{Type: core.EntryMarker, Time: 3}}},
 	}
-	back := SplitByNode(Merge(logs))
+	back := SplitByNode(mergeLogs(t, logs))
 	if len(back) != 2 {
 		t.Fatalf("split into %d logs", len(back))
 	}

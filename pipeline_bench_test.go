@@ -3,8 +3,8 @@
 //
 // The headline pair is BenchmarkPipelineStreaming1M vs
 // BenchmarkPipelineConcatSortBaseline1M: both merge the same 4-node,
-// ~1M-entry synthetic trace and run the same analysis (online accountant +
-// full breakdown per node), but the streaming path goes through the O(N log
+// ~1M-entry synthetic trace and run the same analysis (a full breakdown per
+// node), but the streaming path goes through the O(N log
 // k) heap merge and feeds analysis incrementally, while the baseline
 // reproduces the seed's concat+sort.SliceStable merge and materialized
 // per-node slices.
@@ -63,8 +63,8 @@ const (
 )
 
 // runStreamingPipeline is the new path: k-way heap merge over per-node
-// iterators, demuxed into per-node single-pass analyzers and online
-// accountants. No []core.Entry is materialized beyond the inputs.
+// iterators, demuxed into per-node single-pass analyzers. No []core.Entry is
+// materialized beyond the inputs.
 func runStreamingPipeline(b *testing.B, logs []trace.NodeLog) float64 {
 	streams := make([]trace.Stream, len(logs))
 	for i, l := range logs {
@@ -76,10 +76,6 @@ func runStreamingPipeline(b *testing.B, logs []trace.NodeLog) float64 {
 	}
 	dict := core.NewDictionary()
 	na := analysis.NewNetworkAnalyzer(dict, analysis.DefaultOptions(), 8.33, 3.0)
-	acct := make(map[core.NodeID]*analysis.OnlineAccountant, len(logs))
-	for _, l := range logs {
-		acct[l.Node] = analysis.NewOnlineAccountant(l.Node, 8.33, nil)
-	}
 	for {
 		s, err := m.Next()
 		if err == io.EOF {
@@ -89,7 +85,6 @@ func runStreamingPipeline(b *testing.B, logs []trace.NodeLog) float64 {
 			b.Fatal(err)
 		}
 		na.Consume(s)
-		acct[s.Node].Record(s.Entry)
 	}
 	net, err := na.Finish()
 	if err != nil {
@@ -98,9 +93,6 @@ func runStreamingPipeline(b *testing.B, logs []trace.NodeLog) float64 {
 	total := net.TotalEnergyUJ()
 	for _, uj := range net.EnergyByActivity() {
 		total += uj * 0 // breakdown runs; totals already counted
-	}
-	for _, o := range acct {
-		total += o.BaselineUJ()
 	}
 	return total
 }
@@ -135,11 +127,6 @@ func runConcatSortBaseline(b *testing.B, logs []trace.NodeLog) float64 {
 			b.Fatal(err)
 		}
 		analyses = append(analyses, a)
-		o := analysis.NewOnlineAccountant(l.Node, 8.33, nil)
-		for _, e := range l.Entries {
-			o.Record(e)
-		}
-		sum += o.BaselineUJ()
 	}
 	net := analysis.NewNetwork(dict, analyses...)
 	for _, uj := range net.EnergyByActivity() {
@@ -199,8 +186,8 @@ func seedStateIntervals(tr *analysis.NodeTrace) ([]analysis.StateInterval, []ana
 
 // runSeedPath reproduces the seed repo's data path end to end: concat+sort
 // merge, materialized per-node slices with unwrapped time arrays, the seed's
-// map-copying interval pass, then regression, timelines, breakdown, and the
-// online accountant — the same analysis products the streaming path emits.
+// map-copying interval pass, then regression, timelines and breakdown — the
+// same analysis products the streaming path emits.
 func runSeedPath(b *testing.B, logs []trace.NodeLog) float64 {
 	total := 0
 	for _, l := range logs {
@@ -240,11 +227,6 @@ func runSeedPath(b *testing.B, logs []trace.NodeLog) float64 {
 			Intervals: ivs, Vectors: vecs, Reg: reg, RegressionErr: regErr,
 			Single: single, Multi: multi, States: states,
 		})
-		o := analysis.NewOnlineAccountant(l.Node, 8.33, nil)
-		for _, e := range l.Entries {
-			o.Record(e)
-		}
-		sum += o.BaselineUJ()
 	}
 	net := analysis.NewNetwork(dict, analyses...)
 	for _, uj := range net.EnergyByActivity() {
@@ -451,15 +433,15 @@ func BenchmarkDecodeEntry(b *testing.B) {
 	}
 }
 
-// BenchmarkFanoutBatch measures a three-way Tee (collector + counter + ring)
-// on the batched path vs entry-at-a-time.
+// BenchmarkFanoutBatch measures a two-way Tee (collector + counter) on the
+// batched path vs entry-at-a-time.
 func BenchmarkFanoutBatch(b *testing.B) {
 	logs := synthNodeLogs(1, benchPerNode)
 	entries := logs[0].Entries
 	b.SetBytes(int64(len(entries) * core.EntrySize))
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		tee := core.NewTee(core.NewCollector(), core.NewCounterSink(), core.NewRingBuffer(4096))
+		tee := core.NewTee(core.NewCollector(), core.NewCounterSink())
 		if kept := tee.RecordBatch(entries); kept != len(entries) {
 			b.Fatalf("kept %d", kept)
 		}
@@ -472,7 +454,7 @@ func BenchmarkFanoutSingle(b *testing.B) {
 	b.SetBytes(int64(len(entries) * core.EntrySize))
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		tee := core.NewTee(core.NewCollector(), core.NewCounterSink(), core.NewRingBuffer(4096))
+		tee := core.NewTee(core.NewCollector(), core.NewCounterSink())
 		for _, e := range entries {
 			tee.Record(e)
 		}
