@@ -68,6 +68,52 @@ func heapTraces(t *testing.T, spec scenario.Spec) ([]byte, map[string]float64) {
 // byte-identical node traces (and identical metrics) to the same run on the
 // reference binary-heap queue.
 func TestWheelHeapTraceIdentity(t *testing.T) {
+	variants := identityVariants(t)
+	// Every registered app must appear above: a new app cannot ship without
+	// joining the differential suite.
+	covered := make(map[string]bool)
+	for _, v := range variants {
+		covered[v.App] = true
+	}
+	for _, app := range scenario.Apps() {
+		if !covered[app] {
+			t.Errorf("registered app %q has no wheel-vs-heap variant in this test", app)
+		}
+	}
+
+	for _, v := range variants {
+		for _, seed := range pinSeeds {
+			v := v
+			v.Seed = seed
+			t.Run(variantName(v), func(t *testing.T) {
+				wb, wm := encodedTraces(t, v)
+				hb, hm := heapTraces(t, v)
+				if !bytes.Equal(wb, hb) {
+					t.Fatalf("wheel and heap traces differ (%d vs %d bytes)", len(wb), len(hb))
+				}
+				if len(wm) != len(hm) {
+					t.Fatalf("metric sets differ: %v vs %v", wm, hm)
+				}
+				for k, wv := range wm {
+					if hv, ok := hm[k]; !ok || hv != wv {
+						t.Errorf("metric %q: wheel %v heap %v", k, wv, hm[k])
+					}
+				}
+			})
+		}
+	}
+}
+
+// pinSeeds are the seeds every identity variant runs at, in the wheel-vs-heap
+// test and in the output pins alike.
+var pinSeeds = []uint64{1, 7}
+
+// identityVariants returns the differential suite's specs, seed unset: one
+// or more per registered app, across placements, multi-origin load, battery
+// deaths, traffic shapes, routing, mobility and a recorded replay (whose
+// trace file lives in t's temporary directory).
+func identityVariants(t *testing.T) []scenario.Spec {
+	t.Helper()
 	base := func(app string, dur units.Ticks) scenario.Spec {
 		return scenario.Spec{App: app, DurationUS: int64(dur)}
 	}
@@ -212,40 +258,7 @@ func TestWheelHeapTraceIdentity(t *testing.T) {
 	}
 	// A replayed trace must match too: record a shaped run once, then drive
 	// both queues from the recorded file.
-	variants = append(variants, recordedReplayVariant(t))
-	// Every registered app must appear above: a new app cannot ship without
-	// joining the differential suite.
-	covered := make(map[string]bool)
-	for _, v := range variants {
-		covered[v.App] = true
-	}
-	for _, app := range scenario.Apps() {
-		if !covered[app] {
-			t.Errorf("registered app %q has no wheel-vs-heap variant in this test", app)
-		}
-	}
-
-	for _, v := range variants {
-		for _, seed := range []uint64{1, 7} {
-			v := v
-			v.Seed = seed
-			t.Run(variantName(v), func(t *testing.T) {
-				wb, wm := encodedTraces(t, v)
-				hb, hm := heapTraces(t, v)
-				if !bytes.Equal(wb, hb) {
-					t.Fatalf("wheel and heap traces differ (%d vs %d bytes)", len(wb), len(hb))
-				}
-				if len(wm) != len(hm) {
-					t.Fatalf("metric sets differ: %v vs %v", wm, hm)
-				}
-				for k, wv := range wm {
-					if hv, ok := hm[k]; !ok || hv != wv {
-						t.Errorf("metric %q: wheel %v heap %v", k, wv, hm[k])
-					}
-				}
-			})
-		}
-	}
+	return append(variants, recordedReplayVariant(t))
 }
 
 // variantName names a differential variant by app, seed and placement, then
