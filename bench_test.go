@@ -21,6 +21,7 @@ import (
 	"repro/internal/linalg"
 	"repro/internal/mote"
 	"repro/internal/power"
+	"repro/internal/scenario"
 	"repro/internal/trace"
 	"repro/internal/units"
 )
@@ -183,7 +184,7 @@ func BenchmarkTable5InstrumentationLoC(b *testing.B) {
 // weighting against unweighted OLS on the same Blink trace, reporting the
 // absolute error of the recovered LED0 draw (truth: 2.505 mA).
 func BenchmarkAblationRegressionWeights(b *testing.B) {
-	w, n, _ := apps.RunBlink(benchSeed, 48*units.Second, mote.DefaultOptions())
+	w, n, _ := apps.RunBlink(benchSeed, 48*units.Second)
 	tr := analysis.NewNodeTrace(n.ID, n.Log.Entries, n.Meter.PulseEnergy(), n.Volts)
 	led0 := analysis.Predictor{Res: power.ResLED0, State: power.StateOn}
 	_ = w
@@ -211,7 +212,10 @@ func BenchmarkAblationRegressionWeights(b *testing.B) {
 // ResolveProxies off, the CPU time node 1 spends receiving node 4's packets
 // stays stuck on the interrupt proxies instead of the remote activity.
 func BenchmarkAblationProxyBinding(b *testing.B) {
-	bounce := apps.NewBounce(benchSeed, apps.DefaultBounceConfig())
+	bounce, err := apps.NewBounce(scenario.Spec{Seed: benchSeed})
+	if err != nil {
+		b.Fatal(err)
+	}
 	bounce.Run(4 * units.Second)
 	n := bounce.Nodes[0]
 	remote := bounce.Activities()[1]
@@ -292,7 +296,7 @@ func BenchmarkAblationSplitPolicy(b *testing.B) {
 func BenchmarkAblationCounters(b *testing.B) {
 	var logBytes, counterKeys float64
 	for i := 0; i < b.N; i++ {
-		w, n, _ := apps.RunBlink(benchSeed, 12*units.Second, mote.DefaultOptions())
+		w, n, _ := apps.RunBlink(benchSeed, 12*units.Second)
 		_ = w
 		logBytes = float64(len(n.Log.Entries) * core.EntrySize)
 
@@ -393,7 +397,7 @@ func BenchmarkMeterRead(b *testing.B) {
 // Blink run per iteration).
 func BenchmarkBlinkSimulation(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		_, n, _ := apps.RunBlink(benchSeed, 48*units.Second, mote.DefaultOptions())
+		_, n, _ := apps.RunBlink(benchSeed, 48*units.Second)
 		if len(n.Log.Entries) == 0 {
 			b.Fatal("empty log")
 		}

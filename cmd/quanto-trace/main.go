@@ -99,7 +99,6 @@ import (
 	"repro/internal/apps"
 	"repro/internal/core"
 	"repro/internal/icount"
-	"repro/internal/mote"
 	"repro/internal/scenario"
 	"repro/internal/trace"
 	"repro/internal/traffic"
@@ -309,7 +308,7 @@ func forEachBatch(r *trace.Reader, fn func(batch []core.Entry) error) error {
 }
 
 func gen(file string, seed uint64, secs int) error {
-	_, n, _ := apps.RunBlink(seed, units.Ticks(secs)*units.Second, mote.DefaultOptions())
+	_, n, _ := apps.RunBlink(seed, units.Ticks(secs)*units.Second)
 	out, closeOut, err := openOut(file)
 	if err != nil {
 		return err

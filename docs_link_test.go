@@ -22,6 +22,27 @@ var mdLink = regexp.MustCompile(`\[[^\]]*\]\(([^)\s]+)\)`)
 // lines and identifiers don't.
 var codePath = regexp.MustCompile("`([A-Za-z0-9_.-]+(?:/[A-Za-z0-9_.*-]+)+/?)`")
 
+// modulePath is this repository's module path (go.mod). A backticked import
+// path under it, such as `repro/internal/sim`, names that package's
+// directory.
+const modulePath = "repro"
+
+// codePathFile returns the repository-relative file or directory a code
+// path reference names: an import path under the module resolves to its
+// package directory, a glob to the directory it sits in, and any other
+// reference is already relative to the repository root, whichever doc
+// mentions it.
+func codePathFile(ref string) string {
+	p := strings.TrimSuffix(ref, "/")
+	if strings.ContainsAny(p, "*") {
+		p = filepath.Dir(p)
+	}
+	if rel, ok := strings.CutPrefix(p, modulePath+"/"); ok {
+		p = rel
+	}
+	return p
+}
+
 func docFiles(t *testing.T) []string {
 	t.Helper()
 	files := []string{"README.md"}
@@ -69,17 +90,31 @@ func TestDocLinks(t *testing.T) {
 		}
 
 		for _, m := range codePath.FindAllStringSubmatch(text, -1) {
-			p := strings.TrimSuffix(m[1], "/")
-			if strings.ContainsAny(p, "*") {
-				// Glob references like bench patterns: check the directory
-				// part only.
-				p = filepath.Dir(p)
-			}
-			// Code paths are repo-root relative regardless of which doc
-			// mentions them.
-			if _, err := os.Stat(p); err != nil {
+			if _, err := os.Stat(codePathFile(m[1])); err != nil {
 				t.Errorf("%s: code path reference `%s` does not exist", file, m[1])
 			}
+		}
+	}
+}
+
+// TestCodePathFile pins how a code path reference resolves: an import path
+// under the module to its package directory, which must still exist, and a
+// plain path to itself.
+func TestCodePathFile(t *testing.T) {
+	for _, c := range []struct {
+		ref, file string
+		exists    bool
+	}{
+		{"repro/internal/sim", "internal/sim", true},
+		{"repro/internal/nosuchpkg", "internal/nosuchpkg", false},
+		{"internal/power/draws.go", "internal/power/draws.go", true},
+	} {
+		file := codePathFile(c.ref)
+		if file != c.file {
+			t.Errorf("codePathFile(%q) = %q, want %q", c.ref, file, c.file)
+		}
+		if _, err := os.Stat(file); (err == nil) != c.exists {
+			t.Errorf("`%s` resolves to %s: exists = %v, want %v", c.ref, file, err == nil, c.exists)
 		}
 	}
 }

@@ -24,7 +24,7 @@ import (
 func registerWork() {
 	scenario.Register("work", func(spec scenario.Spec) (*scenario.Instance, error) {
 		w := mote.NewWorld(spec.Seed)
-		n := w.AddNode(1, spec.MoteOptions())
+		n := w.AddNode(1, spec.NodeOptions(1))
 		k := n.K
 
 		period := units.Ticks(spec.PeriodUS)

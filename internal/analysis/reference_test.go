@@ -77,7 +77,7 @@ func refRegression(ivs []refInterval, pulseUJ float64, opts RegressionOptions) (
 			for r, s := range iv.States {
 				active = append(active, Predictor{r, s})
 			}
-			sortPredictors(active)
+			slices.SortFunc(active, comparePredictors)
 			gi = len(groups)
 			groupIdx[iv.Key] = gi
 			groups = append(groups, StateGroup{Key: iv.Key, Active: active})
@@ -113,8 +113,8 @@ func refRegression(ivs []refInterval, pulseUJ float64, opts RegressionOptions) (
 		}
 		cands = append(cands, p)
 	}
-	sortPredictors(cands)
-	sortPredictors(dropped)
+	slices.SortFunc(cands, comparePredictors)
+	slices.SortFunc(dropped, comparePredictors)
 
 	var spanUS int64
 	for _, g := range groups {

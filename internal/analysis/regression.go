@@ -339,8 +339,6 @@ func (sc *regScratch) run(intervals []StateInterval, vectors []StateVector, puls
 	return reg, regFailure{}
 }
 
-func sortPredictors(ps []Predictor) { slices.SortFunc(ps, comparePredictors) }
-
 // comparePredictors orders predictors by resource, then state.
 func comparePredictors(a, b Predictor) int {
 	if c := cmp.Compare(a.Res, b.Res); c != 0 {

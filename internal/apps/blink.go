@@ -2,7 +2,13 @@
 // Blink and Bounce (Section 4.2), the sense-and-send application of
 // Figure 7, and the three case studies of Section 4.3 (low-power listening
 // under 802.11 interference, the surprise DCO-calibration timer, and
-// DMA-versus-interrupt radio communication).
+// DMA-versus-interrupt radio communication), plus the multihop relay of
+// Section 5.3.
+//
+// A scenario.Spec is the only configuration: every app but Blink is built
+// by a constructor that takes the Spec and resolves each of the app's
+// defaults from its zero fields, and register.go registers each one with
+// the scenario registry. Blink wires onto a node the caller built.
 package apps
 
 import (
@@ -59,9 +65,9 @@ func (b *Blink) Toggles() [3]uint64 { return b.toggles }
 // analysis; the node carries an oscilloscope, so callers can check the
 // analysis against the exact waveform. The paper's canonical run is 48
 // seconds.
-func RunBlink(seed uint64, duration units.Ticks, opts mote.Options) (*mote.World, *mote.Node, *Blink) {
+func RunBlink(seed uint64, duration units.Ticks) (*mote.World, *mote.Node, *Blink) {
 	w := mote.NewWorld(seed)
-	n := w.AddNode(1, opts)
+	n := w.AddNode(1, mote.DefaultOptions())
 	w.AttachScope(n)
 	b := NewBlink(n)
 	w.Run(duration)

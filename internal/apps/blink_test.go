@@ -16,7 +16,7 @@ import (
 // with default options.
 func runBlinkAnalysis(t *testing.T, seed uint64) (*mote.World, *mote.Node, *Blink, *analysis.Analysis) {
 	t.Helper()
-	w, n, b := RunBlink(seed, 48*units.Second, mote.DefaultOptions())
+	w, n, b := RunBlink(seed, 48*units.Second)
 	tr := analysis.NewNodeTrace(n.ID, n.Log.Entries, n.Meter.PulseEnergy(), n.Volts)
 	a, err := analysis.Analyze(tr, w.Dict, analysis.DefaultOptions())
 	if err != nil {

@@ -1,16 +1,25 @@
 package apps
 
 import (
+	"cmp"
+
 	"repro/internal/am"
 	"repro/internal/core"
 	"repro/internal/mote"
 	"repro/internal/radio"
+	"repro/internal/scenario"
 	"repro/internal/traffic"
 	"repro/internal/units"
 )
 
 // BounceAMType is the Active Message type Bounce traffic uses.
 const BounceAMType uint8 = 7
+
+// The paper's Bounce nodes.
+const (
+	bounceNodeA core.NodeID = 1
+	bounceNodeB core.NodeID = 4
+)
 
 // Bounce is the paper's cross-node tracking example (Section 4.2.2): two
 // nodes exchange two packets, each packet originating from one of the nodes
@@ -37,69 +46,44 @@ type Bounce struct {
 	injected    uint64
 	injectDrops uint64
 	holdDrops   uint64
+
+	// traffic records each node's realized injections when the spec asks.
+	traffic *traffic.Recorder
 }
 
-// BounceConfig parameterizes the run.
-type BounceConfig struct {
-	NodeA, NodeB core.NodeID
-	Channel      int
-	HoldTime     units.Ticks
-	UseDMA       bool
-	// Base, when set, seeds each node's mote options (voltage, kernel,
-	// logging mode) before the radio wiring is applied; nil selects
-	// mote.DefaultOptions.
-	Base *mote.Options
-	// PerNode, when set, adjusts each node's options after Base is copied
-	// (called with NodeA's and NodeB's ids).
-	PerNode func(id core.NodeID, o *mote.Options)
-	// Traffic, when non-nil, replaces each node's single default injection
-	// with a schedule: slot 0 drives NodeA, slot 1 NodeB, and every
-	// injection starts a fresh packet bouncing (dropped at a busy radio), so
-	// offered load controls the bouncing population instead of pinning it.
-	Traffic []traffic.Source
-	// TrafficRec, when non-nil, captures each node's realized injections.
-	TrafficRec *traffic.Recorder
-}
-
-// DefaultBounceConfig matches the paper's setup: nodes 1 and 4.
-func DefaultBounceConfig() BounceConfig {
-	return BounceConfig{
-		NodeA:    1,
-		NodeB:    4,
-		Channel:  26,
-		HoldTime: 220 * units.Millisecond,
+// NewBounce builds the two-node world the spec describes: the paper's nodes
+// 1 and 4 on Channel (default 26), holding each packet HoldTimeUS (default
+// 220 ms), optionally over DMA. By default each node injects one packet; a
+// traffic shape replaces that with a schedule per node (slot 0 drives node
+// 1, slot 1 node 4), and every injection starts a fresh packet bouncing
+// (dropped at a busy radio), so offered load controls the bouncing
+// population instead of pinning it.
+func NewBounce(spec scenario.Spec) (*Bounce, error) {
+	ids := [2]core.NodeID{bounceNodeA, bounceNodeB}
+	srcs, rec, err := spec.TrafficSources(ids[:])
+	if err != nil {
+		return nil, err
 	}
-}
-
-// NewBounce builds a two-node world running Bounce.
-func NewBounce(seed uint64, cfg BounceConfig) *Bounce {
-	if cfg.HoldTime == 0 {
-		cfg.HoldTime = 220 * units.Millisecond
+	w := mote.NewWorld(spec.Seed)
+	b := &Bounce{
+		World:    w,
+		HoldTime: cmp.Or(units.Ticks(spec.HoldTimeUS), 220*units.Millisecond),
+		traffic:  rec,
 	}
-	w := mote.NewWorld(seed)
-	b := &Bounce{World: w, HoldTime: cfg.HoldTime}
-
-	ids := [2]core.NodeID{cfg.NodeA, cfg.NodeB}
+	rc := radio.Config{Channel: cmp.Or(spec.Channel, defaultChannel), UseDMA: spec.UseDMA}
 	for i, id := range ids {
-		opts := mote.DefaultOptions()
-		if cfg.Base != nil {
-			opts = *cfg.Base
-		}
-		if cfg.PerNode != nil {
-			cfg.PerNode(id, &opts)
-		}
-		opts.Radio = true
-		opts.RadioConfig = radio.Config{Channel: cfg.Channel, UseDMA: cfg.UseDMA}
-		b.Nodes[i] = w.AddNode(id, opts)
+		b.Nodes[i] = addRadioNode(w, &spec, id, rc)
 	}
-
 	for i := range b.Nodes {
-		b.setup(&cfg, i, ids[1-i])
+		b.setup(srcs, i, ids[1-i])
 	}
-	return b
+	if err := spec.ApplySpatial(w); err != nil {
+		return nil, err
+	}
+	return b, nil
 }
 
-func (b *Bounce) setup(cfg *BounceConfig, i int, peer core.NodeID) {
+func (b *Bounce) setup(srcs []traffic.Source, i int, peer core.NodeID) {
 	n := b.Nodes[i]
 	k := n.K
 	b.acts[i] = k.DefineActivity("BounceApp")
@@ -137,10 +121,10 @@ func (b *Bounce) setup(cfg *BounceConfig, i int, peer core.NodeID) {
 			// By default each node injects one packet, offset so the two
 			// packets interleave; a traffic shape injects on its schedule.
 			src := traffic.At(k.NowTicks() + units.Ticks(50+100*i)*units.Millisecond)
-			if cfg.Traffic != nil {
-				src = cfg.Traffic[i]
+			if srcs != nil {
+				src = srcs[i]
 			}
-			traffic.Drive(k, src, cfg.TrafficRec.Hook(i), func() {
+			traffic.Drive(k, src, b.traffic.Hook(i), func() {
 				b.injected++
 				if n.Radio.Busy() {
 					b.injectDrops++

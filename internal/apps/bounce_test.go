@@ -6,11 +6,12 @@ import (
 	"repro/internal/analysis"
 	"repro/internal/core"
 	"repro/internal/power"
+	"repro/internal/scenario"
 	"repro/internal/units"
 )
 
 func TestBouncePacketsCirculate(t *testing.T) {
-	b := NewBounce(3, DefaultBounceConfig())
+	b := mustNew(t, NewBounce, scenario.Spec{Seed: 3})
 	b.Run(4 * units.Second)
 	recv, sent := b.Stats()
 	if recv[0] < 3 || recv[1] < 3 {
@@ -22,7 +23,7 @@ func TestBouncePacketsCirculate(t *testing.T) {
 }
 
 func TestBounceCrossNodeActivity(t *testing.T) {
-	b := NewBounce(3, DefaultBounceConfig())
+	b := mustNew(t, NewBounce, scenario.Spec{Seed: 3})
 	b.Run(4 * units.Second)
 
 	// Node A (id 1) must have spent CPU time under node B's (id 4)
@@ -52,7 +53,7 @@ func TestBounceCrossNodeActivity(t *testing.T) {
 }
 
 func TestBounceHiddenFieldCarriesLabel(t *testing.T) {
-	b := NewBounce(9, DefaultBounceConfig())
+	b := mustNew(t, NewBounce, scenario.Spec{Seed: 9})
 	b.Run(2 * units.Second)
 	// Bind entries on node 1's CPU must reference node 4's activity.
 	nodeA := b.Nodes[0]
@@ -69,9 +70,9 @@ func TestBounceHiddenFieldCarriesLabel(t *testing.T) {
 }
 
 func TestBounceDeterminism(t *testing.T) {
-	b1 := NewBounce(5, DefaultBounceConfig())
+	b1 := mustNew(t, NewBounce, scenario.Spec{Seed: 5})
 	b1.Run(2 * units.Second)
-	b2 := NewBounce(5, DefaultBounceConfig())
+	b2 := mustNew(t, NewBounce, scenario.Spec{Seed: 5})
 	b2.Run(2 * units.Second)
 	a := b1.Nodes[0].Log.Entries
 	bb := b2.Nodes[0].Log.Entries

@@ -1,10 +1,13 @@
 package apps
 
 import (
+	"cmp"
+
 	"repro/internal/am"
 	"repro/internal/core"
 	"repro/internal/mote"
 	"repro/internal/radio"
+	"repro/internal/scenario"
 	"repro/internal/units"
 )
 
@@ -27,28 +30,17 @@ type DMACompare struct {
 	completed bool
 }
 
-// NewDMACompare builds a two-node world (sender + receiver) and sends one
-// packet of payloadBytes at startAt. Optional base options override the mote
-// defaults (voltage, logging mode, battery) before the radio wiring: one
-// value applies to both nodes, two values configure the sender (node 1) and
-// receiver (node 2) individually.
-func NewDMACompare(seed uint64, useDMA bool, payloadBytes int, startAt units.Ticks, base ...mote.Options) *DMACompare {
-	w := mote.NewWorld(seed)
-	mkOpts := func(idx int) mote.Options {
-		o := mote.DefaultOptions()
-		if len(base) > 0 {
-			if idx >= len(base) {
-				idx = len(base) - 1
-			}
-			o = base[idx]
-		}
-		o.Radio = true
-		o.RadioConfig = radio.Config{Channel: 26, UseDMA: useDMA}
-		return o
-	}
+// NewDMACompare builds the two-node world the spec describes: sender node 1
+// sends one packet of PayloadBytes (default 30) to receiver node 2 at
+// StartAtUS (default 100 ms), over DMA when UseDMA is set.
+func NewDMACompare(spec scenario.Spec) (*DMACompare, error) {
+	w := mote.NewWorld(spec.Seed)
+	rc := radio.Config{Channel: defaultChannel, UseDMA: spec.UseDMA}
 	d := &DMACompare{World: w}
-	d.Node = w.AddNode(1, mkOpts(0))
-	d.Peer = w.AddNode(2, mkOpts(1))
+	d.Node = addRadioNode(w, &spec, 1, rc)
+	d.Peer = addRadioNode(w, &spec, 2, rc)
+	payloadBytes := cmp.Or(spec.PayloadBytes, 30)
+	startAt := cmp.Or(units.Ticks(spec.StartAtUS), 100*units.Millisecond)
 
 	k := d.Node.K
 	d.Act = k.DefineActivity("BounceApp") // the figure labels the send this way
@@ -72,7 +64,10 @@ func NewDMACompare(seed uint64, useDMA bool, payloadBytes int, startAt units.Tic
 		t.StartOneShot(startAt)
 		k.CPUAct.SetIdle()
 	})
-	return d
+	if err := spec.ApplySpatial(w); err != nil {
+		return nil, err
+	}
+	return d, nil
 }
 
 // Run advances the world and stamps the end.

@@ -1,10 +1,13 @@
 package apps
 
 import (
+	"cmp"
+
 	"repro/internal/core"
 	"repro/internal/medium"
 	"repro/internal/mote"
 	"repro/internal/radio"
+	"repro/internal/scenario"
 	"repro/internal/units"
 )
 
@@ -18,82 +21,54 @@ type LPL struct {
 	Node  *mote.Node
 
 	Act core.Label
-	cfg LPLConfig
+
+	// receiveCheck is how long the receiver stays on during a clean check;
+	// fpHold how long it stays on after detecting energy.
+	receiveCheck, fpHold units.Ticks
 
 	wakeups        uint64
 	falsePositives uint64
 }
 
-// LPLConfig parameterizes the duty-cycle regime.
-type LPLConfig struct {
-	// Channel is the 802.15.4 channel to listen on (17 = overlapping
-	// 802.11b channel 6; 26 = clear).
-	Channel int
-	// CheckPeriod is the sleep interval between channel checks (the paper
-	// samples every 500 ms).
-	CheckPeriod units.Ticks
-	// ReceiveCheck is how long the receiver stays on during a clean check,
-	// long enough to catch a wake-up preamble.
-	ReceiveCheck units.Ticks
-	// FalsePositiveHold is how long the receiver stays on after detecting
-	// energy ("the CPU keeps the radio on for about 100 ms, and turns it
-	// off when the timer expires and no packet was received" — Figure 14).
-	FalsePositiveHold units.Ticks
-	// Volts is the supply voltage; the paper's LPL mote ran at 3.35 V.
-	Volts units.Volts
-	// WiFi enables the interfering 802.11b access point on channel 6.
-	WiFi bool
-	// WiFiBurst/WiFiGap shape the interferer's traffic; defaults give a
-	// ~17.9% channel occupancy matching the paper's 17.8% false-positive
-	// rate.
-	WiFiBurst, WiFiGap units.Ticks
-	// Base, when set, seeds the node's mote options (kernel, logging mode)
-	// before Volts and the radio wiring are applied; nil selects
-	// mote.DefaultOptions.
-	Base *mote.Options
-}
-
-// DefaultLPLConfig reproduces the paper's experiment on the given channel.
-func DefaultLPLConfig(channel int) LPLConfig {
-	return LPLConfig{
-		Channel:           channel,
-		CheckPeriod:       500 * units.Millisecond,
-		ReceiveCheck:      9400,
-		FalsePositiveHold: 100 * units.Millisecond,
-		Volts:             3.35,
-		WiFi:              true,
-		WiFiBurst:         5 * units.Millisecond,
-		WiFiGap:           23 * units.Millisecond,
-	}
-}
-
-// NewLPL builds a one-node world with the interferer attached.
-func NewLPL(seed uint64, cfg LPLConfig) *LPL {
-	if cfg.CheckPeriod == 0 {
-		cfg.CheckPeriod = 500 * units.Millisecond
-	}
-	w := mote.NewWorld(seed)
-	opts := mote.DefaultOptions()
-	if cfg.Base != nil {
-		opts = *cfg.Base
-	}
-	opts.Volts = cfg.Volts
+// NewLPL builds the one-node world the spec describes, at the paper's
+// 3.35 V unless Volts is set, listening on Channel (default 26; 17 overlaps
+// 802.11b channel 6). The radio wakes every CheckPeriodUS (default 500 ms,
+// the paper's sampling period), stays on ReceiveCheckUS (default 9.4 ms,
+// long enough to catch a wake-up preamble) during a clean check, and
+// FalsePositiveHoldUS (default 100 ms) after detecting energy: "the CPU
+// keeps the radio on for about 100 ms, and turns it off when the timer
+// expires and no packet was received" (Figure 14). Unless NoWiFi is set, an
+// 802.11b access point on channel 6 interferes, sending WiFiBurstUS bursts
+// (default 5 ms) separated by WiFiGapUS gaps (default 23 ms): a ~17.9%
+// channel occupancy, matching the paper's 17.8% false-positive rate.
+func NewLPL(spec scenario.Spec) *LPL {
+	w := mote.NewWorld(spec.Seed)
+	opts := spec.NodeOptions(1)
+	opts.Volts = units.Volts(cmp.Or(spec.Volts, 3.35))
 	opts.Radio = true
-	opts.RadioConfig = radio.Config{Channel: cfg.Channel}
+	opts.RadioConfig = radio.Config{Channel: cmp.Or(spec.Channel, defaultChannel)}
 	n := w.AddNode(1, opts)
 
-	if cfg.WiFi {
-		w.Medium.AddWiFi(medium.NewWiFiSource(6, cfg.WiFiBurst, cfg.WiFiGap, seed^0xBEEF))
+	if !spec.NoWiFi {
+		burst := cmp.Or(units.Ticks(spec.WiFiBurstUS), 5*units.Millisecond)
+		gap := cmp.Or(units.Ticks(spec.WiFiGapUS), 23*units.Millisecond)
+		w.Medium.AddWiFi(medium.NewWiFiSource(6, burst, gap, spec.Seed^0xBEEF))
 	}
 
-	l := &LPL{World: w, Node: n, cfg: cfg}
+	l := &LPL{
+		World:        w,
+		Node:         n,
+		receiveCheck: cmp.Or(units.Ticks(spec.ReceiveCheckUS), 9400),
+		fpHold:       cmp.Or(units.Ticks(spec.FalsePositiveHoldUS), 100*units.Millisecond),
+	}
 	k := n.K
 	l.Act = k.DefineActivity("LPL")
 
+	checkPeriod := cmp.Or(units.Ticks(spec.CheckPeriodUS), 500*units.Millisecond)
 	k.Boot(func() {
 		k.CPUAct.Set(l.Act)
 		check := k.NewTimer(func() { l.check() })
-		check.StartPeriodic(cfg.CheckPeriod)
+		check.StartPeriodic(checkPeriod)
 		k.CPUAct.SetIdle()
 	})
 	return l
@@ -120,9 +95,9 @@ func (l *LPL) check() {
 			hold := k.NewTimer(func() {
 				n.Radio.TurnOff()
 			})
-			hold.StartOneShot(l.cfg.FalsePositiveHold)
+			hold.StartOneShot(l.fpHold)
 		})
-		settle.StartOneShot(l.cfg.ReceiveCheck)
+		settle.StartOneShot(l.receiveCheck)
 	})
 }
 

@@ -5,6 +5,7 @@ import (
 
 	"repro/internal/analysis"
 	"repro/internal/power"
+	"repro/internal/scenario"
 	"repro/internal/units"
 )
 
@@ -19,7 +20,7 @@ func lplDuty(t *testing.T, l *LPL) float64 {
 }
 
 func TestLPLCleanChannelNoFalsePositives(t *testing.T) {
-	l := NewLPL(11, DefaultLPLConfig(26))
+	l := NewLPL(scenario.Spec{Seed: 11, Channel: 26})
 	l.Run(70 * units.Second)
 	wakeups, fps := l.Stats()
 	if wakeups < 130 {
@@ -31,7 +32,7 @@ func TestLPLCleanChannelNoFalsePositives(t *testing.T) {
 }
 
 func TestLPLInterferedChannelFalsePositives(t *testing.T) {
-	l := NewLPL(11, DefaultLPLConfig(17))
+	l := NewLPL(scenario.Spec{Seed: 11, Channel: 17})
 	l.Run(70 * units.Second)
 	rate := l.FalsePositiveRate()
 	// Paper: 17.8% of checks falsely detect energy; the interferer's duty
@@ -42,9 +43,9 @@ func TestLPLInterferedChannelFalsePositives(t *testing.T) {
 }
 
 func TestLPLDutyCycles(t *testing.T) {
-	clean := NewLPL(11, DefaultLPLConfig(26))
+	clean := NewLPL(scenario.Spec{Seed: 11, Channel: 26})
 	clean.Run(70 * units.Second)
-	noisy := NewLPL(11, DefaultLPLConfig(17))
+	noisy := NewLPL(scenario.Spec{Seed: 11, Channel: 17})
 	noisy.Run(70 * units.Second)
 
 	dClean := lplDuty(t, clean)
@@ -62,9 +63,9 @@ func TestLPLDutyCycles(t *testing.T) {
 }
 
 func TestLPLPowerOrdering(t *testing.T) {
-	clean := NewLPL(11, DefaultLPLConfig(26))
+	clean := NewLPL(scenario.Spec{Seed: 11, Channel: 26})
 	clean.Run(70 * units.Second)
-	noisy := NewLPL(11, DefaultLPLConfig(17))
+	noisy := NewLPL(scenario.Spec{Seed: 11, Channel: 17})
 	noisy.Run(70 * units.Second)
 
 	pClean := clean.Node.Meter.EnergyMicroJoules() / 70e6 * 1000 // mW

@@ -4,11 +4,24 @@ import (
 	"math"
 	"testing"
 
+	"repro/internal/scenario"
 	"repro/internal/units"
 )
 
+// mustNew builds an app with a constructor that can fail, and fails the
+// test if it does. It calls the constructor directly, without the Validate
+// that scenario.Build runs, so a test can build what Validate rejects.
+func mustNew[App any](t testing.TB, newApp func(scenario.Spec) (App, error), spec scenario.Spec) App {
+	t.Helper()
+	app, err := newApp(spec)
+	if err != nil {
+		t.Fatalf("build %T: %v", app, err)
+	}
+	return app
+}
+
 func TestSenseSendDeliversReports(t *testing.T) {
-	s := NewSenseSend(21, DefaultSenseSendConfig())
+	s := mustNew(t, NewSenseSend, scenario.Spec{Seed: 21})
 	s.Run(26 * units.Second)
 	sent, received := s.Stats()
 	if sent < 4 {
@@ -20,7 +33,7 @@ func TestSenseSendDeliversReports(t *testing.T) {
 }
 
 func TestSenseSendSensorConversions(t *testing.T) {
-	s := NewSenseSend(21, DefaultSenseSendConfig())
+	s := mustNew(t, NewSenseSend, scenario.Spec{Seed: 21})
 	s.Run(26 * units.Second)
 	if reads := s.Sensor.Sensor.Reads(); reads < 8 {
 		t.Errorf("sensor reads = %d, want >= 8 (two per report)", reads)
@@ -28,7 +41,7 @@ func TestSenseSendSensorConversions(t *testing.T) {
 }
 
 func TestTimerBugCalibrationRate(t *testing.T) {
-	tb := NewTimerBug(31, true)
+	tb := NewTimerBug(scenario.Spec{Seed: 31, CalibrateDCO: true})
 	tb.Run(4 * units.Second)
 	rate := tb.CalibrationRate()
 	// Figure 15: TimerA1 fires 16 times per second.
@@ -38,7 +51,7 @@ func TestTimerBugCalibrationRate(t *testing.T) {
 }
 
 func TestTimerBugFixedHasNoCalibration(t *testing.T) {
-	tb := NewTimerBug(31, false)
+	tb := NewTimerBug(scenario.Spec{Seed: 31})
 	tb.Run(4 * units.Second)
 	if rate := tb.CalibrationRate(); rate != 0 {
 		t.Errorf("calibration rate with DCO disabled = %.2f Hz, want 0", rate)
@@ -47,7 +60,9 @@ func TestTimerBugFixedHasNoCalibration(t *testing.T) {
 
 func TestDMATransferAtLeastTwiceAsFast(t *testing.T) {
 	run := func(useDMA bool) units.Ticks {
-		d := NewDMACompare(41, useDMA, 30, 100*units.Millisecond)
+		d := mustNew(t, NewDMACompare, scenario.Spec{
+			Seed: 41, UseDMA: useDMA, PayloadBytes: 30, StartAtUS: int64(100 * units.Millisecond),
+		})
 		d.Run(400 * units.Millisecond)
 		start, done, ok := d.Timing()
 		if !ok {
@@ -69,7 +84,9 @@ func TestDMATransferAtLeastTwiceAsFast(t *testing.T) {
 
 func TestDMAPacketStillDelivered(t *testing.T) {
 	for _, useDMA := range []bool{false, true} {
-		d := NewDMACompare(43, useDMA, 30, 100*units.Millisecond)
+		d := mustNew(t, NewDMACompare, scenario.Spec{
+			Seed: 43, UseDMA: useDMA, PayloadBytes: 30, StartAtUS: int64(100 * units.Millisecond),
+		})
 		d.Run(400 * units.Millisecond)
 		_, received := d.Peer.AM.Stats()
 		if received != 1 {

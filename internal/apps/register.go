@@ -5,13 +5,14 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/mote"
+	"repro/internal/radio"
 	"repro/internal/scenario"
-	"repro/internal/units"
 )
 
-// This file adapts every workload to the scenario registry: each builder
-// constructs the app from a declarative Spec, translating zero-valued spec
-// fields into the paper's defaults, so experiments, examples, and
+// This file registers every workload with the scenario registry. Each app's
+// constructor builds it straight from the Spec and resolves the app's
+// defaults; a builder here only rejects the Spec fields its app does not
+// honor and names the app's metrics, so experiments, examples and
 // `quanto-trace sweep` all define runs the same way.
 
 func init() {
@@ -24,12 +25,17 @@ func init() {
 	scenario.Register("dma", buildDMACompare)
 }
 
-// baseOptions translates the spec's generic node knobs (voltage, kernel,
-// logging mode) for the apps that take a config-level base, so sweeping
-// e.g. continuous_drain or volts affects every workload, not just blink.
-func baseOptions(spec scenario.Spec) *mote.Options {
-	o := spec.MoteOptions()
-	return &o
+// defaultChannel is the 802.15.4 channel the radio apps use when the spec
+// names none: 26, clear of 802.11b.
+const defaultChannel = 26
+
+// addRadioNode adds node id to w with the spec's options for it and a radio
+// configured by rc.
+func addRadioNode(w *mote.World, spec *scenario.Spec, id core.NodeID, rc radio.Config) *mote.Node {
+	o := spec.NodeOptions(id)
+	o.Radio = true
+	o.RadioConfig = rc
+	return w.AddNode(id, o)
 }
 
 // noTraffic rejects a traffic shape on apps whose workload is not
@@ -60,8 +66,7 @@ func buildBlink(spec scenario.Spec) (*scenario.Instance, error) {
 		return nil, err
 	}
 	w := mote.NewWorld(spec.Seed)
-	n := w.AddNode(1, spec.MoteOptions())
-	b := NewBlink(n)
+	b := NewBlink(w.AddNode(1, spec.NodeOptions(1)))
 	return &scenario.Instance{
 		World: w,
 		App:   b,
@@ -76,42 +81,18 @@ func buildBlink(spec scenario.Spec) (*scenario.Instance, error) {
 	}, nil
 }
 
-// perNodeBattery re-applies the spec's battery knobs for each concrete node
-// id, so battery_node_uah overrides land on the right mote in multi-node
-// topologies (Base carries node 1's configuration otherwise).
-func perNodeBattery(spec scenario.Spec) func(id core.NodeID, o *mote.Options) {
-	return func(id core.NodeID, o *mote.Options) {
-		spec.ApplyBattery(int(id), o)
-	}
-}
-
 func buildBounce(spec scenario.Spec) (*scenario.Instance, error) {
 	if err := noRouting(spec, "bounce"); err != nil {
 		return nil, err
 	}
-	cfg := DefaultBounceConfig()
-	cfg.Base = baseOptions(spec)
-	cfg.PerNode = perNodeBattery(spec)
-	if spec.Channel != 0 {
-		cfg.Channel = spec.Channel
-	}
-	if spec.HoldTimeUS > 0 {
-		cfg.HoldTime = units.Ticks(spec.HoldTimeUS)
-	}
-	cfg.UseDMA = spec.UseDMA
-	srcs, rec, err := spec.TrafficSources([]core.NodeID{cfg.NodeA, cfg.NodeB})
+	b, err := NewBounce(spec)
 	if err != nil {
-		return nil, err
-	}
-	cfg.Traffic, cfg.TrafficRec = srcs, rec
-	b := NewBounce(spec.Seed, cfg)
-	if err := spec.ApplySpatial(b.World); err != nil {
 		return nil, err
 	}
 	return &scenario.Instance{
 		World:   b.World,
 		App:     b,
-		Traffic: rec,
+		Traffic: b.traffic,
 		Metrics: func() map[string]float64 {
 			recv, sent := b.Stats()
 			offered, dropped := b.Injections()
@@ -133,34 +114,7 @@ func buildLPL(spec scenario.Spec) (*scenario.Instance, error) {
 	if err := noRouting(spec, "lpl"); err != nil {
 		return nil, err
 	}
-	channel := spec.Channel
-	if channel == 0 {
-		channel = 26
-	}
-	cfg := DefaultLPLConfig(channel)
-	cfg.Base = baseOptions(spec)
-	if spec.Volts > 0 {
-		cfg.Volts = units.Volts(spec.Volts)
-	}
-	if spec.CheckPeriodUS > 0 {
-		cfg.CheckPeriod = units.Ticks(spec.CheckPeriodUS)
-	}
-	if spec.ReceiveCheckUS > 0 {
-		cfg.ReceiveCheck = units.Ticks(spec.ReceiveCheckUS)
-	}
-	if spec.FalsePositiveHoldUS > 0 {
-		cfg.FalsePositiveHold = units.Ticks(spec.FalsePositiveHoldUS)
-	}
-	if spec.NoWiFi {
-		cfg.WiFi = false
-	}
-	if spec.WiFiBurstUS > 0 {
-		cfg.WiFiBurst = units.Ticks(spec.WiFiBurstUS)
-	}
-	if spec.WiFiGapUS > 0 {
-		cfg.WiFiGap = units.Ticks(spec.WiFiGapUS)
-	}
-	l := NewLPL(spec.Seed, cfg)
+	l := NewLPL(spec)
 	return &scenario.Instance{
 		World: l.World,
 		App:   l,
@@ -176,45 +130,14 @@ func buildLPL(spec scenario.Spec) (*scenario.Instance, error) {
 }
 
 func buildRelay(spec scenario.Spec) (*scenario.Instance, error) {
-	cfg := DefaultRelayConfig()
-	cfg.Base = baseOptions(spec)
-	cfg.PerNode = perNodeBattery(spec)
-	if spec.Nodes != 0 {
-		if spec.Nodes < 2 {
-			return nil, fmt.Errorf("relay needs at least 2 nodes, got %d", spec.Nodes)
-		}
-		cfg.Hops = spec.Nodes
-	}
-	if spec.Channel != 0 {
-		cfg.Channel = spec.Channel
-	}
-	if spec.PeriodUS > 0 {
-		cfg.Period = units.Ticks(spec.PeriodUS)
-	}
-	if spec.Origins > cfg.Hops-1 {
-		// NewRelay would clamp, running the clamped count under a ConfigKey
-		// of its own: a silently inert sweep axis, like noRouting guards.
-		return nil, fmt.Errorf("relay origins must be <= nodes-1 = %d (the sink never originates), got %d",
-			cfg.Hops-1, spec.Origins)
-	}
-	cfg.Origins = spec.Origins
-	cfg.Routing = spec.Routing
-	if spec.BeaconPeriodMS > 0 {
-		cfg.BeaconPeriod = units.Ticks(spec.BeaconPeriodMS) * units.Millisecond
-	}
-	srcs, rec, err := spec.TrafficSources(RelayOrigins(cfg.Hops, cfg.Origins))
+	r, err := NewRelay(spec)
 	if err != nil {
-		return nil, err
-	}
-	cfg.Traffic, cfg.TrafficRec = srcs, rec
-	r := NewRelay(spec.Seed, cfg)
-	if err := spec.ApplySpatial(r.World); err != nil {
 		return nil, err
 	}
 	return &scenario.Instance{
 		World:   r.World,
 		App:     r,
-		Traffic: rec,
+		Traffic: r.traffic,
 		Metrics: func() map[string]float64 {
 			gen, del := r.Stats()
 			m := map[string]float64{
@@ -244,28 +167,14 @@ func buildSenseSend(spec scenario.Spec) (*scenario.Instance, error) {
 	if err := noRouting(spec, "sensesend"); err != nil {
 		return nil, err
 	}
-	cfg := DefaultSenseSendConfig()
-	cfg.Base = baseOptions(spec)
-	cfg.PerNode = perNodeBattery(spec)
-	if spec.Channel != 0 {
-		cfg.Channel = spec.Channel
-	}
-	if spec.PeriodUS > 0 {
-		cfg.Period = units.Ticks(spec.PeriodUS)
-	}
-	srcs, rec, err := spec.TrafficSources([]core.NodeID{cfg.SensorNode})
+	s, err := NewSenseSend(spec)
 	if err != nil {
-		return nil, err
-	}
-	cfg.Traffic, cfg.TrafficRec = srcs, rec
-	s := NewSenseSend(spec.Seed, cfg)
-	if err := spec.ApplySpatial(s.World); err != nil {
 		return nil, err
 	}
 	return &scenario.Instance{
 		World:   s.World,
 		App:     s,
-		Traffic: rec,
+		Traffic: s.traffic,
 		Metrics: func() map[string]float64 {
 			sent, received := s.Stats()
 			offered, skipped := s.Samples()
@@ -287,11 +196,7 @@ func buildTimerBug(spec scenario.Spec) (*scenario.Instance, error) {
 	if err := noRouting(spec, "timerbug"); err != nil {
 		return nil, err
 	}
-	// The case study's single node is id 32 (as in Figure 15), so its
-	// battery override key is "32", not "1".
-	opts := spec.MoteOptions()
-	spec.ApplyBattery(32, &opts)
-	tb := NewTimerBug(spec.Seed, spec.CalibrateDCO, opts)
+	tb := NewTimerBug(spec)
 	return &scenario.Instance{
 		World: tb.World,
 		App:   tb,
@@ -311,21 +216,8 @@ func buildDMACompare(spec scenario.Spec) (*scenario.Instance, error) {
 	if err := noRouting(spec, "dma"); err != nil {
 		return nil, err
 	}
-	payload := spec.PayloadBytes
-	if payload <= 0 {
-		payload = 30
-	}
-	startAt := units.Ticks(spec.StartAtUS)
-	if startAt <= 0 {
-		startAt = 100 * units.Millisecond
-	}
-	// Per-node base options so battery_node_uah lands on the right mote
-	// (sender is node 1, receiver node 2).
-	sender := spec.MoteOptions()
-	receiver := spec.MoteOptions()
-	spec.ApplyBattery(2, &receiver)
-	d := NewDMACompare(spec.Seed, spec.UseDMA, payload, startAt, sender, receiver)
-	if err := spec.ApplySpatial(d.World); err != nil {
+	d, err := NewDMACompare(spec)
+	if err != nil {
 		return nil, err
 	}
 	return &scenario.Instance{

@@ -1,6 +1,7 @@
 package apps
 
 import (
+	"cmp"
 	"encoding/binary"
 	"fmt"
 	"math"
@@ -11,6 +12,7 @@ import (
 	"repro/internal/mote"
 	"repro/internal/net"
 	"repro/internal/radio"
+	"repro/internal/scenario"
 	"repro/internal/traffic"
 	"repro/internal/units"
 )
@@ -47,48 +49,15 @@ type Relay struct {
 	noRoute         uint64
 	ttlDrops        uint64
 	lastDeliveredAt units.Ticks
+
+	// traffic records the origins' realized sends when the spec asks.
+	traffic *traffic.Recorder
 }
 
-// RelayConfig parameterizes the line network.
-type RelayConfig struct {
-	Hops    int // number of nodes in the line (>= 2)
-	Channel int
-	Period  units.Ticks // packet generation period at each origin
-	// Origins is how many nodes at the head of the line generate traffic
-	// (nodes 1..Origins, each sending toward the line's end); 0 selects a
-	// single origin. More origins spread offered load across the
-	// topology.
-	Origins int
-	// Base, when set, seeds each node's mote options before the radio
-	// wiring is applied; nil selects mote.DefaultOptions.
-	Base *mote.Options
-	// PerNode, when set, adjusts each node's options after Base is copied
-	// (node ids are 1..Hops). Lifetime scenarios use it to give individual
-	// hops different battery capacities.
-	PerNode func(id core.NodeID, o *mote.Options)
-	// Traffic, when non-nil, supplies every origin's send schedule in place
-	// of the default Period schedule: slot i drives origin i (node i+1).
-	// Length must be the (clamped) origin count — scenario builders size it
-	// with RelayOrigins.
-	Traffic []traffic.Source
-	// TrafficRec, when non-nil, captures every origin's realized sends
-	// (slot i records origin i) for record-and-replay.
-	TrafficRec *traffic.Recorder
-	// Routing selects where each node's next hop comes from: "" routes
-	// along the fixed chain (node i → i+1), "ctp" along a collection tree
-	// rooted at the line's final node (internal/net), so topology changes
-	// (death, mobility) change where packets flow instead of severing the
-	// line. Both share one generator and one forwarder.
-	Routing string
-	// BeaconPeriod spaces the tree's routing beacons (default
-	// net.DefaultBeaconPeriod). Ignored on the fixed chain.
-	BeaconPeriod units.Ticks
-}
-
-// RelayOrigins returns the sender node ids a relay config's traffic shape
-// drives, applying the same clamps NewRelay applies: origins default to 1
-// and never include the line's final node (the sink). The scenario builder
-// rejects an origin count the clamp would cut.
+// RelayOrigins returns the sender node ids of a relay line of hops nodes
+// with the given origin count, which is also the slot order of its traffic
+// shape: origins default to 1 and never include the line's final node (the
+// sink). NewRelay rejects an origin count the clamp would cut.
 func RelayOrigins(hops, origins int) []core.NodeID {
 	if hops < 2 {
 		hops = 2
@@ -106,11 +75,6 @@ func RelayOrigins(hops, origins int) []core.NodeID {
 	return ids
 }
 
-// DefaultRelayConfig builds a 3-hop line generating a packet per second.
-func DefaultRelayConfig() RelayConfig {
-	return RelayConfig{Hops: 3, Channel: 26, Period: units.Second}
-}
-
 // hopBudget is a packet's hop budget: enough for the longest loop-free route
 // through the line plus the transient detours a re-forming tree can take,
 // while still retiring a looping packet within a few beacon periods. It
@@ -120,39 +84,39 @@ func hopBudget(hops int) uint16 {
 	return uint16(min(hops+3, math.MaxUint16))
 }
 
-// NewRelay builds the line network. Packets flow from the origins to the
-// sink (the line's final node) over one forwarding path; Routing only picks
-// where each node's next hop comes from — the fixed chain (node i → i+1) or
-// a collection tree (internal/net) rooted at the sink. The tree's payoff is
-// resilience: when a relay's battery dies — or a mobile node drifts out of
-// range — the tree re-forms around the hole and deliveries continue, where
-// the fixed chain simply severs.
-//
-// Unknown routing planes panic loudly: scenario validation gates the
-// strings, so reaching here with a typo is a programming error, not an
-// input error.
-func NewRelay(seed uint64, cfg RelayConfig) *Relay {
-	if cfg.Hops < 2 {
-		cfg.Hops = 2
+// NewRelay builds the line network the spec describes: Nodes hops (default
+// 3), Origins origins at the head of the line (default 1), each generating
+// a packet every PeriodUS (default 1 s) on Channel (default 26). Packets
+// flow from the origins to the sink (the line's final node) over one
+// forwarding path; Routing only picks where each node's next hop comes
+// from — the fixed chain (node i → i+1) or a collection tree (internal/net)
+// rooted at the sink. The tree's payoff is resilience: when a relay's
+// battery dies — or a mobile node drifts out of range — the tree re-forms
+// around the hole and deliveries continue, where the fixed chain simply
+// severs.
+func NewRelay(spec scenario.Spec) (*Relay, error) {
+	hops := cmp.Or(spec.Nodes, 3)
+	if hops < 2 {
+		return nil, fmt.Errorf("relay needs at least 2 nodes, got %d", spec.Nodes)
 	}
-	if cfg.Period <= 0 {
-		cfg.Period = units.Second
+	if spec.Origins > hops-1 {
+		// The clamp would run fewer origins under a ConfigKey of their own:
+		// a silently inert sweep axis, like the builders' routing guard.
+		return nil, fmt.Errorf("relay origins must be <= nodes-1 = %d (the sink never originates), got %d",
+			hops-1, spec.Origins)
 	}
-	cfg.Origins = len(RelayOrigins(cfg.Hops, cfg.Origins))
-	w := mote.NewWorld(seed)
-	r := &Relay{World: w}
+	origins := RelayOrigins(hops, spec.Origins)
+	srcs, rec, err := spec.TrafficSources(origins)
+	if err != nil {
+		return nil, err
+	}
+	period := cmp.Or(units.Ticks(spec.PeriodUS), units.Second)
+	w := mote.NewWorld(spec.Seed)
+	r := &Relay{World: w, traffic: rec}
 
-	for i := 0; i < cfg.Hops; i++ {
-		opts := mote.DefaultOptions()
-		if cfg.Base != nil {
-			opts = *cfg.Base
-		}
-		if cfg.PerNode != nil {
-			cfg.PerNode(core.NodeID(i+1), &opts)
-		}
-		opts.Radio = true
-		opts.RadioConfig = radio.Config{Channel: cfg.Channel}
-		r.Nodes = append(r.Nodes, w.AddNode(core.NodeID(i+1), opts))
+	rc := radio.Config{Channel: cmp.Or(spec.Channel, defaultChannel)}
+	for i := 0; i < hops; i++ {
+		r.Nodes = append(r.Nodes, addRadioNode(w, &spec, core.NodeID(i+1), rc))
 	}
 
 	// nextHop answers node i's routing question — where does a packet go
@@ -160,26 +124,28 @@ func NewRelay(seed uint64, cfg RelayConfig) *Relay {
 	// packet. The sink collects and never asks.
 	sink := len(r.Nodes) - 1
 	var nextHop func(i int) (core.NodeID, bool)
-	switch cfg.Routing {
+	switch spec.Routing {
 	case "":
 		nextHop = func(i int) (core.NodeID, bool) { return r.Nodes[i+1].ID, true }
-	case "ctp":
-		tree, err := net.NewTree(w, net.TreeConfig{Root: r.Nodes[sink].ID, BeaconPeriod: cfg.BeaconPeriod})
+	case scenario.RoutingCTP:
+		tree, err := net.NewTree(w, net.TreeConfig{
+			Root:         r.Nodes[sink].ID,
+			BeaconPeriod: units.Ticks(spec.BeaconPeriodMS) * units.Millisecond,
+		})
 		if err != nil {
-			// Unreachable: every node above was built with a radio.
-			panic(err)
+			return nil, err
 		}
 		r.Tree = tree
 		nextHop = func(i int) (core.NodeID, bool) { return tree.Router(i).Parent() }
 	default:
-		panic(fmt.Sprintf("apps: unknown routing plane %q (want \"\" or \"ctp\")", cfg.Routing))
+		return nil, fmt.Errorf("relay: unknown routing %q (want \"\" or %q)", spec.Routing, scenario.RoutingCTP)
 	}
-	budget := hopBudget(cfg.Hops)
+	budget := hopBudget(hops)
 
 	// Every origin flies its own "Flood" activity so the butterfly-effect
 	// accounting attributes each packet's multi-hop work to its true source.
-	acts := make([]core.Label, cfg.Origins)
-	for o := 0; o < cfg.Origins; o++ {
+	acts := make([]core.Label, len(origins))
+	for o := range acts {
 		acts[o] = r.Nodes[o].K.DefineActivity("Flood")
 	}
 	r.Act = acts[0]
@@ -248,12 +214,12 @@ func NewRelay(seed uint64, cfg RelayConfig) *Relay {
 		// simulated output. A traffic shape replaces them with its own
 		// per-slot stagger.
 		n.K.CPUAct.Set(acts[i])
-		p := cfg.Period
+		p := period
 		src := traffic.Every(n.K.NowTicks()+p+(p/2+units.Ticks(2*i+1)*1009)%p, p)
-		if cfg.Traffic != nil {
-			src = cfg.Traffic[i]
+		if srcs != nil {
+			src = srcs[i]
 		}
-		traffic.Drive(n.K, src, cfg.TrafficRec.Hook(i), send)
+		traffic.Drive(n.K, src, rec.Hook(i), send)
 		n.K.CPUAct.SetIdle()
 	}
 
@@ -309,7 +275,7 @@ func NewRelay(seed uint64, cfg RelayConfig) *Relay {
 				if r.Tree != nil {
 					r.Tree.Router(i).Start()
 				}
-				if i < cfg.Origins {
+				if i < len(origins) {
 					startGen(i)
 				}
 			})
@@ -319,7 +285,10 @@ func NewRelay(seed uint64, cfg RelayConfig) *Relay {
 		boot(i)
 	}
 	boot(0)
-	return r
+	if err := spec.ApplySpatial(w); err != nil {
+		return nil, err
+	}
+	return r, nil
 }
 
 // Run advances the world and stamps the end.

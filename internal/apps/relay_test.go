@@ -25,7 +25,7 @@ func analyzeRelayNode(t *testing.T, r *Relay, n *mote.Node) *analysis.Analysis {
 }
 
 func TestRelayDeliversEndToEnd(t *testing.T) {
-	r := NewRelay(17, DefaultRelayConfig())
+	r := mustNew(t, NewRelay, scenario.Spec{Seed: 17})
 	r.Run(10 * units.Second)
 	gen, del := r.Stats()
 	if gen < 8 {
@@ -37,7 +37,7 @@ func TestRelayDeliversEndToEnd(t *testing.T) {
 }
 
 func TestRelayChargesAllHopsToOrigin(t *testing.T) {
-	r := NewRelay(17, DefaultRelayConfig())
+	r := mustNew(t, NewRelay, scenario.Spec{Seed: 17})
 	r.Run(10 * units.Second)
 	// Every hop — including the last, which never originates anything —
 	// must have CPU time under the origin's Flood activity.
@@ -54,7 +54,7 @@ func TestRelayChargesAllHopsToOrigin(t *testing.T) {
 }
 
 func TestRelayNetworkWideFootprint(t *testing.T) {
-	r := NewRelay(17, DefaultRelayConfig())
+	r := mustNew(t, NewRelay, scenario.Spec{Seed: 17})
 	r.Run(10 * units.Second)
 
 	var analyses []*analysis.Analysis
@@ -83,7 +83,7 @@ func TestRelayNetworkWideFootprint(t *testing.T) {
 }
 
 func TestNetworkEnergyConservation(t *testing.T) {
-	r := NewRelay(17, DefaultRelayConfig())
+	r := mustNew(t, NewRelay, scenario.Spec{Seed: 17})
 	r.Run(10 * units.Second)
 	var analyses []*analysis.Analysis
 	var perNodeSum float64
@@ -128,10 +128,7 @@ func TestRelayLongerLine(t *testing.T) {
 		{260, 10 * units.Second, 22 * units.Second},
 	} {
 		t.Run(fmt.Sprintf("nodes=%d", tc.hops), func(t *testing.T) {
-			cfg := DefaultRelayConfig()
-			cfg.Hops = tc.hops
-			cfg.Period = tc.period
-			r := NewRelay(23, cfg)
+			r := mustNew(t, NewRelay, scenario.Spec{Seed: 23, Nodes: tc.hops, PeriodUS: int64(tc.period)})
 			r.Run(tc.run)
 			gen, del := r.Stats()
 			if gen == 0 || del != gen {
@@ -159,10 +156,7 @@ func TestRelayLongerLine(t *testing.T) {
 // one hop and every generated packet that finds the radio idle lands at the
 // sink.
 func TestCollectRelayDelivers(t *testing.T) {
-	cfg := DefaultRelayConfig()
-	cfg.Hops = 4
-	cfg.Routing = "ctp"
-	r := NewRelay(1, cfg)
+	r := mustNew(t, NewRelay, scenario.Spec{Seed: 1, Nodes: 4, Routing: scenario.RoutingCTP})
 	if r.Tree == nil {
 		t.Fatal("collect relay has no tree")
 	}
@@ -225,15 +219,10 @@ func TestRelayUnroutedHasNoTree(t *testing.T) {
 // reroutes onto the surviving relay, and deliveries demonstrably continue
 // past the death — where the fixed chain would have severed.
 func TestCollectCascade(t *testing.T) {
-	cfg := DefaultRelayConfig()
-	cfg.Hops = 4
-	cfg.Routing = "ctp"
-	cfg.PerNode = func(id core.NodeID, o *mote.Options) {
-		if id == 3 {
-			o.BatteryUAH = 60 // ~10 s at listening draw
-		}
-	}
-	r := NewRelay(9, cfg)
+	r := mustNew(t, NewRelay, scenario.Spec{
+		Seed: 9, Nodes: 4, Routing: scenario.RoutingCTP,
+		BatteryNodeUAH: map[string]float64{"3": 60}, // ~10 s at listening draw
+	})
 	// The sink (node 4, the tree root) sits at the origin of the plane; the
 	// origin (node 1) is out of its range and must relay through 2 or 3.
 	// Relay 3's staggered beacon phase advertises a route first, so the
@@ -275,10 +264,7 @@ func TestCollectCascade(t *testing.T) {
 // produce identical counters.
 func TestCollectDeterministic(t *testing.T) {
 	run := func() (uint64, uint64, uint64, units.Ticks) {
-		cfg := DefaultRelayConfig()
-		cfg.Hops = 5
-		cfg.Routing = "ctp"
-		r := NewRelay(7, cfg)
+		r := mustNew(t, NewRelay, scenario.Spec{Seed: 7, Nodes: 5, Routing: scenario.RoutingCTP})
 		if err := r.World.ConfigureSpatial(medium.SpatialConfig{TxRangeM: 50, TxPowerDBm: 10, Seed: 7},
 			medium.PlaceLine(5, 80)); err != nil {
 			t.Fatal(err)

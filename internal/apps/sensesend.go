@@ -1,18 +1,26 @@
 package apps
 
 import (
+	"cmp"
 	"encoding/binary"
 
 	"repro/internal/am"
 	"repro/internal/core"
 	"repro/internal/mote"
 	"repro/internal/radio"
+	"repro/internal/scenario"
 	"repro/internal/traffic"
 	"repro/internal/units"
 )
 
 // SenseAMType is the Active Message type carrying sensor reports.
 const SenseAMType uint8 = 11
+
+// The sense-and-send nodes: the sampling sensor and the base station.
+const (
+	senseSensorNode core.NodeID = 2
+	senseBaseNode   core.NodeID = 1
+)
 
 // SenseSend reproduces the sense-and-send application excerpted in Figure 7:
 // a periodic task samples humidity and temperature under dedicated
@@ -37,55 +45,29 @@ type SenseSend struct {
 	// backpressure at high offered rates).
 	sampleOffered uint64
 	sampleSkipped uint64
+
+	// traffic records the sensor's realized samples when the spec asks.
+	traffic *traffic.Recorder
 }
 
-// SenseSendConfig parameterizes the application.
-type SenseSendConfig struct {
-	SensorNode, BaseNode core.NodeID
-	Channel              int
-	Period               units.Ticks
-	// Base, when set, seeds each node's mote options before the radio
-	// wiring is applied; nil selects mote.DefaultOptions.
-	Base *mote.Options
-	// PerNode, when set, adjusts each node's options after Base is copied
-	// (called with SensorNode's and BaseNode's ids).
-	PerNode func(id core.NodeID, o *mote.Options)
-	// Traffic, when non-nil, supplies the sampling schedule in place of
-	// the default Period schedule (one slot: the sensor node). A scheduled
-	// sample that arrives while the previous one is still reading or
-	// sending is skipped and counted, not queued, on either schedule.
-	Traffic []traffic.Source
-	// TrafficRec, when non-nil, captures the sensor's realized samples.
-	TrafficRec *traffic.Recorder
-}
-
-// DefaultSenseSendConfig samples every 5 seconds.
-func DefaultSenseSendConfig() SenseSendConfig {
-	return SenseSendConfig{SensorNode: 2, BaseNode: 1, Channel: 26, Period: 5 * units.Second}
-}
-
-// NewSenseSend builds the two-node world.
-func NewSenseSend(seed uint64, cfg SenseSendConfig) *SenseSend {
-	if cfg.Period <= 0 {
-		cfg.Period = 5 * units.Second
+// NewSenseSend builds the two-node world the spec describes: sensor node 2
+// samples every PeriodUS (default 5 s) and reports to base station node 1
+// on Channel (default 26). A traffic shape replaces the sampling schedule
+// (one slot: the sensor node). A scheduled sample that arrives while the
+// previous one is still reading or sending is skipped and counted, not
+// queued, on either schedule.
+func NewSenseSend(spec scenario.Spec) (*SenseSend, error) {
+	srcs, rec, err := spec.TrafficSources([]core.NodeID{senseSensorNode})
+	if err != nil {
+		return nil, err
 	}
-	w := mote.NewWorld(seed)
-	s := &SenseSend{World: w}
+	period := cmp.Or(units.Ticks(spec.PeriodUS), 5*units.Second)
+	w := mote.NewWorld(spec.Seed)
+	s := &SenseSend{World: w, traffic: rec}
 
-	mkOpts := func(id core.NodeID) mote.Options {
-		o := mote.DefaultOptions()
-		if cfg.Base != nil {
-			o = *cfg.Base
-		}
-		if cfg.PerNode != nil {
-			cfg.PerNode(id, &o)
-		}
-		o.Radio = true
-		o.RadioConfig = radio.Config{Channel: cfg.Channel}
-		return o
-	}
-	s.Sensor = w.AddNode(cfg.SensorNode, mkOpts(cfg.SensorNode))
-	s.Base = w.AddNode(cfg.BaseNode, mkOpts(cfg.BaseNode))
+	rc := radio.Config{Channel: cmp.Or(spec.Channel, defaultChannel)}
+	s.Sensor = addRadioNode(w, &spec, senseSensorNode, rc)
+	s.Base = addRadioNode(w, &spec, senseBaseNode, rc)
 
 	k := s.Sensor.K
 	s.ActHum = k.DefineActivity("ACT_HUM")
@@ -103,29 +85,32 @@ func NewSenseSend(seed uint64, cfg SenseSendConfig) *SenseSend {
 		})
 	})
 
-	// Sensor node: the Figure 7 sensorTask every Period, or on the traffic
+	// Sensor node: the Figure 7 sensorTask every period, or on the traffic
 	// shape's schedule, armed at boot (a sample's send waits ~130 ms of
 	// conversions, far past the radio's start-up). A sample landing while
 	// the previous one is in flight is skipped: the sensor has one
 	// conversion pipeline, so offered load beyond it is backpressure.
 	k.Boot(func() {
 		s.Sensor.Radio.TurnOn(nil)
-		src := traffic.Every(k.NowTicks()+cfg.Period, cfg.Period)
-		if cfg.Traffic != nil {
-			src = cfg.Traffic[0]
+		src := traffic.Every(k.NowTicks()+period, period)
+		if srcs != nil {
+			src = srcs[0]
 		}
-		traffic.Drive(k, src, cfg.TrafficRec.Hook(0), func() {
+		traffic.Drive(k, src, rec.Hook(0), func() {
 			s.sampleOffered++
 			if s.sampling {
 				s.sampleSkipped++
 				return
 			}
 			s.sampling = true
-			s.sensorTask(cfg.BaseNode)
+			s.sensorTask(senseBaseNode)
 		})
 		k.CPUAct.SetIdle()
 	})
-	return s
+	if err := spec.ApplySpatial(w); err != nil {
+		return nil, err
+	}
+	return s, nil
 }
 
 // sensorTask mirrors the paper's excerpt: paint the CPU, read humidity;

@@ -6,11 +6,12 @@ import (
 
 	"repro/internal/analysis"
 	"repro/internal/power"
+	"repro/internal/scenario"
 	"repro/internal/units"
 )
 
 func TestSenseSendActivityEnergySplit(t *testing.T) {
-	s := NewSenseSend(21, DefaultSenseSendConfig())
+	s := mustNew(t, NewSenseSend, scenario.Spec{Seed: 21})
 	s.Run(30 * units.Second)
 
 	tr := analysis.NewNodeTrace(s.Sensor.ID, s.Sensor.Log.Entries, s.Sensor.Meter.PulseEnergy(), s.Sensor.Volts)
@@ -32,7 +33,7 @@ func TestSenseSendActivityEnergySplit(t *testing.T) {
 }
 
 func TestSenseSendSensorTimeAttribution(t *testing.T) {
-	s := NewSenseSend(21, DefaultSenseSendConfig())
+	s := mustNew(t, NewSenseSend, scenario.Spec{Seed: 21})
 	s.Run(30 * units.Second)
 	tr := analysis.NewNodeTrace(s.Sensor.ID, s.Sensor.Log.Entries, s.Sensor.Meter.PulseEnergy(), s.Sensor.Volts)
 	a, err := analysis.Analyze(tr, s.World.Dict, analysis.DefaultOptions())
@@ -54,7 +55,7 @@ func TestSenseSendSensorTimeAttribution(t *testing.T) {
 }
 
 func TestSenseSendBaseStationChargedToSenderActivity(t *testing.T) {
-	s := NewSenseSend(21, DefaultSenseSendConfig())
+	s := mustNew(t, NewSenseSend, scenario.Spec{Seed: 21})
 	s.Run(30 * units.Second)
 	trB := analysis.NewNodeTrace(s.Base.ID, s.Base.Log.Entries, s.Base.Meter.PulseEnergy(), s.Base.Volts)
 	aB, err := analysis.Analyze(trB, s.World.Dict, analysis.DefaultOptions())

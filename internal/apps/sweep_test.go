@@ -5,7 +5,6 @@ import (
 	"testing"
 
 	"repro/internal/analysis"
-	"repro/internal/mote"
 	"repro/internal/power"
 	"repro/internal/scenario"
 	"repro/internal/traffic"
@@ -21,9 +20,7 @@ func TestLPLCheckPeriodSweep(t *testing.T) {
 	periods := []units.Ticks{250 * units.Millisecond, 500 * units.Millisecond, units.Second}
 	var duties, powers, fps []float64
 	for _, p := range periods {
-		cfg := DefaultLPLConfig(17)
-		cfg.CheckPeriod = p
-		l := NewLPL(11, cfg)
+		l := NewLPL(scenario.Spec{Seed: 11, Channel: 17, CheckPeriodUS: int64(p)})
 		l.Run(60 * units.Second)
 		tr := analysis.NewNodeTrace(l.Node.ID, l.Node.Log.Entries, l.Node.Meter.PulseEnergy(), l.Node.Volts)
 		a, err := analysis.Analyze(tr, l.World.Dict, analysis.DefaultOptions())
@@ -65,9 +62,7 @@ func TestLPLWiFiDutySweep(t *testing.T) {
 	}
 	var rates []float64
 	for _, p := range pts {
-		cfg := DefaultLPLConfig(17)
-		cfg.WiFiGap = p.gap
-		l := NewLPL(11, cfg)
+		l := NewLPL(scenario.Spec{Seed: 11, Channel: 17, WiFiGapUS: int64(p.gap)})
 		l.Run(80 * units.Second)
 		rate := l.FalsePositiveRate()
 		rates = append(rates, rate)
@@ -84,9 +79,7 @@ func TestLPLWiFiDutySweep(t *testing.T) {
 // doubles the packet exchange rate.
 func TestBounceHoldTimeControlsThroughput(t *testing.T) {
 	run := func(hold units.Ticks) uint64 {
-		cfg := DefaultBounceConfig()
-		cfg.HoldTime = hold
-		b := NewBounce(3, cfg)
+		b := mustNew(t, NewBounce, scenario.Spec{Seed: 3, HoldTimeUS: int64(hold)})
 		b.Run(6 * units.Second)
 		recv, _ := b.Stats()
 		return recv[0] + recv[1]
@@ -146,7 +139,7 @@ func TestSendDrivenAppsSurviveOverload(t *testing.T) {
 // energy of a 48 s one (the workload is periodic and steady on average).
 func TestBlinkEnergyScalesWithDuration(t *testing.T) {
 	run := func(d units.Ticks) float64 {
-		_, n, _ := RunBlink(1, d, defaultMoteOptions())
+		_, n, _ := RunBlink(1, d)
 		return n.Meter.EnergyMicroJoules()
 	}
 	e24 := run(24 * units.Second)
@@ -156,7 +149,3 @@ func TestBlinkEnergyScalesWithDuration(t *testing.T) {
 		t.Errorf("energy ratio 48s/24s = %.3f, want ~2", ratio)
 	}
 }
-
-// defaultMoteOptions is a local helper mirroring mote.DefaultOptions without
-// re-importing it at every call site.
-func defaultMoteOptions() mote.Options { return mote.DefaultOptions() }

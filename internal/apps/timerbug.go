@@ -2,10 +2,13 @@ package apps
 
 import (
 	"repro/internal/core"
-	"repro/internal/kernel"
 	"repro/internal/mote"
+	"repro/internal/scenario"
 	"repro/internal/units"
 )
+
+// timerBugNode is the case study's single node, id 32 as in Figure 15.
+const timerBugNode core.NodeID = 32
 
 // TimerBug reproduces the paper's second case study (Figure 15): a trivial
 // timer-driven application whose Quanto trace revealed that TimerA1 fires
@@ -20,21 +23,13 @@ type TimerBug struct {
 	ActA, ActB core.Label
 }
 
-// NewTimerBug builds a single-node world (node id 32, as in the figure)
-// running two LED activities. calibrate selects whether the DCO calibration
-// timer is left on (the buggy default) or disabled (the fix). An optional
-// base overrides the node's mote options (voltage, logging mode).
-func NewTimerBug(seed uint64, calibrate bool, base ...mote.Options) *TimerBug {
-	w := mote.NewWorld(seed)
-	opts := mote.DefaultOptions()
-	if len(base) > 0 {
-		opts = base[0]
-	}
-	if opts.Kernel == (kernel.Options{}) {
-		opts.Kernel = kernel.DefaultOptions()
-	}
-	opts.Kernel.CalibrateDCO = calibrate
-	n := w.AddNode(32, opts)
+// NewTimerBug builds the single-node world the spec describes (node id 32,
+// as in the figure) running two LED activities. The spec's CalibrateDCO
+// selects whether the DCO calibration timer runs (the buggy TinyOS default)
+// or not (the fix).
+func NewTimerBug(spec scenario.Spec) *TimerBug {
+	w := mote.NewWorld(spec.Seed)
+	n := w.AddNode(timerBugNode, spec.NodeOptions(timerBugNode))
 
 	tb := &TimerBug{World: w, Node: n}
 	k := n.K

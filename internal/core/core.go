@@ -57,7 +57,6 @@ type Config struct {
 	Meter Meter
 	Cost  CostAccount // optional; nil disables cost accounting
 	Sink  Sink
-	Costs LogCosts // zero value means DefaultLogCosts
 }
 
 // Tracker is the per-node glue component between instrumented device
@@ -70,7 +69,6 @@ type Tracker struct {
 	meter Meter
 	cost  CostAccount
 	sink  Sink
-	costs LogCosts
 
 	enabled bool
 
@@ -104,17 +102,12 @@ func NewTracker(cfg Config) *Tracker {
 	if cfg.Clock == nil || cfg.Meter == nil || cfg.Sink == nil {
 		panic("core: Tracker requires Clock, Meter and Sink")
 	}
-	costs := cfg.Costs
-	if costs == (LogCosts{}) {
-		costs = DefaultLogCosts()
-	}
 	return &Tracker{
 		node:    cfg.Node,
 		clock:   cfg.Clock,
 		meter:   cfg.Meter,
 		cost:    cfg.Cost,
 		sink:    cfg.Sink,
-		costs:   costs,
 		enabled: true,
 	}
 }
@@ -158,7 +151,7 @@ func (t *Tracker) Log(typ EntryType, res ResourceID, val uint16) {
 	} else {
 		t.dropped++
 	}
-	total := t.costs.Total()
+	total := DefaultLogCosts().Total()
 	t.costCycles += uint64(total)
 	if t.cost != nil {
 		t.cost.ChargeCycles(total)

@@ -22,7 +22,7 @@ func TestRandomWorkloadInvariants(t *testing.T) {
 	for seed := uint64(1); seed <= 5; seed++ {
 		s := sim.New()
 		dict := core.NewDictionary()
-		k := New(s, 1, dict, DefaultOptions(), seed)
+		k := New(s, 1, dict, Options{}, seed)
 		sink := core.NewCollector()
 		trk := core.NewTracker(core.Config{Node: 1, Clock: k, Meter: countingMeter{}, Cost: k, Sink: sink})
 		k.Attach(trk)
@@ -115,7 +115,7 @@ func TestRandomWorkloadInvariants(t *testing.T) {
 func TestBusyWindowsDoNotOverlap(t *testing.T) {
 	s := sim.New()
 	dict := core.NewDictionary()
-	k := New(s, 1, dict, DefaultOptions(), 3)
+	k := New(s, 1, dict, Options{}, 3)
 	sink := core.NewCollector()
 	trk := core.NewTracker(core.Config{Node: 1, Clock: k, Meter: countingMeter{}, Cost: k, Sink: sink})
 	k.Attach(trk)

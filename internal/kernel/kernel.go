@@ -32,35 +32,23 @@ import (
 	"repro/internal/units"
 )
 
-// Costs models the cycle cost of kernel code paths, at 1 MHz (1 cycle =
-// 1 us). The defaults are chosen so the Blink experiment lands near the
-// paper's measured CPU duty cycle of 0.178% with logging responsible for
-// ~71% of active CPU time (Table 4).
-type Costs struct {
-	IRQEnter       units.Cycles // interrupt prologue/epilogue
-	TaskDispatch   units.Cycles // scheduler pop + jump
-	VTimerDispatch units.Cycles // virtual timer bookkeeping per hardware fire
-	TimerFire      units.Cycles // per expired virtual timer
-	ArbiterGrant   units.Cycles // arbiter queue handling
-}
+// Cycle costs of kernel code paths, at 1 MHz (1 cycle = 1 us), chosen so
+// the Blink experiment lands near the paper's measured CPU duty cycle of
+// 0.178% with logging responsible for ~71% of active CPU time (Table 4).
+const (
+	costIRQEnter       units.Cycles = 90  // interrupt prologue/epilogue
+	costTaskDispatch   units.Cycles = 55  // scheduler pop + jump
+	costVTimerDispatch units.Cycles = 260 // virtual timer bookkeeping per hardware fire
+	costTimerFire      units.Cycles = 180 // per expired virtual timer
+	costArbiterGrant   units.Cycles = 60  // arbiter queue handling
+	costDCOCalibration units.Cycles = 130 // one DCO calibration pass
+)
 
-// DefaultCosts returns the calibrated cost model.
-func DefaultCosts() Costs {
-	return Costs{
-		IRQEnter:       90,
-		TaskDispatch:   55,
-		VTimerDispatch: 260,
-		TimerFire:      180,
-		ArbiterGrant:   60,
-	}
-}
+// SleepState is the low-power mode the CPU drops into when idle (LPM3).
+const SleepState = power.CPUSleep
 
 // Options configures a Kernel.
 type Options struct {
-	Costs Costs
-	// SleepState is the low-power mode the CPU drops into when idle
-	// (default LPM3).
-	SleepState core.PowerState
 	// CalibrateDCO enables the digital-oscillator calibration interrupt
 	// that fires 16 times per second whether or not anybody needs it — the
 	// surprising behaviour Quanto exposed in Figure 15. TinyOS shipped with
@@ -68,18 +56,6 @@ type Options struct {
 	// traces match the paper's logs, and the TimerBug case study re-enables
 	// it to recreate the figure.
 	CalibrateDCO bool
-	// DCOCalibrationCost is the CPU cost of one calibration pass.
-	DCOCalibrationCost units.Cycles
-}
-
-// DefaultOptions returns the standard TinyOS-like configuration.
-func DefaultOptions() Options {
-	return Options{
-		Costs:              DefaultCosts(),
-		SleepState:         power.CPUSleep,
-		CalibrateDCO:       false,
-		DCOCalibrationCost: 130,
-	}
 }
 
 type task struct {
@@ -99,9 +75,8 @@ type Kernel struct {
 	// destination for all propagation.
 	CPUAct *core.SingleActivityDevice
 
-	node  core.NodeID
-	opts  Options
-	costs Costs
+	node core.NodeID
+	opts Options
 
 	localNow  units.Ticks
 	busyUntil units.Ticks
@@ -144,15 +119,11 @@ type Kernel struct {
 // New creates a kernel for node id on simulator s. Call Attach with the
 // node's tracker before scheduling any work.
 func New(s *sim.Simulator, node core.NodeID, dict *core.Dictionary, opts Options, seed uint64) *Kernel {
-	if opts.Costs == (Costs{}) {
-		opts.Costs = DefaultCosts()
-	}
 	k := &Kernel{
 		Sim:       s,
 		Dict:      dict,
 		node:      node,
 		opts:      opts,
-		costs:     opts.Costs,
 		nextActID: 2, // 0 = Idle, 1 = VTimer
 		// Pre-size the task queue: boot posts on a fresh kernel must not
 		// each grow a tiny slice (the queue rarely holds more than a few
@@ -176,7 +147,7 @@ func (k *Kernel) RNG() *sim.RNG { return k.rng }
 // timer if configured.
 func (k *Kernel) Attach(trk *core.Tracker) {
 	k.Trk = trk
-	k.CPUState = core.NewPowerStateVar(trk, power.ResCPU, k.opts.SleepState)
+	k.CPUState = core.NewPowerStateVar(trk, power.ResCPU, SleepState)
 	k.CPUAct = core.NewSingleActivityDevice(trk, power.ResCPU)
 	k.VTimerLabel = core.MkLabel(k.node, core.ActVTimer)
 	k.Dict.NameActivity(k.node, core.ActVTimer, "VTimer")
@@ -195,7 +166,7 @@ func (k *Kernel) scheduleDCO(period units.Ticks) {
 			return // stop self-rescheduling once the node browned out
 		}
 		k.dispatchIRQ(k.dcoIRQ, func() {
-			k.Spend(k.opts.DCOCalibrationCost)
+			k.Spend(costDCOCalibration)
 		})
 		k.Sim.After(period, sim.PrioIRQ, fire)
 	}
@@ -291,13 +262,13 @@ func (k *Kernel) exit() {
 		k.tasks[k.taskHead] = task{} // drop the closure reference
 		k.taskHead++
 		k.CPUAct.Set(t.label)
-		k.Spend(k.costs.TaskDispatch)
+		k.Spend(costTaskDispatch)
 		t.fn()
 	}
 	k.tasks = k.tasks[:0]
 	k.taskHead = 0
 	k.CPUAct.SetIdle()
-	k.CPUState.Set(k.opts.SleepState)
+	k.CPUState.Set(SleepState)
 	k.busyUntil = k.localNow
 	k.running = false
 }
@@ -435,7 +406,7 @@ func (k *Kernel) dispatchIRQ(irq *IRQ, handler func()) {
 	k.enter()
 	prev := k.CPUAct.Get()
 	k.CPUAct.Set(irq.Proxy)
-	k.Spend(k.costs.IRQEnter)
+	k.Spend(costIRQEnter)
 	handler()
 	k.CPUAct.Set(prev)
 	k.exit()

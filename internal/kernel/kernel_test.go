@@ -33,7 +33,7 @@ type countingMeter struct{}
 func (countingMeter) ReadPulses() uint32 { return 0 }
 
 func TestBootRunsInHandlerContext(t *testing.T) {
-	s, k, _ := testNode(t, DefaultOptions())
+	s, k, _ := testNode(t, Options{})
 	ran := false
 	k.Boot(func() {
 		ran = true
@@ -52,7 +52,7 @@ func TestBootRunsInHandlerContext(t *testing.T) {
 }
 
 func TestCPUSleepsAfterWork(t *testing.T) {
-	s, k, sink := testNode(t, DefaultOptions())
+	s, k, sink := testNode(t, Options{})
 	k.Boot(func() { k.Spend(500) })
 	s.Run(units.Second)
 	// The last CPU power-state entry must be the sleep state.
@@ -71,7 +71,7 @@ func TestCPUSleepsAfterWork(t *testing.T) {
 }
 
 func TestPostSavesAndRestoresActivity(t *testing.T) {
-	s, k, _ := testNode(t, DefaultOptions())
+	s, k, _ := testNode(t, Options{})
 	act := k.DefineActivity("App")
 	var taskLabel core.Label
 	k.Boot(func() {
@@ -88,7 +88,7 @@ func TestPostSavesAndRestoresActivity(t *testing.T) {
 }
 
 func TestPostFIFOOrder(t *testing.T) {
-	s, k, _ := testNode(t, DefaultOptions())
+	s, k, _ := testNode(t, Options{})
 	var order []int
 	k.Boot(func() {
 		for i := 0; i < 5; i++ {
@@ -105,7 +105,7 @@ func TestPostFIFOOrder(t *testing.T) {
 }
 
 func TestPostFromIdleContextWakesCPU(t *testing.T) {
-	s, k, _ := testNode(t, DefaultOptions())
+	s, k, _ := testNode(t, Options{})
 	ran := false
 	// Post directly from outside any handler (e.g. assembly code).
 	k.PostLabeled(k.IdleLabel(), func() { ran = true })
@@ -116,7 +116,7 @@ func TestPostFromIdleContextWakesCPU(t *testing.T) {
 }
 
 func TestTimerOneShot(t *testing.T) {
-	s, k, _ := testNode(t, DefaultOptions())
+	s, k, _ := testNode(t, Options{})
 	var firedAt units.Ticks
 	k.Boot(func() {
 		tm := k.NewTimer(func() { firedAt = k.NowTicks() })
@@ -132,7 +132,7 @@ func TestTimerOneShot(t *testing.T) {
 }
 
 func TestTimerPeriodicRate(t *testing.T) {
-	s, k, _ := testNode(t, DefaultOptions())
+	s, k, _ := testNode(t, Options{})
 	count := 0
 	k.Boot(func() {
 		tm := k.NewTimer(func() { count++ })
@@ -145,7 +145,7 @@ func TestTimerPeriodicRate(t *testing.T) {
 }
 
 func TestTimerStop(t *testing.T) {
-	s, k, _ := testNode(t, DefaultOptions())
+	s, k, _ := testNode(t, Options{})
 	count := 0
 	var tm *Timer
 	k.Boot(func() {
@@ -173,7 +173,7 @@ func TestTimerStop(t *testing.T) {
 // list of every timer ever created would hold all 1 000.
 func TestTimerListHoldsOnlyArmedTimers(t *testing.T) {
 	const n = 1000
-	s, k, _ := testNode(t, DefaultOptions())
+	s, k, _ := testNode(t, Options{})
 	fired, most := 0, 0
 	var arm func()
 	arm = func() {
@@ -201,7 +201,7 @@ func TestTimerListHoldsOnlyArmedTimers(t *testing.T) {
 // into the list being walked would push T4 past the end of the walk), T5
 // must be skipped, and T2 must fire at its new deadline.
 func TestTimerArmedDuringPass(t *testing.T) {
-	s, k, _ := testNode(t, DefaultOptions())
+	s, k, _ := testNode(t, Options{})
 	var order []string
 	var t2, t5 *Timer
 	var t2Due, t2Fired units.Ticks
@@ -235,7 +235,7 @@ func TestTimerArmedDuringPass(t *testing.T) {
 }
 
 func TestTimerCarriesActivity(t *testing.T) {
-	s, k, _ := testNode(t, DefaultOptions())
+	s, k, _ := testNode(t, Options{})
 	act := k.DefineActivity("Red")
 	var fireLabel core.Label
 	k.Boot(func() {
@@ -251,7 +251,7 @@ func TestTimerCarriesActivity(t *testing.T) {
 }
 
 func TestMultipleTimersShareCompare(t *testing.T) {
-	s, k, _ := testNode(t, DefaultOptions())
+	s, k, _ := testNode(t, Options{})
 	var fires []string
 	k.Boot(func() {
 		a := k.NewTimer(func() { fires = append(fires, "a") })
@@ -275,7 +275,7 @@ func TestMultipleTimersShareCompare(t *testing.T) {
 }
 
 func TestIRQProxyPaintsCPU(t *testing.T) {
-	s, k, sink := testNode(t, DefaultOptions())
+	s, k, sink := testNode(t, Options{})
 	irq := k.NewIRQ("int_TEST")
 	var seen core.Label
 	irq.Raise(10*units.Millisecond, func() {
@@ -302,7 +302,7 @@ func TestIRQProxyPaintsCPU(t *testing.T) {
 }
 
 func TestIRQDeferredWhileBusy(t *testing.T) {
-	s, k, _ := testNode(t, DefaultOptions())
+	s, k, _ := testNode(t, Options{})
 	irq := k.NewIRQ("int_TEST")
 	var irqAt units.Ticks
 	k.Boot(func() {
@@ -317,7 +317,7 @@ func TestIRQDeferredWhileBusy(t *testing.T) {
 }
 
 func TestSpendOutsideHandlerPanics(t *testing.T) {
-	_, k, _ := testNode(t, DefaultOptions())
+	_, k, _ := testNode(t, Options{})
 	defer func() {
 		if recover() == nil {
 			t.Error("Spend outside handler should panic")
@@ -327,7 +327,7 @@ func TestSpendOutsideHandlerPanics(t *testing.T) {
 }
 
 func TestNowTicksMonotonic(t *testing.T) {
-	s, k, sink := testNode(t, DefaultOptions())
+	s, k, sink := testNode(t, Options{})
 	k.Boot(func() {
 		tm := k.NewTimer(func() { k.Spend(2000) })
 		tm.StartPeriodic(10 * units.Millisecond)
@@ -343,9 +343,7 @@ func TestNowTicksMonotonic(t *testing.T) {
 }
 
 func TestDCOCalibrationRate(t *testing.T) {
-	opts := DefaultOptions()
-	opts.CalibrateDCO = true
-	s, k, sink := testNode(t, opts)
+	s, k, sink := testNode(t, Options{CalibrateDCO: true})
 	k.Boot(func() {})
 	s.Run(2 * units.Second)
 	var target core.Label
@@ -366,7 +364,7 @@ func TestDCOCalibrationRate(t *testing.T) {
 }
 
 func TestArbiterSerializesAndTransfersLabels(t *testing.T) {
-	s, k, _ := testNode(t, DefaultOptions())
+	s, k, _ := testNode(t, Options{})
 	dev := core.NewSingleActivityDevice(k.Trk, power.ResSensor)
 	arb := k.NewArbiter(dev)
 	actA := k.DefineActivity("A")
@@ -407,7 +405,7 @@ func TestArbiterSerializesAndTransfersLabels(t *testing.T) {
 }
 
 func TestArbiterReleaseWhileFreePanics(t *testing.T) {
-	_, k, _ := testNode(t, DefaultOptions())
+	_, k, _ := testNode(t, Options{})
 	arb := k.NewArbiter(nil)
 	defer func() {
 		if recover() == nil {
@@ -418,7 +416,7 @@ func TestArbiterReleaseWhileFreePanics(t *testing.T) {
 }
 
 func TestChargeCyclesExtendsBusyWindow(t *testing.T) {
-	s, k, _ := testNode(t, DefaultOptions())
+	s, k, _ := testNode(t, Options{})
 	var before, after units.Ticks
 	k.Boot(func() {
 		before = k.NowTicks()
@@ -432,7 +430,7 @@ func TestChargeCyclesExtendsBusyWindow(t *testing.T) {
 }
 
 func TestDefineActivityNamesAndIDs(t *testing.T) {
-	_, k, _ := testNode(t, DefaultOptions())
+	_, k, _ := testNode(t, Options{})
 	a := k.DefineActivity("First")
 	b := k.DefineActivity("Second")
 	if a == b {

@@ -131,7 +131,7 @@ func (k *Kernel) scheduleCompare() {
 // succession — the exact sequence visible in Figure 11(b).
 func (k *Kernel) vtimerFired() {
 	k.CPUAct.Set(k.VTimerLabel)
-	k.Spend(k.costs.VTimerDispatch)
+	k.Spend(costVTimerDispatch)
 	now := k.Sim.Now()
 	// Take the due timers out first: a callback that arms a timer inserts
 	// it into k.armed, which must not shift under this walk. A timer armed
@@ -156,7 +156,7 @@ func (k *Kernel) vtimerFired() {
 			t.running = false
 		}
 		k.CPUAct.Set(t.label)
-		k.Spend(k.costs.TimerFire)
+		k.Spend(costTimerFire)
 		t.fn()
 		k.CPUAct.Set(k.VTimerLabel)
 	}
@@ -208,7 +208,7 @@ func (a *Arbiter) grant(label core.Label, granted func()) {
 		a.dev.Set(label)
 	}
 	a.k.PostLabeled(label, func() {
-		a.k.Spend(a.k.costs.ArbiterGrant)
+		a.k.Spend(costArbiterGrant)
 		granted()
 	})
 }

@@ -236,14 +236,3 @@ func findStringSlice(files []*ast.File, name string) ([]stringEntry, token.Pos) 
 	}
 	return nil, token.NoPos
 }
-
-// ExclusionList extracts the package's declared configKeyExcluded entries,
-// for cross-checking against scenario.ConfigKeyExcluded in the meta-test.
-func ExclusionList(pkg *Package) []string {
-	entries, _ := findStringSlice(pkg.Files, "configKeyExcluded")
-	out := make([]string, 0, len(entries))
-	for _, e := range entries {
-		out = append(out, e.val)
-	}
-	return out
-}

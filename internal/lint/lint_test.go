@@ -6,12 +6,10 @@ package lint_test
 import (
 	"os"
 	"path/filepath"
-	"slices"
 	"testing"
 
 	"repro/internal/lint"
 	"repro/internal/lint/linttest"
-	"repro/internal/scenario"
 )
 
 func testdata(t *testing.T) string {
@@ -48,40 +46,6 @@ func TestConfigKey(t *testing.T) {
 
 func TestRNGDomain(t *testing.T) {
 	linttest.Run(t, testdata(t), lint.RNGDomain, "rngfix")
-}
-
-// TestConfigKeyExclusionListPinned ties three views of the exclusion list
-// together: the declaration the configkey analyzer reads from the scenario
-// source, the runtime accessor the TestConfigKey* invariance tests exercise,
-// and the literal set those invariance tests pin. Adding a field to any one
-// of the three without the others fails here.
-func TestConfigKeyExclusionListPinned(t *testing.T) {
-	pinned := []string{"record_traffic"}
-
-	runtime := scenario.ConfigKeyExcluded()
-	slices.Sort(runtime)
-	if !slices.Equal(runtime, pinned) {
-		t.Errorf("scenario.ConfigKeyExcluded() = %v, invariance tests pin %v", runtime, pinned)
-	}
-
-	wd, err := os.Getwd()
-	if err != nil {
-		t.Fatal(err)
-	}
-	pkgs, err := lint.Load(wd, "repro/internal/scenario")
-	if err != nil {
-		t.Fatal(err)
-	}
-	var declared []string
-	for _, pkg := range pkgs {
-		if pkg.Path == "repro/internal/scenario" {
-			declared = lint.ExclusionList(pkg)
-		}
-	}
-	slices.Sort(declared)
-	if !slices.Equal(declared, pinned) {
-		t.Errorf("configKeyExcluded in scenario source = %v, invariance tests pin %v", declared, pinned)
-	}
 }
 
 // TestQuantovetTreeClean is the acceptance gate in test form: the whole tree

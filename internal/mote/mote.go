@@ -35,10 +35,8 @@ type Options struct {
 	// Volts is the supply voltage (3.0 V by default; the paper's LPL mote
 	// ran from a 3.35 V regulator).
 	Volts units.Volts
-	// Kernel carries the OS options (sleep state, DCO calibration, costs).
+	// Kernel carries the OS options (DCO calibration).
 	Kernel kernel.Options
-	// MeterGain distorts the iCount measurement (1.0 = calibrated).
-	MeterGain float64
 	// Radio enables the transceiver and Active Message stack.
 	Radio bool
 	// RadioConfig configures the transceiver when Radio is set.
@@ -52,9 +50,6 @@ type Options struct {
 	// self-accounting "Quanto" activity (Section 4.4). Incompatible with
 	// RAMBufferEntries.
 	ContinuousDrain bool
-	// DrainCostPerEntry is the CPU cost of pushing one entry over the back
-	// channel in continuous mode (default 120 cycles).
-	DrainCostPerEntry uint32
 	// BatteryUAH, when positive, powers the node from a finite battery of
 	// that many microamp-hours instead of an infinite supply. The node
 	// browns out at the exact instant the integrated net charge crosses
@@ -73,12 +68,12 @@ type Options struct {
 
 // DefaultOptions returns the standard single-node configuration.
 func DefaultOptions() Options {
-	return Options{
-		Volts:     3.0,
-		MeterGain: 1.0,
-		Kernel:    kernel.DefaultOptions(),
-	}
+	return Options{Volts: 3.0}
 }
+
+// drainCostPerEntry is the CPU cost, in cycles, of pushing one entry over
+// the back channel in continuous-drain mode.
+const drainCostPerEntry = 120
 
 // Node is one fully assembled mote.
 type Node struct {
@@ -137,13 +132,9 @@ type World struct {
 
 	// Deaths lists battery depletions in the order they occurred.
 	Deaths []Death
-	// OnDeath, when set, observes each depletion right after the node has
-	// been halted (apps use it to count cascade effects).
-	OnDeath func(n *Node, at units.Ticks)
-	// deathSubs are additional depletion observers (SubscribeDeath), called
-	// after OnDeath in subscription order. The routing layer uses this to
-	// turn battery deaths into topology events without claiming the single
-	// OnDeath slot apps already own.
+	// deathSubs are the depletion observers (SubscribeDeath), called in
+	// subscription order. The routing layer uses this to turn battery
+	// deaths into topology events.
 	deathSubs []func(n *Node, at units.Ticks)
 
 	seed uint64
@@ -176,17 +167,10 @@ func (w *World) AddNode(id core.NodeID, opts Options) *Node {
 	if opts.Volts == 0 {
 		opts.Volts = 3.0
 	}
-	if opts.MeterGain == 0 {
-		opts.MeterGain = 1.0
-	}
-	if opts.Kernel == (kernel.Options{}) {
-		opts.Kernel = kernel.DefaultOptions()
-	}
 
 	k := kernel.New(w.Sim, id, w.Dict, opts.Kernel, w.seed)
 
 	meter := icount.New(opts.Volts, k.NowTicks)
-	meter.SetGain(opts.MeterGain)
 	board := power.NewBoard(opts.Volts, power.Calibrated(), k.NowTicks)
 
 	log := core.NewCollector()
@@ -195,13 +179,9 @@ func (w *World) AddNode(id core.NodeID, opts Options) *Node {
 	var drain *core.DrainSink
 	switch {
 	case opts.ContinuousDrain:
-		cost := opts.DrainCostPerEntry
-		if cost == 0 {
-			cost = 120
-		}
 		quantoAct := k.DefineActivity("Quanto")
 		ram = core.NewRAMBuffer(core.DefaultRAMBufferEntries)
-		drain = core.NewDrainSink(ram, log, k, quantoAct, 64, cost)
+		drain = core.NewDrainSink(ram, log, k, quantoAct, 64, drainCostPerEntry)
 		sink = drain
 	case opts.RAMBufferEntries > 0:
 		ram = core.NewRAMBuffer(opts.RAMBufferEntries)
@@ -223,7 +203,7 @@ func (w *World) AddNode(id core.NodeID, opts Options) *Node {
 	// The always-on board draw and the CPU.
 	board.AddSink(power.ResBaseline, power.StateOff)
 	k.Attach(trk)
-	board.AddSink(power.ResCPU, opts.Kernel.SleepState)
+	board.AddSink(power.ResCPU, kernel.SleepState)
 
 	n := &Node{
 		ID:    id,
@@ -312,9 +292,6 @@ func (w *World) killNode(n *Node, at units.Ticks, haltWorld bool) {
 	n.Board.Shutdown()
 	n.K.Kill()
 	w.Deaths = append(w.Deaths, Death{Node: n.ID, At: at})
-	if w.OnDeath != nil {
-		w.OnDeath(n, at)
-	}
 	for _, sub := range w.deathSubs {
 		sub(n, at)
 	}
@@ -357,9 +334,9 @@ func (w *World) StampEnd() {
 	}
 }
 
-// SubscribeDeath adds a depletion observer without displacing OnDeath.
-// Subscribers run in subscription order, after OnDeath, inside the death
-// event itself — the node is already off the air and killed.
+// SubscribeDeath adds a depletion observer. Subscribers run in subscription
+// order inside the death event itself — the node is already off the air and
+// killed.
 func (w *World) SubscribeDeath(fn func(n *Node, at units.Ticks)) {
 	w.deathSubs = append(w.deathSubs, fn)
 }

@@ -14,11 +14,11 @@ import (
 // DefaultBeaconPeriod spaces routing beacons one second apart.
 const DefaultBeaconPeriod = units.Second
 
-// DefaultEnergyWeight is the parent-selection bias against energy-poor
-// parents: an empty battery costs this many extra ETX in the comparison
-// (never in the advertised cost). Half an expected transmission breaks ties
-// toward fresher parents without overriding real link quality.
-const DefaultEnergyWeight = 0.5
+// energyWeight is the parent-selection bias against energy-poor parents: an
+// empty battery costs this many extra ETX in the comparison (never in the
+// advertised cost). Half an expected transmission breaks ties toward
+// fresher parents without overriding real link quality.
+const energyWeight = 0.5
 
 // switchHysteresis is how much better (in selection cost) a candidate must
 // be before the router abandons a live parent — the standard CTP guard
@@ -69,9 +69,6 @@ type Config struct {
 	// share a tick — the same tie-freedom discipline the relay's staggered
 	// generators follow.
 	Phase units.Ticks
-	// EnergyWeight biases parent selection against low-margin parents
-	// (negative: no bias; zero selects DefaultEnergyWeight).
-	EnergyWeight float64
 }
 
 // RouterStats is a snapshot of one router's counters.
@@ -108,12 +105,6 @@ type Router struct {
 func NewRouter(k *kernel.Kernel, a *am.AM, rad *radio.Radio, cfg Config) *Router {
 	if cfg.BeaconPeriod <= 0 {
 		cfg.BeaconPeriod = DefaultBeaconPeriod
-	}
-	switch {
-	case cfg.EnergyWeight < 0:
-		cfg.EnergyWeight = 0
-	case cfg.EnergyWeight == 0:
-		cfg.EnergyWeight = DefaultEnergyWeight
 	}
 	r := &Router{k: k, am: a, rad: rad, cfg: cfg, pathETX: math.Inf(1)}
 	if cfg.Root {
@@ -287,7 +278,7 @@ func (r *Router) reselect() {
 		if math.IsInf(nb.AdvETX, 1) {
 			continue
 		}
-		sel := nb.AdvETX + nb.LinkETX + r.cfg.EnergyWeight*(1-nb.Margin)
+		sel := nb.AdvETX + nb.LinkETX + energyWeight*(1-nb.Margin)
 		// Strict < keeps the lowest id on exact ties (the table is sorted).
 		if sel < bestSel {
 			best, bestSel = i, sel

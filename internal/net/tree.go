@@ -28,9 +28,6 @@ type TreeConfig struct {
 	Root core.NodeID
 	// BeaconPeriod spaces every node's beacons (default DefaultBeaconPeriod).
 	BeaconPeriod units.Ticks
-	// EnergyWeight biases parent selection against energy-poor parents
-	// (zero: DefaultEnergyWeight; negative: no bias).
-	EnergyWeight float64
 }
 
 // Tree runs one Router per node of a world and turns battery deaths into
@@ -62,7 +59,6 @@ func NewTree(w *mote.World, cfg TreeConfig) (*Tree, error) {
 			Root:         n.ID == cfg.Root,
 			BeaconPeriod: period,
 			Phase:        period + (units.Ticks(i)*beaconPhaseStep)%period,
-			EnergyWeight: cfg.EnergyWeight,
 		})
 		if n.Battery != nil {
 			rt.SetMarginFn(n.Battery.MarginFrac)

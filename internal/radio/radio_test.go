@@ -31,7 +31,7 @@ func newRig(t *testing.T, cfg Config) *rig {
 	rg := &rig{s: s, med: medium.New(s), dict: core.NewDictionary()}
 	for i := 0; i < 2; i++ {
 		id := core.NodeID(i + 1)
-		k := kernel.New(s, id, rg.dict, kernel.DefaultOptions(), 11)
+		k := kernel.New(s, id, rg.dict, kernel.Options{}, 11)
 		sink := core.NewCollector()
 		trk := core.NewTracker(core.Config{Node: id, Clock: k, Meter: zeroMeter{}, Cost: k, Sink: sink})
 		k.Attach(trk)

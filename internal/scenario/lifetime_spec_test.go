@@ -4,7 +4,6 @@ import (
 	"strings"
 	"testing"
 
-	"repro/internal/mote"
 	"repro/internal/power"
 	"repro/internal/scenario"
 )
@@ -65,25 +64,21 @@ func TestSpecBatteryValidation(t *testing.T) {
 	}
 }
 
-func TestApplyBatteryPerNodeOverride(t *testing.T) {
+func TestNodeOptionsPerNodeBattery(t *testing.T) {
 	s := validBatterySpec()
 	s.BatteryNodeUAH = map[string]float64{"2": 50, "3": 0}
 	s.Harvest = &scenario.HarvestSpec{Profile: "constant", UA: 200}
 	s.DeathPolicy = scenario.DeathPolicyHaltWorld
 
-	var o mote.Options
-	s.ApplyBattery(1, &o)
-	if o.BatteryUAH != 10 || o.Harvester == nil || !o.HaltWorldOnDeath {
+	if o := s.NodeOptions(1); o.BatteryUAH != 10 || o.Harvester == nil || !o.HaltWorldOnDeath {
 		t.Fatalf("node 1 options = %+v", o)
 	}
-	s.ApplyBattery(2, &o)
-	if o.BatteryUAH != 50 {
-		t.Fatalf("node 2 capacity = %v, want override 50", o.BatteryUAH)
+	if o := s.NodeOptions(2); o.BatteryUAH != 50 || o.Harvester == nil || !o.HaltWorldOnDeath {
+		t.Fatalf("node 2 options = %+v, want override 50 with the harvest and policy", o)
 	}
-	// Explicit 0 in the map clears the battery entirely, even over a
-	// previously-populated options struct.
-	s.ApplyBattery(3, &o)
-	if o.BatteryUAH != 0 || o.Harvester != nil || o.HaltWorldOnDeath {
+	// An explicit 0 in the map gives that node an infinite supply: no
+	// battery, no harvester, no death policy.
+	if o := s.NodeOptions(3); o.BatteryUAH != 0 || o.Harvester != nil || o.HaltWorldOnDeath {
 		t.Fatalf("node 3 should have infinite supply: %+v", o)
 	}
 }

@@ -217,8 +217,8 @@ func TestSeedSweepConflictsWithSeeds(t *testing.T) {
 }
 
 // TestGenericKnobsReachEveryApp: sweeping a generic node knob must change
-// the simulation for apps beyond blink (the builders thread MoteOptions
-// through as the config base).
+// the simulation for apps beyond blink (every app builds its nodes from
+// Spec.NodeOptions).
 func TestGenericKnobsReachEveryApp(t *testing.T) {
 	run := func(volts float64) *scenario.Result {
 		r := scenario.RunSpec(scenario.Spec{

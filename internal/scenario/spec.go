@@ -68,9 +68,8 @@ type Spec struct {
 	// default 3); other apps have fixed topologies.
 	Nodes int `json:"nodes,omitempty"`
 	// Channel is the 802.15.4 channel, 11..26 (17 overlaps 802.11b
-	// channel 6; 26 is clear). 0 selects the app default (26, except the
-	// LPL study's channel comparison). Honored by: bounce, lpl, relay,
-	// sensesend.
+	// channel 6; 26 is clear). 0 selects 26, the channel dma always uses.
+	// Honored by: bounce, lpl, relay, sensesend.
 	Channel int `json:"channel,omitempty"`
 	// Volts overrides the supply voltage in volts. Default 3.0 V (lpl:
 	// 3.35 V, the paper's regulator). Honored by: all apps.
@@ -122,7 +121,7 @@ type Spec struct {
 	// check, in microseconds. 0 selects 9.4 ms. Honored by: lpl.
 	ReceiveCheckUS int64 `json:"receive_check_us,omitempty"`
 	// FalsePositiveHoldUS is how long the LPL receiver is held on after
-	// detecting energy, in microseconds. 0 selects the paper's ~100 ms.
+	// detecting energy, in microseconds. 0 selects the paper's 100 ms.
 	// Honored by: lpl.
 	FalsePositiveHoldUS int64 `json:"false_positive_hold_us,omitempty"`
 	// NoWiFi disables the interfering 802.11b access point that the LPL
@@ -322,8 +321,8 @@ func (s *Spec) Positions(n int) ([]medium.Position, error) {
 }
 
 // ApplySpatial configures the world's medium per the spec's placement
-// fields. App builders call it once, after every node has been added; with
-// no placement configured it is a no-op and the world keeps the legacy
+// fields. App constructors call it once, after every node has been added;
+// with no placement configured it is a no-op and the world keeps the legacy
 // broadcast medium.
 func (s *Spec) ApplySpatial(w *mote.World) error {
 	if s.Placement == "" {
@@ -424,55 +423,43 @@ func (s *Spec) hasBattery() bool {
 	return false
 }
 
-// ApplyBattery writes the spec's energy-budget knobs for the node with the
-// given id into o, overwriting whatever battery configuration o carried. App
-// builders call it once per node so per-node capacity overrides take effect;
-// single-node apps get it for free through MoteOptions.
-func (s *Spec) ApplyBattery(node int, o *mote.Options) {
+// Duration returns the run length as simulator ticks.
+func (s *Spec) Duration() units.Ticks { return units.Ticks(s.DurationUS) }
+
+// NodeOptions returns the mote options of the node with the given id: the
+// spec's voltage, DCO calibration, logging mode and energy budget, where
+// BatteryNodeUAH overrides BatteryUAH for that id. Apps set the radio and
+// any app-specific voltage on top.
+func (s *Spec) NodeOptions(id core.NodeID) mote.Options {
+	o := mote.DefaultOptions()
+	if s.Volts > 0 {
+		o.Volts = units.Volts(s.Volts)
+	}
+	o.Kernel.CalibrateDCO = s.CalibrateDCO
+	o.RAMBufferEntries = s.RAMBufferEntries
+	o.ContinuousDrain = s.ContinuousDrain
 	capUAH := s.BatteryUAH
-	if v, ok := s.BatteryNodeUAH[strconv.Itoa(node)]; ok {
+	if v, ok := s.BatteryNodeUAH[strconv.Itoa(int(id))]; ok {
 		capUAH = v
 	}
 	if capUAH <= 0 {
-		o.BatteryUAH, o.Harvester, o.HaltWorldOnDeath = 0, nil, false
-		return
+		return o
 	}
 	o.BatteryUAH = capUAH
-	o.Harvester = nil
 	if s.Harvest != nil {
-		// Build always runs Validate before any builder calls ApplyBattery,
-		// so an invalid harvest spec has been rejected by the time this err
-		// guard can trigger; it only shields direct callers.
+		// Build runs Validate before any app asks for options, so an
+		// invalid harvest spec has been rejected by then; this guard only
+		// shields direct callers.
 		if h, err := s.Harvest.Harvester(); err == nil {
 			o.Harvester = h
 		}
 	}
 	o.HaltWorldOnDeath = s.DeathPolicy == DeathPolicyHaltWorld
-}
-
-// Duration returns the run length as simulator ticks.
-func (s *Spec) Duration() units.Ticks { return units.Ticks(s.DurationUS) }
-
-// MoteOptions translates the spec's generic node knobs into mote options,
-// starting from the standard single-node configuration. The battery knobs
-// are applied for node 1; multi-node apps re-apply them per node with
-// ApplyBattery so BatteryNodeUAH overrides land on the right mote.
-func (s *Spec) MoteOptions() mote.Options {
-	o := mote.DefaultOptions()
-	if s.Volts > 0 {
-		o.Volts = units.Volts(s.Volts)
-	}
-	if s.CalibrateDCO {
-		o.Kernel.CalibrateDCO = true
-	}
-	o.RAMBufferEntries = s.RAMBufferEntries
-	o.ContinuousDrain = s.ContinuousDrain
-	s.ApplyBattery(1, &o)
 	return o
 }
 
 // Validate checks the fields every app needs; app-specific constraints live
-// in the registered builders.
+// in the app constructors and registered builders.
 func (s *Spec) Validate() error {
 	if s.App == "" {
 		return fmt.Errorf("scenario: spec has no app")
@@ -602,9 +589,9 @@ func (s *Spec) Validate() error {
 
 // TrafficSources builds the per-sender send schedules (and, when the spec
 // asks for recording, the recorder) for the given sender ids, in slot order.
-// App builders call it with the node ids of the senders the spec's traffic
-// shape drives; a nil-Traffic spec returns all nils and the app drives its
-// default schedule. Replay specs read their trace file here, so an
+// App constructors call it with the node ids of the senders the spec's
+// traffic shape drives; a nil-Traffic spec returns all nils and the app
+// drives its default schedule. Replay specs read their trace file here, so an
 // unreadable or malformed trace fails the build, not the run.
 func (s *Spec) TrafficSources(ids []core.NodeID) ([]traffic.Source, *traffic.Recorder, error) {
 	if s.Traffic == nil {
