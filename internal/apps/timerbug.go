@@ -13,9 +13,9 @@ const timerBugNode core.NodeID = 32
 // TimerBug reproduces the paper's second case study (Figure 15): a trivial
 // timer-driven application whose Quanto trace revealed that TimerA1 fires
 // sixteen times per second to calibrate the digital oscillator — even though
-// nothing in the application needs asynchronous serial communication. The
-// kernel enables DCO calibration by default, exactly as TinyOS did, so the
-// "surprise" shows up unless the application explicitly disables it.
+// nothing in the application needs asynchronous serial communication.
+// TinyOS enabled DCO calibration by default; the simulated kernel leaves it
+// off unless the spec sets CalibrateDCO, which recreates the surprise.
 type TimerBug struct {
 	World *mote.World
 	Node  *mote.Node
@@ -25,8 +25,8 @@ type TimerBug struct {
 
 // NewTimerBug builds the single-node world the spec describes (node id 32,
 // as in the figure) running two LED activities. The spec's CalibrateDCO
-// selects whether the DCO calibration timer runs (the buggy TinyOS default)
-// or not (the fix).
+// selects whether the DCO calibration timer runs (the TinyOS default that
+// surprised its developers) or not (the fix).
 func NewTimerBug(spec scenario.Spec) *TimerBug {
 	w := mote.NewWorld(spec.Seed)
 	n := w.AddNode(timerBugNode, spec.NodeOptions(timerBugNode))

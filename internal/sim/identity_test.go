@@ -69,8 +69,8 @@ func heapTraces(t *testing.T, spec scenario.Spec) ([]byte, map[string]float64) {
 // reference binary-heap queue.
 func TestWheelHeapTraceIdentity(t *testing.T) {
 	variants := identityVariants(t)
-	// Every registered app must appear above: a new app cannot ship without
-	// joining the differential suite.
+	// Every registered app must have a variant: a new app cannot ship
+	// without joining the differential suite.
 	covered := make(map[string]bool)
 	for _, v := range variants {
 		covered[v.App] = true
