@@ -5,15 +5,17 @@
 //
 //	quanto [-seed N] [-list] [experiment ...]
 //
-// With no arguments every experiment runs in paper order. Experiment names:
+// With no arguments every experiment runs in paper order, followed by the
+// network-wide footprint. -list prints the experiment names in that order:
 // table1, fig10, table2, fig11, table3, fig12, fig13, fig14, fig15, fig16,
-// table4, table5.
+// table4, table5, network.
 package main
 
 import (
 	"flag"
 	"fmt"
 	"os"
+	"slices"
 
 	"repro/internal/experiments"
 )
@@ -23,44 +25,29 @@ func main() {
 	list := flag.Bool("list", false, "list experiment names and exit")
 	flag.Parse()
 
-	runners := map[string]func(uint64) (*experiments.Report, error){
-		"table1": func(uint64) (*experiments.Report, error) { return experiments.Table1(), nil },
-		"fig10":  experiments.Figure10,
-		"table2": experiments.Table2,
-		"fig11":  experiments.Figure11,
-		"table3": experiments.Table3,
-		"fig12":  experiments.Figure12,
-		"fig13":  experiments.Figure13,
-		"fig14":  experiments.Figure14,
-		"fig15":  experiments.Figure15,
-		"fig16":  experiments.Figure16,
-		"table4": experiments.Table4,
-		"table5": func(uint64) (*experiments.Report, error) { return experiments.Table5() },
-		// Beyond the paper's exhibits: the §5.3 network-wide footprint.
-		"network": experiments.NetworkFootprint,
-	}
-	order := []string{"table1", "fig10", "table2", "fig11", "table3", "fig12", "fig13", "fig14", "fig15", "fig16", "table4", "table5", "network"}
-
 	if *list {
-		for _, name := range order {
-			fmt.Println(name)
+		for _, e := range experiments.Exhibits {
+			fmt.Println(e.ID)
 		}
 		return
 	}
 
-	names := flag.Args()
-	if len(names) == 0 {
-		names = order
-	}
-	for _, name := range names {
-		run, ok := runners[name]
-		if !ok {
-			fmt.Fprintf(os.Stderr, "quanto: unknown experiment %q (use -list)\n", name)
-			os.Exit(2)
+	run := experiments.Exhibits
+	if flag.NArg() > 0 {
+		run = nil
+		for _, name := range flag.Args() {
+			i := slices.IndexFunc(experiments.Exhibits, func(e experiments.Exhibit) bool { return e.ID == name })
+			if i < 0 {
+				fmt.Fprintf(os.Stderr, "quanto: unknown experiment %q (use -list)\n", name)
+				os.Exit(2)
+			}
+			run = append(run, experiments.Exhibits[i])
 		}
-		rep, err := run(*seed)
+	}
+	for _, e := range run {
+		rep, err := e.Run(*seed)
 		if err != nil {
-			fmt.Fprintf(os.Stderr, "quanto: %s: %v\n", name, err)
+			fmt.Fprintf(os.Stderr, "quanto: %s: %v\n", e.ID, err)
 			os.Exit(1)
 		}
 		fmt.Println(rep.String())

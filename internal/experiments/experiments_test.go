@@ -247,8 +247,8 @@ func TestAllRunsEveryExperiment(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(reports) != 12 {
-		t.Fatalf("ran %d experiments, want 12", len(reports))
+	if len(reports) != 13 {
+		t.Fatalf("ran %d experiments, want 13", len(reports))
 	}
 	seen := make(map[string]bool)
 	for _, r := range reports {

@@ -78,32 +78,43 @@ func labelName(w *mote.World, l core.Label) string {
 	return w.Dict.LabelName(l)
 }
 
-// All runs every experiment with the given seed and returns the reports in
-// paper order. It is the backbone of cmd/quanto and the benchmark suite.
+// Exhibit is one experiment harness: a table or figure of the paper's
+// evaluation, or an exhibit beyond it.
+type Exhibit struct {
+	// ID names the exhibit on cmd/quanto's command line; its report
+	// carries the same ID.
+	ID string
+	// Run renders the exhibit's report from the seed.
+	Run func(seed uint64) (*Report, error)
+}
+
+// Exhibits lists every harness in report order: the paper's tables and
+// figures in paper order, then the network-wide footprint of §5.3. It is
+// what cmd/quanto runs and lists.
+var Exhibits = []Exhibit{
+	{"table1", func(uint64) (*Report, error) { return Table1(), nil }},
+	{"fig10", Figure10},
+	{"table2", Table2},
+	{"fig11", Figure11},
+	{"table3", Table3},
+	{"fig12", Figure12},
+	{"fig13", Figure13},
+	{"fig14", Figure14},
+	{"fig15", Figure15},
+	{"fig16", Figure16},
+	{"table4", Table4},
+	{"table5", func(uint64) (*Report, error) { return Table5() }},
+	{"network", NetworkFootprint},
+}
+
+// All runs every exhibit with the given seed and returns the reports in
+// Exhibits order.
 func All(seed uint64) ([]*Report, error) {
-	type mk struct {
-		name string
-		fn   func(uint64) (*Report, error)
-	}
-	order := []mk{
-		{"table1", func(uint64) (*Report, error) { return Table1(), nil }},
-		{"fig10", Figure10},
-		{"table2", Table2},
-		{"fig11", Figure11},
-		{"table3", Table3},
-		{"fig12", Figure12},
-		{"fig13", Figure13},
-		{"fig14", Figure14},
-		{"fig15", Figure15},
-		{"fig16", Figure16},
-		{"table4", Table4},
-		{"table5", func(uint64) (*Report, error) { return Table5() }},
-	}
 	var out []*Report
-	for _, m := range order {
-		r, err := m.fn(seed)
+	for _, e := range Exhibits {
+		r, err := e.Run(seed)
 		if err != nil {
-			return out, fmt.Errorf("experiment %s: %w", m.name, err)
+			return out, fmt.Errorf("experiment %s: %w", e.ID, err)
 		}
 		out = append(out, r)
 	}

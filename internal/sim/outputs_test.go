@@ -1,8 +1,8 @@
-// Output pins: SHA-256 hashes of what every identity variant simulates,
-// committed in testdata/outputs.json. The wheel-vs-heap test compares two
-// queues within one build; the pins compare this build against the one that
-// wrote the file, so a change that moves output the same way on both queues
-// still shows.
+// Output pins: SHA-256 hashes of what every identity variant simulates and
+// of every experiment report but Table 5, committed in testdata/outputs.json.
+// The wheel-vs-heap test compares two queues within one build; the pins
+// compare this build against the one that wrote the file, so a change that
+// moves output the same way on both queues still shows.
 //
 // Recompute and compare:
 //
@@ -21,6 +21,7 @@ import (
 	"encoding/hex"
 	"encoding/json"
 	"flag"
+	"fmt"
 	"maps"
 	"os"
 	"runtime"
@@ -28,6 +29,7 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/experiments"
 	"repro/internal/scenario"
 )
 
@@ -35,11 +37,13 @@ var update = flag.Bool("update", false, "rewrite testdata/outputs.json from this
 
 const pinFile = "testdata/outputs.json"
 
-// pin is one variant's output: the hash of its encoded node traces and the
-// hash of its RunSpec Result JSON.
+// pin is one pinned output. An identity variant's pin holds the hash of its
+// encoded node traces and the hash of its RunSpec Result JSON; an exhibit's
+// holds the hash of its rendered report.
 type pin struct {
-	Traces string `json:"traces"`
-	Result string `json:"result"`
+	Traces string `json:"traces,omitempty"`
+	Result string `json:"result,omitempty"`
+	Report string `json:"report,omitempty"`
 }
 
 func sha(b []byte) string {
@@ -47,9 +51,10 @@ func sha(b []byte) string {
 	return hex.EncodeToString(sum[:])
 }
 
-// TestOutputPins recomputes every identity variant's pins at each pin seed
-// and names each pin that differs from testdata/outputs.json. Pins are keyed
-// by the variant's subtest name under TestWheelHeapTraceIdentity.
+// TestOutputPins recomputes every identity variant's and every exhibit's
+// pins at each pin seed and names each pin that differs from
+// testdata/outputs.json. A variant's pins are keyed by its subtest name under
+// TestWheelHeapTraceIdentity, an exhibit's by "exhibit/<id>/seed=N".
 func TestOutputPins(t *testing.T) {
 	if runtime.GOARCH != "amd64" {
 		// The compiler fuses multiply-adds on arm64, ppc64le, s390x and
@@ -80,6 +85,22 @@ func TestOutputPins(t *testing.T) {
 					t.Fatalf("marshal result: %v", err)
 				}
 				got[strings.TrimPrefix(t.Name(), "TestOutputPins/")] = pin{Traces: sha(traces), Result: sha(rj)}
+			})
+		}
+	}
+	for _, e := range experiments.Exhibits {
+		if e.ID == "table5" {
+			// Table 5 counts this repository's own source lines, so any
+			// refactor moves it while nothing simulated moves.
+			continue
+		}
+		for _, seed := range pinSeeds {
+			t.Run(fmt.Sprintf("exhibit/%s/seed=%d", e.ID, seed), func(t *testing.T) {
+				r, err := e.Run(seed)
+				if err != nil {
+					t.Fatalf("run: %v", err)
+				}
+				got[strings.TrimPrefix(t.Name(), "TestOutputPins/")] = pin{Report: sha([]byte(r.String()))}
 			})
 		}
 	}
@@ -122,6 +143,9 @@ func TestOutputPins(t *testing.T) {
 			}
 			if g.Result != w.Result {
 				what = append(what, "result")
+			}
+			if g.Report != w.Report {
+				what = append(what, "report")
 			}
 			moved = append(moved, name+": "+strings.Join(what, " and ")+" moved")
 		}
