@@ -48,17 +48,18 @@
 // Synthetic traffic rides the same spec: give the spec a "traffic" object
 // (shape constant/ramp/burst/diurnal/onoff/replay plus its knobs) and the
 // send-driven apps (relay, bounce, sensesend) draw their schedules from it.
-// The -traffic flag overrides every expanded run's shape from the command
-// line — a what-if convenience applied after matrix expansion, so derived
-// seeds keep the file's configuration identity:
+// A shape is set, or swept, in the spec file like every other field:
 //
 //	echo '{"app": "relay", "nodes": 16, "origins": 4, "duration_us": 5000000,
-//	       "seed": 1, "placement": "line"}' |
-//	  quanto-trace sweep -traffic '{"shape":"ramp","start_rps":2,"step_rps":2,"target_rps":10,"slot_us":1000000}' -
+//	       "seed": 1, "placement": "line",
+//	       "traffic": {"shape": "ramp", "start_rps": 2, "step_rps": 2,
+//	                   "target_rps": 10, "slot_us": 1000000}}' |
+//	  quanto-trace sweep -
 //
-// record runs one shaped spec and writes the realized send schedule as JSONL
-// (header line, then {"node":N,"at_us":T} per send). A later run with
-// {"shape":"replay","file":...} reproduces the recorded run byte for byte:
+// record runs one spec that sets a traffic shape and writes the realized
+// send schedule as JSONL (header line, then {"node":N,"at_us":T} per send).
+// A later run with {"shape":"replay","file":...} reproduces the recorded run
+// byte for byte:
 //
 //	quanto-trace record trace.jsonl spec.json
 //
@@ -93,7 +94,6 @@ import (
 	"runtime"
 	"runtime/pprof"
 	"sort"
-	"strings"
 
 	"repro/internal/analysis"
 	"repro/internal/apps"
@@ -101,7 +101,6 @@ import (
 	"repro/internal/icount"
 	"repro/internal/scenario"
 	"repro/internal/trace"
-	"repro/internal/traffic"
 	"repro/internal/units"
 )
 
@@ -130,7 +129,6 @@ func run(args []string, stderr io.Writer) int {
 	workers := fs.Int("workers", 0, "worker pool size, 0 = GOMAXPROCS (sweep, lifetime)")
 	listApps := fs.Bool("apps", false, "list registered scenario apps and exit (sweep)")
 	jsonOut := fs.Bool("json", false, "emit the report as JSON instead of a table (lifetime)")
-	trafficJSON := fs.String("traffic", "", `override every run's traffic shape with this JSON object, e.g. '{"shape":"constant","rps":10}' (sweep, lifetime, record)`)
 	cpuprofile := fs.String("cpuprofile", "", "write a CPU profile of the command to this file (sweep, lifetime)")
 	memprofile := fs.String("memprofile", "", "write an allocation profile of the command to this file (sweep, lifetime)")
 	if err := fs.Parse(args[1:]); err != nil {
@@ -145,12 +143,6 @@ func run(args []string, stderr io.Writer) int {
 	}
 	if *secs <= 0 {
 		fmt.Fprintf(stderr, "quanto-trace: -secs must be > 0, got %d\n", *secs)
-		usage(stderr)
-		return 2
-	}
-	shape, err := parseTraffic(*trafficJSON)
-	if err != nil {
-		fmt.Fprintf(stderr, "quanto-trace: -traffic: %v\n", err)
 		usage(stderr)
 		return 2
 	}
@@ -185,6 +177,7 @@ func run(args []string, stderr io.Writer) int {
 		}()
 	}
 
+	var err error
 	switch cmd {
 	case "gen":
 		if fs.NArg() != 1 {
@@ -215,19 +208,19 @@ func run(args []string, stderr io.Writer) int {
 			usage(stderr)
 			return 2
 		}
-		err = sweep(fs.Arg(0), *workers, shape)
+		err = sweep(fs.Arg(0), *workers)
 	case "lifetime":
 		if fs.NArg() != 1 {
 			usage(stderr)
 			return 2
 		}
-		err = lifetime(fs.Arg(0), *workers, *jsonOut, shape)
+		err = lifetime(fs.Arg(0), *workers, *jsonOut)
 	case "record":
 		if fs.NArg() != 2 {
 			usage(stderr)
 			return 2
 		}
-		err = record(fs.Arg(0), fs.Arg(1), shape)
+		err = record(fs.Arg(0), fs.Arg(1))
 	default:
 		fmt.Fprintf(stderr, "quanto-trace: unknown subcommand %q\n", cmd)
 		usage(stderr)
@@ -244,9 +237,9 @@ func usage(w io.Writer) {
 	fmt.Fprintln(w, `usage: quanto-trace gen|dump|summary [flags] FILE
        quanto-trace analyze FILE...     (one log per node; not merge output)
        quanto-trace merge OUT FILE...   (output has no node ids: for dump/summary)
-       quanto-trace sweep [-workers N] [-apps] [-traffic JSON] [-cpuprofile F] [-memprofile F] FILE
-       quanto-trace lifetime [-workers N] [-json] [-traffic JSON] [-cpuprofile F] [-memprofile F] FILE
-       quanto-trace record [-traffic JSON] OUT FILE
+       quanto-trace sweep [-workers N] [-apps] [-cpuprofile F] [-memprofile F] FILE
+       quanto-trace lifetime [-workers N] [-json] [-cpuprofile F] [-memprofile F] FILE
+       quanto-trace record OUT FILE     (FILE must set a traffic shape)
 FILE/OUT may be "-" for stdin/stdout`)
 }
 
@@ -478,49 +471,11 @@ func printAnalysis(w io.Writer, a *analysis.Analysis) {
 	fmt.Fprintf(w, "\nreconstruction error: %.5f%%\n", a.ReconstructionError()*100)
 }
 
-// parseTraffic decodes and validates the -traffic JSON object ("" gives nil:
-// no override). A malformed object, an unknown field or an invalid shape is
-// a usage error, reported before any file is opened.
-func parseTraffic(trafficJSON string) (*traffic.Spec, error) {
-	if trafficJSON == "" {
-		return nil, nil
-	}
-	var ts traffic.Spec
-	dec := json.NewDecoder(strings.NewReader(trafficJSON))
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&ts); err != nil {
-		return nil, err
-	}
-	if err := ts.Validate(); err != nil {
-		return nil, err
-	}
-	return &ts, nil
-}
-
-// applyTraffic rewrites every spec's traffic shape from the -traffic flag
-// (nil: no override). The shape is configuration (it changes ConfigKey);
-// the flag is a post-expansion what-if override, so derived seeds keep the
-// file's configuration identity — handy for asking "same matrix, but under a
-// ramp" without editing the file.
-func applyTraffic(specs []scenario.Spec, shape *traffic.Spec) error {
-	if shape == nil {
-		return nil
-	}
-	for i := range specs {
-		sp := *shape
-		specs[i].Traffic = &sp
-		if err := specs[i].Validate(); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
 // sweep expands a spec or matrix file and runs it over a worker pool,
 // streaming one JSON result line per run in matrix order and a final
 // aggregate line. The output bytes depend only on the matrix content — not
 // on the worker count or which run finishes first.
-func sweep(name string, workers int, shape *traffic.Spec) error {
+func sweep(name string, workers int) error {
 	in, err := openIn(name)
 	if err != nil {
 		return err
@@ -532,9 +487,6 @@ func sweep(name string, workers int, shape *traffic.Spec) error {
 	}
 	specs, err := scenario.ParseSpecOrMatrix(data)
 	if err != nil {
-		return err
-	}
-	if err := applyTraffic(specs, shape); err != nil {
 		return err
 	}
 	effective := workers
@@ -589,7 +541,7 @@ func sweep(name string, workers int, shape *traffic.Spec) error {
 // kept delivering. In -json mode a routed study nests both reports as
 // {"lifetime": ..., "routes": ...}; unrouted studies keep the legacy
 // single-report shape.
-func lifetime(name string, workers int, jsonOut bool, shape *traffic.Spec) error {
+func lifetime(name string, workers int, jsonOut bool) error {
 	in, err := openIn(name)
 	if err != nil {
 		return err
@@ -601,9 +553,6 @@ func lifetime(name string, workers int, jsonOut bool, shape *traffic.Spec) error
 	}
 	specs, err := scenario.ParseSpecOrMatrix(data)
 	if err != nil {
-		return err
-	}
-	if err := applyTraffic(specs, shape); err != nil {
 		return err
 	}
 	fmt.Fprintf(os.Stderr, "lifetime: %d runs\n", len(specs))
@@ -657,12 +606,11 @@ func lifetime(name string, workers int, jsonOut bool, shape *traffic.Spec) error
 	return nil
 }
 
-// record runs one shaped spec with send-schedule recording on and writes the
-// realized schedule as JSONL to OUT. The input must expand to exactly one run
-// whose app honors a traffic shape; the shape comes from the spec's own
-// traffic field or the -traffic flag. The written file feeds straight back in
-// as {"shape": "replay", "file": ...}, reproducing the run byte for byte.
-func record(outName, name string, shape *traffic.Spec) error {
+// record runs one shaped spec and writes its realized send schedule as JSONL
+// to OUT. The input must expand to exactly one run whose spec sets a traffic
+// shape its app honors. The written file feeds straight back in as
+// {"shape": "replay", "file": ...}, reproducing the run byte for byte.
+func record(outName, name string) error {
 	in, err := openIn(name)
 	if err != nil {
 		return err
@@ -679,14 +627,10 @@ func record(outName, name string, shape *traffic.Spec) error {
 	if len(specs) != 1 {
 		return fmt.Errorf("record needs exactly one run, matrix expands to %d", len(specs))
 	}
-	if err := applyTraffic(specs, shape); err != nil {
-		return err
-	}
 	spec := specs[0]
 	if spec.Traffic == nil {
-		return fmt.Errorf("record needs a traffic shape: set the spec's traffic field or pass -traffic")
+		return fmt.Errorf("record needs a traffic shape: set the spec's traffic field")
 	}
-	spec.RecordTraffic = true
 	inst, err := scenario.Build(spec)
 	if err != nil {
 		return err

@@ -47,25 +47,11 @@ func TestRunUsageErrors(t *testing.T) {
 			code:   2,
 			stderr: []string{"-queue", "usage: quanto-trace"},
 		},
-		// -traffic is checked before the spec is read: the missing spec
-		// file would exit 1 if it were opened first.
 		{
-			name:   "traffic malformed JSON",
-			args:   []string{"sweep", "-traffic", `{"shape":`, "/no/such/spec.json"},
+			name:   "unknown traffic flag",
+			args:   []string{"record", "-traffic", `{"shape":"constant","rps":5}`, "out.jsonl", "spec.json"},
 			code:   2,
 			stderr: []string{"-traffic", "usage: quanto-trace"},
-		},
-		{
-			name:   "traffic unknown field",
-			args:   []string{"lifetime", "-traffic", `{"shape":"constant","rps":5,"burst":1}`, "/no/such/spec.json"},
-			code:   2,
-			stderr: []string{`unknown field "burst"`, "usage: quanto-trace"},
-		},
-		{
-			name:   "traffic invalid shape",
-			args:   []string{"record", "-traffic", `{"shape":"constant","rps":0}`, "out.jsonl", "/no/such/spec.json"},
-			code:   2,
-			stderr: []string{"constant shape needs rps > 0", "usage: quanto-trace"},
 		},
 		{
 			name:   "negative workers",

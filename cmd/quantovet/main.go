@@ -1,8 +1,7 @@
 // quantovet is the repo's determinism linter: a multichecker running the
-// internal/lint analyzers (maporder, wallclock, configkey, rngdomain) over
-// the given package patterns, so violations of the byte-identical-replay
-// contract fail `go run ./cmd/quantovet ./...` — and CI — before a sweep
-// ever runs.
+// internal/lint analyzers (maporder, wallclock, rngdomain) over the given
+// package patterns, so violations of the byte-identical-replay contract fail
+// `go run ./cmd/quantovet ./...` — and CI — before a sweep ever runs.
 //
 // Usage:
 //

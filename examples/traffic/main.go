@@ -56,7 +56,6 @@ func recordReplay(seed uint64, secs int, out string) {
 			BurstUS:  int64(100 * units.Millisecond),
 			PeriodUS: int64(500 * units.Millisecond),
 		},
-		RecordTraffic: true,
 	}
 	in, err := scenario.Build(spec)
 	if err != nil {
@@ -88,7 +87,6 @@ func recordReplay(seed uint64, secs int, out string) {
 	fmt.Printf("recorded:    %d sends -> %s\n", len(in.Traffic.Events()), out)
 
 	replay := spec
-	replay.RecordTraffic = false
 	replay.Traffic = &traffic.Spec{Shape: traffic.ShapeReplay, File: out}
 	rin, err := scenario.Build(replay)
 	if err != nil {

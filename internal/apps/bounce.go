@@ -47,7 +47,7 @@ type Bounce struct {
 	injectDrops uint64
 	holdDrops   uint64
 
-	// traffic records each node's realized injections when the spec asks.
+	// traffic records each node's realized injections under a traffic shape.
 	traffic *traffic.Recorder
 }
 

@@ -50,7 +50,7 @@ type Relay struct {
 	ttlDrops        uint64
 	lastDeliveredAt units.Ticks
 
-	// traffic records the origins' realized sends when the spec asks.
+	// traffic records the origins' realized sends under a traffic shape.
 	traffic *traffic.Recorder
 }
 

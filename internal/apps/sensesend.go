@@ -46,7 +46,7 @@ type SenseSend struct {
 	sampleOffered uint64
 	sampleSkipped uint64
 
-	// traffic records the sensor's realized samples when the spec asks.
+	// traffic records the sensor's realized samples under a traffic shape.
 	traffic *traffic.Recorder
 }
 

@@ -5,9 +5,8 @@
 // The simulator's load-bearing invariant — established by the scenario
 // layer's derived seeds and escalated by wheel/heap differential testing
 // and traffic record-and-replay — is that every run is a pure function of
-// its Spec and seed. The
-// trace-identity tests prove that after the fact; the analyzers here reject
-// the classic ways the contract silently rots:
+// its Spec and seed. The trace-identity tests prove that after the fact; the
+// three analyzers here reject the classic ways the contract silently rots:
 //
 //   - maporder: `for range` over a map in a deterministic package. Map
 //     iteration order is randomized per run, so any map-order-dependent
@@ -18,16 +17,14 @@
 //     time must flow from Ticks; all randomness from the domain-tagged
 //     streams `internal/sim/rng.go` derives. Waive with
 //     `//quanto:wallclock <reason>` (e.g. benchmarks' wall-clock reporting).
-//   - configkey: every scenario.Spec field must have a declared cache-key
-//     fate — serialized into ConfigKey, an identity field (seed/name), or on
-//     the single exclusion list of knobs proven not to change results — and
-//     the ConfigKey body must clear exactly the excluded+identity fields.
-//     Adding a Spec field without deciding is a lint error, because an
-//     undecided field silently poisons the ConfigKey-addressed result cache.
 //   - rngdomain: every sim.DeriveSeed / sim.DeriveRNG call site must pass a
 //     distinct compile-time domain tag, namespaced by its package. Two
 //     consumers sharing a stream is exactly the hidden coupling that broke
 //     determinism classes in PRs 5–8.
+//
+// The Spec's ConfigKey needs no analyzer: it is the Spec's JSON without name
+// and seed, and the scenario package's TestConfigKeyFields checks that
+// field by field.
 //
 // maporder and wallclock check the deterministic packages: repro/internal
 // and every package under it (see Deterministic), that is the simulator,
@@ -96,7 +93,7 @@ func (p *Pass) Reportf(pos token.Pos, format string, args ...any) {
 
 // Analyzers returns the full quantovet suite in reporting order.
 func Analyzers() []*Analyzer {
-	return []*Analyzer{MapOrder, WallClock, ConfigKey, RNGDomain}
+	return []*Analyzer{MapOrder, WallClock, RNGDomain}
 }
 
 // Run applies every analyzer in the suite to every package and returns the

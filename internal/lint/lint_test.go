@@ -35,15 +35,6 @@ func TestWallClock(t *testing.T) {
 	)
 }
 
-func TestConfigKey(t *testing.T) {
-	linttest.Run(t, testdata(t), lint.ConfigKey,
-		"configkey/good",    // consistent contract: silent
-		"configkey/bad",     // acceptance: undecided new field + every drift mode flagged
-		"configkey/missing", // lists absent: demanded
-		"configkey/nokey",   // Spec without ConfigKey: not a cache key, silent
-	)
-}
-
 func TestRNGDomain(t *testing.T) {
 	linttest.Run(t, testdata(t), lint.RNGDomain, "rngfix")
 }

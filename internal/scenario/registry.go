@@ -24,8 +24,9 @@ type Instance struct {
 	// run (wake-ups, packets delivered, false-positive rate, ...). They ride
 	// into Result.Metrics and from there into cross-run aggregation.
 	Metrics func() map[string]float64
-	// Traffic, when the spec set record_traffic, is the recorder holding the
-	// run's realized send schedule; write it out with WriteJSONL after Run.
+	// Traffic, when the spec sets a traffic shape, is the recorder holding
+	// the run's realized send schedule; write it out with WriteJSONL after
+	// Run. Nil for an app's default schedule.
 	Traffic *traffic.Recorder
 
 	// net memoizes Network's retained per-node view.

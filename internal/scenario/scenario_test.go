@@ -175,6 +175,11 @@ func TestParseSpecOrMatrix(t *testing.T) {
 		!strings.Contains(err.Error(), `unknown field "queue"`) {
 		t.Fatalf("queue field: err = %v, want unknown-field rejection", err)
 	}
+	// Nor is recording: every shaped run records its send schedule.
+	if _, err := scenario.ParseSpecOrMatrix([]byte(`{"app":"relay","duration_us":1000000,"traffic":{"shape":"constant","rps":2},"record_traffic":true}`)); err == nil ||
+		!strings.Contains(err.Error(), `unknown field "record_traffic"`) {
+		t.Fatalf("record_traffic field: err = %v, want unknown-field rejection", err)
+	}
 }
 
 // TestSweepSeedExactness: seeds beyond 2^53 must survive the matrix

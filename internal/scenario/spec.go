@@ -220,18 +220,13 @@ type Spec struct {
 	// record`). Shaped senders draw randomness only from private per-node
 	// streams derived from the run seed, and generated schedules are
 	// phase-staggered onto disjoint tick residues so no two senders share
-	// a send tick. This changes the workload, so it stays in ConfigKey and
-	// is sweepable like any other field. Default nil: the app's default
-	// schedule (relay and sensesend every period_us, bounce one injection
-	// per node). Honored by: relay (each origin's generation), bounce
-	// (each node's packet injection), sensesend (the sampling schedule).
+	// a send tick. A shaped run records its realized send schedule
+	// (Instance.Traffic), which `quanto-trace record` writes out. Sweepable
+	// like any other field. Default nil: the app's default schedule (relay
+	// and sensesend every period_us, bounce one injection per node).
+	// Honored by: relay (each origin's generation), bounce (each node's
+	// packet injection), sensesend (the sampling schedule).
 	Traffic *traffic.Spec `json:"traffic,omitempty"`
-	// RecordTraffic captures the run's realized send schedule in memory so
-	// it can be written out as a JSONL trace afterwards (Instance.Traffic;
-	// `quanto-trace record` sets this). Recording observes the run without
-	// changing it, so the flag is excluded from ConfigKey.
-	// Requires Traffic. Honored by: the same apps as Traffic.
-	RecordTraffic bool `json:"record_traffic,omitempty"`
 }
 
 // Death policies for Spec.DeathPolicy.
@@ -581,18 +576,15 @@ func (s *Spec) Validate() error {
 			return err
 		}
 	}
-	if s.RecordTraffic && s.Traffic == nil {
-		return fmt.Errorf("scenario: record_traffic requires a traffic shape")
-	}
 	return nil
 }
 
-// TrafficSources builds the per-sender send schedules (and, when the spec
-// asks for recording, the recorder) for the given sender ids, in slot order.
-// App constructors call it with the node ids of the senders the spec's
-// traffic shape drives; a nil-Traffic spec returns all nils and the app
-// drives its default schedule. Replay specs read their trace file here, so an
-// unreadable or malformed trace fails the build, not the run.
+// TrafficSources builds the per-sender send schedules for the given sender
+// ids, in slot order, and the recorder that captures the schedule they
+// realize. App constructors call it with the node ids of the senders the
+// spec's traffic shape drives; a nil-Traffic spec returns all nils and the
+// app drives its default schedule. Replay specs read their trace file here,
+// so an unreadable or malformed trace fails the build, not the run.
 func (s *Spec) TrafficSources(ids []core.NodeID) ([]traffic.Source, *traffic.Recorder, error) {
 	if s.Traffic == nil {
 		return nil, nil, nil
@@ -601,71 +593,19 @@ func (s *Spec) TrafficSources(ids []core.NodeID) ([]traffic.Source, *traffic.Rec
 	if err != nil {
 		return nil, nil, err
 	}
-	var rec *traffic.Recorder
-	if s.RecordTraffic {
-		rec = traffic.NewRecorder(ids)
-	}
-	return srcs, rec, nil
-}
-
-// Every Spec field has a declared cache-key fate, recorded in exactly one of
-// the three lists below (JSON wire names). ConfigKey is the cache key for
-// every sweep result — seed derivation hashes it, Aggregate groups by it,
-// and the sweep-as-a-service direction serves cached results by it — so an
-// undecided field would silently poison the key. quantovet's configkey
-// analyzer errors when a field is missing from all lists, listed twice, or
-// when ConfigKey's clears disagree with the excluded+identity lists; the
-// TestConfigKey* invariance tests pin at runtime what the lists promise.
-var (
-	// configKeyIncluded: configuration proper — the field changes results,
-	// so it is serialized into the key.
-	configKeyIncluded = []string{
-		"app", "duration_us", "nodes", "channel", "volts",
-		"calibrate_dco", "use_dma", "ram_buffer_entries", "continuous_drain",
-		"period_us", "origins", "hold_time_us", "payload_bytes", "start_at_us",
-		"check_period_us", "receive_check_us", "false_positive_hold_us",
-		"no_wifi", "wifi_burst_us", "wifi_gap_us",
-		"placement", "area_m", "path_loss_exp", "tx_range_m", "capture_db",
-		"routing", "beacon_period_ms", "mobility", "speed_mps",
-		"battery_uah", "battery_node_uah", "harvest", "death_policy",
-		"traffic",
-	}
-	// configKeyExcluded: observation knobs proven not to change results —
-	// a run with any value is byte-identical to a run with the default — so
-	// they are cleared before serialization. Each entry is pinned by a
-	// TestConfigKey* invariance test and by a trace-identity test.
-	configKeyExcluded = []string{"record_traffic"}
-	// configKeyIdentity: fields that name a run rather than configure it;
-	// cleared so replicas under different seeds/names share a key.
-	configKeyIdentity = []string{"name", "seed"}
-)
-
-// ConfigKeyExcluded returns a copy of the declared exclusion list, in
-// declaration order. The TestConfigKey* invariance tests iterate it and the
-// quantovet meta-test compares it against what the configkey analyzer reads
-// from this file, so docs, code, lint, and tests cannot drift.
-func ConfigKeyExcluded() []string {
-	return append([]string(nil), configKeyExcluded...)
-}
-
-// ConfigKeyIncluded and ConfigKeyIdentity expose the other two fate lists
-// the same way, completing the partition for the tests.
-func ConfigKeyIncluded() []string {
-	return append([]string(nil), configKeyIncluded...)
-}
-func ConfigKeyIdentity() []string {
-	return append([]string(nil), configKeyIdentity...)
+	return srcs, traffic.NewRecorder(ids), nil
 }
 
 // ConfigKey returns the canonical configuration string of a spec: its JSON
-// encoding with the seed and cosmetic name cleared. Two runs with the same
-// ConfigKey are replicas of the same configuration under different seeds;
-// the key is what seed derivation hashes and what Aggregate groups by.
+// encoding with the seed and cosmetic name cleared, since those name a run
+// rather than configure it. Every other field is configuration. Two runs
+// with the same ConfigKey are replicas of the same configuration under
+// different seeds; the key is what seed derivation hashes and what
+// Aggregate groups by.
 func (s *Spec) ConfigKey() string {
 	c := *s
 	c.Seed = 0
 	c.Name = ""
-	c.RecordTraffic = false // observation, not configuration: recording changes nothing
 	b, err := json.Marshal(&c)
 	if err != nil {
 		// Spec is a plain struct of scalars; this cannot fail.

@@ -46,12 +46,12 @@ func encodedTraces(t *testing.T, spec scenario.Spec) ([]byte, map[string]float64
 }
 
 // TestTrafficReplayRoundTrip is the record-and-replay contract: run a shaped
-// spec with recording on, write the captured schedule to disk, then run the
-// same spec again with the replay shape driving it from that file. The replay
-// run must produce byte-identical node traces and identical metrics — and
-// re-recording the replay must reproduce the trace file byte for byte. This
-// holds because shapes draw from private RNG streams: the world's randomness
-// never notices whether sends came from a generator or a file.
+// spec, write the schedule it recorded to disk, then run the same spec again
+// with the replay shape driving it from that file. The replay run must
+// produce byte-identical node traces and identical metrics — and the replay's
+// own recording must reproduce the trace file byte for byte. This holds
+// because shapes draw from private RNG streams: the world's randomness never
+// notices whether sends came from a generator or a file.
 func TestTrafficReplayRoundTrip(t *testing.T) {
 	cases := []scenario.Spec{
 		{
@@ -88,9 +88,7 @@ func TestTrafficReplayRoundTrip(t *testing.T) {
 	for _, spec := range cases {
 		spec := spec
 		t.Run(fmt.Sprintf("%s/%s", spec.App, spec.Traffic.Shape), func(t *testing.T) {
-			rec := spec
-			rec.RecordTraffic = true
-			in, err := scenario.Build(rec)
+			in, err := scenario.Build(spec)
 			if err != nil {
 				t.Fatalf("build recording run: %v", err)
 			}
@@ -107,7 +105,6 @@ func TestTrafficReplayRoundTrip(t *testing.T) {
 			}
 			replay := spec
 			replay.Traffic = &traffic.Spec{Shape: traffic.ShapeReplay, File: path}
-			replay.RecordTraffic = true
 			rin, err := scenario.Build(replay)
 			if err != nil {
 				t.Fatalf("build replay run: %v", err)
@@ -122,7 +119,6 @@ func TestTrafficReplayRoundTrip(t *testing.T) {
 					refile.Len(), file.Len())
 			}
 
-			replay.RecordTraffic = false
 			replayTraces, replayMetrics := encodedTraces(t, replay)
 			if !bytes.Equal(replayTraces, shapedTraces) {
 				t.Fatalf("replay traces differ from shaped run (%d vs %d bytes)",
@@ -140,27 +136,32 @@ func TestTrafficReplayRoundTrip(t *testing.T) {
 	}
 }
 
-// TestTrafficRecordingInvariance proves record_traffic is pure observation:
-// the same spec with and without recording produces byte-identical traces,
-// which is why ConfigKey clears the flag.
-func TestTrafficRecordingInvariance(t *testing.T) {
-	spec := scenario.Spec{
-		App:        "relay",
-		Seed:       2,
-		DurationUS: int64(2 * units.Second),
-		Nodes:      8,
-		Origins:    2,
-		Traffic:    &traffic.Spec{Shape: traffic.ShapeConstant, RPS: 10},
-	}
-	plain, _ := encodedTraces(t, spec)
-	rec := spec
-	rec.RecordTraffic = true
-	if rec.ConfigKey() != spec.ConfigKey() {
-		t.Fatalf("record_traffic leaked into ConfigKey:\n%s\nvs\n%s", rec.ConfigKey(), spec.ConfigKey())
-	}
-	recorded, _ := encodedTraces(t, rec)
-	if !bytes.Equal(plain, recorded) {
-		t.Fatalf("recording changed the run (%d vs %d trace bytes)", len(recorded), len(plain))
+// TestShapedRunsRecordTraffic pins where Instance.Traffic comes from: each
+// send-driven app records the schedule a traffic shape realizes, and keeps no
+// recorder for its default schedule.
+func TestShapedRunsRecordTraffic(t *testing.T) {
+	for _, app := range []string{"relay", "bounce", "sensesend"} {
+		spec := scenario.Spec{App: app, Seed: 1, DurationUS: int64(units.Second)}
+		in, err := scenario.Build(spec)
+		if err != nil {
+			t.Fatalf("%s: build default schedule: %v", app, err)
+		}
+		if in.Traffic != nil {
+			t.Errorf("%s: default schedule has a recorder", app)
+		}
+		spec.Traffic = &traffic.Spec{Shape: traffic.ShapeConstant, RPS: 4}
+		in, err = scenario.Build(spec)
+		if err != nil {
+			t.Fatalf("%s: build shaped run: %v", app, err)
+		}
+		if in.Traffic == nil {
+			t.Errorf("%s: shaped run has no recorder", app)
+			continue
+		}
+		in.Run()
+		if len(in.Traffic.Events()) == 0 {
+			t.Errorf("%s: shaped run recorded no sends", app)
+		}
 	}
 }
 

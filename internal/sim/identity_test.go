@@ -305,7 +305,6 @@ func recordedReplayVariant(t *testing.T) scenario.Spec {
 			BurstUS:  int64(100 * units.Millisecond),
 			PeriodUS: int64(500 * units.Millisecond),
 		},
-		RecordTraffic: true,
 	}
 	in, err := scenario.Build(rec)
 	if err != nil {
@@ -324,7 +323,6 @@ func recordedReplayVariant(t *testing.T) scenario.Spec {
 		t.Fatalf("close trace: %v", err)
 	}
 	replay := rec
-	replay.RecordTraffic = false
 	replay.Traffic = &traffic.Spec{Shape: traffic.ShapeReplay, File: path}
 	return replay
 }

@@ -113,7 +113,6 @@ func BenchmarkTrafficRecordReplay(b *testing.B) {
 		BurstUS:  int64(100 * units.Millisecond),
 		PeriodUS: int64(500 * units.Millisecond),
 	}
-	spec.RecordTraffic = true
 	in, err := scenario.Build(spec)
 	if err != nil {
 		b.Fatal(err)
