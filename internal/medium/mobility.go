@@ -8,13 +8,13 @@
 // no output.
 //
 // Positions are quantized to the epoch grid: a node's location during
-// [k·step, (k+1)·step) is its mover's position at k·step, materialized into
-// a per-mover log. Every position read outside the index — the CCA energy
-// query above all — goes through that log keyed by query time, never through
-// the mutable position table, so the answer is a pure function of
-// (mover, time). A CCA read at a busy CPU's clock, which can run past the
-// event clock, therefore sees the position of the epoch it falls in. The
-// log stays because it defines simulated output.
+// [k·step, (k+1)·step) is its mover's position at k·step. The quantization
+// stays because it defines simulated output. Every position read outside the
+// index — the CCA energy query above all — asks the mover for the start of
+// the query time's epoch, never the mutable position table, so the answer is
+// a pure function of (mover, time). A CCA read at a busy CPU's clock, which
+// can run past the event clock, therefore sees the position of the epoch it
+// falls in.
 //
 // Epoch events run at PrioTopology, ahead of every other event sharing
 // their tick.
@@ -27,33 +27,24 @@ import (
 )
 
 // Mover yields a node's position as a pure function of simulated time.
-// Implementations must be deterministic: the medium materializes positions
-// lazily and possibly ahead of the event clock, so PositionAt must return
-// the same value however and whenever it is sampled.
+// Implementations must be deterministic: the medium samples positions in any
+// order, possibly ahead of the event clock, so PositionAt must return the
+// same value however and whenever it is sampled.
 type Mover interface {
 	PositionAt(t units.Ticks) Position
 }
 
-// moverEntry is one mobile node's epoch-quantized position log:
-// log[k] = mv.PositionAt(k·step).
+// moverEntry is one mobile node and its mover.
 type moverEntry struct {
-	id  core.NodeID
-	mv  Mover
-	log []Position
-}
-
-// ensure materializes the log through epoch k.
-func (e *moverEntry) ensure(k int, step units.Ticks) {
-	for len(e.log) <= k {
-		e.log = append(e.log, e.mv.PositionAt(units.Ticks(len(e.log))*step))
-	}
+	id core.NodeID
+	mv Mover
 }
 
 // mobility is the medium's mobility state.
 type mobility struct {
 	step   units.Ticks
-	movers []*moverEntry // attach order: the per-epoch update order
-	byID   map[core.NodeID]*moverEntry
+	movers []moverEntry // attach order: the per-epoch update order
+	byID   map[core.NodeID]Mover
 }
 
 // EnableMobility starts stepping movers every step ticks (epochs lie on
@@ -69,7 +60,7 @@ func (m *Medium) EnableMobility(step units.Ticks) {
 	if m.mob != nil {
 		panic("medium: EnableMobility called twice")
 	}
-	m.mob = &mobility{step: step, byID: make(map[core.NodeID]*moverEntry)}
+	m.mob = &mobility{step: step, byID: make(map[core.NodeID]Mover)}
 	next := (m.s.Now()/step + 1) * step
 	m.s.Schedule(next, sim.PrioTopology, m.mobilityEpoch)
 }
@@ -84,11 +75,9 @@ func (m *Medium) SetMover(id core.NodeID, mv Mover) {
 	if _, dup := m.mob.byID[id]; dup {
 		panic("medium: SetMover called twice for one node")
 	}
-	e := &moverEntry{id: id, mv: mv}
-	e.ensure(0, m.mob.step)
-	m.mob.movers = append(m.mob.movers, e)
-	m.mob.byID[id] = e
-	m.SetPosition(id, e.log[0])
+	m.mob.movers = append(m.mob.movers, moverEntry{id: id, mv: mv})
+	m.mob.byID[id] = mv
+	m.SetPosition(id, mv.PositionAt(0))
 }
 
 // mobilityEpoch relocates every mover to its position for the epoch starting
@@ -97,22 +86,20 @@ func (m *Medium) SetMover(id core.NodeID, mv Mover) {
 // already sees the new topology.
 func (m *Medium) mobilityEpoch() {
 	at := m.s.Now()
-	k := int(at / m.mob.step)
+	epoch := at / m.mob.step * m.mob.step
 	for _, e := range m.mob.movers {
-		e.ensure(k, m.mob.step)
-		m.SetPosition(e.id, e.log[k])
+		m.SetPosition(e.id, e.mv.PositionAt(epoch))
 	}
 	m.s.Schedule(at+m.mob.step, sim.PrioTopology, m.mobilityEpoch)
 }
 
-// positionAt resolves a node's position at time t: epoch-quantized through
-// the mover log for mobile nodes, the static position table otherwise.
+// positionAt resolves a node's position at time t: its mover's position at
+// the start of t's epoch for mobile nodes, the static position table
+// otherwise.
 func (m *Medium) positionAt(id core.NodeID, t units.Ticks) (Position, bool) {
 	if m.mob != nil {
-		if e, ok := m.mob.byID[id]; ok {
-			k := int(t / m.mob.step)
-			e.ensure(k, m.mob.step)
-			return e.log[k], true
+		if mv, ok := m.mob.byID[id]; ok {
+			return mv.PositionAt(t / m.mob.step * m.mob.step), true
 		}
 	}
 	p, ok := m.sp.pos[id]

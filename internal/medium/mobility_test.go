@@ -91,8 +91,8 @@ func TestMobilityEpochStepping(t *testing.T) {
 	if got, _ := m.positionAt(2, 6*step); got != (Position{X: 70}) {
 		t.Fatalf("epoch-6 position = %v, want x=70", got)
 	}
-	// The position log answers ahead of the event clock too (what a CCA
-	// read at a busy CPU's clock needs) without changing later answers.
+	// The mover answers ahead of the event clock too (what a CCA read at a
+	// busy CPU's clock needs) without changing later answers.
 	if got, _ := m.positionAt(2, 20*step); got != (Position{X: 210}) {
 		t.Fatalf("future position = %v, want x=210", got)
 	}

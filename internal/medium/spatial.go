@@ -48,10 +48,11 @@ const (
 	// DefaultCaptureDB is the power margin at which a receiver decodes the
 	// stronger of two overlapping co-channel frames instead of losing both.
 	DefaultCaptureDB = 3.0
-	// DefaultRefLossDB is the path loss at the 1 m reference distance.
-	DefaultRefLossDB = 40.0
-	// DefaultNoiseDBm is the receiver noise floor.
-	DefaultNoiseDBm = -95.0
+
+	// refLossDB is the path loss at the 1 m reference distance.
+	refLossDB = 40.0
+	// noiseDBm is the receiver noise floor.
+	noiseDBm = -95.0
 
 	// prrMidSNRDB / prrWidthDB shape the logistic SNR→PRR curve: PRR is 0.5
 	// at the midpoint and transitions over a few widths — the classic
@@ -81,10 +82,6 @@ type SpatialConfig struct {
 	CaptureDB float64
 	// TxPowerDBm is the transmit power (0 dBm, the CC2420 maximum).
 	TxPowerDBm float64
-	// RefLossDB is the path loss at the 1 m reference distance.
-	RefLossDB float64
-	// NoiseDBm is the receiver noise floor.
-	NoiseDBm float64
 	// Seed drives the per-link PRR delivery draws.
 	Seed uint64
 }
@@ -100,29 +97,23 @@ func (c SpatialConfig) withDefaults() SpatialConfig {
 	if c.CaptureDB == 0 {
 		c.CaptureDB = DefaultCaptureDB
 	}
-	if c.RefLossDB == 0 {
-		c.RefLossDB = DefaultRefLossDB
-	}
-	if c.NoiseDBm == 0 {
-		c.NoiseDBm = DefaultNoiseDBm
-	}
 	return c
 }
 
 // RSSI returns the received signal strength in dBm at distance d meters
-// under the log-distance model: TxPower - RefLoss - 10·n·log10(d).
+// under the log-distance model: TxPowerDBm - refLossDB - 10·n·log10(d).
 func (c SpatialConfig) RSSI(d float64) float64 {
 	if d < minDistanceM {
 		d = minDistanceM
 	}
-	return c.TxPowerDBm - c.RefLossDB - 10*c.PathLossExp*math.Log10(d)
+	return c.TxPowerDBm - refLossDB - 10*c.PathLossExp*math.Log10(d)
 }
 
 // PRR returns the packet reception ratio of a link with the given receive
 // strength: a logistic in SNR, exactly 1 above the sure threshold so short
 // links are lossless and exactly comparable to the broadcast model.
 func (c SpatialConfig) PRR(rssiDBm float64) float64 {
-	snr := rssiDBm - c.NoiseDBm
+	snr := rssiDBm - noiseDBm
 	if snr >= prrSureSNRDB {
 		return 1
 	}

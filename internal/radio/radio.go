@@ -60,8 +60,6 @@ type Config struct {
 	// UseDMA selects DMA-based CPU-radio communication instead of the
 	// interrupt-per-2-bytes default (the Figure 16 comparison).
 	UseDMA bool
-	// TxPower is the transmit power state (power.RadioTx0dBm by default).
-	TxPower core.PowerState
 }
 
 // Radio is one node's transceiver plus driver state.
@@ -114,9 +112,6 @@ type Radio struct {
 // New attaches a radio to kernel k and medium med and registers the energy
 // sinks on board b.
 func New(k *kernel.Kernel, med *medium.Medium, b *power.Board, cfg Config) *Radio {
-	if cfg.TxPower == 0 {
-		cfg.TxPower = power.RadioTx0dBm
-	}
 	r := &Radio{k: k, med: med, cfg: cfg}
 	trk := k.Trk
 	r.psReg = core.NewPowerStateVar(trk, power.ResRadioReg, power.RadioRegOff)
@@ -361,7 +356,7 @@ func (r *Radio) backoffAndTransmit(f *medium.Frame, label core.Label, done func(
 		if wasListening {
 			r.psRx.Set(power.RadioRxOff)
 		}
-		r.psTx.Set(r.cfg.TxPower)
+		r.psTx.Set(power.RadioTx0dBm) // every radio transmits at 0 dBm
 		r.med.Transmit(f)
 		// SFD capture interrupt shortly after the preamble leaves.
 		r.txSfdIRQ.RaiseAfter(units.Ticks(PreambleBytes)*ByteAirtime, func() {

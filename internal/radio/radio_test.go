@@ -124,19 +124,18 @@ func TestSendPaintsTxPathWithCPUActivity(t *testing.T) {
 }
 
 func TestTxPowerStateDuringTransmission(t *testing.T) {
-	rg := newRig(t, Config{Channel: 26, TxPower: power.RadioTxM5dBm})
+	rg := newRig(t, Config{Channel: 26})
 	rg.k[0].Boot(func() {
 		rg.r[0].TurnOn(func() {
 			rg.r[0].Send(&medium.Frame{Bytes: 16}, nil)
 		})
 	})
 	rg.s.Run(units.Second)
-	// The log must contain a TX power state at the configured level and a
-	// return to off.
+	// The log must contain the 0 dBm TX power state and a return to off.
 	var sawLevel, sawOff bool
 	for _, e := range rg.sink[0].Entries {
 		if e.Type == core.EntryPowerState && e.Res == power.ResRadioTx {
-			if e.State() == power.RadioTxM5dBm {
+			if e.State() == power.RadioTx0dBm {
 				sawLevel = true
 			}
 			if sawLevel && e.State() == power.RadioTxOff {
