@@ -356,7 +356,7 @@ func (r *Radio) backoffAndTransmit(f *medium.Frame, label core.Label, done func(
 		if wasListening {
 			r.psRx.Set(power.RadioRxOff)
 		}
-		r.psTx.Set(power.RadioTx0dBm) // every radio transmits at 0 dBm
+		r.psTx.Set(power.RadioTx0dBm)
 		r.med.Transmit(f)
 		// SFD capture interrupt shortly after the preamble leaves.
 		r.txSfdIRQ.RaiseAfter(units.Ticks(PreambleBytes)*ByteAirtime, func() {

@@ -26,12 +26,6 @@ func TestConfigKeyFields(t *testing.T) {
 	for i := 0; i < rt.NumField(); i++ {
 		f := rt.Field(i)
 		name, _, _ := strings.Cut(f.Tag.Get("json"), ",")
-		switch name {
-		case "-":
-			continue
-		case "":
-			name = f.Name
-		}
 		v, ok := literal[name]
 		if !ok {
 			switch f.Type.Kind() {

@@ -178,7 +178,7 @@ func TestParseSpecOrMatrix(t *testing.T) {
 	// Nor is recording: every shaped run records its send schedule.
 	if _, err := scenario.ParseSpecOrMatrix([]byte(`{"app":"relay","duration_us":1000000,"traffic":{"shape":"constant","rps":2},"record_traffic":true}`)); err == nil ||
 		!strings.Contains(err.Error(), `unknown field "record_traffic"`) {
-		t.Fatalf("record_traffic field: err = %v, want unknown-field rejection", err)
+		t.Fatalf("recording flag: err = %v, want unknown-field rejection", err)
 	}
 }
 
