@@ -23,8 +23,8 @@
 //     determinism classes in PRs 5–8.
 //
 // The Spec's ConfigKey needs no analyzer: it is the Spec's JSON without name
-// and seed, and the scenario package's TestConfigKeyFields checks that
-// field by field.
+// and seed, and the scenario package's TestConfigKeyIdentityInvariance and
+// TestConfigKeyIncludedFieldsMoveKey check that field by field.
 //
 // maporder and wallclock check the deterministic packages: repro/internal
 // and every package under it (see Deterministic), that is the simulator,

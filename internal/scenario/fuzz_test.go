@@ -24,6 +24,7 @@ func FuzzSpecJSON(f *testing.F) {
 		`{"app":"relay","traffic":{"shape":"burst","rps":1,"burst_rps":50,"burst_us":1000,"period_us":100000}}`,
 		`{"app":"relay","traffic":{"shape":"replay","file":"/nonexistent"}}`,
 		`{"app":"relay","traffic":{"shape":"constant","rps":-1}}`,
+		`{"app":"relay","record_traffic":true}`, // a field specs no longer have
 		`{"app":"blink","battery_uah":0.5,"death_policy":"halt_world"}`,
 		`{"app":"relay","duration_us":1e18,"traffic":{"shape":"diurnal","rps":1e308,"period_us":1}}`,
 		`{"app":"relay","duration_us":2000000,"nodes":6,"placement":"line","routing":"ctp"}`,
