@@ -247,11 +247,14 @@ func TestAllRunsEveryExperiment(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(reports) != 13 {
-		t.Fatalf("ran %d experiments, want 13", len(reports))
+	if len(reports) != len(Exhibits) {
+		t.Fatalf("ran %d experiments, want %d", len(reports), len(Exhibits))
 	}
 	seen := make(map[string]bool)
-	for _, r := range reports {
+	for i, r := range reports {
+		if r.ID != Exhibits[i].ID {
+			t.Errorf("report %d is %s, want exhibit %s", i, r.ID, Exhibits[i].ID)
+		}
 		if r.Text == "" {
 			t.Errorf("%s: empty text", r.ID)
 		}
@@ -282,6 +285,45 @@ func TestNetworkFootprint(t *testing.T) {
 	}
 	if !strings.Contains(r.Text, "Remote share") {
 		t.Error("report missing remote share line")
+	}
+}
+
+// TestAblationsShowWhatEachChoiceBuys checks the direction of each
+// ablation's comparison: the paper's choice must beat its alternative on
+// the exhibit's own score.
+func TestAblationsShowWhatEachChoiceBuys(t *testing.T) {
+	for _, c := range []struct {
+		run           func(uint64) (*Report, error)
+		better, worse string
+		minGain       float64
+	}{
+		// Weights: the weighted fit's LED0 error must be the smaller, by
+		// an order of magnitude (1.4 against 209 uA at seed 1).
+		{AblationWeights, "weighted_err_uA", "unweighted_err_uA", 10},
+		// Proxy binding moves node 1's receive work onto node 4's activity.
+		{AblationProxy, "remote_cpu_ms_unbound", "remote_cpu_ms_bound", 2},
+		// The equal split halves the shared 4 s; first-takes-all keeps it.
+		{AblationSplit, "actA_mJ_equal_split", "actA_mJ_first_split", 1.25},
+		// Counting keeps a handful of keys where the log keeps every entry.
+		{AblationCounters, "counter_keys", "log_bytes", 100},
+	} {
+		r, err := c.run(testSeed)
+		if err != nil {
+			t.Fatal(err)
+		}
+		lo, hi := value(t, r, c.better), value(t, r, c.worse)
+		if !(lo*c.minGain < hi) {
+			t.Errorf("%s: %s = %.4g, %s = %.4g; want the second over %.4gx the first", r.ID, c.better, lo, c.worse, hi, c.minGain)
+		}
+	}
+	r, err := AblationSplit(testSeed)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// A holds the receiver alone for 2 s and shares it for 4 s: half the
+	// shared energy moves, so first-takes-all charges A 1.5x the split.
+	if eq, first := value(t, r, "actA_mJ_equal_split"), value(t, r, "actA_mJ_first_split"); math.Abs(first/eq-1.5) > 0.01 {
+		t.Errorf("first-takes-all / equal split = %.4f, want 1.5", first/eq)
 	}
 }
 

@@ -1,8 +1,9 @@
 // Package experiments contains one harness per table and figure in the
-// paper's evaluation (Section 4). Each harness runs the corresponding
-// workload on the simulated platform, performs the offline analysis, and
-// renders the same rows or series the paper reports, alongside structured
-// values that the test suite and EXPERIMENTS.md assert against.
+// paper's evaluation (Section 4), plus exhibits beyond it: the network-wide
+// footprint and one ablation per design choice the paper argues for. Each
+// harness runs its workload on the simulated platform, performs the offline
+// analysis, and renders the rows or series the paper reports, alongside
+// structured values that experiments_test.go checks against the paper.
 package experiments
 
 import (
@@ -65,7 +66,12 @@ func runScenario(spec scenario.Spec) (*scenario.Instance, error) {
 // analyzeNode runs the default analysis pipeline on one node's log via the
 // single-pass streaming analyzer.
 func analyzeNode(w *mote.World, n *mote.Node) (*analysis.Analysis, error) {
-	sa := analysis.NewStreamAnalyzer(n.ID, n.Meter.PulseEnergy(), n.Volts, w.Dict, analysis.DefaultOptions())
+	return analyzeNodeWith(w, n, analysis.DefaultOptions())
+}
+
+// analyzeNodeWith is analyzeNode under the given options, for the ablations.
+func analyzeNodeWith(w *mote.World, n *mote.Node, opts analysis.Options) (*analysis.Analysis, error) {
+	sa := analysis.NewStreamAnalyzer(n.ID, n.Meter.PulseEnergy(), n.Volts, w.Dict, opts)
 	sa.RecordBatch(n.Log.Entries)
 	return sa.Finish()
 }
@@ -89,8 +95,8 @@ type Exhibit struct {
 }
 
 // Exhibits lists every harness in report order: the paper's tables and
-// figures in paper order, then the network-wide footprint of §5.3. It is
-// what cmd/quanto runs and lists.
+// figures in paper order, the network-wide footprint of §5.3, then the
+// ablations. It is what cmd/quanto runs and lists.
 var Exhibits = []Exhibit{
 	{"table1", func(uint64) (*Report, error) { return Table1(), nil }},
 	{"fig10", Figure10},
@@ -105,6 +111,10 @@ var Exhibits = []Exhibit{
 	{"table4", Table4},
 	{"table5", func(uint64) (*Report, error) { return Table5() }},
 	{"network", NetworkFootprint},
+	{"ablation-weights", AblationWeights},
+	{"ablation-proxy", AblationProxy},
+	{"ablation-split", AblationSplit},
+	{"ablation-counters", AblationCounters},
 }
 
 // All runs every exhibit with the given seed and returns the reports in

@@ -283,6 +283,9 @@ func variantName(s scenario.Spec) string {
 	if s.Mobility != "" {
 		name += "/mobility=" + s.Mobility
 	}
+	if s.UseDMA {
+		name += "/use_dma"
+	}
 	return name
 }
 

@@ -8,8 +8,9 @@
 //
 //	go test ./internal/sim -run TestOutputPins -v
 //
-// Rewrite the file after a change that means to move output, and name the
-// moved pins and the reason with the change:
+// A -run subset compares only the pins whose subtests ran. Rewrite the file
+// after a change that means to move output, and name the moved pins and the
+// reason with the change; -update refuses to write unless every pin ran:
 //
 //	go test ./internal/sim -run TestOutputPins -update
 
@@ -51,6 +52,31 @@ func sha(b []byte) string {
 	return hex.EncodeToString(sum[:])
 }
 
+// completePins reports why got cannot replace the pin file: a pin name
+// computed twice, or a pin in names whose subtest did not run (a -run
+// filter skipped it). Writing an incomplete set would delete the pins left
+// out.
+func completePins(names []string, got map[string]pin) error {
+	seen := make(map[string]bool, len(names))
+	var dup, unrun []string
+	for _, name := range names {
+		if seen[name] {
+			dup = append(dup, name)
+		}
+		seen[name] = true
+		if _, ok := got[name]; !ok {
+			unrun = append(unrun, name)
+		}
+	}
+	switch {
+	case len(dup) > 0:
+		return fmt.Errorf("pin names computed twice: %s", strings.Join(dup, ", "))
+	case len(unrun) > 0:
+		return fmt.Errorf("%d of %d pins did not run (first: %s); rewrite the file from a run without -run", len(unrun), len(names), unrun[0])
+	}
+	return nil
+}
+
 // TestOutputPins recomputes every identity variant's and every exhibit's
 // pins at each pin seed and names each pin that differs from
 // testdata/outputs.json. A variant's pins are keyed by its subtest name under
@@ -62,12 +88,15 @@ func TestOutputPins(t *testing.T) {
 		// from them, can differ from the amd64 build the pins came from.
 		t.Skipf("output pins are recorded on amd64; %s may fuse multiply-adds", runtime.GOARCH)
 	}
+	var names []string // every pin, whether or not -run selects its subtest
 	got := make(map[string]pin)
 	for _, v := range identityVariants(t) {
 		for _, seed := range pinSeeds {
 			v := v
 			v.Seed = seed
-			t.Run(variantName(v), func(t *testing.T) {
+			name := variantName(v)
+			names = append(names, name)
+			t.Run(name, func(t *testing.T) {
 				traces, _ := encodedTraces(t, v)
 				res := scenario.RunSpec(v)
 				if res.Error != "" {
@@ -84,7 +113,7 @@ func TestOutputPins(t *testing.T) {
 				if err != nil {
 					t.Fatalf("marshal result: %v", err)
 				}
-				got[strings.TrimPrefix(t.Name(), "TestOutputPins/")] = pin{Traces: sha(traces), Result: sha(rj)}
+				got[name] = pin{Traces: sha(traces), Result: sha(rj)}
 			})
 		}
 	}
@@ -95,12 +124,14 @@ func TestOutputPins(t *testing.T) {
 			continue
 		}
 		for _, seed := range pinSeeds {
-			t.Run(fmt.Sprintf("exhibit/%s/seed=%d", e.ID, seed), func(t *testing.T) {
+			name := fmt.Sprintf("exhibit/%s/seed=%d", e.ID, seed)
+			names = append(names, name)
+			t.Run(name, func(t *testing.T) {
 				r, err := e.Run(seed)
 				if err != nil {
 					t.Fatalf("run: %v", err)
 				}
-				got[strings.TrimPrefix(t.Name(), "TestOutputPins/")] = pin{Report: sha([]byte(r.String()))}
+				got[name] = pin{Report: sha([]byte(r.String()))}
 			})
 		}
 	}
@@ -109,6 +140,9 @@ func TestOutputPins(t *testing.T) {
 	}
 
 	if *update {
+		if err := completePins(names, got); err != nil {
+			t.Fatalf("-update writes no pins: %v", err)
+		}
 		b, err := json.MarshalIndent(got, "", "  ")
 		if err != nil {
 			t.Fatal(err)
@@ -150,13 +184,37 @@ func TestOutputPins(t *testing.T) {
 			moved = append(moved, name+": "+strings.Join(what, " and ")+" moved")
 		}
 	}
+	// A pin whose subtest -run filtered out is not compared; a pin no
+	// subtest computes is stale.
 	for _, name := range slices.Sorted(maps.Keys(want)) {
-		if _, ok := got[name]; !ok {
+		if !slices.Contains(names, name) {
 			moved = append(moved, name+": pinned, but no variant has this name")
 		}
 	}
 	if len(moved) > 0 {
 		t.Errorf("%d of %d output pins moved (rewrite with -update only if the change means to move them):\n  %s",
 			len(moved), len(want), strings.Join(moved, "\n  "))
+	}
+}
+
+// TestCompletePins checks the rule that keeps -update from dropping pins: a
+// set missing any pin, as a -run subset leaves it, or computing a name
+// twice, is refused; the full set is accepted.
+func TestCompletePins(t *testing.T) {
+	names := []string{"blink/seed=1/placement=", "exhibit/fig10/seed=1", "exhibit/fig10/seed=7"}
+	full := map[string]pin{
+		names[0]: {Traces: "a", Result: "b"},
+		names[1]: {Report: "c"},
+		names[2]: {Report: "d"},
+	}
+	if err := completePins(names, full); err != nil {
+		t.Errorf("full set refused: %v", err)
+	}
+	partial := map[string]pin{names[1]: full[names[1]]}
+	if err := completePins(names, partial); err == nil || !strings.Contains(err.Error(), "2 of 3 pins did not run") {
+		t.Errorf("partial set: error %v, want 2 of 3 pins unrun", err)
+	}
+	if err := completePins(append(names, names[0]), full); err == nil || !strings.Contains(err.Error(), "computed twice") {
+		t.Errorf("duplicate name: error %v, want it refused", err)
 	}
 }
