@@ -16,7 +16,8 @@
 //	    benchjson -suite core -out BENCH_core.json
 //
 // Compare a fresh run against the committed baseline (exit 1 on >15%
-// allocs/op regression, warning annotations for time, which is noisy on
+// allocs/op regression, any allocation in a row recorded at 0, or a row
+// only one side has; warning annotations for time, which is noisy on
 // shared runners; -fail-on time,allocs tightens it). A benchmark whose
 // events/run differs from the baseline's also exits 1, as a stale baseline
 // to re-record rather than a regression. A baseline recorded under another
@@ -111,6 +112,11 @@ func main() {
 				// treat it as a failure, not a warning.
 				bad = true
 				fmt.Printf("::error title=bench-compare::%s: in baseline but not in this run\n", d.Name)
+			case d.Unrecorded:
+				// A benchmark the run produced but the baseline lacks is
+				// guarded by nothing: record it (or narrow the regex).
+				bad = true
+				fmt.Printf("::error title=bench-compare::%s: not in baseline\n", d.Name)
 			case d.Stale:
 				// Different events/run means a different workload, not a
 				// regression: its time and allocs say nothing until the

@@ -9,6 +9,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"math"
 	"os"
 	"strconv"
 	"strings"
@@ -157,6 +158,9 @@ type Delta struct {
 	Current   float64
 	Delta     float64
 	Missing   bool // baseline benchmark absent from the current run
+	// Unrecorded marks a benchmark the current run produced that the
+	// baseline lacks: nothing guards it until it is recorded.
+	Unrecorded bool
 	// Stale marks a changed workload: both runs report events/run and the
 	// values differ, so time and allocs are not comparable and the
 	// baseline needs re-recording. Base and Current hold the two values.
@@ -168,19 +172,23 @@ type Delta struct {
 const workloadMetric = "events/run"
 
 // Compare diffs current against base on the regression-relevant dimensions.
-// Benchmarks only present in current are new coverage, not regressions, and
-// are skipped; baseline entries missing from current are flagged so a
-// silently deleted benchmark cannot hide a regression. A benchmark whose
-// workload changed yields one Stale delta instead of time and allocs
-// deltas. The threshold is not applied here — every delta is returned and
-// the caller picks severity.
+// A benchmark only one side has is flagged: a baseline entry missing from
+// current (Missing), so a silently deleted benchmark cannot hide a
+// regression, and a current entry the baseline lacks (Unrecorded), so a new
+// or renamed benchmark cannot run unguarded. A benchmark whose workload
+// changed yields one Stale delta instead of time and allocs deltas. The
+// allocs delta of a baseline recorded at 0 allocs/op is +Inf once the run
+// allocates. The threshold is not applied here — every delta is returned
+// and the caller picks severity.
 func Compare(base, current *Doc, threshold float64) []Delta {
 	cur := map[string]Benchmark{}
 	for _, b := range current.Benchmarks {
 		cur[b.Name] = b
 	}
+	recorded := map[string]bool{}
 	var out []Delta
 	for _, bb := range base.Benchmarks {
+		recorded[bb.Name] = true
 		cb, ok := cur[bb.Name]
 		if !ok {
 			out = append(out, Delta{Name: bb.Name, Missing: true})
@@ -202,13 +210,28 @@ func Compare(base, current *Doc, threshold float64) []Delta {
 				Delta: cb.NsPerOp/bb.NsPerOp - 1,
 			})
 		}
-		if bb.AllocsPerOp > 0 {
-			out = append(out, Delta{
-				Name: bb.Name, Dimension: "allocs",
-				Base: bb.AllocsPerOp, Current: cb.AllocsPerOp,
-				Delta: cb.AllocsPerOp/bb.AllocsPerOp - 1,
-			})
+		out = append(out, Delta{
+			Name: bb.Name, Dimension: "allocs",
+			Base: bb.AllocsPerOp, Current: cb.AllocsPerOp,
+			Delta: relDelta(bb.AllocsPerOp, cb.AllocsPerOp),
+		})
+	}
+	for _, cb := range current.Benchmarks {
+		if !recorded[cb.Name] {
+			out = append(out, Delta{Name: cb.Name, Unrecorded: true})
 		}
 	}
 	return out
+}
+
+// relDelta is cur's change relative to base: 0 when both are 0, +Inf when
+// only base is.
+func relDelta(base, cur float64) float64 {
+	switch {
+	case base != 0:
+		return cur/base - 1
+	case cur != 0:
+		return math.Inf(1)
+	}
+	return 0
 }

@@ -1,6 +1,8 @@
 package benchfmt
 
 import (
+	"math"
+	"slices"
 	"strings"
 	"testing"
 )
@@ -137,6 +139,40 @@ func TestCompareStaleBaseline(t *testing.T) {
 		}
 		if d.Name == "10kNodeRelay/queue=wheel" && d.Dimension == "allocs" && d.Delta < 0.48 {
 			t.Errorf("allocs delta = %+v, want the +48%% regression", d)
+		}
+	}
+}
+
+// TestCompareFindings table-tests what one record and one run yield,
+// including the two holes a gate must not have: a row recorded at 0
+// allocs/op that starts allocating, and a row the run produced but the
+// record lacks.
+func TestCompareFindings(t *testing.T) {
+	row := func(name string, allocs float64) Benchmark {
+		return Benchmark{Name: name, Runs: 1, NsPerOp: 100, AllocsPerOp: allocs}
+	}
+	timeA := Delta{Name: "A", Dimension: "time", Base: 100, Current: 100}
+	for _, c := range []struct {
+		name      string
+		base, cur []Benchmark
+		want      []Delta
+	}{
+		{"zero allocs stay zero", []Benchmark{row("A", 0)}, []Benchmark{row("A", 0)},
+			[]Delta{timeA, {Name: "A", Dimension: "allocs"}}},
+		{"zero allocs start allocating", []Benchmark{row("A", 0)}, []Benchmark{row("A", 3)},
+			[]Delta{timeA, {Name: "A", Dimension: "allocs", Current: 3, Delta: math.Inf(1)}}},
+		{"allocs fall to zero", []Benchmark{row("A", 10)}, []Benchmark{row("A", 0)},
+			[]Delta{timeA, {Name: "A", Dimension: "allocs", Base: 10, Delta: -1}}},
+		{"allocs grow", []Benchmark{row("A", 10)}, []Benchmark{row("A", 15)},
+			[]Delta{timeA, {Name: "A", Dimension: "allocs", Base: 10, Current: 15, Delta: 0.5}}},
+		{"row not in the record", []Benchmark{row("A", 0)}, []Benchmark{row("A", 0), row("B", 0)},
+			[]Delta{timeA, {Name: "A", Dimension: "allocs"}, {Name: "B", Unrecorded: true}}},
+		{"recorded row not run", []Benchmark{row("A", 0), row("B", 0)}, []Benchmark{row("A", 0)},
+			[]Delta{timeA, {Name: "A", Dimension: "allocs"}, {Name: "B", Missing: true}}},
+	} {
+		got := Compare(&Doc{Benchmarks: c.base}, &Doc{Benchmarks: c.cur}, 0.15)
+		if !slices.Equal(got, c.want) {
+			t.Errorf("%s:\n got %+v\nwant %+v", c.name, got, c.want)
 		}
 	}
 }
