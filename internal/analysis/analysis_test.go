@@ -133,7 +133,7 @@ func TestStateIntervalPulsesSumToTotal(t *testing.T) {
 func TestRegressionRecoversTwoSinks(t *testing.T) {
 	tr := buildTwoSinkTrace().trace()
 	ivs, vecs := tr.StateIntervals()
-	reg, err := RunRegression(ivs, vecs, tr.PulseUJ, DefaultRegressionOptions())
+	reg, err := RunRegression(ivs, vecs, tr.PulseUJ, DefaultOptions())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -154,7 +154,7 @@ func TestRegressionRecoversTwoSinks(t *testing.T) {
 func TestRegressionGroupsByStateVector(t *testing.T) {
 	tr := buildTwoSinkTrace().trace()
 	ivs, vecs := tr.StateIntervals()
-	reg, err := RunRegression(ivs, vecs, tr.PulseUJ, DefaultRegressionOptions())
+	reg, err := RunRegression(ivs, vecs, tr.PulseUJ, DefaultOptions())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -186,7 +186,7 @@ func TestRegressionMergesCollinearPredictors(t *testing.T) {
 	b.marker()
 	tr := b.trace()
 	ivs, vecs := tr.StateIntervals()
-	reg, err := RunRegression(ivs, vecs, tr.PulseUJ, DefaultRegressionOptions())
+	reg, err := RunRegression(ivs, vecs, tr.PulseUJ, DefaultOptions())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -200,7 +200,7 @@ func TestRegressionMergesCollinearPredictors(t *testing.T) {
 }
 
 func TestRegressionErrorsOnEmptyInput(t *testing.T) {
-	if _, err := RunRegression(nil, nil, 8.33, DefaultRegressionOptions()); err == nil {
+	if _, err := RunRegression(nil, nil, 8.33, DefaultOptions()); err == nil {
 		t.Error("empty input should fail")
 	}
 }
@@ -455,11 +455,13 @@ func TestTimeByActivityCountsWallTime(t *testing.T) {
 func TestUnweightedOptionChangesFit(t *testing.T) {
 	tr := buildTwoSinkTrace().trace()
 	ivs, vecs := tr.StateIntervals()
-	w, err := RunRegression(ivs, vecs, tr.PulseUJ, RegressionOptions{Weighted: true, IncludeConstant: true})
+	w, err := RunRegression(ivs, vecs, tr.PulseUJ, DefaultOptions())
 	if err != nil {
 		t.Fatal(err)
 	}
-	u, err := RunRegression(ivs, vecs, tr.PulseUJ, RegressionOptions{Weighted: false, IncludeConstant: true})
+	unweighted := DefaultOptions()
+	unweighted.Weighted = false
+	u, err := RunRegression(ivs, vecs, tr.PulseUJ, unweighted)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -20,10 +20,14 @@ const (
 	SplitFirst
 )
 
-// Options configures a full analysis pass.
+// Options configures a full analysis pass. Each value is one of the
+// paper's design choices, and an ablation exhibit in internal/experiments
+// turns it off to show what it buys.
 type Options struct {
-	Regression RegressionOptions
-	Split      SplitPolicy
+	// Weighted selects the paper's regression weights w = sqrt(E*t);
+	// without it every state group weighs the same.
+	Weighted bool
+	Split    SplitPolicy
 	// ResolveProxies charges bound proxy usage to the activity it was bound
 	// to (the accounting view). The raw labels remain available for
 	// timeline rendering either way.
@@ -33,7 +37,7 @@ type Options struct {
 // DefaultOptions mirrors the paper's choices.
 func DefaultOptions() Options {
 	return Options{
-		Regression:     DefaultRegressionOptions(),
+		Weighted:       true,
 		Split:          SplitEqual,
 		ResolveProxies: true,
 	}

@@ -47,7 +47,7 @@ func TestRegressionRecoveryProperty(t *testing.T) {
 
 		tr := b.trace()
 		ivs, vecs := tr.StateIntervals()
-		reg, err := RunRegression(ivs, vecs, tr.PulseUJ, DefaultRegressionOptions())
+		reg, err := RunRegression(ivs, vecs, tr.PulseUJ, DefaultOptions())
 		if err != nil {
 			continue // some random schedules are degenerate; that's fine
 		}

@@ -64,7 +64,7 @@ func refIntervals(entries []core.Entry, times []int64) []refInterval {
 	return out
 }
 
-func refRegression(ivs []refInterval, pulseUJ float64, opts RegressionOptions) (*Regression, error) {
+func refRegression(ivs []refInterval, pulseUJ float64, weighted bool) (*Regression, error) {
 	if len(ivs) == 0 {
 		return nil, fmt.Errorf("analysis: no intervals to regress")
 	}
@@ -88,7 +88,7 @@ func refRegression(ivs []refInterval, pulseUJ float64, opts RegressionOptions) (
 	sort.Slice(groups, func(i, j int) bool { return groups[i].Key < groups[j].Key })
 	kept := groups[:0]
 	for _, g := range groups {
-		if g.TimeUS >= opts.MinGroupTimeUS && g.TimeUS > 0 && g.EnergyUJ > 0 {
+		if g.TimeUS > 0 && g.EnergyUJ > 0 {
 			kept = append(kept, g)
 		}
 	}
@@ -107,7 +107,7 @@ func refRegression(ivs []refInterval, pulseUJ float64, opts RegressionOptions) (
 	}
 	var cands, dropped []Predictor
 	for p, n := range seen {
-		if opts.IncludeConstant && n == len(groups) {
+		if n == len(groups) {
 			dropped = append(dropped, p)
 			continue
 		}
@@ -120,7 +120,7 @@ func refRegression(ivs []refInterval, pulseUJ float64, opts RegressionOptions) (
 	for _, g := range groups {
 		spanUS += g.TimeUS
 	}
-	limit := int64(opts.MergeTimeFrac * float64(spanUS))
+	limit := int64(mergeTimeFrac * float64(spanUS))
 	mergedInto := make(map[Predictor]Predictor)
 	var predictors []Predictor
 	for _, p := range cands {
@@ -143,13 +143,7 @@ func refRegression(ivs []refInterval, pulseUJ float64, opts RegressionOptions) (
 		}
 	}
 
-	cols := len(predictors)
-	if opts.IncludeConstant {
-		cols++
-	}
-	if cols == 0 {
-		return nil, fmt.Errorf("analysis: no predictors observed")
-	}
+	cols := len(predictors) + 1
 	if len(groups) < cols {
 		return nil, fmt.Errorf("analysis: %d state groups cannot constrain %d coefficients", len(groups), cols)
 	}
@@ -169,22 +163,14 @@ func refRegression(ivs []refInterval, pulseUJ float64, opts RegressionOptions) (
 				x.Set(i, c, 1)
 			}
 		}
-		if opts.IncludeConstant {
-			x.Set(i, cols-1, 1)
-		}
+		x.Set(i, cols-1, 1)
 		y[i] = g.PowerMW()
 		w[i] = 1
-		if opts.Weighted {
+		if weighted {
 			w[i] = math.Sqrt(g.EnergyUJ * float64(g.TimeUS))
 		}
 	}
-	var fit *linalg.WLSResult
-	var err error
-	if opts.NonNegative {
-		fit, err = linalg.NNLS(x, y, w)
-	} else {
-		fit, err = linalg.WLS(x, y, w)
-	}
+	fit, err := linalg.NNLS(x, y, w)
 	if err != nil {
 		return nil, fmt.Errorf("analysis: regression: %w", err)
 	}
@@ -195,9 +181,7 @@ func refRegression(ivs []refInterval, pulseUJ float64, opts RegressionOptions) (
 	for i, p := range predictors {
 		reg.PowerMW[p] = fit.Coef[i]
 	}
-	if opts.IncludeConstant {
-		reg.ConstMW = fit.Coef[cols-1]
-	}
+	reg.ConstMW = fit.Coef[cols-1]
 	return reg, nil
 }
 
@@ -317,7 +301,7 @@ func refAnalysis(entries []core.Entry, dict *core.Dictionary, pulseUJ float64, o
 	ivs := refIntervals(entries, times)
 	start, end := times[0], times[len(times)-1]
 	total := entries[len(entries)-1].IC - entries[0].IC
-	reg, regErr := refRegression(ivs, pulseUJ, opts.Regression)
+	reg, regErr := refRegression(ivs, pulseUJ, opts.Weighted)
 	if regErr != nil {
 		reg = &Regression{
 			PowerMW: make(map[Predictor]float64),
@@ -511,6 +495,40 @@ func randomLog(rng *rand.Rand, dict *core.Dictionary, pulseUJ float64, shape log
 	return out
 }
 
+// oneOfTwoLog generates a log over two sinks of which exactly one is on
+// whenever time passes: each switch turns one off and the other on within
+// one microsecond, and single-activity entries fall between switches. Its
+// two state groups cannot constrain two draws and the constant, so the
+// regression must fall back to the constant-only model.
+func oneOfTwoLog(rng *rand.Rand, pulseUJ float64) []core.Entry {
+	sinks := [2]core.ResourceID{3, 7}
+	drawUA := [2]float64{float64(500 + rng.Intn(3000)), float64(500 + rng.Intn(3000))}
+	now := uint32(rng.Intn(1000))
+	var accUJ float64
+	var out []core.Entry
+	emit := func(typ core.EntryType, res core.ResourceID, val uint16) {
+		out = append(out, core.Entry{Type: typ, Res: res, Time: now, IC: uint32(accUJ / pulseUJ), Val: val})
+	}
+	on := rng.Intn(2)
+	emit(core.EntryPowerState, sinks[1-on], 0)
+	emit(core.EntryPowerState, sinks[on], 1)
+	for n := 100 + rng.Intn(100); len(out) < n; {
+		dt := 1 + rng.Intn(3000)
+		accUJ += (400 + drawUA[on]) * 3.0 * float64(dt) * 1e-6
+		now += uint32(dt)
+		if rng.Intn(3) == 0 {
+			emit(core.EntryActivitySet, sinks[rng.Intn(2)], uint16(core.MkLabel(1, core.ActivityID(2+rng.Intn(3)))))
+			continue
+		}
+		emit(core.EntryPowerState, sinks[on], 0)
+		on = 1 - on
+		emit(core.EntryPowerState, sinks[on], 1)
+	}
+	now += 1000
+	emit(core.EntryMarker, 0, 0xFFFF)
+	return out
+}
+
 func sameBits(a, b float64) bool { return math.Float64bits(a) == math.Float64bits(b) }
 
 func sameFloatMap[K comparable](a, b map[K]float64) bool {
@@ -634,12 +652,12 @@ type kernelCoverage struct {
 // in more than 8 non-baseline states (more than the power memo holds), a
 // resource drawing power with no activity timeline, one with both kinds
 // of timeline, a multi-activity segment with an empty set over a charged
-// state segment, and a constant-only model.
+// state segment, and a constant-only model with a constant to charge.
 func (c *kernelCoverage) add(a *Analysis, labels int) {
 	if labels > 64 {
 		c.manyLabels++
 	}
-	if a.RegressionErr != nil {
+	if a.RegressionErr != nil && a.Reg.ConstMW > 0 {
 		c.constOnly++
 	}
 	for res, states := range a.States {
@@ -681,36 +699,41 @@ func (c *kernelCoverage) add(a *Analysis, labels int) {
 // groups, coefficients, timelines and breakdowns of random logs against the
 // naive recomputation, exactly, for every feed of the same log. The narrow
 // logs charge no multi-activity resource, so only the wide ones run under
-// every option set: both split policies with proxies resolved and not, and
-// a regression that falls back to the constant-only model.
+// every option set: both split policies with proxies resolved and not. The
+// one-of-two logs cannot be fit and take the constant-only model.
 func TestStreamAnalyzerMatchesNaiveReference(t *testing.T) {
 	const pulseUJ = 8.33
 	unweighted := DefaultOptions()
-	unweighted.Regression = RegressionOptions{IncludeConstant: true, MergeTimeFrac: 0.002}
+	unweighted.Weighted = false
 	firstSplit := DefaultOptions()
 	firstSplit.Split, firstSplit.ResolveProxies = SplitFirst, false
 	firstResolved := DefaultOptions()
 	firstResolved.Split = SplitFirst
 	equalRaw := DefaultOptions()
 	equalRaw.ResolveProxies = false
-	constantOnly := DefaultOptions() // every group too short to fit
-	constantOnly.Regression.MinGroupTimeUS = math.MaxInt64
 	narrowOpts := []Options{DefaultOptions(), unweighted, firstSplit}
-	wideOpts := append(narrowOpts, firstResolved, equalRaw, constantOnly)
+	wideOpts := append(narrowOpts, firstResolved, equalRaw)
+	shaped := func(shape logShape) func(*rand.Rand, *core.Dictionary) []core.Entry {
+		return func(rng *rand.Rand, dict *core.Dictionary) []core.Entry { return randomLog(rng, dict, pulseUJ, shape) }
+	}
 
 	var fitted, rebound, overlaps, wrapped, lateTop int
 	var kernel kernelCoverage
 	for _, shape := range []struct {
 		name  string
-		shape logShape
+		log   func(*rand.Rand, *core.Dictionary) []core.Entry
 		seeds int64
 		opts  []Options
-	}{{"narrow", narrowShape, 30, narrowOpts}, {"wide", wideShape, 10, wideOpts}} {
+	}{
+		{"narrow", shaped(narrowShape), 30, narrowOpts},
+		{"wide", shaped(wideShape), 10, wideOpts},
+		{"one-of-two", func(rng *rand.Rand, _ *core.Dictionary) []core.Entry { return oneOfTwoLog(rng, pulseUJ) }, 3, narrowOpts},
+	} {
 		for seed := int64(1); seed <= shape.seeds; seed++ {
 			for oi, opts := range shape.opts {
 				rng := rand.New(rand.NewSource(seed))
 				dict := core.NewDictionary()
-				entries := randomLog(rng, dict, pulseUJ, shape.shape)
+				entries := shape.log(rng, dict)
 				want, ivs := refAnalysis(entries, dict, pulseUJ, opts)
 				if entries[len(entries)-1].Time < entries[0].Time {
 					wrapped++
@@ -772,6 +795,8 @@ func TestStreamAnalyzerMatchesNaiveReference(t *testing.T) {
 
 					if got.RegressionErr == nil {
 						fitted++
+					} else if shape.name == "one-of-two" && got.RegressionErr.Error() != "analysis: 2 state groups cannot constrain 3 coefficients" {
+						t.Fatalf("%s: regression error %v, want 2 groups against 3 coefficients", name, got.RegressionErr)
 					}
 					checkSameAnalysis(t, name, sa, got, want)
 					kernel.add(got, len(got.EnergyByActivity()))

@@ -62,47 +62,24 @@ type Regression struct {
 	Fit *linalg.WLSResult
 }
 
-// RegressionOptions tunes the estimation.
-type RegressionOptions struct {
-	// Weighted selects the paper's w = sqrt(E*t) weights; unweighted OLS
-	// otherwise (the ablation).
-	Weighted bool
-	// IncludeConstant adds the constant column absorbing baseline draw.
-	IncludeConstant bool
-	// MinGroupTimeUS drops groups observed for less than this long, whose
-	// y_j are dominated by quantization noise.
-	MinGroupTimeUS int64
-	// MergeTimeFrac merges predictors whose on/off patterns differ for
-	// less than this fraction of the observed time. States that switch
-	// (almost) in lockstep — a radio's regulator and oscillator, for
-	// example — cannot be separated reliably; estimating their combined
-	// draw is both honest and numerically stable (Section 5.2's
-	// linear-independence limitation).
-	MergeTimeFrac float64
-	// NonNegative constrains all fitted draws (including the constant) to
-	// be physically plausible, i.e. >= 0, using non-negative least
-	// squares. Without it, nearly collinear predictors can fit as huge
-	// opposite-signed pairs and corrupt the energy attribution.
-	NonNegative bool
-}
-
-// DefaultRegressionOptions mirrors the paper's method.
-func DefaultRegressionOptions() RegressionOptions {
-	return RegressionOptions{
-		Weighted:        true,
-		IncludeConstant: true,
-		MinGroupTimeUS:  0,
-		MergeTimeFrac:   0.002,
-		NonNegative:     true,
-	}
-}
+// mergeTimeFrac is the share of the observed time below which two
+// predictors' on/off patterns count as the same, and the predictors merge.
+// States that switch (almost) in lockstep, a radio's regulator and
+// oscillator for example, cannot be separated reliably; estimating their
+// combined draw is both honest and numerically stable (Section 5.2's
+// linear-independence limitation).
+const mergeTimeFrac = 0.002
 
 // RunRegression estimates per-predictor power draws from state intervals
 // and the vectors they index. Intervals are grouped by their vector's Key,
-// so distinct vectors with equal keys share one group.
-func RunRegression(intervals []StateInterval, vectors []StateVector, pulseUJ float64, opts RegressionOptions) (*Regression, error) {
+// so distinct vectors with equal keys share one group. The fit has a
+// constant column absorbing the baseline draw and constrains every draw,
+// the constant's included, to be non-negative (non-negative least squares):
+// without that, nearly collinear predictors can fit as huge opposite-signed
+// pairs and corrupt the attribution. Of opts it reads only Weighted.
+func RunRegression(intervals []StateInterval, vectors []StateVector, pulseUJ float64, opts Options) (*Regression, error) {
 	var sc regScratch
-	reg, fail := sc.run(intervals, vectors, pulseUJ, opts)
+	reg, fail := sc.run(intervals, vectors, pulseUJ, opts.Weighted)
 	if fail.failed() {
 		return nil, fail.err()
 	}
@@ -137,7 +114,6 @@ type regFailKind uint8
 const (
 	regFitted regFailKind = iota
 	regNoIntervals
-	regNoPredictors
 	regUnderdetermined
 	regSolverFailed
 )
@@ -149,8 +125,6 @@ func (f regFailure) err() error {
 	switch f.kind {
 	case regNoIntervals:
 		return fmt.Errorf("analysis: no intervals to regress")
-	case regNoPredictors:
-		return fmt.Errorf("analysis: no predictors observed")
 	case regUnderdetermined:
 		return fmt.Errorf("analysis: %d state groups cannot constrain %d coefficients", f.groups, f.cols)
 	case regSolverFailed:
@@ -160,7 +134,7 @@ func (f regFailure) err() error {
 }
 
 // run is RunRegression on the scratch's tables.
-func (sc *regScratch) run(intervals []StateInterval, vectors []StateVector, pulseUJ float64, opts RegressionOptions) (*Regression, regFailure) {
+func (sc *regScratch) run(intervals []StateInterval, vectors []StateVector, pulseUJ float64, weighted bool) (*Regression, regFailure) {
 	if len(intervals) == 0 {
 		return nil, regFailure{kind: regNoIntervals}
 	}
@@ -203,7 +177,7 @@ func (sc *regScratch) run(intervals []StateInterval, vectors []StateVector, puls
 		// interval spent time in go the same way.
 		kept := groups[:0]
 		for _, g := range groups {
-			if g.TimeUS >= opts.MinGroupTimeUS && g.TimeUS > 0 && g.EnergyUJ > 0 {
+			if g.TimeUS > 0 && g.EnergyUJ > 0 {
 				kept = append(kept, g)
 			}
 		}
@@ -245,7 +219,7 @@ func (sc *regScratch) run(intervals []StateInterval, vectors []StateVector, puls
 	for _, g := range groups {
 		spanUS += g.TimeUS
 	}
-	limit := int64(opts.MergeTimeFrac * float64(spanUS))
+	limit := int64(mergeTimeFrac * float64(spanUS))
 	// diffTime returns how long candidates p's and q's indicators disagree.
 	diffTime := func(p, q int) int64 {
 		var d int64
@@ -259,7 +233,7 @@ func (sc *regScratch) run(intervals []StateInterval, vectors []StateVector, puls
 	}
 	colOf, reps := sc.colOf[:0], sc.reps[:0]
 	for c := range cands {
-		if opts.IncludeConstant && !slices.Contains(row(c), false) {
+		if !slices.Contains(row(c), false) {
 			// Active always: indistinguishable from the constant.
 			colOf = append(colOf, -1)
 			continue
@@ -273,13 +247,7 @@ func (sc *regScratch) run(intervals []StateInterval, vectors []StateVector, puls
 	}
 	sc.colOf, sc.reps = colOf, reps
 
-	cols := len(reps)
-	if opts.IncludeConstant {
-		cols++
-	}
-	if cols == 0 {
-		return nil, regFailure{kind: regNoPredictors}
-	}
+	cols := len(reps) + 1 // the predictors, then the constant
 	if len(groups) < cols {
 		return nil, regFailure{kind: regUnderdetermined, groups: len(groups), cols: cols}
 	}
@@ -294,24 +262,16 @@ func (sc *regScratch) run(intervals []StateInterval, vectors []StateVector, puls
 				x.Set(i, int(c), 1)
 			}
 		}
-		if opts.IncludeConstant {
-			x.Set(i, cols-1, 1)
-		}
+		x.Set(i, cols-1, 1)
 		y[i] = g.PowerMW()
-		if opts.Weighted {
+		if weighted {
 			w[i] = math.Sqrt(g.EnergyUJ * float64(g.TimeUS))
 		} else {
 			w[i] = 1
 		}
 	}
 
-	var fit *linalg.WLSResult
-	var err error
-	if opts.NonNegative {
-		fit, err = linalg.NNLS(x, y, w)
-	} else {
-		fit, err = linalg.WLS(x, y, w)
-	}
+	fit, err := linalg.NNLS(x, y, w)
 	if err != nil {
 		return nil, regFailure{kind: regSolverFailed, solver: err}
 	}
@@ -333,9 +293,7 @@ func (sc *regScratch) run(intervals []StateInterval, vectors []StateVector, puls
 			reg.MergedInto[p] = cands[reps[col]]
 		}
 	}
-	if opts.IncludeConstant {
-		reg.ConstMW = fit.Coef[cols-1]
-	}
+	reg.ConstMW = fit.Coef[cols-1]
 	return reg, regFailure{}
 }
 

@@ -163,7 +163,7 @@ func (s *StreamAnalyzer) model() (*Regression, regFailure, error) {
 	if !s.closed {
 		s.tlb.close(s.endUS)
 		s.stb.close(s.endUS)
-		s.fit, s.fail = s.scratch.run(s.ivb.Intervals(), s.ivb.Vectors(), s.pulseUJ, s.opts.Regression)
+		s.fit, s.fail = s.scratch.run(s.ivb.Intervals(), s.ivb.Vectors(), s.pulseUJ, s.opts.Weighted)
 		if s.fail.failed() {
 			// Degrade to a constant-only model so time breakdowns and
 			// total energy still work on logs without separable power

@@ -36,7 +36,7 @@ func AblationWeights(seed uint64) (*Report, error) {
 		return nil, err
 	}
 	opts := analysis.DefaultOptions()
-	opts.Regression.Weighted = false
+	opts.Weighted = false
 	unweighted, err := analyzeNodeWith(w, n, opts)
 	if err != nil {
 		return nil, err

@@ -1,13 +1,18 @@
-// Benchmarks for the streaming event pipeline: k-way trace merge, batched
-// codec throughput, sink fan-out, and end-to-end single-pass analysis.
+// Benchmarks gated as CI's pipeline suite (BENCH_pipeline.json), each for
+// a path that every trace or every logged entry takes:
 //
-// The headline pair is BenchmarkPipelineStreaming1M vs
-// BenchmarkPipelineConcatSortBaseline1M: both merge the same 4-node,
-// ~1M-entry synthetic trace and run the same analysis (a full breakdown per
-// node), but the streaming path goes through the O(N log
-// k) heap merge and feeds analysis incrementally, while the baseline
-// reproduces the seed's concat+sort.SliceStable merge and materialized
-// per-node slices.
+//   - PipelineStreaming1M: the k-way merge and single-pass analysis of a
+//     4-node, 1M-entry synthetic trace, end to end.
+//   - MergeKWayOnly: the merge alone.
+//   - DecodeBatch: decoding one log from its 12-byte frames, the read path
+//     of quanto-trace and trace.MergeReaders.
+//   - LogEntry, TraceCodec and MeterRead: the tracker's log call, one
+//     entry's encode and decode, and an iCount read. None allocates, and
+//     the gate fails on the first allocation.
+//
+// TestPipelinesAgree pins the streaming path to two reconstructions of the
+// seed repository's data path: a concat+sort merge with materialized
+// per-node slices, and the same plus the seed's map-copying interval pass.
 package repro
 
 import (
@@ -19,7 +24,10 @@ import (
 
 	"repro/internal/analysis"
 	"repro/internal/core"
+	"repro/internal/icount"
+	"repro/internal/power"
 	"repro/internal/trace"
+	"repro/internal/units"
 )
 
 // synthNodeLogs builds a deterministic 4-node workload that looks like a
@@ -62,17 +70,17 @@ const (
 	benchPerNode = 250_000
 )
 
-// runStreamingPipeline is the new path: k-way heap merge over per-node
-// iterators, demuxed into per-node single-pass analyzers. No []core.Entry is
-// materialized beyond the inputs.
-func runStreamingPipeline(b *testing.B, logs []trace.NodeLog) float64 {
+// runStreamingPipeline is the streaming path: k-way heap merge over
+// per-node iterators, demuxed into per-node single-pass analyzers. No
+// []core.Entry is materialized beyond the inputs.
+func runStreamingPipeline(tb testing.TB, logs []trace.NodeLog) float64 {
 	streams := make([]trace.Stream, len(logs))
 	for i, l := range logs {
 		streams[i] = trace.Stream{Node: l.Node, Source: trace.NewSliceSource(l.Entries)}
 	}
 	m, err := trace.NewMerger(streams)
 	if err != nil {
-		b.Fatal(err)
+		tb.Fatal(err)
 	}
 	dict := core.NewDictionary()
 	na := analysis.NewNetworkAnalyzer(dict, analysis.DefaultOptions(), 8.33, 3.0)
@@ -82,13 +90,13 @@ func runStreamingPipeline(b *testing.B, logs []trace.NodeLog) float64 {
 			break
 		}
 		if err != nil {
-			b.Fatal(err)
+			tb.Fatal(err)
 		}
 		na.Consume(s)
 	}
 	net, err := na.Finish()
 	if err != nil {
-		b.Fatal(err)
+		tb.Fatal(err)
 	}
 	total := net.TotalEnergyUJ()
 	for _, uj := range net.EnergyByActivity() {
@@ -97,10 +105,9 @@ func runStreamingPipeline(b *testing.B, logs []trace.NodeLog) float64 {
 	return total
 }
 
-// runConcatSortBaseline reproduces the seed's data path: concatenate every
-// node's log into one slice, stable-sort it, split it back per node, then
-// analyze the materialized slices.
-func runConcatSortBaseline(b *testing.B, logs []trace.NodeLog) float64 {
+// concatSort is the seed's merge: every node's log concatenated into one
+// slice and stable-sorted by time, then node.
+func concatSort(logs []trace.NodeLog) []trace.Stamped {
 	total := 0
 	for _, l := range logs {
 		total += len(l.Entries)
@@ -117,14 +124,20 @@ func runConcatSortBaseline(b *testing.B, logs []trace.NodeLog) float64 {
 		}
 		return merged[i].Node < merged[j].Node
 	})
+	return merged
+}
+
+// runConcatSortBaseline reproduces the seed's data path: the concat+sort
+// merge, split back per node, then analysis of the materialized slices.
+func runConcatSortBaseline(tb testing.TB, logs []trace.NodeLog) float64 {
 	dict := core.NewDictionary()
 	var sum float64
 	var analyses []*analysis.Analysis
-	for _, l := range trace.SplitByNode(merged) {
+	for _, l := range trace.SplitByNode(concatSort(logs)) {
 		tr := analysis.NewNodeTrace(l.Node, l.Entries, 8.33, 3.0)
 		a, err := analysis.Analyze(tr, dict, analysis.DefaultOptions())
 		if err != nil {
-			b.Fatal(err)
+			tb.Fatal(err)
 		}
 		analyses = append(analyses, a)
 	}
@@ -135,9 +148,9 @@ func runConcatSortBaseline(b *testing.B, logs []trace.NodeLog) float64 {
 	return sum + net.TotalEnergyUJ()
 }
 
-// seedStateIntervals is the seed repo's StateIntervals pass, kept as the
-// benchmark baseline: it copies and re-fingerprints the state map for every
-// interval, and gives every interval a vector of its own.
+// seedStateIntervals is the seed repo's StateIntervals pass: it copies and
+// re-fingerprints the state map for every interval, and gives every
+// interval a vector of its own.
 func seedStateIntervals(tr *analysis.NodeTrace) ([]analysis.StateInterval, []analysis.StateVector) {
 	states := make(map[core.ResourceID]core.PowerState)
 	var out []analysis.StateInterval
@@ -188,30 +201,14 @@ func seedStateIntervals(tr *analysis.NodeTrace) ([]analysis.StateInterval, []ana
 // merge, materialized per-node slices with unwrapped time arrays, the seed's
 // map-copying interval pass, then regression, timelines and breakdown — the
 // same analysis products the streaming path emits.
-func runSeedPath(b *testing.B, logs []trace.NodeLog) float64 {
-	total := 0
-	for _, l := range logs {
-		total += len(l.Entries)
-	}
-	merged := make([]trace.Stamped, 0, total)
-	for _, l := range logs {
-		for _, e := range l.Entries {
-			merged = append(merged, trace.Stamped{Node: l.Node, Entry: e})
-		}
-	}
-	sort.SliceStable(merged, func(i, j int) bool {
-		if merged[i].Time != merged[j].Time {
-			return merged[i].Time < merged[j].Time
-		}
-		return merged[i].Node < merged[j].Node
-	})
+func runSeedPath(tb testing.TB, logs []trace.NodeLog) float64 {
 	dict := core.NewDictionary()
 	var sum float64
 	var analyses []*analysis.Analysis
-	for _, l := range trace.SplitByNode(merged) {
+	for _, l := range trace.SplitByNode(concatSort(logs)) {
 		tr := analysis.NewNodeTrace(l.Node, l.Entries, 8.33, 3.0)
 		ivs, vecs := seedStateIntervals(tr)
-		reg, regErr := analysis.RunRegression(ivs, vecs, tr.PulseUJ, analysis.DefaultRegressionOptions())
+		reg, regErr := analysis.RunRegression(ivs, vecs, tr.PulseUJ, analysis.DefaultOptions())
 		if regErr != nil {
 			constMW := 0.0
 			if span := tr.End() - tr.Start(); span > 0 {
@@ -235,19 +232,6 @@ func runSeedPath(b *testing.B, logs []trace.NodeLog) float64 {
 	return sum + net.TotalEnergyUJ()
 }
 
-func BenchmarkPipelineSeedPath1M(b *testing.B) {
-	logs := synthNodeLogs(benchNodes, benchPerNode)
-	b.ResetTimer()
-	var total float64
-	for i := 0; i < b.N; i++ {
-		total = runSeedPath(b, logs)
-	}
-	if total <= 0 {
-		b.Fatal("no energy accounted")
-	}
-	b.ReportMetric(float64(benchNodes*benchPerNode)*float64(b.N)/b.Elapsed().Seconds(), "entries/s")
-}
-
 func BenchmarkPipelineStreaming1M(b *testing.B) {
 	logs := synthNodeLogs(benchNodes, benchPerNode)
 	b.ResetTimer()
@@ -261,27 +245,13 @@ func BenchmarkPipelineStreaming1M(b *testing.B) {
 	b.ReportMetric(float64(benchNodes*benchPerNode)*float64(b.N)/b.Elapsed().Seconds(), "entries/s")
 }
 
-func BenchmarkPipelineConcatSortBaseline1M(b *testing.B) {
-	logs := synthNodeLogs(benchNodes, benchPerNode)
-	b.ResetTimer()
-	var total float64
-	for i := 0; i < b.N; i++ {
-		total = runConcatSortBaseline(b, logs)
-	}
-	if total <= 0 {
-		b.Fatal("no energy accounted")
-	}
-	b.ReportMetric(float64(benchNodes*benchPerNode)*float64(b.N)/b.Elapsed().Seconds(), "entries/s")
-}
-
 // TestPipelinesAgree pins the streaming pipeline to the seed path's result
 // on a smaller instance of the same workload.
 func TestPipelinesAgree(t *testing.T) {
 	logs := synthNodeLogs(benchNodes, 5_000)
-	var b testing.B
-	got := runStreamingPipeline(&b, logs)
-	want := runConcatSortBaseline(&b, logs)
-	seed := runSeedPath(&b, logs)
+	got := runStreamingPipeline(t, logs)
+	want := runConcatSortBaseline(t, logs)
+	seed := runSeedPath(t, logs)
 	if diff := got - want; diff < -1e-6 || diff > 1e-6 {
 		t.Errorf("streaming total %g != baseline total %g", got, want)
 	}
@@ -290,8 +260,7 @@ func TestPipelinesAgree(t *testing.T) {
 	}
 }
 
-// BenchmarkMergeKWayOnly isolates the merge itself (no analysis) for a
-// direct comparison with BenchmarkMergeConcatSortOnly.
+// BenchmarkMergeKWayOnly isolates the merge itself, without analysis.
 func BenchmarkMergeKWayOnly(b *testing.B) {
 	logs := synthNodeLogs(benchNodes, benchPerNode)
 	b.ResetTimer()
@@ -320,72 +289,7 @@ func BenchmarkMergeKWayOnly(b *testing.B) {
 	b.ReportMetric(float64(benchNodes*benchPerNode)*float64(b.N)/b.Elapsed().Seconds(), "entries/s")
 }
 
-func BenchmarkMergeConcatSortOnly(b *testing.B) {
-	logs := synthNodeLogs(benchNodes, benchPerNode)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		total := 0
-		for _, l := range logs {
-			total += len(l.Entries)
-		}
-		merged := make([]trace.Stamped, 0, total)
-		for _, l := range logs {
-			for _, e := range l.Entries {
-				merged = append(merged, trace.Stamped{Node: l.Node, Entry: e})
-			}
-		}
-		sort.SliceStable(merged, func(i, j int) bool {
-			if merged[i].Time != merged[j].Time {
-				return merged[i].Time < merged[j].Time
-			}
-			return merged[i].Node < merged[j].Node
-		})
-		if len(merged) != benchNodes*benchPerNode {
-			b.Fatalf("merged %d entries", len(merged))
-		}
-	}
-	b.ReportMetric(float64(benchNodes*benchPerNode)*float64(b.N)/b.Elapsed().Seconds(), "entries/s")
-}
-
-// BenchmarkMergeReadersConcurrent measures the full decode+merge path from
-// encoded bytes, with per-node decoding running concurrently.
-func BenchmarkMergeReadersConcurrent(b *testing.B) {
-	logs := synthNodeLogs(benchNodes, benchPerNode/4)
-	encoded := make([][]byte, len(logs))
-	totalBytes := 0
-	for i, l := range logs {
-		encoded[i] = trace.Marshal(l.Entries)
-		totalBytes += len(encoded[i])
-	}
-	b.SetBytes(int64(totalBytes))
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		streams := make([]trace.ReaderStream, len(logs))
-		for j := range logs {
-			streams[j] = trace.ReaderStream{Node: logs[j].Node, R: bytes.NewReader(encoded[j])}
-		}
-		m, err := trace.MergeReaders(streams, 0)
-		if err != nil {
-			b.Fatal(err)
-		}
-		n := 0
-		for {
-			if _, err := m.Next(); err == io.EOF {
-				break
-			} else if err != nil {
-				b.Fatal(err)
-			}
-			n++
-		}
-		if n != len(logs)*benchPerNode/4 {
-			b.Fatalf("merged %d entries", n)
-		}
-	}
-}
-
-// BenchmarkDecodeBatch measures batched decode throughput; compare with
-// BenchmarkDecodeEntry for the per-entry interface cost the batch path
-// eliminates.
+// BenchmarkDecodeBatch measures batched decode throughput of one node's log.
 func BenchmarkDecodeBatch(b *testing.B) {
 	logs := synthNodeLogs(1, benchPerNode)
 	data := trace.Marshal(logs[0].Entries)
@@ -411,52 +315,47 @@ func BenchmarkDecodeBatch(b *testing.B) {
 	}
 }
 
-func BenchmarkDecodeEntry(b *testing.B) {
-	logs := synthNodeLogs(1, benchPerNode)
-	data := trace.Marshal(logs[0].Entries)
-	b.SetBytes(int64(len(data)))
+// BenchmarkLogEntry measures the Go-side cost of the logging fast path (the
+// mote-side cost is the modeled 102 cycles).
+func BenchmarkLogEntry(b *testing.B) {
+	clock := fixedClock(7)
+	meter := fixedMeter(9)
+	sink := core.NewCounterSink()
+	trk := core.NewTracker(core.Config{Node: 1, Clock: clock, Meter: meter, Sink: sink})
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		r := trace.NewReader(bytes.NewReader(data))
-		n := 0
-		for {
-			if _, err := r.Read(); err == io.EOF {
-				break
-			} else if err != nil {
-				b.Fatal(err)
-			}
-			n++
-		}
-		if n != len(logs[0].Entries) {
-			b.Fatalf("decoded %d entries", n)
+		trk.Log(core.EntryPowerState, power.ResLED0, uint16(i&1))
+	}
+}
+
+type fixedClock uint32
+
+func (c fixedClock) NowMicros() uint32 { return uint32(c) }
+
+type fixedMeter uint32
+
+func (m fixedMeter) ReadPulses() uint32 { return uint32(m) }
+
+// BenchmarkTraceCodec measures entry encode+decode throughput.
+func BenchmarkTraceCodec(b *testing.B) {
+	e := core.Entry{Type: core.EntryPowerState, Res: 3, Time: 123456, IC: 789, Val: 1}
+	var buf [trace.EntrySize]byte
+	b.SetBytes(trace.EntrySize)
+	for i := 0; i < b.N; i++ {
+		trace.Encode(buf[:], e)
+		if _, err := trace.Decode(buf[:]); err != nil {
+			b.Fatal(err)
 		}
 	}
 }
 
-// BenchmarkFanoutBatch measures a two-way Tee (collector + counter) on the
-// batched path vs entry-at-a-time.
-func BenchmarkFanoutBatch(b *testing.B) {
-	logs := synthNodeLogs(1, benchPerNode)
-	entries := logs[0].Entries
-	b.SetBytes(int64(len(entries) * core.EntrySize))
-	b.ResetTimer()
+// BenchmarkMeterRead measures the iCount read path.
+func BenchmarkMeterRead(b *testing.B) {
+	now := units.Ticks(0)
+	m := icount.New(3.0, func() units.Ticks { return now })
+	m.CurrentChanged(0, 5000)
 	for i := 0; i < b.N; i++ {
-		tee := core.NewTee(core.NewCollector(), core.NewCounterSink())
-		if kept := tee.RecordBatch(entries); kept != len(entries) {
-			b.Fatalf("kept %d", kept)
-		}
-	}
-}
-
-func BenchmarkFanoutSingle(b *testing.B) {
-	logs := synthNodeLogs(1, benchPerNode)
-	entries := logs[0].Entries
-	b.SetBytes(int64(len(entries) * core.EntrySize))
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		tee := core.NewTee(core.NewCollector(), core.NewCounterSink())
-		for _, e := range entries {
-			tee.Record(e)
-		}
+		now += 10
+		_ = m.ReadPulses()
 	}
 }
