@@ -5,10 +5,10 @@
 //
 //	quanto [-seed N] [-list] [experiment ...]
 //
-// With no arguments every experiment runs in paper order, followed by the
-// network-wide footprint. -list prints the experiment names in that order:
-// table1, fig10, table2, fig11, table3, fig12, fig13, fig14, fig15, fig16,
-// table4, table5, network.
+// With no arguments every experiment runs in the order of
+// experiments.Exhibits: the paper's tables and figures in paper order, the
+// network-wide footprint, then one ablation per design choice. -list prints
+// the experiment names in that order.
 package main
 
 import (

@@ -2,10 +2,14 @@
 // every backtick-quoted path reference in README.md, docs/*.md, and the
 // per-example walkthroughs (examples/*/README.md) must resolve to a real
 // file or directory, so architecture-doc references cannot rot silently
-// when packages move. CI runs it in the docs job.
+// when packages move; and every markdown file a Go comment cites must
+// exist. CI runs it in the docs job.
 package repro
 
 import (
+	"go/parser"
+	"go/token"
+	"io/fs"
 	"os"
 	"path/filepath"
 	"regexp"
@@ -93,6 +97,71 @@ func TestDocLinks(t *testing.T) {
 			if _, err := os.Stat(codePathFile(m[1])); err != nil {
 				t.Errorf("%s: code path reference `%s` does not exist", file, m[1])
 			}
+		}
+	}
+
+	fset := token.NewFileSet()
+	err := filepath.WalkDir(".", func(path string, d fs.DirEntry, err error) error {
+		if err != nil {
+			return err
+		}
+		if d.IsDir() {
+			if path != "." && (strings.HasPrefix(d.Name(), ".") || d.Name() == "testdata") {
+				return filepath.SkipDir
+			}
+			return nil
+		}
+		if !strings.HasSuffix(path, ".go") {
+			return nil
+		}
+		f, err := parser.ParseFile(fset, path, nil, parser.ParseComments|parser.SkipObjectResolution)
+		if err != nil {
+			return err
+		}
+		for _, cg := range f.Comments {
+			for _, ref := range mdName.FindAllString(cg.Text(), -1) {
+				if !mdCited(ref, filepath.Dir(path)) {
+					t.Errorf("%s: comment cites %s, which is not at the repository root, in docs/ or beside the file", fset.Position(cg.Pos()), ref)
+				}
+			}
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+}
+
+// mdName matches a markdown file a Go comment cites, by name or by path:
+// README.md, docs/ARCHITECTURE.md.
+var mdName = regexp.MustCompile(`\b[A-Za-z0-9_][A-Za-z0-9_./-]*\.md\b`)
+
+// mdCited reports whether a markdown file that a Go comment in dir cites
+// exists at the repository root, in docs/ or in dir itself.
+func mdCited(ref, dir string) bool {
+	for _, base := range []string{".", "docs", dir} {
+		if _, err := os.Stat(filepath.Join(base, ref)); err == nil {
+			return true
+		}
+	}
+	return false
+}
+
+// TestMDCited pins where a markdown file a Go comment cites may live.
+func TestMDCited(t *testing.T) {
+	for _, c := range []struct {
+		ref, dir string
+		exists   bool
+	}{
+		{"README.md", "internal/sim", true},            // the root
+		{"ARCHITECTURE.md", "internal/analysis", true}, // docs/
+		{"docs/ARCHITECTURE.md", "cmd/quanto", true},   // a path from the root
+		{"README.md", "examples/traffic", true},        // beside the file
+		{"DESIGN.md", ".", false},                      // nowhere
+		{"EXPERIMENTS.md", "internal/experiments", false},
+	} {
+		if got := mdCited(c.ref, c.dir); got != c.exists {
+			t.Errorf("mdCited(%q, %q) = %v, want %v", c.ref, c.dir, got, c.exists)
 		}
 	}
 }

@@ -187,10 +187,10 @@ func (t *Tee) RecordBatch(entries []Entry) int {
 
 // CounterSink is the "counting instead of logging" alternative discussed in
 // Section 5.1: rather than storing every event it folds the stream into
-// fixed per-key counters, making memory overhead constant. It implements the
-// event-consumption side only; time/energy accumulation per activity is done
-// by the online accounting in internal/analysis. Here it demonstrates the
-// RAM trade-off for the ablation benchmark.
+// fixed per-key counters, making memory overhead constant. It keeps no
+// times, so no regression or attribution can run on it; the
+// ablation-counters exhibit shows the RAM trade-off, and quanto-trace
+// summary prints the counts of a recorded log.
 type CounterSink struct {
 	PerType map[EntryType]uint64
 	PerRes  map[ResourceID]uint64

@@ -85,8 +85,8 @@ func WLS(x *Matrix, y, w []float64) (*WLSResult, error) {
 	return &WLSResult{Coef: coef, Fitted: fitted, Residuals: res, RelErr: relErr, R2: r2}, nil
 }
 
-// OLS is ordinary (unweighted) least squares, used by the weighting
-// ablation.
+// OLS is ordinary (unweighted) least squares, used by Table 2's
+// calibration fit and by LinFit.
 func OLS(x *Matrix, y []float64) (*WLSResult, error) {
 	w := make([]float64, x.Rows())
 	for i := range w {

@@ -1,10 +1,8 @@
 // Benchmarks for the routing layer: what the collection tree costs on top
 // of an unrouted relay, and how the routed stack scales with node count and
 // with mobility churning the neighbor index. The CI bench step runs these
-// under the '^BenchmarkNet(Routed|Mobile)' regex (disjoint from the core/sweep/medium/
-// lifetime/traffic suites, and from the BenchmarkNetworkFootprint exhibit
-// that shares the prefix) and compares against the committed BENCH_net.json
-// baseline.
+// under the '^BenchmarkNet(Routed|Mobile)' regex (disjoint from the other
+// suites) and compares against the committed BENCH_net.json baseline.
 package repro
 
 import (
