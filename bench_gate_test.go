@@ -31,39 +31,18 @@ type benchCommand struct {
 	bench, skip []string
 }
 
-// shellWords splits a command line into words, honoring single and double
-// quotes, and stops at a pipe.
+// shellWord matches one word of a workflow command line: quoted whole,
+// bare, or the pipe that ends the command.
+var shellWord = regexp.MustCompile(`'[^']*'|"[^"]*"|[^\s'"|]+|\|`)
+
+// shellWords splits a command line into words, unquoted, up to a pipe.
 func shellWords(line string) []string {
 	var words []string
-	var w strings.Builder
-	inWord := false
-	var quote rune
-	for _, r := range line {
-		switch {
-		case quote != 0 && r == quote:
-			quote = 0
-		case quote != 0:
-			w.WriteRune(r)
-		case r == '\'' || r == '"':
-			quote, inWord = r, true
-		case r == '|':
-			if inWord {
-				words = append(words, w.String())
-			}
-			return words
-		case r == ' ' || r == '\t':
-			if inWord {
-				words = append(words, w.String())
-				w.Reset()
-				inWord = false
-			}
-		default:
-			w.WriteRune(r)
-			inWord = true
+	for _, w := range shellWord.FindAllString(line, -1) {
+		if w == "|" {
+			break
 		}
-	}
-	if inWord {
-		words = append(words, w.String())
+		words = append(words, strings.Trim(w, `'"`))
 	}
 	return words
 }

@@ -7,6 +7,9 @@ import (
 	"repro/internal/scenario"
 )
 
+// TestBounceHighRateTrafficPanics drives shaped bounce runs at rising
+// injection rates, up to far more than the radio can carry. RunSpec turns a
+// panic into the Result's error, so each run must end without one.
 func TestBounceHighRateTrafficPanics(t *testing.T) {
 	for _, rps := range []float64{5, 20, 50, 200} {
 		var sp scenario.Spec
@@ -16,9 +19,9 @@ func TestBounceHighRateTrafficPanics(t *testing.T) {
 		sp.Traffic.RPS = rps
 		res := scenario.RunSpec(sp)
 		if res.Error != "" {
-			t.Logf("rps=%v err=%v", rps, res.Error)
-		} else {
-			t.Logf("rps=%v ok metrics=%v", rps, res.Metrics)
+			t.Errorf("rps=%v: %s", rps, res.Error)
+			continue
 		}
+		t.Logf("rps=%v ok metrics=%v", rps, res.Metrics)
 	}
 }

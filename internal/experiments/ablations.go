@@ -50,14 +50,13 @@ func AblationWeights(seed uint64) (*Report, error) {
 	truth := power.CalibratedDraws()
 	volts := float64(n.Volts)
 	var sb strings.Builder
-	fmt.Fprintf(&sb, "%-6s %10s | %10s %10s | %10s %10s\n", "", "true", "weighted", "", "unweighted", "")
-	fmt.Fprintf(&sb, "%-6s %10s | %10s %10s | %10s %10s\n", "LED", "I (mA)", "I (mA)", "err (uA)", "I (mA)", "err (uA)")
+	fmt.Fprintf(&sb, "%-6s %10s %14s %10s %14s %10s\n", "LED", "true (mA)", "weighted (mA)", "err (uA)", "unweighted (mA)", "err (uA)")
 	for i, res := range []core.ResourceID{power.ResLED0, power.ResLED1, power.ResLED2} {
 		p := analysis.Predictor{Res: res, State: power.StateOn}
 		trueMA := float64(truth.Draw(res, power.StateOn)) / 1000
 		wMA, uMA := weighted.Reg.CurrentMA(p, volts), unweighted.Reg.CurrentMA(p, volts)
 		wErr, uErr := math.Abs(wMA-trueMA)*1000, math.Abs(uMA-trueMA)*1000
-		fmt.Fprintf(&sb, "LED%-3d %10.3f | %10.3f %10.2f | %10.3f %10.2f\n", i, trueMA, wMA, wErr, uMA, uErr)
+		fmt.Fprintf(&sb, "LED%-3d %10.3f %14.3f %10.2f %14.3f %10.2f\n", i, trueMA, wMA, wErr, uMA, uErr)
 		if res == power.ResLED0 {
 			r.Values["weighted_err_uA"] = wErr
 			r.Values["unweighted_err_uA"] = uErr
