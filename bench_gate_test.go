@@ -111,15 +111,11 @@ func parseBenchCommands(workflow string) []benchCommand {
 	return cmds
 }
 
-// runsPackage reports whether the command runs the package in dir (slash
+// runsPackage reports whether the command names the package in dir (slash
 // separated, relative to the module root, "." for the root).
 func (c benchCommand) runsPackage(dir string) bool {
 	for _, p := range c.pkgs {
-		p = strings.TrimPrefix(p, "./")
-		if p == "" {
-			p = "."
-		}
-		if p == dir || p == "..." || strings.HasSuffix(p, "/...") && strings.HasPrefix(dir+"/", strings.TrimSuffix(p, "...")) {
+		if p == dir || p == "./"+dir {
 			return true
 		}
 	}
