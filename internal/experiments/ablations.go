@@ -64,9 +64,9 @@ func AblationWeights(seed uint64) (*Report, error) {
 	}
 	fmt.Fprintf(&sb, "\nRelative fit error ||Y-XPi||/||Y||: weighted %.4f%%, unweighted %.4f%%\n",
 		weighted.Reg.Fit.RelErr*100, unweighted.Reg.Fit.RelErr*100)
-	sb.WriteString("The unweighted fit leaves the smaller residual yet misses every LED: it trusts the\n")
-	sb.WriteString("short state groups, whose few iCount pulses quantize their power coarsely, as much\n")
-	sb.WriteString("as the long ones.\n")
+	sb.WriteString("The unweighted fit minimizes that residual, so it reads the lower one. The weights\n")
+	sb.WriteString("trust each state group in proportion to its energy and time instead: a short group's\n")
+	sb.WriteString("few iCount pulses quantize its power coarsely.\n")
 	r.Text = sb.String()
 	return r, nil
 }
