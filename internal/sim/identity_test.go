@@ -64,9 +64,9 @@ func heapTraces(t *testing.T, spec scenario.Spec) ([]byte, map[string]float64) {
 // TestWheelHeapTraceIdentity is the differential property test for the
 // timer-wheel scheduler: for every registered app, across seeds,
 // placements, multi-origin load, battery deaths, traffic shapes, routing,
-// mobility and recorded replay, a run on the wheel queue must produce
-// byte-identical node traces (and identical metrics) to the same run on the
-// reference binary-heap queue.
+// mobility, continuous drain and recorded replay, a run on the wheel queue
+// must produce byte-identical node traces (and identical metrics) to the
+// same run on the reference binary-heap queue.
 func TestWheelHeapTraceIdentity(t *testing.T) {
 	variants := identityVariants(t)
 	// Every registered app must have a variant: a new app cannot ship
@@ -110,8 +110,9 @@ var pinSeeds = []uint64{1, 7}
 
 // identityVariants returns the differential suite's specs, seed unset: one
 // or more per registered app, across placements, multi-origin load, battery
-// deaths, traffic shapes, routing, mobility and a recorded replay (whose
-// trace file lives in t's temporary directory).
+// deaths, traffic shapes, routing, mobility, the continuous-drain logging
+// mode and a recorded replay (whose trace file lives in t's temporary
+// directory).
 func identityVariants(t *testing.T) []scenario.Spec {
 	t.Helper()
 	base := func(app string, dur units.Ticks) scenario.Spec {
@@ -123,6 +124,14 @@ func identityVariants(t *testing.T) []scenario.Spec {
 		func() scenario.Spec {
 			s := base("bounce", 2*units.Second)
 			s.Placement = scenario.PlacementLine
+			return s
+		}(),
+		// The paper's second logging mode: each node's log buffers in RAM
+		// and a low-priority task drains it under the "Quanto" activity,
+		// whose CPU time shows up in the node's own profile.
+		func() scenario.Spec {
+			s := base("bounce", 2*units.Second)
+			s.ContinuousDrain = true
 			return s
 		}(),
 		base("lpl", 2*units.Second),
@@ -285,6 +294,9 @@ func variantName(s scenario.Spec) string {
 	}
 	if s.UseDMA {
 		name += "/use_dma"
+	}
+	if s.ContinuousDrain {
+		name += "/continuous_drain"
 	}
 	return name
 }
