@@ -651,11 +651,12 @@ func record(outName, name string) error {
 }
 
 // merge k-way merges several per-node logs into one time-ordered stream,
-// decoding each input concurrently. Node ids are assigned by position
-// (first input = node 1). Only the 12-byte entries are written — the merged
-// stream is a valid trace itself, but it carries no node ids: it is meant
-// for dump and summary. Analyze the per-node inputs instead (analyze
-// FILE...), since a merged stream would be analyzed as a single node.
+// decoding each input in batches as the merge pulls from it. Node ids are
+// assigned by position (first input = node 1). Only the 12-byte entries are
+// written — the merged stream is a valid trace itself, but it carries no
+// node ids: it is meant for dump and summary. Analyze the per-node inputs
+// instead (analyze FILE...), since a merged stream would be analyzed as a
+// single node.
 func merge(outName string, inNames []string) error {
 	if err := atMostOneStdin(inNames); err != nil {
 		return err
@@ -672,10 +673,9 @@ func merge(outName string, inNames []string) error {
 			R:    bufio.NewReaderSize(in, 1<<16),
 		}
 	}
-	m, err := trace.MergeReaders(streams, 0)
-	if err != nil {
-		return err
-	}
+	// A merge that fails before its first entry still writes its (empty)
+	// output, so no earlier run's file is left standing at OUT.
+	m, mergeErr := trace.MergeReaders(streams, 0)
 	out, closeOut, err := openOut(outName)
 	if err != nil {
 		return err
@@ -691,37 +691,37 @@ func merge(outName string, inNames []string) error {
 		batch = batch[:0]
 		return err
 	}
-	for {
+	var writeErr error
+	for mergeErr == nil && writeErr == nil {
 		s, err := m.Next()
-		if err == io.EOF {
-			break
-		}
 		if err != nil {
-			// Entries merged before the failure are still written out,
-			// mirroring the merger's own no-silent-loss contract; the
-			// nonzero exit reports the truncation.
-			flush()
-			bw.Flush()
-			return err
+			if err != io.EOF {
+				// Entries merged before the failure are still written
+				// out, mirroring the merger's own no-silent-loss
+				// contract; the nonzero exit reports the truncation.
+				mergeErr = err
+			}
+			break
 		}
 		batch = append(batch, s.Entry)
 		if len(batch) == cap(batch) {
-			if err := flush(); err != nil {
-				// Abandoning the merge mid-stream: release the per-input
-				// decode goroutines before bailing out.
-				m.Close()
-				return err
-			}
+			writeErr = flush()
 		}
 	}
-	if err := flush(); err != nil {
-		return err
+	if writeErr == nil {
+		writeErr = flush()
 	}
-	if err := bw.Flush(); err != nil {
-		return err
+	if writeErr == nil {
+		writeErr = bw.Flush()
 	}
-	if err := closeOut(); err != nil {
-		return err
+	if err := closeOut(); writeErr == nil {
+		writeErr = err
+	}
+	if writeErr != nil {
+		return writeErr
+	}
+	if mergeErr != nil {
+		return mergeErr
 	}
 	fmt.Fprintf(os.Stderr, "merged %d inputs into %d entries\n", len(inNames), w.Count())
 	return nil

@@ -1,9 +1,14 @@
 package main
 
 import (
+	"bytes"
+	"os"
 	"path/filepath"
 	"strings"
 	"testing"
+
+	"repro/internal/core"
+	"repro/internal/trace"
 )
 
 // TestRunUsageErrors pins the CLI error contract: every usage-level mistake —
@@ -175,5 +180,116 @@ func TestAnalyzePerNodeFiles(t *testing.T) {
 		"network measured energy: 728.69 mJ\n"
 	if got := report(a, b); got != want {
 		t.Errorf("two-file report:\n%s\nwant:\n%s", got, want)
+	}
+}
+
+// readLog decodes a whole trace file.
+func readLog(t *testing.T, name string) []core.Entry {
+	t.Helper()
+	f, err := os.Open(name)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	var out []core.Entry
+	if err := forEachBatch(trace.NewReader(f), func(batch []core.Entry) error {
+		out = append(out, batch...)
+		return nil
+	}); err != nil {
+		t.Fatalf("decode %s: %v", name, err)
+	}
+	return out
+}
+
+// memMerge merges per-node logs in memory, node ids by position, and
+// returns the merged stream encoded and the node of each of its entries.
+func memMerge(t *testing.T, logs ...[]core.Entry) ([]byte, []core.NodeID) {
+	t.Helper()
+	streams := make([]trace.Stream, len(logs))
+	for i, l := range logs {
+		streams[i] = trace.Stream{Node: core.NodeID(i + 1), Source: trace.NewSliceSource(l)}
+	}
+	m, err := trace.NewMerger(streams)
+	if err != nil {
+		t.Fatal(err)
+	}
+	merged, err := m.Drain()
+	if err != nil {
+		t.Fatal(err)
+	}
+	entries := make([]core.Entry, len(merged))
+	nodes := make([]core.NodeID, len(merged))
+	for i, s := range merged {
+		entries[i], nodes[i] = s.Entry, s.Node
+	}
+	return trace.Marshal(entries), nodes
+}
+
+// TestMergeWritesInMemoryMerge runs merge end to end on two Blink logs. It
+// writes exactly the encoded in-memory merge of the two. When the second
+// input ends in a partial frame, merge exits 1 naming the truncation, after
+// writing every complete entry merged before it: a prefix of the clean
+// merge that reaches the second log's last complete entry. When that input
+// holds no complete frame at all, the output is empty.
+func TestMergeWritesInMemoryMerge(t *testing.T) {
+	dir := t.TempDir()
+	a, b := filepath.Join(dir, "a.qt"), filepath.Join(dir, "b.qt")
+	if err := gen(a, 1, 3); err != nil {
+		t.Fatal(err)
+	}
+	if err := gen(b, 2, 2); err != nil {
+		t.Fatal(err)
+	}
+	logA, logB := readLog(t, a), readLog(t, b)
+	want, _ := memMerge(t, logA, logB)
+
+	out := filepath.Join(dir, "merged.qt")
+	var stderr strings.Builder
+	if code := run([]string{"merge", out, a, b}, &stderr); code != 0 {
+		t.Fatalf("merge exited %d: %s", code, stderr.String())
+	}
+	got, err := os.ReadFile(out)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got, want) {
+		t.Errorf("merge wrote %d bytes, not the %d-byte in-memory merge", len(got), len(want))
+	}
+
+	// Node 2's log loses its second half, and a partial frame ends it.
+	keep := len(logB) / 2
+	cut := filepath.Join(dir, "cut.qt")
+	if err := os.WriteFile(cut, append(trace.Marshal(logB[:keep]), 0x01, 0x02, 0x03, 0x04, 0x05), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	full, nodes := memMerge(t, logA, logB[:keep])
+	last := 0 // where node 2's last complete entry lands in the clean merge
+	for i, n := range nodes {
+		if n == 2 {
+			last = i
+		}
+	}
+	stderr.Reset()
+	if code := run([]string{"merge", out, a, cut}, &stderr); code != 1 || !strings.Contains(stderr.String(), "truncated entry") {
+		t.Fatalf("merge of a truncated input exited %d, want 1 naming the truncated entry: %s", code, stderr.String())
+	}
+	got, err = os.ReadFile(out)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(got) < (last+1)*trace.EntrySize || !bytes.HasPrefix(full, got) {
+		t.Errorf("merge wrote %d bytes before failing, want a prefix of the %d-byte clean merge of at least %d entries",
+			len(got), len(full), last+1)
+	}
+
+	if err := os.WriteFile(cut, []byte{0x01, 0x02, 0x03, 0x04, 0x05}, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	stderr.Reset()
+	if code := run([]string{"merge", out, a, cut}, &stderr); code != 1 || !strings.Contains(stderr.String(), "truncated entry") {
+		t.Fatalf("merge of an input with no complete frame exited %d, want 1 naming the truncated entry: %s", code, stderr.String())
+	}
+	if got, err := os.ReadFile(out); err != nil || len(got) != 0 {
+		t.Errorf("merge of an input with no complete frame left %d bytes at OUT (%v), want none", len(got), err)
 	}
 }

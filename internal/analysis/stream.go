@@ -13,11 +13,12 @@ import (
 // StreamAnalyzer runs the full offline pipeline over an event stream in a
 // single pass, without materializing the log: it unwraps timestamps, builds
 // state intervals and activity/state timelines incrementally as entries
-// arrive, and runs the regression once at Finish. It implements core.Sink
-// and core.BatchSink, so it can sit directly behind a Tee on a live tracker
-// or consume a decoded trace as it streams off disk. Memory is O(intervals +
-// segments), never O(entries) — for a multi-megabyte trace the raw entries
-// exist only transiently in the decoder's batch buffer.
+// arrive, and runs the regression once at Finish. RecordBatch takes a
+// node's whole log or one decoded batch of it, and Record one entry of a
+// merged stream (NetworkAnalyzer.Consume), so it can consume a trace as it
+// streams off disk. Memory is O(intervals + segments), never O(entries) —
+// for a multi-megabyte trace the raw entries exist only transiently in the
+// decoder's batch buffer.
 type StreamAnalyzer struct {
 	node    core.NodeID
 	pulseUJ float64
@@ -62,8 +63,8 @@ func NewStreamAnalyzer(node core.NodeID, pulseUJ float64, volts units.Volts, dic
 	}
 }
 
-// Record implements core.Sink: it consumes one event and never rejects it.
-func (s *StreamAnalyzer) Record(e core.Entry) bool {
+// Record consumes one event.
+func (s *StreamAnalyzer) Record(e core.Entry) {
 	at := s.uw.At(e.Time)
 	if s.count == 0 {
 		s.startUS = at
@@ -76,16 +77,15 @@ func (s *StreamAnalyzer) Record(e core.Entry) bool {
 	s.ivb.Add(e, at)
 	s.tlb.Add(e, at)
 	s.stb.Add(e, at)
-	return true
 }
 
-// RecordBatch implements core.BatchSink. One counting pass over the batch
+// RecordBatch consumes a batch of events. One counting pass over the batch
 // first reserves room for everything the batch can add (see batchCounts),
 // so a short log — most nodes of a large network log a few dozen entries —
 // sizes each table and timeline once instead of growing it from empty.
 // Only capacities change: the result is exactly that of calling Record on
 // every entry.
-func (s *StreamAnalyzer) RecordBatch(entries []core.Entry) int {
+func (s *StreamAnalyzer) RecordBatch(entries []core.Entry) {
 	var c batchCounts
 	c.count(entries)
 	s.ivb.reserve(len(entries), &c.power)
@@ -94,7 +94,6 @@ func (s *StreamAnalyzer) RecordBatch(entries []core.Entry) int {
 	for _, e := range entries {
 		s.Record(e)
 	}
-	return len(entries)
 }
 
 // batchCounts is RecordBatch's counting pass: per resource, how many power-

@@ -229,42 +229,22 @@ func TestMultiActivityDevice(t *testing.T) {
 	}
 }
 
-func TestRAMBufferCapacity(t *testing.T) {
-	buf := NewRAMBuffer(3)
-	for i := 0; i < 3; i++ {
-		if !buf.Record(Entry{Type: EntryMarker, Val: uint16(i)}) {
-			t.Fatalf("record %d rejected", i)
-		}
-	}
-	if buf.Record(Entry{Type: EntryMarker, Val: 99}) {
-		t.Error("record into full buffer should fail")
-	}
-	if !buf.Full() || buf.Len() != 3 || buf.Bytes() != 36 {
-		t.Errorf("Full=%v Len=%d Bytes=%d", buf.Full(), buf.Len(), buf.Bytes())
-	}
-	got := buf.Drain()
-	if len(got) != 3 || buf.Len() != 0 {
-		t.Error("drain should empty the buffer")
-	}
-}
+// keepSink keeps the first keep entries and rejects the rest, as a full
+// buffer does.
+type keepSink struct{ kept, keep int }
 
-func TestRAMBufferDefaultSize(t *testing.T) {
-	buf := NewRAMBuffer(0)
-	for i := 0; i < DefaultRAMBufferEntries; i++ {
-		if !buf.Record(Entry{Type: EntryMarker}) {
-			t.Fatalf("rejected at %d, want capacity 800", i)
-		}
+func (s *keepSink) Record(Entry) bool {
+	if s.kept >= s.keep {
+		return false
 	}
-	if buf.Record(Entry{Type: EntryMarker}) {
-		t.Error("801st entry should be rejected")
-	}
+	s.kept++
+	return true
 }
 
 func TestTrackerCountsDrops(t *testing.T) {
 	clock := &testClock{}
 	meter := &testMeter{}
-	buf := NewRAMBuffer(2)
-	trk := NewTracker(Config{Node: 1, Clock: clock, Meter: meter, Sink: buf})
+	trk := NewTracker(Config{Node: 1, Clock: clock, Meter: meter, Sink: &keepSink{keep: 2}})
 	for i := 0; i < 5; i++ {
 		trk.Log(EntryMarker, 0, 0)
 	}
@@ -273,17 +253,93 @@ func TestTrackerCountsDrops(t *testing.T) {
 	}
 }
 
-func TestTee(t *testing.T) {
-	a, b := NewCollector(), NewRAMBuffer(1)
-	tee := &Tee{Sinks: []Sink{a, b}}
-	if !tee.Record(Entry{Type: EntryMarker}) {
-		t.Error("first record should succeed everywhere")
+// holdPump is a Drainer that never runs a drain task on its own: it keeps
+// every task it is handed for the test to run.
+type holdPump struct{ work []func() }
+
+func (p *holdPump) ScheduleDrain(_ Label, _ uint32, work func()) { p.work = append(p.work, work) }
+
+// newDrainTracker returns a tracker logging through a DrainSink whose drain
+// tasks wait in pump, and the collector the drains land in.
+func newDrainTracker() (*Tracker, *testClock, *DrainSink, *holdPump, *Collector) {
+	log := NewCollector()
+	pump := &holdPump{}
+	d := NewDrainSink(log, pump, MkLabel(1, 9))
+	clock := &testClock{}
+	trk := NewTracker(Config{Node: 1, Clock: clock, Meter: &testMeter{}, Sink: d})
+	return trk, clock, d, pump, log
+}
+
+// logN logs n markers stamped with consecutive times, continuing from the
+// clock's current time.
+func logN(trk *Tracker, clock *testClock, n int) {
+	for range n {
+		trk.Log(EntryMarker, 0, uint16(clock.t))
+		clock.t++
 	}
-	if tee.Record(Entry{Type: EntryMarker}) {
-		t.Error("second record should report the RAM buffer drop")
+}
+
+// checkInOrder fails unless log holds the first n logged entries in order.
+func checkInOrder(t *testing.T, log *Collector, n int) {
+	t.Helper()
+	if log.Len() != n {
+		t.Fatalf("collector holds %d entries, want %d", log.Len(), n)
 	}
-	if a.Len() != 2 {
-		t.Errorf("collector got %d entries, want 2", a.Len())
+	for i, e := range log.Entries {
+		if e.Time != uint32(i) {
+			t.Fatalf("collected entry %d = %v, want the one logged at t=%d", i, e, i)
+		}
+	}
+}
+
+// TestRAMBufferDefaultSize: while the drain task never runs, the mote's RAM
+// buffer keeps the paper's 800 entries and rejects the 801st, which the
+// tracker counts as dropped.
+func TestRAMBufferDefaultSize(t *testing.T) {
+	if BufferEntries != 800 {
+		t.Errorf("BufferEntries = %d, want the paper's 800", BufferEntries)
+	}
+	trk, clock, d, pump, log := newDrainTracker()
+	logN(trk, clock, BufferEntries+1)
+	if trk.Entries() != BufferEntries || trk.Dropped() != 1 {
+		t.Errorf("entries=%d dropped=%d, want %d/1", trk.Entries(), trk.Dropped(), BufferEntries)
+	}
+	if d.Buffered() != BufferEntries || log.Len() != 0 {
+		t.Errorf("buffered %d, collected %d; want %d and 0", d.Buffered(), log.Len(), BufferEntries)
+	}
+	if len(pump.work) != 1 {
+		t.Errorf("%d drains scheduled, want one (at the high-water mark)", len(pump.work))
+	}
+}
+
+// TestRAMBufferCapacity pins how entries leave the RAM buffer: a drain moves
+// exactly the entries it was budgeted for when scheduled, oldest first,
+// leaving later ones buffered; Flush moves everything; and a drain budgeted
+// before a Flush finds fewer entries than it paid for and moves nothing.
+func TestRAMBufferCapacity(t *testing.T) {
+	trk, clock, d, pump, log := newDrainTracker()
+	logN(trk, clock, 100) // the 64th entry schedules a drain of 64
+	if len(pump.work) != 1 {
+		t.Fatalf("%d drains scheduled, want one", len(pump.work))
+	}
+	pump.work[0]()
+	checkInOrder(t, log, 64)
+	if d.Buffered() != 36 || len(pump.work) != 1 {
+		t.Fatalf("after the drain: %d buffered, %d drains scheduled; want 36 and still one", d.Buffered(), len(pump.work))
+	}
+	logN(trk, clock, 30) // the buffer reaches 64 again: a second drain
+	if len(pump.work) != 2 {
+		t.Fatalf("%d drains scheduled, want two", len(pump.work))
+	}
+	d.Flush()
+	checkInOrder(t, log, 130)
+	if d.Buffered() != 0 {
+		t.Fatalf("%d entries buffered after Flush", d.Buffered())
+	}
+	pump.work[1]()
+	checkInOrder(t, log, 130)
+	if _, rounds := d.Drained(); rounds != 2 {
+		t.Errorf("%d drain rounds, want 2", rounds)
 	}
 }
 

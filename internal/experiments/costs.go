@@ -39,7 +39,7 @@ func Table4(seed uint64) (*Report, error) {
 	totalMJ := a.TotalEnergyUJ() / 1000
 
 	var sb strings.Builder
-	fmt.Fprintf(&sb, "%-28s %d samples\n", "Buffer size", core.DefaultRAMBufferEntries)
+	fmt.Fprintf(&sb, "%-28s %d samples\n", "Buffer size", core.BufferEntries)
 	fmt.Fprintf(&sb, "%-28s %d bytes\n", "Sample size", core.EntrySize)
 	fmt.Fprintf(&sb, "%-28s %d cycles @ 1MHz\n", "Cost of logging", costs.Total())
 	fmt.Fprintf(&sb, "%-28s %d cycles\n", "  Call overhead", costs.Call)

@@ -41,14 +41,10 @@ type Options struct {
 	Radio bool
 	// RadioConfig configures the transceiver when Radio is set.
 	RadioConfig radio.Config
-	// RAMBufferEntries, when positive, routes the log through a fixed
-	// mote-style RAM buffer of that many entries in addition to the
-	// harness-side collector, so buffer-full behaviour can be observed.
-	RAMBufferEntries int
 	// ContinuousDrain selects the paper's second logging mode: entries
-	// buffer in RAM and a low-priority task streams them out under a
-	// self-accounting "Quanto" activity (Section 4.4). Incompatible with
-	// RAMBufferEntries.
+	// buffer in the mote's 800-entry RAM buffer and a low-priority task
+	// streams them out under a self-accounting "Quanto" activity
+	// (Section 4.4). Without it every entry goes straight to Node.Log.
 	ContinuousDrain bool
 	// BatteryUAH, when positive, powers the node from a finite battery of
 	// that many microamp-hours instead of an infinite supply. The node
@@ -71,10 +67,6 @@ func DefaultOptions() Options {
 	return Options{Volts: 3.0}
 }
 
-// drainCostPerEntry is the CPU cost, in cycles, of pushing one entry over
-// the back channel in continuous-drain mode.
-const drainCostPerEntry = 120
-
 // Node is one fully assembled mote.
 type Node struct {
 	ID    core.NodeID
@@ -88,7 +80,6 @@ type Node struct {
 	// would only grow a slice of steps nobody looks at.
 	Scope *scope.Scope
 	Log   *core.Collector
-	RAM   *core.RAMBuffer // nil unless RAMBufferEntries or ContinuousDrain was set
 	Drain *core.DrainSink // nil unless ContinuousDrain was set
 
 	LEDs    *leds.LEDs
@@ -175,17 +166,10 @@ func (w *World) AddNode(id core.NodeID, opts Options) *Node {
 
 	log := core.NewCollector()
 	var sink core.Sink = log
-	var ram *core.RAMBuffer
 	var drain *core.DrainSink
-	switch {
-	case opts.ContinuousDrain:
-		quantoAct := k.DefineActivity("Quanto")
-		ram = core.NewRAMBuffer(core.DefaultRAMBufferEntries)
-		drain = core.NewDrainSink(ram, log, k, quantoAct, 64, drainCostPerEntry)
+	if opts.ContinuousDrain {
+		drain = core.NewDrainSink(log, k, k.DefineActivity("Quanto"))
 		sink = drain
-	case opts.RAMBufferEntries > 0:
-		ram = core.NewRAMBuffer(opts.RAMBufferEntries)
-		sink = core.NewTee(log, ram)
 	}
 
 	trk := core.NewTracker(core.Config{
@@ -212,7 +196,6 @@ func (w *World) AddNode(id core.NodeID, opts Options) *Node {
 		Board: board,
 		Meter: meter,
 		Log:   log,
-		RAM:   ram,
 		Drain: drain,
 		Volts: opts.Volts,
 	}

@@ -91,32 +91,6 @@ func TestIdleNodeDrawsBaselineOnly(t *testing.T) {
 	}
 }
 
-func TestRAMBufferOptionFillsAndDrops(t *testing.T) {
-	w := NewWorld(1)
-	opts := DefaultOptions()
-	opts.RAMBufferEntries = 16
-	n := w.AddNode(1, opts)
-	// Generate more than 16 entries by toggling an LED a lot.
-	n.K.Boot(func() {
-		tm := n.K.NewTimer(func() { n.LEDs.Toggle(0) })
-		tm.StartPeriodic(50 * units.Millisecond)
-	})
-	w.Run(3 * units.Second)
-	if n.RAM == nil {
-		t.Fatal("RAM buffer absent")
-	}
-	if !n.RAM.Full() {
-		t.Errorf("RAM buffer should be full: %d entries", n.RAM.Len())
-	}
-	if n.Trk.Dropped() == 0 {
-		t.Error("tracker should have counted drops once the buffer filled")
-	}
-	// The unbounded collector still has the full stream.
-	if n.Log.Len() <= n.RAM.Len() {
-		t.Errorf("collector %d <= RAM %d", n.Log.Len(), n.RAM.Len())
-	}
-}
-
 func TestWorldNodeLogsAndStampEnd(t *testing.T) {
 	w := NewWorld(5)
 	optsA := DefaultOptions()

@@ -33,6 +33,8 @@ func FuzzSpecJSON(f *testing.F) {
 		`{"app":"relay","duration_us":2000000,"nodes":6,"placement":"rgg","routing":"ctp","mobility":"drift"}`,
 		`{"app":"blink","routing":"ctp"}`,
 		`{"app":"relay","placement":"line","routing":"dsr","beacon_period_ms":-5,"speed_mps":1e308}`,
+		// Another field specs no longer have, beside the logging mode.
+		`{"app":"blink","ram_buffer_entries":16,"continuous_drain":true}`,
 	}
 	for _, s := range seeds {
 		f.Add([]byte(s))

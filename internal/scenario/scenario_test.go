@@ -180,6 +180,17 @@ func TestParseSpecOrMatrix(t *testing.T) {
 		!strings.Contains(err.Error(), `unknown field "record_traffic"`) {
 		t.Fatalf("recording flag: err = %v, want unknown-field rejection", err)
 	}
+	// Nor is the log buffer's size: it is the paper's 800 entries, used in
+	// continuous_drain mode only.
+	for _, doc := range []string{
+		`{"app":"blink","duration_us":1000000,"ram_buffer_entries":16}`,
+		`{"base":{"app":"blink","duration_us":1000000},"sweep":{"ram_buffer_entries":[16,800]}}`,
+	} {
+		if _, err := scenario.ParseSpecOrMatrix([]byte(doc)); err == nil ||
+			!strings.Contains(err.Error(), `unknown field "ram_buffer_entries"`) {
+			t.Fatalf("buffer size field in %s: err = %v, want unknown-field rejection", doc, err)
+		}
+	}
 }
 
 // TestSweepSeedExactness: seeds beyond 2^53 must survive the matrix
@@ -288,7 +299,6 @@ func TestSpecKnobValidation(t *testing.T) {
 		{"channel 99", func(s *scenario.Spec) { s.Channel = 99 }, "channel"},
 		{"origins", func(s *scenario.Spec) { s.Origins = -1 }, "origins"},
 		{"volts", func(s *scenario.Spec) { s.Volts = -3 }, "volts"},
-		{"ram_buffer_entries", func(s *scenario.Spec) { s.RAMBufferEntries = -3 }, "ram_buffer_entries"},
 		{"period_us", func(s *scenario.Spec) { s.PeriodUS = -5 }, "period_us"},
 		{"hold_time_us", func(s *scenario.Spec) { s.HoldTimeUS = -1 }, "hold_time_us"},
 		{"payload_bytes", func(s *scenario.Spec) { s.PayloadBytes = -1 }, "payload_bytes"},

@@ -83,14 +83,12 @@ type Spec struct {
 	// interrupt-per-2-bytes default (the Figure 16 comparison). Default
 	// off. Honored by: bounce, dma.
 	UseDMA bool `json:"use_dma,omitempty"`
-	// RAMBufferEntries routes the log through a fixed mote-style RAM buffer
-	// of that many entries, so buffer-full behaviour can be observed.
-	// Default 0 (no RAM buffer). Honored by: all apps.
-	RAMBufferEntries int `json:"ram_buffer_entries,omitempty"`
 	// ContinuousDrain selects the paper's streaming logging mode: entries
-	// buffer in RAM and a low-priority task drains them under a
-	// self-accounting "Quanto" activity (Section 4.4). Mutually exclusive
-	// with RAMBufferEntries; default off. Honored by: all apps.
+	// buffer in the mote's 800-entry RAM buffer and a low-priority task
+	// drains them under a self-accounting "Quanto" activity, whose CPU
+	// time the analysis charges like any other (Section 4.4). Default off:
+	// every entry leaves the node as it is logged, at no CPU cost beyond
+	// the logging call. Honored by: all apps.
 	ContinuousDrain bool `json:"continuous_drain,omitempty"`
 
 	// PeriodUS is the app's generation/sampling period in microseconds.
@@ -431,7 +429,6 @@ func (s *Spec) NodeOptions(id core.NodeID) mote.Options {
 		o.Volts = units.Volts(s.Volts)
 	}
 	o.Kernel.CalibrateDCO = s.CalibrateDCO
-	o.RAMBufferEntries = s.RAMBufferEntries
 	o.ContinuousDrain = s.ContinuousDrain
 	capUAH := s.BatteryUAH
 	if v, ok := s.BatteryNodeUAH[strconv.Itoa(int(id))]; ok {
@@ -500,7 +497,6 @@ func (s *Spec) Validate() error {
 	}{
 		{"origins", float64(s.Origins)},
 		{"volts", s.Volts},
-		{"ram_buffer_entries", float64(s.RAMBufferEntries)},
 		{"period_us", float64(s.PeriodUS)},
 		{"hold_time_us", float64(s.HoldTimeUS)},
 		{"payload_bytes", float64(s.PayloadBytes)},

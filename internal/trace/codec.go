@@ -63,28 +63,10 @@ func Marshal(entries []core.Entry) []byte {
 	return out
 }
 
-// Unmarshal decodes a byte stream produced by Marshal. Trailing partial
-// entries are an error.
-func Unmarshal(data []byte) ([]core.Entry, error) {
-	if len(data)%EntrySize != 0 {
-		return nil, fmt.Errorf("trace: stream length %d not a multiple of %d", len(data), EntrySize)
-	}
-	out := make([]core.Entry, 0, len(data)/EntrySize)
-	for off := 0; off < len(data); off += EntrySize {
-		e, err := Decode(data[off:])
-		if err != nil {
-			return nil, fmt.Errorf("trace: entry %d: %w", off/EntrySize, err)
-		}
-		out = append(out, e)
-	}
-	return out, nil
-}
-
 // Writer streams encoded entries to an io.Writer, standing in for the mote's
 // serial back channel.
 type Writer struct {
 	w     io.Writer
-	buf   [EntrySize]byte
 	batch []byte // reusable WriteBatch encode buffer
 	n     int
 }
@@ -92,51 +74,15 @@ type Writer struct {
 // NewWriter returns a Writer emitting to w.
 func NewWriter(w io.Writer) *Writer { return &Writer{w: w} }
 
-// Write encodes and emits one entry.
-func (w *Writer) Write(e core.Entry) error {
-	Encode(w.buf[:], e)
-	if _, err := w.w.Write(w.buf[:]); err != nil {
-		return fmt.Errorf("trace: write entry %d: %w", w.n, err)
-	}
-	w.n++
-	return nil
-}
-
 // Count returns the number of entries written.
 func (w *Writer) Count() int { return w.n }
 
-// Reader decodes a stream of entries from an io.Reader.
+// Reader decodes a stream of entries from an io.Reader, a batch at a time
+// (ReadBatch).
 type Reader struct {
 	r     io.Reader
-	buf   [EntrySize]byte
 	batch []byte // reusable ReadBatch decode buffer
 }
 
 // NewReader returns a Reader consuming from r.
 func NewReader(r io.Reader) *Reader { return &Reader{r: r} }
-
-// Read returns the next entry, or io.EOF at a clean end of stream.
-func (r *Reader) Read() (core.Entry, error) {
-	if _, err := io.ReadFull(r.r, r.buf[:]); err != nil {
-		if err == io.EOF {
-			return core.Entry{}, io.EOF
-		}
-		return core.Entry{}, fmt.Errorf("trace: read: %w", err)
-	}
-	return Decode(r.buf[:])
-}
-
-// ReadAll drains the stream.
-func (r *Reader) ReadAll() ([]core.Entry, error) {
-	var out []core.Entry
-	for {
-		e, err := r.Read()
-		if err == io.EOF {
-			return out, nil
-		}
-		if err != nil {
-			return out, err
-		}
-		out = append(out, e)
-	}
-}

@@ -28,8 +28,8 @@ type Stamped struct {
 }
 
 // EntrySource yields entries one at a time; it returns io.EOF after the last
-// entry. *Reader satisfies it directly, so a Merger can pull straight from
-// decoded byte streams without materializing them.
+// entry. MergeReaders wraps each encoded stream in one, so a Merger pulls
+// straight from decoded byte streams without materializing them.
 type EntrySource interface {
 	Next() (core.Entry, error)
 }
@@ -111,32 +111,10 @@ func NewMerger(streams []Stream) (*Merger, error) {
 	}
 	for i := range m.streams {
 		if err := m.advance(i); err != nil {
-			m.closeAll()
 			return nil, err
 		}
 	}
 	return m, nil
-}
-
-// sourceCloser is implemented by sources holding resources (a decode
-// goroutine, buffers) that must be released when the merge abandons them.
-type sourceCloser interface{ Close() }
-
-// Close releases every source that holds resources (decode goroutines,
-// buffers). Next calls it automatically at EOF or on error; a consumer that
-// abandons the merge early — stops before draining — must call it itself or
-// leak one blocked decode goroutine per concurrent stream.
-func (m *Merger) Close() { m.closeAll() }
-
-// closeAll releases every closable source. Called when the merge ends —
-// normally or on error — so abandoned concurrent decoders shut down instead
-// of blocking forever.
-func (m *Merger) closeAll() {
-	for i := range m.streams {
-		if c, ok := m.streams[i].src.(sourceCloser); ok {
-			c.Close()
-		}
-	}
 }
 
 // advance pulls stream i's next entry into the heap.
@@ -201,12 +179,14 @@ func (m *Merger) pop() mergeHead {
 }
 
 // Next returns the next entry of the merged stream, or io.EOF when every
-// stream is exhausted. When one stream fails mid-merge, every entry decoded
-// before the failure is still delivered (in order) before the error
-// surfaces — the same no-silent-loss contract as Reader.ReadBatch.
+// stream is exhausted. When a stream fails mid-merge, no entry that sorts
+// ahead of the failure is lost: the failing stream's complete entries, and
+// every other stream's entries that sort before the last of them, are
+// delivered in order before the error surfaces — the same no-silent-loss
+// contract as Reader.ReadBatch. The merge then stops pulling: each other
+// stream's entry already pulled is delivered too, and the rest are not.
 func (m *Merger) Next() (Stamped, error) {
 	if len(m.heap) == 0 {
-		m.closeAll()
 		if m.err != nil {
 			return Stamped{}, m.err
 		}
@@ -215,9 +195,8 @@ func (m *Merger) Next() (Stamped, error) {
 	head := m.pop()
 	if m.err == nil {
 		if err := m.advance(head.stream); err != nil {
-			// Deliver the heads already decoded, then report the error.
-			// Healthy streams are no longer advanced; their decoders are
-			// released once the buffered heads drain.
+			// Deliver the heads already pulled, then report the error.
+			// Healthy streams are no longer advanced.
 			m.err = err
 		}
 	}

@@ -7,18 +7,16 @@ import (
 	"repro/internal/core"
 )
 
-// Next implements EntrySource, letting a Reader feed a Merger directly.
-func (r *Reader) Next() (core.Entry, error) { return r.Read() }
-
 // DefaultBatchEntries is the batch size the streaming helpers use: large
-// enough to amortize syscalls and channel hops, small enough that per-node
-// decode buffers stay a few tens of kilobytes.
+// enough to amortize reads, small enough that per-node decode buffers stay
+// a few tens of kilobytes.
 const DefaultBatchEntries = 4096
 
 // ReadBatch decodes up to len(dst) entries into dst with one bulk read,
 // returning how many were decoded. It returns io.EOF only with n == 0 at a
-// clean end of stream; a trailing partial frame is an error. The caller owns
-// dst, so steady-state batch decoding allocates nothing.
+// clean end of stream; a trailing partial frame is an error. For a non-empty
+// dst, n == 0 always comes with an error. The caller owns dst, so
+// steady-state batch decoding allocates nothing.
 func (r *Reader) ReadBatch(dst []core.Entry) (int, error) {
 	if len(dst) == 0 {
 		return 0, nil
@@ -84,128 +82,51 @@ func (w *Writer) WriteBatch(entries []core.Entry) error {
 	return nil
 }
 
-// batchResult is one decoded chunk handed from a decode goroutine to the
-// consuming iterator.
-type batchResult struct {
-	entries []core.Entry
-	err     error
-}
-
-// chanSource adapts a channel of decoded batches to EntrySource. Two buffer
-// slices alternate between producer and consumer through the free channel,
-// so a multi-megabyte trace is decoded with two small reusable buffers per
-// node rather than living in memory twice. Close releases the producer
-// goroutine; the Merger calls it when the merge ends or abandons the
-// stream.
-type chanSource struct {
-	ch     chan batchResult
-	free   chan []core.Entry
-	stop   chan struct{}
-	cur    []core.Entry
-	pos    int
-	err    error
-	done   bool
-	closed bool
-}
-
-// Close implements the merger's sourceCloser: it unblocks and terminates
-// the decode goroutine. Safe to call more than once.
-func (c *chanSource) Close() {
-	if !c.closed {
-		c.closed = true
-		close(c.stop)
-	}
-}
-
-// Next implements EntrySource.
-func (c *chanSource) Next() (core.Entry, error) {
-	for c.pos >= len(c.cur) {
-		if c.err != nil {
-			return core.Entry{}, c.err
-		}
-		if c.done {
-			return core.Entry{}, io.EOF
-		}
-		if c.cur != nil {
-			c.free <- c.cur[:0]
-		}
-		res, ok := <-c.ch
-		if !ok {
-			c.done = true
-			c.cur = nil
-			return core.Entry{}, io.EOF
-		}
-		c.cur, c.pos = res.entries, 0
-		if res.err != nil {
-			c.err = res.err
-			c.done = true
-		}
-	}
-	e := c.cur[c.pos]
-	c.pos++
-	return e, nil
-}
-
-// decodeAsync decodes r in a goroutine, producing batches of at most
-// batchEntries entries. The goroutine exits after EOF or the first error.
-func decodeAsync(r io.Reader, batchEntries int) *chanSource {
-	if batchEntries <= 0 {
-		batchEntries = DefaultBatchEntries
-	}
-	src := &chanSource{
-		ch:   make(chan batchResult, 1),
-		free: make(chan []core.Entry, 2),
-		stop: make(chan struct{}),
-	}
-	src.free <- make([]core.Entry, 0, batchEntries)
-	src.free <- make([]core.Entry, 0, batchEntries)
-	dec := NewReader(r)
-	go func() {
-		defer close(src.ch)
-		for {
-			var buf []core.Entry
-			select {
-			case buf = <-src.free:
-			case <-src.stop:
-				return
-			}
-			n, err := dec.ReadBatch(buf[:batchEntries])
-			if err == io.EOF {
-				return
-			}
-			res := batchResult{entries: buf[:n]}
-			if err != nil {
-				res.err = err
-			}
-			select {
-			case src.ch <- res:
-			case <-src.stop:
-				return
-			}
-			if err != nil {
-				return
-			}
-		}
-	}()
-	return src
-}
-
 // ReaderStream names one node's encoded byte stream.
 type ReaderStream struct {
 	Node core.NodeID
 	R    io.Reader
 }
 
-// MergeReaders k-way merges several nodes' encoded streams, decoding each
-// node concurrently in its own goroutine. batchEntries bounds the per-node
-// decode buffers (<= 0 selects DefaultBatchEntries); total memory is
-// O(k * batchEntries) regardless of trace size. Drain the merged stream to
-// io.EOF or to an error — the merger then shuts every decode goroutine
-// down, including those of healthy streams abandoned by an error elsewhere.
+// batchSource is the EntrySource over a Reader: it decodes one batch of
+// frames at a time into a reusable buffer and hands them out one by one. A
+// batch that ends in an error delivers its complete frames first; then
+// every call returns the error.
+type batchSource struct {
+	r        *Reader
+	buf      []core.Entry
+	pos, end int
+	err      error // what ends the stream once buf[pos:end] is spent
+}
+
+// Next implements EntrySource.
+func (s *batchSource) Next() (core.Entry, error) {
+	if s.pos == s.end {
+		if s.err != nil {
+			return core.Entry{}, s.err
+		}
+		s.pos = 0
+		if s.end, s.err = s.r.ReadBatch(s.buf); s.end == 0 {
+			return core.Entry{}, s.err
+		}
+	}
+	e := s.buf[s.pos]
+	s.pos++
+	return e, nil
+}
+
+// MergeReaders k-way merges several nodes' encoded streams. The merge
+// decodes each stream as it pulls from it, batchEntries frames per read
+// (<= 0 selects DefaultBatchEntries), so memory is O(k * batchEntries)
+// regardless of trace size, and a consumer may stop pulling at any point.
 func MergeReaders(streams []ReaderStream, batchEntries int) (*Merger, error) {
+	if batchEntries <= 0 {
+		batchEntries = DefaultBatchEntries
+	}
 	merged := make([]Stream, len(streams))
 	for i, s := range streams {
-		merged[i] = Stream{Node: s.Node, Source: decodeAsync(s.R, batchEntries)}
+		src := &batchSource{r: NewReader(s.R), buf: make([]core.Entry, batchEntries)}
+		merged[i] = Stream{Node: s.Node, Source: src}
 	}
 	return NewMerger(merged)
 }

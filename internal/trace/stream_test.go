@@ -3,13 +3,12 @@ package trace
 import (
 	"bytes"
 	"errors"
+	"fmt"
 	"io"
 	"math/rand"
-	"runtime"
 	"sort"
 	"testing"
 	"testing/quick"
-	"time"
 
 	"repro/internal/core"
 )
@@ -225,15 +224,19 @@ func TestReadBatchTruncatedFrame(t *testing.T) {
 	}
 }
 
+// TestReadTruncatedFrame reads a stream ending in a partial frame one frame
+// per call: the complete frame comes first with no error, and the partial
+// frame, alone in the next call, is an error rather than a clean end.
 func TestReadTruncatedFrame(t *testing.T) {
 	data := Marshal(mkEntries(1))
 	data = append(data, 0x06, 0x00, 0x07) // 3-byte partial frame
 	r := NewReader(bytes.NewReader(data))
-	if _, err := r.Read(); err != nil {
-		t.Fatalf("first full frame: %v", err)
+	one := make([]core.Entry, 1)
+	if n, err := r.ReadBatch(one); n != 1 || err != nil {
+		t.Fatalf("first full frame: %d, %v", n, err)
 	}
-	if _, err := r.Read(); err == nil || err == io.EOF {
-		t.Errorf("partial trailing frame should be an error, got %v", err)
+	if n, err := r.ReadBatch(one); n != 0 || err == nil || err == io.EOF {
+		t.Errorf("partial trailing frame = %d, %v; want 0 and an error", n, err)
 	}
 }
 
@@ -254,21 +257,42 @@ func (w *failWriter) Write(p []byte) (int, error) {
 
 func TestWriteShortWrite(t *testing.T) {
 	w := NewWriter(&failWriter{limit: EntrySize})
-	if err := w.Write(core.Entry{Type: core.EntryMarker}); err != nil {
+	if err := w.WriteBatch(mkEntries(1)); err != nil {
 		t.Fatalf("first write: %v", err)
 	}
-	if err := w.Write(core.Entry{Type: core.EntryMarker}); err == nil {
+	if err := w.WriteBatch(mkEntries(2)); err == nil {
 		t.Error("write past the failure point should error")
+	}
+	if w.Count() != 1 {
+		t.Errorf("Count = %d after a failed write, want 1", w.Count())
 	}
 	if err := NewWriter(&failWriter{limit: 17}).WriteBatch(mkEntries(1, 2, 3)); err == nil {
 		t.Error("batch write past the failure point should error")
 	}
 }
 
+// readFrames decodes data through Reader.ReadBatch, batch frames per call,
+// and returns every complete frame up to the first error, and that error
+// (nil at a clean end of stream).
+func readFrames(data []byte, batch int) ([]core.Entry, error) {
+	r := NewReader(bytes.NewReader(data))
+	dst := make([]core.Entry, batch)
+	var out []core.Entry
+	for {
+		n, err := r.ReadBatch(dst)
+		out = append(out, dst[:n]...)
+		if err == io.EOF {
+			return out, nil
+		}
+		if err != nil {
+			return out, err
+		}
+	}
+}
+
 func TestMergeReadersMatchesInMemoryMerge(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	var logs []NodeLog
-	var streams []ReaderStream
 	for n := 1; n <= 4; n++ {
 		var times []uint32
 		cur := uint32(rng.Intn(50))
@@ -276,77 +300,81 @@ func TestMergeReadersMatchesInMemoryMerge(t *testing.T) {
 			cur += uint32(rng.Intn(20))
 			times = append(times, cur)
 		}
-		entries := mkEntries(times...)
-		logs = append(logs, NodeLog{Node: core.NodeID(n), Entries: entries})
-		streams = append(streams, ReaderStream{
-			Node: core.NodeID(n),
-			R:    bytes.NewReader(Marshal(entries)),
-		})
+		logs = append(logs, NodeLog{Node: core.NodeID(n), Entries: mkEntries(times...)})
 	}
 	want := mergeLogs(t, logs)
-	m, err := MergeReaders(streams, 256) // small batches force refills
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, err := m.Drain()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(got) != len(want) {
-		t.Fatalf("merged %d entries, want %d", len(got), len(want))
-	}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("merged[%d] = %+v, want %+v", i, got[i], want[i])
-		}
+	// One frame per read, a size that divides no log, one small enough to
+	// force refills, and the default.
+	for _, batch := range []int{1, 7, 256, 0} {
+		t.Run(fmt.Sprintf("batch=%d", batch), func(t *testing.T) {
+			streams := make([]ReaderStream, len(logs))
+			for i, l := range logs {
+				streams[i] = ReaderStream{Node: l.Node, R: bytes.NewReader(Marshal(l.Entries))}
+			}
+			m, err := MergeReaders(streams, batch)
+			if err != nil {
+				t.Fatal(err)
+			}
+			got, err := m.Drain()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(got) != len(want) {
+				t.Fatalf("merged %d entries, want %d", len(got), len(want))
+			}
+			for i := range want {
+				if got[i] != want[i] {
+					t.Fatalf("merged[%d] = %+v, want %+v", i, got[i], want[i])
+				}
+			}
+		})
 	}
 }
 
+// TestMergeReadersPropagatesDecodeError checks Merger.Next's no-silent-loss
+// contract on a stream that fails mid-merge, by a truncated frame or by an
+// invalid type byte with good frames after it: the failure surfaces as an
+// error, not io.EOF, and every complete frame that sorts ahead of it — node
+// 2's frames before the failure, and node 1's frames up to the last of
+// them — is delivered first, in merge order, followed by the one frame of
+// node 1 the merge had already pulled.
 func TestMergeReadersPropagatesDecodeError(t *testing.T) {
-	good := Marshal(mkEntries(1, 2, 3))
-	bad := append(Marshal(mkEntries(1)), 0xFF) // trailing garbage byte
-	m, err := MergeReaders([]ReaderStream{
-		{Node: 1, R: bytes.NewReader(good)},
-		{Node: 2, R: bytes.NewReader(bad)},
-	}, 0)
-	if err != nil {
-		t.Fatal(err)
+	good := mkEntries(1, 2, 3, 4, 5, 6, 7, 8, 9, 10)
+	head := mkEntries(1, 4, 6) // node 2's frames before the failure
+	invalid := Marshal(mkEntries(8, 9))
+	invalid[0] = 0xC8 // type 200: the frame at t=8 cannot decode
+	fails := map[string][]byte{
+		"truncated": append(Marshal(head), 0xFF),
+		"invalid":   append(Marshal(head), invalid...),
 	}
-	_, err = m.Drain()
-	if err == nil {
-		t.Error("decode error in one stream should surface from the merge")
-	}
-}
-
-// TestMergeReadersReleasesDecodersOnError checks that draining to an error
-// shuts down the healthy streams' decode goroutines too.
-func TestMergeReadersReleasesDecodersOnError(t *testing.T) {
-	before := runtime.NumGoroutine()
-	// Big healthy streams (several batches) so their decoders would block
-	// producing if the merge abandoned them without cleanup.
-	var big []uint32
-	for i := uint32(0); i < 2000; i++ {
-		big = append(big, i)
-	}
-	bad := append(Marshal(mkEntries(1)), 0xFF)
-	for trial := 0; trial < 5; trial++ {
-		m, err := MergeReaders([]ReaderStream{
-			{Node: 1, R: bytes.NewReader(Marshal(mkEntries(big...)))},
-			{Node: 2, R: bytes.NewReader(Marshal(mkEntries(big...)))},
-			{Node: 3, R: bytes.NewReader(bad)},
-		}, 64)
-		if err != nil {
-			t.Fatal(err)
+	// Everything that sorts ahead of the failure: the in-memory merge of
+	// both logs, up to and including node 2's frame at t=6. Node 1's frame
+	// at t=7 was already pulled when node 2 failed, so it is delivered too;
+	// nothing after it is.
+	want := mergeLogs(t, []NodeLog{{Node: 1, Entries: good[:7]}, {Node: 2, Entries: head}})
+	for _, name := range []string{"truncated", "invalid"} {
+		for _, batch := range []int{1, 0} {
+			t.Run(fmt.Sprintf("%s/batch=%d", name, batch), func(t *testing.T) {
+				m, err := MergeReaders([]ReaderStream{
+					{Node: 1, R: bytes.NewReader(Marshal(good))},
+					{Node: 2, R: bytes.NewReader(fails[name])},
+				}, batch)
+				if err != nil {
+					t.Fatal(err)
+				}
+				got, err := m.Drain()
+				if err == nil {
+					t.Fatal("merge ended cleanly, want the decode error")
+				}
+				if len(got) != len(want) {
+					t.Fatalf("%d entries delivered before the error, want %d", len(got), len(want))
+				}
+				for i := range want {
+					if got[i] != want[i] {
+						t.Fatalf("delivered[%d] = %+v, want %+v", i, got[i], want[i])
+					}
+				}
+			})
 		}
-		if _, err := m.Drain(); err == nil {
-			t.Fatal("expected decode error")
-		}
-	}
-	deadline := time.Now().Add(2 * time.Second)
-	for runtime.NumGoroutine() > before && time.Now().Before(deadline) {
-		time.Sleep(10 * time.Millisecond)
-	}
-	if now := runtime.NumGoroutine(); now > before {
-		t.Errorf("goroutines leaked: %d before, %d after", before, now)
 	}
 }

@@ -75,7 +75,7 @@ func TestMarshalUnmarshal(t *testing.T) {
 		{Type: core.EntryActivitySet, Res: 2, Time: 20, IC: 2, Val: 0x0102},
 		{Type: core.EntryActivityBind, Res: 2, Time: 30, IC: 3, Val: 0x0403},
 	}
-	got, err := Unmarshal(Marshal(entries))
+	got, err := readFrames(Marshal(entries), DefaultBatchEntries)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -89,29 +89,39 @@ func TestMarshalUnmarshal(t *testing.T) {
 	}
 }
 
-func TestUnmarshalRejectsPartialEntries(t *testing.T) {
-	if _, err := Unmarshal(make([]byte, 13)); err == nil {
-		t.Error("stream with trailing partial entry should fail")
-	}
-}
-
+// TestWriterReaderStream streams a log through a Writer in several batches
+// and back through a Reader in batches of another size: Count adds up
+// across batches, the entries come back in order, and a read after the end
+// of the stream is a clean io.EOF again.
 func TestWriterReaderStream(t *testing.T) {
 	var buf bytes.Buffer
 	w := NewWriter(&buf)
 	want := make([]core.Entry, 50)
 	for i := range want {
 		want[i] = core.Entry{Type: core.EntryMarker, Res: 3, Time: uint32(i), IC: uint32(i * 2), Val: uint16(i)}
-		if err := w.Write(want[i]); err != nil {
+	}
+	for rest := want; len(rest) > 0; {
+		chunk := rest[:min(7, len(rest))]
+		if err := w.WriteBatch(chunk); err != nil {
 			t.Fatal(err)
 		}
+		rest = rest[len(chunk):]
 	}
 	if w.Count() != 50 {
 		t.Errorf("Count = %d", w.Count())
 	}
 	r := NewReader(&buf)
-	got, err := r.ReadAll()
-	if err != nil {
-		t.Fatal(err)
+	var got []core.Entry
+	dst := make([]core.Entry, 16)
+	for {
+		n, err := r.ReadBatch(dst)
+		got = append(got, dst[:n]...)
+		if err == io.EOF {
+			break
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
 	}
 	if len(got) != 50 {
 		t.Fatalf("read %d entries", len(got))
@@ -121,9 +131,8 @@ func TestWriterReaderStream(t *testing.T) {
 			t.Errorf("entry %d mismatch", i)
 		}
 	}
-	// A fresh read hits clean EOF.
-	if _, err := r.Read(); err != io.EOF {
-		t.Errorf("expected EOF, got %v", err)
+	if n, err := r.ReadBatch(dst); n != 0 || err != io.EOF {
+		t.Errorf("read past the end = %d, %v; want 0, EOF", n, err)
 	}
 }
 
