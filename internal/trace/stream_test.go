@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"io"
 	"math/rand"
+	"runtime"
 	"sort"
 	"testing"
 	"testing/quick"
@@ -376,5 +377,38 @@ func TestMergeReadersPropagatesDecodeError(t *testing.T) {
 				}
 			})
 		}
+	}
+}
+
+// TestMergeReadersReleasesDecodersOnError checks that a merge holds nothing
+// a consumer must release: drained to a decode error, or abandoned after
+// its first entry, it leaves no goroutine behind.
+func TestMergeReadersReleasesDecodersOnError(t *testing.T) {
+	before := runtime.NumGoroutine()
+	// Healthy streams of several batches each, beside one that fails.
+	var big []uint32
+	for i := uint32(0); i < 2000; i++ {
+		big = append(big, i)
+	}
+	bad := append(Marshal(mkEntries(1)), 0xFF)
+	for trial := 0; trial < 5; trial++ {
+		m, err := MergeReaders([]ReaderStream{
+			{Node: 1, R: bytes.NewReader(Marshal(mkEntries(big...)))},
+			{Node: 2, R: bytes.NewReader(Marshal(mkEntries(big...)))},
+			{Node: 3, R: bytes.NewReader(bad)},
+		}, 64)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if trial%2 == 0 {
+			if _, err := m.Drain(); err == nil {
+				t.Fatal("expected decode error")
+			}
+		} else if _, err := m.Next(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if now := runtime.NumGoroutine(); now > before {
+		t.Errorf("goroutines left behind: %d before, %d after", before, now)
 	}
 }
