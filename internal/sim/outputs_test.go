@@ -1,8 +1,9 @@
-// Output pins: SHA-256 hashes of what every identity variant simulates and
-// of every experiment report but Table 5, committed in testdata/outputs.json.
-// The wheel-vs-heap test compares two queues within one build; the pins
-// compare this build against the one that wrote the file, so a change that
-// moves output the same way on both queues still shows.
+// Output pins: SHA-256 hashes of what every identity variant simulates, of
+// every experiment report but Table 5 and of every example's stdout,
+// committed in testdata/outputs.json. The wheel-vs-heap test compares two
+// queues within one build; the pins compare this build against the one that
+// wrote the file, so a change that moves output the same way on both queues
+// still shows.
 //
 // Recompute and compare:
 //
@@ -25,6 +26,8 @@ import (
 	"fmt"
 	"maps"
 	"os"
+	"os/exec"
+	"path/filepath"
 	"runtime"
 	"slices"
 	"strings"
@@ -39,12 +42,39 @@ var update = flag.Bool("update", false, "rewrite testdata/outputs.json from this
 const pinFile = "testdata/outputs.json"
 
 // pin is one pinned output. An identity variant's pin holds the hash of its
-// encoded node traces and the hash of its RunSpec Result JSON; an exhibit's
-// holds the hash of its rendered report.
+// encoded node traces and one hash per member of its RunSpec Result JSON,
+// keyed by the member's name, with one "metrics/<key>" hash per app metric
+// in place of the metrics object: a member or metric a change adds is a new
+// hash, and moves none of the others. An exhibit's pin holds the hash of its
+// rendered report, and an example's the hash of what it prints.
 type pin struct {
-	Traces string `json:"traces,omitempty"`
-	Result string `json:"result,omitempty"`
-	Report string `json:"report,omitempty"`
+	Traces string            `json:"traces,omitempty"`
+	Result map[string]string `json:"result,omitempty"`
+	Report string            `json:"report,omitempty"`
+}
+
+// resultPins hashes a Result's JSON one top-level member at a time, and its
+// metrics one key at a time.
+func resultPins(rj []byte) (map[string]string, error) {
+	var members map[string]json.RawMessage
+	if err := json.Unmarshal(rj, &members); err != nil {
+		return nil, err
+	}
+	out := make(map[string]string, len(members))
+	for _, name := range slices.Sorted(maps.Keys(members)) {
+		if name != "metrics" {
+			out[name] = sha(members[name])
+			continue
+		}
+		var metrics map[string]json.RawMessage
+		if err := json.Unmarshal(members[name], &metrics); err != nil {
+			return nil, err
+		}
+		for _, key := range slices.Sorted(maps.Keys(metrics)) {
+			out["metrics/"+key] = sha(metrics[key])
+		}
+	}
+	return out, nil
 }
 
 func sha(b []byte) string {
@@ -69,9 +99,11 @@ func completePins(names []string, got map[string]pin) error {
 }
 
 // TestOutputPins recomputes every identity variant's and every exhibit's
-// pins at each pin seed and names each pin that differs from
-// testdata/outputs.json. A variant's pins are keyed by its subtest name under
-// TestWheelHeapTraceIdentity, an exhibit's by "exhibit/<id>/seed=N".
+// pins at each pin seed, and every example's, and names each hash that
+// differs from testdata/outputs.json. A variant's pins are keyed by its
+// subtest name under TestWheelHeapTraceIdentity, an exhibit's by
+// "exhibit/<id>/seed=N" and an example's by "example/<dir>". The examples
+// are found by listing examples/, so an example without a pin fails.
 func TestOutputPins(t *testing.T) {
 	if runtime.GOARCH != "amd64" {
 		// The compiler fuses multiply-adds on arm64, ppc64le, s390x and
@@ -110,7 +142,11 @@ func TestOutputPins(t *testing.T) {
 				if err != nil {
 					t.Fatalf("marshal result: %v", err)
 				}
-				got[name] = pin{Traces: sha(traces), Result: sha(rj)}
+				members, err := resultPins(rj)
+				if err != nil {
+					t.Fatalf("split result: %v", err)
+				}
+				got[name] = pin{Traces: sha(traces), Result: members}
 			})
 		}
 	}
@@ -130,6 +166,50 @@ func TestOutputPins(t *testing.T) {
 				got[name] = pin{Report: sha([]byte(r.String()))}
 			})
 		}
+	}
+	// The examples are built once, by the first example subtest that runs,
+	// and each runs with no flags in a directory of its own.
+	root := filepath.Join("..", "..")
+	bin := t.TempDir()
+	var buildErr error
+	built := false
+	dirs, err := os.ReadDir(filepath.Join(root, "examples"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, d := range dirs {
+		if !d.IsDir() {
+			continue
+		}
+		name := pinName("example/" + d.Name())
+		t.Run(name, func(t *testing.T) {
+			if !built {
+				built = true
+				build := exec.Command("go", "build", "-o", bin+string(filepath.Separator), "./examples/...")
+				build.Dir = root
+				if out, err := build.CombinedOutput(); err != nil {
+					buildErr = fmt.Errorf("go build ./examples/...: %v\n%s", err, out)
+				}
+			}
+			if buildErr != nil {
+				t.Fatal(buildErr)
+			}
+			var args []string
+			if d.Name() == "traffic" {
+				// It prints where it wrote the trace: a path relative
+				// to the run's directory prints the same every time.
+				args = []string{"-out", "traffic.jsonl"}
+			}
+			run := exec.Command(filepath.Join(bin, d.Name()), args...)
+			run.Dir = t.TempDir()
+			var stderr bytes.Buffer
+			run.Stderr = &stderr
+			out, err := run.Output()
+			if err != nil {
+				t.Fatalf("run: %v\n%s", err, stderr.Bytes())
+			}
+			got[name] = pin{Report: sha(out)}
+		})
 	}
 	if t.Failed() {
 		return
@@ -160,24 +240,33 @@ func TestOutputPins(t *testing.T) {
 	if err := dec.Decode(&want); err != nil {
 		t.Fatalf("parse %s: %v", pinFile, err)
 	}
-	var moved []string
+	// A hash that differs or is gone has moved; a pin or Result member
+	// the file lacks is new.
+	var moved, added []string
 	for _, name := range slices.Sorted(maps.Keys(got)) {
 		g, w := got[name], want[name]
-		switch {
-		case w == pin{}:
-			moved = append(moved, name+": no pin in the file")
-		case g != w:
-			var what []string
-			if g.Traces != w.Traces {
-				what = append(what, "traces")
+		if _, ok := want[name]; !ok {
+			added = append(added, name)
+			continue
+		}
+		if g.Traces != w.Traces {
+			moved = append(moved, name+": traces")
+		}
+		if g.Report != w.Report {
+			moved = append(moved, name+": report")
+		}
+		for _, m := range slices.Sorted(maps.Keys(g.Result)) {
+			switch h, ok := w.Result[m]; {
+			case !ok:
+				added = append(added, name+": result/"+m)
+			case h != g.Result[m]:
+				moved = append(moved, name+": result/"+m)
 			}
-			if g.Result != w.Result {
-				what = append(what, "result")
+		}
+		for _, m := range slices.Sorted(maps.Keys(w.Result)) {
+			if _, ok := g.Result[m]; !ok {
+				moved = append(moved, name+": result/"+m+" is gone")
 			}
-			if g.Report != w.Report {
-				what = append(what, "report")
-			}
-			moved = append(moved, name+": "+strings.Join(what, " and ")+" moved")
 		}
 	}
 	// A pin whose subtest -run filtered out is not compared; a pin no
@@ -188,8 +277,12 @@ func TestOutputPins(t *testing.T) {
 		}
 	}
 	if len(moved) > 0 {
-		t.Errorf("%d of %d output pins moved (rewrite with -update only if the change means to move them):\n  %s",
-			len(moved), len(want), strings.Join(moved, "\n  "))
+		t.Errorf("%d output hashes moved (rewrite with -update only if the change means to move them):\n  %s",
+			len(moved), strings.Join(moved, "\n  "))
+	}
+	if len(added) > 0 {
+		t.Errorf("%d output hashes are new, with none in %s (record them with -update):\n  %s",
+			len(added), pinFile, strings.Join(added, "\n  "))
 	}
 }
 
@@ -199,7 +292,7 @@ func TestOutputPins(t *testing.T) {
 func TestCompletePins(t *testing.T) {
 	names := []string{"blink/seed=1/placement=", "exhibit/fig10/seed=1", "exhibit/fig10/seed=7"}
 	full := map[string]pin{
-		names[0]: {Traces: "a", Result: "b"},
+		names[0]: {Traces: "a", Result: map[string]string{"run": "b"}},
 		names[1]: {Report: "c"},
 		names[2]: {Report: "d"},
 	}
