@@ -351,11 +351,12 @@ func dump(r *trace.Reader) error {
 func summary(r *trace.Reader) error {
 	counters := core.NewCounterSink()
 	// The wire timestamp is 32 bits (~71.6 min); unwrap it so long traces
-	// report their true span, and count pulses in 64 bits for the same
-	// reason. A merged multi-node trace interleaves unrelated iCount
-	// counters (the wire format carries no node id), which shows up as huge
-	// backwards jumps — flag it and report the pulse count as meaningless
-	// rather than summing garbage deltas.
+	// report their true span (a clock that steps back is an error), and
+	// count pulses in 64 bits for the same reason. A merged multi-node
+	// trace interleaves unrelated iCount counters (the wire format carries
+	// no node id), which shows up as huge backwards jumps — flag it and
+	// report the pulse count as meaningless rather than summing garbage
+	// deltas.
 	var uw trace.Unwrapper
 	var startUS, endUS int64
 	var pulses uint64
@@ -364,7 +365,10 @@ func summary(r *trace.Reader) error {
 	total := 0
 	err := forEachBatch(r, func(batch []core.Entry) error {
 		for _, e := range batch {
-			at := uw.At(e.Time)
+			at, err := uw.At(e.Time)
+			if err != nil {
+				return err
+			}
 			if total == 0 {
 				startUS = at
 				lastIC = e.IC
@@ -471,21 +475,27 @@ func printAnalysis(w io.Writer, a *analysis.Analysis) {
 	fmt.Fprintf(w, "\nreconstruction error: %.5f%%\n", a.ReconstructionError()*100)
 }
 
+// readSpecs reads a spec or matrix file ("-" for stdin) and expands it into
+// the specs of its runs.
+func readSpecs(name string) ([]scenario.Spec, error) {
+	in, err := openIn(name)
+	if err != nil {
+		return nil, err
+	}
+	data, err := io.ReadAll(in)
+	in.Close()
+	if err != nil {
+		return nil, err
+	}
+	return scenario.ParseSpecOrMatrix(data)
+}
+
 // sweep expands a spec or matrix file and runs it over a worker pool,
 // streaming one JSON result line per run in matrix order and a final
 // aggregate line. The output bytes depend only on the matrix content — not
 // on the worker count or which run finishes first.
 func sweep(name string, workers int) error {
-	in, err := openIn(name)
-	if err != nil {
-		return err
-	}
-	data, err := io.ReadAll(in)
-	in.Close()
-	if err != nil {
-		return err
-	}
-	specs, err := scenario.ParseSpecOrMatrix(data)
+	specs, err := readSpecs(name)
 	if err != nil {
 		return err
 	}
@@ -542,16 +552,7 @@ func sweep(name string, workers int) error {
 // {"lifetime": ..., "routes": ...}; unrouted studies keep the legacy
 // single-report shape.
 func lifetime(name string, workers int, jsonOut bool) error {
-	in, err := openIn(name)
-	if err != nil {
-		return err
-	}
-	data, err := io.ReadAll(in)
-	in.Close()
-	if err != nil {
-		return err
-	}
-	specs, err := scenario.ParseSpecOrMatrix(data)
+	specs, err := readSpecs(name)
 	if err != nil {
 		return err
 	}
@@ -611,16 +612,7 @@ func lifetime(name string, workers int, jsonOut bool) error {
 // shape its app honors. The written file feeds straight back in as
 // {"shape": "replay", "file": ...}, reproducing the run byte for byte.
 func record(outName, name string) error {
-	in, err := openIn(name)
-	if err != nil {
-		return err
-	}
-	data, err := io.ReadAll(in)
-	in.Close()
-	if err != nil {
-		return err
-	}
-	specs, err := scenario.ParseSpecOrMatrix(data)
+	specs, err := readSpecs(name)
 	if err != nil {
 		return err
 	}

@@ -2,6 +2,7 @@ package main
 
 import (
 	"bytes"
+	"io"
 	"os"
 	"path/filepath"
 	"strings"
@@ -213,14 +214,17 @@ func memMerge(t *testing.T, logs ...[]core.Entry) ([]byte, []core.NodeID) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	merged, err := m.Drain()
-	if err != nil {
-		t.Fatal(err)
-	}
-	entries := make([]core.Entry, len(merged))
-	nodes := make([]core.NodeID, len(merged))
-	for i, s := range merged {
-		entries[i], nodes[i] = s.Entry, s.Node
+	var entries []core.Entry
+	var nodes []core.NodeID
+	for {
+		s, err := m.Next()
+		if err == io.EOF {
+			break
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+		entries, nodes = append(entries, s.Entry), append(nodes, s.Node)
 	}
 	return trace.Marshal(entries), nodes
 }
@@ -291,5 +295,32 @@ func TestMergeWritesInMemoryMerge(t *testing.T) {
 	}
 	if got, err := os.ReadFile(out); err != nil || len(got) != 0 {
 		t.Errorf("merge of an input with no complete frame left %d bytes at OUT (%v), want none", len(got), err)
+	}
+}
+
+// TestSummaryRejectsClockStepBack: summary exits 1 on a log whose clock
+// steps back by 10 us, which no 32-bit wrap explains, naming the entry and
+// both stamps; a real wrap, 4,294,967,200 -> 50 us, summarizes.
+func TestSummaryRejectsClockStepBack(t *testing.T) {
+	name := filepath.Join(t.TempDir(), "log.qt")
+	for _, c := range []struct {
+		stamps []uint32
+		code   int
+		stderr string
+	}{
+		{[]uint32{1000, 2000, 1990, 3000}, 1, "trace: entry 2: clock steps back from 2000 to 1990 us"},
+		{[]uint32{4_294_967_200, 50}, 0, ""},
+	} {
+		entries := make([]core.Entry, len(c.stamps))
+		for i, ts := range c.stamps {
+			entries[i] = core.Entry{Type: core.EntryMarker, Time: ts, IC: uint32(i)}
+		}
+		if err := os.WriteFile(name, trace.Marshal(entries), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		var stderr bytes.Buffer
+		if code := run([]string{"summary", name}, &stderr); code != c.code || !strings.Contains(stderr.String(), c.stderr) {
+			t.Errorf("summary of stamps %v: exit %d, stderr %q; want %d and %q", c.stamps, code, stderr.String(), c.code, c.stderr)
+		}
 	}
 }

@@ -56,32 +56,32 @@ type multiRes struct {
 	seen  bool
 }
 
-// TimelineBuilder reconstructs per-resource activity histories from an event
-// stream incrementally, one entry at a time — the single-pass core behind
-// BuildActivityTimelines. isProxy identifies proxy labels (from the
-// dictionary); bind entries reassign the owner of the pending proxy episode
-// on that resource, implementing the paper's "the resources used by a proxy
-// activity are accounted for separately, and then assigned to the real
-// activity as soon as the system can determine what this activity is".
+// timelineBuilder reconstructs per-resource activity histories from an event
+// stream incrementally, one entry at a time. isProxy identifies proxy labels
+// (from the dictionary); bind entries reassign the owner of the pending
+// proxy episode on that resource, implementing the paper's "the resources
+// used by a proxy activity are accounted for separately, and then assigned
+// to the real activity as soon as the system can determine what this
+// activity is".
 //
 // Per-resource state lives in tables indexed by resource id and label sets
 // are interned, so an activity change neither hashes nor allocates beyond
 // growing a timeline.
-type TimelineBuilder struct {
+type timelineBuilder struct {
 	isProxy func(core.Label) bool
 	single  []singleRes // by resource id
 	multi   []multiRes  // by resource id
 	sets    labelSets
 }
 
-// NewTimelineBuilder returns an empty builder.
-func NewTimelineBuilder(isProxy func(core.Label) bool) *TimelineBuilder {
-	return &TimelineBuilder{isProxy: isProxy}
+// newTimelineBuilder returns an empty builder.
+func newTimelineBuilder(isProxy func(core.Label) bool) *timelineBuilder {
+	return &timelineBuilder{isProxy: isProxy}
 }
 
-// reset returns the builder to the state NewTimelineBuilder gives, keeping
+// reset returns the builder to the state newTimelineBuilder gives, keeping
 // the per-resource tables, every timeline's capacity and the label sets'.
-func (b *TimelineBuilder) reset() {
+func (b *timelineBuilder) reset() {
 	for i := range b.single {
 		r := &b.single[i]
 		*r = singleRes{segs: r.segs[:0], pending: r.pending[:0]}
@@ -93,9 +93,9 @@ func (b *TimelineBuilder) reset() {
 	b.sets.reset()
 }
 
-// Add consumes the next entry, stamped with its unwrapped time. Entries that
+// add consumes the next entry, stamped with its unwrapped time. Entries that
 // are not activity events are ignored.
-func (b *TimelineBuilder) Add(e core.Entry, at int64) {
+func (b *timelineBuilder) add(e core.Entry, at int64) {
 	switch e.Type {
 	case core.EntryActivitySet, core.EntryActivityBind:
 		b.single = grow(b.single, int(e.Res))
@@ -141,21 +141,13 @@ func (b *TimelineBuilder) Add(e core.Entry, at int64) {
 
 // reserve makes room for a batch whose single- and multi-activity entries
 // the counts describe.
-func (b *TimelineBuilder) reserve(single, multi *resCounts) {
+func (b *timelineBuilder) reserve(single, multi *resCounts) {
 	b.single = reserveSegs(b.single, single, func(r *singleRes) *[]Segment { return &r.segs })
 	b.multi = reserveSegs(b.multi, multi, func(r *multiRes) *[]MultiSegment { return &r.segs })
 }
 
-// Finish closes every open segment at the given end time and returns the
-// completed timelines, keyed by every resource that logged an activity
-// entry. The builder must not be used afterwards.
-func (b *TimelineBuilder) Finish(end int64) (map[core.ResourceID]*ActTimeline, map[core.ResourceID]*MultiTimeline) {
-	b.close(end)
-	return b.views()
-}
-
 // close closes every open segment at the given end time. Call it once.
-func (b *TimelineBuilder) close(end int64) {
+func (b *timelineBuilder) close(end int64) {
 	for i := range b.single {
 		if r := &b.single[i]; r.seen && end > r.start {
 			r.segs = append(r.segs, Segment{Start: r.start, End: end, Label: r.label, Owner: r.label})
@@ -170,7 +162,7 @@ func (b *TimelineBuilder) close(end int64) {
 
 // views returns the closed timelines as maps keyed by every resource that
 // logged an activity entry.
-func (b *TimelineBuilder) views() (map[core.ResourceID]*ActTimeline, map[core.ResourceID]*MultiTimeline) {
+func (b *timelineBuilder) views() (map[core.ResourceID]*ActTimeline, map[core.ResourceID]*MultiTimeline) {
 	single := make(map[core.ResourceID]*ActTimeline, countIf(b.single, func(r *singleRes) bool { return r.seen }))
 	for i := range b.single {
 		if r := &b.single[i]; r.seen {
@@ -188,7 +180,7 @@ func (b *TimelineBuilder) views() (map[core.ResourceID]*ActTimeline, map[core.Re
 	return single, multi
 }
 
-// countIf counts the entries of a per-resource table that keep, so Finish
+// countIf counts the entries of a per-resource table that keep, so a view
 // sizes its result map once.
 func countIf[T any](table []T, keep func(*T) bool) int {
 	n := 0
@@ -198,16 +190,6 @@ func countIf[T any](table []T, keep func(*T) bool) int {
 		}
 	}
 	return n
-}
-
-// BuildActivityTimelines reconstructs per-resource activity histories from
-// the log — the batch wrapper over TimelineBuilder.
-func BuildActivityTimelines(t *NodeTrace, isProxy func(core.Label) bool) (map[core.ResourceID]*ActTimeline, map[core.ResourceID]*MultiTimeline) {
-	b := NewTimelineBuilder(isProxy)
-	for i, e := range t.Entries {
-		b.Add(e, t.Times[i])
-	}
-	return b.Finish(t.End())
 }
 
 // labelSets interns the label sets of multi-activity resources. Set 0 is
@@ -285,19 +267,15 @@ type stateRes struct {
 	open  bool
 }
 
-// StateTimelineBuilder reconstructs per-resource power-state histories from
-// an event stream incrementally, in a table indexed by resource id.
-type StateTimelineBuilder struct {
+// stateTimelineBuilder reconstructs per-resource power-state histories from
+// an event stream incrementally, in a table indexed by resource id. Its
+// zero value is an empty builder.
+type stateTimelineBuilder struct {
 	res []stateRes
 }
 
-// NewStateTimelineBuilder returns an empty builder.
-func NewStateTimelineBuilder() *StateTimelineBuilder {
-	return &StateTimelineBuilder{}
-}
-
 // reset empties every resource's timeline, keeping its capacity.
-func (b *StateTimelineBuilder) reset() {
+func (b *stateTimelineBuilder) reset() {
 	for i := range b.res {
 		r := &b.res[i]
 		*r = stateRes{segs: r.segs[:0]}
@@ -305,12 +283,12 @@ func (b *StateTimelineBuilder) reset() {
 }
 
 // reserve makes room for a batch whose power-state entries c counts.
-func (b *StateTimelineBuilder) reserve(c *resCounts) {
+func (b *stateTimelineBuilder) reserve(c *resCounts) {
 	b.res = reserveSegs(b.res, c, func(r *stateRes) *[]StateSegment { return &r.segs })
 }
 
-// Add consumes the next entry; non-power-state entries are ignored.
-func (b *StateTimelineBuilder) Add(e core.Entry, at int64) {
+// add consumes the next entry; non-power-state entries are ignored.
+func (b *stateTimelineBuilder) add(e core.Entry, at int64) {
 	if e.Type != core.EntryPowerState {
 		return
 	}
@@ -322,15 +300,8 @@ func (b *StateTimelineBuilder) Add(e core.Entry, at int64) {
 	r.start, r.state, r.open = at, e.State(), true
 }
 
-// Finish closes every open segment at the given end time and returns the
-// completed timelines, keyed by every resource with at least one segment.
-func (b *StateTimelineBuilder) Finish(end int64) map[core.ResourceID][]StateSegment {
-	b.close(end)
-	return b.views()
-}
-
 // close closes every open segment at the given end time. Call it once.
-func (b *StateTimelineBuilder) close(end int64) {
+func (b *stateTimelineBuilder) close(end int64) {
 	for i := range b.res {
 		if r := &b.res[i]; r.open && end > r.start {
 			r.segs = append(r.segs, StateSegment{Start: r.start, End: end, State: r.state})
@@ -340,7 +311,7 @@ func (b *StateTimelineBuilder) close(end int64) {
 
 // views returns the closed timelines as a map keyed by every resource with
 // at least one segment.
-func (b *StateTimelineBuilder) views() map[core.ResourceID][]StateSegment {
+func (b *stateTimelineBuilder) views() map[core.ResourceID][]StateSegment {
 	out := make(map[core.ResourceID][]StateSegment, countIf(b.res, func(r *stateRes) bool { return len(r.segs) > 0 }))
 	for i := range b.res {
 		if r := &b.res[i]; len(r.segs) > 0 {
@@ -348,14 +319,4 @@ func (b *StateTimelineBuilder) views() map[core.ResourceID][]StateSegment {
 		}
 	}
 	return out
-}
-
-// BuildStateTimelines reconstructs per-resource power-state histories — the
-// batch wrapper over StateTimelineBuilder.
-func BuildStateTimelines(t *NodeTrace) map[core.ResourceID][]StateSegment {
-	b := NewStateTimelineBuilder()
-	for i, e := range t.Entries {
-		b.Add(e, t.Times[i])
-	}
-	return b.Finish(t.End())
 }

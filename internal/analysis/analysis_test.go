@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"repro/internal/core"
+	"repro/internal/units"
 )
 
 // traceBuilder constructs synthetic logs with a simulated meter: current
@@ -63,8 +64,16 @@ func (b *traceBuilder) marker() {
 	b.entries = append(b.entries, core.Entry{Type: core.EntryMarker, Res: 0, Time: b.now, IC: b.ic(), Val: 0xFFFF})
 }
 
-func (b *traceBuilder) trace() *NodeTrace {
-	return NewNodeTrace(1, b.entries, b.pulseUJ, 3.0)
+// analyze runs the builder's log through a StreamAnalyzer as node 1's.
+func (b *traceBuilder) analyze(t *testing.T, dict *core.Dictionary, opts Options) *Analysis {
+	t.Helper()
+	sa := NewStreamAnalyzer(1, b.pulseUJ, units.Volts(b.volts), dict, opts)
+	sa.RecordBatch(b.entries)
+	a, err := sa.Finish()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return a
 }
 
 const (
@@ -98,8 +107,8 @@ func buildTwoSinkTrace() *traceBuilder {
 }
 
 func TestStateIntervalsPartitionTime(t *testing.T) {
-	tr := buildTwoSinkTrace().trace()
-	ivs, _ := tr.StateIntervals()
+	a := buildTwoSinkTrace().analyze(t, core.NewDictionary(), DefaultOptions())
+	ivs := a.Intervals
 	if len(ivs) == 0 {
 		t.Fatal("no intervals")
 	}
@@ -113,30 +122,29 @@ func TestStateIntervalsPartitionTime(t *testing.T) {
 		}
 		total += iv.Duration()
 	}
-	if total != tr.End()-tr.Start() {
-		t.Errorf("intervals cover %d us, span is %d", total, tr.End()-tr.Start())
+	if total != a.Span() {
+		t.Errorf("intervals cover %d us, span is %d", total, a.Span())
 	}
 }
 
 func TestStateIntervalPulsesSumToTotal(t *testing.T) {
-	tr := buildTwoSinkTrace().trace()
+	b := buildTwoSinkTrace()
+	a := b.analyze(t, core.NewDictionary(), DefaultOptions())
 	var sum uint32
-	ivs, _ := tr.StateIntervals()
-	for _, iv := range ivs {
+	for _, iv := range a.Intervals {
 		sum += iv.Pulses
 	}
-	if sum != tr.TotalPulses() {
-		t.Errorf("interval pulses %d != total %d", sum, tr.TotalPulses())
+	if want := b.entries[len(b.entries)-1].IC - b.entries[0].IC; sum != want || a.TotalPulses != want {
+		t.Errorf("interval pulses %d, TotalPulses %d; the meter counted %d", sum, a.TotalPulses, want)
 	}
 }
 
 func TestRegressionRecoversTwoSinks(t *testing.T) {
-	tr := buildTwoSinkTrace().trace()
-	ivs, vecs := tr.StateIntervals()
-	reg, err := RunRegression(ivs, vecs, tr.PulseUJ, DefaultOptions())
-	if err != nil {
-		t.Fatal(err)
+	a := buildTwoSinkTrace().analyze(t, core.NewDictionary(), DefaultOptions())
+	if a.RegressionErr != nil {
+		t.Fatal(a.RegressionErr)
 	}
+	reg := a.Reg
 	// Expect draws of 3 mA and 1.5 mA at 3 V: 9 mW and 4.5 mW.
 	gotA := reg.PowerMW[Predictor{resA, 1}]
 	gotB := reg.PowerMW[Predictor{resB, 1}]
@@ -152,15 +160,13 @@ func TestRegressionRecoversTwoSinks(t *testing.T) {
 }
 
 func TestRegressionGroupsByStateVector(t *testing.T) {
-	tr := buildTwoSinkTrace().trace()
-	ivs, vecs := tr.StateIntervals()
-	reg, err := RunRegression(ivs, vecs, tr.PulseUJ, DefaultOptions())
-	if err != nil {
-		t.Fatal(err)
+	a := buildTwoSinkTrace().analyze(t, core.NewDictionary(), DefaultOptions())
+	if a.RegressionErr != nil {
+		t.Fatal(a.RegressionErr)
 	}
 	// Four distinct combinations: {}, {A}, {A,B}, {B}.
-	if len(reg.Groups) != 4 {
-		t.Errorf("groups = %d, want 4", len(reg.Groups))
+	if len(a.Reg.Groups) != 4 {
+		t.Errorf("groups = %d, want 4", len(a.Reg.Groups))
 	}
 }
 
@@ -184,12 +190,11 @@ func TestRegressionMergesCollinearPredictors(t *testing.T) {
 	}
 	b.advance(1_000_000)
 	b.marker()
-	tr := b.trace()
-	ivs, vecs := tr.StateIntervals()
-	reg, err := RunRegression(ivs, vecs, tr.PulseUJ, DefaultOptions())
-	if err != nil {
-		t.Fatal(err)
+	a := b.analyze(t, core.NewDictionary(), DefaultOptions())
+	if a.RegressionErr != nil {
+		t.Fatal(a.RegressionErr)
 	}
+	reg := a.Reg
 	if len(reg.MergedInto) != 1 {
 		t.Fatalf("MergedInto = %v, want one merged predictor", reg.MergedInto)
 	}
@@ -199,28 +204,31 @@ func TestRegressionMergesCollinearPredictors(t *testing.T) {
 	}
 }
 
+// TestRegressionErrorsOnEmptyInput: a log whose entries all share one
+// microsecond has no interval to regress. The analysis degrades to a
+// constant-only model and says why.
 func TestRegressionErrorsOnEmptyInput(t *testing.T) {
-	if _, err := RunRegression(nil, nil, 8.33, DefaultOptions()); err == nil {
-		t.Error("empty input should fail")
+	b := newTraceBuilder()
+	b.marker()
+	b.marker()
+	a := b.analyze(t, core.NewDictionary(), DefaultOptions())
+	if a.RegressionErr == nil || a.RegressionErr.Error() != "analysis: no intervals to regress" {
+		t.Errorf("RegressionErr = %v, want no intervals to regress", a.RegressionErr)
+	}
+	if len(a.Reg.PowerMW) != 0 || a.Reg.ConstMW != 0 {
+		t.Errorf("constant-only model = %v const %v, want no draws", a.Reg.PowerMW, a.Reg.ConstMW)
 	}
 }
 
 func TestAnalyzeRequiresEntries(t *testing.T) {
-	tr := NewNodeTrace(1, nil, 8.33, 3.0)
-	if _, err := Analyze(tr, core.NewDictionary(), DefaultOptions()); err == nil {
-		t.Error("empty trace should fail")
+	sa := NewStreamAnalyzer(1, 8.33, 3.0, core.NewDictionary(), DefaultOptions())
+	if _, err := sa.Finish(); err == nil {
+		t.Error("empty log should fail")
 	}
 }
 
 func TestEnergyConservationSyntheticTrace(t *testing.T) {
-	b := buildTwoSinkTrace()
-	// Attach activity timelines: everything on resource A belongs to L1.
-	tr := b.trace()
-	dict := core.NewDictionary()
-	a, err := Analyze(tr, dict, DefaultOptions())
-	if err != nil {
-		t.Fatal(err)
-	}
+	a := buildTwoSinkTrace().analyze(t, core.NewDictionary(), DefaultOptions())
 	byRes, constUJ := a.EnergyByResource()
 	var sum float64
 	for _, uj := range byRes {
@@ -247,8 +255,7 @@ func TestActivityTimelineBasic(t *testing.T) {
 	b.act(core.EntryActivitySet, resA, idle)
 	b.advance(1000)
 	b.marker()
-	single, _ := BuildActivityTimelines(b.trace(), func(core.Label) bool { return false })
-	tl := single[resA]
+	tl := b.analyze(t, core.NewDictionary(), DefaultOptions()).Single[resA]
 	if tl == nil || len(tl.Segs) != 3 {
 		t.Fatalf("segments = %+v", tl)
 	}
@@ -262,7 +269,8 @@ func TestProxyBindingReassignsEpisode(t *testing.T) {
 	idle := core.MkLabel(1, 0)
 	proxy := core.MkLabel(1, 7)
 	remote := core.MkLabel(4, 2)
-	isProxy := func(l core.Label) bool { return l == proxy }
+	dict := core.NewDictionary()
+	dict.MarkProxy(proxy)
 
 	b.act(core.EntryActivitySet, 0, idle)
 	b.advance(1000)
@@ -279,8 +287,7 @@ func TestProxyBindingReassignsEpisode(t *testing.T) {
 	b.advance(1000)
 	b.marker()
 
-	single, _ := BuildActivityTimelines(b.trace(), isProxy)
-	tl := single[0]
+	tl := b.analyze(t, dict, DefaultOptions()).Single[0]
 	var proxyOwned, remoteOwned int64
 	for _, s := range tl.Segs {
 		switch s.Owner {
@@ -316,7 +323,8 @@ func TestProxyEpisodeEndsAtRealActivity(t *testing.T) {
 	proxy := core.MkLabel(1, 7)
 	app := core.MkLabel(1, 3)
 	remote := core.MkLabel(4, 2)
-	isProxy := func(l core.Label) bool { return l == proxy }
+	dict := core.NewDictionary()
+	dict.MarkProxy(proxy)
 
 	b.act(core.EntryActivitySet, 0, idle)
 	b.advance(1000)
@@ -330,9 +338,8 @@ func TestProxyEpisodeEndsAtRealActivity(t *testing.T) {
 	b.advance(100)
 	b.marker()
 
-	single, _ := BuildActivityTimelines(b.trace(), isProxy)
 	var earlyProxyOwner core.Label
-	for _, s := range single[0].Segs {
+	for _, s := range b.analyze(t, dict, DefaultOptions()).Single[0].Segs {
 		if s.Label == proxy {
 			earlyProxyOwner = s.Owner
 			break
@@ -356,8 +363,7 @@ func TestMultiActivityTimeline(t *testing.T) {
 	b.act(core.EntryActivityRemove, resB, lb)
 	b.advance(100)
 	b.marker()
-	_, multi := BuildActivityTimelines(b.trace(), func(core.Label) bool { return false })
-	mt := multi[resB]
+	mt := b.analyze(t, core.NewDictionary(), DefaultOptions()).Multi[resB]
 	if mt == nil {
 		t.Fatal("no multi timeline")
 	}
@@ -390,16 +396,11 @@ func TestSplitPoliciesConserveEnergy(t *testing.T) {
 	b.ps(resB, 0)
 	b.advance(1_000_000)
 	b.marker()
-	tr := b.trace()
-	dict := core.NewDictionary()
 
 	for _, split := range []SplitPolicy{SplitEqual, SplitFirst} {
 		opts := DefaultOptions()
 		opts.Split = split
-		a, err := Analyze(tr, dict, opts)
-		if err != nil {
-			t.Fatal(err)
-		}
+		a := b.analyze(t, core.NewDictionary(), opts)
 		byAct := a.EnergyByActivity()
 		var sum float64
 		for _, uj := range byAct {
@@ -439,11 +440,7 @@ func TestTimeByActivityCountsWallTime(t *testing.T) {
 	b.act(core.EntryActivitySet, resA, idle)
 	b.advance(2000)
 	b.marker()
-	a, err := Analyze(b.trace(), core.NewDictionary(), DefaultOptions())
-	if err != nil {
-		t.Fatal(err)
-	}
-	times := a.TimeByActivity()[resA]
+	times := b.analyze(t, core.NewDictionary(), DefaultOptions()).TimeByActivity()[resA]
 	if times[l1] != 5000 {
 		t.Errorf("l1 time = %d, want 5000", times[l1])
 	}
@@ -453,22 +450,17 @@ func TestTimeByActivityCountsWallTime(t *testing.T) {
 }
 
 func TestUnweightedOptionChangesFit(t *testing.T) {
-	tr := buildTwoSinkTrace().trace()
-	ivs, vecs := tr.StateIntervals()
-	w, err := RunRegression(ivs, vecs, tr.PulseUJ, DefaultOptions())
-	if err != nil {
-		t.Fatal(err)
-	}
+	b := buildTwoSinkTrace()
 	unweighted := DefaultOptions()
 	unweighted.Weighted = false
-	u, err := RunRegression(ivs, vecs, tr.PulseUJ, unweighted)
-	if err != nil {
-		t.Fatal(err)
-	}
 	// Both should be near truth on this clean trace; they must at least
 	// both produce finite results.
-	for _, reg := range []*Regression{w, u} {
-		for p, mw := range reg.PowerMW {
+	for _, opts := range []Options{DefaultOptions(), unweighted} {
+		a := b.analyze(t, core.NewDictionary(), opts)
+		if a.RegressionErr != nil {
+			t.Fatal(a.RegressionErr)
+		}
+		for p, mw := range a.Reg.PowerMW {
 			if math.IsNaN(mw) || math.IsInf(mw, 0) {
 				t.Errorf("non-finite coefficient for %v", p)
 			}

@@ -5,6 +5,7 @@ import (
 	"slices"
 
 	"repro/internal/core"
+	"repro/internal/units"
 )
 
 // SplitPolicy decides how a multi-activity device's consumption divides
@@ -49,16 +50,16 @@ const ConstLabel core.Label = 0xFFFF
 
 // Analysis bundles everything derived from one node's log.
 type Analysis struct {
-	// Trace carries the node's identity and meter parameters. When the
-	// analysis came from the streaming path its Entries are nil — only the
-	// summary fields below describe the log.
-	Trace *NodeTrace
-	Dict  *core.Dictionary
-	Opts  Options
+	// Node is the node the log came from, PulseUJ its meter's energy
+	// quantum and Volts its supply voltage.
+	Node    core.NodeID
+	PulseUJ float64
+	Volts   units.Volts
+	Dict    *core.Dictionary
+	Opts    Options
 
 	// StartUS/EndUS bound the analyzed window (unwrapped microseconds) and
-	// TotalPulses is the meter delta across it; they are valid whether the
-	// analysis was computed from a slice or a stream.
+	// TotalPulses is the meter delta across it.
 	StartUS, EndUS int64
 	TotalPulses    uint32
 
@@ -77,20 +78,6 @@ type Analysis struct {
 	Single map[core.ResourceID]*ActTimeline
 	Multi  map[core.ResourceID]*MultiTimeline
 	States map[core.ResourceID][]StateSegment
-}
-
-// Analyze runs the full offline pipeline on one node's materialized log. It
-// is a thin wrapper over the single-pass StreamAnalyzer, kept for callers
-// that already hold the entries as a slice.
-func Analyze(t *NodeTrace, dict *core.Dictionary, opts Options) (*Analysis, error) {
-	sa := NewStreamAnalyzer(t.Node, t.PulseUJ, t.Volts, dict, opts)
-	sa.RecordBatch(t.Entries)
-	a, err := sa.Finish()
-	if err != nil {
-		return nil, err
-	}
-	a.Trace = t // keep the materialized log reachable for slice-based callers
-	return a, nil
 }
 
 // owner returns the label a single-activity segment is charged to: its
@@ -379,7 +366,7 @@ func labelHash(l core.Label) uint32 {
 
 // TotalEnergyUJ returns the meter-observed energy over the span.
 func (a *Analysis) TotalEnergyUJ() float64 {
-	return float64(a.TotalPulses) * a.Trace.PulseUJ
+	return float64(a.TotalPulses) * a.PulseUJ
 }
 
 // LabelsInUse returns every activity label that appears in the breakdowns,
@@ -403,18 +390,4 @@ func (a *Analysis) AveragePowerMW() float64 {
 		return 0
 	}
 	return a.TotalEnergyUJ() / float64(span) * 1000
-}
-
-func maxi64(a, b int64) int64 {
-	if a > b {
-		return a
-	}
-	return b
-}
-
-func mini64(a, b int64) int64 {
-	if a < b {
-		return a
-	}
-	return b
 }

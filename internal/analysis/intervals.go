@@ -11,57 +11,14 @@ import (
 	"strconv"
 
 	"repro/internal/core"
-	"repro/internal/trace"
-	"repro/internal/units"
 )
-
-// NodeTrace is one node's log prepared for analysis: timestamps unwrapped to
-// 64-bit microseconds and metadata needed to convert pulses to joules.
-type NodeTrace struct {
-	Node    core.NodeID
-	Entries []core.Entry
-	Times   []int64 // unwrapped, parallel to Entries
-
-	PulseUJ float64
-	Volts   units.Volts
-}
-
-// NewNodeTrace wraps a log. PulseUJ is the meter's energy quantum and volts
-// the supply voltage (needed to express power draws as currents).
-func NewNodeTrace(node core.NodeID, entries []core.Entry, pulseUJ float64, volts units.Volts) *NodeTrace {
-	return &NodeTrace{
-		Node:    node,
-		Entries: entries,
-		Times:   trace.UnwrapTimes(entries),
-		PulseUJ: pulseUJ,
-		Volts:   volts,
-	}
-}
-
-// Start returns the first entry's time, or 0 for an empty log.
-func (t *NodeTrace) Start() int64 {
-	if len(t.Times) == 0 {
-		return 0
-	}
-	return t.Times[0]
-}
-
-// End returns the last entry's time, or 0 for an empty log. Harnesses stamp
-// a final marker at the end of a run so this covers the full window.
-func (t *NodeTrace) End() int64 {
-	if len(t.Times) == 0 {
-		return 0
-	}
-	return t.Times[len(t.Times)-1]
-}
 
 // StateInterval is one stretch of time during which no logged event
 // occurred: the power states of all sinks are constant, Pulses energy
 // quanta were consumed, and the interval lasted End-Start microseconds. Vec
-// indexes the interned state vector in effect (Analysis.Vectors, or the
-// vectors returned beside the intervals). The record is 24 bytes and holds
-// no pointers, so a long log's intervals cost the garbage collector nothing
-// to scan.
+// indexes the interned state vector in effect (Analysis.Vectors). The
+// record is 24 bytes and holds no pointers, so a long log's intervals cost
+// the garbage collector nothing to scan.
 type StateInterval struct {
 	Start, End int64
 	Pulses     uint32
@@ -98,18 +55,18 @@ func (v StateVector) State(res core.ResourceID) core.PowerState {
 	return 0
 }
 
-// IntervalBuilder slices an event stream into state intervals incrementally,
-// one entry at a time — the single-pass core behind StateIntervals. Feed
-// entries in log order with their unwrapped timestamps; Intervals returns
-// everything closed so far and Vectors the state vectors they index.
-// Zero-length gaps (several entries at one microsecond) are skipped; their
-// pulses carry into the following interval.
+// intervalBuilder slices an event stream into state intervals incrementally,
+// one entry at a time. Feed entries in log order with their unwrapped
+// timestamps; out holds every interval closed so far and vecs the state
+// vectors they index, some of which may have no interval: a vector passed
+// through within one microsecond. Zero-length gaps (several entries at one
+// microsecond) are skipped; their pulses carry into the following interval.
 //
 // The power states live in a table indexed by resource id. Every real state
 // change moves the current vector along a learned edge (see edges), so once
 // a log's vectors and transitions have been seen, building intervals
 // neither hashes nor allocates beyond growing the interval slice.
-type IntervalBuilder struct {
+type intervalBuilder struct {
 	states  []core.PowerState // by resource id
 	cur     uint32            // the current vector, an index into vecs
 	vecs    []StateVector
@@ -123,20 +80,20 @@ type IntervalBuilder struct {
 	started bool
 }
 
-// NewIntervalBuilder returns an empty builder whose current vector is the
+// newIntervalBuilder returns an empty builder whose current vector is the
 // all-baseline one.
-func NewIntervalBuilder() *IntervalBuilder {
-	return &IntervalBuilder{
+func newIntervalBuilder() *intervalBuilder {
+	return &intervalBuilder{
 		vecs:  []StateVector{{}},
 		edges: edges{nil},
 		byKey: map[string]uint32{"": 0},
 	}
 }
 
-// reset returns the builder to the state NewIntervalBuilder gives, keeping
+// reset returns the builder to the state newIntervalBuilder gives, keeping
 // the capacity of its state table, vector and edge tables and interval
 // slice.
-func (b *IntervalBuilder) reset() {
+func (b *intervalBuilder) reset() {
 	clear(b.states)
 	b.cur = 0
 	clear(b.vecs[1:])
@@ -151,7 +108,7 @@ func (b *IntervalBuilder) reset() {
 
 // setState records a resource's power state and moves to the resulting
 // vector.
-func (b *IntervalBuilder) setState(res core.ResourceID, st core.PowerState) {
+func (b *intervalBuilder) setState(res core.ResourceID, st core.PowerState) {
 	if int(res) >= len(b.states) {
 		if st == 0 {
 			return // an untracked resource is already at the baseline
@@ -173,7 +130,7 @@ func (b *IntervalBuilder) setState(res core.ResourceID, st core.PowerState) {
 
 // intern returns the index of the vector the state table holds, adding it
 // on first sight.
-func (b *IntervalBuilder) intern() uint32 {
+func (b *intervalBuilder) intern() uint32 {
 	buf := b.keyBuf[:0]
 	for r, s := range b.states {
 		if s != 0 {
@@ -201,9 +158,9 @@ func (b *IntervalBuilder) intern() uint32 {
 	return v
 }
 
-// Add consumes the next entry, stamped with its unwrapped time. The interval
+// add consumes the next entry, stamped with its unwrapped time. The interval
 // between the previous entry and this one is closed and recorded.
-func (b *IntervalBuilder) Add(e core.Entry, at int64) {
+func (b *intervalBuilder) add(e core.Entry, at int64) {
 	if b.started {
 		p := b.prev
 		if p.Type == core.EntryPowerState {
@@ -224,14 +181,6 @@ func (b *IntervalBuilder) Add(e core.Entry, at int64) {
 	}
 	b.prev, b.prevAt, b.started = e, at, true
 }
-
-// Intervals returns the intervals closed so far. The returned slice is the
-// builder's own; do not Add after using it.
-func (b *IntervalBuilder) Intervals() []StateInterval { return b.out }
-
-// Vectors returns the interned state vectors the intervals index. Some may
-// have no interval: a vector passed through within one microsecond.
-func (b *IntervalBuilder) Vectors() []StateVector { return b.vecs }
 
 // edges memoizes an interner's transitions: for each interned item, the
 // (change, resulting item) pairs seen so far. Logs cycle through a handful
@@ -302,34 +251,9 @@ func reserveSegs[T, S any](table []T, c *resCounts, segs func(*T) *[]S) []T {
 // reserve makes room for a batch of n entries whose power-state entries
 // c counts: at most one interval per entry, and a state table spanning
 // every resource the batch names.
-func (b *IntervalBuilder) reserve(n int, c *resCounts) {
+func (b *intervalBuilder) reserve(n int, c *resCounts) {
 	b.out = slices.Grow(b.out, n)
 	if c.span > 0 {
 		b.states = grow(b.states, c.span-1)
 	}
-}
-
-// StateIntervals slices the log into intervals between consecutive entries,
-// each annotated with the in-effect power-state vector and the energy used,
-// and returns them with the vectors they index. It is the batch wrapper over
-// IntervalBuilder.
-func (t *NodeTrace) StateIntervals() ([]StateInterval, []StateVector) {
-	b := NewIntervalBuilder()
-	for i, e := range t.Entries {
-		b.Add(e, t.Times[i])
-	}
-	return b.Intervals(), b.Vectors()
-}
-
-// TotalPulses returns the pulse count between the first and last entry.
-func (t *NodeTrace) TotalPulses() uint32 {
-	if len(t.Entries) < 2 {
-		return 0
-	}
-	return t.Entries[len(t.Entries)-1].IC - t.Entries[0].IC
-}
-
-// TotalEnergyUJ returns the energy the meter observed across the log.
-func (t *NodeTrace) TotalEnergyUJ() float64 {
-	return float64(t.TotalPulses()) * t.PulseUJ
 }

@@ -20,15 +20,6 @@ type Network struct {
 	Dict  *core.Dictionary
 }
 
-// NewNetwork builds the aggregate over per-node analyses.
-func NewNetwork(dict *core.Dictionary, nodes ...*Analysis) *Network {
-	n := &Network{Nodes: make(map[core.NodeID]*Analysis), Dict: dict}
-	for _, a := range nodes {
-		n.Nodes[a.Trace.Node] = a
-	}
-	return n
-}
-
 // EnergyByActivity sums each activity's energy across every node in the
 // network. Constant-term energy stays per-node (it is unattributable board
 // draw) and is reported under ConstLabel.

@@ -45,12 +45,11 @@ func TestRegressionRecoveryProperty(t *testing.T) {
 		b.advance(500_000)
 		b.marker()
 
-		tr := b.trace()
-		ivs, vecs := tr.StateIntervals()
-		reg, err := RunRegression(ivs, vecs, tr.PulseUJ, DefaultOptions())
-		if err != nil {
+		a := b.analyze(t, core.NewDictionary(), DefaultOptions())
+		if a.RegressionErr != nil {
 			continue // some random schedules are degenerate; that's fine
 		}
+		reg := a.Reg
 		ok := true
 		for i, ua := range draws {
 			p := Predictor{core.ResourceID(20 + i), 1}
@@ -110,10 +109,7 @@ func TestEnergyConservationProperty(t *testing.T) {
 		b.advance(300_000)
 		b.marker()
 
-		a, err := Analyze(b.trace(), core.NewDictionary(), DefaultOptions())
-		if err != nil {
-			t.Fatalf("trial %d: %v", trial, err)
-		}
+		a := b.analyze(t, core.NewDictionary(), DefaultOptions())
 		byRes, constUJ := a.EnergyByResource()
 		var resSum float64
 		for _, uj := range byRes {
@@ -164,10 +160,7 @@ func TestNonNegativeAttributionProperty(t *testing.T) {
 		}
 		b.advance(200_000)
 		b.marker()
-		a, err := Analyze(b.trace(), core.NewDictionary(), DefaultOptions())
-		if err != nil {
-			t.Fatalf("trial %d: %v", trial, err)
-		}
+		a := b.analyze(t, core.NewDictionary(), DefaultOptions())
 		for p, mw := range a.Reg.PowerMW {
 			if mw < 0 {
 				t.Errorf("trial %d: negative draw %v for %v", trial, mw, p)

@@ -60,7 +60,7 @@ func (a *Analysis) ReconstructionError() float64 {
 // reduced to its headline number.
 func (a *Analysis) CompareWithScope(sc *scope.Scope, volts units.Volts, t0, t1 int64) (recUJ, scopeUJ, relErr float64) {
 	for _, st := range a.ReconstructStacked() {
-		lo, hi := maxi64(st.Start, t0), mini64(st.End, t1)
+		lo, hi := max(st.Start, t0), min(st.End, t1)
 		if hi > lo {
 			recUJ += st.TotalMW * float64(hi-lo) / 1000
 		}

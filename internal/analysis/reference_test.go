@@ -11,7 +11,6 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/linalg"
-	"repro/internal/trace"
 	"repro/internal/units"
 )
 
@@ -297,7 +296,14 @@ func refStateTimelines(entries []core.Entry, times []int64) map[core.ResourceID]
 // refAnalysis assembles the reference Analysis the way StreamAnalyzer.Finish
 // does, from the reference builders.
 func refAnalysis(entries []core.Entry, dict *core.Dictionary, pulseUJ float64, opts Options) (*Analysis, []refInterval) {
-	times := trace.UnwrapTimes(entries)
+	// Each stamp lies its forward distance, mod 2^32, past the one before.
+	times := make([]int64, len(entries))
+	for i, e := range entries {
+		times[i] = int64(e.Time)
+		if i > 0 {
+			times[i] = times[i-1] + int64(e.Time-entries[i-1].Time)
+		}
+	}
 	ivs := refIntervals(entries, times)
 	start, end := times[0], times[len(times)-1]
 	total := entries[len(entries)-1].IC - entries[0].IC
@@ -310,7 +316,7 @@ func refAnalysis(entries []core.Entry, dict *core.Dictionary, pulseUJ float64, o
 	}
 	single, multi := refTimelines(entries, times, dict.IsProxy)
 	return &Analysis{
-		Trace: &NodeTrace{Node: 1, PulseUJ: pulseUJ, Volts: 3.0}, Dict: dict, Opts: opts,
+		Node: 1, PulseUJ: pulseUJ, Volts: 3.0, Dict: dict, Opts: opts,
 		StartUS: start, EndUS: end, TotalPulses: total,
 		Reg: reg, RegressionErr: regErr,
 		Single: single, Multi: multi, States: refStateTimelines(entries, times),
@@ -354,7 +360,7 @@ func refChargeWindow(a *Analysis, res core.ResourceID, start, end int64, mw floa
 			if s.Start >= end {
 				break
 			}
-			lo, hi := maxi64(s.Start, start), mini64(s.End, end)
+			lo, hi := max(s.Start, start), min(s.End, end)
 			if hi > lo {
 				owner := s.Label
 				if a.Opts.ResolveProxies {
@@ -371,7 +377,7 @@ func refChargeWindow(a *Analysis, res core.ResourceID, start, end int64, mw floa
 			if s.Start >= end {
 				break
 			}
-			lo, hi := maxi64(s.Start, start), mini64(s.End, end)
+			lo, hi := max(s.Start, start), min(s.End, end)
 			if hi <= lo {
 				continue
 			}
@@ -888,12 +894,11 @@ func TestStreamAnalyzerResetMatchesFresh(t *testing.T) {
 		if err != nil {
 			continue
 		}
-		gt, wt := got.Trace, want.Trace
-		if gt.Node != wt.Node || !sameBits(gt.PulseUJ, wt.PulseUJ) || gt.Volts != wt.Volts ||
+		if got.Node != want.Node || !sameBits(got.PulseUJ, want.PulseUJ) || got.Volts != want.Volts ||
 			got.StartUS != want.StartUS || got.EndUS != want.EndUS || got.TotalPulses != want.TotalPulses {
 			t.Fatalf("%s: node %d (%v uJ, %v V) over [%d, %d] with %d pulses, want node %d (%v uJ, %v V) over [%d, %d] with %d", name,
-				gt.Node, gt.PulseUJ, gt.Volts, got.StartUS, got.EndUS, got.TotalPulses,
-				wt.Node, wt.PulseUJ, wt.Volts, want.StartUS, want.EndUS, want.TotalPulses)
+				got.Node, got.PulseUJ, got.Volts, got.StartUS, got.EndUS, got.TotalPulses,
+				want.Node, want.PulseUJ, want.Volts, want.StartUS, want.EndUS, want.TotalPulses)
 		}
 		if !slices.Equal(got.Intervals, want.Intervals) || !slices.EqualFunc(got.Vectors, want.Vectors, func(a, b StateVector) bool {
 			return a.Key == b.Key && slices.Equal(a.Active, b.Active)

@@ -70,26 +70,9 @@ type Regression struct {
 // linear-independence limitation).
 const mergeTimeFrac = 0.002
 
-// RunRegression estimates per-predictor power draws from state intervals
-// and the vectors they index. Intervals are grouped by their vector's Key,
-// so distinct vectors with equal keys share one group. The fit has a
-// constant column absorbing the baseline draw and constrains every draw,
-// the constant's included, to be non-negative (non-negative least squares):
-// without that, nearly collinear predictors can fit as huge opposite-signed
-// pairs and corrupt the attribution. Of opts it reads only Weighted.
-func RunRegression(intervals []StateInterval, vectors []StateVector, pulseUJ float64, opts Options) (*Regression, error) {
-	var sc regScratch
-	reg, fail := sc.run(intervals, vectors, pulseUJ, opts.Weighted)
-	if fail.failed() {
-		return nil, fail.err()
-	}
-	return reg, nil
-}
-
-// regScratch holds a regression's working tables. RunRegression uses a
-// fresh one; a StreamAnalyzer keeps one across the nodes it analyzes, so a
-// run that regresses node after node sizes the tables once. Nothing a
-// Regression returns points into it.
+// regScratch holds a regression's working tables. A StreamAnalyzer keeps
+// one across the nodes it analyzes, so a run that regresses node after node
+// sizes the tables once. Nothing a Regression returns points into it.
 type regScratch struct {
 	order    []int32 // vector indices, sorted by key
 	groupOf  []int32 // each vector's group
@@ -120,7 +103,7 @@ const (
 
 func (f regFailure) failed() bool { return f.kind != regFitted }
 
-// err returns the error RunRegression reports for the failure.
+// err returns the failure as the error Analysis.RegressionErr reports.
 func (f regFailure) err() error {
 	switch f.kind {
 	case regNoIntervals:
@@ -133,7 +116,14 @@ func (f regFailure) err() error {
 	return nil
 }
 
-// run is RunRegression on the scratch's tables.
+// run estimates per-predictor power draws from state intervals and the
+// vectors they index, in the scratch's tables. Intervals are grouped by
+// their vector's Key, so distinct vectors with equal keys share one group.
+// The fit has a constant column absorbing the baseline draw and constrains
+// every draw, the constant's included, to be non-negative (non-negative
+// least squares): without that, nearly collinear predictors can fit as
+// huge opposite-signed pairs and corrupt the attribution. weighted selects
+// the paper's weights (Options.Weighted).
 func (sc *regScratch) run(intervals []StateInterval, vectors []StateVector, pulseUJ float64, weighted bool) (*Regression, regFailure) {
 	if len(intervals) == 0 {
 		return nil, regFailure{kind: regNoIntervals}

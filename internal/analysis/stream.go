@@ -13,12 +13,16 @@ import (
 // StreamAnalyzer runs the full offline pipeline over an event stream in a
 // single pass, without materializing the log: it unwraps timestamps, builds
 // state intervals and activity/state timelines incrementally as entries
-// arrive, and runs the regression once at Finish. RecordBatch takes a
-// node's whole log or one decoded batch of it, and Record one entry of a
-// merged stream (NetworkAnalyzer.Consume), so it can consume a trace as it
-// streams off disk. Memory is O(intervals + segments), never O(entries) —
-// for a multi-megabyte trace the raw entries exist only transiently in the
-// decoder's batch buffer.
+// arrive, and runs the regression once at Finish. It is the one way into
+// the analysis: RecordBatch takes a node's whole log or one decoded batch
+// of it, and Record one entry of a merged stream (NetworkAnalyzer.Consume),
+// so it can consume a trace as it streams off disk. Memory is
+// O(intervals + segments), never O(entries) — for a multi-megabyte trace
+// the raw entries exist only transiently in the decoder's batch buffer.
+//
+// A log whose clock steps back (see trace.Unwrapper) cannot be analyzed:
+// the analyzer skips the entry, keeps the first such error, and Finish and
+// Breakdown return it.
 type StreamAnalyzer struct {
 	node    core.NodeID
 	pulseUJ float64
@@ -26,15 +30,16 @@ type StreamAnalyzer struct {
 	dict    *core.Dictionary
 	opts    Options
 
-	uw trace.Unwrapper
+	uw  trace.Unwrapper
+	err error // the first clock step back
 
 	count           int
 	startUS, endUS  int64
 	firstIC, lastIC uint32
 
-	ivb *IntervalBuilder
-	tlb *TimelineBuilder
-	stb *StateTimelineBuilder
+	ivb *intervalBuilder
+	tlb *timelineBuilder
+	stb stateTimelineBuilder
 
 	// Set once the stream is closed: the timelines' open segments are
 	// closed, and fit and fail hold the node's model and why the
@@ -57,15 +62,20 @@ func NewStreamAnalyzer(node core.NodeID, pulseUJ float64, volts units.Volts, dic
 		volts:   volts,
 		dict:    dict,
 		opts:    opts,
-		ivb:     NewIntervalBuilder(),
-		tlb:     NewTimelineBuilder(dict.IsProxy),
-		stb:     NewStateTimelineBuilder(),
+		ivb:     newIntervalBuilder(),
+		tlb:     newTimelineBuilder(dict.IsProxy),
 	}
 }
 
 // Record consumes one event.
 func (s *StreamAnalyzer) Record(e core.Entry) {
-	at := s.uw.At(e.Time)
+	at, err := s.uw.At(e.Time)
+	if err != nil {
+		if s.err == nil {
+			s.err = err
+		}
+		return
+	}
 	if s.count == 0 {
 		s.startUS = at
 		s.firstIC = e.IC
@@ -74,9 +84,9 @@ func (s *StreamAnalyzer) Record(e core.Entry) {
 	s.lastIC = e.IC
 	s.count++
 
-	s.ivb.Add(e, at)
-	s.tlb.Add(e, at)
-	s.stb.Add(e, at)
+	s.ivb.add(e, at)
+	s.tlb.add(e, at)
+	s.stb.add(e, at)
 }
 
 // RecordBatch consumes a batch of events. One counting pass over the batch
@@ -143,7 +153,7 @@ func (s *StreamAnalyzer) Reset(node core.NodeID, pulseUJ float64, volts units.Vo
 		// Bound only on a change: a method value allocates.
 		s.dict, s.tlb.isProxy = dict, dict.IsProxy
 	}
-	s.uw = trace.Unwrapper{}
+	s.uw, s.err = trace.Unwrapper{}, nil
 	s.count, s.startUS, s.endUS, s.firstIC, s.lastIC = 0, 0, 0, 0, 0
 	s.ivb.reset()
 	s.tlb.reset()
@@ -156,13 +166,16 @@ func (s *StreamAnalyzer) Reset(node core.NodeID, pulseUJ float64, volts units.Vo
 // cannot fit, it returns a constant-only model, which the analyzer owns,
 // and why the fit failed, unformatted.
 func (s *StreamAnalyzer) model() (*Regression, regFailure, error) {
+	if s.err != nil {
+		return nil, regFailure{}, s.err
+	}
 	if s.count < 2 {
 		return nil, regFailure{}, fmt.Errorf("analysis: log has %d entries; need at least 2", s.count)
 	}
 	if !s.closed {
 		s.tlb.close(s.endUS)
 		s.stb.close(s.endUS)
-		s.fit, s.fail = s.scratch.run(s.ivb.Intervals(), s.ivb.Vectors(), s.pulseUJ, s.opts.Weighted)
+		s.fit, s.fail = s.scratch.run(s.ivb.out, s.ivb.vecs, s.pulseUJ, s.opts.Weighted)
 		if s.fail.failed() {
 			// Degrade to a constant-only model so time breakdowns and
 			// total energy still work on logs without separable power
@@ -181,9 +194,9 @@ func (s *StreamAnalyzer) model() (*Regression, regFailure, error) {
 
 // Finish closes the stream, runs the regression, and returns the completed
 // Analysis: the retained view, with the per-resource timelines as maps, that
-// NetworkAnalyzer, Analyze and Instance.Network hand out. The Analysis
-// shares the analyzer's tables: it stays valid until the next Reset, and
-// the analyzer must not record again before one.
+// NetworkAnalyzer and Instance.Network hand out. The Analysis shares the
+// analyzer's tables: it stays valid until the next Reset, and the analyzer
+// must not record again before one.
 func (s *StreamAnalyzer) Finish() (*Analysis, error) {
 	reg, fail, err := s.model()
 	if err != nil {
@@ -196,14 +209,16 @@ func (s *StreamAnalyzer) Finish() (*Analysis, error) {
 	}
 	single, multi := s.tlb.views()
 	return &Analysis{
-		Trace:         &NodeTrace{Node: s.node, PulseUJ: s.pulseUJ, Volts: s.volts},
+		Node:          s.node,
+		PulseUJ:       s.pulseUJ,
+		Volts:         s.volts,
 		Dict:          s.dict,
 		Opts:          s.opts,
 		StartUS:       s.startUS,
 		EndUS:         s.endUS,
 		TotalPulses:   s.lastIC - s.firstIC, // uint32 arithmetic handles wrap
-		Intervals:     s.ivb.Intervals(),
-		Vectors:       s.ivb.Vectors(),
+		Intervals:     s.ivb.out,
+		Vectors:       s.ivb.vecs,
 		Reg:           reg,
 		RegressionErr: regErr,
 		Single:        single,
@@ -251,12 +266,11 @@ func (s *StreamAnalyzer) Breakdown() (byActivity []LabelEnergy, pulses uint32, s
 }
 
 // NetworkAnalyzer holds one StreamAnalyzer per node and aggregates their
-// results into a Network — the streaming equivalent of analyzing each node's
-// log separately and calling NewNetwork. A caller holding per-node logs feeds
-// each one straight to the analyzer AddNode returns; a merged network-wide
-// stream (decoded files, a back channel) goes through Consume, which
-// demultiplexes it by node. Either way each analyzer sees exactly its own
-// node's entries in log order, so both feeds give the same Network.
+// results into a Network. A caller holding per-node logs feeds each one
+// straight to the analyzer AddNode returns; a merged network-wide stream
+// (decoded files, a back channel) goes through Consume, which demultiplexes
+// it by node. Either way each analyzer sees exactly its own node's entries
+// in log order, so both feeds give the same Network.
 type NetworkAnalyzer struct {
 	dict    *core.Dictionary
 	opts    Options

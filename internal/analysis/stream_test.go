@@ -10,53 +10,6 @@ import (
 	"repro/internal/trace"
 )
 
-// TestStreamAnalyzerMatchesSliceAnalyze feeds the same log entry-at-a-time
-// through the streaming analyzer and checks every derived quantity against
-// the slice-based entry point.
-func TestStreamAnalyzerMatchesSliceAnalyze(t *testing.T) {
-	b := buildTwoSinkTrace()
-	tr := b.trace()
-	dict := core.NewDictionary()
-
-	want, err := Analyze(tr, dict, DefaultOptions())
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	sa := NewStreamAnalyzer(1, b.pulseUJ, 3.0, dict, DefaultOptions())
-	for _, e := range b.entries {
-		sa.Record(e)
-	}
-	got, err := sa.Finish()
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	if got.Span() != want.Span() {
-		t.Errorf("Span = %d, want %d", got.Span(), want.Span())
-	}
-	if got.TotalEnergyUJ() != want.TotalEnergyUJ() {
-		t.Errorf("TotalEnergyUJ = %g, want %g", got.TotalEnergyUJ(), want.TotalEnergyUJ())
-	}
-	if len(got.Intervals) != len(want.Intervals) {
-		t.Fatalf("intervals = %d, want %d", len(got.Intervals), len(want.Intervals))
-	}
-	for p, mw := range want.Reg.PowerMW {
-		if math.Abs(got.Reg.PowerMW[p]-mw) > 1e-9 {
-			t.Errorf("PowerMW[%v] = %g, want %g", p, got.Reg.PowerMW[p], mw)
-		}
-	}
-	if math.Abs(got.Reg.ConstMW-want.Reg.ConstMW) > 1e-9 {
-		t.Errorf("ConstMW = %g, want %g", got.Reg.ConstMW, want.Reg.ConstMW)
-	}
-	wantEnergy := want.EnergyByActivity()
-	for l, uj := range got.EnergyByActivity() {
-		if math.Abs(uj-wantEnergy[l]) > 1e-9 {
-			t.Errorf("EnergyByActivity[%v] = %g, want %g", l, uj, wantEnergy[l])
-		}
-	}
-}
-
 // TestStreamAnalyzerBatchEqualsSingle checks the two sink paths agree.
 func TestStreamAnalyzerBatchEqualsSingle(t *testing.T) {
 	b := buildTwoSinkTrace()
@@ -94,47 +47,69 @@ func TestStreamAnalyzerTooFewEntries(t *testing.T) {
 }
 
 // TestStreamAnalyzerUnwrapsTimestamps checks the span is computed across a
-// 32-bit clock wrap.
+// 32-bit clock wrap, 4,294,967,200 -> 50 us, and that a log whose clock
+// steps back by 10 us, which no wrap explains, cannot be analyzed: Finish
+// and Breakdown both return the error, naming the entry and both stamps, a
+// NetworkAnalyzer fed the log by Consume names the node too, and Reset
+// clears it.
 func TestStreamAnalyzerUnwrapsTimestamps(t *testing.T) {
+	log := func(stamps ...uint32) []core.Entry {
+		out := make([]core.Entry, len(stamps))
+		for i, ts := range stamps {
+			out[i] = core.Entry{Type: core.EntryMarker, Time: ts, IC: uint32(10 * i)}
+		}
+		return out
+	}
+	const want = "trace: entry 2: clock steps back from 2000 to 1990 us"
 	sa := NewStreamAnalyzer(1, 8.33, 3.0, core.NewDictionary(), DefaultOptions())
-	sa.Record(core.Entry{Type: core.EntryMarker, Time: 0xFFFF_FF00, IC: 0})
-	sa.Record(core.Entry{Type: core.EntryMarker, Time: 0x100, IC: 10})
+	sa.RecordBatch(log(1000, 2000, 1990, 3000))
+	if _, err := sa.Finish(); err == nil || err.Error() != want {
+		t.Errorf("Finish: %v, want %q", err, want)
+	}
+	if _, _, _, err := sa.Breakdown(); err == nil || err.Error() != want {
+		t.Errorf("Breakdown: %v, want %q", err, want)
+	}
+	na := NewNetworkAnalyzer(core.NewDictionary(), DefaultOptions(), 8.33, 3.0)
+	for _, e := range log(1000, 2000, 1990, 3000) {
+		na.Consume(trace.Stamped{Node: 3, Entry: e})
+	}
+	if _, err := na.Finish(); err == nil || err.Error() != "node 3: "+want {
+		t.Errorf("NetworkAnalyzer.Finish: %v, want node 3's %q", err, want)
+	}
+
+	sa.Reset(1, 8.33, 3.0, core.NewDictionary())
+	sa.RecordBatch(log(4_294_967_200, 50))
 	a, err := sa.Finish()
 	if err != nil {
 		t.Fatal(err)
 	}
-	wantSpan := int64(1<<32+0x100) - int64(0xFFFF_FF00)
-	if a.Span() != wantSpan {
-		t.Errorf("Span = %d, want %d", a.Span(), wantSpan)
-	}
-	if a.TotalPulses != 10 {
-		t.Errorf("TotalPulses = %d", a.TotalPulses)
+	if a.Span() != 146 || a.TotalPulses != 10 {
+		t.Errorf("span %d us with %d pulses across the wrap, want 146 us and 10", a.Span(), a.TotalPulses)
 	}
 }
 
 // TestNetworkAnalyzerMatchesPerNodeAnalyses demuxes a merged two-node
-// stream and checks the aggregate equals per-node slice analysis.
+// stream and checks the aggregate equals the one fed each node's log
+// through AddNode.
 func TestNetworkAnalyzerMatchesPerNodeAnalyses(t *testing.T) {
 	dict := core.NewDictionary()
 	b1 := buildTwoSinkTrace()
-	b2 := buildTwoSinkTrace()
+	log2 := tieLog(2)
 
-	// Per-node slice path.
-	a1, err := Analyze(NewNodeTrace(1, b1.entries, b1.pulseUJ, 3.0), dict, DefaultOptions())
+	// Per-node feed.
+	perNode := NewNetworkAnalyzer(dict, DefaultOptions(), 0, 0)
+	perNode.AddNode(1, b1.pulseUJ, 3.0).RecordBatch(b1.entries)
+	perNode.AddNode(2, b1.pulseUJ, 3.0).RecordBatch(log2)
+	want, err := perNode.Finish()
 	if err != nil {
 		t.Fatal(err)
 	}
-	a2, err := Analyze(NewNodeTrace(2, b2.entries, b2.pulseUJ, 3.0), dict, DefaultOptions())
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := NewNetwork(dict, a1, a2)
 
 	// Streaming path over the merged stream.
 	na := NewNetworkAnalyzer(dict, DefaultOptions(), b1.pulseUJ, 3.0)
 	m, err := trace.NewMerger([]trace.Stream{
 		{Node: 1, Source: trace.NewSliceSource(b1.entries)},
-		{Node: 2, Source: trace.NewSliceSource(b2.entries)},
+		{Node: 2, Source: trace.NewSliceSource(log2)},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -273,17 +248,16 @@ func tieLog(o core.NodeID) []core.Entry {
 // same bytes, with tied labels in label order.
 func TestNetworkReportTieOrder(t *testing.T) {
 	dict := core.NewDictionary()
-	var nodes []*Analysis
+	na := NewNetworkAnalyzer(dict, DefaultOptions(), 0, 0)
 	for _, id := range []core.NodeID{1, 2} {
 		dict.NameActivity(id, 1, "Sense")
 		dict.NameActivity(id, 2, "Send")
-		a, err := Analyze(NewNodeTrace(id, tieLog(id), 8.33, 3.0), dict, DefaultOptions())
-		if err != nil {
-			t.Fatal(err)
-		}
-		nodes = append(nodes, a)
+		na.AddNode(id, 8.33, 3.0).RecordBatch(tieLog(id))
 	}
-	net := NewNetwork(dict, nodes...)
+	net, err := na.Finish()
+	if err != nil {
+		t.Fatal(err)
+	}
 	by := net.EnergyByActivity()
 	for id := core.ActivityID(1); id <= 2; id++ {
 		if e1, e2 := by[core.MkLabel(1, id)], by[core.MkLabel(2, id)]; e1 != e2 || e1 <= 0 {

@@ -31,7 +31,7 @@ func (a *Analysis) ActivityRows(resources []core.ResourceID, t0, t1 int64) []Tim
 		row := TimelineRow{Res: res, Name: a.Dict.ResourceName(res)}
 		if tl := a.Single[res]; tl != nil {
 			for _, s := range tl.Segs {
-				lo, hi := maxi64(s.Start, t0), mini64(s.End, t1)
+				lo, hi := max(s.Start, t0), min(s.End, t1)
 				if hi <= lo || s.Label.IsIdle() {
 					continue
 				}
@@ -40,7 +40,7 @@ func (a *Analysis) ActivityRows(resources []core.ResourceID, t0, t1 int64) []Tim
 		}
 		if mt := a.Multi[res]; mt != nil {
 			for _, s := range mt.Segs {
-				lo, hi := maxi64(s.Start, t0), mini64(s.End, t1)
+				lo, hi := max(s.Start, t0), min(s.End, t1)
 				if hi <= lo || len(s.Labels) == 0 {
 					continue
 				}

@@ -28,11 +28,7 @@ func buildTimelineAnalysis(t *testing.T) (*Analysis, core.Label) {
 	dict := core.NewDictionary()
 	dict.NameResource(resA, "DevA")
 	dict.NameActivity(1, 2, "Busy")
-	a, err := Analyze(b.trace(), dict, DefaultOptions())
-	if err != nil {
-		t.Fatal(err)
-	}
-	return a, l1
+	return b.analyze(t, dict, DefaultOptions()), l1
 }
 
 func TestActivityRowsClipAndSkipIdle(t *testing.T) {

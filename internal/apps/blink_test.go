@@ -17,11 +17,7 @@ import (
 func runBlinkAnalysis(t *testing.T, seed uint64) (*mote.World, *mote.Node, *Blink, *analysis.Analysis) {
 	t.Helper()
 	w, n, b := RunBlink(seed, 48*units.Second)
-	tr := analysis.NewNodeTrace(n.ID, n.Log.Entries, n.Meter.PulseEnergy(), n.Volts)
-	a, err := analysis.Analyze(tr, w.Dict, analysis.DefaultOptions())
-	if err != nil {
-		t.Fatalf("Analyze: %v", err)
-	}
+	a := analyzeNodes(t, w, n).Nodes[n.ID]
 	return w, n, b, a
 }
 

@@ -3,7 +3,6 @@ package apps
 import (
 	"testing"
 
-	"repro/internal/analysis"
 	"repro/internal/core"
 	"repro/internal/power"
 	"repro/internal/scenario"
@@ -34,11 +33,7 @@ func TestBounceCrossNodeActivity(t *testing.T) {
 	if remote.Origin() != 4 {
 		t.Fatalf("expected node B's activity to originate at 4, got %v", remote)
 	}
-	tr := analysis.NewNodeTrace(nodeA.ID, nodeA.Log.Entries, nodeA.Meter.PulseEnergy(), nodeA.Volts)
-	a, err := analysis.Analyze(tr, b.World.Dict, analysis.DefaultOptions())
-	if err != nil {
-		t.Fatalf("Analyze: %v", err)
-	}
+	a := analyzeNodes(t, b.World, nodeA).Nodes[nodeA.ID]
 	times := a.TimeByActivity()
 	cpu := times[power.ResCPU]
 	if cpu[remote] <= 0 {

@@ -3,7 +3,6 @@ package apps
 import (
 	"testing"
 
-	"repro/internal/analysis"
 	"repro/internal/power"
 	"repro/internal/scenario"
 	"repro/internal/units"
@@ -11,11 +10,7 @@ import (
 
 func lplDuty(t *testing.T, l *LPL) float64 {
 	t.Helper()
-	tr := analysis.NewNodeTrace(l.Node.ID, l.Node.Log.Entries, l.Node.Meter.PulseEnergy(), l.Node.Volts)
-	a, err := analysis.Analyze(tr, l.World.Dict, analysis.DefaultOptions())
-	if err != nil {
-		t.Fatalf("Analyze: %v", err)
-	}
+	a := analyzeNodes(t, l.World, l.Node).Nodes[l.Node.ID]
 	return float64(a.ActiveTimeUS(power.ResRadioReg)) / float64(a.Span())
 }
 

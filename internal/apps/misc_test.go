@@ -4,6 +4,8 @@ import (
 	"math"
 	"testing"
 
+	"repro/internal/analysis"
+	"repro/internal/mote"
 	"repro/internal/scenario"
 	"repro/internal/units"
 )
@@ -18,6 +20,21 @@ func mustNew[App any](t testing.TB, newApp func(scenario.Spec) (App, error), spe
 		t.Fatalf("build %T: %v", app, err)
 	}
 	return app
+}
+
+// analyzeNodes analyzes the nodes' logs under the default options through
+// one NetworkAnalyzer; each node's Analysis is in the Network's Nodes.
+func analyzeNodes(t testing.TB, w *mote.World, nodes ...*mote.Node) *analysis.Network {
+	t.Helper()
+	na := analysis.NewNetworkAnalyzer(w.Dict, analysis.DefaultOptions(), 0, 0)
+	for _, n := range nodes {
+		na.AddNode(n.ID, n.Meter.PulseEnergy(), n.Volts).RecordBatch(n.Log.Entries)
+	}
+	net, err := na.Finish()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return net
 }
 
 func TestSenseSendDeliversReports(t *testing.T) {

@@ -5,24 +5,12 @@ import (
 	"strings"
 	"testing"
 
-	"repro/internal/analysis"
 	"repro/internal/core"
 	"repro/internal/medium"
-	"repro/internal/mote"
 	"repro/internal/power"
 	"repro/internal/scenario"
 	"repro/internal/units"
 )
-
-func analyzeRelayNode(t *testing.T, r *Relay, n *mote.Node) *analysis.Analysis {
-	t.Helper()
-	tr := analysis.NewNodeTrace(n.ID, n.Log.Entries, n.Meter.PulseEnergy(), n.Volts)
-	a, err := analysis.Analyze(tr, r.World.Dict, analysis.DefaultOptions())
-	if err != nil {
-		t.Fatalf("analyze node %d: %v", n.ID, err)
-	}
-	return a
-}
 
 func TestRelayDeliversEndToEnd(t *testing.T) {
 	r := mustNew(t, NewRelay, scenario.Spec{Seed: 17})
@@ -41,12 +29,12 @@ func TestRelayChargesAllHopsToOrigin(t *testing.T) {
 	r.Run(10 * units.Second)
 	// Every hop — including the last, which never originates anything —
 	// must have CPU time under the origin's Flood activity.
+	net := analyzeNodes(t, r.World, r.Nodes...)
 	for i, n := range r.Nodes {
 		if i == 0 {
 			continue
 		}
-		a := analyzeRelayNode(t, r, n)
-		cpu := a.TimeByActivity()[power.ResCPU][r.Act]
+		cpu := net.Nodes[n.ID].TimeByActivity()[power.ResCPU][r.Act]
 		if cpu <= 0 {
 			t.Errorf("hop %d has no CPU time under %v", i, r.Act)
 		}
@@ -56,12 +44,7 @@ func TestRelayChargesAllHopsToOrigin(t *testing.T) {
 func TestRelayNetworkWideFootprint(t *testing.T) {
 	r := mustNew(t, NewRelay, scenario.Spec{Seed: 17})
 	r.Run(10 * units.Second)
-
-	var analyses []*analysis.Analysis
-	for _, n := range r.Nodes {
-		analyses = append(analyses, analyzeRelayNode(t, r, n))
-	}
-	net := analysis.NewNetwork(r.World.Dict, analyses...)
+	net := analyzeNodes(t, r.World, r.Nodes...)
 
 	// The Flood activity's footprint must span every node.
 	fp := net.Footprint(r.Act)
@@ -85,14 +68,11 @@ func TestRelayNetworkWideFootprint(t *testing.T) {
 func TestNetworkEnergyConservation(t *testing.T) {
 	r := mustNew(t, NewRelay, scenario.Spec{Seed: 17})
 	r.Run(10 * units.Second)
-	var analyses []*analysis.Analysis
+	net := analyzeNodes(t, r.World, r.Nodes...)
 	var perNodeSum float64
 	for _, n := range r.Nodes {
-		a := analyzeRelayNode(t, r, n)
-		analyses = append(analyses, a)
-		perNodeSum += a.TotalEnergyUJ()
+		perNodeSum += net.Nodes[n.ID].TotalEnergyUJ()
 	}
-	net := analysis.NewNetwork(r.World.Dict, analyses...)
 	if got := net.TotalEnergyUJ(); got != perNodeSum {
 		t.Errorf("network total %.1f != per-node sum %.1f", got, perNodeSum)
 	}
@@ -103,8 +83,8 @@ func TestNetworkEnergyConservation(t *testing.T) {
 		actSum += uj
 	}
 	var attribSum float64
-	for _, a := range analyses {
-		for _, uj := range a.EnergyByActivity() {
+	for _, n := range r.Nodes {
+		for _, uj := range net.Nodes[n.ID].EnergyByActivity() {
 			attribSum += uj
 		}
 	}

@@ -4,7 +4,6 @@ import (
 	"strings"
 	"testing"
 
-	"repro/internal/analysis"
 	"repro/internal/power"
 	"repro/internal/scenario"
 	"repro/internal/units"
@@ -14,11 +13,7 @@ func TestSenseSendActivityEnergySplit(t *testing.T) {
 	s := mustNew(t, NewSenseSend, scenario.Spec{Seed: 21})
 	s.Run(30 * units.Second)
 
-	tr := analysis.NewNodeTrace(s.Sensor.ID, s.Sensor.Log.Entries, s.Sensor.Meter.PulseEnergy(), s.Sensor.Volts)
-	a, err := analysis.Analyze(tr, s.World.Dict, analysis.DefaultOptions())
-	if err != nil {
-		t.Fatal(err)
-	}
+	a := analyzeNodes(t, s.World, s.Sensor).Nodes[s.Sensor.ID]
 	byAct := a.EnergyByActivity()
 
 	hum, temp, pkt := byAct[s.ActHum], byAct[s.ActTemp], byAct[s.ActPkt]
@@ -35,11 +30,7 @@ func TestSenseSendActivityEnergySplit(t *testing.T) {
 func TestSenseSendSensorTimeAttribution(t *testing.T) {
 	s := mustNew(t, NewSenseSend, scenario.Spec{Seed: 21})
 	s.Run(30 * units.Second)
-	tr := analysis.NewNodeTrace(s.Sensor.ID, s.Sensor.Log.Entries, s.Sensor.Meter.PulseEnergy(), s.Sensor.Volts)
-	a, err := analysis.Analyze(tr, s.World.Dict, analysis.DefaultOptions())
-	if err != nil {
-		t.Fatal(err)
-	}
+	a := analyzeNodes(t, s.World, s.Sensor).Nodes[s.Sensor.ID]
 	// 6 sampling rounds in 30 s at 5 s period (minus edge effects): the
 	// sensor device should carry ACT_HUM for ~55 ms per round and ACT_TEMP
 	// for ~75 ms per round.
@@ -57,11 +48,7 @@ func TestSenseSendSensorTimeAttribution(t *testing.T) {
 func TestSenseSendBaseStationChargedToSenderActivity(t *testing.T) {
 	s := mustNew(t, NewSenseSend, scenario.Spec{Seed: 21})
 	s.Run(30 * units.Second)
-	trB := analysis.NewNodeTrace(s.Base.ID, s.Base.Log.Entries, s.Base.Meter.PulseEnergy(), s.Base.Volts)
-	aB, err := analysis.Analyze(trB, s.World.Dict, analysis.DefaultOptions())
-	if err != nil {
-		t.Fatal(err)
-	}
+	aB := analyzeNodes(t, s.World, s.Base).Nodes[s.Base.ID]
 	// The base station's LED toggling and reception processing run under
 	// the sensor node's ACT_PKT.
 	cpu := aB.TimeByActivity()[power.ResCPU]

@@ -23,7 +23,11 @@ func TestSpatialInfiniteRangeMatchesBroadcast(t *testing.T) {
 			t.Fatalf("build %v: %v", s.App, err)
 		}
 		in.Run()
-		return in.World.NodeLogs()
+		logs := make(map[core.NodeID][]core.Entry, len(in.World.Nodes))
+		for _, n := range in.World.Nodes {
+			logs[n.ID] = n.Log.Entries
+		}
+		return logs
 	}
 	for _, app := range []string{"relay", "bounce", "sensesend", "dma"} {
 		for _, seed := range []uint64{1, 7, 42} {

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"testing"
 
-	"repro/internal/analysis"
 	"repro/internal/power"
 	"repro/internal/scenario"
 	"repro/internal/traffic"
@@ -22,11 +21,7 @@ func TestLPLCheckPeriodSweep(t *testing.T) {
 	for _, p := range periods {
 		l := NewLPL(scenario.Spec{Seed: 11, Channel: 17, CheckPeriodUS: int64(p)})
 		l.Run(60 * units.Second)
-		tr := analysis.NewNodeTrace(l.Node.ID, l.Node.Log.Entries, l.Node.Meter.PulseEnergy(), l.Node.Volts)
-		a, err := analysis.Analyze(tr, l.World.Dict, analysis.DefaultOptions())
-		if err != nil {
-			t.Fatalf("period %v: %v", p, err)
-		}
+		a := analyzeNodes(t, l.World, l.Node).Nodes[l.Node.ID]
 		duties = append(duties, float64(a.ActiveTimeUS(power.ResRadioReg))/float64(a.Span()))
 		powers = append(powers, a.AveragePowerMW())
 		fps = append(fps, l.FalsePositiveRate())

@@ -9,6 +9,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/power"
 	"repro/internal/scenario"
+	"repro/internal/trace"
 	"repro/internal/units"
 )
 
@@ -44,9 +45,14 @@ func Figure12(seed uint64) (*Report, error) {
 	remoteActs := b.Activities()
 	remote := remoteActs[1]
 	var bindAt int64 = -1
-	for i, e := range n.Log.Entries {
+	var uw trace.Unwrapper
+	for _, e := range n.Log.Entries {
+		at, err := uw.At(e.Time)
+		if err != nil {
+			return nil, err
+		}
 		if e.Type == core.EntryActivityBind && e.Res == power.ResCPU && core.Label(e.Val) == remote {
-			bindAt = analysis.NewNodeTrace(n.ID, n.Log.Entries[:i+1], n.Meter.PulseEnergy(), n.Volts).End()
+			bindAt = at
 			break
 		}
 	}

@@ -140,7 +140,7 @@ func proxyCPUTime(a *analysis.Analysis, name string) int64 {
 	var label core.Label
 	found := false
 	for _, l := range slices.Sorted(maps.Keys(a.Dict.Activities)) {
-		if a.Dict.Activities[l] == name && l.Origin() == a.Trace.Node {
+		if a.Dict.Activities[l] == name && l.Origin() == a.Node {
 			label, found = l, true
 			break
 		}

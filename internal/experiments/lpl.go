@@ -116,11 +116,11 @@ func cumulativeEnergyUJ(a *analysis.Analysis, t int64) float64 {
 			break
 		}
 		if iv.End <= t {
-			uj += iv.EnergyUJ(a.Trace.PulseUJ)
+			uj += iv.EnergyUJ(a.PulseUJ)
 			continue
 		}
 		frac := float64(t-iv.Start) / float64(iv.Duration())
-		uj += iv.EnergyUJ(a.Trace.PulseUJ) * frac
+		uj += iv.EnergyUJ(a.PulseUJ) * frac
 	}
 	return uj
 }

@@ -33,25 +33,11 @@ func WiFiFreqMHz(ch int) float64 { return 2407 + 5*float64(ch) }
 func SpectralOverlap(wifiCenterMHz, panCenterMHz float64) float64 {
 	wifiLo, wifiHi := wifiCenterMHz-11, wifiCenterMHz+11
 	panLo, panHi := panCenterMHz-1, panCenterMHz+1
-	lo, hi := max64(wifiLo, panLo), min64(wifiHi, panHi)
+	lo, hi := max(wifiLo, panLo), min(wifiHi, panHi)
 	if hi <= lo {
 		return 0
 	}
 	return (hi - lo) / (panHi - panLo)
-}
-
-func max64(a, b float64) float64 {
-	if a > b {
-		return a
-	}
-	return b
-}
-
-func min64(a, b float64) float64 {
-	if a < b {
-		return a
-	}
-	return b
 }
 
 // Frame is one 802.15.4 frame in flight.

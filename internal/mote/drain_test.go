@@ -58,8 +58,9 @@ func TestContinuousDrainSelfAccounts(t *testing.T) {
 	w.Run(20 * units.Second)
 	w.StampEnd()
 
-	tr := analysis.NewNodeTrace(n.ID, n.Log.Entries, n.Meter.PulseEnergy(), n.Volts)
-	a, err := analysis.Analyze(tr, w.Dict, analysis.DefaultOptions())
+	sa := analysis.NewStreamAnalyzer(n.ID, n.Meter.PulseEnergy(), n.Volts, w.Dict, analysis.DefaultOptions())
+	sa.RecordBatch(n.Log.Entries)
+	a, err := sa.Finish()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -90,8 +91,9 @@ func TestContinuousDrainAnalysisStillConsistent(t *testing.T) {
 	w, n := busyNode(t, opts)
 	w.Run(10 * units.Second)
 	w.StampEnd()
-	tr := analysis.NewNodeTrace(n.ID, n.Log.Entries, n.Meter.PulseEnergy(), n.Volts)
-	a, err := analysis.Analyze(tr, w.Dict, analysis.DefaultOptions())
+	sa := analysis.NewStreamAnalyzer(n.ID, n.Meter.PulseEnergy(), n.Volts, w.Dict, analysis.DefaultOptions())
+	sa.RecordBatch(n.Log.Entries)
+	a, err := sa.Finish()
 	if err != nil {
 		t.Fatal(err)
 	}

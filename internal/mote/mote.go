@@ -331,15 +331,6 @@ func (w *World) Node(id core.NodeID) *Node { return w.byID[id] }
 // events dispatched.
 func (w *World) Run(until units.Ticks) int { return w.Sim.Run(until) }
 
-// NodeLogs gathers every node's collected entries for merging and analysis.
-func (w *World) NodeLogs() map[core.NodeID][]core.Entry {
-	out := make(map[core.NodeID][]core.Entry, len(w.Nodes))
-	for _, n := range w.Nodes {
-		out[n.ID] = n.Log.Entries
-	}
-	return out
-}
-
 // NodeStreams exposes every node's collected log as a merge input, without
 // copying the entries.
 func (w *World) NodeStreams() []trace.Stream {

@@ -96,25 +96,22 @@ func TestWorldNodeLogsAndStampEnd(t *testing.T) {
 	optsA := DefaultOptions()
 	optsA.Radio = true
 	optsA.RadioConfig = radio.Config{Channel: 26}
-	a := w.AddNode(1, optsA)
-	b := w.AddNode(2, DefaultOptions())
+	w.AddNode(1, optsA)
+	w.AddNode(2, DefaultOptions())
 	w.Run(units.Second)
 	w.StampEnd()
-	logs := w.NodeLogs()
-	if len(logs) != 2 {
-		t.Fatalf("logs for %d nodes", len(logs))
+	if len(w.Nodes) != 2 {
+		t.Fatalf("world has %d nodes", len(w.Nodes))
 	}
-	for id, entries := range logs {
+	for _, n := range w.Nodes {
+		entries := n.Log.Entries
 		if len(entries) == 0 {
-			t.Errorf("node %d has empty log", id)
+			t.Fatalf("node %d has empty log", n.ID)
 		}
-		last := entries[len(entries)-1]
-		if last.Type != core.EntryMarker {
-			t.Errorf("node %d log does not end with the end marker", id)
+		if last := entries[len(entries)-1]; last.Type != core.EntryMarker {
+			t.Errorf("node %d log does not end with the end marker", n.ID)
 		}
 	}
-	_ = a
-	_ = b
 }
 
 func TestPerNodeMetersAreIndependent(t *testing.T) {

@@ -8,15 +8,16 @@ package sim_test
 
 import (
 	"bytes"
+	"cmp"
 	"fmt"
 	"os"
 	"path/filepath"
 	"runtime"
-	"sort"
+	"slices"
 	"testing"
 
 	_ "repro/internal/apps" // registers the paper's workloads
-	"repro/internal/core"
+	"repro/internal/mote"
 	"repro/internal/scenario"
 	"repro/internal/sim"
 	"repro/internal/trace"
@@ -35,16 +36,11 @@ func encodedTraces(t *testing.T, spec scenario.Spec) ([]byte, map[string]float64
 		t.Fatalf("build %s: %v", spec.App, err)
 	}
 	in.Run()
-	logs := in.World.NodeLogs()
-	ids := make([]core.NodeID, 0, len(logs))
-	for id := range logs {
-		ids = append(ids, id)
-	}
-	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
+	nodes := slices.SortedFunc(slices.Values(in.World.Nodes), func(a, b *mote.Node) int { return cmp.Compare(a.ID, b.ID) })
 	var buf bytes.Buffer
-	for _, id := range ids {
-		fmt.Fprintf(&buf, "node %d: %d entries\n", id, len(logs[id]))
-		buf.Write(trace.Marshal(logs[id]))
+	for _, n := range nodes {
+		fmt.Fprintf(&buf, "node %d: %d entries\n", n.ID, len(n.Log.Entries))
+		buf.Write(trace.Marshal(n.Log.Entries))
 	}
 	var metrics map[string]float64
 	if in.Metrics != nil {

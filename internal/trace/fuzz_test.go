@@ -3,6 +3,7 @@ package trace
 import (
 	"bytes"
 	"cmp"
+	"fmt"
 	"slices"
 	"testing"
 
@@ -12,12 +13,14 @@ import (
 // FuzzMergeReaders splits arbitrary bytes into one to four node streams at
 // offsets the fuzzer chooses and merges them through MergeReaders, decoding
 // 1 to 64 frames per read. Nothing may panic, and the merge must deliver
-// exactly what the streams hold: each node's share of the output is a
-// prefix of that stream's frames as ReadBatch decodes them, stamped with
-// their unwrapped times; the merge ends in io.EOF only when every stream
-// decodes cleanly, and then the shares are whole; a merge that fails first
-// delivers every frame that sorts ahead of the failure; and the output is
-// in the order a stable sort by (unwrapped time, node) puts it.
+// exactly what the streams hold: a stream holds its frames as ReadBatch
+// decodes them, up to the first that fails to decode or whose clock steps
+// back (a stamp below the one before it, at least half the wrap period
+// forward of it). Each node's share of the output is a prefix of what its
+// stream holds, stamped with the unwrapped times; the merge ends in io.EOF
+// only when no stream fails, and then the shares are whole; a merge that
+// fails first delivers every frame that sorts ahead of the failure; and the
+// output is in the order a stable sort by (unwrapped time, node) puts it.
 func FuzzMergeReaders(f *testing.F) {
 	enc := func(times ...uint32) []byte { return Marshal(mkEntries(times...)) }
 	// A normal log: three nodes' streams, cut at frame boundaries, with
@@ -31,6 +34,8 @@ func FuzzMergeReaders(f *testing.F) {
 	bad := enc(1, 3, 4)
 	bad[12] = 0xC8
 	f.Add(slices.Concat(enc(1, 2), bad), uint8(1), uint16(24), uint16(0), uint16(0), uint8(1))
+	// Node 1's clock steps back by 10 us, which no wrap explains.
+	f.Add(slices.Concat(enc(1000, 2000, 1990, 3000), enc(1500, 2500)), uint8(1), uint16(48), uint16(0), uint16(0), uint8(0))
 
 	f.Fuzz(func(t *testing.T, data []byte, streams uint8, cut1, cut2, cut3 uint16, batch uint8) {
 		if len(data) > 1<<12 {
@@ -44,14 +49,28 @@ func FuzzMergeReaders(f *testing.F) {
 		slices.Sort(cuts)
 		n := 1 + int(batch)%64
 
-		// What each stream holds: its frames up to its first error.
+		// What each stream holds, and the unwrapped times: each stamp
+		// lies its forward distance past the one before it.
 		frames := make([][]core.Entry, k)
+		times := make([][]int64, k)
 		readErrs := make([]error, k)
 		in := make([]ReaderStream, k)
 		failed := false
 		for i := range k {
 			part := data[cuts[i]:cuts[i+1]]
 			frames[i], readErrs[i] = readFrames(part, n)
+			for j, e := range frames[i] {
+				at := int64(e.Time)
+				if j > 0 {
+					prev := frames[i][j-1].Time
+					if e.Time < prev && e.Time-prev >= 1<<31 {
+						frames[i], readErrs[i] = frames[i][:j], fmt.Errorf("clock steps back at frame %d", j)
+						break
+					}
+					at = times[i][j-1] + int64(e.Time-prev)
+				}
+				times[i] = append(times[i], at)
+			}
 			failed = failed || readErrs[i] != nil
 			in[i] = ReaderStream{Node: core.NodeID(i + 1), R: bytes.NewReader(part)}
 		}
@@ -59,20 +78,16 @@ func FuzzMergeReaders(f *testing.F) {
 		var got []Stamped
 		m, err := MergeReaders(in, n)
 		if err == nil {
-			got, err = m.Drain() // nil when Next ended in io.EOF
+			got, err = drain(m)
 		}
 		if err == nil && failed {
-			t.Fatalf("merge ended in io.EOF, but a stream fails to decode")
+			t.Fatalf("merge ended in io.EOF, but a stream fails")
 		}
 		if err != nil && !failed {
-			t.Fatalf("merge failed (%v), but every stream decodes cleanly", err)
+			t.Fatalf("merge failed (%v), but every stream decodes cleanly with a clock that runs forward", err)
 		}
 
 		next := make([]int, k)
-		times := make([][]int64, k)
-		for i := range frames {
-			times[i] = UnwrapTimes(frames[i])
-		}
 		for j, s := range got {
 			i := int(s.Node) - 1
 			if i < 0 || i >= k || next[i] >= len(frames[i]) {

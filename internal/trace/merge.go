@@ -1,20 +1,11 @@
 package trace
 
 import (
+	"fmt"
 	"io"
-	"sort"
 
 	"repro/internal/core"
 )
-
-// NodeLog pairs a node id with its entry stream. Entry timestamps are
-// node-local; the experiments here run nodes off a common simulated clock,
-// so no time-synchronization pass is needed (the real deployment would
-// insert one).
-type NodeLog struct {
-	Node    core.NodeID
-	Entries []core.Entry
-}
 
 // Stamped is a log entry annotated with its owning node and the unwrapped
 // 64-bit timestamp, used after merging multiple node logs into one
@@ -68,22 +59,31 @@ type mergeHead struct {
 }
 
 // Unwrapper converts one node's wrapped 32-bit timestamps to monotonic
-// 64-bit microseconds, one stamp at a time. Stamps are assumed in
-// generation order with gaps shorter than one wrap period (~71.6 min).
+// 64-bit microseconds, one stamp at a time, in log order. The clock field
+// wraps every 2^32 µs (~71.6 min). A stamp below the one before it is a
+// wrap only when the clock's forward distance to it, t + 2^32 - prev, is
+// under half that period; otherwise the clock stepped back, which no wrap
+// explains, and At returns an error rather than move the rest of the log
+// 71.6 minutes ahead.
 type Unwrapper struct {
-	base    int64
-	prev    uint32
-	started bool
+	base int64
+	prev uint32
+	n    int // stamps read
 }
 
-// At returns the unwrapped time of the next stamp.
-func (u *Unwrapper) At(t uint32) int64 {
-	if u.started && t < u.prev {
-		u.base += int64(1) << 32
+// At returns the unwrapped time of the next stamp, or an error naming the
+// entry and both stamps if the clock stepped back. After an error the
+// unwrapper still holds the stamp before it.
+func (u *Unwrapper) At(t uint32) (int64, error) {
+	if u.n > 0 && t < u.prev {
+		if t-u.prev >= 1<<31 { // uint32 arithmetic: the forward distance
+			return 0, fmt.Errorf("trace: entry %d: clock steps back from %d to %d us", u.n, u.prev, t)
+		}
+		u.base += 1 << 32
 	}
-	u.started = true
+	u.n++
 	u.prev = t
-	return u.base + int64(t)
+	return u.base + int64(t), nil
 }
 
 // streamState tracks one merge input and its timestamp unwrapping.
@@ -117,7 +117,8 @@ func NewMerger(streams []Stream) (*Merger, error) {
 	return m, nil
 }
 
-// advance pulls stream i's next entry into the heap.
+// advance pulls stream i's next entry into the heap. An entry whose clock
+// stepped back ends the stream like a decode error.
 func (m *Merger) advance(i int) error {
 	st := &m.streams[i]
 	e, err := st.src.Next()
@@ -127,8 +128,12 @@ func (m *Merger) advance(i int) error {
 	if err != nil {
 		return err
 	}
+	at, err := st.uw.At(e.Time)
+	if err != nil {
+		return fmt.Errorf("node %d: %w", st.node, err)
+	}
 	m.push(mergeHead{
-		stamped: Stamped{Node: st.node, Entry: e, TimeUS: st.uw.At(e.Time)},
+		stamped: Stamped{Node: st.node, Entry: e, TimeUS: at},
 		stream:  i,
 	})
 	return nil
@@ -179,12 +184,13 @@ func (m *Merger) pop() mergeHead {
 }
 
 // Next returns the next entry of the merged stream, or io.EOF when every
-// stream is exhausted. When a stream fails mid-merge, no entry that sorts
-// ahead of the failure is lost: the failing stream's complete entries, and
-// every other stream's entries that sort before the last of them, are
-// delivered in order before the error surfaces — the same no-silent-loss
-// contract as Reader.ReadBatch. The merge then stops pulling: each other
-// stream's entry already pulled is delivered too, and the rest are not.
+// stream is exhausted. When a stream fails mid-merge, by a decode error or
+// by a clock that steps back (see Unwrapper), no entry that sorts ahead of
+// the failure is lost: the failing stream's complete entries, and every
+// other stream's entries that sort before the last of them, are delivered
+// in order before the error surfaces — the same no-silent-loss contract as
+// Reader.ReadBatch. The merge then stops pulling: each other stream's entry
+// already pulled is delivered too, and the rest are not.
 func (m *Merger) Next() (Stamped, error) {
 	if len(m.heap) == 0 {
 		if m.err != nil {
@@ -201,51 +207,4 @@ func (m *Merger) Next() (Stamped, error) {
 		}
 	}
 	return head.stamped, nil
-}
-
-// Drain consumes the rest of the merged stream into a slice.
-func (m *Merger) Drain() ([]Stamped, error) {
-	var out []Stamped
-	for {
-		s, err := m.Next()
-		if err == io.EOF {
-			return out, nil
-		}
-		if err != nil {
-			return out, err
-		}
-		out = append(out, s)
-	}
-}
-
-// SplitByNode partitions a merged stream back into per-node logs, preserving
-// order.
-func SplitByNode(merged []Stamped) []NodeLog {
-	byNode := make(map[core.NodeID][]core.Entry)
-	var order []core.NodeID
-	for _, s := range merged {
-		if _, ok := byNode[s.Node]; !ok {
-			order = append(order, s.Node)
-		}
-		byNode[s.Node] = append(byNode[s.Node], s.Entry)
-	}
-	sort.Slice(order, func(i, j int) bool { return order[i] < order[j] })
-	out := make([]NodeLog, 0, len(order))
-	for _, n := range order {
-		out = append(out, NodeLog{Node: n, Entries: byNode[n]})
-	}
-	return out
-}
-
-// UnwrapTimes converts the 32-bit wrapped microsecond timestamps of a single
-// node's log into monotonically non-decreasing 64-bit times. The mote's
-// clock field wraps every ~71.6 minutes; entries are assumed to be in
-// generation order with gaps shorter than one wrap period.
-func UnwrapTimes(entries []core.Entry) []int64 {
-	out := make([]int64, len(entries))
-	var uw Unwrapper
-	for i, e := range entries {
-		out[i] = uw.At(e.Time)
-	}
-	return out
 }

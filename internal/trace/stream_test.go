@@ -7,7 +7,9 @@ import (
 	"io"
 	"math/rand"
 	"runtime"
+	"slices"
 	"sort"
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -22,22 +24,44 @@ func mkEntries(times ...uint32) []core.Entry {
 	return out
 }
 
+// nodeLog is one node's in-memory log, a merge input.
+type nodeLog struct {
+	node    core.NodeID
+	entries []core.Entry
+}
+
 // mergeLogs interleaves in-memory logs through a Merger over slice sources.
-func mergeLogs(t *testing.T, logs []NodeLog) []Stamped {
+func mergeLogs(t *testing.T, logs []nodeLog) []Stamped {
 	t.Helper()
 	streams := make([]Stream, len(logs))
 	for i, l := range logs {
-		streams[i] = Stream{Node: l.Node, Source: NewSliceSource(l.Entries)}
+		streams[i] = Stream{Node: l.node, Source: NewSliceSource(l.entries)}
 	}
 	m, err := NewMerger(streams)
 	if err != nil {
 		t.Fatal(err)
 	}
-	out, err := m.Drain()
+	out, err := drain(m)
 	if err != nil {
 		t.Fatal(err)
 	}
 	return out
+}
+
+// drain pulls the rest of a merge, up to the error that ends it: nil at
+// io.EOF.
+func drain(m *Merger) ([]Stamped, error) {
+	var out []Stamped
+	for {
+		s, err := m.Next()
+		if err == io.EOF {
+			return out, nil
+		}
+		if err != nil {
+			return out, err
+		}
+		out = append(out, s)
+	}
 }
 
 func TestSliceSourceIterates(t *testing.T) {
@@ -54,13 +78,13 @@ func TestSliceSourceIterates(t *testing.T) {
 }
 
 func TestMergeOrdersAcrossTimestampWrap(t *testing.T) {
-	// Node 1's clock wraps: the post-wrap entry (raw time 5) happened AFTER
-	// raw time 0xFFFF_FFF0 and must sort after it — and after node 2's
+	// Node 1's clock wraps: the post-wrap entry (raw time 50) happened AFTER
+	// raw time 4,294,967,200 and must sort after it — and after node 2's
 	// entries, which all predate the wrap. The seed's concat+sort merge
 	// ordered by raw uint32 time and got this wrong.
-	logs := []NodeLog{
-		{Node: 1, Entries: mkEntries(0xFFFF_FFF0, 5)},
-		{Node: 2, Entries: mkEntries(100, 0xFFFF_FFF5)},
+	logs := []nodeLog{
+		{1, mkEntries(4_294_967_200, 50)},
+		{2, mkEntries(100, 0xFFFF_FFF5)},
 	}
 	merged := mergeLogs(t, logs)
 	if len(merged) != 4 {
@@ -72,9 +96,9 @@ func TestMergeOrdersAcrossTimestampWrap(t *testing.T) {
 		timeUS int64
 	}{
 		{2, 100, 100},
-		{1, 0xFFFF_FFF0, 0xFFFF_FFF0},
+		{1, 4_294_967_200, 4_294_967_200},
 		{2, 0xFFFF_FFF5, 0xFFFF_FFF5},
-		{1, 5, 1<<32 + 5},
+		{1, 50, 1<<32 + 50},
 	}
 	for i, w := range wantOrder {
 		got := merged[i]
@@ -91,7 +115,7 @@ func TestMergeOrdersAcrossTimestampWrap(t *testing.T) {
 func TestMergeMatchesSortBaseline(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	for trial := 0; trial < 50; trial++ {
-		var logs []NodeLog
+		var logs []nodeLog
 		for n := 1; n <= 1+rng.Intn(5); n++ {
 			var times []uint32
 			cur := uint32(rng.Intn(100))
@@ -99,7 +123,7 @@ func TestMergeMatchesSortBaseline(t *testing.T) {
 				cur += uint32(rng.Intn(3)) // duplicates are common
 				times = append(times, cur)
 			}
-			logs = append(logs, NodeLog{Node: core.NodeID(n), Entries: mkEntries(times...)})
+			logs = append(logs, nodeLog{core.NodeID(n), mkEntries(times...)})
 		}
 		got := mergeLogs(t, logs)
 		want := mergeSortBaseline(logs)
@@ -117,15 +141,15 @@ func TestMergeMatchesSortBaseline(t *testing.T) {
 
 // mergeSortBaseline is the seed repo's concat+sort merge, kept as a test
 // oracle and benchmark baseline.
-func mergeSortBaseline(logs []NodeLog) []Stamped {
+func mergeSortBaseline(logs []nodeLog) []Stamped {
 	total := 0
 	for _, l := range logs {
-		total += len(l.Entries)
+		total += len(l.entries)
 	}
 	out := make([]Stamped, 0, total)
 	for _, l := range logs {
-		for _, e := range l.Entries {
-			out = append(out, Stamped{Node: l.Node, Entry: e})
+		for _, e := range l.entries {
+			out = append(out, Stamped{Node: l.node, Entry: e})
 		}
 	}
 	sort.SliceStable(out, func(i, j int) bool {
@@ -137,36 +161,29 @@ func mergeSortBaseline(logs []NodeLog) []Stamped {
 	return out
 }
 
-// TestMergeSplitRoundTripProperty checks merge → SplitByNode returns every
-// node's entries in their original order, for arbitrary (even wrapping)
-// timestamp sequences.
+// TestMergeSplitRoundTripProperty checks that splitting a merge back by
+// node returns every node's entries in their original order, for arbitrary
+// clocks that run forward and wrap: each stamp lies less than half the
+// wrap period past the one before it.
 func TestMergeSplitRoundTripProperty(t *testing.T) {
-	f := func(a, b, c []uint32) bool {
-		logs := []NodeLog{
-			{Node: 1, Entries: mkEntries(a...)},
-			{Node: 2, Entries: mkEntries(b...)},
-			{Node: 3, Entries: mkEntries(c...)},
+	f := func(start [3]uint32, steps [3][]uint32) bool {
+		logs := make([]nodeLog, 3)
+		for i := range logs {
+			times := make([]uint32, len(steps[i]))
+			cur := start[i]
+			for j, d := range steps[i] {
+				cur += d % (1 << 31)
+				times[j] = cur
+			}
+			logs[i] = nodeLog{core.NodeID(i + 1), mkEntries(times...)}
 		}
-		back := SplitByNode(mergeLogs(t, logs))
-		byNode := make(map[core.NodeID][]core.Entry)
-		for _, l := range back {
-			byNode[l.Node] = l.Entries
+		back := make(map[core.NodeID][]core.Entry)
+		for _, s := range mergeLogs(t, logs) {
+			back[s.Node] = append(back[s.Node], s.Entry)
 		}
 		for _, l := range logs {
-			got := byNode[l.Node]
-			if len(l.Entries) == 0 {
-				if len(got) != 0 {
-					return false
-				}
-				continue
-			}
-			if len(got) != len(l.Entries) {
+			if !slices.Equal(back[l.node], l.entries) {
 				return false
-			}
-			for i := range got {
-				if got[i] != l.Entries[i] {
-					return false
-				}
 			}
 		}
 		return true
@@ -293,7 +310,7 @@ func readFrames(data []byte, batch int) ([]core.Entry, error) {
 
 func TestMergeReadersMatchesInMemoryMerge(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
-	var logs []NodeLog
+	var logs []nodeLog
 	for n := 1; n <= 4; n++ {
 		var times []uint32
 		cur := uint32(rng.Intn(50))
@@ -301,7 +318,7 @@ func TestMergeReadersMatchesInMemoryMerge(t *testing.T) {
 			cur += uint32(rng.Intn(20))
 			times = append(times, cur)
 		}
-		logs = append(logs, NodeLog{Node: core.NodeID(n), Entries: mkEntries(times...)})
+		logs = append(logs, nodeLog{core.NodeID(n), mkEntries(times...)})
 	}
 	want := mergeLogs(t, logs)
 	// One frame per read, a size that divides no log, one small enough to
@@ -310,13 +327,13 @@ func TestMergeReadersMatchesInMemoryMerge(t *testing.T) {
 		t.Run(fmt.Sprintf("batch=%d", batch), func(t *testing.T) {
 			streams := make([]ReaderStream, len(logs))
 			for i, l := range logs {
-				streams[i] = ReaderStream{Node: l.Node, R: bytes.NewReader(Marshal(l.Entries))}
+				streams[i] = ReaderStream{Node: l.node, R: bytes.NewReader(Marshal(l.entries))}
 			}
 			m, err := MergeReaders(streams, batch)
 			if err != nil {
 				t.Fatal(err)
 			}
-			got, err := m.Drain()
+			got, err := drain(m)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -333,27 +350,34 @@ func TestMergeReadersMatchesInMemoryMerge(t *testing.T) {
 }
 
 // TestMergeReadersPropagatesDecodeError checks Merger.Next's no-silent-loss
-// contract on a stream that fails mid-merge, by a truncated frame or by an
-// invalid type byte with good frames after it: the failure surfaces as an
-// error, not io.EOF, and every complete frame that sorts ahead of it — node
-// 2's frames before the failure, and node 1's frames up to the last of
-// them — is delivered first, in merge order, followed by the one frame of
-// node 1 the merge had already pulled.
+// contract on a stream that fails mid-merge, by a truncated frame, by an
+// invalid type byte with good frames after it, or by a clock that steps
+// back, which no 32-bit wrap explains: the failure surfaces as an error
+// that says what failed, not io.EOF, and every complete frame that sorts
+// ahead of it — node 2's frames before the failure, and node 1's frames up
+// to the last of them — is delivered first, in merge order, followed by
+// the one frame of node 1 the merge had already pulled.
 func TestMergeReadersPropagatesDecodeError(t *testing.T) {
 	good := mkEntries(1, 2, 3, 4, 5, 6, 7, 8, 9, 10)
 	head := mkEntries(1, 4, 6) // node 2's frames before the failure
 	invalid := Marshal(mkEntries(8, 9))
 	invalid[0] = 0xC8 // type 200: the frame at t=8 cannot decode
 	fails := map[string][]byte{
-		"truncated": append(Marshal(head), 0xFF),
-		"invalid":   append(Marshal(head), invalid...),
+		"truncated":  append(Marshal(head), 0xFF),
+		"invalid":    append(Marshal(head), invalid...),
+		"steps back": append(Marshal(head), Marshal(mkEntries(5, 9))...),
+	}
+	wantErr := map[string]string{
+		"truncated":  "truncated entry",
+		"invalid":    "invalid entry type 200",
+		"steps back": "node 2: trace: entry 3: clock steps back from 6 to 5 us",
 	}
 	// Everything that sorts ahead of the failure: the in-memory merge of
 	// both logs, up to and including node 2's frame at t=6. Node 1's frame
 	// at t=7 was already pulled when node 2 failed, so it is delivered too;
 	// nothing after it is.
-	want := mergeLogs(t, []NodeLog{{Node: 1, Entries: good[:7]}, {Node: 2, Entries: head}})
-	for _, name := range []string{"truncated", "invalid"} {
+	want := mergeLogs(t, []nodeLog{{1, good[:7]}, {2, head}})
+	for _, name := range []string{"truncated", "invalid", "steps back"} {
 		for _, batch := range []int{1, 0} {
 			t.Run(fmt.Sprintf("%s/batch=%d", name, batch), func(t *testing.T) {
 				m, err := MergeReaders([]ReaderStream{
@@ -363,9 +387,9 @@ func TestMergeReadersPropagatesDecodeError(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				got, err := m.Drain()
-				if err == nil {
-					t.Fatal("merge ended cleanly, want the decode error")
+				got, err := drain(m)
+				if err == nil || !strings.Contains(err.Error(), wantErr[name]) {
+					t.Fatalf("merge ended with %v, want an error naming %q", err, wantErr[name])
 				}
 				if len(got) != len(want) {
 					t.Fatalf("%d entries delivered before the error, want %d", len(got), len(want))
@@ -401,7 +425,7 @@ func TestMergeReadersReleasesDecodersOnError(t *testing.T) {
 			t.Fatal(err)
 		}
 		if trial%2 == 0 {
-			if _, err := m.Drain(); err == nil {
+			if _, err := drain(m); err == nil {
 				t.Fatal("expected decode error")
 			}
 		} else if _, err := m.Next(); err != nil {

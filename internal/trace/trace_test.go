@@ -3,6 +3,7 @@ package trace
 import (
 	"bytes"
 	"io"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -137,15 +138,9 @@ func TestWriterReaderStream(t *testing.T) {
 }
 
 func TestMergeOrdersAcrossNodes(t *testing.T) {
-	logs := []NodeLog{
-		{Node: 2, Entries: []core.Entry{
-			{Type: core.EntryMarker, Time: 5},
-			{Type: core.EntryMarker, Time: 15},
-		}},
-		{Node: 1, Entries: []core.Entry{
-			{Type: core.EntryMarker, Time: 10},
-			{Type: core.EntryMarker, Time: 15},
-		}},
+	logs := []nodeLog{
+		{2, mkEntries(5, 15)},
+		{1, mkEntries(10, 15)},
 	}
 	merged := mergeLogs(t, logs)
 	if len(merged) != 4 {
@@ -163,53 +158,62 @@ func TestMergeOrdersAcrossNodes(t *testing.T) {
 	}
 }
 
-func TestSplitByNodeInvertsMerge(t *testing.T) {
-	logs := []NodeLog{
-		{Node: 1, Entries: []core.Entry{{Type: core.EntryMarker, Time: 1}, {Type: core.EntryMarker, Time: 9}}},
-		{Node: 4, Entries: []core.Entry{{Type: core.EntryMarker, Time: 3}}},
-	}
-	back := SplitByNode(mergeLogs(t, logs))
-	if len(back) != 2 {
-		t.Fatalf("split into %d logs", len(back))
-	}
-	if back[0].Node != 1 || len(back[0].Entries) != 2 {
-		t.Errorf("node 1 log wrong: %+v", back[0])
-	}
-	if back[1].Node != 4 || len(back[1].Entries) != 1 {
-		t.Errorf("node 4 log wrong: %+v", back[1])
-	}
-}
-
+// TestUnwrapTimes is the wrap rule: a stamp below the one before it is a
+// wrap, adding 2^32 us, only when the forward distance to it is under 2^31
+// us. Otherwise the clock stepped back, and At fails naming the entry and
+// both stamps: a 10 us step back, or a stamp exactly half the period
+// forward past a wrap (one microsecond less is a wrap).
 func TestUnwrapTimes(t *testing.T) {
-	entries := []core.Entry{
-		{Time: 0xFFFF_FFF0},
-		{Time: 0xFFFF_FFFF},
-		{Time: 5}, // wrapped
-		{Time: 10},
-		{Time: 3}, // wrapped again
-	}
-	ts := UnwrapTimes(entries)
-	want := []int64{0xFFFF_FFF0, 0xFFFF_FFFF, 1<<32 + 5, 1<<32 + 10, 2<<32 + 3}
-	for i := range want {
-		if ts[i] != want[i] {
-			t.Errorf("ts[%d] = %d, want %d", i, ts[i], want[i])
+	for _, c := range []struct {
+		stamps []uint32
+		want   []int64 // unwrapped times; the stamp after them fails
+		err    string
+	}{
+		{
+			[]uint32{0xFFFF_FFF0, 0xFFFF_FFFF, 5, 0x8000_0000, 0xFFFF_FFF0, 3, 3},
+			[]int64{0xFFFF_FFF0, 0xFFFF_FFFF, 1<<32 + 5, 1<<32 + 0x8000_0000, 1<<32 + 0xFFFF_FFF0, 2<<32 + 3, 2<<32 + 3},
+			"",
+		},
+		{[]uint32{4_294_967_200, 50}, []int64{4_294_967_200, 1<<32 + 50}, ""},
+		{[]uint32{1000, 2000, 1990, 3000}, []int64{1000, 2000}, "trace: entry 2: clock steps back from 2000 to 1990 us"},
+		{[]uint32{1<<31 + 1, 0}, []int64{1<<31 + 1, 1 << 32}, ""},
+		{[]uint32{1 << 31, 0}, []int64{1 << 31}, "trace: entry 1: clock steps back from 2147483648 to 0 us"},
+	} {
+		var uw Unwrapper
+		var got []int64
+		var err error
+		for _, ts := range c.stamps {
+			var at int64
+			if at, err = uw.At(ts); err != nil {
+				break
+			}
+			got = append(got, at)
+		}
+		if !slices.Equal(got, c.want) || (err == nil) != (c.err == "") || err != nil && err.Error() != c.err {
+			t.Errorf("stamps %v: unwrapped %v, error %v; want %v, error %q", c.stamps, got, err, c.want, c.err)
 		}
 	}
 }
 
+// TestUnwrapTimesMonotonic: a clock that only runs forward, by steps under
+// half the wrap period, unwraps to non-decreasing times that advance by
+// exactly each step, whatever its start.
 func TestUnwrapTimesMonotonic(t *testing.T) {
-	f := func(deltas []uint16) bool {
-		var entries []core.Entry
-		var cur uint32
-		for _, d := range deltas {
-			cur += uint32(d)
-			entries = append(entries, core.Entry{Time: cur})
+	f := func(start uint32, steps []uint32) bool {
+		var uw Unwrapper
+		cur := start
+		prev, err := uw.At(cur)
+		if err != nil {
+			return false
 		}
-		ts := UnwrapTimes(entries)
-		for i := 1; i < len(ts); i++ {
-			if ts[i] < ts[i-1] {
+		for _, d := range steps {
+			d %= 1 << 31
+			cur += d
+			at, err := uw.At(cur)
+			if err != nil || at != prev+int64(d) {
 				return false
 			}
+			prev = at
 		}
 		return true
 	}

@@ -10,15 +10,17 @@
 //     entry's encode and decode, and an iCount read. None allocates, and
 //     the gate fails on the first allocation.
 //
-// TestPipelinesAgree pins the streaming path to two reconstructions of the
-// seed repository's data path: a concat+sort merge with materialized
-// per-node slices, and the same plus the seed's map-copying interval pass.
+// TestPipelinesAgree pins the streaming path to two pieces of the seed
+// repository's data path, kept here as references: its concat+sort merge
+// and its map-copying interval pass.
 package repro
 
 import (
 	"bytes"
 	"fmt"
 	"io"
+	"maps"
+	"slices"
 	"sort"
 	"testing"
 
@@ -30,11 +32,12 @@ import (
 	"repro/internal/units"
 )
 
-// synthNodeLogs builds a deterministic 4-node workload that looks like a
-// real Quanto log: interleaved power-state toggles on a few resources,
-// activity hand-offs on the CPU, and a monotone energy counter.
-func synthNodeLogs(nodes, perNode int) []trace.NodeLog {
-	out := make([]trace.NodeLog, nodes)
+// synthNodeLogs builds a deterministic workload that looks like a real
+// Quanto log: interleaved power-state toggles on a few resources, activity
+// hand-offs on the CPU, and a monotone energy counter. logs[i] is node
+// i+1's log.
+func synthNodeLogs(nodes, perNode int) [][]core.Entry {
+	out := make([][]core.Entry, nodes)
 	for n := 0; n < nodes; n++ {
 		rng := uint64(n)*0x9E3779B97F4A7C15 + 0xDEADBEEF
 		next := func(mod uint32) uint32 {
@@ -60,7 +63,7 @@ func synthNodeLogs(nodes, perNode int) []trace.NodeLog {
 				}
 			}
 		}
-		out[n] = trace.NodeLog{Node: core.NodeID(n + 1), Entries: entries}
+		out[n] = entries
 	}
 	return out
 }
@@ -70,13 +73,13 @@ const (
 	benchPerNode = 250_000
 )
 
-// runStreamingPipeline is the streaming path: k-way heap merge over
-// per-node iterators, demuxed into per-node single-pass analyzers. No
-// []core.Entry is materialized beyond the inputs.
-func runStreamingPipeline(tb testing.TB, logs []trace.NodeLog) float64 {
+// streamNetwork is the streaming path: k-way heap merge over per-node
+// iterators, demuxed into per-node single-pass analyzers. No []core.Entry
+// is materialized beyond the inputs.
+func streamNetwork(tb testing.TB, logs [][]core.Entry) *analysis.Network {
 	streams := make([]trace.Stream, len(logs))
 	for i, l := range logs {
-		streams[i] = trace.Stream{Node: l.Node, Source: trace.NewSliceSource(l.Entries)}
+		streams[i] = trace.Stream{Node: core.NodeID(i + 1), Source: trace.NewSliceSource(l)}
 	}
 	m, err := trace.NewMerger(streams)
 	if err != nil {
@@ -98,6 +101,12 @@ func runStreamingPipeline(tb testing.TB, logs []trace.NodeLog) float64 {
 	if err != nil {
 		tb.Fatal(err)
 	}
+	return net
+}
+
+// runStreamingPipeline runs the streaming path and its breakdown.
+func runStreamingPipeline(tb testing.TB, logs [][]core.Entry) float64 {
+	net := streamNetwork(tb, logs)
 	total := net.TotalEnergyUJ()
 	for _, uj := range net.EnergyByActivity() {
 		total += uj * 0 // breakdown runs; totals already counted
@@ -107,15 +116,15 @@ func runStreamingPipeline(tb testing.TB, logs []trace.NodeLog) float64 {
 
 // concatSort is the seed's merge: every node's log concatenated into one
 // slice and stable-sorted by time, then node.
-func concatSort(logs []trace.NodeLog) []trace.Stamped {
+func concatSort(logs [][]core.Entry) []trace.Stamped {
 	total := 0
 	for _, l := range logs {
-		total += len(l.Entries)
+		total += len(l)
 	}
 	merged := make([]trace.Stamped, 0, total)
-	for _, l := range logs {
-		for _, e := range l.Entries {
-			merged = append(merged, trace.Stamped{Node: l.Node, Entry: e})
+	for i, l := range logs {
+		for _, e := range l {
+			merged = append(merged, trace.Stamped{Node: core.NodeID(i + 1), Entry: e})
 		}
 	}
 	sort.SliceStable(merged, func(i, j int) bool {
@@ -127,31 +136,11 @@ func concatSort(logs []trace.NodeLog) []trace.Stamped {
 	return merged
 }
 
-// runConcatSortBaseline reproduces the seed's data path: the concat+sort
-// merge, split back per node, then analysis of the materialized slices.
-func runConcatSortBaseline(tb testing.TB, logs []trace.NodeLog) float64 {
-	dict := core.NewDictionary()
-	var sum float64
-	var analyses []*analysis.Analysis
-	for _, l := range trace.SplitByNode(concatSort(logs)) {
-		tr := analysis.NewNodeTrace(l.Node, l.Entries, 8.33, 3.0)
-		a, err := analysis.Analyze(tr, dict, analysis.DefaultOptions())
-		if err != nil {
-			tb.Fatal(err)
-		}
-		analyses = append(analyses, a)
-	}
-	net := analysis.NewNetwork(dict, analyses...)
-	for _, uj := range net.EnergyByActivity() {
-		sum += uj * 0 // breakdown runs; totals already counted
-	}
-	return sum + net.TotalEnergyUJ()
-}
-
-// seedStateIntervals is the seed repo's StateIntervals pass: it copies and
-// re-fingerprints the state map for every interval, and gives every
-// interval a vector of its own.
-func seedStateIntervals(tr *analysis.NodeTrace) ([]analysis.StateInterval, []analysis.StateVector) {
+// seedStateIntervals is the seed repo's StateIntervals pass over one node's
+// log: it copies and re-fingerprints the state map for every interval, and
+// gives every interval a vector of its own. Each stamp lies its forward
+// distance, mod 2^32, past the one before.
+func seedStateIntervals(entries []core.Entry) ([]analysis.StateInterval, []analysis.StateVector) {
 	states := make(map[core.ResourceID]core.PowerState)
 	var out []analysis.StateInterval
 	var vecs []analysis.StateVector
@@ -176,13 +165,18 @@ func seedStateIntervals(tr *analysis.NodeTrace) ([]analysis.StateInterval, []ana
 		return analysis.StateVector{Key: key, Active: active}
 	}
 
-	for i := 0; i+1 < len(tr.Entries); i++ {
-		e := tr.Entries[i]
+	var end int64
+	if len(entries) > 0 {
+		end = int64(entries[0].Time)
+	}
+	for i := 0; i+1 < len(entries); i++ {
+		e, next := entries[i], entries[i+1]
 		if e.Type == core.EntryPowerState {
 			states[e.Res] = e.State()
 		}
-		start, end := tr.Times[i], tr.Times[i+1]
-		pulses := tr.Entries[i+1].IC - e.IC
+		start := end
+		end += int64(next.Time - e.Time)
+		pulses := next.IC - e.IC
 		if end == start {
 			carryPulses += pulses
 			continue
@@ -195,41 +189,6 @@ func seedStateIntervals(tr *analysis.NodeTrace) ([]analysis.StateInterval, []ana
 		carryPulses = 0
 	}
 	return out, vecs
-}
-
-// runSeedPath reproduces the seed repo's data path end to end: concat+sort
-// merge, materialized per-node slices with unwrapped time arrays, the seed's
-// map-copying interval pass, then regression, timelines and breakdown — the
-// same analysis products the streaming path emits.
-func runSeedPath(tb testing.TB, logs []trace.NodeLog) float64 {
-	dict := core.NewDictionary()
-	var sum float64
-	var analyses []*analysis.Analysis
-	for _, l := range trace.SplitByNode(concatSort(logs)) {
-		tr := analysis.NewNodeTrace(l.Node, l.Entries, 8.33, 3.0)
-		ivs, vecs := seedStateIntervals(tr)
-		reg, regErr := analysis.RunRegression(ivs, vecs, tr.PulseUJ, analysis.DefaultOptions())
-		if regErr != nil {
-			constMW := 0.0
-			if span := tr.End() - tr.Start(); span > 0 {
-				constMW = tr.TotalEnergyUJ() / float64(span) * 1000
-			}
-			reg = &analysis.Regression{PowerMW: make(map[analysis.Predictor]float64), ConstMW: constMW}
-		}
-		single, multi := analysis.BuildActivityTimelines(tr, dict.IsProxy)
-		states := analysis.BuildStateTimelines(tr)
-		analyses = append(analyses, &analysis.Analysis{
-			Trace: tr, Dict: dict, Opts: analysis.DefaultOptions(),
-			StartUS: tr.Start(), EndUS: tr.End(), TotalPulses: tr.TotalPulses(),
-			Intervals: ivs, Vectors: vecs, Reg: reg, RegressionErr: regErr,
-			Single: single, Multi: multi, States: states,
-		})
-	}
-	net := analysis.NewNetwork(dict, analyses...)
-	for _, uj := range net.EnergyByActivity() {
-		sum += uj * 0 // breakdown runs; totals already counted
-	}
-	return sum + net.TotalEnergyUJ()
 }
 
 func BenchmarkPipelineStreaming1M(b *testing.B) {
@@ -245,18 +204,45 @@ func BenchmarkPipelineStreaming1M(b *testing.B) {
 	b.ReportMetric(float64(benchNodes*benchPerNode)*float64(b.N)/b.Elapsed().Seconds(), "entries/s")
 }
 
-// TestPipelinesAgree pins the streaming pipeline to the seed path's result
-// on a smaller instance of the same workload.
+// TestPipelinesAgree pins the streaming pipeline to the seed's data path on
+// a smaller instance of the same workload. The seed's concat+sort merge,
+// demultiplexed into the same analyzers, must give every node's energy by
+// activity and the network total bit for bit; and the seed's map-copying
+// interval pass must give each node exactly the intervals, and the state
+// vectors behind them, that its analysis holds.
 func TestPipelinesAgree(t *testing.T) {
 	logs := synthNodeLogs(benchNodes, 5_000)
-	got := runStreamingPipeline(t, logs)
-	want := runConcatSortBaseline(t, logs)
-	seed := runSeedPath(t, logs)
-	if diff := got - want; diff < -1e-6 || diff > 1e-6 {
-		t.Errorf("streaming total %g != baseline total %g", got, want)
+	got := streamNetwork(t, logs)
+
+	na := analysis.NewNetworkAnalyzer(core.NewDictionary(), analysis.DefaultOptions(), 8.33, 3.0)
+	for _, s := range concatSort(logs) {
+		na.Consume(s)
 	}
-	if diff := got - seed; diff < -1e-6 || diff > 1e-6 {
-		t.Errorf("streaming total %g != seed-path total %g", got, seed)
+	want, err := na.Finish()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if g, w := got.TotalEnergyUJ(), want.TotalEnergyUJ(); g != w || g <= 0 {
+		t.Errorf("streaming total %g, concat+sort total %g", g, w)
+	}
+	for i := range logs {
+		id := core.NodeID(i + 1)
+		a := got.Nodes[id]
+		if g, w := a.EnergyByActivity(), want.Nodes[id].EnergyByActivity(); !maps.Equal(g, w) {
+			t.Errorf("node %d: streaming breakdown %v, concat+sort %v", id, g, w)
+		}
+		ivs, vecs := seedStateIntervals(logs[i])
+		if len(ivs) == 0 || len(ivs) != len(a.Intervals) {
+			t.Fatalf("node %d: %d intervals, the seed's pass gives %d", id, len(a.Intervals), len(ivs))
+		}
+		for j, iv := range a.Intervals {
+			seed := ivs[j]
+			gv, sv := a.Vectors[iv.Vec], vecs[seed.Vec]
+			if iv.Start != seed.Start || iv.End != seed.End || iv.Pulses != seed.Pulses ||
+				gv.Key != sv.Key || !slices.Equal(gv.Active, sv.Active) {
+				t.Fatalf("node %d: interval %d = %+v in %q, the seed's pass gives %+v in %q", id, j, iv, gv.Key, seed, sv.Key)
+			}
+		}
 	}
 }
 
@@ -267,7 +253,7 @@ func BenchmarkMergeKWayOnly(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		streams := make([]trace.Stream, len(logs))
 		for j, l := range logs {
-			streams[j] = trace.Stream{Node: l.Node, Source: trace.NewSliceSource(l.Entries)}
+			streams[j] = trace.Stream{Node: core.NodeID(j + 1), Source: trace.NewSliceSource(l)}
 		}
 		m, err := trace.NewMerger(streams)
 		if err != nil {
@@ -292,7 +278,7 @@ func BenchmarkMergeKWayOnly(b *testing.B) {
 // BenchmarkDecodeBatch measures batched decode throughput of one node's log.
 func BenchmarkDecodeBatch(b *testing.B) {
 	logs := synthNodeLogs(1, benchPerNode)
-	data := trace.Marshal(logs[0].Entries)
+	data := trace.Marshal(logs[0])
 	buf := make([]core.Entry, trace.DefaultBatchEntries)
 	b.SetBytes(int64(len(data)))
 	b.ResetTimer()
@@ -309,7 +295,7 @@ func BenchmarkDecodeBatch(b *testing.B) {
 				b.Fatal(err)
 			}
 		}
-		if n != len(logs[0].Entries) {
+		if n != len(logs[0]) {
 			b.Fatalf("decoded %d entries", n)
 		}
 	}
