@@ -20,6 +20,15 @@ type Segment struct {
 type ActTimeline struct {
 	Res  core.ResourceID
 	Segs []Segment
+
+	// The builder's state: the open segment's start and label, and the
+	// segments of the unresolved proxy episode. seen is set once the
+	// resource logs an activity entry, so a resource that never did stays
+	// distinguishable from one whose timeline is empty.
+	pending []int
+	start   int64
+	label   core.Label
+	seen    bool
 }
 
 // MultiSegment is one stretch of a multi-activity resource's timeline with
@@ -35,24 +44,11 @@ type MultiSegment struct {
 type MultiTimeline struct {
 	Res  core.ResourceID
 	Segs []MultiSegment
-}
 
-// singleRes is a single-activity resource's builder state. The open
-// segment is held by value: an activity change closes it and opens the
-// next in place.
-type singleRes struct {
-	segs    []Segment
-	pending []int // indices of segments in the unresolved proxy episode
-	start   int64 // the open segment's start
-	label   core.Label
-	seen    bool
-}
-
-// multiRes is a multi-activity resource's builder state.
-type multiRes struct {
-	segs  []MultiSegment
-	start int64  // the open segment's start
-	set   uint32 // the open segment's labels, an index into labelSets
+	// The builder's state: the open segment's start and labels (an index
+	// into labelSets), and whether the resource logged an activity entry.
+	start int64
+	set   uint32
 	seen  bool
 }
 
@@ -64,13 +60,15 @@ type multiRes struct {
 // to the real activity as soon as the system can determine what this
 // activity is".
 //
-// Per-resource state lives in tables indexed by resource id and label sets
-// are interned, so an activity change neither hashes nor allocates beyond
-// growing a timeline.
+// The timelines live in tables indexed by resource id, which a finished
+// stream's Analysis shares, each holding its resource's open segment by
+// value: an activity change closes it and opens the next in place. Label
+// sets are interned, so an activity change neither hashes nor allocates
+// beyond growing a timeline.
 type timelineBuilder struct {
 	isProxy func(core.Label) bool
-	single  []singleRes // by resource id
-	multi   []multiRes  // by resource id
+	single  []ActTimeline   // by resource id
+	multi   []MultiTimeline // by resource id
 	sets    labelSets
 }
 
@@ -84,11 +82,11 @@ func newTimelineBuilder(isProxy func(core.Label) bool) *timelineBuilder {
 func (b *timelineBuilder) reset() {
 	for i := range b.single {
 		r := &b.single[i]
-		*r = singleRes{segs: r.segs[:0], pending: r.pending[:0]}
+		*r = ActTimeline{Segs: r.Segs[:0], pending: r.pending[:0]}
 	}
 	for i := range b.multi {
 		r := &b.multi[i]
-		*r = multiRes{segs: r.segs[:0]}
+		*r = MultiTimeline{Segs: r.Segs[:0]}
 	}
 	b.sets.reset()
 }
@@ -104,10 +102,10 @@ func (b *timelineBuilder) add(e core.Entry, at int64) {
 		pending := r.pending
 		if r.seen {
 			if at > r.start {
-				r.segs = append(r.segs, Segment{Start: r.start, End: at, Label: r.label, Owner: r.label})
+				r.Segs = append(r.Segs, Segment{Start: r.start, End: at, Label: r.label, Owner: r.label})
 			}
 			// The segment ending now may be part of a proxy episode.
-			if n := len(r.segs); n > 0 && r.segs[n-1].End == at && b.isProxy(r.segs[n-1].Label) {
+			if n := len(r.Segs); n > 0 && r.Segs[n-1].End == at && b.isProxy(r.Segs[n-1].Label) {
 				pending = append(pending, n-1)
 			}
 		}
@@ -115,7 +113,7 @@ func (b *timelineBuilder) add(e core.Entry, at int64) {
 		case e.Type == core.EntryActivityBind:
 			// Reassign the pending episode to the bound activity.
 			for _, idx := range pending {
-				r.segs[idx].Owner = label
+				r.Segs[idx].Owner = label
 			}
 			pending = pending[:0]
 		case !b.isProxy(label) && !label.IsIdle():
@@ -123,16 +121,16 @@ func (b *timelineBuilder) add(e core.Entry, at int64) {
 			// segments keep their own labels.
 			pending = pending[:0]
 		}
-		r.pending, r.start, r.label, r.seen = pending, at, label, true
+		r.Res, r.pending, r.start, r.label, r.seen = e.Res, pending, at, label, true
 
 	case core.EntryActivityAdd, core.EntryActivityRemove:
 		b.multi = grow(b.multi, int(e.Res))
 		r := &b.multi[e.Res]
 		if !r.seen {
-			r.start, r.seen = at, true
+			r.Res, r.start, r.seen = e.Res, at, true
 		}
 		if at > r.start {
-			r.segs = append(r.segs, MultiSegment{Start: r.start, End: at, Labels: b.sets.sets[r.set]})
+			r.Segs = append(r.Segs, MultiSegment{Start: r.start, End: at, Labels: b.sets.sets[r.set]})
 		}
 		r.set = b.sets.step(r.set, e.Type == core.EntryActivityAdd, e.Label())
 		r.start = at
@@ -142,54 +140,22 @@ func (b *timelineBuilder) add(e core.Entry, at int64) {
 // reserve makes room for a batch whose single- and multi-activity entries
 // the counts describe.
 func (b *timelineBuilder) reserve(single, multi *resCounts) {
-	b.single = reserveSegs(b.single, single, func(r *singleRes) *[]Segment { return &r.segs })
-	b.multi = reserveSegs(b.multi, multi, func(r *multiRes) *[]MultiSegment { return &r.segs })
+	b.single = reserveSegs(b.single, single, func(r *ActTimeline) *[]Segment { return &r.Segs })
+	b.multi = reserveSegs(b.multi, multi, func(r *MultiTimeline) *[]MultiSegment { return &r.Segs })
 }
 
 // close closes every open segment at the given end time. Call it once.
 func (b *timelineBuilder) close(end int64) {
 	for i := range b.single {
 		if r := &b.single[i]; r.seen && end > r.start {
-			r.segs = append(r.segs, Segment{Start: r.start, End: end, Label: r.label, Owner: r.label})
+			r.Segs = append(r.Segs, Segment{Start: r.start, End: end, Label: r.label, Owner: r.label})
 		}
 	}
 	for i := range b.multi {
 		if r := &b.multi[i]; r.seen && end > r.start {
-			r.segs = append(r.segs, MultiSegment{Start: r.start, End: end, Labels: b.sets.sets[r.set]})
+			r.Segs = append(r.Segs, MultiSegment{Start: r.start, End: end, Labels: b.sets.sets[r.set]})
 		}
 	}
-}
-
-// views returns the closed timelines as maps keyed by every resource that
-// logged an activity entry.
-func (b *timelineBuilder) views() (map[core.ResourceID]*ActTimeline, map[core.ResourceID]*MultiTimeline) {
-	single := make(map[core.ResourceID]*ActTimeline, countIf(b.single, func(r *singleRes) bool { return r.seen }))
-	for i := range b.single {
-		if r := &b.single[i]; r.seen {
-			res := core.ResourceID(i)
-			single[res] = &ActTimeline{Res: res, Segs: r.segs}
-		}
-	}
-	multi := make(map[core.ResourceID]*MultiTimeline, countIf(b.multi, func(r *multiRes) bool { return r.seen }))
-	for i := range b.multi {
-		if r := &b.multi[i]; r.seen {
-			res := core.ResourceID(i)
-			multi[res] = &MultiTimeline{Res: res, Segs: r.segs}
-		}
-	}
-	return single, multi
-}
-
-// countIf counts the entries of a per-resource table that keep, so a view
-// sizes its result map once.
-func countIf[T any](table []T, keep func(*T) bool) int {
-	n := 0
-	for i := range table {
-		if keep(&table[i]) {
-			n++
-		}
-	}
-	return n
 }
 
 // labelSets interns the label sets of multi-activity resources. Set 0 is
@@ -259,32 +225,33 @@ type StateSegment struct {
 	State      core.PowerState
 }
 
-// stateRes is one resource's power-state builder state.
-type stateRes struct {
-	segs  []StateSegment
-	start int64 // the open segment's start
+// openState is one resource's open power-state segment.
+type openState struct {
+	start int64
 	state core.PowerState
 	open  bool
 }
 
 // stateTimelineBuilder reconstructs per-resource power-state histories from
-// an event stream incrementally, in a table indexed by resource id. Its
+// an event stream incrementally, in tables indexed by resource id: segs,
+// which a finished stream's Analysis shares, and the open segments. Its
 // zero value is an empty builder.
 type stateTimelineBuilder struct {
-	res []stateRes
+	segs [][]StateSegment
+	open []openState
 }
 
 // reset empties every resource's timeline, keeping its capacity.
 func (b *stateTimelineBuilder) reset() {
-	for i := range b.res {
-		r := &b.res[i]
-		*r = stateRes{segs: r.segs[:0]}
+	for i := range b.segs {
+		b.segs[i] = b.segs[i][:0]
 	}
+	clear(b.open)
 }
 
 // reserve makes room for a batch whose power-state entries c counts.
 func (b *stateTimelineBuilder) reserve(c *resCounts) {
-	b.res = reserveSegs(b.res, c, func(r *stateRes) *[]StateSegment { return &r.segs })
+	b.segs = reserveSegs(b.segs, c, func(s *[]StateSegment) *[]StateSegment { return s })
 }
 
 // add consumes the next entry; non-power-state entries are ignored.
@@ -292,31 +259,18 @@ func (b *stateTimelineBuilder) add(e core.Entry, at int64) {
 	if e.Type != core.EntryPowerState {
 		return
 	}
-	b.res = grow(b.res, int(e.Res))
-	r := &b.res[e.Res]
-	if r.open && at > r.start {
-		r.segs = append(r.segs, StateSegment{Start: r.start, End: at, State: r.state})
+	b.segs, b.open = grow(b.segs, int(e.Res)), grow(b.open, int(e.Res))
+	if r := &b.open[e.Res]; r.open && at > r.start {
+		b.segs[e.Res] = append(b.segs[e.Res], StateSegment{Start: r.start, End: at, State: r.state})
 	}
-	r.start, r.state, r.open = at, e.State(), true
+	b.open[e.Res] = openState{start: at, state: e.State(), open: true}
 }
 
 // close closes every open segment at the given end time. Call it once.
 func (b *stateTimelineBuilder) close(end int64) {
-	for i := range b.res {
-		if r := &b.res[i]; r.open && end > r.start {
-			r.segs = append(r.segs, StateSegment{Start: r.start, End: end, State: r.state})
+	for i, r := range b.open {
+		if r.open && end > r.start {
+			b.segs[i] = append(b.segs[i], StateSegment{Start: r.start, End: end, State: r.state})
 		}
 	}
-}
-
-// views returns the closed timelines as a map keyed by every resource with
-// at least one segment.
-func (b *stateTimelineBuilder) views() map[core.ResourceID][]StateSegment {
-	out := make(map[core.ResourceID][]StateSegment, countIf(b.res, func(r *stateRes) bool { return len(r.segs) > 0 }))
-	for i := range b.res {
-		if r := &b.res[i]; len(r.segs) > 0 {
-			out[core.ResourceID(i)] = r.segs
-		}
-	}
-	return out
 }

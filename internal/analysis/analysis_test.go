@@ -256,7 +256,7 @@ func TestActivityTimelineBasic(t *testing.T) {
 	b.advance(1000)
 	b.marker()
 	tl := b.analyze(t, core.NewDictionary(), DefaultOptions()).Single[resA]
-	if tl == nil || len(tl.Segs) != 3 {
+	if tl.Res != resA || len(tl.Segs) != 3 {
 		t.Fatalf("segments = %+v", tl)
 	}
 	if tl.Segs[1].Label != l1 || tl.Segs[1].End-tl.Segs[1].Start != 2000 {
@@ -364,7 +364,7 @@ func TestMultiActivityTimeline(t *testing.T) {
 	b.advance(100)
 	b.marker()
 	mt := b.analyze(t, core.NewDictionary(), DefaultOptions()).Multi[resB]
-	if mt == nil {
+	if mt.Res != resB {
 		t.Fatal("no multi timeline")
 	}
 	// Segments: {la} 1000, {la,lb} 2000, {lb} 500, {} 100.

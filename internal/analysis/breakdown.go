@@ -48,7 +48,8 @@ func DefaultOptions() Options {
 // in per-activity tables, like the "Const." row of Table 3(d).
 const ConstLabel core.Label = 0xFFFF
 
-// Analysis bundles everything derived from one node's log.
+// Analysis bundles everything derived from one node's log:
+// StreamAnalyzer.Finish's result.
 type Analysis struct {
 	// Node is the node the log came from, PulseUJ its meter's energy
 	// quantum and Volts its supply voltage.
@@ -75,9 +76,18 @@ type Analysis struct {
 	// constant term and per-state attribution is empty.
 	RegressionErr error
 
-	Single map[core.ResourceID]*ActTimeline
-	Multi  map[core.ResourceID]*MultiTimeline
-	States map[core.ResourceID][]StateSegment
+	// Single, Multi and States are the activity and power-state timelines,
+	// indexed by resource id. A resource that logged no entry of a kind
+	// has an empty entry there, and each table may run past the node's
+	// highest resource id.
+	Single []ActTimeline
+	Multi  []MultiTimeline
+	States [][]StateSegment
+
+	// ByActivity is the energy charged to each activity, Table 3(d), in
+	// the order the labels were first charged, with the constant term's
+	// energy under ConstLabel.
+	ByActivity []LabelEnergy
 }
 
 // owner returns the label a single-activity segment is charged to: its
@@ -93,20 +103,26 @@ func (o Options) owner(seg Segment) core.Label {
 // time each activity held it — Table 3(a). Durations are in microseconds.
 func (a *Analysis) TimeByActivity() map[core.ResourceID]map[core.Label]int64 {
 	out := make(map[core.ResourceID]map[core.Label]int64)
-	//quanto:ordered each resource fills its own inner map with integer sums
-	for res, tl := range a.Single {
+	for i := range a.Single {
+		tl := &a.Single[i]
+		if !tl.seen {
+			continue
+		}
 		m := make(map[core.Label]int64)
 		for _, s := range tl.Segs {
 			m[a.Opts.owner(s)] += s.End - s.Start
 		}
-		out[res] = m
+		out[tl.Res] = m
 	}
-	//quanto:ordered each resource adds integers into its own inner map
-	for res, mt := range a.Multi {
-		m := out[res]
+	for i := range a.Multi {
+		mt := &a.Multi[i]
+		if !mt.seen {
+			continue
+		}
+		m := out[mt.Res]
 		if m == nil {
 			m = make(map[core.Label]int64)
-			out[res] = m
+			out[mt.Res] = m
 		}
 		for _, s := range mt.Segs {
 			dur := s.End - s.Start
@@ -128,6 +144,9 @@ func (a *Analysis) TimeByActivity() map[core.ResourceID]map[core.Label]int64 {
 
 // ActiveTimeUS returns how long res spent in non-baseline power states.
 func (a *Analysis) ActiveTimeUS(res core.ResourceID) int64 {
+	if int(res) >= len(a.States) {
+		return 0
+	}
 	var total int64
 	for _, seg := range a.States[res] {
 		if seg.State != 0 {
@@ -140,12 +159,6 @@ func (a *Analysis) ActiveTimeUS(res core.ResourceID) int64 {
 // Span returns the analyzed window in microseconds.
 func (a *Analysis) Span() int64 { return a.EndUS - a.StartUS }
 
-// stateResources returns the resources with power-state timelines in a
-// fixed order, so floating-point accumulation is deterministic run to run.
-func (a *Analysis) stateResources() []core.ResourceID {
-	return slices.Sorted(maps.Keys(a.States))
-}
-
 // EnergyByResource distributes the regression's fitted powers over the
 // power-state timelines: for each predictor, energy = Pi * time-in-state;
 // the constant term covers the whole span — Table 3(c). Energies in uJ,
@@ -153,8 +166,9 @@ func (a *Analysis) stateResources() []core.ResourceID {
 // ConstLabel row via the second return value.
 func (a *Analysis) EnergyByResource() (map[core.ResourceID]float64, float64) {
 	out := make(map[core.ResourceID]float64)
-	for _, res := range a.stateResources() {
-		for _, seg := range a.States[res] {
+	for i, segs := range a.States {
+		res := core.ResourceID(i)
+		for _, seg := range segs {
 			if seg.State == 0 {
 				continue
 			}
@@ -170,19 +184,12 @@ func (a *Analysis) EnergyByResource() (map[core.ResourceID]float64, float64) {
 	return out, constUJ
 }
 
-// EnergyByActivity charges each resource's fitted power to the activity that
-// held the resource at the time — Table 3(d). The constant term's energy is
-// reported under ConstLabel. It runs the charging kernel StreamAnalyzer's
-// Breakdown runs, over the Analysis's timelines.
+// EnergyByActivity returns ByActivity as a map: the energy each activity
+// held the resources for — Table 3(d) — with the constant term's under
+// ConstLabel.
 func (a *Analysis) EnergyByActivity() map[core.Label]float64 {
-	var c charger
-	c.reset(a.Opts, a.Reg)
-	for _, res := range a.stateResources() {
-		c.resource(res, a.States[res], a.Single[res], a.Multi[res])
-	}
-	sums := c.finish(a.Span())
-	out := make(map[core.Label]float64, len(sums))
-	for _, s := range sums {
+	out := make(map[core.Label]float64, len(a.ByActivity))
+	for _, s := range a.ByActivity {
 		out[s.Label] = s.UJ
 	}
 	return out
@@ -195,7 +202,7 @@ type LabelEnergy struct {
 }
 
 // charger is the breakdown's charging kernel. Fed a node's resources in
-// ascending id, it charges each resource's fitted power, one non-baseline
+// ascending id (see node), it charges each resource's fitted power, one non-baseline
 // state segment at a time, to whichever activity held the resource, and sums
 // the charges per label; finish adds the constant term last. Each label gets
 // the additions a map keyed by label would get, in the same order, so the
@@ -217,16 +224,30 @@ type fittedState struct {
 	ok    bool
 }
 
-// reset readies the charger for a node whose model is reg.
-func (c *charger) reset(opts Options, reg *Regression) {
-	c.opts, c.reg = opts, reg
+// node charges every resource of a, whose model is a.Reg, and returns the
+// node's sums (see finish).
+func (c *charger) node(a *Analysis) []LabelEnergy {
+	c.opts, c.reg = a.Opts, a.Reg
 	c.sums.reset()
+	for i, states := range a.States {
+		var single *ActTimeline
+		var multi *MultiTimeline
+		if i < len(a.Single) && a.Single[i].seen {
+			single = &a.Single[i]
+		}
+		if i < len(a.Multi) && a.Multi[i].seen {
+			multi = &a.Multi[i]
+		}
+		c.resource(core.ResourceID(i), states, single, multi)
+	}
+	return c.finish(a.Span())
 }
 
 // resource charges one resource's state segments, which follow one another
 // in time. A single-activity timeline, if the resource has one, says who
 // held it; else a multi-activity one; a resource with neither is
-// unattributed and charged to ConstLabel. Timeline segments also follow one
+// unattributed and charged to ConstLabel. A timeline the resource has but
+// with no segment over a state segment charges nothing for it. Timeline segments also follow one
 // another with strictly increasing ends, so the first segment overlapping a
 // state segment is found by a cursor that only moves forward: the whole
 // resource costs one pass over each timeline.

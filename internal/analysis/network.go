@@ -26,24 +26,21 @@ type Network struct {
 func (n *Network) EnergyByActivity() map[core.Label]float64 {
 	out := make(map[core.Label]float64)
 	for _, id := range n.nodeIDs() {
-		AddEnergyByActivity(out, n.Nodes[id].EnergyByActivity())
+		addEnergyByActivity(out, n.Nodes[id].ByActivity)
 	}
 	return out
 }
 
-// AddEnergyByActivity adds one node's per-activity energy, its
-// EnergyByActivity, into a network-wide sum. Float addition is not
-// associative, so a sum is reproducible bit for bit only when the nodes are
-// added in one fixed order: every network-wide sum in this package adds
-// them in ascending node id, and a caller that folds nodes one at a time
-// (analyzing each and dropping it before the next, as Instance.Finish folds
-// each node's StreamAnalyzer.Breakdown) must do the same to get the same
-// bits. Each label appears once per node, so the order of one node's
-// labels does not matter.
-func AddEnergyByActivity(sum, node map[core.Label]float64) {
-	//quanto:ordered each label adds once into its own slot of sum
-	for l, uj := range node {
-		sum[l] += uj
+// addEnergyByActivity adds one node's per-activity energy, its ByActivity,
+// into a network-wide sum. Float addition is not associative, so a sum is
+// reproducible bit for bit only when the nodes are added in one fixed
+// order: every network-wide sum here adds them in ascending node id, as a
+// caller that folds nodes one at a time must too (Instance.Finish does).
+// Each label appears once per node, so the order of one node's labels does
+// not matter.
+func addEnergyByActivity(sum map[core.Label]float64, node []LabelEnergy) {
+	for _, s := range node {
+		sum[s.Label] += s.UJ
 	}
 }
 
@@ -90,16 +87,16 @@ func (n *Network) Footprint(l core.Label) []NodeShare {
 }
 
 // Report renders the network-wide activity table, highest energy first and
-// equal energies in label order. It computes each node's breakdown once for
-// the whole table and sums in node order, so its totals are bit-identical
-// to EnergyByActivity's and RemoteEnergyUJ's.
+// equal energies in label order. It sums the nodes' breakdowns in node
+// order, so its totals are bit-identical to EnergyByActivity's and
+// RemoteEnergyUJ's.
 func (n *Network) Report() string {
 	ids := n.nodeIDs()
 	perNode := make([]map[core.Label]float64, len(ids))
 	byAct := make(map[core.Label]float64)
 	for i, id := range ids {
 		perNode[i] = n.Nodes[id].EnergyByActivity()
-		AddEnergyByActivity(byAct, perNode[i])
+		addEnergyByActivity(byAct, n.Nodes[id].ByActivity)
 	}
 	labels := byEnergy(byAct)
 	s := fmt.Sprintf("%-22s %12s %12s\n", "Activity", "Total (mJ)", "Remote (mJ)")

@@ -293,9 +293,25 @@ func refStateTimelines(entries []core.Entry, times []int64) map[core.ResourceID]
 	return out
 }
 
-// refAnalysis assembles the reference Analysis the way StreamAnalyzer.Finish
+// refNode is the reference's view of one node, what StreamAnalyzer.Finish
+// derives from its log: the window, the model and the timelines, in maps
+// keyed by every resource that logged an entry of the kind.
+type refNode struct {
+	opts           Options
+	startUS, endUS int64
+	totalPulses    uint32
+	reg            *Regression
+	regErr         error
+	single         map[core.ResourceID]*ActTimeline
+	multi          map[core.ResourceID]*MultiTimeline
+	states         map[core.ResourceID][]StateSegment
+}
+
+func (r *refNode) span() int64 { return r.endUS - r.startUS }
+
+// refAnalysis assembles the reference node the way StreamAnalyzer.Finish
 // does, from the reference builders.
-func refAnalysis(entries []core.Entry, dict *core.Dictionary, pulseUJ float64, opts Options) (*Analysis, []refInterval) {
+func refAnalysis(entries []core.Entry, dict *core.Dictionary, pulseUJ float64, opts Options) (*refNode, []refInterval) {
 	// Each stamp lies its forward distance, mod 2^32, past the one before.
 	times := make([]int64, len(entries))
 	for i, e := range entries {
@@ -315,46 +331,82 @@ func refAnalysis(entries []core.Entry, dict *core.Dictionary, pulseUJ float64, o
 		}
 	}
 	single, multi := refTimelines(entries, times, dict.IsProxy)
-	return &Analysis{
-		Node: 1, PulseUJ: pulseUJ, Volts: 3.0, Dict: dict, Opts: opts,
-		StartUS: start, EndUS: end, TotalPulses: total,
-		Reg: reg, RegressionErr: regErr,
-		Single: single, Multi: multi, States: refStateTimelines(entries, times),
+	return &refNode{
+		opts: opts, startUS: start, endUS: end, totalPulses: total,
+		reg: reg, regErr: regErr,
+		single: single, multi: multi, states: refStateTimelines(entries, times),
 	}, ivs
+}
+
+// refTimeByActivity is the time breakdown over the reference's maps: every
+// resource with an activity timeline gets a row, empty or not.
+func refTimeByActivity(r *refNode) map[core.ResourceID]map[core.Label]int64 {
+	out := make(map[core.ResourceID]map[core.Label]int64)
+	row := func(res core.ResourceID) map[core.Label]int64 {
+		if out[res] == nil {
+			out[res] = make(map[core.Label]int64)
+		}
+		return out[res]
+	}
+	for res, tl := range r.single {
+		m := row(res)
+		for _, s := range tl.Segs {
+			owner := s.Label
+			if r.opts.ResolveProxies {
+				owner = s.Owner
+			}
+			m[owner] += s.End - s.Start
+		}
+	}
+	for res, mt := range r.multi {
+		m := row(res)
+		for _, s := range mt.Segs {
+			switch dur := s.End - s.Start; {
+			case len(s.Labels) == 0:
+			case r.opts.Split == SplitFirst:
+				m[s.Labels[0]] += dur
+			default:
+				for _, l := range s.Labels {
+					m[l] += dur / int64(len(s.Labels))
+				}
+			}
+		}
+	}
+	return out
 }
 
 // refEnergyByActivity is the map-based breakdown the charging kernel
 // replaced, kept as its oracle: a binary search of the activity timeline
 // for every state segment, a map lookup for every fitted power, and a map
 // entry that every charge adds into.
-func refEnergyByActivity(a *Analysis) map[core.Label]float64 {
+func refEnergyByActivity(r *refNode) map[core.Label]float64 {
 	out := make(map[core.Label]float64)
 
-	for _, res := range slices.Sorted(maps.Keys(a.States)) {
-		for _, seg := range a.States[res] {
+	for _, res := range slices.Sorted(maps.Keys(r.states)) {
+		for _, seg := range r.states[res] {
 			if seg.State == 0 {
 				continue
 			}
-			mw, ok := a.Reg.PowerMW[Predictor{res, seg.State}]
+			mw, ok := r.reg.PowerMW[Predictor{res, seg.State}]
 			if !ok {
 				continue
 			}
-			refChargeWindow(a, res, seg.Start, seg.End, mw, out)
+			refChargeWindow(r, res, seg.Start, seg.End, mw, out)
 		}
 	}
-	out[ConstLabel] += a.Reg.ConstMW * float64(a.Span()) / 1000
+	out[ConstLabel] += r.reg.ConstMW * float64(r.span()) / 1000
 	return out
 }
 
 // refChargeWindow distributes mw over [start, end) according to res's
 // activity timeline.
-func refChargeWindow(a *Analysis, res core.ResourceID, start, end int64, mw float64, out map[core.Label]float64) {
+func refChargeWindow(r *refNode, res core.ResourceID, start, end int64, mw float64, out map[core.Label]float64) {
 	charge := func(l core.Label, us int64) {
 		if us > 0 {
 			out[l] += mw * float64(us) / 1000
 		}
 	}
-	if tl := a.Single[res]; tl != nil {
+	if tl := r.single[res]; tl != nil {
 		first := sort.Search(len(tl.Segs), func(i int) bool { return tl.Segs[i].End > start })
 		for _, s := range tl.Segs[first:] {
 			if s.Start >= end {
@@ -363,7 +415,7 @@ func refChargeWindow(a *Analysis, res core.ResourceID, start, end int64, mw floa
 			lo, hi := max(s.Start, start), min(s.End, end)
 			if hi > lo {
 				owner := s.Label
-				if a.Opts.ResolveProxies {
+				if r.opts.ResolveProxies {
 					owner = s.Owner
 				}
 				charge(owner, hi-lo)
@@ -371,7 +423,7 @@ func refChargeWindow(a *Analysis, res core.ResourceID, start, end int64, mw floa
 		}
 		return
 	}
-	if mt := a.Multi[res]; mt != nil {
+	if mt := r.multi[res]; mt != nil {
 		first := sort.Search(len(mt.Segs), func(i int) bool { return mt.Segs[i].End > start })
 		for _, s := range mt.Segs[first:] {
 			if s.Start >= end {
@@ -384,7 +436,7 @@ func refChargeWindow(a *Analysis, res core.ResourceID, start, end int64, mw floa
 			switch {
 			case len(s.Labels) == 0:
 				charge(ConstLabel, hi-lo) // unattributed hardware-on time
-			case a.Opts.Split == SplitFirst:
+			case r.opts.Split == SplitFirst:
 				charge(s.Labels[0], hi-lo)
 			default:
 				for _, l := range s.Labels {
@@ -405,17 +457,20 @@ type logShape struct {
 	psRes               []core.ResourceID
 	maxState            []core.PowerState // parallel to psRes
 	singleRes, multiRes []core.ResourceID
+	lastRes             []core.ResourceID // each logs one set entry, at the last microsecond
 	moreLabels          int
 }
 
 var (
 	// narrowShape keeps activity timelines and power states apart except
-	// on resources 0 and 255.
+	// on resources 0 and 255, and on 200, whose activity timeline has no
+	// segment: its one set entry comes at the log's last microsecond.
 	narrowShape = logShape{
 		psRes:     []core.ResourceID{0, 3, 42, 200, 255},
 		maxState:  []core.PowerState{3, 3, 3, 3, 3},
 		singleRes: []core.ResourceID{0, 7, 255},
 		multiRes:  []core.ResourceID{11, 254},
+		lastRes:   []core.ResourceID{200},
 	}
 	// wideShape reaches the rest of the charging kernel: resource 0 has 11
 	// non-baseline states, multi-activity resource 11 draws power,
@@ -497,6 +552,9 @@ func randomLog(rng *rand.Rand, dict *core.Dictionary, pulseUJ float64, shape log
 		}
 	}
 	now += 1000
+	for _, r := range shape.lastRes {
+		emit(core.EntryActivitySet, r, uint16(labels[1]))
+	}
 	emit(core.EntryMarker, 0, 0xFFFF)
 	return out
 }
@@ -577,20 +635,67 @@ func inBatches(n int) func(*StreamAnalyzer, []core.Entry) {
 	}
 }
 
-// checkSameAnalysis compares got, the Analysis sa's Finish returned,
-// against want exactly, floats by their bits: the regression (error,
-// groups, predictors, coefficients), the activity and power-state
-// timelines, the time breakdown, and the energy breakdown both ways the
-// charging kernel gives it, got's EnergyByActivity and sa's Breakdown,
-// against the map-based oracle run on want. Intervals and vectors are left
-// to the caller, since the naive reference has none.
-func checkSameAnalysis(t *testing.T, name string, sa *StreamAnalyzer, got, want *Analysis) {
-	t.Helper()
-	if (got.RegressionErr == nil) != (want.RegressionErr == nil) ||
-		(got.RegressionErr != nil && got.RegressionErr.Error() != want.RegressionErr.Error()) {
-		t.Fatalf("%s: regression error %v, want %v", name, got.RegressionErr, want.RegressionErr)
+// refNodeOf is a finished Analysis as the reference's view of it, so two
+// analyzers' results compare through one check: each resource that logged
+// an activity entry keys its timeline, and each with a power-state
+// segment its states.
+func refNodeOf(a *Analysis) *refNode {
+	r := &refNode{
+		opts: a.Opts, startUS: a.StartUS, endUS: a.EndUS, totalPulses: a.TotalPulses,
+		reg: a.Reg, regErr: a.RegressionErr,
+		single: make(map[core.ResourceID]*ActTimeline),
+		multi:  make(map[core.ResourceID]*MultiTimeline),
+		states: make(map[core.ResourceID][]StateSegment),
 	}
-	gr, wr := got.Reg, want.Reg
+	for i := range a.Single {
+		if a.Single[i].seen {
+			r.single[core.ResourceID(i)] = &a.Single[i]
+		}
+	}
+	for i := range a.Multi {
+		if a.Multi[i].seen {
+			r.multi[core.ResourceID(i)] = &a.Multi[i]
+		}
+	}
+	for i, segs := range a.States {
+		if len(segs) > 0 {
+			r.states[core.ResourceID(i)] = segs
+		}
+	}
+	return r
+}
+
+// at returns a per-resource table's entry for res, or the zero entry past
+// the table's end.
+func at[T any](table []T, res core.ResourceID) (zero T) {
+	if int(res) < len(table) {
+		return table[res]
+	}
+	return zero
+}
+
+// checkSameAnalysis compares got, the Analysis sa's Finish returned,
+// against want exactly, floats by their bits: the window, the regression
+// (error, groups, predictors, coefficients), the activity and power-state
+// timelines resource by resource, the time breakdown, and the energy
+// breakdown, got's ByActivity and the map EnergyByActivity makes of it,
+// against the map-based oracle run on want. A second Finish must return
+// got again, unchanged. Intervals and vectors are left to the caller, since
+// the naive reference has none.
+func checkSameAnalysis(t *testing.T, name string, sa *StreamAnalyzer, got *Analysis, want *refNode) {
+	t.Helper()
+	if again, err := sa.Finish(); again != got || err != nil {
+		t.Fatalf("%s: a second Finish gives %p (%v), want the first's %p", name, again, err, got)
+	}
+	if got.StartUS != want.startUS || got.EndUS != want.endUS || got.TotalPulses != want.totalPulses {
+		t.Errorf("%s: [%d, %d] with %d pulses, want [%d, %d] with %d", name,
+			got.StartUS, got.EndUS, got.TotalPulses, want.startUS, want.endUS, want.totalPulses)
+	}
+	if (got.RegressionErr == nil) != (want.regErr == nil) ||
+		(got.RegressionErr != nil && got.RegressionErr.Error() != want.regErr.Error()) {
+		t.Fatalf("%s: regression error %v, want %v", name, got.RegressionErr, want.regErr)
+	}
+	gr, wr := got.Reg, want.reg
 	if len(gr.Groups) != len(wr.Groups) {
 		t.Fatalf("%s: %d groups, want %d", name, len(gr.Groups), len(wr.Groups))
 	}
@@ -609,66 +714,59 @@ func checkSameAnalysis(t *testing.T, name string, sa *StreamAnalyzer, got, want 
 		t.Errorf("%s: coefficients %v const %v, want %v const %v", name, gr.PowerMW, gr.ConstMW, wr.PowerMW, wr.ConstMW)
 	}
 
-	if !maps.EqualFunc(got.Single, want.Single, func(a, b *ActTimeline) bool {
-		return a.Res == b.Res && slices.Equal(a.Segs, b.Segs)
-	}) {
-		t.Errorf("%s: single-activity timelines differ", name)
+	// A resource the reference has no timeline for must have an empty,
+	// unseen entry, and one it has must hold the same segments under its
+	// own id.
+	sameMulti := func(x, y MultiSegment) bool {
+		return x.Start == y.Start && x.End == y.End && slices.Equal(x.Labels, y.Labels)
 	}
-	if !maps.EqualFunc(got.Multi, want.Multi, func(a, b *MultiTimeline) bool {
-		return a.Res == b.Res && slices.EqualFunc(a.Segs, b.Segs, func(x, y MultiSegment) bool {
-			return x.Start == y.Start && x.End == y.End && slices.Equal(x.Labels, y.Labels)
-		})
-	}) {
-		t.Errorf("%s: multi-activity timelines differ", name)
+	for r := range 1 << 8 {
+		res := core.ResourceID(r)
+		gs, ws := at(got.Single, res), want.single[res]
+		if gs.seen != (ws != nil) || len(gs.Segs) > 0 && ws == nil || ws != nil && (gs.Res != res || !slices.Equal(gs.Segs, ws.Segs)) {
+			t.Errorf("%s: resource %d: single-activity timeline %+v, want %+v", name, res, gs, ws)
+		}
+		gm, wm := at(got.Multi, res), want.multi[res]
+		if gm.seen != (wm != nil) || len(gm.Segs) > 0 && wm == nil || wm != nil && (gm.Res != res || !slices.EqualFunc(gm.Segs, wm.Segs, sameMulti)) {
+			t.Errorf("%s: resource %d: multi-activity timeline %+v, want %+v", name, res, gm, wm)
+		}
+		if g, w := at(got.States, res), want.states[res]; !slices.Equal(g, w) {
+			t.Errorf("%s: resource %d: power states %v, want %v", name, res, g, w)
+		}
 	}
-	if !maps.EqualFunc(got.States, want.States, slices.Equal) {
-		t.Errorf("%s: power-state timelines differ", name)
-	}
-	if !maps.EqualFunc(got.TimeByActivity(), want.TimeByActivity(), maps.Equal) {
-		t.Errorf("%s: TimeByActivity differs", name)
+	if g, w := got.TimeByActivity(), refTimeByActivity(want); !maps.EqualFunc(g, w, maps.Equal) {
+		t.Errorf("%s: TimeByActivity = %v, want %v", name, g, w)
 	}
 	oracle := refEnergyByActivity(want)
-	if g := got.EnergyByActivity(); !sameFloatMap(g, oracle) {
-		t.Errorf("%s: EnergyByActivity = %v, want %v", name, g, oracle)
-	}
-	pairs, pulses, span, err := sa.Breakdown()
-	if err != nil {
-		t.Fatalf("%s: Breakdown: %v", name, err)
-	}
-	byLabel := make(map[core.Label]float64, len(pairs))
-	for _, p := range pairs {
-		byLabel[p.Label] = p.UJ
-	}
-	if len(byLabel) != len(pairs) || !sameFloatMap(byLabel, oracle) {
-		t.Errorf("%s: Breakdown = %v, want %v", name, pairs, oracle)
-	}
-	if pulses != want.TotalPulses || span != want.Span() {
-		t.Errorf("%s: Breakdown gives %d pulses over %d us, want %d over %d", name, pulses, span, want.TotalPulses, want.Span())
+	byLabel := got.EnergyByActivity()
+	if len(byLabel) != len(got.ByActivity) || !sameFloatMap(byLabel, oracle) {
+		t.Errorf("%s: ByActivity = %v, want %v", name, got.ByActivity, oracle)
 	}
 }
 
 // kernelCoverage counts the charging-kernel paths the breakdowns checked
 // against the oracle reach.
 type kernelCoverage struct {
-	manyLabels, manyStates, unattributed, bothTimelines, emptySet, constOnly int
+	manyLabels, manyStates, unattributed, emptyTimeline, uncovered, bothTimelines, emptySet, constOnly int
 }
 
-// add counts the paths a's breakdown, which charges labels labels,
+// add counts the paths the breakdown of r, which charges labels labels,
 // reaches: more than 64 labels (the label table grows twice), a resource
 // in more than 8 non-baseline states (more than the power memo holds), a
-// resource drawing power with no activity timeline, one with both kinds
-// of timeline, a multi-activity segment with an empty set over a charged
+// resource drawing power with no activity timeline, one with a
+// single-activity timeline that has no segment, one drawing power before
+// its single-activity timeline starts, one with both kinds of timeline, a multi-activity segment with an empty set over a charged
 // state segment, and a constant-only model with a constant to charge.
-func (c *kernelCoverage) add(a *Analysis, labels int) {
+func (c *kernelCoverage) add(r *refNode, labels int) {
 	if labels > 64 {
 		c.manyLabels++
 	}
-	if a.RegressionErr != nil && a.Reg.ConstMW > 0 {
+	if r.regErr != nil && r.reg.ConstMW > 0 {
 		c.constOnly++
 	}
-	for res, states := range a.States {
+	for res, states := range r.states {
 		charged := func(s StateSegment) bool {
-			_, ok := a.Reg.PowerMW[Predictor{res, s.State}]
+			_, ok := r.reg.PowerMW[Predictor{res, s.State}]
 			return s.State != 0 && ok
 		}
 		inStates := make(map[core.PowerState]bool)
@@ -683,12 +781,20 @@ func (c *kernelCoverage) add(a *Analysis, labels int) {
 		if !slices.ContainsFunc(states, charged) {
 			continue
 		}
-		single, multi := a.Single[res], a.Multi[res]
+		single, multi := r.single[res], r.multi[res]
 		switch {
 		case single == nil && multi == nil:
 			c.unattributed++
 		case single != nil && multi != nil:
 			c.bothTimelines++
+		case single != nil && len(single.Segs) == 0:
+			c.emptyTimeline++
+		case single != nil:
+			if slices.ContainsFunc(states, func(s StateSegment) bool {
+				return charged(s) && s.Start < single.Segs[0].Start
+			}) {
+				c.uncovered++
+			}
 		case multi != nil:
 			if slices.ContainsFunc(multi.Segs, func(m MultiSegment) bool {
 				return len(m.Labels) == 0 && slices.ContainsFunc(states, func(s StateSegment) bool {
@@ -805,7 +911,7 @@ func TestStreamAnalyzerMatchesNaiveReference(t *testing.T) {
 						t.Fatalf("%s: regression error %v, want 2 groups against 3 coefficients", name, got.RegressionErr)
 					}
 					checkSameAnalysis(t, name, sa, got, want)
-					kernel.add(got, len(got.EnergyByActivity()))
+					kernel.add(want, len(got.ByActivity))
 
 					for _, tl := range got.Single {
 						for _, s := range tl.Segs {
@@ -830,9 +936,9 @@ func TestStreamAnalyzerMatchesNaiveReference(t *testing.T) {
 		t.Errorf("coverage: %d fitted regressions, %d rebound proxy segments, %d overlapping label sets, %d wrapped clocks, %d logs naming their top single-activity resource only after the first batch of 7",
 			fitted, rebound, overlaps, wrapped, lateTop)
 	}
-	if k := kernel; k.manyLabels == 0 || k.manyStates == 0 || k.unattributed == 0 || k.bothTimelines == 0 || k.emptySet == 0 || k.constOnly == 0 {
-		t.Errorf("kernel coverage: %d breakdowns over 64 labels, %d resources in over 8 states, %d charged resources without an activity timeline, %d with both kinds, %d with an empty label set over a charged state, %d constant-only models",
-			k.manyLabels, k.manyStates, k.unattributed, k.bothTimelines, k.emptySet, k.constOnly)
+	if k := kernel; k.manyLabels == 0 || k.manyStates == 0 || k.unattributed == 0 || k.emptyTimeline == 0 || k.uncovered == 0 || k.bothTimelines == 0 || k.emptySet == 0 || k.constOnly == 0 {
+		t.Errorf("kernel coverage: %d breakdowns over 64 labels, %d resources in over 8 states, %d charged resources without an activity timeline, %d with one that has no segment, %d drawing power before their timeline starts, %d with both kinds, %d with an empty label set over a charged state, %d constant-only models",
+			k.manyLabels, k.manyStates, k.unattributed, k.emptyTimeline, k.uncovered, k.bothTimelines, k.emptySet, k.constOnly)
 	}
 }
 
@@ -894,18 +1000,16 @@ func TestStreamAnalyzerResetMatchesFresh(t *testing.T) {
 		if err != nil {
 			continue
 		}
-		if got.Node != want.Node || !sameBits(got.PulseUJ, want.PulseUJ) || got.Volts != want.Volts ||
-			got.StartUS != want.StartUS || got.EndUS != want.EndUS || got.TotalPulses != want.TotalPulses {
-			t.Fatalf("%s: node %d (%v uJ, %v V) over [%d, %d] with %d pulses, want node %d (%v uJ, %v V) over [%d, %d] with %d", name,
-				got.Node, got.PulseUJ, got.Volts, got.StartUS, got.EndUS, got.TotalPulses,
-				want.Node, want.PulseUJ, want.Volts, want.StartUS, want.EndUS, want.TotalPulses)
+		if got.Node != want.Node || !sameBits(got.PulseUJ, want.PulseUJ) || got.Volts != want.Volts {
+			t.Fatalf("%s: node %d (%v uJ, %v V), want node %d (%v uJ, %v V)", name,
+				got.Node, got.PulseUJ, got.Volts, want.Node, want.PulseUJ, want.Volts)
 		}
 		if !slices.Equal(got.Intervals, want.Intervals) || !slices.EqualFunc(got.Vectors, want.Vectors, func(a, b StateVector) bool {
 			return a.Key == b.Key && slices.Equal(a.Active, b.Active)
 		}) {
 			t.Fatalf("%s: intervals or vectors differ from a fresh analyzer's", name)
 		}
-		checkSameAnalysis(t, name, reused, got, want)
+		checkSameAnalysis(t, name, reused, got, refNodeOf(want))
 		// Label sets never reach an Analysis by index, so compare the
 		// tables: the reused one must not keep an earlier log's sets. (A
 		// fresh analyzer creates its table, set 0 being the empty set, at

@@ -85,7 +85,8 @@ type regScratch struct {
 
 // regFailure says why a regression could not fit, as the numbers its error
 // names, so a caller that only falls back to a constant-only model never
-// formats a message. The zero value means the fit succeeded.
+// formats a message: a *regFailure is the error, formatted when read. The
+// zero value means the fit succeeded.
 type regFailure struct {
 	kind         regFailKind
 	groups, cols int
@@ -103,18 +104,21 @@ const (
 
 func (f regFailure) failed() bool { return f.kind != regFitted }
 
-// err returns the failure as the error Analysis.RegressionErr reports.
-func (f regFailure) err() error {
+// Error is the message Analysis.RegressionErr reports.
+func (f *regFailure) Error() string {
 	switch f.kind {
 	case regNoIntervals:
-		return fmt.Errorf("analysis: no intervals to regress")
+		return "analysis: no intervals to regress"
 	case regUnderdetermined:
-		return fmt.Errorf("analysis: %d state groups cannot constrain %d coefficients", f.groups, f.cols)
+		return fmt.Sprintf("analysis: %d state groups cannot constrain %d coefficients", f.groups, f.cols)
 	case regSolverFailed:
-		return fmt.Errorf("analysis: regression: %w", f.solver)
+		return "analysis: regression: " + f.solver.Error()
 	}
-	return nil
+	return ""
 }
+
+// Unwrap returns the solver's error, if the solver failed.
+func (f *regFailure) Unwrap() error { return f.solver }
 
 // run estimates per-predictor power draws from state intervals and the
 // vectors they index, in the scratch's tables. Intervals are grouped by

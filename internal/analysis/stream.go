@@ -13,7 +13,8 @@ import (
 // StreamAnalyzer runs the full offline pipeline over an event stream in a
 // single pass, without materializing the log: it unwraps timestamps, builds
 // state intervals and activity/state timelines incrementally as entries
-// arrive, and runs the regression once at Finish. It is the one way into
+// arrive, and fits the model and charges the breakdown once, at Finish,
+// the one read path for a finished node. It is the one way into
 // the analysis: RecordBatch takes a node's whole log or one decoded batch
 // of it, and Record one entry of a merged stream (NetworkAnalyzer.Consume),
 // so it can consume a trace as it streams off disk. Memory is
@@ -21,8 +22,8 @@ import (
 // the raw entries exist only transiently in the decoder's batch buffer.
 //
 // A log whose clock steps back (see trace.Unwrapper) cannot be analyzed:
-// the analyzer skips the entry, keeps the first such error, and Finish and
-// Breakdown return it.
+// the analyzer skips the entry, keeps the first such error, and Finish
+// returns it.
 type StreamAnalyzer struct {
 	node    core.NodeID
 	pulseUJ float64
@@ -42,14 +43,14 @@ type StreamAnalyzer struct {
 	stb stateTimelineBuilder
 
 	// Set once the stream is closed: the timelines' open segments are
-	// closed, and fit and fail hold the node's model and why the
-	// regression could not fit, if it could not.
+	// closed, an is the node's Analysis and fail says why the regression
+	// could not fit, if it could not.
 	closed    bool
-	fit       *Regression
+	an        Analysis
 	fail      regFailure
 	scratch   regScratch // the regression's working tables
 	constOnly Regression // the model of a log the regression cannot fit
-	charge    charger    // Breakdown's kernel and sums
+	charge    charger    // the breakdown's kernel and sums
 }
 
 // NewStreamAnalyzer creates a single-pass analyzer for one node's stream.
@@ -136,9 +137,6 @@ func (c *resCounts) add(res core.ResourceID) {
 	c.span = max(c.span, int(res)+1)
 }
 
-// Events returns how many entries have been consumed.
-func (s *StreamAnalyzer) Events() int { return s.count }
-
 // Reset readies the analyzer for another node's stream, with that node's
 // meter quantum and voltage, under the given dictionary and the same
 // options. The analyzer is then in the state of a fresh one except that
@@ -158,111 +156,57 @@ func (s *StreamAnalyzer) Reset(node core.NodeID, pulseUJ float64, volts units.Vo
 	s.ivb.reset()
 	s.tlb.reset()
 	s.stb.reset()
-	s.closed, s.fit, s.fail = false, nil, regFailure{}
+	s.closed, s.fail = false, regFailure{}
 }
 
-// model closes the stream and fits the node's power model, once per
-// stream: the steps Finish and Breakdown share. On a log the regression
-// cannot fit, it returns a constant-only model, which the analyzer owns,
-// and why the fit failed, unformatted.
-func (s *StreamAnalyzer) model() (*Regression, regFailure, error) {
+// Finish closes the stream, fits the node's power model and charges its
+// breakdown, once per stream: a second call returns the same Analysis. The
+// Analysis belongs to the analyzer and shares its tables, the timelines
+// among them: it stays valid until the next Reset, and the analyzer must
+// not record again before one. On a log the regression cannot fit, Reg is
+// a constant-only model the analyzer owns, and RegressionErr says why,
+// formatted only when read.
+func (s *StreamAnalyzer) Finish() (*Analysis, error) {
 	if s.err != nil {
-		return nil, regFailure{}, s.err
+		return nil, s.err
 	}
 	if s.count < 2 {
-		return nil, regFailure{}, fmt.Errorf("analysis: log has %d entries; need at least 2", s.count)
+		return nil, fmt.Errorf("analysis: log has %d entries; need at least 2", s.count)
 	}
-	if !s.closed {
-		s.tlb.close(s.endUS)
-		s.stb.close(s.endUS)
-		s.fit, s.fail = s.scratch.run(s.ivb.out, s.ivb.vecs, s.pulseUJ, s.opts.Weighted)
-		if s.fail.failed() {
-			// Degrade to a constant-only model so time breakdowns and
-			// total energy still work on logs without separable power
-			// states.
-			constMW := 0.0
-			if span := s.endUS - s.startUS; span > 0 {
-				constMW = float64(s.lastIC-s.firstIC) * s.pulseUJ / float64(span) * 1000
-			}
-			s.constOnly = Regression{ConstMW: constMW}
-			s.fit = &s.constOnly
+	a := &s.an
+	if s.closed {
+		return a, nil
+	}
+	s.closed = true
+	s.tlb.close(s.endUS)
+	s.stb.close(s.endUS)
+	*a = Analysis{
+		Node:        s.node,
+		PulseUJ:     s.pulseUJ,
+		Volts:       s.volts,
+		Dict:        s.dict,
+		Opts:        s.opts,
+		StartUS:     s.startUS,
+		EndUS:       s.endUS,
+		TotalPulses: s.lastIC - s.firstIC, // uint32 arithmetic handles wrap
+		Intervals:   s.ivb.out,
+		Vectors:     s.ivb.vecs,
+		Single:      s.tlb.single,
+		Multi:       s.tlb.multi,
+		States:      s.stb.segs,
+	}
+	a.Reg, s.fail = s.scratch.run(s.ivb.out, s.ivb.vecs, s.pulseUJ, s.opts.Weighted)
+	if s.fail.failed() {
+		// Degrade to a constant-only model so time breakdowns and total
+		// energy still work on logs without separable power states.
+		s.constOnly = Regression{}
+		if span := a.Span(); span > 0 {
+			s.constOnly.ConstMW = float64(a.TotalPulses) * s.pulseUJ / float64(span) * 1000
 		}
-		s.closed = true
+		a.Reg, a.RegressionErr = &s.constOnly, &s.fail
 	}
-	return s.fit, s.fail, nil
-}
-
-// Finish closes the stream, runs the regression, and returns the completed
-// Analysis: the retained view, with the per-resource timelines as maps, that
-// NetworkAnalyzer and Instance.Network hand out. The Analysis shares the
-// analyzer's tables: it stays valid until the next Reset, and the analyzer
-// must not record again before one.
-func (s *StreamAnalyzer) Finish() (*Analysis, error) {
-	reg, fail, err := s.model()
-	if err != nil {
-		return nil, err
-	}
-	var regErr error
-	if fail.failed() {
-		regErr = fail.err()
-		reg = &Regression{PowerMW: make(map[Predictor]float64), ConstMW: reg.ConstMW}
-	}
-	single, multi := s.tlb.views()
-	return &Analysis{
-		Node:          s.node,
-		PulseUJ:       s.pulseUJ,
-		Volts:         s.volts,
-		Dict:          s.dict,
-		Opts:          s.opts,
-		StartUS:       s.startUS,
-		EndUS:         s.endUS,
-		TotalPulses:   s.lastIC - s.firstIC, // uint32 arithmetic handles wrap
-		Intervals:     s.ivb.out,
-		Vectors:       s.ivb.vecs,
-		Reg:           reg,
-		RegressionErr: regErr,
-		Single:        single,
-		Multi:         multi,
-		States:        s.stb.views(),
-	}, nil
-}
-
-// Breakdown is the map-free alternative to Finish for a caller that needs
-// only the node's energy by activity. It closes the stream, fits the model
-// as Finish does, and charges the node straight from the analyzer's
-// per-resource tables through the kernel Analysis.EnergyByActivity runs,
-// so its pairs, one per label with ConstLabel among them, hold exactly that
-// map's sums. It builds no Analysis and none of its maps, and a log the
-// regression cannot fit takes the constant-only model without its error
-// being formatted. It also returns the meter's pulses and the span across
-// the log, from which the node's energy and mean power follow as
-// Analysis.TotalEnergyUJ and AveragePowerMW derive them. The pairs belong
-// to the analyzer and stay valid until the next Reset. Breakdown and
-// Finish may both be called on one stream, in either order.
-func (s *StreamAnalyzer) Breakdown() (byActivity []LabelEnergy, pulses uint32, spanUS int64, err error) {
-	reg, _, err := s.model()
-	if err != nil {
-		return nil, 0, 0, err
-	}
-	c := &s.charge
-	c.reset(s.opts, reg)
-	for i := range s.stb.res {
-		states := s.stb.res[i].segs
-		if len(states) == 0 {
-			continue
-		}
-		var single *ActTimeline
-		var multi *MultiTimeline
-		if i < len(s.tlb.single) && s.tlb.single[i].seen {
-			single = &ActTimeline{Res: core.ResourceID(i), Segs: s.tlb.single[i].segs}
-		}
-		if i < len(s.tlb.multi) && s.tlb.multi[i].seen {
-			multi = &MultiTimeline{Res: core.ResourceID(i), Segs: s.tlb.multi[i].segs}
-		}
-		c.resource(core.ResourceID(i), states, single, multi)
-	}
-	spanUS = s.endUS - s.startUS
-	return c.finish(spanUS), s.lastIC - s.firstIC, spanUS, nil
+	a.ByActivity = s.charge.node(a)
+	return a, nil
 }
 
 // NetworkAnalyzer holds one StreamAnalyzer per node and aggregates their
@@ -313,6 +257,8 @@ func (na *NetworkAnalyzer) Consume(s trace.Stamped) {
 
 // Finish completes every node's analysis in ascending node order, so an
 // error names the lowest failing node, and returns the network aggregate.
+// Each node keeps its own analyzer, never reset, so every Analysis in the
+// Network stays valid.
 func (na *NetworkAnalyzer) Finish() (*Network, error) {
 	net := &Network{Nodes: make(map[core.NodeID]*Analysis, len(na.nodes)), Dict: na.dict}
 	for _, node := range slices.Sorted(maps.Keys(na.nodes)) {

@@ -49,9 +49,9 @@ func TestStreamAnalyzerTooFewEntries(t *testing.T) {
 // TestStreamAnalyzerUnwrapsTimestamps checks the span is computed across a
 // 32-bit clock wrap, 4,294,967,200 -> 50 us, and that a log whose clock
 // steps back by 10 us, which no wrap explains, cannot be analyzed: Finish
-// and Breakdown both return the error, naming the entry and both stamps, a
-// NetworkAnalyzer fed the log by Consume names the node too, and Reset
-// clears it.
+// returns the error, naming the entry and both stamps, every time it is
+// called, a NetworkAnalyzer fed the log by Consume names the node too, and
+// Reset clears it.
 func TestStreamAnalyzerUnwrapsTimestamps(t *testing.T) {
 	log := func(stamps ...uint32) []core.Entry {
 		out := make([]core.Entry, len(stamps))
@@ -63,11 +63,10 @@ func TestStreamAnalyzerUnwrapsTimestamps(t *testing.T) {
 	const want = "trace: entry 2: clock steps back from 2000 to 1990 us"
 	sa := NewStreamAnalyzer(1, 8.33, 3.0, core.NewDictionary(), DefaultOptions())
 	sa.RecordBatch(log(1000, 2000, 1990, 3000))
-	if _, err := sa.Finish(); err == nil || err.Error() != want {
-		t.Errorf("Finish: %v, want %q", err, want)
-	}
-	if _, _, _, err := sa.Breakdown(); err == nil || err.Error() != want {
-		t.Errorf("Breakdown: %v, want %q", err, want)
+	for range 2 {
+		if _, err := sa.Finish(); err == nil || err.Error() != want {
+			t.Errorf("Finish: %v, want %q", err, want)
+		}
 	}
 	na := NewNetworkAnalyzer(core.NewDictionary(), DefaultOptions(), 8.33, 3.0)
 	for _, e := range log(1000, 2000, 1990, 3000) {
@@ -274,5 +273,46 @@ func TestNetworkReportTieOrder(t *testing.T) {
 		if i, j := strings.Index(want, "1:"+name), strings.Index(want, "2:"+name); i < 0 || j < 0 || i > j {
 			t.Errorf("tied rows for %q out of label order:\n%s", name, want)
 		}
+	}
+}
+
+// TestStreamAnalyzerFinishAllocs analyzes a node whose regression cannot
+// fit (its two state groups cannot constrain two draws and the constant)
+// with a warm analyzer, as Instance.Finish analyzes node after node.
+// Finish builds no map, formats no error and takes the analyzer's
+// constant-only model, so Reset, RecordBatch and Finish allocate only what
+// interning the log's state vectors and label set costs: 6 allocations,
+// as many as Reset, RecordBatch and the map-free breakdown Finish replaced
+// made on this log.
+func TestStreamAnalyzerFinishAllocs(t *testing.T) {
+	const want = 6
+	dict := core.NewDictionary()
+	app := core.MkLabel(1, 2)
+	log := []core.Entry{
+		{Type: core.EntryPowerState, Res: 0, Val: 1, Time: 0, IC: 0},
+		{Type: core.EntryActivitySet, Res: 0, Val: uint16(app), Time: 0, IC: 0},
+		{Type: core.EntryPowerState, Res: 0, Val: 0, Time: 500, IC: 4},
+		{Type: core.EntryPowerState, Res: 14, Val: 1, Time: 500, IC: 4},
+		{Type: core.EntryActivityAdd, Res: 11, Val: uint16(app), Time: 700, IC: 6},
+		{Type: core.EntryMarker, Time: 1000, IC: 9},
+	}
+	sa := NewStreamAnalyzer(0, 0, 0, nil, DefaultOptions())
+	var a *Analysis
+	analyze := func() {
+		sa.Reset(1, 8.33, 3.0, dict)
+		sa.RecordBatch(log)
+		var err error
+		if a, err = sa.Finish(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	analyze()
+	if a.RegressionErr == nil {
+		t.Fatal("the regression fit; the log must not let it")
+	}
+	n := testing.AllocsPerRun(100, analyze)
+	t.Logf("%.0f allocations", n)
+	if n > want {
+		t.Errorf("Reset, RecordBatch and Finish allocate %.0f times per node, want at most %d", n, want)
 	}
 }

@@ -29,8 +29,8 @@ func (a *Analysis) ActivityRows(resources []core.ResourceID, t0, t1 int64) []Tim
 	var rows []TimelineRow
 	for _, res := range resources {
 		row := TimelineRow{Res: res, Name: a.Dict.ResourceName(res)}
-		if tl := a.Single[res]; tl != nil {
-			for _, s := range tl.Segs {
+		if int(res) < len(a.Single) {
+			for _, s := range a.Single[res].Segs {
 				lo, hi := max(s.Start, t0), min(s.End, t1)
 				if hi <= lo || s.Label.IsIdle() {
 					continue
@@ -38,8 +38,8 @@ func (a *Analysis) ActivityRows(resources []core.ResourceID, t0, t1 int64) []Tim
 				row.Spans = append(row.Spans, TimelineSpan{lo, hi, a.Dict.LabelName(s.Label)})
 			}
 		}
-		if mt := a.Multi[res]; mt != nil {
-			for _, s := range mt.Segs {
+		if int(res) < len(a.Multi) {
+			for _, s := range a.Multi[res].Segs {
 				lo, hi := max(s.Start, t0), min(s.End, t1)
 				if hi <= lo || len(s.Labels) == 0 {
 					continue

@@ -68,8 +68,8 @@ func Figure12(seed uint64) (*Report, error) {
 	// (c) Transmission detail: find a TX window whose radio activity is the
 	// remote label (node 1 transmitting on behalf of node 4's activity).
 	var txlo, txhi int64 = -1, -1
-	if tl := a.Single[power.ResRadioTx]; tl != nil {
-		for _, seg := range tl.Segs {
+	if int(power.ResRadioTx) < len(a.Single) {
+		for _, seg := range a.Single[power.ResRadioTx].Segs {
 			if seg.Label == remote {
 				txlo, txhi = seg.Start-int64(2*units.Millisecond), seg.End+int64(4*units.Millisecond)
 				break

@@ -149,8 +149,8 @@ func proxyCPUTime(a *analysis.Analysis, name string) int64 {
 		return 0
 	}
 	var total int64
-	if tl := a.Single[power.ResCPU]; tl != nil {
-		for _, seg := range tl.Segs {
+	if int(power.ResCPU) < len(a.Single) {
+		for _, seg := range a.Single[power.ResCPU].Segs {
 			if seg.Label == label {
 				total += seg.End - seg.Start
 			}

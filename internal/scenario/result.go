@@ -149,13 +149,11 @@ func (r *Result) Values() map[string]float64 {
 // folded into the Result before the next node starts. Attribution is per
 // node, so nothing network-wide stays alive while a node is analyzed, and
 // the analyzer's tables, the regression's among them, are sized once for
-// the whole run. The breakdown comes from StreamAnalyzer.Breakdown, read
-// straight from the analyzer's per-resource tables: Finish builds no
-// Analysis, and each node's label sums are folded before the Reset that
-// reclaims them. The sums are bit-identical to Network's, which adds the
-// same per-node sums in the same node order. An error names the lowest
-// failing node, as NetworkAnalyzer.Finish does. Finish does not build the
-// retained per-node view; Network does.
+// the whole run. Each node's Analysis, label sums included, is read before
+// the Reset that reclaims it. The sums are bit-identical to Network's,
+// which adds the same per-node sums in the same node order. An error names
+// the lowest failing node, as NetworkAnalyzer.Finish does. Finish does not
+// keep the per-node view; Network does.
 func (in *Instance) Finish() (*Result, error) { return in.finish(newAnalyzer()) }
 
 // newAnalyzer returns an analyzer for finish, which resets it for every node
@@ -178,31 +176,24 @@ func (in *Instance) finish(sa *analysis.StreamAnalyzer) (*Result, error) {
 	byLabel := make(map[core.Label]float64)
 	for _, id := range slices.Compact(ids) {
 		n := w.Node(id)
-		pulseUJ := n.Meter.PulseEnergy()
-		sa.Reset(id, pulseUJ, n.Volts, w.Dict)
+		sa.Reset(id, n.Meter.PulseEnergy(), n.Volts, w.Dict)
 		sa.RecordBatch(n.Log.Entries)
-		byAct, pulses, span, err := sa.Breakdown()
+		a, err := sa.Finish()
 		if err != nil {
 			return nil, fmt.Errorf("node %d: %w", id, err)
 		}
-		for _, le := range byAct {
+		for _, le := range a.ByActivity {
 			byLabel[le.Label] += le.UJ
 		}
-		// The node's energy and mean power, as Analysis.TotalEnergyUJ and
-		// AveragePowerMW compute them.
-		energy, avg := float64(pulses)*pulseUJ, 0.0
-		if span > 0 {
-			avg = energy / float64(span) * 1000
-		}
-		r.TotalUJ += energy
+		r.TotalUJ += a.TotalEnergyUJ()
 		r.Entries += len(n.Log.Entries)
-		r.SpanUS = max(r.SpanUS, span)
+		r.SpanUS = max(r.SpanUS, a.Span())
 		nr := NodeResult{
 			Node:       int(id),
 			Entries:    len(n.Log.Entries),
-			SpanUS:     span,
-			EnergyUJ:   energy,
-			AvgPowerMW: avg,
+			SpanUS:     a.Span(),
+			EnergyUJ:   a.TotalEnergyUJ(),
+			AvgPowerMW: a.AveragePowerMW(),
 		}
 		if n.Battery != nil {
 			// Close the battery's integration at the end of the run so a

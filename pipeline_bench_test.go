@@ -104,12 +104,13 @@ func streamNetwork(tb testing.TB, logs [][]core.Entry) *analysis.Network {
 	return net
 }
 
-// runStreamingPipeline runs the streaming path and its breakdown.
+// runStreamingPipeline runs the streaming path, whose Finish charges each
+// node's breakdown, and sums the breakdowns network-wide.
 func runStreamingPipeline(tb testing.TB, logs [][]core.Entry) float64 {
 	net := streamNetwork(tb, logs)
 	total := net.TotalEnergyUJ()
 	for _, uj := range net.EnergyByActivity() {
-		total += uj * 0 // breakdown runs; totals already counted
+		total += uj * 0 // the sum runs; totals already counted
 	}
 	return total
 }
