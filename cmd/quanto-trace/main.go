@@ -99,6 +99,8 @@ import (
 	"repro/internal/apps"
 	"repro/internal/core"
 	"repro/internal/icount"
+	"repro/internal/mote"
+	"repro/internal/power"
 	"repro/internal/scenario"
 	"repro/internal/trace"
 	"repro/internal/units"
@@ -188,7 +190,7 @@ func run(args []string, stderr io.Writer) int {
 	case "dump":
 		err = withStream(fs.Args(), dump)
 	case "summary":
-		err = withStream(fs.Args(), summary)
+		err = withStream(fs.Args(), func(r *trace.Reader) error { return summary(os.Stdout, r) })
 	case "analyze":
 		err = analyze(os.Stdout, fs.Args())
 	case "merge":
@@ -348,20 +350,21 @@ func dump(r *trace.Reader) error {
 	return err
 }
 
-func summary(r *trace.Reader) error {
+func summary(w io.Writer, r *trace.Reader) error {
 	counters := core.NewCounterSink()
 	// The wire timestamp is 32 bits (~71.6 min); unwrap it so long traces
 	// report their true span (a clock that steps back is an error), and
 	// count pulses in 64 bits for the same reason. A merged multi-node
 	// trace interleaves unrelated iCount counters (the wire format carries
-	// no node id), which shows up as huge backwards jumps — flag it and
-	// report the pulse count as meaningless rather than summing garbage
-	// deltas.
+	// no node id), so the pulse count would sum another node's deltas:
+	// report it as meaningless instead. A merge shows as an entry after a
+	// node's end (a simulator log ends in exactly one end stamp or death
+	// marker) or, in logs without markers, as a counter that runs back.
 	var uw trace.Unwrapper
 	var startUS, endUS int64
 	var pulses uint64
 	var lastIC uint32
-	interleaved := false
+	interleaved, ended := false, false
 	total := 0
 	err := forEachBatch(r, func(batch []core.Entry) error {
 		for _, e := range batch {
@@ -375,11 +378,9 @@ func summary(r *trace.Reader) error {
 			}
 			endUS = at
 			d := e.IC - lastIC // uint32 wrap-aware delta
-			if d >= 1<<31 {
-				// A real counter never loses ground; this is another node's
-				// counter spliced in by a merge.
-				interleaved = true
-			}
+			interleaved = interleaved || ended || d >= 1<<31
+			ended = e.Type == core.EntryMarker && e.Res == power.ResBaseline &&
+				(e.Val == mote.EndMarker || e.Val == mote.DeathMarker)
 			pulses += uint64(d)
 			lastIC = e.IC
 			total++
@@ -390,29 +391,29 @@ func summary(r *trace.Reader) error {
 	if err != nil {
 		return err
 	}
-	fmt.Printf("entries: %d (%d bytes)\n\nby type:\n", total, total*core.EntrySize)
+	fmt.Fprintf(w, "entries: %d (%d bytes)\n\nby type:\n", total, total*core.EntrySize)
 	types := make([]int, 0, len(counters.PerType))
 	for t := range counters.PerType {
 		types = append(types, int(t))
 	}
 	sort.Ints(types)
 	for _, t := range types {
-		fmt.Printf("  %-6s %6d\n", core.EntryType(t), counters.PerType[core.EntryType(t)])
+		fmt.Fprintf(w, "  %-6s %6d\n", core.EntryType(t), counters.PerType[core.EntryType(t)])
 	}
-	fmt.Println("by resource:")
+	fmt.Fprintln(w, "by resource:")
 	rs := make([]int, 0, len(counters.PerRes))
 	for r := range counters.PerRes {
 		rs = append(rs, int(r))
 	}
 	sort.Ints(rs)
 	for _, r := range rs {
-		fmt.Printf("  res%-4d %6d\n", r, counters.PerRes[core.ResourceID(r)])
+		fmt.Fprintf(w, "  res%-4d %6d\n", r, counters.PerRes[core.ResourceID(r)])
 	}
 	if total > 0 {
 		if interleaved {
-			fmt.Printf("span: %d us, pulses: n/a (merged stream interleaves per-node counters)\n", endUS-startUS)
+			fmt.Fprintf(w, "span: %d us, pulses: n/a (merged stream interleaves per-node counters)\n", endUS-startUS)
 		} else {
-			fmt.Printf("span: %d us, %d pulses\n", endUS-startUS, pulses)
+			fmt.Fprintf(w, "span: %d us, %d pulses\n", endUS-startUS, pulses)
 		}
 	}
 	return nil

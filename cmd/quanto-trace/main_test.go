@@ -9,6 +9,8 @@ import (
 	"testing"
 
 	"repro/internal/core"
+	"repro/internal/mote"
+	"repro/internal/power"
 	"repro/internal/trace"
 )
 
@@ -321,6 +323,66 @@ func TestSummaryRejectsClockStepBack(t *testing.T) {
 		var stderr bytes.Buffer
 		if code := run([]string{"summary", name}, &stderr); code != c.code || !strings.Contains(stderr.String(), c.stderr) {
 			t.Errorf("summary of stamps %v: exit %d, stderr %q; want %d and %q", c.stamps, code, stderr.String(), c.code, c.stderr)
+		}
+	}
+}
+
+// TestSummaryPulsesOnMergedStreams checks that summary counts a single
+// log's pulses but not a merged stream's. Two Blink logs merged by time,
+// in either order, interleave counters that never run back, so only the
+// entries after the first log's end stamp show the merge; two logs ending
+// in a death marker, one after the other, show it the same way.
+func TestSummaryPulsesOnMergedStreams(t *testing.T) {
+	dir := t.TempDir()
+	a, b := filepath.Join(dir, "a.qt"), filepath.Join(dir, "b.qt")
+	if err := gen(a, 1, 48); err != nil {
+		t.Fatal(err)
+	}
+	if err := gen(b, 2, 20); err != nil {
+		t.Fatal(err)
+	}
+	pulses := func(data []byte) string {
+		t.Helper()
+		var out strings.Builder
+		if err := summary(&out, trace.NewReader(bytes.NewReader(data))); err != nil {
+			t.Fatal(err)
+		}
+		_, last, _ := strings.Cut(strings.TrimSuffix(out.String(), "\n"), "span: ")
+		return last
+	}
+	merged := func(names ...string) []byte {
+		t.Helper()
+		out := filepath.Join(dir, "merged.qt")
+		var stderr strings.Builder
+		if code := run(append([]string{"merge", out}, names...), &stderr); code != 0 {
+			t.Fatalf("merge exited %d: %s", code, stderr.String())
+		}
+		data, err := os.ReadFile(out)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return data
+	}
+	dying := func(t0, ic0 uint32) []core.Entry {
+		return []core.Entry{
+			{Type: core.EntryMarker, Time: t0, IC: ic0},
+			{Type: core.EntryMarker, Time: t0 + 10, IC: ic0 + 5},
+			{Type: core.EntryMarker, Res: power.ResBaseline, Time: t0 + 20, IC: ic0 + 9, Val: mote.DeathMarker},
+		}
+	}
+	const na = "pulses: n/a (merged stream interleaves per-node counters)"
+	for _, c := range []struct {
+		name string
+		data []byte
+		want string
+	}{
+		{"node 1's log", trace.Marshal(readLog(t, a)), "48000000 us, 62173 pulses"},
+		{"merge of node 1's and node 2's logs", merged(a, b), "48000000 us, " + na},
+		{"merge of node 2's and node 1's logs", merged(b, a), "48000000 us, " + na},
+		{"two logs ending in a death marker", trace.Marshal(append(dying(100, 0), dying(200, 50)...)), "120 us, " + na},
+	} {
+		if got := pulses(c.data); got != c.want {
+			t.Errorf("summary of %s: span %s, want %s", c.name, got, c.want)
 		}
 	}
 }

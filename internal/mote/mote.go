@@ -104,8 +104,12 @@ func (n *Node) DiedAt() (units.Ticks, bool) { return n.diedAt, n.dead }
 // DeathMarker is the marker value logged (on power.ResBaseline) as a node's
 // final entry when its battery depletes, so offline analysis can close the
 // last interval at the exact death instant and tell a dead node's truncated
-// log from a completed run's (which ends in the 0xFFFF end stamp).
+// log from a completed run's (which ends in EndMarker).
 const DeathMarker uint16 = 0xDEAD
+
+// EndMarker is the marker value StampEnd logs (on power.ResBaseline) as a
+// surviving node's final entry.
+const EndMarker uint16 = 0xFFFF
 
 // Death records one battery depletion.
 type Death struct {
@@ -310,7 +314,7 @@ func (w *World) StampEnd() {
 		if n.dead {
 			continue
 		}
-		n.Trk.Marker(power.ResBaseline, 0xFFFF)
+		n.Trk.Marker(power.ResBaseline, EndMarker)
 		if n.Drain != nil {
 			n.Drain.Flush()
 		}
