@@ -184,9 +184,8 @@ func (a *Analysis) EnergyByResource() (map[core.ResourceID]float64, float64) {
 	return out, constUJ
 }
 
-// EnergyByActivity returns ByActivity as a map: the energy each activity
-// held the resources for — Table 3(d) — with the constant term's under
-// ConstLabel.
+// EnergyByActivity returns ByActivity as a map from label to energy in uJ —
+// Table 3(d) — with the constant term's energy under ConstLabel.
 func (a *Analysis) EnergyByActivity() map[core.Label]float64 {
 	out := make(map[core.Label]float64, len(a.ByActivity))
 	for _, s := range a.ByActivity {
@@ -202,12 +201,12 @@ type LabelEnergy struct {
 }
 
 // charger is the breakdown's charging kernel. Fed a node's resources in
-// ascending id (see node), it charges each resource's fitted power, one non-baseline
-// state segment at a time, to whichever activity held the resource, and sums
-// the charges per label; finish adds the constant term last. Each label gets
-// the additions a map keyed by label would get, in the same order, so the
-// sums match such a map bit for bit. A charger keeps its tables across
-// reset.
+// ascending id (see node), it charges each resource's fitted power, one
+// non-baseline state segment at a time, to whichever activity held the
+// resource, and sums the charges per label; finish adds the constant term
+// last. Each label gets the additions a map keyed by label would get, in
+// the same order, so the sums match such a map bit for bit. A charger keeps
+// its tables from node to node.
 type charger struct {
 	opts Options
 	reg  *Regression
@@ -246,8 +245,8 @@ func (c *charger) node(a *Analysis) []LabelEnergy {
 // resource charges one resource's state segments, which follow one another
 // in time. A single-activity timeline, if the resource has one, says who
 // held it; else a multi-activity one; a resource with neither is
-// unattributed and charged to ConstLabel. A timeline the resource has but
-// with no segment over a state segment charges nothing for it. Timeline segments also follow one
+// unattributed and charged to ConstLabel, while a stretch its timeline has
+// no segment over is charged to no one. Timeline segments also follow one
 // another with strictly increasing ends, so the first segment overlapping a
 // state segment is found by a cursor that only moves forward: the whole
 // resource costs one pass over each timeline.
