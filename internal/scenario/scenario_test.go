@@ -368,12 +368,16 @@ func TestSweepWorkerCountInvariance(t *testing.T) {
 	}
 }
 
-// TestRunnerReuseMatchesRunSpec: a Runner worker analyzes every run it
-// takes through one reused analyzer, so no dictionary, proxy set or table
-// may leak from one run into the next. A mixed list of apps — each with its
-// own dictionary and proxy activities — must give, run by run, the bytes
-// RunSpec's fresh analyzer gives, whichever runs came before: forward and
-// reversed, on one worker and on four.
+// TestRunnerReuseMatchesRunSpec: a Runner worker runs every spec it takes
+// through one reused analyzer and, when it keeps log storage, into storage
+// an earlier run wrote, so no dictionary, proxy set, table or entry may leak
+// from one run into the next. A mixed list of apps — each with its own
+// dictionary and proxy activities, long logs and short, 40 nodes and one —
+// must give, run by run, the bytes RunSpec's fresh run gives, whichever runs
+// came before: forward and reversed, on one worker and on four. Entries
+// reach a log in each way the mote logs them: one at a time, as a node's
+// final death marker (the 1 µAh lpl node dies 1.6 s in), and in the
+// continuous-drain batches (the second bounce).
 func TestRunnerReuseMatchesRunSpec(t *testing.T) {
 	second := int64(units.Second)
 	specs := []scenario.Spec{
@@ -383,32 +387,38 @@ func TestRunnerReuseMatchesRunSpec(t *testing.T) {
 		{App: "relay", Seed: 4, Nodes: 40, Placement: scenario.PlacementRGG, Origins: 3,
 			PeriodUS: 100_000, DurationUS: 2 * second},
 		{App: "sensesend", Seed: 5, DurationUS: 2 * second},
+		{App: "lpl", Seed: 6, Channel: 17, BatteryUAH: 1, DurationUS: 3 * second},
+		{App: "bounce", Seed: 7, ContinuousDrain: true, DurationUS: 2 * second},
 	}
-	marshal := func(r *scenario.Result) string {
+	jsonOf := func(v any) string {
 		t.Helper()
-		if r.Error != "" {
-			t.Fatalf("%s: %s", r.Spec.App, r.Error)
-		}
-		c := *r
-		c.Run = 0 // the run's index in whichever list it came from
-		b, err := json.Marshal(&c)
+		b, err := json.Marshal(v)
 		if err != nil {
 			t.Fatal(err)
 		}
 		return string(b)
 	}
-	want := make(map[string]string) // by app
+	marshal := func(r *scenario.Result) string {
+		t.Helper()
+		if r.Error != "" {
+			t.Fatalf("%s seed %d: %s", r.Spec.App, r.Spec.Seed, r.Error)
+		}
+		c := *r
+		c.Run = 0 // the run's index in whichever list it came from
+		return jsonOf(&c)
+	}
+	want := make(map[string]string) // by spec
 	for _, s := range specs {
-		want[s.App] = marshal(scenario.RunSpec(s))
+		want[jsonOf(s)] = marshal(scenario.RunSpec(s))
 	}
 	reversed := slices.Clone(specs)
 	slices.Reverse(reversed)
 	for _, workers := range []int{1, 4} {
 		for _, order := range [][]scenario.Spec{specs, reversed} {
 			for _, r := range (&scenario.Runner{Workers: workers}).Run(order) {
-				if got := marshal(r); got != want[r.Spec.App] {
-					t.Errorf("workers=%d, list from %s to %s: %s Result differs from RunSpec's:\n%s\nwant\n%s",
-						workers, order[0].App, order[len(order)-1].App, r.Spec.App, got, want[r.Spec.App])
+				if got, w := marshal(r), want[jsonOf(r.Spec)]; got != w {
+					t.Errorf("workers=%d, list from %s to %s: %s seed %d Result differs from RunSpec's:\n%s\nwant\n%s",
+						workers, order[0].App, order[len(order)-1].App, r.Spec.App, r.Spec.Seed, got, w)
 				}
 			}
 		}
