@@ -273,24 +273,7 @@ func (in *Instance) Network() (*analysis.Network, error) {
 }
 
 // RunSpec builds, runs, and analyzes one spec. Failures (including panics in
-// app code) are captured in the Result rather than aborting a sweep.
-func RunSpec(spec Spec) *Result { return runSpec(spec, newAnalyzer()) }
-
-// runSpec is RunSpec analyzing through sa (see finish).
-func runSpec(spec Spec, sa *analysis.StreamAnalyzer) (res *Result) {
-	defer func() {
-		if p := recover(); p != nil {
-			res = &Result{Spec: spec, Error: fmt.Sprintf("panic: %v", p)}
-		}
-	}()
-	in, err := Build(spec)
-	if err != nil {
-		return &Result{Spec: spec, Error: err.Error()}
-	}
-	in.Run()
-	r, err := in.finish(sa)
-	if err != nil {
-		return &Result{Spec: spec, Error: err.Error()}
-	}
-	return r
-}
+// app code) are captured in the Result rather than aborting a sweep. It runs
+// the spec on a fresh Runner worker, so a Runner's Result for the spec is
+// the same bytes.
+func RunSpec(spec Spec) *Result { return newWorker().run(spec) }

@@ -1,10 +1,12 @@
 package scenario
 
 import (
+	"fmt"
 	"runtime"
 	"sync"
 
 	"repro/internal/analysis"
+	"repro/internal/core"
 )
 
 // Runner executes an expanded spec list concurrently. Every run is isolated
@@ -14,6 +16,14 @@ import (
 // StreamAnalyzer across its runs and resets it for every node under the
 // run's dictionary, so a sweep sizes the analyzer's tables once per worker
 // instead of once per run; a reset analyzer gives a fresh one's Result.
+//
+// Each worker also keeps one log buffer per node position and hands it to
+// the node at that position in every run it takes, so a sweep grows its
+// logs once per worker instead of once per run. A log holds the same
+// entries in the same order in an older array, so every Result is
+// byte-identical to RunSpec's. Until Run returns, a worker keeps at each
+// node position the storage of the longest log it has held there, which
+// grew by doubling to at most about twice that log's entries.
 type Runner struct {
 	// Workers is the pool size; <= 0 selects GOMAXPROCS.
 	Workers int
@@ -47,9 +57,9 @@ func (rn *Runner) Run(specs []Spec) []*Result {
 	for w := 0; w < workers; w++ {
 		go func() {
 			defer wg.Done()
-			sa := newAnalyzer()
+			wk := newWorker()
 			for i := range jobs {
-				r := runSpec(specs[i], sa)
+				r := wk.run(specs[i])
 				r.Run = i
 				results[i] = r
 				done <- i
@@ -80,6 +90,53 @@ func (rn *Runner) Run(specs []Spec) []*Result {
 		}
 	}
 	return results
+}
+
+// worker runs specs one after another and keeps what a run sizes: one
+// analyzer, which finish resets for every node, and one log buffer per node
+// position in World.Nodes.
+type worker struct {
+	sa   *analysis.StreamAnalyzer
+	logs [][]core.Entry
+}
+
+func newWorker() *worker { return &worker{sa: newAnalyzer()} }
+
+// run builds, runs and analyzes one spec, capturing a failure or a panic in
+// the Result. Between Build and Run, each node at a position the worker has
+// a buffer for moves the entries it logged during assembly into that
+// buffer; after finish the worker takes every node's log storage back. No
+// Result aliases a log. A run that panics gives nothing back: the arrays
+// its nodes adopted are reachable only through the worker's buffers, which
+// stay safe to reuse.
+func (wk *worker) run(spec Spec) (res *Result) {
+	defer func() {
+		if p := recover(); p != nil {
+			res = &Result{Spec: spec, Error: fmt.Sprintf("panic: %v", p)}
+		}
+	}()
+	in, err := Build(spec)
+	if err != nil {
+		return &Result{Spec: spec, Error: err.Error()}
+	}
+	for i, n := range in.World.Nodes {
+		if i < len(wk.logs) {
+			n.Log.Entries = append(wk.logs[i][:0], n.Log.Entries...)
+		}
+	}
+	in.Run()
+	r, err := in.finish(wk.sa)
+	for i, n := range in.World.Nodes {
+		if i < len(wk.logs) {
+			wk.logs[i] = n.Log.Entries
+		} else {
+			wk.logs = append(wk.logs, n.Log.Entries)
+		}
+	}
+	if err != nil {
+		return &Result{Spec: spec, Error: err.Error()}
+	}
+	return r
 }
 
 // Lifetimes folds the battery outcomes of a result list into a lifetime

@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"repro/internal/apps" // registers the paper's workloads
+	"repro/internal/core"
 	"repro/internal/scenario"
 	"repro/internal/units"
 )
@@ -421,6 +422,67 @@ func TestRunnerReuseMatchesRunSpec(t *testing.T) {
 						workers, order[0].App, order[len(order)-1].App, r.Spec.App, r.Spec.Seed, got, w)
 				}
 			}
+		}
+	}
+}
+
+// TestWorkerReusesLogStorage: a Runner worker hands each node position the
+// log storage its earlier runs grew. Losing that reuse changes no Result and
+// adds only a few allocations per run, which the bench gate's allocation
+// count would not catch, so this test checks the arrays themselves.
+func TestWorkerReusesLogStorage(t *testing.T) {
+	second := int64(units.Second)
+	wk := scenario.NewWorker()
+	// run runs s on wk and returns the worker's buffers, which must hold the
+	// run's own logs: these apps add their nodes in ascending id order, so
+	// the buffer at position i is the log of the Result's i-th node.
+	run := func(s scenario.Spec) [][]core.Entry {
+		t.Helper()
+		r := wk.Run(s)
+		if r.Error != "" {
+			t.Fatalf("%s: %s", s.App, r.Error)
+		}
+		logs := slices.Clone(wk.Logs())
+		if len(logs) < len(r.Nodes) {
+			t.Fatalf("after %s, worker holds %d buffers for %d nodes", s.App, len(logs), len(r.Nodes))
+		}
+		for i, n := range r.Nodes {
+			if len(logs[i]) != n.Entries {
+				t.Fatalf("after %s, buffer %d holds %d entries, but node %d logged %d",
+					s.App, i, len(logs[i]), n.Node, n.Entries)
+			}
+		}
+		return logs
+	}
+	sameArray := func(a, b []core.Entry) bool {
+		return cap(a) == cap(b) && &a[:1][0] == &b[:1][0]
+	}
+
+	lpl := scenario.Spec{App: "lpl", Seed: 3, Channel: 17, DurationUS: 3 * second}
+	first := run(lpl)
+	again := run(lpl)
+	if len(first) != 1 || len(again) != 1 {
+		t.Fatalf("lpl runs left %d and %d buffers, want 1", len(first), len(again))
+	}
+	if !sameArray(first[0], again[0]) {
+		t.Errorf("second lpl run logged into a new array (cap %d -> %d)", cap(first[0]), cap(again[0]))
+	}
+
+	wk = scenario.NewWorker()
+	relay := scenario.Spec{App: "relay", Seed: 4, Nodes: 3, DurationUS: 2 * second}
+	run(relay)
+	before := run(scenario.Spec{App: "blink", Seed: 1, DurationUS: 2 * second})
+	if len(before) != 3 {
+		t.Fatalf("worker holds %d buffers after a 3-node and a 1-node run, want 3", len(before))
+	}
+	after := run(relay)
+	if len(after) != 3 {
+		t.Fatalf("worker holds %d buffers after the second relay run, want 3", len(after))
+	}
+	for i := range after {
+		if !sameArray(before[i], after[i]) {
+			t.Errorf("second relay run: node position %d logged into a new array (cap %d -> %d)",
+				i, cap(before[i]), cap(after[i]))
 		}
 	}
 }
