@@ -1,6 +1,7 @@
 package scenario_test
 
 import (
+	"bytes"
 	"encoding/json"
 	"fmt"
 	"slices"
@@ -10,6 +11,7 @@ import (
 	"repro/internal/apps" // registers the paper's workloads
 	"repro/internal/core"
 	"repro/internal/scenario"
+	"repro/internal/trace"
 	"repro/internal/units"
 )
 
@@ -369,6 +371,16 @@ func TestSweepWorkerCountInvariance(t *testing.T) {
 	}
 }
 
+// reuseRelay40 is the widest spec the reuse tests run: 40 nodes on a
+// random geometric placement, three origins and a busy period.
+var reuseRelay40 = scenario.Spec{App: "relay", Seed: 4, Nodes: 40, Placement: scenario.PlacementRGG,
+	Origins: 3, PeriodUS: 100_000, DurationUS: 2 * int64(units.Second)}
+
+// reuseHaltWorld is an lpl spec whose 1 µAh node dies mid-run (1.5 s in)
+// under the halt-world policy, so its run ends on a halted simulator.
+var reuseHaltWorld = scenario.Spec{App: "lpl", Seed: 8, Channel: 17, BatteryUAH: 1,
+	DeathPolicy: scenario.DeathPolicyHaltWorld, DurationUS: 3 * int64(units.Second)}
+
 // TestRunnerReuseMatchesRunSpec: a Runner worker runs every spec it takes
 // through one reused analyzer and, when it keeps log storage, into storage
 // an earlier run wrote, so no dictionary, proxy set, table or entry may leak
@@ -378,18 +390,22 @@ func TestSweepWorkerCountInvariance(t *testing.T) {
 // came before: forward and reversed, on one worker and on four. Entries
 // reach a log in each way the mote logs them: one at a time, as a node's
 // final death marker (the 1 µAh lpl node dies 1.6 s in), and in the
-// continuous-drain batches (the second bounce).
+// continuous-drain batches (the second bounce). The last run halts the
+// whole simulator at its node's death, and whatever runs after it on the
+// same worker must run as if no simulator had ever halted.
 func TestRunnerReuseMatchesRunSpec(t *testing.T) {
 	second := int64(units.Second)
 	specs := []scenario.Spec{
 		{App: "blink", Seed: 1, DurationUS: 2 * second},
 		{App: "bounce", Seed: 2, DurationUS: 2 * second},
 		{App: "lpl", Seed: 3, Channel: 17, DurationUS: 3 * second}, // under Wi-Fi
-		{App: "relay", Seed: 4, Nodes: 40, Placement: scenario.PlacementRGG, Origins: 3,
-			PeriodUS: 100_000, DurationUS: 2 * second},
+		reuseRelay40,
 		{App: "sensesend", Seed: 5, DurationUS: 2 * second},
 		{App: "lpl", Seed: 6, Channel: 17, BatteryUAH: 1, DurationUS: 3 * second},
 		{App: "bounce", Seed: 7, ContinuousDrain: true, DurationUS: 2 * second},
+		{App: "dma", Seed: 9, DurationUS: 2 * second},
+		{App: "timerbug", Seed: 9, DurationUS: 2 * second},
+		reuseHaltWorld,
 	}
 	jsonOf := func(v any) string {
 		t.Helper()
@@ -420,6 +436,49 @@ func TestRunnerReuseMatchesRunSpec(t *testing.T) {
 				if got, w := marshal(r), want[jsonOf(r.Spec)]; got != w {
 					t.Errorf("workers=%d, list from %s to %s: %s seed %d Result differs from RunSpec's:\n%s\nwant\n%s",
 						workers, order[0].App, order[len(order)-1].App, r.Spec.App, r.Spec.Seed, got, w)
+				}
+			}
+		}
+	}
+}
+
+// TestWorkerRunMatchesFreshTraces: a worker's run of every registered app
+// logs, node by node, the bytes a fresh worker's run of the same spec logs,
+// after the worker first ran a wider world (40 relay nodes, events still
+// pending at its end) or one whose simulator halted. Result equality cannot see an
+// entry that moved without changing a sum; the encoded logs can.
+func TestWorkerRunMatchesFreshTraces(t *testing.T) {
+	// logsOf runs s on wk and encodes the worker's first n log buffers,
+	// which hold the run's logs by node position.
+	logsOf := func(wk *scenario.Worker, s scenario.Spec, n int) [][]byte {
+		t.Helper()
+		if r := wk.Run(s); r.Error != "" {
+			t.Fatalf("%s seed %d: %s", s.App, s.Seed, r.Error)
+		}
+		logs := wk.Logs()
+		if n < 0 {
+			n = len(logs)
+		}
+		if len(logs) < n {
+			t.Fatalf("%s: worker holds %d buffers, want at least %d", s.App, len(logs), n)
+		}
+		out := make([][]byte, n)
+		for i := range out {
+			out[i] = trace.Marshal(logs[i])
+		}
+		return out
+	}
+	for _, app := range scenario.Apps() {
+		spec := scenario.Spec{App: app, Seed: 9, DurationUS: 2 * int64(units.Second)}
+		want := logsOf(scenario.NewWorker(), spec, -1)
+		for _, first := range []scenario.Spec{reuseRelay40, reuseHaltWorld} {
+			wk := scenario.NewWorker()
+			logsOf(wk, first, -1)
+			got := logsOf(wk, spec, len(want))
+			for i := range want {
+				if !bytes.Equal(got[i], want[i]) {
+					t.Errorf("%s after %s seed %d: node position %d logged %d bytes unlike a fresh worker's %d",
+						app, first.App, first.Seed, i, len(got[i]), len(want[i]))
 				}
 			}
 		}
