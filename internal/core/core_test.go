@@ -383,17 +383,37 @@ func TestDictionaryProxiesAndMerge(t *testing.T) {
 	d.MarkProxy(p)
 	d.NameActivity(1, 7, "int_X")
 	d.NameActivity(2, 3, "App")
-	if !d.IsProxy(p) {
-		t.Error("proxy flag not set")
-	}
-	if d.IsProxy(MkLabel(2, 3)) {
-		t.Error("unmarked label reads as a proxy")
+	d.NameResource(3, "Led0")
+	// Every label, on both sides of each bitset word, is a proxy only if
+	// marked.
+	for _, l := range []Label{0, 63, 64, p - 1, p, p + 1, MkLabel(2, 3), 1<<16 - 1} {
+		if got := d.IsProxy(l); got != (l == p) {
+			t.Errorf("IsProxy(%v) = %v", l, got)
+		}
 	}
 	if d.LabelName(p) != "1:int_X" {
 		t.Errorf("proxy name = %q", d.LabelName(p))
 	}
-	if len(d.Proxies()) != 1 {
-		t.Errorf("proxies = %v", d.Proxies())
+
+	// A reset dictionary answers every lookup as a fresh one does.
+	d.MarkProxy(1<<16 - 1)
+	d.Reset()
+	fresh := NewDictionary()
+	for _, l := range []Label{0, p, MkLabel(2, 3), MkLabel(2, ActIdle), 1<<16 - 1} {
+		if d.IsProxy(l) != fresh.IsProxy(l) {
+			t.Errorf("after Reset, IsProxy(%v) = %v, fresh %v", l, d.IsProxy(l), fresh.IsProxy(l))
+		}
+		if d.LabelName(l) != fresh.LabelName(l) {
+			t.Errorf("after Reset, LabelName(%v) = %q, fresh %q", l, d.LabelName(l), fresh.LabelName(l))
+		}
+	}
+	for _, res := range []ResourceID{0, 3} {
+		if d.ResourceName(res) != fresh.ResourceName(res) {
+			t.Errorf("after Reset, ResourceName(%d) = %q, fresh %q", res, d.ResourceName(res), fresh.ResourceName(res))
+		}
+	}
+	if len(d.Resources) != 0 || len(d.Activities) != 0 {
+		t.Errorf("after Reset, %d resource and %d activity names remain", len(d.Resources), len(d.Activities))
 	}
 }
 

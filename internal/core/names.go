@@ -1,9 +1,6 @@
 package core
 
-import (
-	"fmt"
-	"math/bits"
-)
+import "fmt"
 
 // Dictionary maps the numeric identifiers appearing in log entries back to
 // human-readable names. Resources are global to a platform; activity names
@@ -34,15 +31,12 @@ func (d *Dictionary) MarkProxy(l Label) { d.proxies[l/64] |= 1 << (l % 64) }
 // IsProxy reports whether l is a proxy activity.
 func (d *Dictionary) IsProxy(l Label) bool { return d.proxies[l/64]&(1<<(l%64)) != 0 }
 
-// Proxies returns a copy of the proxy label set.
-func (d *Dictionary) Proxies() map[Label]bool {
-	out := make(map[Label]bool)
-	for i, w := range d.proxies {
-		for ; w != 0; w &= w - 1 {
-			out[Label(i*64+bits.TrailingZeros64(w))] = true
-		}
-	}
-	return out
+// Reset empties the dictionary, keeping the maps' storage, so it answers
+// every lookup as NewDictionary's does.
+func (d *Dictionary) Reset() {
+	clear(d.Resources)
+	clear(d.Activities)
+	clear(d.proxies[:])
 }
 
 // NameResource registers a resource name.

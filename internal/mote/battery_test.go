@@ -1,6 +1,8 @@
 package mote
 
 import (
+	"maps"
+	"slices"
 	"testing"
 
 	"repro/internal/core"
@@ -147,5 +149,61 @@ func TestDeathIsDeterministic(t *testing.T) {
 	}
 	if a, b := run(), run(); a != b {
 		t.Fatalf("death time differs across identical runs: %v vs %v", a, b)
+	}
+}
+
+// TestWorldResetMatchesNew: a world reset after a run in which a node died
+// under halt-world, with a death subscriber, holds no node, name, death or
+// subscriber of that run, and runs the next one as NewWorld does: the same
+// log, death and dictionary.
+func TestWorldResetMatchesNew(t *testing.T) {
+	// run builds two battery blinkers into w, both of which die, and
+	// returns their logs and the world's deaths.
+	run := func(w *World) ([][]core.Entry, []Death) {
+		addBatteryBlinker(w, 3, 2, nil)
+		addBatteryBlinker(w, 5, 4, nil)
+		w.Run(60 * units.Second)
+		w.StampEnd()
+		return [][]core.Entry{w.Nodes[0].Log.Entries, w.Nodes[1].Log.Entries}, w.Deaths
+	}
+
+	w := NewWorld(1)
+	opts := DefaultOptions()
+	opts.BatteryUAH, opts.HaltWorldOnDeath = 1, true
+	w.AddNode(9, opts)
+	w.Dict.MarkProxy(core.MkLabel(3, 1))
+	stale := 0
+	w.SubscribeDeath(func(*Node, units.Ticks) { stale++ })
+	w.Run(60 * units.Second)
+	if len(w.Deaths) != 1 || stale != 1 {
+		t.Fatalf("set-up: %d deaths seen by %d subscriber calls, want 1 and 1", len(w.Deaths), stale)
+	}
+
+	w.Reset(2)
+	if len(w.Nodes) != 0 || w.Node(9) != nil || len(w.Deaths) != 0 || w.Sim.Now() != 0 || w.Sim.Pending() != 0 {
+		t.Fatalf("after Reset: %d nodes, node 9 %v, %d deaths, now %d, %d pending",
+			len(w.Nodes), w.Node(9), len(w.Deaths), w.Sim.Now(), w.Sim.Pending())
+	}
+	gotLogs, gotDeaths := run(w)
+	fresh := NewWorld(2)
+	wantLogs, wantDeaths := run(fresh)
+	if len(wantDeaths) != 2 || stale != 1 {
+		t.Errorf("%d deaths in the new world, want 2; the previous run's subscriber fired %d more times",
+			len(wantDeaths), stale-1)
+	}
+	if !slices.Equal(gotDeaths, wantDeaths) {
+		t.Errorf("reset world's deaths %v, new world's %v", gotDeaths, wantDeaths)
+	}
+	for i := range wantLogs {
+		if !slices.Equal(gotLogs[i], wantLogs[i]) {
+			t.Errorf("node position %d: reset world logged %d entries unlike a new world's %d",
+				i, len(gotLogs[i]), len(wantLogs[i]))
+		}
+	}
+	if !maps.Equal(w.Dict.Resources, fresh.Dict.Resources) || !maps.Equal(w.Dict.Activities, fresh.Dict.Activities) {
+		t.Errorf("reset world's names differ from a new world's")
+	}
+	if w.Dict.IsProxy(core.MkLabel(3, 1)) != fresh.Dict.IsProxy(core.MkLabel(3, 1)) {
+		t.Errorf("reset world kept the previous run's proxy mark")
 	}
 }

@@ -139,21 +139,33 @@ type World struct {
 // NewWorld creates an empty world. The seed drives every stochastic element
 // (backoff, interference, measurement ripple) deterministically.
 func NewWorld(seed uint64) *World {
-	s := sim.New()
 	w := &World{
-		Sim:    s,
-		Medium: medium.New(s),
-		Dict:   core.NewDictionary(),
-		seed:   seed,
-		byID:   make(map[core.NodeID]*Node),
+		Sim:  sim.New(),
+		Dict: core.NewDictionary(),
+		byID: make(map[core.NodeID]*Node),
 	}
+	w.Reset(seed)
+	return w
+}
+
+// Reset empties the world for a new run under seed, so that nothing built
+// into it before — nodes, names, pending events, deaths, death subscribers,
+// a halt — reaches the run: it runs as it would in NewWorld(seed). The
+// simulator and the dictionary are reset in place and keep the storage
+// they have grown; the medium is a new one.
+func (w *World) Reset(seed uint64) {
+	w.Sim.Reset()
+	w.Dict.Reset()
+	w.Medium = medium.New(w.Sim)
+	w.Nodes, w.Deaths, w.deathSubs = nil, nil, nil
+	clear(w.byID)
+	w.seed = seed
 	// Resource names for reports. Every node runs the same platform, so the
 	// world registers them once rather than once per node.
 	//quanto:ordered writes to distinct dictionary keys, one per resource id; order cannot escape
 	for res, name := range power.ResourceNames() {
 		w.Dict.NameResource(res, name)
 	}
-	return w
 }
 
 // AddNode assembles a node with the given id and options and registers it in
@@ -225,9 +237,6 @@ func (w *World) AddNode(id core.NodeID, opts Options) *Node {
 	}
 
 	w.Nodes = append(w.Nodes, n)
-	if w.byID == nil {
-		w.byID = make(map[core.NodeID]*Node)
-	}
 	w.byID[id] = n
 	return n
 }

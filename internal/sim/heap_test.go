@@ -17,6 +17,11 @@ func (h *heapQueue) len() int { return len(h.items) }
 
 func (h *heapQueue) events() *pool { return &h.pool }
 
+func (h *heapQueue) reset() {
+	h.items = h.items[:0]
+	h.pool.reset()
+}
+
 func (h *heapQueue) schedule(at Ticks, prio Priority, seq uint64, fn func(any), arg any) Handle {
 	i, e := h.acquire(at, prio, seq, fn, arg)
 	e.idx = int32(len(h.items))

@@ -128,6 +128,19 @@ func (p *pool) release(i int32, e *event) payload {
 	return p.pay[i>>poolShift][i&poolMask]
 }
 
+// reset forgets every event, pending or free, so the next acquire hands
+// out index 1, then 2, 3 and on, as a new pool does. The blocks stay. Each
+// used index gets a new generation, which turns every outstanding Handle
+// stale, and loses its callback, so nothing a previous run scheduled stays
+// reachable.
+func (p *pool) reset() {
+	for i := int32(1); i < p.used; i++ {
+		p.at(i).gen++
+		p.pay[i>>poolShift][i&poolMask] = payload{}
+	}
+	p.free, p.used = 0, 0
+}
+
 // push appends event i to l's tail and reports whether l was empty.
 func (p *pool) push(l *list, i int32, e *event) bool {
 	e.prev, e.next = l.tail, 0

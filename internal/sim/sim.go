@@ -74,6 +74,9 @@ type queue interface {
 	len() int
 	// events returns the pool the queue keeps its events in.
 	events() *pool
+	// reset drops every pending event and returns the queue to its state
+	// when new, keeping the storage it has grown.
+	reset()
 }
 
 // Simulator is a single-threaded discrete-event scheduler.
@@ -101,6 +104,17 @@ func New() *Simulator {
 
 func newSimulator(q queue) *Simulator {
 	return &Simulator{q: q, p: q.events()}
+}
+
+// Reset returns the simulator to the state New leaves it in: no pending
+// event, the clock and the sequence counter at zero, and not halted. Every
+// Handle issued before the reset goes stale. The queue keeps the storage it
+// has grown, so a simulator reset between runs schedules the next run's
+// events without growing it again, in the same (at, prio, seq) order as a
+// new simulator.
+func (s *Simulator) Reset() {
+	s.q.reset()
+	s.now, s.seq, s.halted = 0, 0, false
 }
 
 // Now returns the current simulated time.

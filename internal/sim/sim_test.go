@@ -1,6 +1,9 @@
 package sim
 
 import (
+	"fmt"
+	"math"
+	"slices"
 	"testing"
 
 	"repro/internal/units"
@@ -237,4 +240,71 @@ func TestRescheduleFromHandler(t *testing.T) {
 			}
 		}
 	})
+}
+
+// TestResetMatchesNew: a reset simulator runs a workload as a new one does —
+// the same callbacks at the same times in the same order, under the same
+// handle indices — after a run that grew the pool past its first block,
+// left events pending on every wheel level, in the lanes and in the
+// overflow heap, and halted. The pool keeps its blocks but no callback of
+// the earlier run, and every handle of the earlier run goes stale.
+func TestResetMatchesNew(t *testing.T) {
+	// script schedules events across every wheel level and the overflow,
+	// cancels every fourth, and adds one that a handler schedules for its
+	// own tick; it returns each handle's index, then each dispatch.
+	script := func(s *Simulator) []string {
+		var out []string
+		rec := func(id int) func() {
+			return func() { out = append(out, fmt.Sprintf("%d@%d", id, s.Now())) }
+		}
+		for i := 0; i < 2*poolBlock; i++ {
+			h := s.Schedule(Ticks(i*7919%1000)<<(i%52), Priority(i%5*5-10), rec(i))
+			out = append(out, fmt.Sprint(h.idx))
+			if i%4 == 3 {
+				s.Cancel(h)
+			}
+		}
+		s.Schedule(3, PrioIRQ, func() { s.After(0, PrioHardware, rec(-1)) })
+		n := s.Run(math.MaxInt64)
+		return append(out, fmt.Sprintf("ran %d, now %d", n, s.Now()))
+	}
+	for _, q := range queues {
+		t.Run(q.name, func(t *testing.T) {
+			s := newSimulator(q.new())
+			var stale []Handle
+			for i := 0; i < 3*poolBlock; i++ {
+				stale = append(stale, s.Schedule(Ticks(i)<<(i%50), Priority(i%3*10-10), func() {}))
+			}
+			s.Schedule(5, PrioTask, s.Halt)
+			s.Run(1 << 20)
+			if !s.halted || s.Pending() == 0 {
+				t.Fatalf("set-up: halted %v with %d pending, want a halt with events pending", s.halted, s.Pending())
+			}
+			blocks := len(s.p.pay)
+
+			s.Reset()
+			if s.Now() != 0 || s.seq != 0 || s.halted || s.Pending() != 0 {
+				t.Errorf("after Reset: now %d, seq %d, halted %v, %d pending; want all zero",
+					s.Now(), s.seq, s.halted, s.Pending())
+			}
+			if len(s.p.pay) != blocks {
+				t.Errorf("after Reset the pool holds %d blocks, want the %d it grew", len(s.p.pay), blocks)
+			}
+			for b, blk := range s.p.pay {
+				for i, pl := range blk {
+					if pl.fn != nil || pl.arg != nil {
+						t.Fatalf("after Reset, event %d still holds its callback", b<<poolShift|i)
+					}
+				}
+			}
+			for _, h := range stale {
+				if s.Scheduled(h) {
+					t.Fatalf("handle to event %d is still scheduled after Reset", h.idx)
+				}
+			}
+			if got, want := script(s), script(newSimulator(q.new())); !slices.Equal(got, want) {
+				t.Errorf("reset simulator ran the script unlike a new one:\n%v\nwant\n%v", got, want)
+			}
+		})
+	}
 }

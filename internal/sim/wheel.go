@@ -75,6 +75,20 @@ func newWheel() *wheel {
 
 func (w *wheel) len() int { return w.n }
 
+// reset empties every slot, lane and the overflow heap, keeping the
+// overflow's array and the pool's blocks, and moves the cursor back to 0.
+func (w *wheel) reset() {
+	w.cur = 0
+	w.slots = [wheelLevels][wheelSlots]list{}
+	w.occupied = [wheelLevels][wheelSlots / 64]uint64{}
+	w.lanes = [wheelLanes]list{}
+	w.laneBits = [wheelLanes / 64]uint64{}
+	w.laneWords = 0
+	w.overflow = w.overflow[:0]
+	w.n = 0
+	w.pool.reset()
+}
+
 func (w *wheel) events() *pool { return &w.pool }
 
 func (w *wheel) schedule(at Ticks, prio Priority, seq uint64, fn func(any), arg any) Handle {
