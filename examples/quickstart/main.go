@@ -20,10 +20,11 @@ import (
 
 // registerWork installs a one-node workload under the name "work": a
 // periodic timer that toggles LED0 and burns CPU cycles under a "Work"
-// activity.
+// activity. A builder adds its nodes to the world it is handed, empty and
+// seeded with spec.Seed: Build hands it a new one, and a sweep worker the
+// world it resets for every run.
 func registerWork() {
-	scenario.Register("work", func(spec scenario.Spec) (*scenario.Instance, error) {
-		w := mote.NewWorld(spec.Seed)
+	scenario.Register("work", func(spec scenario.Spec, w *mote.World) (*scenario.Instance, error) {
 		n := w.AddNode(1, spec.NodeOptions(1))
 		k := n.K
 
@@ -44,8 +45,7 @@ func registerWork() {
 			k.CPUAct.SetIdle()
 		})
 		return &scenario.Instance{
-			World: w,
-			App:   n,
+			App: n,
 			Metrics: func() map[string]float64 {
 				return map[string]float64{"toggles": float64(toggles)}
 			},

@@ -51,20 +51,19 @@ type Bounce struct {
 	traffic *traffic.Recorder
 }
 
-// NewBounce builds the two-node world the spec describes: the paper's nodes
-// 1 and 4 on Channel (default 26), holding each packet HoldTimeUS (default
-// 220 ms), optionally over DMA. By default each node injects one packet; a
-// traffic shape replaces that with a schedule per node (slot 0 drives node
-// 1, slot 1 node 4), and every injection starts a fresh packet bouncing
-// (dropped at a busy radio), so offered load controls the bouncing
-// population instead of pinning it.
-func NewBounce(spec scenario.Spec) (*Bounce, error) {
+// NewBounce builds the two-node world the spec describes into the empty
+// world w: the paper's nodes 1 and 4 on Channel (default 26), holding each
+// packet HoldTimeUS (default 220 ms), optionally over DMA. By default each
+// node injects one packet; a traffic shape replaces that with a schedule
+// per node (slot 0 drives node 1, slot 1 node 4), and every injection
+// starts a fresh packet bouncing (dropped at a busy radio), so offered load
+// controls the bouncing population instead of pinning it.
+func NewBounce(spec scenario.Spec, w *mote.World) (*Bounce, error) {
 	ids := [2]core.NodeID{bounceNodeA, bounceNodeB}
 	srcs, rec, err := spec.TrafficSources(ids[:])
 	if err != nil {
 		return nil, err
 	}
-	w := mote.NewWorld(spec.Seed)
 	b := &Bounce{
 		World:    w,
 		HoldTime: cmp.Or(units.Ticks(spec.HoldTimeUS), 220*units.Millisecond),

@@ -30,11 +30,11 @@ type DMACompare struct {
 	completed bool
 }
 
-// NewDMACompare builds the two-node world the spec describes: sender node 1
-// sends one packet of PayloadBytes (default 30) to receiver node 2 at
-// StartAtUS (default 100 ms), over DMA when UseDMA is set.
-func NewDMACompare(spec scenario.Spec) (*DMACompare, error) {
-	w := mote.NewWorld(spec.Seed)
+// NewDMACompare builds the two-node world the spec describes into the empty
+// world w: sender node 1 sends one packet of PayloadBytes (default 30) to
+// receiver node 2 at StartAtUS (default 100 ms), over DMA when UseDMA is
+// set.
+func NewDMACompare(spec scenario.Spec, w *mote.World) (*DMACompare, error) {
 	rc := radio.Config{Channel: defaultChannel, UseDMA: spec.UseDMA}
 	d := &DMACompare{World: w}
 	d.Node = addRadioNode(w, &spec, 1, rc)

@@ -15,7 +15,7 @@ func lplDuty(t *testing.T, l *LPL) float64 {
 }
 
 func TestLPLCleanChannelNoFalsePositives(t *testing.T) {
-	l := NewLPL(scenario.Spec{Seed: 11, Channel: 26})
+	l := newApp(NewLPL, scenario.Spec{Seed: 11, Channel: 26})
 	l.Run(70 * units.Second)
 	wakeups, fps := l.Stats()
 	if wakeups < 130 {
@@ -27,7 +27,7 @@ func TestLPLCleanChannelNoFalsePositives(t *testing.T) {
 }
 
 func TestLPLInterferedChannelFalsePositives(t *testing.T) {
-	l := NewLPL(scenario.Spec{Seed: 11, Channel: 17})
+	l := newApp(NewLPL, scenario.Spec{Seed: 11, Channel: 17})
 	l.Run(70 * units.Second)
 	rate := l.FalsePositiveRate()
 	// Paper: 17.8% of checks falsely detect energy; the interferer's duty
@@ -38,9 +38,9 @@ func TestLPLInterferedChannelFalsePositives(t *testing.T) {
 }
 
 func TestLPLDutyCycles(t *testing.T) {
-	clean := NewLPL(scenario.Spec{Seed: 11, Channel: 26})
+	clean := newApp(NewLPL, scenario.Spec{Seed: 11, Channel: 26})
 	clean.Run(70 * units.Second)
-	noisy := NewLPL(scenario.Spec{Seed: 11, Channel: 17})
+	noisy := newApp(NewLPL, scenario.Spec{Seed: 11, Channel: 17})
 	noisy.Run(70 * units.Second)
 
 	dClean := lplDuty(t, clean)
@@ -58,9 +58,9 @@ func TestLPLDutyCycles(t *testing.T) {
 }
 
 func TestLPLPowerOrdering(t *testing.T) {
-	clean := NewLPL(scenario.Spec{Seed: 11, Channel: 26})
+	clean := newApp(NewLPL, scenario.Spec{Seed: 11, Channel: 26})
 	clean.Run(70 * units.Second)
-	noisy := NewLPL(scenario.Spec{Seed: 11, Channel: 17})
+	noisy := newApp(NewLPL, scenario.Spec{Seed: 11, Channel: 17})
 	noisy.Run(70 * units.Second)
 
 	pClean := clean.Node.Meter.EnergyMicroJoules() / 70e6 * 1000 // mW

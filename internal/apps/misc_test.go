@@ -10,16 +10,23 @@ import (
 	"repro/internal/units"
 )
 
-// mustNew builds an app with a constructor that can fail, and fails the
-// test if it does. It calls the constructor directly, without the Validate
-// that scenario.Build runs, so a test can build what Validate rejects.
-func mustNew[App any](t testing.TB, newApp func(scenario.Spec) (App, error), spec scenario.Spec) App {
+// mustNew builds an app with a constructor that can fail, in a new world
+// seeded with spec.Seed, and fails the test if it does. It calls the
+// constructor directly, without the Validate that scenario.Build runs, so a
+// test can build what Validate rejects.
+func mustNew[App any](t testing.TB, build func(scenario.Spec, *mote.World) (App, error), spec scenario.Spec) App {
 	t.Helper()
-	app, err := newApp(spec)
+	app, err := build(spec, mote.NewWorld(spec.Seed))
 	if err != nil {
 		t.Fatalf("build %T: %v", app, err)
 	}
 	return app
+}
+
+// newApp builds an app with a constructor that cannot fail, in a new world
+// seeded with spec.Seed.
+func newApp[App any](build func(scenario.Spec, *mote.World) App, spec scenario.Spec) App {
+	return build(spec, mote.NewWorld(spec.Seed))
 }
 
 // analyzeNodes analyzes the nodes' logs under the default options through
@@ -58,7 +65,7 @@ func TestSenseSendSensorConversions(t *testing.T) {
 }
 
 func TestTimerBugCalibrationRate(t *testing.T) {
-	tb := NewTimerBug(scenario.Spec{Seed: 31, CalibrateDCO: true})
+	tb := newApp(NewTimerBug, scenario.Spec{Seed: 31, CalibrateDCO: true})
 	tb.Run(4 * units.Second)
 	rate := tb.CalibrationRate()
 	// Figure 15: TimerA1 fires 16 times per second.
@@ -68,7 +75,7 @@ func TestTimerBugCalibrationRate(t *testing.T) {
 }
 
 func TestTimerBugFixedHasNoCalibration(t *testing.T) {
-	tb := NewTimerBug(scenario.Spec{Seed: 31})
+	tb := newApp(NewTimerBug, scenario.Spec{Seed: 31})
 	tb.Run(4 * units.Second)
 	if rate := tb.CalibrationRate(); rate != 0 {
 		t.Errorf("calibration rate with DCO disabled = %.2f Hz, want 0", rate)

@@ -10,10 +10,11 @@ import (
 )
 
 // This file registers every workload with the scenario registry. Each app's
-// constructor builds it straight from the Spec and resolves the app's
-// defaults; a builder here only rejects the Spec fields its app does not
-// honor and names the app's metrics, so experiments, examples and
-// `quanto-trace sweep` all define runs the same way.
+// constructor builds it straight from the Spec into the world the registry
+// hands it and resolves the app's defaults; a builder here only rejects the
+// Spec fields its app does not honor and names the app's metrics, so
+// experiments, examples and `quanto-trace sweep` all define runs the same
+// way.
 
 func init() {
 	scenario.Register("blink", buildBlink)
@@ -58,18 +59,16 @@ func noRouting(spec scenario.Spec, app string) error {
 	return nil
 }
 
-func buildBlink(spec scenario.Spec) (*scenario.Instance, error) {
+func buildBlink(spec scenario.Spec, w *mote.World) (*scenario.Instance, error) {
 	if err := noTraffic(spec, "blink"); err != nil {
 		return nil, err
 	}
 	if err := noRouting(spec, "blink"); err != nil {
 		return nil, err
 	}
-	w := mote.NewWorld(spec.Seed)
 	b := NewBlink(w.AddNode(1, spec.NodeOptions(1)))
 	return &scenario.Instance{
-		World: w,
-		App:   b,
+		App: b,
 		Metrics: func() map[string]float64 {
 			tg := b.Toggles()
 			return map[string]float64{
@@ -81,16 +80,15 @@ func buildBlink(spec scenario.Spec) (*scenario.Instance, error) {
 	}, nil
 }
 
-func buildBounce(spec scenario.Spec) (*scenario.Instance, error) {
+func buildBounce(spec scenario.Spec, w *mote.World) (*scenario.Instance, error) {
 	if err := noRouting(spec, "bounce"); err != nil {
 		return nil, err
 	}
-	b, err := NewBounce(spec)
+	b, err := NewBounce(spec, w)
 	if err != nil {
 		return nil, err
 	}
 	return &scenario.Instance{
-		World:   b.World,
 		App:     b,
 		Traffic: b.traffic,
 		Metrics: func() map[string]float64 {
@@ -107,17 +105,16 @@ func buildBounce(spec scenario.Spec) (*scenario.Instance, error) {
 	}, nil
 }
 
-func buildLPL(spec scenario.Spec) (*scenario.Instance, error) {
+func buildLPL(spec scenario.Spec, w *mote.World) (*scenario.Instance, error) {
 	if err := noTraffic(spec, "lpl"); err != nil {
 		return nil, err
 	}
 	if err := noRouting(spec, "lpl"); err != nil {
 		return nil, err
 	}
-	l := NewLPL(spec)
+	l := NewLPL(spec, w)
 	return &scenario.Instance{
-		World: l.World,
-		App:   l,
+		App: l,
 		Metrics: func() map[string]float64 {
 			wake, fps := l.Stats()
 			return map[string]float64{
@@ -129,13 +126,12 @@ func buildLPL(spec scenario.Spec) (*scenario.Instance, error) {
 	}, nil
 }
 
-func buildRelay(spec scenario.Spec) (*scenario.Instance, error) {
-	r, err := NewRelay(spec)
+func buildRelay(spec scenario.Spec, w *mote.World) (*scenario.Instance, error) {
+	r, err := NewRelay(spec, w)
 	if err != nil {
 		return nil, err
 	}
 	return &scenario.Instance{
-		World:   r.World,
 		App:     r,
 		Traffic: r.traffic,
 		Metrics: func() map[string]float64 {
@@ -163,16 +159,15 @@ func buildRelay(spec scenario.Spec) (*scenario.Instance, error) {
 	}, nil
 }
 
-func buildSenseSend(spec scenario.Spec) (*scenario.Instance, error) {
+func buildSenseSend(spec scenario.Spec, w *mote.World) (*scenario.Instance, error) {
 	if err := noRouting(spec, "sensesend"); err != nil {
 		return nil, err
 	}
-	s, err := NewSenseSend(spec)
+	s, err := NewSenseSend(spec, w)
 	if err != nil {
 		return nil, err
 	}
 	return &scenario.Instance{
-		World:   s.World,
 		App:     s,
 		Traffic: s.traffic,
 		Metrics: func() map[string]float64 {
@@ -189,17 +184,16 @@ func buildSenseSend(spec scenario.Spec) (*scenario.Instance, error) {
 	}, nil
 }
 
-func buildTimerBug(spec scenario.Spec) (*scenario.Instance, error) {
+func buildTimerBug(spec scenario.Spec, w *mote.World) (*scenario.Instance, error) {
 	if err := noTraffic(spec, "timerbug"); err != nil {
 		return nil, err
 	}
 	if err := noRouting(spec, "timerbug"); err != nil {
 		return nil, err
 	}
-	tb := NewTimerBug(spec)
+	tb := NewTimerBug(spec, w)
 	return &scenario.Instance{
-		World: tb.World,
-		App:   tb,
+		App: tb,
 		Metrics: func() map[string]float64 {
 			return map[string]float64{
 				"calibration_hz": tb.CalibrationRate(),
@@ -209,20 +203,19 @@ func buildTimerBug(spec scenario.Spec) (*scenario.Instance, error) {
 	}, nil
 }
 
-func buildDMACompare(spec scenario.Spec) (*scenario.Instance, error) {
+func buildDMACompare(spec scenario.Spec, w *mote.World) (*scenario.Instance, error) {
 	if err := noTraffic(spec, "dma"); err != nil {
 		return nil, err
 	}
 	if err := noRouting(spec, "dma"); err != nil {
 		return nil, err
 	}
-	d, err := NewDMACompare(spec)
+	d, err := NewDMACompare(spec, w)
 	if err != nil {
 		return nil, err
 	}
 	return &scenario.Instance{
-		World: d.World,
-		App:   d,
+		App: d,
 		Metrics: func() map[string]float64 {
 			start, end, ok := d.Timing()
 			m := map[string]float64{"completed": 0}

@@ -84,17 +84,17 @@ func hopBudget(hops int) uint16 {
 	return uint16(min(hops+3, math.MaxUint16))
 }
 
-// NewRelay builds the line network the spec describes: Nodes hops (default
-// 3), Origins origins at the head of the line (default 1), each generating
-// a packet every PeriodUS (default 1 s) on Channel (default 26). Packets
-// flow from the origins to the sink (the line's final node) over one
-// forwarding path; Routing only picks where each node's next hop comes
-// from — the fixed chain (node i → i+1) or a collection tree (internal/net)
-// rooted at the sink. The tree's payoff is resilience: when a relay's
-// battery dies — or a mobile node drifts out of range — the tree re-forms
-// around the hole and deliveries continue, where the fixed chain simply
-// severs.
-func NewRelay(spec scenario.Spec) (*Relay, error) {
+// NewRelay builds the line network the spec describes into the empty world
+// w: Nodes hops (default 3), Origins origins at the head of the line
+// (default 1), each generating a packet every PeriodUS (default 1 s) on
+// Channel (default 26). Packets flow from the origins to the sink (the
+// line's final node) over one forwarding path; Routing only picks where
+// each node's next hop comes from — the fixed chain (node i → i+1) or a
+// collection tree (internal/net) rooted at the sink. The tree's payoff is
+// resilience: when a relay's battery dies — or a mobile node drifts out of
+// range — the tree re-forms around the hole and deliveries continue, where
+// the fixed chain simply severs.
+func NewRelay(spec scenario.Spec, w *mote.World) (*Relay, error) {
 	hops := cmp.Or(spec.Nodes, 3)
 	if hops < 2 {
 		return nil, fmt.Errorf("relay needs at least 2 nodes, got %d", spec.Nodes)
@@ -111,7 +111,6 @@ func NewRelay(spec scenario.Spec) (*Relay, error) {
 		return nil, err
 	}
 	period := cmp.Or(units.Ticks(spec.PeriodUS), units.Second)
-	w := mote.NewWorld(spec.Seed)
 	r := &Relay{World: w, traffic: rec}
 
 	rc := radio.Config{Channel: cmp.Or(spec.Channel, defaultChannel)}

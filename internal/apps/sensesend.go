@@ -50,19 +50,18 @@ type SenseSend struct {
 	traffic *traffic.Recorder
 }
 
-// NewSenseSend builds the two-node world the spec describes: sensor node 2
-// samples every PeriodUS (default 5 s) and reports to base station node 1
-// on Channel (default 26). A traffic shape replaces the sampling schedule
-// (one slot: the sensor node). A scheduled sample that arrives while the
-// previous one is still reading or sending is skipped and counted, not
-// queued, on either schedule.
-func NewSenseSend(spec scenario.Spec) (*SenseSend, error) {
+// NewSenseSend builds the two-node world the spec describes into the empty
+// world w: sensor node 2 samples every PeriodUS (default 5 s) and reports
+// to base station node 1 on Channel (default 26). A traffic shape replaces
+// the sampling schedule (one slot: the sensor node). A scheduled sample
+// that arrives while the previous one is still reading or sending is
+// skipped and counted, not queued, on either schedule.
+func NewSenseSend(spec scenario.Spec, w *mote.World) (*SenseSend, error) {
 	srcs, rec, err := spec.TrafficSources([]core.NodeID{senseSensorNode})
 	if err != nil {
 		return nil, err
 	}
 	period := cmp.Or(units.Ticks(spec.PeriodUS), 5*units.Second)
-	w := mote.NewWorld(spec.Seed)
 	s := &SenseSend{World: w, traffic: rec}
 
 	rc := radio.Config{Channel: cmp.Or(spec.Channel, defaultChannel)}

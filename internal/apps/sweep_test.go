@@ -19,7 +19,7 @@ func TestLPLCheckPeriodSweep(t *testing.T) {
 	periods := []units.Ticks{250 * units.Millisecond, 500 * units.Millisecond, units.Second}
 	var duties, powers, fps []float64
 	for _, p := range periods {
-		l := NewLPL(scenario.Spec{Seed: 11, Channel: 17, CheckPeriodUS: int64(p)})
+		l := newApp(NewLPL, scenario.Spec{Seed: 11, Channel: 17, CheckPeriodUS: int64(p)})
 		l.Run(60 * units.Second)
 		a := analyzeNodes(t, l.World, l.Node).Nodes[l.Node.ID]
 		duties = append(duties, float64(a.ActiveTimeUS(power.ResRadioReg))/float64(a.Span()))
@@ -57,7 +57,7 @@ func TestLPLWiFiDutySweep(t *testing.T) {
 	}
 	var rates []float64
 	for _, p := range pts {
-		l := NewLPL(scenario.Spec{Seed: 11, Channel: 17, WiFiGapUS: int64(p.gap)})
+		l := newApp(NewLPL, scenario.Spec{Seed: 11, Channel: 17, WiFiGapUS: int64(p.gap)})
 		l.Run(80 * units.Second)
 		rate := l.FalsePositiveRate()
 		rates = append(rates, rate)

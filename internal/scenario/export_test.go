@@ -1,6 +1,9 @@
 package scenario
 
-import "repro/internal/core"
+import (
+	"repro/internal/core"
+	"repro/internal/mote"
+)
 
 // Worker exposes a Runner worker to the external tests, which need the
 // apps that internal/apps registers (and internal/apps imports this
@@ -15,3 +18,6 @@ func (wk *worker) Run(spec Spec) *Result { return wk.run(spec) }
 
 // Logs returns the worker's log buffers, by node position.
 func (wk *worker) Logs() [][]core.Entry { return wk.logs }
+
+// World returns the world the worker resets and builds every run into.
+func (wk *worker) World() *mote.World { return wk.world }

@@ -10,11 +10,11 @@ import (
 	"repro/internal/traffic"
 )
 
-// Instance is one constructed-but-not-yet-run scenario: a fresh isolated
-// world plus the app wired into it. App holds the workload struct (for
-// example *apps.Blink) so callers that need richer access than the compact
-// Result — activity labels, app counters — can type assert it. A caller
-// that wants the oscilloscope waveform attaches one with
+// Instance is one constructed-but-not-yet-run scenario: a world that holds
+// nothing but this run, plus the app wired into it. App holds the workload
+// struct (for example *apps.Blink) so callers that need richer access than
+// the compact Result — activity labels, app counters — can type assert it.
+// A caller that wants the oscilloscope waveform attaches one with
 // World.AttachScope between Build and Run.
 type Instance struct {
 	Spec  Spec
@@ -40,10 +40,12 @@ func (in *Instance) Run() {
 	in.World.StampEnd()
 }
 
-// BuildFunc constructs an app from a spec. Implementations must build a
-// fresh world per call (no shared mutable state) so runs can execute
-// concurrently.
-type BuildFunc func(spec Spec) (*Instance, error)
+// BuildFunc constructs an app from a spec into w, an empty world seeded with
+// spec.Seed: a new one under Build, or a Runner worker's world, reset for
+// every run. Implementations add every node to w and share no mutable state
+// between calls, so runs can execute concurrently. The Instance they return
+// needs no World or Spec: Build fills both in.
+type BuildFunc func(spec Spec, w *mote.World) (*Instance, error)
 
 var (
 	regMu    sync.RWMutex
@@ -79,8 +81,12 @@ func Apps() []string {
 	return out
 }
 
-// Build validates the spec and constructs its app through the registry.
-func Build(spec Spec) (*Instance, error) {
+// Build validates the spec and constructs its app through the registry, in
+// a new world.
+func Build(spec Spec) (*Instance, error) { return build(spec, mote.NewWorld(spec.Seed)) }
+
+// build is Build into w, which must be empty and seeded with spec.Seed.
+func build(spec Spec, w *mote.World) (*Instance, error) {
 	if err := spec.Validate(); err != nil {
 		return nil, err
 	}
@@ -90,10 +96,10 @@ func Build(spec Spec) (*Instance, error) {
 	if fn == nil {
 		return nil, fmt.Errorf("scenario: unknown app %q (registered: %v)", spec.App, Apps())
 	}
-	in, err := fn(spec)
+	in, err := fn(spec, w)
 	if err != nil {
 		return nil, fmt.Errorf("scenario: build %q: %w", spec.App, err)
 	}
-	in.Spec = spec
+	in.Spec, in.World = spec, w
 	return in, nil
 }

@@ -7,17 +7,22 @@ import (
 
 	"repro/internal/analysis"
 	"repro/internal/core"
+	"repro/internal/mote"
 )
 
 // Runner executes an expanded spec list concurrently. Every run is isolated
-// — its own simulator, world and dictionary — and its seed was fixed at
-// expansion time, so the worker count and completion order affect
-// wall-clock time only, never a single byte of output. Each worker keeps one
-// StreamAnalyzer across its runs and resets it for every node under the
-// run's dictionary, so a sweep sizes the analyzer's tables once per worker
-// instead of once per run; a reset analyzer gives a fresh one's Result.
+// — a worker runs one spec at a time, in the one world it keeps and resets
+// for every run — and its seed was fixed at expansion time, so the worker
+// count and completion order affect wall-clock time only, never a single
+// byte of output. A reset world runs as a new one does, and keeps only the
+// storage its simulator and dictionary have grown (the timer wheel, the
+// event pool's blocks, the name maps), so a sweep allocates those once per
+// worker instead of once per run. Each worker also keeps one StreamAnalyzer
+// across its runs and resets it for every node under the run's dictionary,
+// so a sweep sizes the analyzer's tables once per worker; a reset analyzer
+// gives a fresh one's Result.
 //
-// Each worker also keeps one log buffer per node position and hands it to
+// And each worker keeps one log buffer per node position and hands it to
 // the node at that position in every run it takes, so a sweep grows its
 // logs once per worker instead of once per run. A log holds the same
 // entries in the same order in an older array, so every Result is
@@ -93,29 +98,35 @@ func (rn *Runner) Run(specs []Spec) []*Result {
 }
 
 // worker runs specs one after another and keeps what a run sizes: one
-// analyzer, which finish resets for every node, and one log buffer per node
-// position in World.Nodes.
+// world, which run resets for every spec, one analyzer, which finish resets
+// for every node, and one log buffer per node position in World.Nodes.
 type worker struct {
-	sa   *analysis.StreamAnalyzer
-	logs [][]core.Entry
+	world *mote.World
+	sa    *analysis.StreamAnalyzer
+	logs  [][]core.Entry
 }
 
-func newWorker() *worker { return &worker{sa: newAnalyzer()} }
+func newWorker() *worker {
+	return &worker{world: mote.NewWorld(0), sa: newAnalyzer()}
+}
 
 // run builds, runs and analyzes one spec, capturing a failure or a panic in
-// the Result. Between Build and Run, each node at a position the worker has
-// a buffer for moves the entries it logged during assembly into that
-// buffer; after finish the worker takes every node's log storage back. No
-// Result aliases a log. A run that panics gives nothing back: the arrays
-// its nodes adopted are reachable only through the worker's buffers, which
-// stay safe to reuse.
+// the Result. It resets the worker's world before building into it, so a
+// run that failed to build or panicked mid-dispatch leaves nothing behind.
+// Between build and Run, each node at a position the worker has a buffer
+// for moves the entries it logged during assembly into that buffer; after
+// finish the worker takes every node's log storage back. No Result aliases
+// a log or the world. A run that panics gives nothing back: the arrays its
+// nodes adopted are reachable only through the worker's buffers, which stay
+// safe to reuse.
 func (wk *worker) run(spec Spec) (res *Result) {
 	defer func() {
 		if p := recover(); p != nil {
 			res = &Result{Spec: spec, Error: fmt.Sprintf("panic: %v", p)}
 		}
 	}()
-	in, err := Build(spec)
+	wk.world.Reset(spec.Seed)
+	in, err := build(spec, wk.world)
 	if err != nil {
 		return &Result{Spec: spec, Error: err.Error()}
 	}

@@ -10,7 +10,9 @@ import (
 
 	"repro/internal/apps" // registers the paper's workloads
 	"repro/internal/core"
+	"repro/internal/mote"
 	"repro/internal/scenario"
+	"repro/internal/sim"
 	"repro/internal/trace"
 	"repro/internal/units"
 )
@@ -543,6 +545,45 @@ func TestWorkerReusesLogStorage(t *testing.T) {
 			t.Errorf("second relay run: node position %d logged into a new array (cap %d -> %d)",
 				i, cap(before[i]), cap(after[i]))
 		}
+	}
+}
+
+// TestWorkerReusesWorld: a Runner worker builds every run into the one world
+// it keeps, reset in place with its simulator and dictionary. Losing that
+// reuse changes no Result, and the bench gate's allocation count would not
+// catch it, so this test checks the pointers, and that each run built its
+// nodes into that world and ran it.
+func TestWorkerReusesWorld(t *testing.T) {
+	second := int64(units.Second)
+	type parts struct {
+		w *mote.World
+		s *sim.Simulator
+		d *core.Dictionary
+	}
+	wk := scenario.NewWorker()
+	run := func(s scenario.Spec) parts {
+		t.Helper()
+		r := wk.Run(s)
+		if r.Error != "" {
+			t.Fatalf("%s: %s", s.App, r.Error)
+		}
+		w := wk.World()
+		if len(w.Nodes) != len(r.Nodes) || w.Sim.Now() != s.Duration() {
+			t.Fatalf("after %s (%d nodes, %d µs), the worker's world holds %d nodes at %d µs",
+				s.App, len(r.Nodes), s.Duration(), len(w.Nodes), w.Sim.Now())
+		}
+		return parts{w, w.Sim, w.Dict}
+	}
+	first := run(scenario.Spec{App: "relay", Seed: 4, Nodes: 3, DurationUS: 2 * second})
+	again := run(scenario.Spec{App: "lpl", Seed: 3, Channel: 17, DurationUS: 3 * second})
+	if first.w != again.w {
+		t.Error("second run got a new world")
+	}
+	if first.s != again.s {
+		t.Error("second run got a new simulator")
+	}
+	if first.d != again.d {
+		t.Error("second run got a new dictionary")
 	}
 }
 
