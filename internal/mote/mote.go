@@ -139,11 +139,7 @@ type World struct {
 // NewWorld creates an empty world. The seed drives every stochastic element
 // (backoff, interference, measurement ripple) deterministically.
 func NewWorld(seed uint64) *World {
-	w := &World{
-		Sim:  sim.New(),
-		Dict: core.NewDictionary(),
-		byID: make(map[core.NodeID]*Node),
-	}
+	w := new(World)
 	w.Reset(seed)
 	return w
 }
@@ -152,13 +148,18 @@ func NewWorld(seed uint64) *World {
 // into it before — nodes, names, pending events, deaths, death subscribers,
 // a halt — reaches the run: it runs as it would in NewWorld(seed). The
 // simulator and the dictionary are reset in place and keep the storage
-// they have grown; the medium is a new one.
+// they have grown; the medium is a new one. Reset on the zero World makes
+// them, as NewWorld does.
 func (w *World) Reset(seed uint64) {
-	w.Sim.Reset()
-	w.Dict.Reset()
+	if w.Sim == nil {
+		w.Sim, w.Dict, w.byID = sim.New(), core.NewDictionary(), make(map[core.NodeID]*Node)
+	} else {
+		w.Sim.Reset()
+		w.Dict.Reset()
+		clear(w.byID)
+	}
 	w.Medium = medium.New(w.Sim)
 	w.Nodes, w.Deaths, w.deathSubs = nil, nil, nil
-	clear(w.byID)
 	w.seed = seed
 	// Resource names for reports. Every node runs the same platform, so the
 	// world registers them once rather than once per node.

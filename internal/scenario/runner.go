@@ -106,9 +106,7 @@ type worker struct {
 	logs  [][]core.Entry
 }
 
-func newWorker() *worker {
-	return &worker{world: mote.NewWorld(0), sa: newAnalyzer()}
-}
+func newWorker() *worker { return &worker{world: new(mote.World), sa: newAnalyzer()} }
 
 // run builds, runs and analyzes one spec, capturing a failure or a panic in
 // the Result. It resets the worker's world before building into it, so a

@@ -2,9 +2,9 @@
 // simulated run (which app, how many nodes, which radio/kernel/logging knobs,
 // how long, which seed), a Matrix sweeps any Spec field over a list of values
 // and replicates each configuration across seeds, and a Runner executes the
-// expanded matrix concurrently over a worker pool — one isolated
-// sim.Simulator/mote.World per run — feeding every node's log through the
-// streaming NetworkAnalyzer into a compact Result.
+// expanded matrix concurrently over a worker pool — each worker keeps one
+// mote.World and resets it for every run, so no run sees another — feeding
+// every node's log through a streaming analyzer into a compact Result.
 //
 // Determinism is the package's core contract: per-run seeds are derived by
 // hashing the base seed with the run's canonical configuration (not its
