@@ -32,15 +32,16 @@ type LPL struct {
 
 // NewLPL builds the one-node world the spec describes into the empty world
 // w, at the paper's 3.35 V unless Volts is set, listening on Channel
-// (default 26; 17 overlaps 802.11b channel 6). The radio wakes every CheckPeriodUS (default 500 ms,
-// the paper's sampling period), stays on ReceiveCheckUS (default 9.4 ms,
-// long enough to catch a wake-up preamble) during a clean check, and
-// FalsePositiveHoldUS (default 100 ms) after detecting energy: "the CPU
-// keeps the radio on for about 100 ms, and turns it off when the timer
-// expires and no packet was received" (Figure 14). Unless NoWiFi is set, an
-// 802.11b access point on channel 6 interferes, sending WiFiBurstUS bursts
-// (default 5 ms) separated by WiFiGapUS gaps (default 23 ms): a ~17.9%
-// channel occupancy, matching the paper's 17.8% false-positive rate.
+// (default 26; 17 overlaps 802.11b channel 6). The radio wakes every
+// CheckPeriodUS (default 500 ms, the paper's sampling period), stays on
+// ReceiveCheckUS (default 9.4 ms, long enough to catch a wake-up preamble)
+// during a clean check, and FalsePositiveHoldUS (default 100 ms) after
+// detecting energy: "the CPU keeps the radio on for about 100 ms, and turns
+// it off when the timer expires and no packet was received" (Figure 14).
+// Unless NoWiFi is set, an 802.11b access point on channel 6 interferes,
+// sending WiFiBurstUS bursts (default 5 ms) separated by WiFiGapUS gaps
+// (default 23 ms): a ~17.9% channel occupancy, matching the paper's 17.8%
+// false-positive rate.
 func NewLPL(spec scenario.Spec, w *mote.World) *LPL {
 	opts := spec.NodeOptions(1)
 	opts.Volts = units.Volts(cmp.Or(spec.Volts, 3.35))

@@ -24,9 +24,9 @@ type TimerBug struct {
 }
 
 // NewTimerBug builds the single-node world the spec describes into the
-// empty world w (node id 32, as in the figure) running two LED activities. The spec's CalibrateDCO
-// selects whether the DCO calibration timer runs (the TinyOS default that
-// surprised its developers) or not (the fix).
+// empty world w (node id 32, as in the figure) running two LED activities.
+// The spec's CalibrateDCO selects whether the DCO calibration timer runs
+// (the TinyOS default that surprised its developers) or not (the fix).
 func NewTimerBug(spec scenario.Spec, w *mote.World) *TimerBug {
 	n := w.AddNode(timerBugNode, spec.NodeOptions(timerBugNode))
 
