@@ -108,7 +108,7 @@ func newSimulator(q queue) *Simulator {
 
 // Reset returns the simulator to the state New leaves it in: no pending
 // event, the clock and the sequence counter at zero, and not halted. Every
-// Handle issued before the reset goes stale. The queue keeps the storage it
+// Handle from before the reset goes stale. The queue keeps the storage it
 // has grown, so a simulator reset between runs schedules the next run's
 // events without growing it again, in the same (at, prio, seq) order as a
 // new simulator.
