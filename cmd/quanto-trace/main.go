@@ -216,7 +216,7 @@ func run(args []string, stderr io.Writer) int {
 			usage(stderr)
 			return 2
 		}
-		err = lifetime(fs.Arg(0), *workers, *jsonOut)
+		err = lifetime(os.Stdout, fs.Arg(0), *workers, *jsonOut)
 	case "record":
 		if fs.NArg() != 2 {
 			usage(stderr)
@@ -539,12 +539,11 @@ func sweep(name string, workers int) error {
 }
 
 // lifetime expands a spec or matrix file (which must give at least one node
-// a finite battery), runs it over a worker pool, and reports per-node
-// lifetimes: death rate, mean time-to-death with CI95 across seeds, and mean
-// energy margin, per swept configuration. The per-run results stream to
-// stderr-free stdout only in -json mode; the default output is the rendered
-// table. Either form depends only on the matrix content, never the worker
-// count.
+// a finite battery), runs it over a worker pool, and writes per-node
+// lifetimes to out: death rate, mean time-to-death with CI95 across seeds,
+// and mean energy margin, per swept configuration, as a table or, with
+// jsonOut, as JSON. Either form depends only on the matrix content, never
+// the worker count.
 //
 // Routed runs (routing set in the spec) additionally get the network-layer
 // report: delivery ratio, tree depth, reroutes, and — the study this
@@ -552,7 +551,7 @@ func sweep(name string, workers int) error {
 // kept delivering. In -json mode a routed study nests both reports as
 // {"lifetime": ..., "routes": ...}; unrouted studies keep the legacy
 // single-report shape.
-func lifetime(name string, workers int, jsonOut bool) error {
+func lifetime(out io.Writer, name string, workers int, jsonOut bool) error {
 	specs, err := readSpecs(name)
 	if err != nil {
 		return err
@@ -576,7 +575,7 @@ func lifetime(name string, workers int, jsonOut bool) error {
 		return fmt.Errorf("no node has a finite battery; set battery_uah or battery_node_uah in the spec")
 	}
 	routes := scenario.Routes(results)
-	w := bufio.NewWriterSize(os.Stdout, 1<<16)
+	w := bufio.NewWriterSize(out, 1<<16)
 	if jsonOut {
 		enc := json.NewEncoder(w)
 		if routes.Empty() {

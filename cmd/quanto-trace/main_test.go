@@ -2,6 +2,9 @@ package main
 
 import (
 	"bytes"
+	"crypto/sha256"
+	"encoding/json"
+	"fmt"
 	"io"
 	"os"
 	"path/filepath"
@@ -384,5 +387,131 @@ func TestSummaryPulsesOnMergedStreams(t *testing.T) {
 		if got := pulses(c.data); got != c.want {
 			t.Errorf("summary of %s: span %s, want %s", c.name, got, c.want)
 		}
+	}
+}
+
+// lifetimeStudies are the matrices lifetime's output is pinned on. The
+// routed one is a CTP grid whose every node has a battery and whose centre
+// node's battery is swept: at 60 uAh it dies on every seed, at 109.89 uAh on
+// some seeds only (so the route extension covers fewer runs than its
+// group), and at 200 uAh on none. The LPL one is unrouted, with death counts
+// from every seed to none.
+var lifetimeStudies = []struct{ name, matrix string }{
+	{"ctp", `{"base":{"app":"relay","seed":3,"duration_us":20000000,"nodes":9,
+		"placement":"grid","area_m":60,"routing":"ctp","battery_uah":400},
+		"sweep":{"battery_node_uah":[{"5":60},{"5":109.89},{"5":200}]},"seeds":4}`},
+	{"lpl", `{"base":{"app":"lpl","seed":1,"duration_us":15000000,"channel":17},
+		"sweep":{"battery_uah":[4,8,9,16]},"seeds":4}`},
+}
+
+// lifetimePins holds the SHA-256 of each study's output, keyed
+// study/form: the table, and the -json form.
+var lifetimePins = map[string]string{
+	"ctp/table": "e7603cadd56d43d18e8ea5ba7a4d7724dcc9911a5ac8763b6c0bc022cb658aa2",
+	"ctp/json":  "0b5462f0c0e4e020e2568e11822626e25cb3fe377ae28950e88853cdb28c6841",
+	"lpl/table": "5f78168c4f590bd59a2f1223d84aa84c706f049adb07e55484714e59ad6d40f2",
+	"lpl/json":  "f61b58e4f21a5919c7637a26d6f89f8e5dd6e306d61b0be60a6c77a622938cac",
+}
+
+// TestLifetimeOutputPinned runs lifetime on each study, as a table and as
+// JSON, at one and two workers. The bytes must not depend on the worker
+// count, and they must hash to the pin. The routed study's JSON nests the
+// lifetime and route reports, and holds a node that died on some of its
+// group's seeds but not all, and a route group whose extension covers fewer
+// runs than the group; the LPL study's JSON is the lifetime report alone.
+// A spec that gives no node a battery fails naming the missing battery.
+func TestLifetimeOutputPinned(t *testing.T) {
+	dir := t.TempDir()
+	type lifetimeGroups struct {
+		Groups []struct {
+			Runs  int `json:"runs"`
+			Nodes []struct {
+				Runs   int `json:"runs"`
+				Deaths int `json:"deaths"`
+			} `json:"nodes"`
+		} `json:"groups"`
+	}
+	// partial reports whether some node died on some of its runs only.
+	partial := func(lg lifetimeGroups) bool {
+		for _, g := range lg.Groups {
+			for _, n := range g.Nodes {
+				if n.Deaths > 0 && n.Deaths < n.Runs {
+					return true
+				}
+			}
+		}
+		return false
+	}
+	for _, st := range lifetimeStudies {
+		name := filepath.Join(dir, st.name+".json")
+		if err := os.WriteFile(name, []byte(st.matrix), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		for _, jsonOut := range []bool{false, true} {
+			key := st.name + "/table"
+			if jsonOut {
+				key = st.name + "/json"
+			}
+			t.Run(key, func(t *testing.T) {
+				var outs [2]string
+				for i, workers := range []int{1, 2} {
+					var out strings.Builder
+					if err := lifetime(&out, name, workers, jsonOut); err != nil {
+						t.Fatalf("lifetime -workers %d: %v", workers, err)
+					}
+					outs[i] = out.String()
+				}
+				if outs[0] != outs[1] {
+					t.Fatalf("output differs between 1 and 2 workers:\n%s\nvs\n%s", outs[0], outs[1])
+				}
+				if sum := fmt.Sprintf("%x", sha256.Sum256([]byte(outs[0]))); sum != lifetimePins[key] {
+					t.Errorf("output hash %s, pinned %s:\n%s", sum, lifetimePins[key], outs[0])
+				}
+				if !jsonOut {
+					return
+				}
+				var lg lifetimeGroups
+				switch st.name {
+				case "ctp":
+					var both struct {
+						Lifetime lifetimeGroups `json:"lifetime"`
+						Routes   struct {
+							Groups []struct {
+								Runs   int `json:"runs"`
+								Deaths int `json:"deaths"`
+							} `json:"groups"`
+						} `json:"routes"`
+					}
+					if err := json.Unmarshal([]byte(outs[0]), &both); err != nil {
+						t.Fatal(err)
+					}
+					lg = both.Lifetime
+					short := false
+					for _, g := range both.Routes.Groups {
+						short = short || g.Deaths > 0 && g.Deaths < g.Runs
+					}
+					if len(both.Routes.Groups) == 0 || !short {
+						t.Errorf("no route group's extension covers fewer runs than the group:\n%s", outs[0])
+					}
+				default:
+					if err := json.Unmarshal([]byte(outs[0]), &lg); err != nil {
+						t.Fatal(err)
+					}
+				}
+				if len(lg.Groups) == 0 || !partial(lg) {
+					t.Errorf("no node died on some of its group's runs but not all:\n%s", outs[0])
+				}
+			})
+		}
+	}
+
+	name := filepath.Join(dir, "nobattery.json")
+	if err := os.WriteFile(name, []byte(`{"app":"lpl","seed":1,"duration_us":1000000}`), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	var stderr strings.Builder
+	if code := run([]string{"lifetime", name}, &stderr); code != 1 ||
+		!strings.Contains(stderr.String(), "no node has a finite battery") {
+		t.Errorf("lifetime of a spec with no battery exited %d: %s", code, stderr.String())
 	}
 }

@@ -1,6 +1,7 @@
 package scenario_test
 
 import (
+	"encoding/json"
 	"strings"
 	"testing"
 
@@ -188,5 +189,78 @@ func TestRoutedCascadeSpec(t *testing.T) {
 	}
 	if rr2 := scenario.Routes([]*scenario.Result{{Metrics: map[string]float64{"delivered": 1}}}); !rr2.Empty() {
 		t.Error("Routes folded an unrouted run")
+	}
+}
+
+// TestRouteReportFold pins the route fold's semantics on synthetic routed
+// Results: the delivery ratio is per run (not pooled), the extension
+// statistic covers only runs that saw a death, and groups render in the
+// order their first run arrived.
+func TestRouteReportFold(t *testing.T) {
+	if !scenario.Routes(nil).Empty() {
+		t.Fatal("report of no runs not empty")
+	}
+	// Group b's ConfigKey sorts after group a's, so the order checked below
+	// is arrival order, not key order.
+	specB := scenario.Spec{App: "relay", Nodes: 9}
+	specA := scenario.Spec{App: "relay", Nodes: 3}
+	routed := func(spec scenario.Spec, generated, delivered, pathETX, lastUS float64, firstDeathUS int64) *scenario.Result {
+		r := &scenario.Result{Spec: spec, Metrics: map[string]float64{
+			"net_routed":           1,
+			"generated":            generated,
+			"delivered":            delivered,
+			"net_path_etx_mean":    pathETX,
+			"net_last_delivery_us": lastUS,
+		}}
+		if firstDeathUS >= 0 {
+			r.Deaths, r.FirstDeathUS = 1, firstDeathUS
+		}
+		return r
+	}
+	rr := scenario.Routes([]*scenario.Result{
+		routed(specB, 100, 80, 2, 30e6, -1),
+		routed(specB, 100, 60, 2, 25e6, 10e6),
+		routed(specA, 10, 10, 1, 30e6, -1),
+	})
+	if rr.Empty() {
+		t.Fatal("report with routed runs reads empty")
+	}
+
+	raw, err := json.Marshal(rr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var got struct {
+		Groups []struct {
+			Key               string  `json:"key"`
+			Runs              int     `json:"runs"`
+			MeanDeliveryRatio float64 `json:"mean_delivery_ratio"`
+			Deaths            int     `json:"deaths"`
+			MeanExtensionS    float64 `json:"mean_extension_s"`
+		} `json:"groups"`
+	}
+	if err := json.Unmarshal(raw, &got); err != nil {
+		t.Fatal(err)
+	}
+	if len(got.Groups) != 2 || got.Groups[0].Key != specB.ConfigKey() || got.Groups[1].Key != specA.ConfigKey() {
+		t.Fatalf("groups not in arrival order: %s", raw)
+	}
+	b := got.Groups[0]
+	if b.Runs != 2 || b.MeanDeliveryRatio != 0.7 {
+		t.Errorf("group b: runs=%d delivery=%v, want 2 runs at 0.7", b.Runs, b.MeanDeliveryRatio)
+	}
+	if b.Deaths != 1 || b.MeanExtensionS != 15 {
+		t.Errorf("group b extension: deaths=%d mean=%v, want 1 death, +15 s", b.Deaths, b.MeanExtensionS)
+	}
+	if got.Groups[1].Deaths != 0 {
+		t.Errorf("deathless group a reports %d deaths", got.Groups[1].Deaths)
+	}
+
+	out := rr.Render()
+	if !strings.Contains(out, "+15.0s (n=1)") {
+		t.Errorf("render lacks the extension column:\n%s", out)
+	}
+	if !strings.Contains(out, "100.0%") || !strings.Contains(out, "70.0%") {
+		t.Errorf("render lacks delivery ratios:\n%s", out)
 	}
 }
