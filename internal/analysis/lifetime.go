@@ -1,83 +1,36 @@
 package analysis
 
 import (
+	"cmp"
 	"encoding/json"
 	"fmt"
-	"maps"
+	"math"
 	"slices"
+	"strconv"
 	"strings"
 )
 
-// NodeLifetime is one battery-powered node's energy-budget outcome in one
-// run: whether it died, how long it lived (censored at the run duration for
-// survivors), and the charge margin left at the end.
-type NodeLifetime struct {
-	Node       int
-	Died       bool
-	LifetimeUS int64
-	MarginFrac float64
-}
+// The per-node metrics a LifetimeReport renders, each name followed by the
+// node id: the time to depletion in microseconds (censored at the run's end
+// for a survivor), 1 for a death and 0 for a survivor, and the fraction of
+// capacity left at the end.
+const (
+	LifetimeKey = "lifetime_us:node"
+	DiedKey     = "died:node"
+	MarginKey   = "margin_frac:node"
+)
 
-// lifetimeNodeStats folds one node's samples across the replicas of a group.
-type lifetimeNodeStats struct {
-	deaths   int
-	lifetime RunningStat // microseconds, censored for survivors
-	margin   RunningStat // fraction of capacity left
-}
-
-// lifetimeGroup holds one configuration's per-node statistics.
-type lifetimeGroup struct {
-	key   string
-	runs  int
-	nodes map[int]*lifetimeNodeStats
-}
-
-// LifetimeReport folds NodeLifetime samples across runs into per-group,
-// per-node statistics: death rate, mean time-to-death with a CI95
-// half-width, and mean energy margin. Groups (one per swept configuration)
-// keep insertion order, so a report built from a deterministic run sequence
-// renders deterministically — the same contract as Aggregate.
+// LifetimeReport is an Aggregate of battery outcomes rendered per node: one
+// group per swept configuration, and for each battery-powered node its
+// death rate, mean time-to-death with a CI95 half-width, and mean energy
+// margin. Only runs with a battery node belong in it, so Empty tells a
+// lifetime study from a sweep without batteries.
 //
 // Survivor lifetimes are censored at the run duration; DeathRate tells how
-// much of the mean is censoring. The per-metric statistics reuse
-// RunningStat, so the CI95 here is exactly the one the sweep aggregate
-// reports for the matching "lifetime_us:nodeN" metric.
-type LifetimeReport struct {
-	order  []string
-	groups map[string]*lifetimeGroup
-}
-
-// NewLifetimeReport returns an empty report.
-func NewLifetimeReport() *LifetimeReport {
-	return &LifetimeReport{groups: make(map[string]*lifetimeGroup)}
-}
-
-// Add folds one run's node outcomes into the named group (for sweeps, the
-// spec's ConfigKey). Runs without battery nodes contribute nothing.
-func (lr *LifetimeReport) Add(group string, nodes []NodeLifetime) {
-	if len(nodes) == 0 {
-		return
-	}
-	g := lr.groups[group]
-	if g == nil {
-		g = &lifetimeGroup{key: group, nodes: make(map[int]*lifetimeNodeStats)}
-		lr.groups[group] = g
-		lr.order = append(lr.order, group)
-	}
-	g.runs++
-	for _, n := range nodes {
-		st := g.nodes[n.Node]
-		if st == nil {
-			st = &lifetimeNodeStats{}
-			g.nodes[n.Node] = st
-		}
-		if n.Died {
-			st.deaths++
-		}
-		st.lifetime.Add(float64(n.LifetimeUS))
-		st.margin.Add(n.MarginFrac)
-	}
-}
+// much of the mean is censoring. The statistics are the Aggregate's own, so
+// the CI95 here is exactly the one the sweep aggregate reports for the
+// matching LifetimeKey metric.
+type LifetimeReport Aggregate
 
 // Empty reports whether no battery outcomes were folded in.
 func (lr *LifetimeReport) Empty() bool { return len(lr.order) == 0 }
@@ -95,23 +48,33 @@ type lifetimeNodeJSON struct {
 	MeanMarginFrac float64 `json:"mean_margin_frac"`
 }
 
-func (g *lifetimeGroup) nodeIDs() []int {
-	return slices.Sorted(maps.Keys(g.nodes))
-}
-
-func (g *lifetimeGroup) nodeJSON(id int) lifetimeNodeJSON {
-	st := g.nodes[id]
-	return lifetimeNodeJSON{
-		Node:           id,
-		Runs:           st.lifetime.N(),
-		Deaths:         st.deaths,
-		DeathRate:      float64(st.deaths) / float64(st.lifetime.N()),
-		MeanLifetimeUS: st.lifetime.Mean(),
-		CI95LifetimeUS: st.lifetime.CI95(),
-		MinLifetimeUS:  st.lifetime.Min(),
-		MaxLifetimeUS:  st.lifetime.Max(),
-		MeanMarginFrac: st.margin.Mean(),
+// lifetimeNodes returns g's battery nodes, by id.
+func lifetimeNodes(g *GroupStats) []lifetimeNodeJSON {
+	var out []lifetimeNodeJSON
+	//quanto:ordered each node's row reads only its own statistics, and the rows are sorted by id below
+	for name, life := range g.stats {
+		id, ok := strings.CutPrefix(name, LifetimeKey)
+		if !ok {
+			continue
+		}
+		node, _ := strconv.Atoi(id)
+		// Each run adds 0 or 1, so the mean times the count is the death
+		// count to well within rounding.
+		deaths := int(math.Round(g.stats[DiedKey+id].Mean() * float64(life.N())))
+		out = append(out, lifetimeNodeJSON{
+			Node:           node,
+			Runs:           life.N(),
+			Deaths:         deaths,
+			DeathRate:      float64(deaths) / float64(life.N()),
+			MeanLifetimeUS: life.Mean(),
+			CI95LifetimeUS: life.CI95(),
+			MinLifetimeUS:  life.Min(),
+			MaxLifetimeUS:  life.Max(),
+			MeanMarginFrac: g.stats[MarginKey+id].Mean(),
+		})
 	}
+	slices.SortFunc(out, func(a, b lifetimeNodeJSON) int { return cmp.Compare(a.Node, b.Node) })
+	return out
 }
 
 // MarshalJSON renders the report deterministically: groups in insertion
@@ -122,16 +85,12 @@ func (lr *LifetimeReport) MarshalJSON() ([]byte, error) {
 		Runs  int                `json:"runs"`
 		Nodes []lifetimeNodeJSON `json:"nodes"`
 	}
+	groups := (*Aggregate)(lr).Groups()
 	out := struct {
 		Groups []groupJSON `json:"groups"`
-	}{Groups: make([]groupJSON, 0, len(lr.order))}
-	for _, key := range lr.order {
-		g := lr.groups[key]
-		gj := groupJSON{Key: key, Runs: g.runs}
-		for _, id := range g.nodeIDs() {
-			gj.Nodes = append(gj.Nodes, g.nodeJSON(id))
-		}
-		out.Groups = append(out.Groups, gj)
+	}{Groups: make([]groupJSON, 0, len(groups))}
+	for _, g := range groups {
+		out.Groups = append(out.Groups, groupJSON{Key: g.Key, Runs: g.N, Nodes: lifetimeNodes(g)})
 	}
 	return json.Marshal(out)
 }
@@ -141,13 +100,11 @@ func (lr *LifetimeReport) MarshalJSON() ([]byte, error) {
 // seconds, and mean margin.
 func (lr *LifetimeReport) Render() string {
 	var sb strings.Builder
-	for _, key := range lr.order {
-		g := lr.groups[key]
-		fmt.Fprintf(&sb, "%s  (n=%d)\n", key, g.runs)
+	for _, g := range (*Aggregate)(lr).Groups() {
+		fmt.Fprintf(&sb, "%s  (n=%d)\n", g.Key, g.N)
 		fmt.Fprintf(&sb, "  %-6s %8s %14s %12s %10s\n",
 			"node", "deaths", "lifetime [s]", "ci95 [s]", "margin")
-		for _, id := range g.nodeIDs() {
-			nj := g.nodeJSON(id)
+		for _, nj := range lifetimeNodes(g) {
 			fmt.Fprintf(&sb, "  %-6d %3d/%-4d %14.3f %12.3f %9.1f%%\n",
 				nj.Node, nj.Deaths, nj.Runs,
 				nj.MeanLifetimeUS/1e6, nj.CI95LifetimeUS/1e6,

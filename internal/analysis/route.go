@@ -6,78 +6,28 @@ import (
 	"strings"
 )
 
-// RouteSample is one routed run's network-layer outcome: end-to-end data
-// counters, tree shape, and the lifetime marks that tell whether rerouting
-// actually extended the network's useful life past the first death.
-type RouteSample struct {
-	Generated      float64
-	Delivered      float64
-	ParentChanges  float64
-	LoopAvoided    float64
-	NoRoute        float64
-	TTLDrops       float64
-	BeaconsTx      float64
-	BeaconsRx      float64
-	MeanPathETX    float64
-	LastDeliveryUS float64
-	// FirstDeathUS is negative when no node died in the run; the lifetime
-	// extension statistic only folds runs that saw a death.
-	FirstDeathUS float64
-}
+// The per-run metrics a RouteReport renders: delivered/generated (only for
+// runs that generated a packet), mean path ETX, parent changes,
+// loop-avoided plus TTL drops (the transient-loop tax), no-route drops,
+// beacons sent, the last delivery's time, and how long after the first
+// battery death the last delivery came (only for runs with a death).
+const (
+	RouteDelivery    = "delivery_ratio"
+	RoutePathETX     = "path_etx"
+	RouteReroutes    = "parent_changes"
+	RouteLoopDrops   = "loop_drops"
+	RouteNoRoute     = "no_route"
+	RouteBeaconsTx   = "beacons_tx"
+	RouteLastUS      = "last_delivery_us"
+	RouteExtensionUS = "extension_us"
+)
 
-// routeGroup folds one configuration's samples.
-type routeGroup struct {
-	key       string
-	runs      int
-	delivery  RunningStat // delivered/generated per run
-	pathETX   RunningStat
-	reroutes  RunningStat // parent changes per run
-	loops     RunningStat // loop-avoided + ttl drops: the transient-loop tax
-	noRoute   RunningStat
-	beacons   RunningStat // control-plane sends per run
-	lastUS    RunningStat
-	extension RunningStat // last delivery minus first death, deaths only
-}
-
-// RouteReport folds RouteSamples across runs into per-configuration routing
-// statistics: delivery ratio, tree depth (mean path ETX), reroute and loop
-// counts, control-plane overhead, and — for runs with battery deaths — how
-// far past the first death the network kept delivering. Groups keep
-// insertion order so a deterministic run sequence renders deterministically,
-// the same contract as LifetimeReport and Aggregate.
-type RouteReport struct {
-	order  []string
-	groups map[string]*routeGroup
-}
-
-// NewRouteReport returns an empty report.
-func NewRouteReport() *RouteReport {
-	return &RouteReport{groups: make(map[string]*routeGroup)}
-}
-
-// Add folds one routed run into the named group (for sweeps, the spec's
-// ConfigKey).
-func (rr *RouteReport) Add(group string, s RouteSample) {
-	g := rr.groups[group]
-	if g == nil {
-		g = &routeGroup{key: group}
-		rr.groups[group] = g
-		rr.order = append(rr.order, group)
-	}
-	g.runs++
-	if s.Generated > 0 {
-		g.delivery.Add(s.Delivered / s.Generated)
-	}
-	g.pathETX.Add(s.MeanPathETX)
-	g.reroutes.Add(s.ParentChanges)
-	g.loops.Add(s.LoopAvoided + s.TTLDrops)
-	g.noRoute.Add(s.NoRoute)
-	g.beacons.Add(s.BeaconsTx)
-	g.lastUS.Add(s.LastDeliveryUS)
-	if s.FirstDeathUS >= 0 {
-		g.extension.Add(s.LastDeliveryUS - s.FirstDeathUS)
-	}
-}
+// RouteReport is an Aggregate of routed runs rendered per configuration:
+// delivery ratio, tree depth (mean path ETX), reroute and loop counts,
+// control-plane overhead, and — for runs with battery deaths — how far past
+// the first death the network kept delivering. Groups keep insertion order,
+// as in every Aggregate.
+type RouteReport Aggregate
 
 // Empty reports whether no routed runs were folded in.
 func (rr *RouteReport) Empty() bool { return len(rr.order) == 0 }
@@ -102,24 +52,33 @@ type routeGroupJSON struct {
 	CI95ExtensionS float64 `json:"ci95_extension_s,omitempty"`
 }
 
-func (g *routeGroup) groupJSON() routeGroupJSON {
-	gj := routeGroupJSON{
-		Key:               g.key,
-		Runs:              g.runs,
-		MeanDeliveryRatio: g.delivery.Mean(),
-		CI95DeliveryRatio: g.delivery.CI95(),
-		MeanPathETX:       g.pathETX.Mean(),
-		MeanParentChanges: g.reroutes.Mean(),
-		MeanLoopDrops:     g.loops.Mean(),
-		MeanNoRoute:       g.noRoute.Mean(),
-		MeanBeaconsTx:     g.beacons.Mean(),
-		MeanLastDeliveryS: g.lastUS.Mean() / 1e6,
+// routeRow returns g's row of the report. A metric no run of the group had
+// reads as an empty statistic.
+func routeRow(g *GroupStats) routeGroupJSON {
+	stat := func(name string) *RunningStat {
+		if st := g.stats[name]; st != nil {
+			return st
+		}
+		return &RunningStat{}
 	}
-	if n := g.extension.N(); n > 0 {
-		gj.Deaths = n
-		gj.MeanExtensionS = g.extension.Mean() / 1e6
-		gj.MinExtensionS = g.extension.Min() / 1e6
-		gj.CI95ExtensionS = g.extension.CI95() / 1e6
+	delivery := stat(RouteDelivery)
+	gj := routeGroupJSON{
+		Key:               g.Key,
+		Runs:              g.N,
+		MeanDeliveryRatio: delivery.Mean(),
+		CI95DeliveryRatio: delivery.CI95(),
+		MeanPathETX:       stat(RoutePathETX).Mean(),
+		MeanParentChanges: stat(RouteReroutes).Mean(),
+		MeanLoopDrops:     stat(RouteLoopDrops).Mean(),
+		MeanNoRoute:       stat(RouteNoRoute).Mean(),
+		MeanBeaconsTx:     stat(RouteBeaconsTx).Mean(),
+		MeanLastDeliveryS: stat(RouteLastUS).Mean() / 1e6,
+	}
+	if ext := stat(RouteExtensionUS); ext.N() > 0 {
+		gj.Deaths = ext.N()
+		gj.MeanExtensionS = ext.Mean() / 1e6
+		gj.MinExtensionS = ext.Min() / 1e6
+		gj.CI95ExtensionS = ext.CI95() / 1e6
 	}
 	return gj
 }
@@ -127,11 +86,12 @@ func (g *routeGroup) groupJSON() routeGroupJSON {
 // MarshalJSON renders the report deterministically: groups in insertion
 // order.
 func (rr *RouteReport) MarshalJSON() ([]byte, error) {
+	groups := (*Aggregate)(rr).Groups()
 	out := struct {
 		Groups []routeGroupJSON `json:"groups"`
-	}{Groups: make([]routeGroupJSON, 0, len(rr.order))}
-	for _, key := range rr.order {
-		out.Groups = append(out.Groups, rr.groups[key].groupJSON())
+	}{Groups: make([]routeGroupJSON, 0, len(groups))}
+	for _, g := range groups {
+		out.Groups = append(out.Groups, routeRow(g))
 	}
 	return json.Marshal(out)
 }
@@ -144,8 +104,8 @@ func (rr *RouteReport) Render() string {
 	var sb strings.Builder
 	fmt.Fprintf(&sb, "%-40s %5s %9s %8s %9s %7s %9s %12s\n",
 		"config", "runs", "delivery", "pathETX", "reroutes", "loops", "beacons", "extension")
-	for _, key := range rr.order {
-		gj := rr.groups[key].groupJSON()
+	for _, g := range (*Aggregate)(rr).Groups() {
+		gj := routeRow(g)
 		ext := "-"
 		if gj.Deaths > 0 {
 			ext = fmt.Sprintf("%+.1fs (n=%d)", gj.MeanExtensionS, gj.Deaths)

@@ -104,22 +104,7 @@ func (r *Result) Values() map[string]float64 {
 	for name, x := range r.Metrics {
 		v["metric:"+name] = x
 	}
-	battery := false
-	for _, n := range r.Nodes {
-		if n.BatteryUAH <= 0 {
-			continue
-		}
-		battery = true
-		id := strconv.Itoa(n.Node)
-		v["lifetime_us:node"+id] = float64(n.LifetimeUS)
-		v["margin_frac:node"+id] = n.MarginFrac
-		died := 0.0
-		if n.Died {
-			died = 1
-		}
-		v["died:node"+id] = died
-	}
-	if battery {
+	if r.batteryValues(v, newBatteryNames) {
 		// Always present for battery runs so the aggregate's death count
 		// averages over every replica, not only the fatal ones.
 		v["deaths"] = float64(r.Deaths)
@@ -141,6 +126,36 @@ func (r *Result) Values() map[string]float64 {
 		}
 	}
 	return v
+}
+
+// batteryNames are the names of one node's battery values.
+type batteryNames struct{ lifetime, died, margin string }
+
+func newBatteryNames(id int) batteryNames {
+	s := strconv.Itoa(id)
+	return batteryNames{analysis.LifetimeKey + s, analysis.DiedKey + s, analysis.MarginKey + s}
+}
+
+// batteryValues puts each battery-powered node's lifetime, death (1 or 0)
+// and margin into v, under the names name gives the node, and reports
+// whether the run had such a node.
+func (r *Result) batteryValues(v map[string]float64, name func(id int) batteryNames) bool {
+	battery := false
+	for _, n := range r.Nodes {
+		if n.BatteryUAH <= 0 {
+			continue
+		}
+		battery = true
+		k := name(n.Node)
+		v[k.lifetime] = float64(n.LifetimeUS)
+		v[k.margin] = n.MarginFrac
+		died := 0.0
+		if n.Died {
+			died = 1
+		}
+		v[k.died] = died
+	}
+	return battery
 }
 
 // Finish analyzes a completed run node by node, in ascending node id,

@@ -148,32 +148,46 @@ func (wk *worker) run(spec Spec) (res *Result) {
 	return r
 }
 
+// fold groups the runs of a result list that did not fail by ConfigKey,
+// replicas across seeds forming one group, and folds each run's values into
+// its group's statistics. A run whose values are empty contributes nothing,
+// and makes no group.
+func fold(results []*Result, values func(*Result) map[string]float64) *analysis.Aggregate {
+	ag := analysis.NewAggregate()
+	for _, r := range results {
+		if r == nil || r.Error != "" {
+			continue
+		}
+		if v := values(r); len(v) > 0 {
+			ag.Add(r.Spec.ConfigKey(), v)
+		}
+	}
+	return ag
+}
+
 // Lifetimes folds the battery outcomes of a result list into a lifetime
 // report: runs sharing a ConfigKey are one group, every battery-powered node
 // gets a death rate, mean time-to-death with CI95, and mean energy margin
 // across the group's seeds. Runs without batteries (and failed runs)
 // contribute nothing, so the report is empty for non-lifetime sweeps.
 func Lifetimes(results []*Result) *analysis.LifetimeReport {
-	lr := analysis.NewLifetimeReport()
-	for _, r := range results {
-		if r == nil || r.Error != "" {
-			continue
+	// One map carries every run's values into Add, which copies them, and
+	// each node's names are built once.
+	v := make(map[string]float64)
+	names := make(map[int]batteryNames)
+	name := func(id int) batteryNames {
+		n, ok := names[id]
+		if !ok {
+			n = newBatteryNames(id)
+			names[id] = n
 		}
-		var nodes []analysis.NodeLifetime
-		for _, n := range r.Nodes {
-			if n.BatteryUAH <= 0 {
-				continue
-			}
-			nodes = append(nodes, analysis.NodeLifetime{
-				Node:       n.Node,
-				Died:       n.Died,
-				LifetimeUS: n.LifetimeUS,
-				MarginFrac: n.MarginFrac,
-			})
-		}
-		lr.Add(r.Spec.ConfigKey(), nodes)
+		return n
 	}
-	return lr
+	return (*analysis.LifetimeReport)(fold(results, func(r *Result) map[string]float64 {
+		clear(v)
+		r.batteryValues(v, name)
+		return v
+	}))
 }
 
 // Routes folds the routed runs of a result list into a RouteReport: one
@@ -182,34 +196,27 @@ func Lifetimes(results []*Result) *analysis.LifetimeReport {
 // without a routing plane (no net_* metrics) contribute nothing, so the
 // report stays empty for classic sweeps and the CLI can skip rendering it.
 func Routes(results []*Result) *analysis.RouteReport {
-	rr := analysis.NewRouteReport()
-	for _, r := range results {
-		if r == nil || r.Error != "" {
-			continue
-		}
+	v := make(map[string]float64)
+	return (*analysis.RouteReport)(fold(results, func(r *Result) map[string]float64 {
 		m := r.Metrics
 		if _, routed := m["net_routed"]; !routed {
-			continue
+			return nil
 		}
-		s := analysis.RouteSample{
-			Generated:      m["generated"],
-			Delivered:      m["delivered"],
-			ParentChanges:  m["net_parent_changes"],
-			LoopAvoided:    m["net_loop_avoided"],
-			NoRoute:        m["net_no_route"],
-			TTLDrops:       m["net_ttl_drops"],
-			BeaconsTx:      m["net_beacons_tx"],
-			BeaconsRx:      m["net_beacons_rx"],
-			MeanPathETX:    m["net_path_etx_mean"],
-			LastDeliveryUS: m["net_last_delivery_us"],
-			FirstDeathUS:   -1,
+		clear(v)
+		if m["generated"] > 0 {
+			v[analysis.RouteDelivery] = m["delivered"] / m["generated"]
 		}
+		v[analysis.RoutePathETX] = m["net_path_etx_mean"]
+		v[analysis.RouteReroutes] = m["net_parent_changes"]
+		v[analysis.RouteLoopDrops] = m["net_loop_avoided"] + m["net_ttl_drops"]
+		v[analysis.RouteNoRoute] = m["net_no_route"]
+		v[analysis.RouteBeaconsTx] = m["net_beacons_tx"]
+		v[analysis.RouteLastUS] = m["net_last_delivery_us"]
 		if r.Deaths > 0 {
-			s.FirstDeathUS = float64(r.FirstDeathUS)
+			v[analysis.RouteExtensionUS] = m["net_last_delivery_us"] - float64(r.FirstDeathUS)
 		}
-		rr.Add(r.Spec.ConfigKey(), s)
-	}
-	return rr
+		return v
+	}))
 }
 
 // Aggregate folds a result list into per-configuration statistics: runs
@@ -218,12 +225,5 @@ func Routes(results []*Result) *analysis.RouteReport {
 // metrics — gets a mean/stddev/CI across the group. Failed runs are skipped;
 // the caller sees them in the result list.
 func Aggregate(results []*Result) *analysis.Aggregate {
-	ag := analysis.NewAggregate()
-	for _, r := range results {
-		if r == nil || r.Error != "" {
-			continue
-		}
-		ag.Add(r.Spec.ConfigKey(), r.Values())
-	}
-	return ag
+	return fold(results, (*Result).Values)
 }
