@@ -15,6 +15,10 @@ import (
 // BounceAMType is the Active Message type Bounce traffic uses.
 const BounceAMType uint8 = 7
 
+// bounceHoldTime is how long a Bounce node holds a packet: the paper's
+// 220 ms.
+const bounceHoldTime = 220 * units.Millisecond
+
 // The paper's Bounce nodes.
 const (
 	bounceNodeA core.NodeID = 1
@@ -53,11 +57,12 @@ type Bounce struct {
 
 // NewBounce builds the two-node world the spec describes into the empty
 // world w: the paper's nodes 1 and 4 on Channel (default 26), holding each
-// packet HoldTimeUS (default 220 ms), optionally over DMA. By default each
-// node injects one packet; a traffic shape replaces that with a schedule
-// per node (slot 0 drives node 1, slot 1 node 4), and every injection
-// starts a fresh packet bouncing (dropped at a busy radio), so offered load
-// controls the bouncing population instead of pinning it.
+// packet the paper's 220 ms (HoldTime, which a caller may change before
+// the world runs), optionally over DMA. By default each node injects one
+// packet; a traffic shape replaces that with a schedule per node (slot 0
+// drives node 1, slot 1 node 4), and every injection starts a fresh packet
+// bouncing (dropped at a busy radio), so offered load controls the
+// bouncing population instead of pinning it.
 func NewBounce(spec scenario.Spec, w *mote.World) (*Bounce, error) {
 	ids := [2]core.NodeID{bounceNodeA, bounceNodeB}
 	srcs, rec, err := spec.TrafficSources(ids[:])
@@ -66,7 +71,7 @@ func NewBounce(spec scenario.Spec, w *mote.World) (*Bounce, error) {
 	}
 	b := &Bounce{
 		World:    w,
-		HoldTime: cmp.Or(units.Ticks(spec.HoldTimeUS), 220*units.Millisecond),
+		HoldTime: bounceHoldTime,
 		traffic:  rec,
 	}
 	rc := radio.Config{Channel: cmp.Or(spec.Channel, defaultChannel), UseDMA: spec.UseDMA}

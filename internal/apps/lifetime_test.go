@@ -209,7 +209,6 @@ func TestHarvestSweepKnob(t *testing.T) {
 		Seed:       9,
 		DurationUS: int64(40 * units.Second),
 		Channel:    26,
-		NoWiFi:     true,
 		BatteryUAH: 4,
 	}
 	plain := scenario.RunSpec(base)

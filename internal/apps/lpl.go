@@ -22,26 +22,33 @@ type LPL struct {
 
 	Act core.Label
 
-	// receiveCheck is how long the receiver stays on during a clean check;
-	// fpHold how long it stays on after detecting energy.
-	receiveCheck, fpHold units.Ticks
-
 	wakeups        uint64
 	falsePositives uint64
 }
+
+// The LPL receiver's timing, and the interferer's bursts.
+const (
+	// lplReceiveCheck is how long a clean check keeps the receiver on:
+	// long enough to catch a wake-up preamble.
+	lplReceiveCheck = 9400 * units.Microsecond
+	// lplFalsePositiveHold is how long the receiver stays on after it
+	// detects energy: "the CPU keeps the radio on for about 100 ms, and
+	// turns it off when the timer expires and no packet was received"
+	// (Figure 14).
+	lplFalsePositiveHold = 100 * units.Millisecond
+	// wifiBurst is the interferer's mean burst length.
+	wifiBurst = 5 * units.Millisecond
+)
 
 // NewLPL builds the one-node world the spec describes into the empty world
 // w, at the paper's 3.35 V unless Volts is set, listening on Channel
 // (default 26; 17 overlaps 802.11b channel 6). The radio wakes every
 // CheckPeriodUS (default 500 ms, the paper's sampling period), stays on
-// ReceiveCheckUS (default 9.4 ms, long enough to catch a wake-up preamble)
-// during a clean check, and FalsePositiveHoldUS (default 100 ms) after
-// detecting energy: "the CPU keeps the radio on for about 100 ms, and turns
-// it off when the timer expires and no packet was received" (Figure 14).
-// Unless NoWiFi is set, an 802.11b access point on channel 6 interferes,
-// sending WiFiBurstUS bursts (default 5 ms) separated by WiFiGapUS gaps
-// (default 23 ms): a ~17.9% channel occupancy, matching the paper's 17.8%
-// false-positive rate.
+// 9.4 ms during a clean check, and 100 ms after detecting energy. An
+// 802.11b access point on channel 6 interferes, sending 5 ms bursts
+// separated by WiFiGapUS gaps (default 23 ms): a ~17.9% channel occupancy,
+// matching the paper's 17.8% false-positive rate. A node on a channel that
+// channel 6 does not overlap, such as the default 26, never hears it.
 func NewLPL(spec scenario.Spec, w *mote.World) *LPL {
 	opts := spec.NodeOptions(1)
 	opts.Volts = units.Volts(cmp.Or(spec.Volts, 3.35))
@@ -49,18 +56,10 @@ func NewLPL(spec scenario.Spec, w *mote.World) *LPL {
 	opts.RadioConfig = radio.Config{Channel: cmp.Or(spec.Channel, defaultChannel)}
 	n := w.AddNode(1, opts)
 
-	if !spec.NoWiFi {
-		burst := cmp.Or(units.Ticks(spec.WiFiBurstUS), 5*units.Millisecond)
-		gap := cmp.Or(units.Ticks(spec.WiFiGapUS), 23*units.Millisecond)
-		w.Medium.AddWiFi(medium.NewWiFiSource(6, burst, gap, spec.Seed^0xBEEF))
-	}
+	gap := cmp.Or(units.Ticks(spec.WiFiGapUS), 23*units.Millisecond)
+	w.Medium.AddWiFi(medium.NewWiFiSource(6, wifiBurst, gap, spec.Seed^0xBEEF))
 
-	l := &LPL{
-		World:        w,
-		Node:         n,
-		receiveCheck: cmp.Or(units.Ticks(spec.ReceiveCheckUS), 9400),
-		fpHold:       cmp.Or(units.Ticks(spec.FalsePositiveHoldUS), 100*units.Millisecond),
-	}
+	l := &LPL{World: w, Node: n}
 	k := n.K
 	l.Act = k.DefineActivity("LPL")
 
@@ -95,9 +94,9 @@ func (l *LPL) check() {
 			hold := k.NewTimer(func() {
 				n.Radio.TurnOff()
 			})
-			hold.StartOneShot(l.fpHold)
+			hold.StartOneShot(lplFalsePositiveHold)
 		})
-		settle.StartOneShot(l.receiveCheck)
+		settle.StartOneShot(lplReceiveCheck)
 	})
 }
 

@@ -74,7 +74,8 @@ func TestLPLWiFiDutySweep(t *testing.T) {
 // doubles the packet exchange rate.
 func TestBounceHoldTimeControlsThroughput(t *testing.T) {
 	run := func(hold units.Ticks) uint64 {
-		b := mustNew(t, NewBounce, scenario.Spec{Seed: 3, HoldTimeUS: int64(hold)})
+		b := mustNew(t, NewBounce, scenario.Spec{Seed: 3})
+		b.HoldTime = hold
 		b.Run(6 * units.Second)
 		recv, _ := b.Stats()
 		return recv[0] + recv[1]
@@ -94,27 +95,39 @@ func TestBounceHoldTimeControlsThroughput(t *testing.T) {
 // rates their radio and sensor pipelines can carry: short bounce hold
 // times and a shaped bounce injection pile packets onto a busy radio, and a
 // 2 ms sampling period outruns the ~130 ms sensor pipeline. Every run must
-// finish without error, dropping or skipping the excess instead of
-// panicking or queueing it.
+// build, run and analyze without error, dropping or skipping the excess
+// instead of panicking or queueing it.
 func TestSendDrivenAppsSurviveOverload(t *testing.T) {
-	specs := []scenario.Spec{
-		{App: "bounce", HoldTimeUS: 500},
-		{App: "bounce", HoldTimeUS: 1000},
-		{App: "bounce", HoldTimeUS: 2000},
-		{App: "bounce", HoldTimeUS: 10000},
-		{App: "bounce", Traffic: &traffic.Spec{Shape: traffic.ShapeConstant, RPS: 20}},
-		{App: "sensesend", PeriodUS: 2000},
+	cases := []struct {
+		spec scenario.Spec
+		// hold, when set, replaces Bounce's hold time, in microseconds.
+		hold int64
+	}{
+		{scenario.Spec{App: "bounce"}, 500},
+		{scenario.Spec{App: "bounce"}, 1000},
+		{scenario.Spec{App: "bounce"}, 2000},
+		{scenario.Spec{App: "bounce"}, 10000},
+		{scenario.Spec{App: "bounce", Traffic: &traffic.Spec{Shape: traffic.ShapeConstant, RPS: 20}}, 0},
+		{scenario.Spec{App: "sensesend", PeriodUS: 2000}, 0},
 	}
-	for _, spec := range specs {
+	for _, c := range cases {
 		for seed := uint64(1); seed <= 5; seed++ {
-			spec := spec
+			spec := c.spec
 			spec.Seed = seed
 			spec.DurationUS = int64(4 * units.Second)
 			t.Run(fmt.Sprintf("%s/hold=%d/period=%d/traffic=%v/seed=%d",
-				spec.App, spec.HoldTimeUS, spec.PeriodUS, spec.Traffic != nil, seed), func(t *testing.T) {
-				r := scenario.RunSpec(spec)
-				if r.Error != "" {
-					t.Fatalf("run failed: %s", r.Error)
+				spec.App, c.hold, spec.PeriodUS, spec.Traffic != nil, seed), func(t *testing.T) {
+				in, err := scenario.Build(spec)
+				if err != nil {
+					t.Fatalf("build: %v", err)
+				}
+				if c.hold != 0 {
+					in.App.(*Bounce).HoldTime = units.Ticks(c.hold)
+				}
+				in.Run()
+				r, err := in.Finish()
+				if err != nil {
+					t.Fatalf("run failed: %v", err)
 				}
 				if spec.App != "sensesend" {
 					return

@@ -35,6 +35,11 @@ func FuzzSpecJSON(f *testing.F) {
 		`{"app":"relay","placement":"line","routing":"dsr","beacon_period_ms":-5,"speed_mps":1e308}`,
 		// Another field specs no longer have, beside the logging mode.
 		`{"app":"blink","ram_buffer_entries":16,"continuous_drain":true}`,
+		// App timings that are constants now, not fields.
+		`{"app":"bounce","duration_us":1000000,"hold_time_us":500}`,
+		`{"app":"lpl","duration_us":1000000,"receive_check_us":9400,"false_positive_hold_us":100000}`,
+		`{"app":"lpl","duration_us":1000000,"wifi_burst_us":5000,"wifi_gap_us":23000}`,
+		`{"app":"lpl","duration_us":1000000,"no_wifi":true,"channel":17}`,
 	}
 	for _, s := range seeds {
 		f.Add([]byte(s))

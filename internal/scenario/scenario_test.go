@@ -196,6 +196,26 @@ func TestParseSpecOrMatrix(t *testing.T) {
 			t.Fatalf("buffer size field in %s: err = %v, want unknown-field rejection", doc, err)
 		}
 	}
+	// Nor are the app timings no study varied: Bounce's 220 ms hold, LPL's
+	// receive check and false-positive hold, and the interferer's burst
+	// length are constants, and LPL always runs against the interferer.
+	for _, c := range []struct{ field, value string }{
+		{"hold_time_us", "500"},
+		{"receive_check_us", "9400"},
+		{"false_positive_hold_us", "100000"},
+		{"wifi_burst_us", "5000"},
+		{"no_wifi", "true"},
+	} {
+		for _, doc := range []string{
+			`{"app":"lpl","duration_us":1000000,"` + c.field + `":` + c.value + `}`,
+			`{"base":{"app":"lpl","duration_us":1000000},"sweep":{"` + c.field + `":[` + c.value + `]}}`,
+		} {
+			if _, err := scenario.ParseSpecOrMatrix([]byte(doc)); err == nil ||
+				!strings.Contains(err.Error(), `unknown field "`+c.field+`"`) {
+				t.Fatalf("removed field in %s: err = %v, want unknown-field rejection", doc, err)
+			}
+		}
+	}
 }
 
 // TestSweepSeedExactness: seeds beyond 2^53 must survive the matrix
@@ -305,13 +325,9 @@ func TestSpecKnobValidation(t *testing.T) {
 		{"origins", func(s *scenario.Spec) { s.Origins = -1 }, "origins"},
 		{"volts", func(s *scenario.Spec) { s.Volts = -3 }, "volts"},
 		{"period_us", func(s *scenario.Spec) { s.PeriodUS = -5 }, "period_us"},
-		{"hold_time_us", func(s *scenario.Spec) { s.HoldTimeUS = -1 }, "hold_time_us"},
 		{"payload_bytes", func(s *scenario.Spec) { s.PayloadBytes = -1 }, "payload_bytes"},
 		{"start_at_us", func(s *scenario.Spec) { s.StartAtUS = -1 }, "start_at_us"},
 		{"check_period_us", func(s *scenario.Spec) { s.CheckPeriodUS = -1 }, "check_period_us"},
-		{"receive_check_us", func(s *scenario.Spec) { s.ReceiveCheckUS = -1 }, "receive_check_us"},
-		{"false_positive_hold_us", func(s *scenario.Spec) { s.FalsePositiveHoldUS = -1 }, "false_positive_hold_us"},
-		{"wifi_burst_us", func(s *scenario.Spec) { s.WiFiBurstUS = -1 }, "wifi_burst_us"},
 		{"wifi_gap_us", func(s *scenario.Spec) { s.WiFiGapUS = -1 }, "wifi_gap_us"},
 	}
 	for _, c := range cases {

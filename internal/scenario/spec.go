@@ -101,10 +101,6 @@ type Spec struct {
 	// the topology. Origins start their periods at staggered phases; the
 	// stagger stays because it defines simulated output. Honored by: relay.
 	Origins int `json:"origins,omitempty"`
-	// HoldTimeUS is how long a Bounce node keeps a packet before sending it
-	// back, in microseconds. 0 selects the paper's 220 ms. Honored by:
-	// bounce.
-	HoldTimeUS int64 `json:"hold_time_us,omitempty"`
 	// PayloadBytes sizes the DMA comparison's packet payload. 0 selects 30.
 	// Honored by: dma.
 	PayloadBytes int `json:"payload_bytes,omitempty"`
@@ -115,21 +111,11 @@ type Spec struct {
 	// CheckPeriodUS is the LPL sleep interval between channel checks, in
 	// microseconds. 0 selects the paper's 500 ms. Honored by: lpl.
 	CheckPeriodUS int64 `json:"check_period_us,omitempty"`
-	// ReceiveCheckUS is how long the LPL receiver stays on during a clean
-	// check, in microseconds. 0 selects 9.4 ms. Honored by: lpl.
-	ReceiveCheckUS int64 `json:"receive_check_us,omitempty"`
-	// FalsePositiveHoldUS is how long the LPL receiver is held on after
-	// detecting energy, in microseconds. 0 selects the paper's 100 ms.
-	// Honored by: lpl.
-	FalsePositiveHoldUS int64 `json:"false_positive_hold_us,omitempty"`
-	// NoWiFi disables the interfering 802.11b access point that the LPL
-	// study runs against by default. Honored by: lpl.
-	NoWiFi bool `json:"no_wifi,omitempty"`
-	// WiFiBurstUS / WiFiGapUS shape the interferer's traffic, in
-	// microseconds (defaults 5 ms / 23 ms: ~17.9% channel occupancy,
-	// matching the paper's 17.8% false-positive rate). Honored by: lpl.
-	WiFiBurstUS int64 `json:"wifi_burst_us,omitempty"`
-	WiFiGapUS   int64 `json:"wifi_gap_us,omitempty"`
+	// WiFiGapUS is the mean gap, in microseconds, between the bursts (5 ms
+	// on average) of the 802.11b access point that interferes with LPL. 0
+	// selects 23 ms: ~17.9% channel occupancy, matching the paper's 17.8%
+	// false-positive rate. Honored by: lpl.
+	WiFiGapUS int64 `json:"wifi_gap_us,omitempty"`
 
 	// Placement selects the spatial propagation layer and how nodes are
 	// laid out on the plane: "line" (evenly spaced), "grid" (near-square,
@@ -498,13 +484,9 @@ func (s *Spec) Validate() error {
 		{"origins", float64(s.Origins)},
 		{"volts", s.Volts},
 		{"period_us", float64(s.PeriodUS)},
-		{"hold_time_us", float64(s.HoldTimeUS)},
 		{"payload_bytes", float64(s.PayloadBytes)},
 		{"start_at_us", float64(s.StartAtUS)},
 		{"check_period_us", float64(s.CheckPeriodUS)},
-		{"receive_check_us", float64(s.ReceiveCheckUS)},
-		{"false_positive_hold_us", float64(s.FalsePositiveHoldUS)},
-		{"wifi_burst_us", float64(s.WiFiBurstUS)},
 		{"wifi_gap_us", float64(s.WiFiGapUS)},
 	} {
 		if f.v < 0 {
