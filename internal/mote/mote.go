@@ -163,9 +163,8 @@ func (w *World) Reset(seed uint64) {
 	w.seed = seed
 	// Resource names for reports. Every node runs the same platform, so the
 	// world registers them once rather than once per node.
-	//quanto:ordered writes to distinct dictionary keys, one per resource id; order cannot escape
 	for res, name := range power.ResourceNames() {
-		w.Dict.NameResource(res, name)
+		w.Dict.NameResource(core.ResourceID(res), name)
 	}
 }
 

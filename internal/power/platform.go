@@ -235,9 +235,10 @@ func Platform() []SinkInfo {
 	}
 }
 
-// ResourceNames returns the short names used in timelines and tables.
-func ResourceNames() map[core.ResourceID]string {
-	return map[core.ResourceID]string{
+// ResourceNames returns the short names used in timelines and tables,
+// indexed by resource id.
+func ResourceNames() [NumResources]string {
+	return [NumResources]string{
 		ResCPU:         "CPU",
 		ResVRef:        "VRef",
 		ResADC:         "ADC",
