@@ -12,8 +12,10 @@
 //
 // Every line that should produce a diagnostic carries a trailing
 // `// want "re"` comment (several quoted regexps for several diagnostics on
-// one line); a diagnostic with no matching want, or a want with no matching
-// diagnostic, fails the test with the position attached.
+// one line), or a `/* want "re" */` block comment where the line's own line
+// comment is what is under test; a diagnostic with no matching want, or a
+// want with no matching diagnostic, fails the test with the position
+// attached.
 package linttest
 
 import (
@@ -71,7 +73,13 @@ func checkWants(t *testing.T, fset *token.FileSet, files []*ast.File, diags []li
 	for _, f := range files {
 		for _, cg := range f.Comments {
 			for _, c := range cg.List {
-				text := strings.TrimSpace(strings.TrimPrefix(c.Text, "//"))
+				// A block comment carries a want on a line whose own line
+				// comment is under test, as in analysistest.
+				text := strings.TrimPrefix(c.Text, "//")
+				if b, ok := strings.CutPrefix(c.Text, "/*"); ok {
+					text = strings.TrimSuffix(b, "*/")
+				}
+				text = strings.TrimSpace(text)
 				if !strings.HasPrefix(text, "want ") {
 					continue
 				}

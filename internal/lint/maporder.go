@@ -3,6 +3,7 @@ package lint
 import (
 	"go/ast"
 	"go/types"
+	"strings"
 )
 
 // MapOrder flags `for range` over a map value inside a deterministic
@@ -49,6 +50,7 @@ func runMapOrder(pass *Pass) {
 		return
 	}
 	for _, f := range pass.Files {
+		ranges := make(map[int]bool) // the lines a map range starts on
 		ast.Inspect(f, func(n ast.Node) bool {
 			rs, ok := n.(*ast.RangeStmt)
 			if !ok {
@@ -62,6 +64,7 @@ func runMapOrder(pass *Pass) {
 			if !isMap && !isMapIterCall(pass, rs.X) {
 				return true
 			}
+			ranges[pass.Fset.Position(rs.For).Line] = true
 			if _, ok := waiver(pass.Fset, pass.Files, rs.For, "ordered"); ok {
 				return true
 			}
@@ -69,5 +72,19 @@ func runMapOrder(pass *Pass) {
 				types.ExprString(rs.X), pass.Pkg.Path())
 			return true
 		})
+		// A waiver covers a map range on its own line or the next one. One
+		// that covers neither waives nothing, and would silently waive a
+		// map range that later moved under it.
+		for _, cg := range f.Comments {
+			for _, c := range cg.List {
+				text := strings.TrimSpace(strings.TrimPrefix(c.Text, "//"))
+				if !strings.HasPrefix(text, "quanto:ordered") {
+					continue
+				}
+				if line := pass.Fset.Position(c.Pos()).Line; !ranges[line] && !ranges[line+1] {
+					pass.Reportf(c.Pos(), "//quanto:ordered waives nothing: no map range starts on its line or the next")
+				}
+			}
+		}
 	}
 }

@@ -1,6 +1,6 @@
 // Package mapfix exercises maporder inside the deterministic set (it lives
 // under repro/internal/sim): unsorted map ranges are flagged, sorted and
-// waived ones are not.
+// waived ones are not, and a waiver with no map range to waive is flagged.
 package mapfix
 
 import (
@@ -59,4 +59,23 @@ func Unwaived(m map[string]bool) bool {
 		}
 	}
 	return false
+}
+
+// Stale carries waivers that waive nothing: one above a slice range, one
+// trailing a statement, and one two lines above a map range, which its own
+// waiver covers.
+func Stale(s []int, m map[string]int) int {
+	n := 0
+	/* want `//quanto:ordered waives nothing` */ //quanto:ordered a slice range needs no waiver
+	for _, v := range s {
+		n += v
+	}
+	n++ /* want `//quanto:ordered waives nothing` */ //quanto:ordered no range here
+	/* want `//quanto:ordered waives nothing` */ //quanto:ordered too far above the range
+	n--
+	//quanto:ordered the sum is order-independent
+	for _, v := range m {
+		n += v
+	}
+	return n
 }
