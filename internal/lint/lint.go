@@ -151,7 +151,6 @@ func Deterministic(path string) bool {
 // justification.
 func waiver(fset *token.FileSet, files []*ast.File, pos token.Pos, kind string) (string, bool) {
 	p := fset.Position(pos)
-	marker := "quanto:" + kind
 	for _, f := range files {
 		if fset.Position(f.Pos()).Filename != p.Filename {
 			continue
@@ -162,17 +161,19 @@ func waiver(fset *token.FileSet, files []*ast.File, pos token.Pos, kind string) 
 				if cp.Line != p.Line && cp.Line != p.Line-1 {
 					continue
 				}
-				text := strings.TrimPrefix(c.Text, "//")
-				text = strings.TrimSpace(text)
-				if !strings.HasPrefix(text, marker) {
-					continue
-				}
-				reason := strings.TrimSpace(strings.TrimPrefix(text, marker))
-				if reason != "" {
+				if reason, ok := waiverComment(c, kind); ok && reason != "" {
 					return reason, true
 				}
 			}
 		}
 	}
 	return "", false
+}
+
+// waiverComment reports whether c is a `//quanto:<kind>` comment, and
+// returns the reason it gives, if any.
+func waiverComment(c *ast.Comment, kind string) (string, bool) {
+	text := strings.TrimSpace(strings.TrimPrefix(c.Text, "//"))
+	reason, ok := strings.CutPrefix(text, "quanto:"+kind)
+	return strings.TrimSpace(reason), ok
 }

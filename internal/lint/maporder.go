@@ -3,7 +3,6 @@ package lint
 import (
 	"go/ast"
 	"go/types"
-	"strings"
 )
 
 // MapOrder flags `for range` over a map value inside a deterministic
@@ -77,8 +76,7 @@ func runMapOrder(pass *Pass) {
 		// map range that later moved under it.
 		for _, cg := range f.Comments {
 			for _, c := range cg.List {
-				text := strings.TrimSpace(strings.TrimPrefix(c.Text, "//"))
-				if !strings.HasPrefix(text, "quanto:ordered") {
+				if _, ok := waiverComment(c, "ordered"); !ok {
 					continue
 				}
 				if line := pass.Fset.Position(c.Pos()).Line; !ranges[line] && !ranges[line+1] {

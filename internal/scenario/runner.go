@@ -148,10 +148,10 @@ func (wk *worker) run(spec Spec) (res *Result) {
 	return r
 }
 
-// fold groups the runs of a result list that did not fail by ConfigKey,
-// replicas across seeds forming one group, and folds each run's values into
-// its group's statistics. A run whose values are empty contributes nothing,
-// and makes no group.
+// fold groups a result list's runs by ConfigKey, replicas across seeds
+// forming one group, and folds each run's values into its group's
+// statistics. A failed run, or one whose values are empty, contributes
+// nothing and makes no group.
 func fold(results []*Result, values func(*Result) map[string]float64) *analysis.Aggregate {
 	ag := analysis.NewAggregate()
 	for _, r := range results {
@@ -172,7 +172,8 @@ func fold(results []*Result, values func(*Result) map[string]float64) *analysis.
 // contribute nothing, so the report is empty for non-lifetime sweeps.
 func Lifetimes(results []*Result) *analysis.LifetimeReport {
 	// One map carries every run's values into Add, which copies them, and
-	// each node's names are built once.
+	// each node's names are built once, so a run's values allocate nothing
+	// once its nodes have been named.
 	v := make(map[string]float64)
 	names := make(map[int]batteryNames)
 	name := func(id int) batteryNames {
