@@ -5,6 +5,7 @@ import (
 
 	"repro/internal/am"
 	"repro/internal/core"
+	"repro/internal/kernel"
 	"repro/internal/mote"
 	"repro/internal/radio"
 	"repro/internal/scenario"
@@ -41,6 +42,8 @@ type Bounce struct {
 	HoldTime units.Ticks
 
 	acts [2]core.Label
+	// holds is each node's free list of hold records.
+	holds [2]*bounceHold
 
 	received [2]uint64
 	sent     [2]uint64
@@ -94,28 +97,22 @@ func (b *Bounce) setup(srcs []traffic.Source, i int, peer core.NodeID) {
 
 	n.AM.Register(BounceAMType, func(p *am.Packet) {
 		// Handler runs with the CPU already bound to the packet's
-		// originating activity; everything below inherits it.
+		// originating activity; everything below inherits it, the hold
+		// timer included, which restores it when it fires.
 		b.received[i]++
-		led := 2
-		if p.Label().Origin() != n.ID {
-			led = 1
+		h := b.holds[i]
+		if h == nil {
+			h = b.newHold(i)
+		} else {
+			b.holds[i], h.next = h.next, nil
 		}
-		n.LEDs.On(led)
-		hold := k.NewTimer(func() {
-			// The timer restored the packet's activity; send it onward (a
-			// busy radio drops it) and turn the LED off when it is done.
-			if n.Radio.Busy() {
-				n.LEDs.Off(led)
-				b.holdDrops++
-				return
-			}
-			out := &am.Packet{Dest: peer, Type: BounceAMType, Payload: p.Payload}
-			n.AM.Send(out, func() {
-				n.LEDs.Off(led)
-				b.sent[i]++
-			})
-		})
-		hold.StartOneShot(b.HoldTime)
+		h.led = 2
+		if p.Label().Origin() != n.ID {
+			h.led = 1
+		}
+		h.payload = p.Payload
+		n.LEDs.On(h.led)
+		h.timer.StartOneShot(b.HoldTime)
 	})
 
 	k.Boot(func() {
@@ -128,6 +125,7 @@ func (b *Bounce) setup(srcs []traffic.Source, i int, peer core.NodeID) {
 			if srcs != nil {
 				src = srcs[i]
 			}
+			sent := func() { b.sent[i]++ }
 			traffic.Drive(k, src, b.traffic.Hook(i), func() {
 				b.injected++
 				if n.Radio.Busy() {
@@ -135,11 +133,60 @@ func (b *Bounce) setup(srcs []traffic.Source, i int, peer core.NodeID) {
 					return
 				}
 				out := &am.Packet{Dest: peer, Type: BounceAMType, Payload: make([]byte, 12)}
-				n.AM.Send(out, func() { b.sent[i]++ })
+				n.AM.Send(out, sent)
 			})
 		})
 		k.CPUAct.SetIdle()
 	})
+}
+
+// bounceHold is one packet a node holds: the timer that sends it back, made
+// with the record, the LED lit for it and its payload. Under a traffic shape
+// a node can hold several packets at once, so each node keeps a free list of
+// them; a record is in use from the reception until its packet has been
+// sent back or dropped. Every record is made after the node's traffic.Drive
+// timer, as the per-reception timers were, and two holds on one node never
+// fall due on the same tick: each is armed at a distinct local time.
+type bounceHold struct {
+	b       *Bounce
+	i       int // the holding node's index
+	timer   *kernel.Timer
+	sentFn  func()
+	led     int
+	payload []byte
+	next    *bounceHold
+}
+
+func (b *Bounce) newHold(i int) *bounceHold {
+	h := &bounceHold{b: b, i: i}
+	h.timer = b.Nodes[i].K.NewTimer(h.fire)
+	h.sentFn = h.sent
+	return h
+}
+
+// fire ends the hold: send the packet onward (a busy radio drops it) and
+// turn the LED off when it is done.
+func (h *bounceHold) fire() {
+	b, n := h.b, h.b.Nodes[h.i]
+	if n.Radio.Busy() {
+		n.LEDs.Off(h.led)
+		b.holdDrops++
+		h.free()
+		return
+	}
+	out := &am.Packet{Dest: b.Nodes[1-h.i].ID, Type: BounceAMType, Payload: h.payload}
+	n.AM.Send(out, h.sentFn)
+}
+
+func (h *bounceHold) sent() {
+	h.b.Nodes[h.i].LEDs.Off(h.led)
+	h.b.sent[h.i]++
+	h.free()
+}
+
+func (h *bounceHold) free() {
+	h.payload = nil
+	h.b.holds[h.i], h.next = h, h.b.holds[h.i]
 }
 
 // Injections returns packets the injection schedule offered across both

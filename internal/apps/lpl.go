@@ -4,6 +4,7 @@ import (
 	"cmp"
 
 	"repro/internal/core"
+	"repro/internal/kernel"
 	"repro/internal/medium"
 	"repro/internal/mote"
 	"repro/internal/radio"
@@ -21,6 +22,13 @@ type LPL struct {
 	Node  *mote.Node
 
 	Act core.Label
+
+	// A wake-up's timers and its TurnOn continuation, made once at boot
+	// and re-armed by every wake-up; awake is set from a wake-up until it
+	// turns the radio off.
+	settle, hold *kernel.Timer
+	listenFn     func()
+	awake        bool
 
 	wakeups        uint64
 	falsePositives uint64
@@ -48,7 +56,9 @@ const (
 // 802.11b access point on channel 6 interferes, sending 5 ms bursts
 // separated by WiFiGapUS gaps (default 23 ms): a ~17.9% channel occupancy,
 // matching the paper's 17.8% false-positive rate. A node on a channel that
-// channel 6 does not overlap, such as the default 26, never hears it.
+// channel 6 does not overlap, such as the default 26, never hears it. A
+// wake-up that finds the previous one still holding the radio on does
+// nothing and is not counted.
 func NewLPL(spec scenario.Spec, w *mote.World) *LPL {
 	opts := spec.NodeOptions(1)
 	opts.Volts = units.Volts(cmp.Or(spec.Volts, 3.35))
@@ -66,7 +76,13 @@ func NewLPL(spec scenario.Spec, w *mote.World) *LPL {
 	checkPeriod := cmp.Or(units.Ticks(spec.CheckPeriodUS), 500*units.Millisecond)
 	k.Boot(func() {
 		k.CPUAct.Set(l.Act)
-		check := k.NewTimer(func() { l.check() })
+		check := k.NewTimer(l.check)
+		// Created after the check timer, the settle and hold timers rank
+		// after it among same-tick fires, as the per-wake-up timers they
+		// replace did.
+		l.settle = k.NewTimer(l.settled)
+		l.hold = k.NewTimer(l.sleep)
+		l.listenFn = l.listen
 		check.StartPeriodic(checkPeriod)
 		k.CPUAct.SetIdle()
 	})
@@ -75,29 +91,40 @@ func NewLPL(spec scenario.Spec, w *mote.World) *LPL {
 
 // check is one wake-up: power the radio, listen briefly, sample the channel,
 // and either sleep again or hold the receiver on for the false-positive
-// window.
+// window. A wake-up that finds the previous one still holding the radio
+// (a check period shorter than the hold) does nothing: its settle would
+// sample a radio the hold is about to turn off.
 func (l *LPL) check() {
-	n := l.Node
-	k := n.K
+	if l.awake {
+		return
+	}
+	l.awake = true
 	l.wakeups++
-	n.Radio.TurnOn(func() {
-		n.Radio.StartListening()
-		settle := k.NewTimer(func() {
-			busy := n.Radio.SampleCCA()
-			if !busy {
-				n.Radio.TurnOff()
-				return
-			}
-			// Energy detected: keep listening for a packet until the
-			// timeout expires.
-			l.falsePositives++
-			hold := k.NewTimer(func() {
-				n.Radio.TurnOff()
-			})
-			hold.StartOneShot(lplFalsePositiveHold)
-		})
-		settle.StartOneShot(lplReceiveCheck)
-	})
+	l.Node.Radio.TurnOn(l.listenFn)
+}
+
+// listen runs once the radio is on: listen until the settle timer fires.
+func (l *LPL) listen() {
+	l.Node.Radio.StartListening()
+	l.settle.StartOneShot(lplReceiveCheck)
+}
+
+// settled samples the channel at the end of the receive check.
+func (l *LPL) settled() {
+	if !l.Node.Radio.SampleCCA() {
+		l.sleep()
+		return
+	}
+	// Energy detected: keep listening for a packet until the timeout
+	// expires.
+	l.falsePositives++
+	l.hold.StartOneShot(lplFalsePositiveHold)
+}
+
+// sleep turns the radio off, ending the wake-up.
+func (l *LPL) sleep() {
+	l.Node.Radio.TurnOff()
+	l.awake = false
 }
 
 // Stats returns wake-up and false-positive counts.

@@ -76,3 +76,23 @@ func TestLPLPowerOrdering(t *testing.T) {
 		t.Errorf("power ratio = %.2f, want within [1.2, 4.0]", ratio)
 	}
 }
+
+// TestLPLShortCheckPeriods: a check period shorter than a false positive's
+// ~114 ms on-window is valid. A wake-up that finds the previous one still
+// holding the radio on must do nothing, not arm a settle that samples the
+// radio after the hold has turned it off.
+func TestLPLShortCheckPeriods(t *testing.T) {
+	for _, p := range []units.Ticks{20 * units.Millisecond, 50 * units.Millisecond, 100 * units.Millisecond} {
+		r := scenario.RunSpec(scenario.Spec{App: "lpl", Seed: 1, Channel: 17,
+			CheckPeriodUS: int64(p), DurationUS: int64(30 * units.Second)})
+		if r.Error != "" {
+			t.Errorf("check period %v: %s", p, r.Error)
+			continue
+		}
+		wakeups, fps := r.Metrics["wakeups"], r.Metrics["false_positives"]
+		if fps == 0 || wakeups >= float64(30*units.Second/p) {
+			t.Errorf("check period %v: %v wake-ups and %v false positives in 30 s, want some skipped for holds",
+				p, wakeups, fps)
+		}
+	}
+}

@@ -80,15 +80,15 @@ type Radio struct {
 	RxAct *core.MultiActivityDevice
 
 	rxProxy  *kernel.IRQ // pxy_RX: start-of-frame on receive
-	spiIRQ   *kernel.IRQ // int_UART0RX: bus transfer, interrupt mode
-	dmaIRQ   *kernel.IRQ // int_DACDMA: bus transfer, DMA mode
+	busIRQ   *kernel.IRQ // bus transfer: int_UART0RX, or int_DACDMA under UseDMA
 	txSfdIRQ *kernel.IRQ
 	ctlIRQ   *kernel.IRQ // int_RADIO: startup/txdone control events
 
-	on        bool
-	listening bool
-	sending   bool
-	listenLbl core.Label
+	on           bool
+	listening    bool
+	sending      bool
+	listenLbl    core.Label
+	startupLabel core.Label
 
 	receive func(*medium.Frame)
 
@@ -99,11 +99,16 @@ type Radio struct {
 	rxEndFn func(any)
 
 	// startupFn is the cached TurnOn completion handler; the initiating
-	// label and done callback ride in these fields instead of a fresh
-	// closure per power-up.
-	startupFn    func()
-	startupLabel core.Label
-	startupDone  func()
+	// label and done callback ride in startupLabel and startupDone instead
+	// of a fresh closure per power-up.
+	startupFn   func()
+	startupDone func()
+
+	// tx holds the send chain's state and handlers. It is made on the
+	// first Send, so a radio that never sends allocates none of it.
+	tx *sender
+	// drains holds the receive drain records no frame is using.
+	drains *drain
 
 	ccaSamples   uint64
 	ccaPositives uint64
@@ -121,8 +126,12 @@ func New(k *kernel.Kernel, med *medium.Medium, b *power.Board, cfg Config) *Radi
 	r.TxAct = core.NewSingleActivityDevice(trk, power.ResRadioTx)
 	r.RxAct = core.NewMultiActivityDevice(trk, power.ResRadioRx)
 	r.rxProxy = k.NewIRQ("pxy_RX")
-	r.spiIRQ = k.NewIRQ("int_UART0RX")
-	r.dmaIRQ = k.NewIRQ("int_DACDMA")
+	// Both bus interrupts are defined, so every node has both proxy
+	// activities whichever it uses.
+	r.busIRQ = k.NewIRQ("int_UART0RX")
+	if dma := k.NewIRQ("int_DACDMA"); cfg.UseDMA {
+		r.busIRQ = dma
+	}
 	r.txSfdIRQ = k.NewIRQ("int_TIMERB1")
 	r.ctlIRQ = k.NewIRQ("int_RADIO")
 	b.AddSink(power.ResRadioReg, power.RadioRegOff)
@@ -304,79 +313,132 @@ func (r *Radio) Send(f *medium.Frame, done func()) {
 	f.Src = r.k.Node()
 	f.Airtime = units.Ticks(f.Bytes+PreambleBytes) * ByteAirtime
 
+	if r.tx == nil {
+		r.tx = newSender(r)
+	}
+	tx := r.tx
+	tx.f, tx.done = f, done
 	// loadTXFIFO: paint the radio with the CPU's current activity
 	// (Figure 8), then move the bytes over the bus.
-	label := r.k.CPUAct.Get()
-	r.TxAct.Set(label)
+	tx.label = r.k.CPUAct.Get()
+	r.TxAct.Set(tx.label)
 	r.k.Spend(60) // packet preparation
-	r.transferToFIFO(f.Bytes, label, func() {
-		r.backoffAndTransmit(f, label, done)
-	})
+	r.transferToFIFO()
 }
 
-// transferToFIFO models the CPU-to-radio bus transfer of n bytes and then
-// calls next in interrupt context bound to label.
-func (r *Radio) transferToFIFO(n int, label core.Label, next func()) {
+// sender is the send chain of one radio: the frame in flight and what its
+// steps carry from one interrupt to the next, and one handler per step.
+// Send panics while a send runs, so one sender serves every frame.
+type sender struct {
+	r     *Radio
+	f     *medium.Frame
+	done  func()
+	label core.Label // the sending activity, bound at every step
+	// chunks counts the interrupt-driven FIFO load's chunks still to move.
+	chunks       int
+	wasListening bool
+
+	busFn         func() // the bus interrupt: one SPI chunk, or the DMA completion
+	transmitFn    func() // the backoff's end
+	sfdFn         func() // the SFD capture
+	transmittedFn func() // transmit-done
+}
+
+func newSender(r *Radio) *sender {
+	tx := &sender{r: r}
+	tx.busFn = tx.chunkMoved
+	if r.cfg.UseDMA {
+		tx.busFn = tx.dmaDone
+	}
+	tx.transmitFn = tx.transmit
+	tx.sfdFn = tx.sfd
+	tx.transmittedFn = tx.transmitted
+	return tx
+}
+
+// chunkTime is the bus time of one interrupt-driven chunk.
+const chunkTime = units.Ticks(SPIChunkBytes) * SPIByteTime
+
+// chunksOf returns how many interrupt-driven chunks move n bytes.
+func chunksOf(n int) int { return (n + SPIChunkBytes - 1) / SPIChunkBytes }
+
+// transferToFIFO models the CPU-to-radio bus transfer of the frame's bytes,
+// then backs off and transmits in interrupt context bound to the sending
+// activity.
+func (r *Radio) transferToFIFO() {
+	tx := r.tx
 	if r.cfg.UseDMA {
 		r.k.Spend(DMASetupCost)
-		total := units.Ticks(n) * SPIByteTime
-		r.dmaIRQ.RaiseAfter(total, func() {
-			r.k.CPUAct.Bind(label)
-			r.k.Spend(DMAHandlerCost)
-			next()
-		})
+		r.busIRQ.RaiseAfter(units.Ticks(tx.f.Bytes)*SPIByteTime, tx.busFn)
 		return
 	}
-	chunks := (n + SPIChunkBytes - 1) / SPIChunkBytes
-	// One handler closure serves every chunk of the transfer: it advances a
-	// captured counter and re-arms itself, instead of allocating a fresh
-	// closure pair per 2-byte chunk.
-	i := 0
-	var step func()
-	step = func() {
-		r.k.Spend(SPIHandlerCost)
-		i++
-		if i < chunks {
-			r.spiIRQ.RaiseAfter(units.Ticks(SPIChunkBytes)*SPIByteTime, step)
-			return
-		}
-		r.k.CPUAct.Bind(label)
-		next()
-	}
-	r.spiIRQ.RaiseAfter(units.Ticks(SPIChunkBytes)*SPIByteTime, step)
+	tx.chunks = chunksOf(tx.f.Bytes)
+	r.busIRQ.RaiseAfter(chunkTime, tx.busFn)
 }
 
-func (r *Radio) backoffAndTransmit(f *medium.Frame, label core.Label, done func()) {
+// chunkMoved is the bus interrupt after each chunk of an interrupt-driven
+// FIFO load; it re-arms itself until the last chunk has moved.
+func (tx *sender) chunkMoved() {
+	r := tx.r
+	r.k.Spend(SPIHandlerCost)
+	if tx.chunks--; tx.chunks > 0 {
+		r.busIRQ.RaiseAfter(chunkTime, tx.busFn)
+		return
+	}
+	r.k.CPUAct.Bind(tx.label)
+	r.backoffAndTransmit()
+}
+
+// dmaDone is the DMA transfer-complete interrupt of a FIFO load.
+func (tx *sender) dmaDone() {
+	r := tx.r
+	r.k.CPUAct.Bind(tx.label)
+	r.k.Spend(DMAHandlerCost)
+	r.backoffAndTransmit()
+}
+
+func (r *Radio) backoffAndTransmit() {
 	backoff := BackoffMin + r.k.RNG().Ticks(BackoffSpan)
-	r.ctlIRQ.RaiseAfter(backoff, func() {
-		r.k.CPUAct.Bind(label)
-		r.k.Spend(30)
-		// The receiver shuts off for the duration of the transmission.
-		wasListening := r.listening
-		if wasListening {
-			r.psRx.Set(power.RadioRxOff)
-		}
-		r.psTx.Set(power.RadioTx0dBm)
-		r.med.Transmit(f)
-		// SFD capture interrupt shortly after the preamble leaves.
-		r.txSfdIRQ.RaiseAfter(units.Ticks(PreambleBytes)*ByteAirtime, func() {
-			r.k.Spend(35)
-		})
-		// Transmit-done control interrupt.
-		r.ctlIRQ.RaiseAfter(f.Airtime, func() {
-			r.k.CPUAct.Bind(label)
-			r.psTx.Set(power.RadioTxOff)
-			if wasListening {
-				r.psRx.Set(power.RadioRxListen)
-			}
-			r.TxAct.SetIdle()
-			r.sending = false
-			r.k.Spend(40)
-			if done != nil {
-				r.k.Post(done)
-			}
-		})
-	})
+	r.ctlIRQ.RaiseAfter(backoff, r.tx.transmitFn)
+}
+
+// transmit is the control interrupt at the backoff's end: the frame goes on
+// the air.
+func (tx *sender) transmit() {
+	r := tx.r
+	r.k.CPUAct.Bind(tx.label)
+	r.k.Spend(30)
+	// The receiver shuts off for the duration of the transmission.
+	tx.wasListening = r.listening
+	if tx.wasListening {
+		r.psRx.Set(power.RadioRxOff)
+	}
+	r.psTx.Set(power.RadioTx0dBm)
+	r.med.Transmit(tx.f)
+	// SFD capture interrupt shortly after the preamble leaves.
+	r.txSfdIRQ.RaiseAfter(units.Ticks(PreambleBytes)*ByteAirtime, tx.sfdFn)
+	// Transmit-done control interrupt.
+	r.ctlIRQ.RaiseAfter(tx.f.Airtime, tx.transmittedFn)
+}
+
+func (tx *sender) sfd() { tx.r.k.Spend(35) }
+
+// transmitted is the transmit-done control interrupt; it ends the send.
+func (tx *sender) transmitted() {
+	r := tx.r
+	r.k.CPUAct.Bind(tx.label)
+	r.psTx.Set(power.RadioTxOff)
+	if tx.wasListening {
+		r.psRx.Set(power.RadioRxListen)
+	}
+	r.TxAct.SetIdle()
+	r.sending = false
+	r.k.Spend(40)
+	done := tx.done
+	tx.f, tx.done = nil, nil
+	if done != nil {
+		r.k.Post(done)
+	}
 }
 
 // FrameStart implements medium.Receiver: hardware noticed a frame beginning
@@ -399,37 +461,72 @@ func (r *Radio) FrameStart(f *medium.Frame) bool {
 	return true
 }
 
+// drain is one received frame's trip from the RXFIFO over the bus to the
+// link layer. Drains on one radio overlap: every chunk's handler waits
+// behind a busy CPU, so a frame can land while the one before it is still
+// draining. So each frame takes a record from the radio's free list, and
+// the record goes back when its deliver task runs. The frame cannot carry
+// this state: every receiver shares it.
+type drain struct {
+	r      *Radio
+	f      *medium.Frame
+	chunks int // interrupt-driven chunks still to move
+	next   *drain
+
+	busFn     func() // the bus interrupt: one SPI chunk, or the DMA completion
+	deliverFn func()
+}
+
 func (r *Radio) drainRXFIFO(f *medium.Frame) {
-	deliver := func() {
-		if r.receive != nil {
-			r.receive(f)
+	d := r.drains
+	if d == nil {
+		d = &drain{r: r}
+		d.busFn = d.chunkMoved
+		if r.cfg.UseDMA {
+			d.busFn = d.dmaDone
 		}
+		d.deliverFn = d.deliver
+	} else {
+		r.drains, d.next = d.next, nil
 	}
+	d.f = f
 	if r.cfg.UseDMA {
 		// The driver pre-armed the DMA channel when it enabled reception,
 		// so no CPU work happens until the transfer-complete interrupt.
-		total := units.Ticks(f.Bytes) * SPIByteTime
-		r.dmaIRQ.RaiseAfter(total, func() {
-			r.k.Spend(DMAHandlerCost)
-			r.k.Post(deliver)
-		})
+		r.busIRQ.RaiseAfter(units.Ticks(f.Bytes)*SPIByteTime, d.busFn)
 		return
 	}
-	chunks := (f.Bytes + SPIChunkBytes - 1) / SPIChunkBytes
-	// Single self-re-arming handler, as in transferToFIFO.
-	i := 0
-	var step func()
-	step = func() {
-		r.k.Spend(SPIHandlerCost)
-		i++
-		if i < chunks {
-			r.spiIRQ.RaiseAfter(units.Ticks(SPIChunkBytes)*SPIByteTime, step)
-			return
-		}
-		// Last chunk: hand the packet to the link layer as a task. The
-		// task inherits the bus proxy label; the AM layer will bind it
-		// to the packet's activity.
-		r.k.Post(deliver)
+	d.chunks = chunksOf(f.Bytes)
+	r.busIRQ.RaiseAfter(chunkTime, d.busFn)
+}
+
+// chunkMoved is the bus interrupt after each chunk of an interrupt-driven
+// drain; it re-arms itself until the last chunk has moved.
+func (d *drain) chunkMoved() {
+	r := d.r
+	r.k.Spend(SPIHandlerCost)
+	if d.chunks--; d.chunks > 0 {
+		r.busIRQ.RaiseAfter(chunkTime, d.busFn)
+		return
 	}
-	r.spiIRQ.RaiseAfter(units.Ticks(SPIChunkBytes)*SPIByteTime, step)
+	// Last chunk: hand the packet to the link layer as a task. The task
+	// inherits the bus proxy label; the AM layer will bind it to the
+	// packet's activity.
+	r.k.Post(d.deliverFn)
+}
+
+// dmaDone is the DMA transfer-complete interrupt of a drain.
+func (d *drain) dmaDone() {
+	d.r.k.Spend(DMAHandlerCost)
+	d.r.k.Post(d.deliverFn)
+}
+
+// deliver hands the frame to the link layer and frees the record.
+func (d *drain) deliver() {
+	r, f := d.r, d.f
+	d.f = nil
+	r.drains, d.next = d, r.drains
+	if r.receive != nil {
+		r.receive(f)
+	}
 }
