@@ -126,3 +126,45 @@ func TestBackoffVariesWithSeed(t *testing.T) {
 		t.Error("backoff shows no variation across RNG states")
 	}
 }
+
+// TestOverlappingDrainsDeliverEachFrame: every 2-byte chunk of a drain
+// waits behind the CPU, so a drain runs about three times a frame's
+// airtime, and a short frame sent right after a long one lands while the
+// long one is still draining. The two drains interleave on one bus
+// interrupt, and each must carry its own frame to the link layer once: the
+// short one first, since it has fewer chunks to move.
+func TestOverlappingDrainsDeliverEachFrame(t *testing.T) {
+	rg := newRig(t, Config{Channel: 26})
+	var got []any
+	var longDelivered units.Ticks
+	rg.r[1].OnReceive(func(f *medium.Frame) {
+		if f == nil {
+			got = append(got, nil)
+			return
+		}
+		if f.Payload == "long" {
+			longDelivered = rg.k[1].NowTicks()
+		}
+		got = append(got, f.Payload)
+	})
+	rg.k[1].Boot(func() {
+		rg.r[1].TurnOn(func() { rg.r[1].StartListening() })
+	})
+	var shortEnd units.Ticks
+	rg.k[0].Boot(func() {
+		rg.r[0].TurnOn(func() {
+			rg.r[0].Send(&medium.Frame{Bytes: 60, Payload: "long"}, func() {
+				short := &medium.Frame{Bytes: 4, Payload: "short"}
+				rg.r[0].Send(short, func() { shortEnd = short.SentAt + short.Airtime })
+			})
+		})
+	})
+	rg.s.Run(units.Second)
+	if len(got) != 2 || got[0] != "short" || got[1] != "long" {
+		t.Fatalf("delivered %v, want [short long]", got)
+	}
+	if longDelivered <= shortEnd {
+		t.Errorf("the long frame was delivered at %v, before the short one ended at %v: the drains did not overlap",
+			longDelivered, shortEnd)
+	}
+}
