@@ -167,10 +167,10 @@ func TestTimerStop(t *testing.T) {
 }
 
 // TestTimerListHoldsOnlyArmedTimers chains 1 000 one-shots, each created
-// and armed from the previous one's callback, the way LPL makes a timer
-// per wake-up and Bounce one per reception. The scan list never holds more
-// than the timer firing and the one it arms, and is empty at the end; a
-// list of every timer ever created would hold all 1 000.
+// and armed from the previous one's callback, as an app that made a timer
+// per event would. The scan list never holds more than the timer firing
+// and the one it arms, and is empty at the end; a list of every timer ever
+// created would hold all 1 000.
 func TestTimerListHoldsOnlyArmedTimers(t *testing.T) {
 	const n = 1000
 	s, k, _ := testNode(t, Options{})

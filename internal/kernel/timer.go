@@ -28,9 +28,10 @@ type Timer struct {
 // NewTimer creates a stopped timer that invokes fn on firing. The kernel
 // keeps no reference to a timer until it is armed: the list the compare
 // register is scheduled from holds only armed timers, in creation order,
-// and drops each one once it has fired (one-shot) or been stopped. So a
-// timer created per packet or per wake-up costs the scan nothing once it
-// is done, and same-tick timers still fire in creation order.
+// and drops each one once it has fired (one-shot) or been stopped. So an
+// idle timer costs the scan nothing, and same-tick timers still fire in
+// creation order: a timer made once and re-armed by every event keeps the
+// rank it was made with.
 func (k *Kernel) NewTimer(fn func()) *Timer {
 	k.timerSeq++
 	return &Timer{k: k, fn: fn, seq: k.timerSeq}

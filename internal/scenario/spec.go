@@ -109,7 +109,11 @@ type Spec struct {
 	StartAtUS int64 `json:"start_at_us,omitempty"`
 
 	// CheckPeriodUS is the LPL sleep interval between channel checks, in
-	// microseconds. 0 selects the paper's 500 ms. Honored by: lpl.
+	// microseconds. 0 selects the paper's 500 ms. A false positive keeps
+	// the radio on for about 114 ms (startup, the 9.4 ms check and the
+	// 100 ms hold, with their CPU time); a wake-up that falls while the
+	// previous one still holds the radio on does nothing and is not
+	// counted. Honored by: lpl.
 	CheckPeriodUS int64 `json:"check_period_us,omitempty"`
 	// WiFiGapUS is the mean gap, in microseconds, between the bursts (5 ms
 	// on average) of the 802.11b access point that interferes with LPL. 0
