@@ -197,6 +197,40 @@ func TestRelayWorldObjectBudget(t *testing.T) {
 	}
 }
 
+// TestRelayBuildAllocBudget bounds the bytes and heap objects one Build of
+// the relay network allocates per node, garbage included. A node whose
+// tables are sized at once allocates each of them once; a table that
+// regrows while the node is assembled, or a log buffer that fills before
+// the run starts, leaves the live heap of the test above nearly unchanged
+// but shows here: one more growth per node, of the smallest table, breaks
+// either budget. Like the tests around it, it reads process-wide heap
+// counters: no test in this package may run in parallel with it.
+func TestRelayBuildAllocBudget(t *testing.T) {
+	budget, bytesBudget := 48.5, 4400.0
+	if raceDetector {
+		// One more growth temporary per node: its log's first buffer.
+		budget, bytesBudget = 49.5, 4800
+	}
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	in, err := scenario.Build(budgetRelay)
+	runtime.ReadMemStats(&after)
+	if err != nil {
+		t.Fatal(err)
+	}
+	runtime.KeepAlive(in)
+	perNode := float64(after.Mallocs-before.Mallocs) / float64(budgetRelay.Nodes)
+	bytesPerNode := float64(after.TotalAlloc-before.TotalAlloc) / float64(budgetRelay.Nodes)
+	t.Logf("Build allocates %.2f heap objects and %.0f B per node", perNode, bytesPerNode)
+	if perNode > budget {
+		t.Errorf("Build allocates %.2f heap objects per node, want at most %v", perNode, budget)
+	}
+	if bytesPerNode > bytesBudget {
+		t.Errorf("Build allocates %.0f B per node, want at most %v", bytesPerNode, bytesBudget)
+	}
+}
+
 // budgetRelay is the relay network the object budgets measure.
 var budgetRelay = scenario.Spec{
 	App: "relay", Seed: 1, Nodes: 500, Placement: scenario.PlacementRGG,
@@ -231,5 +265,47 @@ func TestRelayFinishObjectBudget(t *testing.T) {
 	t.Logf("%.2f heap objects allocated per node by Finish", perNode)
 	if perNode > budget {
 		t.Errorf("Finish allocates %.2f heap objects per node, want at most %d", perNode, budget)
+	}
+}
+
+// TestRoutedFinishSizesOnce bounds the bytes one Finish of a routed mobile
+// grid allocates per logged entry. Its 64 nodes log from about 1,900 to
+// 6,200 entries each, so an analyzer sized for the first node's log and
+// grown for each longer one after it allocates its tables several times
+// over (about 5 B per entry); Finish sizes them once, for the run's longest
+// log (about 3 B). Like the tests above it reads process-wide heap
+// counters: no test in this package may run in parallel with it.
+func TestRoutedFinishSizesOnce(t *testing.T) {
+	bytesBudget := 3.5
+	if raceDetector {
+		bytesBudget = 5 // a growth temporary per table sized
+	}
+	in, err := scenario.Build(scenario.Spec{
+		App: "relay", Seed: 1, Nodes: 64, Placement: scenario.PlacementGrid,
+		Routing: scenario.RoutingCTP, Mobility: scenario.MobilityWaypoint, SpeedMPS: 4,
+		Origins: 8, DurationUS: 8_000_000,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	in.Run()
+	entries, shortest, longest := 0, int(^uint(0)>>1), 0
+	for _, n := range in.World.Nodes {
+		l := len(n.Log.Entries)
+		entries += l
+		shortest, longest = min(shortest, l), max(longest, l)
+	}
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	_, err = in.Finish()
+	runtime.ReadMemStats(&after)
+	if err != nil {
+		t.Fatal(err)
+	}
+	perEntry := float64(after.TotalAlloc-before.TotalAlloc) / float64(entries)
+	t.Logf("Finish allocates %.2f B per entry over %d entries (logs of %d to %d)", perEntry, entries, shortest, longest)
+	if perEntry > bytesBudget {
+		t.Errorf("Finish allocates %.2f B per logged entry, want at most %v", perEntry, bytesBudget)
 	}
 }

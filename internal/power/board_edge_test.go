@@ -1,6 +1,8 @@
 package power
 
 import (
+	"fmt"
+	"strings"
 	"testing"
 
 	"repro/internal/core"
@@ -182,5 +184,30 @@ func TestBoardEdgeInvariantWithCore(t *testing.T) {
 	// appears, On->Off, Off->On).
 	if rec.n-base != 3 {
 		t.Fatalf("published %d edges for 3 real transitions (states seen: %v)", rec.n-base, changes)
+	}
+}
+
+// TestBoardRejectsResourceOutsidePlatform: a board keeps one slot per
+// platform resource, so registering or changing a sink with any other id
+// panics, and the message names the id.
+func TestBoardRejectsResourceOutsidePlatform(t *testing.T) {
+	for _, res := range []core.ResourceID{NumResources, 255} {
+		for _, c := range []struct {
+			name string
+			call func(*Board)
+		}{
+			{"AddSink", func(b *Board) { b.AddSink(res, StateOn) }},
+			{"PowerStateChanged", func(b *Board) { b.PowerStateChanged(res, StateOff, StateOn) }},
+		} {
+			b, _ := edgeBoard()
+			msg := func() (msg string) {
+				defer func() { msg = fmt.Sprint(recover()) }()
+				c.call(b)
+				return ""
+			}()
+			if want := fmt.Sprintf("resource %d ", res); !strings.Contains(msg, want) {
+				t.Errorf("%s(%d) panicked with %q, want a message naming %q", c.name, res, msg, want)
+			}
+		}
 	}
 }
