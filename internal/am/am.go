@@ -47,27 +47,47 @@ type Handler func(*Packet)
 
 // AM is one node's Active Message layer.
 type AM struct {
-	k        *kernel.Kernel
-	radio    *radio.Radio
-	handlers map[uint8]Handler
+	k     *kernel.Kernel
+	radio *radio.Radio
+	// handlers holds one entry per registered AM type, in registration
+	// order. A node registers one or two types, so a scan finds a handler
+	// as fast as a map would, and costs no table per node.
+	handlers []typeHandler
 
 	sent     uint64
 	received uint64
 }
 
+// typeHandler is one registered AM type and its handler.
+type typeHandler struct {
+	amType uint8
+	h      Handler
+}
+
 // New wires an AM layer over r.
 func New(k *kernel.Kernel, r *radio.Radio) *AM {
-	a := &AM{k: k, radio: r, handlers: make(map[uint8]Handler)}
+	a := &AM{k: k, radio: r}
 	r.OnReceive(a.deliver)
 	return a
 }
 
 // Register installs the handler for an AM type.
 func (a *AM) Register(amType uint8, h Handler) {
-	if _, dup := a.handlers[amType]; dup {
+	if _, dup := a.handler(amType); dup {
 		panic(fmt.Sprintf("am: duplicate handler for type %d", amType))
 	}
-	a.handlers[amType] = h
+	a.handlers = append(a.handlers, typeHandler{amType, h})
+}
+
+// handler returns the handler registered for amType and whether there is
+// one.
+func (a *AM) handler(amType uint8) (Handler, bool) {
+	for _, th := range a.handlers {
+		if th.amType == amType {
+			return th.h, true
+		}
+	}
+	return nil, false
 }
 
 // Stats returns packets sent and received.
@@ -102,7 +122,7 @@ func (a *AM) deliver(f *medium.Frame) {
 	// Quanto: set the CPU activity to the activity noted in the packet and
 	// bind the reception proxies to it.
 	a.k.CPUAct.Bind(p.label)
-	if h := a.handlers[p.Type]; h != nil {
+	if h, _ := a.handler(p.Type); h != nil {
 		h(p)
 	}
 }

@@ -66,12 +66,18 @@ func (v StateVector) State(res core.ResourceID) core.PowerState {
 // change moves the current vector along a learned edge (see edges), so once
 // a log's vectors and transitions have been seen, building intervals
 // neither hashes nor allocates beyond growing the interval slice.
+//
+// A reset builder keeps every vector it has interned, in known: a vector's
+// key names only resource ids and states, so it means the same for every
+// node, dictionary and run, and a later log that meets a known key shares
+// its key string and predictor slice instead of building them again.
 type intervalBuilder struct {
 	states  []core.PowerState // by resource id
 	cur     uint32            // the current vector, an index into vecs
 	vecs    []StateVector
 	edges   edges             // per vector; key packs (res, state)
 	byKey   map[string]uint32 // consulted only when an edge is learned
+	known   map[string]StateVector
 	keyBuf  []byte
 	out     []StateInterval
 	carry   uint32
@@ -92,8 +98,15 @@ func newIntervalBuilder() *intervalBuilder {
 
 // reset returns the builder to the state newIntervalBuilder gives, keeping
 // the capacity of its state table, vector and edge tables and interval
-// slice.
+// slice, and moving the vectors it drops into known. A builder that is
+// never reset makes no known map.
 func (b *intervalBuilder) reset() {
+	if b.known == nil && len(b.vecs) > 1 {
+		b.known = make(map[string]StateVector)
+	}
+	for _, v := range b.vecs[1:] {
+		b.known[v.Key] = v
+	}
 	clear(b.states)
 	b.cur = 0
 	clear(b.vecs[1:])
@@ -129,7 +142,7 @@ func (b *intervalBuilder) setState(res core.ResourceID, st core.PowerState) {
 }
 
 // intern returns the index of the vector the state table holds, adding it
-// on first sight.
+// on first sight: the known vector of that key, or a new one.
 func (b *intervalBuilder) intern() uint32 {
 	buf := b.keyBuf[:0]
 	for r, s := range b.states {
@@ -144,17 +157,19 @@ func (b *intervalBuilder) intern() uint32 {
 	if v, ok := b.byKey[string(buf)]; ok {
 		return v
 	}
-	var active []Predictor
-	for r, s := range b.states {
-		if s != 0 {
-			active = append(active, Predictor{core.ResourceID(r), s})
+	sv, ok := b.known[string(buf)]
+	if !ok {
+		sv.Key = string(buf)
+		for r, s := range b.states {
+			if s != 0 {
+				sv.Active = append(sv.Active, Predictor{core.ResourceID(r), s})
+			}
 		}
 	}
 	v := uint32(len(b.vecs))
-	key := string(buf)
-	b.vecs = append(b.vecs, StateVector{Key: key, Active: active})
+	b.vecs = append(b.vecs, sv)
 	b.edges = b.edges.push()
-	b.byKey[key] = v
+	b.byKey[sv.Key] = v
 	return v
 }
 

@@ -90,21 +90,29 @@ func (s *StreamAnalyzer) Record(e core.Entry) {
 	s.stb.add(e, at)
 }
 
-// RecordBatch consumes a batch of events. One counting pass over the batch
-// first reserves room for everything the batch can add (see batchCounts),
-// so a short log — most nodes of a large network log a few dozen entries —
-// sizes each table and timeline once instead of growing it from empty.
-// Only capacities change: the result is exactly that of calling Record on
-// every entry.
+// RecordBatch consumes a batch of events. It first reserves room for
+// everything the batch can add (see Reserve), so a short log — most nodes
+// of a large network log a few dozen entries — sizes each table and
+// timeline once instead of growing it from empty. Only capacities change:
+// the result is exactly that of calling Record on every entry.
 func (s *StreamAnalyzer) RecordBatch(entries []core.Entry) {
+	s.Reserve(entries)
+	for _, e := range entries {
+		s.Record(e)
+	}
+}
+
+// Reserve makes room for everything recording entries next would add, in
+// one counting pass over them (see batchCounts), and records nothing. Only
+// capacities change. A caller that resets one analyzer for node after node
+// reserves for the longest log right after the first Reset, so no later
+// node regrows a table that an earlier, shorter one sized.
+func (s *StreamAnalyzer) Reserve(entries []core.Entry) {
 	var c batchCounts
 	c.count(entries)
 	s.ivb.reserve(len(entries), &c.power)
 	s.tlb.reserve(&c.single, &c.multi)
 	s.stb.reserve(&c.power)
-	for _, e := range entries {
-		s.Record(e)
-	}
 }
 
 // batchCounts is RecordBatch's counting pass: per resource, how many power-
@@ -142,7 +150,9 @@ func (c *resCounts) add(res core.ResourceID) {
 // options. The analyzer is then in the state of a fresh one except that
 // every table keeps its capacity, so a caller analyzing many nodes one
 // after another — across runs too, each with its own dictionary — sizes its
-// tables once instead of once per node. Reset reuses the memory of the
+// tables once instead of once per node. The state vectors the analyzer has
+// interned are kept too, by key, and a later node that enters one shares
+// it; a vector never changes once interned. Reset reuses the memory of the
 // Analysis the last Finish returned, which is invalid from then on: read
 // what is needed from it before resetting.
 func (s *StreamAnalyzer) Reset(node core.NodeID, pulseUJ float64, volts units.Volts, dict *core.Dictionary) {

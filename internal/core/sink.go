@@ -32,12 +32,16 @@ func (c *Collector) RecordBatch(entries []Entry) {
 }
 
 // reserve makes room for n more entries, growing a full log to at least
-// twice its length (16 entries at first).
+// twice its length (32 entries at first: a radio node logs 17 while it is
+// assembled, so a smaller first buffer would regrow before the run starts).
 func (c *Collector) reserve(n int) {
 	if len(c.Entries)+n > cap(c.Entries) {
-		c.Entries = slices.Grow(c.Entries, max(n, len(c.Entries), 16))
+		c.Entries = slices.Grow(c.Entries, max(n, len(c.Entries), firstEntries))
 	}
 }
+
+// firstEntries is the capacity of a collector's first buffer.
+const firstEntries = 32
 
 // Len returns the number of collected entries.
 func (c *Collector) Len() int { return len(c.Entries) }

@@ -11,13 +11,13 @@ func batchOf(n int) []Entry {
 }
 
 // TestCollectorGrowsByDoubling pins the log's growth: each time it fills,
-// its capacity at least doubles, starting from 16 entries. 100 000 entries
-// then take at most 1 + ceil(log2(100000/16)) = 14 growths, one allocation
+// its capacity at least doubles, starting from 32 entries. 100 000 entries
+// then take at most 1 + ceil(log2(100000/32)) = 13 growths, one allocation
 // each; append's 1.25x growth for large slices takes 29. The test counts
 // capacity changes rather than allocations: under the race detector
 // slices.Grow also allocates a temporary per growth.
 func TestCollectorGrowsByDoubling(t *testing.T) {
-	const n, maxGrowths = 100_000, 14
+	const n, maxGrowths = 100_000, 13
 	var c Collector
 	growths := 0
 	for i := range n {

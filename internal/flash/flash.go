@@ -32,6 +32,7 @@ type Flash struct {
 	arb *kernel.Arbiter
 	irq *kernel.IRQ
 
+	// pages is made by the first WritePage: most nodes never write.
 	pages map[int][]byte
 
 	busy   bool
@@ -42,7 +43,7 @@ type Flash struct {
 // New registers the flash sink (initially powered down) and returns the
 // driver.
 func New(k *kernel.Kernel, b *power.Board) *Flash {
-	f := &Flash{k: k, pages: make(map[int][]byte)}
+	f := &Flash{k: k}
 	f.ps = core.NewPowerStateVar(k.Trk, power.ResFlash, power.FlashPowerDown)
 	f.act = core.NewSingleActivityDevice(k.Trk, power.ResFlash)
 	f.arb = k.NewArbiter(f.act)
@@ -78,6 +79,9 @@ func (f *Flash) WritePage(p int, data []byte, done func(err error)) {
 		}
 		stored := make([]byte, len(data))
 		copy(stored, data)
+		if f.pages == nil {
+			f.pages = make(map[int][]byte)
+		}
 		f.pages[p] = stored
 		return nil, nil
 	}, func(_ []byte, err error) { done(err) })

@@ -349,7 +349,6 @@ func (k *Kernel) Boot(fn func()) {
 type IRQ struct {
 	k     *Kernel
 	Proxy core.Label
-	Name  string
 
 	// dispatch is the shared Raise callback: the handler rides along as the
 	// event argument (func values are pointer-shaped, so boxing one into an
@@ -357,9 +356,10 @@ type IRQ struct {
 	dispatch func(any)
 }
 
-// NewIRQ defines an interrupt source; name appears in timelines
-// ("int_TIMERB0", "pxy_RX", ...). The proxy label is registered as such in
-// the dictionary so accounting knows bind entries may reassign its usage.
+// NewIRQ defines an interrupt source; name, which the dictionary keeps as
+// the proxy label's name, appears in timelines ("int_TIMERB0", "pxy_RX",
+// ...). The proxy label is registered as such in the dictionary so
+// accounting knows bind entries may reassign its usage.
 func (k *Kernel) NewIRQ(name string) *IRQ {
 	label := k.DefineActivity(name)
 	k.Dict.MarkProxy(label)
@@ -368,7 +368,7 @@ func (k *Kernel) NewIRQ(name string) *IRQ {
 	}
 	k.irqs = k.irqs[:len(k.irqs)+1]
 	irq := &k.irqs[len(k.irqs)-1]
-	*irq = IRQ{k: k, Proxy: label, Name: name}
+	*irq = IRQ{k: k, Proxy: label}
 	irq.dispatch = func(handler any) {
 		irq.k.dispatchIRQ(irq, handler.(func()))
 	}

@@ -177,8 +177,10 @@ func (w *World) AddNode(id core.NodeID, opts Options) *Node {
 
 	k := kernel.New(w.Sim, id, w.Dict, opts.Kernel, w.seed)
 
-	meter := icount.New(opts.Volts, k.NowTicks)
-	board := power.NewBoard(opts.Volts, power.Calibrated(), k.NowTicks)
+	// The meter and the board read one clock: a method value allocates.
+	now := k.NowTicks
+	meter := icount.New(opts.Volts, now)
+	board := power.NewBoard(opts.Volts, power.Calibrated(), now)
 
 	log := core.NewCollector()
 	var sink core.Sink = log

@@ -1,7 +1,7 @@
 package power
 
 import (
-	"sort"
+	"fmt"
 
 	"repro/internal/core"
 	"repro/internal/units"
@@ -20,24 +20,25 @@ type CurrentListener interface {
 // wiring it to a node's Tracker makes every driver-signaled state change
 // immediately visible to the meters.
 //
-// Sink state is held in parallel slices sorted by resource id (a node has a
-// handful of sinks, so lookups are a short binary search) with the per-sink
-// draw cached at edge time: the publish path — run on every power-state edge
-// of every node — touches three small contiguous arrays instead of two maps.
-// The draw grid is shared, never copied: a board holds no table of its own.
+// Sink state is held in arrays indexed by resource id, sized for the
+// platform's NumResources sinks, with the per-sink draw cached at edge
+// time: the publish path — run on every power-state edge of every node —
+// indexes three small arrays instead of searching, and a board is one
+// object however many sinks register. The draw grid is shared, never
+// copied: a board holds no table of its own.
 type Board struct {
 	volts units.Volts
 	draws *DrawGrid
 	now   func() units.Ticks
 	dead  bool
 
-	// Parallel, sorted by order[i]: the resource ids, their recorded states,
-	// and the cached draw for (order[i], states[i]). Summing draw[i] in index
-	// order is exactly the old "resource-id order" sum, so aggregate floats
-	// are bit-identical to the map-based implementation.
-	order  []core.ResourceID
-	states []core.PowerState
-	draw   []units.MicroAmps
+	// By resource id: whether the sink is registered, its recorded state,
+	// and the cached draw for that state. An unregistered sink's draw is 0,
+	// so summing draw in resource-id order adds +0 for it and gives
+	// exactly the sum over the registered sinks alone.
+	registered [NumResources]bool
+	states     [NumResources]core.PowerState
+	draw       [NumResources]units.MicroAmps
 
 	listeners []CurrentListener
 }
@@ -52,11 +53,11 @@ func NewBoard(volts units.Volts, draws *DrawGrid, now func() units.Ticks) *Board
 // Volts returns the supply voltage.
 func (b *Board) Volts() units.Volts { return b.volts }
 
-// find returns the index of res in the sorted sink arrays, or (insertion
-// point, false).
-func (b *Board) find(res core.ResourceID) (int, bool) {
-	i := sort.Search(len(b.order), func(i int) bool { return b.order[i] >= res })
-	return i, i < len(b.order) && b.order[i] == res
+// platformRes panics unless res is one of the platform's resources.
+func platformRes(res core.ResourceID) {
+	if res >= NumResources {
+		panic(fmt.Sprintf("power: resource %d is outside the platform's %d resources", res, NumResources))
+	}
 }
 
 // setState records (res, st), registering the sink if unknown, and reports
@@ -64,24 +65,13 @@ func (b *Board) find(res core.ResourceID) (int, bool) {
 // changing state. Idempotent re-signals are absorbed here so every caller
 // shares one copy of the dedup semantics.
 func (b *Board) setState(res core.ResourceID, st core.PowerState) bool {
-	i, ok := b.find(res)
-	if ok {
-		if b.states[i] == st {
-			return false
-		}
-		b.states[i] = st
-		b.draw[i] = b.draws.Draw(res, st)
-		return true
+	platformRes(res)
+	if b.registered[res] && b.states[res] == st {
+		return false
 	}
-	b.order = append(b.order, 0)
-	b.states = append(b.states, 0)
-	b.draw = append(b.draw, 0)
-	copy(b.order[i+1:], b.order[i:])
-	copy(b.states[i+1:], b.states[i:])
-	copy(b.draw[i+1:], b.draw[i:])
-	b.order[i] = res
-	b.states[i] = st
-	b.draw[i] = b.draws.Draw(res, st)
+	b.registered[res] = true
+	b.states[res] = st
+	b.draw[res] = b.draws.Draw(res, st)
 	return true
 }
 
@@ -119,7 +109,7 @@ func (b *Board) Current() units.MicroAmps {
 		return 0
 	}
 	var total units.MicroAmps
-	for _, d := range b.draw {
+	for _, d := range b.draw[:] {
 		total += d
 	}
 	return total
@@ -140,12 +130,11 @@ func (b *Board) Shutdown() {
 // Dead reports whether the board has been shut down.
 func (b *Board) Dead() bool { return b.dead }
 
-// State returns the recorded power state of res.
+// State returns the recorded power state of res, 0 for an unregistered
+// sink.
 func (b *Board) State(res core.ResourceID) core.PowerState {
-	if i, ok := b.find(res); ok {
-		return b.states[i]
-	}
-	return 0
+	platformRes(res)
+	return b.states[res]
 }
 
 func (b *Board) publish() {

@@ -162,13 +162,15 @@ func (r *Result) batteryValues(v map[string]float64, name func(id int) batteryNa
 // through one StreamAnalyzer reset between nodes: each node's log feeds it
 // in one pass, and the node's breakdown, energy, span and NodeResult are
 // folded into the Result before the next node starts. Attribution is per
-// node, so nothing network-wide stays alive while a node is analyzed, and
-// the analyzer's tables, the regression's among them, are sized once for
-// the whole run. Each node's Analysis, label sums included, is read before
-// the Reset that reclaims it. The sums are bit-identical to Network's,
-// which adds the same per-node sums in the same node order. An error names
-// the lowest failing node, as NetworkAnalyzer.Finish does. Finish does not
-// keep the per-node view; Network does.
+// node, so nothing network-wide stays alive while a node is analyzed. The
+// analyzer's tables are sized once for the whole run: before the first
+// node of a multi-node run they are reserved for the run's longest log,
+// and the state vectors one node interns serve the nodes after it. Each
+// node's Analysis, label sums included, is read before the Reset that
+// reclaims it. The sums are bit-identical to Network's, which adds the
+// same per-node sums in the same node order. An error names the lowest
+// failing node, as NetworkAnalyzer.Finish does. Finish does not keep the
+// per-node view; Network does.
 func (in *Instance) Finish() (*Result, error) { return in.finish(newAnalyzer()) }
 
 // newAnalyzer returns an analyzer for finish, which resets it for every node
@@ -184,14 +186,25 @@ func (in *Instance) finish(sa *analysis.StreamAnalyzer) (*Result, error) {
 	w := in.World
 	r := &Result{Spec: in.Spec}
 	ids := make([]core.NodeID, len(w.Nodes))
+	var longest []core.Entry
 	for i, n := range w.Nodes {
 		ids[i] = n.ID
+		if len(n.Log.Entries) > len(longest) {
+			longest = n.Log.Entries
+		}
 	}
 	slices.Sort(ids)
+	ids = slices.Compact(ids)
+	r.Nodes = make([]NodeResult, 0, len(ids))
 	byLabel := make(map[core.Label]float64)
-	for _, id := range slices.Compact(ids) {
+	for i, id := range ids {
 		n := w.Node(id)
 		sa.Reset(id, n.Meter.PulseEnergy(), n.Volts, w.Dict)
+		if i == 0 && len(ids) > 1 {
+			// One node's RecordBatch sizes the tables for its own log
+			// exactly; a run of many sizes them once, for the longest.
+			sa.Reserve(longest)
+		}
 		sa.RecordBatch(n.Log.Entries)
 		a, err := sa.Finish()
 		if err != nil {
