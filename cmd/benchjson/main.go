@@ -16,9 +16,11 @@
 //	    benchjson -suite core -out BENCH_core.json
 //
 // Compare a fresh run against the committed baseline (exit 1 on >15%
-// allocs/op regression, any allocation in a row recorded at 0, or a row
-// only one side has; warning annotations for time, which is noisy on
-// shared runners; -fail-on time,allocs tightens it). A benchmark whose
+// allocs/op or B/op regression, any allocation in a row recorded at 0, or
+// a row only one side has; warning annotations for time, which is noisy on
+// shared runners; -fail-on time,allocs,bytes tightens it). Neither
+// allocs/op nor B/op depends on the host, and B/op also catches a table
+// that regrows in fewer, larger steps with allocs/op nearly flat. A benchmark whose
 // events/run differs from the baseline's also exits 1, as a stale baseline
 // to re-record rather than a regression. A baseline recorded under another
 // GOMAXPROCS gets a note, not a failure:
@@ -45,7 +47,7 @@ func main() {
 		out       = flag.String("out", "", "write the parsed artifact to this file")
 		compare   = flag.String("compare", "", "baseline artifact to compare the fresh run against")
 		threshold = flag.Float64("threshold", 0.15, "relative regression that fails or annotates")
-		failOn    = flag.String("fail-on", "allocs", "comma list of dimensions that exit non-zero on regression: allocs, time")
+		failOn    = flag.String("fail-on", "allocs,bytes", "comma list of dimensions that exit non-zero on regression: allocs, bytes, time")
 	)
 	flag.Parse()
 	if *out == "" && *compare == "" {
@@ -93,8 +95,8 @@ func main() {
 			}
 		}
 		if base.Procs != doc.Procs {
-			// Not a failure: allocs and events/run do not depend on the CPU
-			// count, but wall time and any per-worker throughput do.
+			// Not a failure: allocs, bytes and events/run do not depend on
+			// the CPU count, but wall time and any per-worker throughput do.
 			fmt.Printf("note: %s ran with GOMAXPROCS=%s, this run with %s: timings are not comparable\n",
 				*compare, procsString(base.Procs), procsString(doc.Procs))
 		}

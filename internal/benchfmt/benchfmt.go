@@ -150,10 +150,11 @@ func Load(path string) (*Doc, error) {
 }
 
 // Delta is one compared dimension of one benchmark. Delta is the relative
-// change versus the baseline: +0.20 means 20% worse (slower, more allocs).
+// change versus the baseline: +0.20 means 20% worse (slower, more allocs,
+// more bytes).
 type Delta struct {
 	Name      string
-	Dimension string // "time", "allocs", or "events/run" when Stale
+	Dimension string // "time", "allocs", "bytes", or "events/run" when Stale
 	Base      float64
 	Current   float64
 	Delta     float64
@@ -176,10 +177,10 @@ const workloadMetric = "events/run"
 // current (Missing), so a silently deleted benchmark cannot hide a
 // regression, and a current entry the baseline lacks (Unrecorded), so a new
 // or renamed benchmark cannot run unguarded. A benchmark whose workload
-// changed yields one Stale delta instead of time and allocs deltas. The
-// allocs delta of a baseline recorded at 0 allocs/op is +Inf once the run
-// allocates. The threshold is not applied here — every delta is returned
-// and the caller picks severity.
+// changed yields one Stale delta instead of time, allocs and bytes deltas.
+// The allocs and bytes deltas of a baseline recorded at 0 allocs/op or
+// 0 B/op are +Inf once the run allocates. The threshold is not applied
+// here — every delta is returned and the caller picks severity.
 func Compare(base, current *Doc, threshold float64) []Delta {
 	cur := map[string]Benchmark{}
 	for _, b := range current.Benchmarks {
@@ -214,6 +215,10 @@ func Compare(base, current *Doc, threshold float64) []Delta {
 			Name: bb.Name, Dimension: "allocs",
 			Base: bb.AllocsPerOp, Current: cb.AllocsPerOp,
 			Delta: relDelta(bb.AllocsPerOp, cb.AllocsPerOp),
+		}, Delta{
+			Name: bb.Name, Dimension: "bytes",
+			Base: bb.BytesPerOp, Current: cb.BytesPerOp,
+			Delta: relDelta(bb.BytesPerOp, cb.BytesPerOp),
 		})
 	}
 	for _, cb := range current.Benchmarks {

@@ -72,9 +72,11 @@ func TestCompare(t *testing.T) {
 		}
 	}
 
-	// Regress the wheel benchmark 30% in time and 2x in allocs.
+	// Regress the wheel benchmark 30% in time, 2x in allocs and 25% in
+	// bytes.
 	cur.Benchmarks[0].NsPerOp *= 1.30
 	cur.Benchmarks[0].AllocsPerOp *= 2
+	cur.Benchmarks[0].BytesPerOp *= 1.25
 	// Drop the sweep benchmark entirely.
 	cur.Benchmarks = cur.Benchmarks[:2]
 
@@ -87,6 +89,9 @@ func TestCompare(t *testing.T) {
 	}
 	if d := got["10kNodeRelay/queue=wheel/allocs"]; d.Delta < 0.99 || d.Delta > 1.01 {
 		t.Fatalf("allocs delta = %+v", d)
+	}
+	if d := got["10kNodeRelay/queue=wheel/bytes"]; d.Delta < 0.24 || d.Delta > 0.26 || d.Base != 111280680 {
+		t.Fatalf("bytes delta = %+v", d)
 	}
 	if d := got["SweepThroughput/workers=4/"]; !d.Missing {
 		t.Fatalf("missing benchmark not flagged: %+v", got)
@@ -145,30 +150,40 @@ func TestCompareStaleBaseline(t *testing.T) {
 
 // TestCompareFindings table-tests what one record and one run yield,
 // including the two holes a gate must not have: a row recorded at 0
-// allocs/op that starts allocating, and a row the run produced but the
-// record lacks.
+// allocs/op or 0 B/op that starts allocating, and a row the run produced
+// but the record lacks.
 func TestCompareFindings(t *testing.T) {
-	row := func(name string, allocs float64) Benchmark {
-		return Benchmark{Name: name, Runs: 1, NsPerOp: 100, AllocsPerOp: allocs}
+	row := func(name string, allocs, bytes float64) Benchmark {
+		return Benchmark{Name: name, Runs: 1, NsPerOp: 100, AllocsPerOp: allocs, BytesPerOp: bytes}
 	}
 	timeA := Delta{Name: "A", Dimension: "time", Base: 100, Current: 100}
+	allocsA := Delta{Name: "A", Dimension: "allocs"}
+	bytesA := Delta{Name: "A", Dimension: "bytes"}
 	for _, c := range []struct {
 		name      string
 		base, cur []Benchmark
 		want      []Delta
 	}{
-		{"zero allocs stay zero", []Benchmark{row("A", 0)}, []Benchmark{row("A", 0)},
-			[]Delta{timeA, {Name: "A", Dimension: "allocs"}}},
-		{"zero allocs start allocating", []Benchmark{row("A", 0)}, []Benchmark{row("A", 3)},
-			[]Delta{timeA, {Name: "A", Dimension: "allocs", Current: 3, Delta: math.Inf(1)}}},
-		{"allocs fall to zero", []Benchmark{row("A", 10)}, []Benchmark{row("A", 0)},
-			[]Delta{timeA, {Name: "A", Dimension: "allocs", Base: 10, Delta: -1}}},
-		{"allocs grow", []Benchmark{row("A", 10)}, []Benchmark{row("A", 15)},
-			[]Delta{timeA, {Name: "A", Dimension: "allocs", Base: 10, Current: 15, Delta: 0.5}}},
-		{"row not in the record", []Benchmark{row("A", 0)}, []Benchmark{row("A", 0), row("B", 0)},
-			[]Delta{timeA, {Name: "A", Dimension: "allocs"}, {Name: "B", Unrecorded: true}}},
-		{"recorded row not run", []Benchmark{row("A", 0), row("B", 0)}, []Benchmark{row("A", 0)},
-			[]Delta{timeA, {Name: "A", Dimension: "allocs"}, {Name: "B", Missing: true}}},
+		{"zero allocs stay zero", []Benchmark{row("A", 0, 0)}, []Benchmark{row("A", 0, 0)},
+			[]Delta{timeA, allocsA, bytesA}},
+		{"zero allocs start allocating", []Benchmark{row("A", 0, 0)}, []Benchmark{row("A", 3, 48)},
+			[]Delta{timeA, {Name: "A", Dimension: "allocs", Current: 3, Delta: math.Inf(1)},
+				{Name: "A", Dimension: "bytes", Current: 48, Delta: math.Inf(1)}}},
+		{"allocs fall to zero", []Benchmark{row("A", 10, 160)}, []Benchmark{row("A", 0, 0)},
+			[]Delta{timeA, {Name: "A", Dimension: "allocs", Base: 10, Delta: -1},
+				{Name: "A", Dimension: "bytes", Base: 160, Delta: -1}}},
+		{"allocs grow", []Benchmark{row("A", 10, 160)}, []Benchmark{row("A", 15, 160)},
+			[]Delta{timeA, {Name: "A", Dimension: "allocs", Base: 10, Current: 15, Delta: 0.5},
+				{Name: "A", Dimension: "bytes", Base: 160, Current: 160}}},
+		// A table that regrows in one large step: the same allocations,
+		// twice the bytes.
+		{"bytes grow at flat allocs", []Benchmark{row("A", 10, 160)}, []Benchmark{row("A", 10, 320)},
+			[]Delta{timeA, {Name: "A", Dimension: "allocs", Base: 10, Current: 10},
+				{Name: "A", Dimension: "bytes", Base: 160, Current: 320, Delta: 1}}},
+		{"row not in the record", []Benchmark{row("A", 0, 0)}, []Benchmark{row("A", 0, 0), row("B", 0, 0)},
+			[]Delta{timeA, allocsA, bytesA, {Name: "B", Unrecorded: true}}},
+		{"recorded row not run", []Benchmark{row("A", 0, 0), row("B", 0, 0)}, []Benchmark{row("A", 0, 0)},
+			[]Delta{timeA, allocsA, bytesA, {Name: "B", Missing: true}}},
 	} {
 		got := Compare(&Doc{Benchmarks: c.base}, &Doc{Benchmarks: c.cur}, 0.15)
 		if !slices.Equal(got, c.want) {
