@@ -2,6 +2,7 @@ package apps
 
 import (
 	"encoding/json"
+	"math"
 	"runtime"
 	"testing"
 
@@ -244,8 +245,9 @@ var budgetRelay = scenario.Spec{
 // vector one node interns serves every later node that enters it. Most of
 // what is left per node is the solver's matrices on the nodes that fit a
 // regression. Most nodes of this network log too little to regress and
-// fall back to the constant-only model, which must not allocate an error. Like the test above it reads process-wide heap
-// counters: no test in this package may run in parallel with it.
+// fall back to the constant-only model, which must not allocate an error.
+// Like the test above it reads process-wide heap counters: no test in this
+// package may run in parallel with it.
 func TestRelayFinishObjectBudget(t *testing.T) {
 	const budget = 15
 	in, err := scenario.Build(budgetRelay)
@@ -289,7 +291,7 @@ func TestRoutedFinishSizesOnce(t *testing.T) {
 		t.Fatal(err)
 	}
 	in.Run()
-	entries, shortest, longest := 0, int(^uint(0)>>1), 0
+	entries, shortest, longest := 0, math.MaxInt, 0
 	for _, n := range in.World.Nodes {
 		l := len(n.Log.Entries)
 		entries += l
